@@ -47,17 +47,32 @@ inline void print_latency(const std::vector<stats::NamedSummary>& rows) {
 /// BENCH_fig4.json / BENCH_fig5.json — the cross-PR perf trajectory).
 struct BenchArtifacts {
   std::uint64_t census_bytes = 0;
-  scen::CrossingCensus tx_v1;
-  scen::CrossingCensus tx_v2;
-  scen::RxCensus rx_v1;
-  scen::RxCensus rx_zc;
-  scen::UringCensus tx_uring;
-  scen::UringCensus tx_uring_zc;  // TCP zc TX (OP_ZC_ALLOC + OP_ZC_SEND)
-  scen::UringCensus rx_uring;
-  scen::UringCensus tx_tso;      // zc TX with TSO negotiated
-  scen::UringCensus tx_tso_ctl;  // same run, TSO masked off (control)
-  scen::UringCensus rx_lossy;    // RX through a corrupting wire
+  scen::Census tx_v1;
+  scen::Census tx_v2;
+  scen::Census rx_v1;
+  scen::Census rx_zc;
+  scen::Census tx_uring;
+  scen::Census tx_uring_zc;  // TCP zc TX (OP_ZC_ALLOC + OP_ZC_SEND)
+  scen::Census rx_uring;
+  scen::Census rx_lossy;     // RX through a corrupting wire
+  scen::BandwidthOutcome::TxBurstCensus tso;      // TSO negotiated
+  scen::BandwidthOutcome::TxBurstCensus tso_ctl;  // same run, TSO masked
 };
+
+/// The census byte volume (CHERINET_CENSUS_KB). The floor keeps the gates
+/// meaningful: below ~one batch of MSS-sized chunks every path degenerates
+/// to a single call.
+inline std::uint64_t census_bytes() {
+  return std::max<std::uint64_t>(env_u64("CHERINET_CENSUS_KB", 4096), 256) *
+         1024;
+}
+
+/// The census counts; it does not time, so crossings cost nothing.
+inline scen::TestbedOptions counting(const scen::TestbedOptions& opt) {
+  scen::TestbedOptions copt = opt;
+  copt.cost = sim::CostModel::disabled();
+  return copt;
+}
 
 /// API v2 regression gate shared by fig4/fig5: run the crossing census over
 /// the same byte volume through the v1 per-call path and the batched path,
@@ -66,23 +81,19 @@ struct BenchArtifacts {
 inline int run_census_gate(scen::ScenarioKind kind,
                            const scen::TestbedOptions& opt,
                            BenchArtifacts* art = nullptr) {
-  // Volume floor keeps the gate meaningful: below ~one batch of MSS-sized
-  // chunks both paths degenerate to a single call.
-  const std::uint64_t census_bytes =
-      std::max<std::uint64_t>(env_u64("CHERINET_CENSUS_KB", 4096), 256) * 1024;
-  constexpr std::size_t kBatch = 32;
-  scen::TestbedOptions copt = opt;
-  copt.cost = sim::CostModel::disabled();  // counting, not timing
-  const auto v1 = run_ffwrite_crossing_census(kind, census_bytes, 1, copt);
-  const auto v2 = run_ffwrite_crossing_census(kind, census_bytes, kBatch,
-                                              copt);
+  const std::uint64_t bytes = census_bytes();
+  const auto v1 =
+      run_census(kind, scen::CensusLeg::kWrite, bytes, counting(opt));
+  const auto v2 =
+      run_census(kind, scen::CensusLeg::kWritev, bytes, counting(opt));
   if (art != nullptr) {
-    art->census_bytes = census_bytes;
+    art->census_bytes = bytes;
     art->tx_v1 = v1;
     art->tx_v2 = v2;
   }
   std::printf("\ncrossing census (%llu KiB, batch=%zu):\n",
-              static_cast<unsigned long long>(census_bytes / 1024), kBatch);
+              static_cast<unsigned long long>(bytes / 1024),
+              scen::kCensusBatch);
   std::printf("  v1 ff_write : %8llu calls  %8llu crossings  %10.0f ns/MiB\n",
               static_cast<unsigned long long>(v1.api_calls),
               static_cast<unsigned long long>(v1.crossings),
@@ -114,52 +125,50 @@ inline int run_census_gate(scen::ScenarioKind kind,
 
 /// RX census gate shared by fig4/fig5: receive the same byte volume through
 /// the per-call v1 path (epoll_wait + ff_read per MSS, every byte copied
-/// out of the stack) and through the zero-copy pipeline (one armed
-/// multishot event ring + ff_zc_recv loan bursts + batched recycling).
-/// Requires: the zc path copies ZERO receive-side bytes, every loan is
-/// recycled, crossings amortize >= 8x, and modeled cost/MiB is strictly
-/// lower. Returns the process exit code (0 pass).
+/// out of the stack) and through the zero-copy path (epoll_wait-gated
+/// ff_zc_recv loan bursts + batched recycling). Requires: the zc path
+/// copies ZERO receive-side bytes, every loan is recycled, crossings
+/// amortize >= 8x, and modeled cost/MiB is strictly lower. Returns the
+/// process exit code (0 pass).
 inline int run_rx_census_gate(scen::ScenarioKind kind,
                               const scen::TestbedOptions& opt,
                               BenchArtifacts* art = nullptr) {
-  const std::uint64_t census_bytes =
-      std::max<std::uint64_t>(env_u64("CHERINET_CENSUS_KB", 4096), 256) * 1024;
-  scen::TestbedOptions copt = opt;
-  copt.cost = sim::CostModel::disabled();  // counting, not timing
-  const auto v1 = run_ffrecv_rx_census(kind, census_bytes, false, copt);
-  const auto zc = run_ffrecv_rx_census(kind, census_bytes, true, copt);
+  const std::uint64_t bytes = census_bytes();
+  const auto v1 = run_census(kind, scen::CensusLeg::kRead, bytes, counting(opt));
+  const auto zc =
+      run_census(kind, scen::CensusLeg::kZcRecv, bytes, counting(opt));
   if (art != nullptr) {
     art->rx_v1 = v1;
     art->rx_zc = zc;
   }
   std::printf("\nRX census (%llu KiB received):\n",
-              static_cast<unsigned long long>(census_bytes / 1024));
+              static_cast<unsigned long long>(bytes / 1024));
   std::printf("  v1 ff_read  : %8llu calls  %8llu crossings  %10llu copied B"
               "  %10.0f ns/MiB\n",
               static_cast<unsigned long long>(v1.api_calls),
               static_cast<unsigned long long>(v1.crossings),
-              static_cast<unsigned long long>(v1.copied_bytes),
+              static_cast<unsigned long long>(v1.rx_copied_bytes),
               v1.modeled_ns_per_mib);
   std::printf("  zc ff_zc_recv: %7llu calls  %8llu crossings  %10llu copied B"
               "  %10.0f ns/MiB  (%llu loans, %llu recycled)\n",
               static_cast<unsigned long long>(zc.api_calls),
               static_cast<unsigned long long>(zc.crossings),
-              static_cast<unsigned long long>(zc.copied_bytes),
+              static_cast<unsigned long long>(zc.rx_copied_bytes),
               zc.modeled_ns_per_mib,
               static_cast<unsigned long long>(zc.zc_loans),
               static_cast<unsigned long long>(zc.zc_recycles));
-  if (zc.bytes < census_bytes || v1.bytes < census_bytes) {
+  if (zc.bytes < bytes || v1.bytes < bytes) {
     std::fprintf(stderr, "FAIL: RX census did not deliver the byte volume "
                          "(v1 %llu, zc %llu of %llu)\n",
                  static_cast<unsigned long long>(v1.bytes),
                  static_cast<unsigned long long>(zc.bytes),
-                 static_cast<unsigned long long>(census_bytes));
+                 static_cast<unsigned long long>(bytes));
     return 1;
   }
-  if (zc.copied_bytes != 0) {
+  if (zc.rx_copied_bytes != 0) {
     std::fprintf(stderr,
                  "FAIL: zero-copy RX path copied %llu bytes (expected 0)\n",
-                 static_cast<unsigned long long>(zc.copied_bytes));
+                 static_cast<unsigned long long>(zc.rx_copied_bytes));
     return 1;
   }
   if (zc.zc_loans == 0 || zc.zc_recycles != zc.zc_loans) {
@@ -186,7 +195,7 @@ inline int run_rx_census_gate(scen::ScenarioKind kind,
               "(v1 copied %.1f MiB)\n",
               static_cast<double>(v1.crossings) /
                   static_cast<double>(zc.crossings),
-              static_cast<double>(v1.copied_bytes) / (1024.0 * 1024.0));
+              static_cast<double>(v1.rx_copied_bytes) / (1024.0 * 1024.0));
   return 0;
 }
 
@@ -203,14 +212,13 @@ inline int run_rx_census_gate(scen::ScenarioKind kind,
 inline int run_uring_gate(scen::ScenarioKind kind,
                           const scen::TestbedOptions& opt,
                           BenchArtifacts* art) {
-  const std::uint64_t census_bytes =
-      std::max<std::uint64_t>(env_u64("CHERINET_CENSUS_KB", 4096), 256) * 1024;
-  scen::TestbedOptions copt = opt;
-  copt.cost = sim::CostModel::disabled();  // counting, not timing
-  const auto tx = run_uring_tx_census(kind, census_bytes, copt);
-  const auto txz =
-      run_uring_tx_census(kind, census_bytes, copt, /*zero_copy=*/true);
-  const auto rx = run_uring_rx_census(kind, census_bytes, copt);
+  const std::uint64_t census_bytes = bench::census_bytes();
+  const auto tx = run_census(kind, scen::CensusLeg::kRingWritev, census_bytes,
+                             counting(opt));
+  const auto txz = run_census(kind, scen::CensusLeg::kRingZcSend,
+                              census_bytes, counting(opt));
+  const auto rx = run_census(kind, scen::CensusLeg::kRingZcRecv, census_bytes,
+                             counting(opt));
   art->tx_uring = tx;
   art->tx_uring_zc = txz;
   art->rx_uring = rx;
@@ -313,7 +321,7 @@ inline int run_uring_gate(scen::ScenarioKind kind,
   // Steady-state: crossings must not scale with ops. The floors cover the
   // fixed setup (arm; RX also one accept-time epoll_ctl) plus doorbell
   // slack on tiny smoke volumes.
-  const auto steady = [](const scen::UringCensus& c,
+  const auto steady = [](const scen::Census& c,
                          std::uint64_t floor_) {
     return c.crossings <= std::max<std::uint64_t>(floor_, c.sqes / 8);
   };
@@ -353,11 +361,9 @@ inline int run_uring_gate(scen::ScenarioKind kind,
 inline int run_offload_gate(scen::ScenarioKind kind,
                             const scen::TestbedOptions& opt,
                             BenchArtifacts* art) {
-  const std::uint64_t census_bytes =
-      std::max<std::uint64_t>(env_u64("CHERINET_CENSUS_KB", 4096), 256) * 1024;
-  scen::TestbedOptions copt = opt;
-  copt.cost = sim::CostModel::disabled();  // counting, not timing
-  copt.inline_tcp_output = true;           // staged emission, full batches
+  const std::uint64_t census_bytes = bench::census_bytes();
+  scen::TestbedOptions copt = counting(opt);
+  copt.inline_tcp_output = true;  // staged emission, full batches
   copt.mss = 724;
   copt.offloads = updk::kOffloadAll;
   const auto tso = run_bandwidth(kind, scen::Direction::kMorelloSends,
@@ -365,14 +371,8 @@ inline int run_offload_gate(scen::ScenarioKind kind,
   copt.offloads = updk::kOffloadDefault;  // csum insertion stays, TSO off
   const auto ctl = run_bandwidth(kind, scen::Direction::kMorelloSends,
                                  census_bytes, copt);
-  // Keep the JSON artifact shape: fold the bandwidth TX census into the
-  // UringCensus-typed slots.
-  art->tx_tso.tx_descs = tso.morello_tx.segs;
-  art->tx_tso.tx_wire_bytes = tso.morello_tx.bytes;
-  art->tx_tso.tso_frames = tso.morello_tx.tso_frames;
-  art->tx_tso.tso_bytes = tso.morello_tx.tso_bytes;
-  art->tx_tso_ctl.tx_descs = ctl.morello_tx.segs;
-  art->tx_tso_ctl.tx_wire_bytes = ctl.morello_tx.bytes;
+  art->tso = tso.morello_tx;
+  art->tso_ctl = ctl.morello_tx;
   const auto moved = [](const scen::BandwidthOutcome& o) {
     std::uint64_t b = 0;
     for (const auto& e : o.endpoints) b += e.bytes;
@@ -440,13 +440,12 @@ inline int run_offload_gate(scen::ScenarioKind kind,
 inline int run_lossy_wire_gate(scen::ScenarioKind kind,
                                const scen::TestbedOptions& opt,
                                BenchArtifacts* art) {
-  const std::uint64_t census_bytes =
-      std::max<std::uint64_t>(env_u64("CHERINET_CENSUS_KB", 4096), 256) * 1024;
-  scen::TestbedOptions lopt = opt;
-  lopt.cost = sim::CostModel::disabled();  // counting, not timing
+  const std::uint64_t census_bytes = bench::census_bytes();
+  scen::TestbedOptions lopt = counting(opt);
   lopt.impair.corrupt = 0.02;
   lopt.impair.seed = 7;
-  const auto rx = run_uring_rx_census(kind, census_bytes, lopt);
+  const auto rx =
+      run_census(kind, scen::CensusLeg::kRingZcRecv, census_bytes, lopt);
   art->rx_lossy = rx;
   std::printf("\nlossy wire (%llu KiB RX, corrupt=%.0f%%):\n",
               static_cast<unsigned long long>(census_bytes / 1024),
@@ -535,9 +534,9 @@ inline void emit_bench_json(const char* fig, const BenchArtifacts& a) {
                "\"crossings\": %llu, \"doorbells\": %llu, "
                "\"ns_per_mib\": %.0f}\n  },\n",
                u(a.rx_v1.api_calls), u(a.rx_v1.crossings),
-               u(a.rx_v1.copied_bytes), a.rx_v1.modeled_ns_per_mib,
+               u(a.rx_v1.rx_copied_bytes), a.rx_v1.modeled_ns_per_mib,
                u(a.rx_zc.api_calls), u(a.rx_zc.crossings),
-               u(a.rx_zc.copied_bytes), u(a.rx_zc.zc_loans),
+               u(a.rx_zc.rx_copied_bytes), u(a.rx_zc.zc_loans),
                u(a.rx_zc.zc_recycles), a.rx_zc.modeled_ns_per_mib,
                u(a.rx_uring.sqes), u(a.rx_uring.cqes),
                u(a.rx_uring.crossings), u(a.rx_uring.doorbells),
@@ -554,10 +553,9 @@ inline void emit_bench_json(const char* fig, const BenchArtifacts& a) {
                "    \"lossy\": {\"wire_corrupts\": %llu, "
                "\"rx_crc_errors\": %llu, \"stack_csum_drops\": %llu}\n"
                "  }\n}\n",
-               u(a.tx_uring_zc.stack_checksum_bytes), u(a.tx_tso.tso_frames),
-               u(a.tx_tso.tso_bytes), u(a.tx_tso.tx_descs),
-               u(a.tx_tso.tx_wire_bytes), u(a.tx_tso_ctl.tx_descs),
-               u(a.tx_tso_ctl.tx_wire_bytes),
+               u(a.tx_uring_zc.stack_checksum_bytes), u(a.tso.tso_frames),
+               u(a.tso.tso_bytes), u(a.tso.segs), u(a.tso.bytes),
+               u(a.tso_ctl.segs), u(a.tso_ctl.bytes),
                u(a.rx_lossy.wire_corrupts), u(a.rx_lossy.rx_crc_errors),
                u(a.rx_lossy.stack_csum_drops));
   std::fclose(f);

@@ -37,7 +37,7 @@ int main() {
 
   // API v2 regression gates: the TX batch path must amortize the measured-
   // window crossings >= 8x over per-call v1 for the same byte volume, and
-  // the zero-copy RX pipeline (multishot ring + mbuf loans) must do the
+  // the zero-copy RX path (epoll-gated mbuf loan bursts) must do the
   // same on the receive side with ZERO receive-sockbuf copies. The v3
   // uring gate then requires >= 2x fewer crossings than those batch paths
   // with zero crossings per op in steady state, and the whole census lands

@@ -35,7 +35,7 @@ int main() {
 
   // API v2 regression gates: in Scenario 2 every v1 ff_write is its own
   // cross-cVM jump + mutex acquisition; the batch path must amortize >= 8x.
-  // On the receive side, the armed multishot ring + loan bursts must beat
+  // On the receive side, epoll-gated zc loan bursts must beat
   // per-call epoll_wait + ff_read by the same factor with zero copies.
   // The v3 uring gate then requires >= 2x fewer crossings than those batch
   // paths with zero crossings per op in steady state (doorbell-only), and

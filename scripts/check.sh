@@ -5,7 +5,7 @@
 #
 # SANITIZE=1 switches to the AddressSanitizer + UBSan configuration in its
 # own build tree — the memory-safety net over the loan-based RX pipeline
-# (mbuf refcounts, capability views, SPSC event rings).
+# (mbuf refcounts, capability views, the ff_uring SQ/CQ rings).
 #
 # TSAN=1 switches to the ThreadSanitizer configuration, again in its own
 # build tree, and runs only the thread-spawning suites (the arbiter-paced

@@ -31,31 +31,10 @@ class FfOps {
                             std::size_t n) = 0;
 
   // API v2: scatter-gather batches (one compartment crossing per batch in
-  // Scenario 2). The defaults degrade to per-element v1 calls so every
-  // binding keeps working; the Direct/Proxy bindings override them with the
-  // genuinely batched paths.
-  virtual std::int64_t writev(int fd, std::span<const fstack::FfIovec> iov) {
-    std::int64_t total = 0;
-    for (const fstack::FfIovec& e : iov) {
-      if (e.len == 0) continue;
-      const std::int64_t r = write(fd, e.buf, e.len);
-      if (r <= 0) return total > 0 ? total : r;
-      total += r;
-      if (static_cast<std::size_t>(r) < e.len) break;
-    }
-    return total;
-  }
-  virtual std::int64_t readv(int fd, std::span<const fstack::FfIovec> iov) {
-    std::int64_t total = 0;
-    for (const fstack::FfIovec& e : iov) {
-      if (e.len == 0) continue;
-      const std::int64_t r = read(fd, e.buf, e.len);
-      if (r <= 0) return total > 0 ? total : r;
-      total += r;
-      if (static_cast<std::size_t>(r) < e.len) break;
-    }
-    return total;
-  }
+  // Scenario 2). Every binding implements the genuinely batched path.
+  virtual std::int64_t writev(int fd,
+                              std::span<const fstack::FfIovec> iov) = 0;
+  virtual std::int64_t readv(int fd, std::span<const fstack::FfIovec> iov) = 0;
 
   /// Drain the accept queue in one go (one compartment crossing for the
   /// whole fd batch behind proxied ops). Returns fds accepted; the default
@@ -95,10 +74,9 @@ class FfOps {
     return -ENOTSUP;
   }
 
-  // Zero-copy RX (API v2). The defaults report -ENOTSUP: unlike the
-  // scatter-gather calls there is no per-element fallback that preserves
-  // the zero-copy contract, so bindings either implement the loan path or
-  // honestly decline (callers fall back to read()).
+  // Zero-copy RX (API v2). The defaults report -ENOTSUP: no per-element
+  // fallback preserves the zero-copy contract, so bindings either implement
+  // the loan path or honestly decline (callers fall back to read()).
   virtual std::int64_t zc_recv(int fd, std::span<fstack::FfZcRxBuf> out) {
     (void)fd;
     (void)out;
@@ -132,8 +110,10 @@ class FfOps {
     return -ENOTSUP;
   }
 
-  /// Multishot epoll: arm once, consume event batches from the capability
-  /// ring with no further calls (see fstack/event_ring.hpp).
+  /// Retired (API v10): the v2 multishot event ring is gone — arm
+  /// readiness with OP_EPOLL_ARM on an ff_uring instead. Both calls answer
+  /// -ENOTSUP and survive only because decorators outside this library
+  /// (bench/e2e/timed.hpp) still forward them.
   virtual int epoll_wait_multishot(int epfd, const machine::CapView& ring,
                                    std::uint32_t capacity) {
     (void)epfd;
@@ -221,13 +201,6 @@ class DirectFfOps final : public FfOps {
   }
   std::int64_t zc_recycle_batch(std::span<fstack::FfZcRxBuf> zcs) override {
     return fstack::ff_zc_recycle_batch(*st_, zcs);
-  }
-  int epoll_wait_multishot(int epfd, const machine::CapView& ring,
-                           std::uint32_t capacity) override {
-    return fstack::ff_epoll_wait_multishot(*st_, epfd, ring, capacity);
-  }
-  int epoll_cancel_multishot(int epfd) override {
-    return fstack::ff_epoll_cancel_multishot(*st_, epfd);
   }
   int uring_attach(const machine::CapView& mem, std::uint32_t sq_capacity,
                    std::uint32_t cq_capacity) override {

@@ -196,16 +196,6 @@ bool IperfServer::step_uring() {
   return progress;
 }
 
-int IperfServer::use_multishot(machine::CapView ring_mem,
-                               std::uint32_t capacity) {
-  // Initialize the ring header before the stack starts publishing into it.
-  fstack::FfEventRing ring(ring_mem, capacity);
-  const int r = ops_->epoll_wait_multishot(epfd_, ring_mem, capacity);
-  if (r < 0) return r;  // -ENOTSUP bindings keep the classic wait path
-  ring_ = ring;
-  return 0;
-}
-
 void IperfServer::interval_report(const Conn& c) {
   if (!reporter_.due(clock_->now())) return;
   char line[128];
@@ -302,11 +292,7 @@ bool IperfServer::step() {
   if (uring_.has_value()) return step_uring();
   bool progress = false;
   fstack::FfEpollEvent evs[16];
-  // Multishot mode consumes the event ring with plain capability loads —
-  // no epoll_wait call (and, behind proxied ops, no crossing) per step.
-  const int n = ring_.has_value()
-                    ? static_cast<int>(ring_->pop(evs))
-                    : ops_->epoll_wait(epfd_, evs);
+  const int n = ops_->epoll_wait(epfd_, evs);
   for (int i = 0; i < n; ++i) {
     const int fd = static_cast<int>(evs[i].data);
     if (fd == listen_fd_) {
@@ -317,18 +303,6 @@ bool IperfServer::step() {
     }
     for (Conn& c : conns_) {
       if (c.fd != fd || c.done) continue;
-      const std::uint64_t before = c.report.bytes;
-      const bool was_done = c.done;
-      drain(c);
-      progress |= c.report.bytes != before || c.done != was_done;
-    }
-  }
-  // Delta-triggered ring events can announce data once for a stream that
-  // keeps arriving while the mask stays kEpollIn; re-drain active
-  // connections every step in multishot mode.
-  if (ring_.has_value() && n == 0) {
-    for (Conn& c : conns_) {
-      if (c.done) continue;
       const std::uint64_t before = c.report.bytes;
       const bool was_done = c.done;
       drain(c);

@@ -11,7 +11,6 @@
 #include "apps/ff_ops.hpp"
 #include "apps/telemetry.hpp"
 #include "apps/uring_proto.hpp"
-#include "fstack/event_ring.hpp"
 #include "fstack/uring.hpp"
 #include "sim/virtual_clock.hpp"
 #include "stats/stats.hpp"
@@ -45,11 +44,6 @@ class IperfServer {
   /// Detaches a still-armed ff_uring (the ring region is app memory; the
   /// stack's delegated capability must not outlive the server).
   ~IperfServer();
-
-  /// Switch readiness to a multishot event ring backed by `ring_mem`
-  /// (FfEventRing::bytes_for(capacity) bytes of app memory): one arming
-  /// call replaces every subsequent epoll_wait. Returns 0 or -errno.
-  int use_multishot(machine::CapView ring_mem, std::uint32_t capacity);
 
   /// API v3 port: run the whole receive side over one ff_uring — accepted
   /// fds, readiness, zc loans and recycles all flow through the ring's CQ/
@@ -112,8 +106,7 @@ class IperfServer {
   int expected_;
   std::atomic<int> completed_{0};
   bool zero_copy_;
-  std::optional<fstack::FfEventRing> ring_;  // multishot consumer side
-  std::optional<fstack::FfUring> uring_;     // v3: the whole RX pipeline
+  std::optional<fstack::FfUring> uring_;  // v3: the whole RX pipeline
   int uring_id_ = -1;
   // Per-connection burst credits (shared ledger in uring_proto.hpp): up to
   // credits() connections overlap one zc burst each inside the CQ window.

@@ -135,16 +135,6 @@ int ff_epoll_wait(FfStack& st, int epfd, std::span<FfEpollEvent> events) {
   return st.epoll_wait(epfd, events);
 }
 
-int ff_epoll_wait_multishot(FfStack& st, int epfd,
-                            const machine::CapView& ring,
-                            std::uint32_t capacity) {
-  return st.epoll_wait_multishot(epfd, ring, capacity);
-}
-
-int ff_epoll_cancel_multishot(FfStack& st, int epfd) {
-  return st.epoll_cancel_multishot(epfd);
-}
-
 int ff_uring_attach(FfStack& st, const machine::CapView& mem,
                     std::uint32_t sq_capacity, std::uint32_t cq_capacity) {
   return st.uring_attach(mem, sq_capacity, cq_capacity);

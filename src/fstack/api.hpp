@@ -218,7 +218,8 @@
 //                                      |   touches belongs to that shard
 //                                      |   for the app's whole lifetime
 //  svc.run_loop(stop, arb)             | svc.run_shard_loop(s, stop, arb)
-//                                      |   per shard (run_loop = shard 0)
+//                                      |   per shard (run_loop retired in
+//                                      |   v10: pass shard 0)
 //  dev.poll(now) (whole device)        | dev.poll_queue(port, q, now):
 //                                      |   TX for the CALLER'S queue only
 //                                      |   + the shared RX classify drain
@@ -399,6 +400,40 @@
 //   * scenarios/scenario3.hpp drives N tenant compartments over one stack
 //     with hostile-profile fault injection (scenarios/adversary.hpp).
 //
+// ------------------------------------------------------------------------
+// v9 -> v10 migration table: one readiness delivery path
+// ------------------------------------------------------------------------
+// v10 retires the v2 multishot event ring. OP_EPOLL_ARM (v3) delivers the
+// same readiness stream, through the same EpollInstance mask/generation
+// dedup, as CQEs in the ring the app already reaps; a second delivery shape
+// into a second app-provided ring was one more pair of sealed entries to
+// validate and fuzz for nothing. EpollInstance keeps one delivery path:
+// the completion sink. v10 removes surface and adds none.
+//
+//  v9                                  | v10
+// -------------------------------------|----------------------------------
+//  ff_epoll_wait_multishot(epfd, ring) | SQE OP_EPOLL_ARM on an attached
+//    + FfEventRing::pop() per loop     |   ff_uring: readiness CQEs with
+//                                      |   kCqeMore while armed (or plain
+//                                      |   ff_epoll_wait, one call a loop)
+//  ff_epoll_cancel_multishot(epfd)     | ff_uring_detach disarms every
+//                                      |   OP_EPOLL_ARM of that ring;
+//                                      |   re-arming moves the delivery
+//  FfEventRing (fstack/event_ring.hpp) | the FfUring CQ (fstack/uring.hpp)
+//  Scenario-2 sealed entries           | removed: the proxy exports two
+//    ff_epoll_wait_multishot /         |   fewer entry points
+//    ff_epoll_cancel_multishot         |
+//  FfOps::epoll_wait_multishot /       | -ENOTSUP defaults, no binding
+//    epoll_cancel_multishot            |   implements them
+//  FfOps::writev / readv per-element   | pure virtual: every binding
+//    "degrade" defaults                |   implements the batched path
+//  IperfServer::use_multishot          | IperfServer::use_uring
+//  Scenario2Service::run_loop          | run_shard_loop(0, stop, arb)
+//
+//  semantics deltas (v10): none for OP_EPOLL_ARM, whose dedup state is the
+//  one the event ring shared. ApiStats::multishot_arms / multishot_events
+//  now count OP_EPOLL_ARM arms and readiness CQEs only.
+//
 // The capability-qualified buffer handle is machine::CapView — the
 // `void* __capability` of the paper's modified F-Stack API; this header
 // remains the surface Table I's "modified LoC" census counts.
@@ -513,16 +548,6 @@ int ff_epoll_create(FfStack& st);
 int ff_epoll_ctl(FfStack& st, int epfd, EpollOp op, int fd,
                  std::uint32_t events, std::uint64_t data);
 int ff_epoll_wait(FfStack& st, int epfd, std::span<FfEpollEvent> events);
-/// Multishot wait: arm ONCE with a caller-provided capability ring (layout
-/// in event_ring.hpp; capacity must be a power of two); the stack's main
-/// loop then publishes readiness batches into the ring across iterations
-/// with no further call — and, in Scenario 2, no further compartment
-/// crossing. Returns events published immediately, or -errno. Re-arming
-/// replaces the ring and republishes.
-int ff_epoll_wait_multishot(FfStack& st, int epfd,
-                            const machine::CapView& ring,
-                            std::uint32_t capacity);
-int ff_epoll_cancel_multishot(FfStack& st, int epfd);
 
 // ---------------------------------------------------------------- v3 uring
 // The unified ring boundary (see fstack/uring.hpp for the ABI and the

@@ -2,8 +2,6 @@
 
 #include <cerrno>
 
-#include "fstack/event_ring.hpp"
-
 namespace cherinet::fstack {
 
 int EpollInstance::ctl(EpollOp op, int fd, std::uint32_t events,
@@ -26,25 +24,13 @@ int EpollInstance::ctl(EpollOp op, int fd, std::uint32_t events,
   return -EINVAL;
 }
 
-void EpollInstance::arm_multishot(machine::CapView ring,
-                                  std::uint32_t capacity) {
-  ring_ = ring;
-  ring_capacity_ = capacity;
-  sink_ = nullptr;
+void EpollInstance::arm_sink(
+    std::function<bool(std::uint32_t, std::uint64_t)> sink) {
+  sink_ = std::move(sink);
   last_.clear();  // re-arming republishes the current readiness
 }
 
-void EpollInstance::arm_multishot_sink(
-    std::function<bool(std::uint32_t, std::uint64_t)> sink) {
-  sink_ = std::move(sink);
-  ring_.reset();
-  ring_capacity_ = 0;
-  last_.clear();
-}
-
-void EpollInstance::disarm_multishot() {
-  ring_.reset();
-  ring_capacity_ = 0;
+void EpollInstance::disarm() {
   sink_ = nullptr;
   last_.clear();
 }
@@ -57,26 +43,7 @@ bool EpollInstance::publish(int fd, std::uint32_t ready, std::uint64_t gen) {
     return false;
   }
   if (ready == last.mask && gen == last.gen) return false;
-  if (sink_ != nullptr) {  // uring CQ delivery (OP_EPOLL_ARM)
-    if (!sink_(ready, interest_.at(fd).data)) return false;  // CQ full: retry
-    last.mask = ready;
-    last.gen = gen;
-    return true;
-  }
-  const machine::CapView& r = *ring_;
-  const std::uint32_t head = r.atomic_load_u32(0);
-  const std::uint32_t tail = r.atomic_load_u32(4);
-  if (tail - head >= ring_capacity_) {  // full: drop, retry next iteration
-    r.atomic_store_u32(12, r.atomic_load_u32(12) + 1);
-    return false;
-  }
-  const std::uint32_t slot = tail & (ring_capacity_ - 1);
-  const std::uint64_t off = FfEventRing::kHeaderBytes +
-                            static_cast<std::uint64_t>(slot) *
-                                FfEventRing::kEventBytes;
-  r.store<std::uint32_t>(off, ready);
-  r.store<std::uint64_t>(off + 4, interest_.at(fd).data);
-  r.atomic_store_u32(4, tail + 1);  // release: payload before index
+  if (!sink_(ready, interest_.at(fd).data)) return false;  // CQ full: retry
   last.mask = ready;
   last.gen = gen;
   return true;

@@ -10,9 +10,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
-
-#include "machine/cap_view.hpp"
 
 namespace cherinet::fstack {
 
@@ -40,36 +37,25 @@ class EpollInstance {
     return interest_;
   }
 
-  // ---- multishot arming (see event_ring.hpp for the ring contract) ----
-  // While armed, the owning stack publishes readiness-CHANGE events into
-  // the caller-provided capability ring every main-loop iteration; the
-  // application consumes them without crossing back in. Delta-triggered:
-  // an fd re-reports only after its ready mask changes (drain fully, like
-  // io_uring multishot poll).
+  // ---- multishot delivery (the ff_uring OP_EPOLL_ARM path) ----
+  // While armed, the owning stack publishes readiness-CHANGE events through
+  // the sink every main-loop iteration; the application reaps them as CQEs
+  // without crossing back in (io_uring multishot poll).
 
-  /// Arm (or re-arm) with a writable ring of `capacity` event slots.
-  void arm_multishot(machine::CapView ring, std::uint32_t capacity);
-  /// Arm (or re-arm) with a completion sink instead of an event ring — the
-  /// ff_uring OP_EPOLL_ARM path: each publication calls sink(ready, data);
-  /// a false return means the sink deferred (full CQ) and the event stays
-  /// unpublished, to retry on a later iteration. The same mask/generation
-  /// dedup state drives both delivery shapes, so the edge-trigger
-  /// lost-wakeup fix of PR 2 cannot diverge between them.
-  void arm_multishot_sink(
-      std::function<bool(std::uint32_t, std::uint64_t)> sink);
-  void disarm_multishot();
-  [[nodiscard]] bool multishot_armed() const noexcept {
-    return ring_.has_value() || sink_ != nullptr;
-  }
+  /// Arm (or re-arm) with a completion sink: each publication calls
+  /// sink(ready, data); a false return means the sink deferred (full CQ)
+  /// and the event stays unpublished, to retry on a later iteration.
+  void arm_sink(std::function<bool(std::uint32_t, std::uint64_t)> sink);
+  void disarm();
+  [[nodiscard]] bool armed() const noexcept { return sink_ != nullptr; }
 
   /// Publish `ready` for `fd` if the mask changed OR new readiness
   /// activity happened since the last publication (`gen` is a monotonic
   /// per-fd activity counter: bytes delivered, connections queued, …).
   /// Without the generation, a consumer that drains to -EAGAIN right
   /// before more data lands would never see another event — the classic
-  /// edge-trigger lost wakeup. Returns true when an event was written
-  /// (false: no change, empty mask, or ring full — counted in the ring's
-  /// overflow word).
+  /// edge-trigger lost wakeup. Returns true when an event was delivered
+  /// (false: no change, empty mask, or the sink deferred).
   bool publish(int fd, std::uint32_t ready, std::uint64_t gen);
 
  private:
@@ -79,8 +65,6 @@ class EpollInstance {
   };
 
   std::map<int, Interest> interest_;
-  std::optional<machine::CapView> ring_;
-  std::uint32_t ring_capacity_ = 0;
   std::function<bool(std::uint32_t, std::uint64_t)> sink_;
   std::map<int, Published> last_;
 };

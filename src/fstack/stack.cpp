@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "fstack/checksum.hpp"
-#include "fstack/event_ring.hpp"
 
 namespace cherinet::fstack {
 
@@ -348,8 +347,7 @@ int FfStack::publish_ready(EpollInstance& ep) {
 
 void FfStack::publish_multishot() {
   socks_.for_each([this](Socket& s) {
-    if (s.kind == SockKind::kEpoll && s.epoll &&
-        s.epoll->multishot_armed()) {
+    if (s.kind == SockKind::kEpoll && s.epoll && s.epoll->armed()) {
       publish_ready(*s.epoll);
     }
   });
@@ -2009,38 +2007,6 @@ int FfStack::epoll_wait(int epfd, std::span<FfEpollEvent> out) {
   return n;
 }
 
-int FfStack::epoll_wait_multishot(int epfd, const machine::CapView& ring,
-                                  std::uint32_t capacity) {
-  Socket* e = socks_.get(epfd);
-  if (e == nullptr || e->kind != SockKind::kEpoll) return -EBADF;
-  if (!FfEventRing::valid_capacity(capacity) ||
-      ring.size() < FfEventRing::bytes_for(capacity)) {
-    return -EINVAL;
-  }
-  // The arming call is the ONE crossing this wait stream ever pays: the
-  // ring capability is validated for store access over its whole extent
-  // here, exactly once (a bad grant faults now, not mid-publication).
-  ring.cap().check(cheri::Access::kStore, ring.address(),
-                   FfEventRing::bytes_for(capacity));
-  // Arming the v2 event ring replaces any uring CQ sink: release the
-  // rings' claims so a later uring_detach cannot disarm this delivery.
-  uring_forget_epoll_arm(epfd);
-  e->epoll->arm_multishot(ring, capacity);
-  api_.multishot_arms++;
-  // Publish current readiness immediately so the caller need not wait for
-  // the next main-loop iteration.
-  return publish_ready(*e->epoll);
-}
-
-int FfStack::epoll_cancel_multishot(int epfd) {
-  Socket* e = socks_.get(epfd);
-  if (e == nullptr || e->kind != SockKind::kEpoll) return -EBADF;
-  if (!e->epoll->multishot_armed()) return -EINVAL;
-  e->epoll->disarm_multishot();
-  uring_forget_epoll_arm(epfd);  // no ring claim may outlive the arm
-  return 0;
-}
-
 // ===========================================================================
 // ff_uring (API v3): the unified submission/completion boundary. One arming
 // crossing delegates the ring capability; from then on the main loop drains
@@ -2172,7 +2138,7 @@ int FfStack::uring_detach(int id) {
   for (const int epfd : it->second.epoll_arms) {
     Socket* e = socks_.get(epfd);
     if (e != nullptr && e->kind == SockKind::kEpoll && e->epoll) {
-      e->epoll->disarm_multishot();
+      e->epoll->disarm();
     }
   }
   urings_.erase(it);
@@ -2627,7 +2593,7 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
             uring_forget_epoll_arm(d.fd);
             UringReg* reg = &r;  // std::map references are stable
             const std::uint64_t ud = d.user_data;
-            e->epoll->arm_multishot_sink(
+            e->epoll->arm_sink(
                 [this, reg, ud](std::uint32_t ready, std::uint64_t data) {
                   return uring_cq_emit(*reg, ud,
                                        static_cast<std::int64_t>(ready),

@@ -184,12 +184,6 @@ class FfStack final : public TcpEnv {
   int epoll_ctl(int epfd, EpollOp op, int fd, std::uint32_t events,
                 std::uint64_t data);
   int epoll_wait(int epfd, std::span<FfEpollEvent> out);
-  /// Arm multishot delivery: `ring` (see event_ring.hpp) receives event
-  /// batches from every subsequent main-loop iteration with no further
-  /// call. Returns events published immediately, or -errno.
-  int epoll_wait_multishot(int epfd, const machine::CapView& ring,
-                           std::uint32_t capacity);
-  int epoll_cancel_multishot(int epfd);
 
   // ---- diagnostics / tests ----
   [[nodiscard]] const NetifConfig& netif() const noexcept {
@@ -261,7 +255,7 @@ class FfStack final : public TcpEnv {
     std::uint64_t zc_rx_loans = 0;     // loans handed out by ff_zc_recv
     std::uint64_t zc_rx_recycles = 0;  // loans returned via ff_zc_recycle
     std::uint64_t multishot_arms = 0;
-    std::uint64_t multishot_events = 0;  // events published into rings
+    std::uint64_t multishot_events = 0;  // OP_EPOLL_ARM readiness CQEs
     // ---- ff_uring (API v3) ----
     std::uint64_t uring_attaches = 0;
     std::uint64_t uring_doorbells = 0;  // drain kicks (a crossing each in S2)
@@ -507,9 +501,9 @@ class FfStack final : public TcpEnv {
   /// Drop fd from every ring's connect/fd arms (socket closed or errored).
   void uring_forget_fd(int fd);
   /// Drop `epfd` from every ring's epoll_arms list. Called whenever an
-  /// epoll instance's multishot delivery is replaced (re-armed onto
-  /// another ring, onto a v2 event ring, or cancelled): the OLD ring must
-  /// not disarm the new owner's delivery when it detaches later.
+  /// epoll instance's multishot delivery is re-armed onto another ring:
+  /// the OLD ring must not disarm the new owner's delivery when it
+  /// detaches later.
   void uring_forget_epoll_arm(int epfd);
 
   // housekeeping
@@ -527,9 +521,10 @@ class FfStack final : public TcpEnv {
   /// tcp_recovery_stats() keeps counting across connection churn.
   void accumulate_reaped(const TcpPcb& pcb);
   void publish_multishot();
-  /// Publish current readiness of every interest-set fd into `ep`'s armed
-  /// ring; returns events written (shared by arm-time and per-iteration
-  /// publication so the masking/generation keying cannot diverge).
+  /// Publish current readiness of every interest-set fd through `ep`'s
+  /// armed sink; returns events delivered (shared by arm-time and
+  /// per-iteration publication so the masking/generation keying cannot
+  /// diverge).
   int publish_ready(EpollInstance& ep);
   // With a known peer (connect), only ports whose reply-direction RSS hash
   // steers back to this shard's RX queue qualify — a flow's whole lifetime

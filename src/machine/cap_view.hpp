@@ -58,9 +58,9 @@ class CapView {
     mem_->store_scalar<T>(cap_, cap_.address() + off, v);
   }
 
-  /// Atomic u32 access at byte offset `off` (4-byte aligned). The event
-  /// rings of multishot epoll publish their head/tail indices through
-  /// these: acquire loads pair with release stores across compartments.
+  /// Atomic u32 access at byte offset `off` (4-byte aligned). The ff_uring
+  /// SQ/CQ rings publish their head/tail indices through these: acquire
+  /// loads pair with release stores across compartments.
   [[nodiscard]] std::uint32_t atomic_load_u32(std::uint64_t off) const {
     return mem_->atomic_load_u32(cap_, cap_.address() + off);
   }

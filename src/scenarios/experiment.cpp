@@ -2,8 +2,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <functional>
+#include <optional>
 #include <thread>
 
 #include "scenarios/baseline.hpp"
@@ -624,7 +624,7 @@ LatencyOutcome run_ffwrite_latency(ScenarioKind kind, std::size_t iterations,
   iv::CVM& cvm1 = iv.create_cvm("cVM1", 96u << 20);
   FullStackInstance inst(tb.card(), 0, cvm1.heap(), clock, tb.morello_cfg(0));
   Scenario2Service svc(iv, cvm1, inst);
-  cvm1.start([&] { svc.run_loop(stop, arb); });
+  cvm1.start([&] { svc.run_shard_loop(0, stop, arb); });
 
   struct App {
     iv::CVM* cvm = nullptr;
@@ -670,1038 +670,545 @@ LatencyOutcome run_ffwrite_latency(ScenarioKind kind, std::size_t iterations,
 }
 
 // ===========================================================================
-// API v2 crossing census
+// Crossing census: one lockstep rig, four leg bodies
 // ===========================================================================
 
 namespace {
 
-/// The measured-call loop both census scenarios share: wrap every write in
-/// the clock_gettime envelope of the Fig. 4 methodology (in a cVM those
-/// reads trampoline — they are part of what a measured ff_write costs the
-/// application), submit batch iovecs per call, and drive/yield as the
-/// scenario dictates via `turn` (returns true when the loop may continue).
-/// Crossing counters (`entry_now` = sealed-entry jumps, `tramp_now` =
-/// trampoline syscalls; either may be empty) are sampled AROUND each
-/// measured call, so idle polling and connection setup — real-time noise —
-/// never pollute the per-call attribution.
-struct CensusProbes {
-  std::function<std::uint64_t()> entry_now;
-  std::function<std::uint64_t()> tramp_now;
-  std::uint64_t entry_crossings = 0;
-  std::uint64_t tramp_crossings = 0;
-};
-
-std::uint64_t census_write_loop(apps::FfOps& ops, iv::MuslLibc& libc,
-                                const machine::CapView& buf,
-                                std::uint64_t total_bytes, std::size_t batch,
-                                std::size_t wsize, std::uint64_t* api_calls,
-                                CensusProbes* probes,
-                                const std::function<bool(bool)>& turn) {
-  const int fd = ops.socket_stream();
-  ops.connect(fd, MorelloTestbed::peer_ip(0), kIperfPort);
-  // Gate measured calls on EPOLLOUT, exactly like the ported iperf3
-  // (§III-B): a measured write only issues when it can queue bytes, so the
-  // census counts the crossings of productive calls, not of -EAGAIN spins.
-  const int ep = ops.epoll_create();
-  ops.epoll_ctl(ep, fstack::EpollOp::kAdd, fd, fstack::kEpollOut, 1);
-  std::vector<fstack::FfIovec> iov(batch);
-  std::uint64_t queued = 0;
-  while (queued < total_bytes) {
-    fstack::FfEpollEvent ev[1];
-    const bool writable = ops.epoll_wait(ep, ev) > 0 &&
-                          (ev[0].events & fstack::kEpollOut) != 0;
-    std::int64_t r = 0;
-    if (writable) {
-      const std::uint64_t e0 =
-          probes->entry_now ? probes->entry_now() : 0;
-      const std::uint64_t t0 =
-          probes->tramp_now ? probes->tramp_now() : 0;
-      (void)libc.clock_gettime_mono_raw_ns();
-      if (batch == 1) {
-        const std::size_t n =
-            std::min<std::uint64_t>(wsize, total_bytes - queued);
-        r = ops.write(fd, buf, n);
-      } else {
-        std::size_t k = 0;
-        std::uint64_t want = 0;
-        for (; k < batch && queued + want < total_bytes; ++k) {
-          const std::size_t n =
-              std::min<std::uint64_t>(wsize, total_bytes - queued - want);
-          iov[k] = {buf.window(0, n), n};
-          want += n;
-        }
-        r = ops.writev(fd, {iov.data(), k});
-      }
-      (void)libc.clock_gettime_mono_raw_ns();
-      if (probes->entry_now) {
-        probes->entry_crossings += probes->entry_now() - e0;
-      }
-      if (probes->tramp_now) {
-        probes->tramp_crossings += probes->tramp_now() - t0;
-      }
-      ++*api_calls;
-      if (r > 0) queued += static_cast<std::uint64_t>(r);
-    }
-    if (!turn(writable && r > 0)) break;
-  }
-  ops.close(ep);
-  ops.close(fd);
-  return queued;
-}
-
-}  // namespace
-
-CrossingCensus run_ffwrite_crossing_census(ScenarioKind kind,
-                                           std::uint64_t total_bytes,
-                                           std::size_t batch,
-                                           const TestbedOptions& opt) {
-  CrossingCensus out;
-  batch = std::min<std::size_t>(std::max<std::size_t>(batch, 1), 64);
-  const std::size_t wsize = 1448;
-  const sim::CostModel price = sim::CostModel::morello();
-  const double mib =
-      static_cast<double>(total_bytes) / (1024.0 * 1024.0);
-
-  MorelloTestbed tb(opt);
-  auto& iv = tb.intravisor();
-  auto& clock = tb.clock();
-  auto& arb = tb.arbiter();
-  std::atomic<bool> stop{false};
-
-  // The census measures the cost of *queueing* a byte volume, so the send
-  // buffer holds the whole volume: backpressure would make every call —
-  // batched or not — move only the drained window and mask the per-call
-  // fixed costs being compared.
-  InstanceConfig icfg = tb.morello_cfg(0);
-  icfg.tcp.sndbuf_bytes =
-      std::max<std::size_t>(icfg.tcp.sndbuf_bytes, total_bytes + (64u << 10));
-
-  if (kind == ScenarioKind::kScenario1) {
-    arb.expect_participants(2);
-    PeerHost& peer = tb.make_peer(0);
-    peer.serve_iperf(kIperfPort, 1);  // discard sink
-    peer.start();
-    Scenario1Cvm s1(iv, tb.card(), 0, icfg, "cVM1-census");
-    // Scenario 1's crossings in the measured window are the trampolined
-    // timing syscalls (paper §IV: "in cVMs we can't directly access the
-    // timers"); each costs a full kernel entry + trampoline.
-    CensusProbes probes;
-    probes.tramp_now = [&] { return s1.cvm().trampoline().crossings(); };
-    s1.cvm().start([&] {
-      FullStackInstance& inst = s1.instance();
-      machine::CapView buf = s1.alloc(wsize);
-      sim::Participant part(arb, "census-probe");
-      out.bytes = census_write_loop(
-          s1.ops(), s1.libc(), buf, total_bytes, batch, wsize,
-          &out.api_calls, &probes, [&](bool wrote) {
-            const std::uint64_t token = part.prepare();
-            const bool progress = inst.run_once() || wrote;
-            if (!progress) {
-              part.wait(token, capped_deadline(inst.next_deadline(),
-                                               clock.now(), kProbeHeartbeat));
-            }
-            return true;
-          });
-      for (int i = 0; i < 10000; ++i) {
-        if (!inst.run_once()) break;  // drain FIN exchange
-      }
-    });
-    s1.cvm().join();
-    peer.request_stop();
-    peer.join();
-    out.crossings = probes.tramp_crossings;
-    out.modeled_ns_per_mib =
-        mib > 0 ? static_cast<double>(out.crossings) *
-                      static_cast<double>(price.trampoline_crossing().count()) /
-                      mib
-                : 0.0;
-    return out;
-  }
-
-  if (kind != ScenarioKind::kScenario2Uncontended) return out;
-
-  // ---- Scenario 2 (uncontended): writes cross into the network cVM ----
-  arb.expect_participants(3);
-  PeerHost& peer = tb.make_peer(0);
-  peer.serve_iperf(kIperfPort, 1);
-  peer.start();
-  iv::CVM& cvm1 = iv.create_cvm("cVM1", 96u << 20);
-  FullStackInstance inst(tb.card(), 0, cvm1.heap(), clock, icfg);
-  Scenario2Service svc(iv, cvm1, inst);
-  cvm1.start([&] { svc.run_loop(stop, arb); });
-
-  iv::CVM& app = iv.create_cvm("cVM2-census", 16u << 20);
-  auto ops = svc.make_proxy_ops(app);
-  CensusProbes probes;
-  probes.entry_now = [&] { return iv.entries().crossings(); };
-  probes.tramp_now = [&] { return app.trampoline().crossings(); };
-  app.start([&] {
-    machine::CapView buf = app.alloc(wsize);
-    sim::Participant part(arb, "census-probe");
-    out.bytes = census_write_loop(
-        *ops, app.libc(), buf, total_bytes, batch, wsize, &out.api_calls,
-        &probes, [&](bool wrote) {
-          const std::uint64_t token = part.prepare();
-          if (!wrote) part.wait(token, clock.now() + kProbeHeartbeat);
-          return true;
-        });
-  });
-  app.join();
-  stop.store(true);
-  arb.kick();
-  cvm1.join();
-  peer.request_stop();
-  peer.join();
-
-  const std::uint64_t entry_crossings = probes.entry_crossings;
-  const std::uint64_t tramp_crossings = probes.tramp_crossings;
-  out.crossings = entry_crossings + tramp_crossings;
-  // A sealed-entry ff_* jump pays the full path the paper prices at ~200 ns
-  // over baseline: kernel entry + trampoline indirections + domain switch.
-  const double entry_cost = static_cast<double>(
-      price.trampoline_crossing().count() + price.domain_switch_extra.count());
-  out.modeled_ns_per_mib =
-      mib > 0
-          ? (static_cast<double>(entry_crossings) * entry_cost +
-             static_cast<double>(tramp_crossings) *
-                 static_cast<double>(price.trampoline_crossing().count())) /
-                mib
-          : 0.0;
-  return out;
-}
-
-// ===========================================================================
-// RX census
-// ===========================================================================
-
-namespace {
-
-constexpr std::uint32_t kRxRingSlots = 64;
-constexpr std::size_t kRxZcBatch = 32;
-// The zero-copy receiver COALESCES: it lets segments accumulate in the RX
-// chain before draining one loan burst, the way a batching receiver (or
-// interrupt-coalescing NIC) amortizes per-wakeup costs. PR 2 fixed the
-// window statically; the drain is now ADAPTIVE, loan-count driven: a drain
-// that fills its whole burst halves the window (the queue is outrunning
-// the receiver — harvest sooner), a short drain doubles it (let more
-// accrue per wakeup), clamped to [1, kRxCoalesceMax]. The receive window
-// (256 KiB) comfortably holds the accrual either way. The old static knob
-// survives as the CHERINET_RX_COALESCE_TURNS override.
-constexpr std::uint32_t kRxCoalesceMax = 64;
-constexpr std::uint32_t kRxCoalesceStart = 8;
-
-struct RxDrainPacer {
-  std::uint32_t window = kRxCoalesceStart;
-  bool fixed = false;
-
-  RxDrainPacer() {
-    if (const char* env = std::getenv("CHERINET_RX_COALESCE_TURNS")) {
-      fixed = true;
-      window = static_cast<std::uint32_t>(std::strtoul(env, nullptr, 10));
-      if (window == 0) window = 1;
-    }
-  }
-  /// Feed back one drain's loan count (`full` = the burst size that means
-  /// the queue was not emptied); returns the new window.
-  std::uint32_t on_drain(std::size_t loans, std::size_t full = kRxZcBatch) {
-    if (!fixed) {
-      window = loans >= full
-                   ? std::max<std::uint32_t>(window / 2, 1)
-                   : std::min<std::uint32_t>(window * 2, kRxCoalesceMax);
-    }
-    return window;
-  }
-};
-
-/// The measured receive loop both RX-census scenarios share. The readiness
-/// gate (epoll_wait / event-ring pop + accept) stays OUTSIDE the measured
-/// envelope, mirroring census_write_loop: the envelope prices exactly what
-/// one productive receive iteration costs the application. v1 envelopes
-/// wrap one MSS-sized ff_read; zero-copy envelopes wrap one ff_zc_recv
-/// burst plus its batched recycle.
-std::uint64_t census_recv_loop(apps::FfOps& ops, iv::MuslLibc& libc,
-                               const machine::CapView& rx_buf,
-                               const machine::CapView& ring_mem,
-                               std::uint64_t total_bytes, bool zero_copy,
-                               std::uint64_t* api_calls, CensusProbes* probes,
-                               const std::function<bool(bool)>& turn) {
-  const int lfd = ops.socket_stream();
-  ops.bind(lfd, fstack::Ipv4Addr{}, kIperfPort);
-  ops.listen(lfd, 4);
-  const int ep = ops.epoll_create();
-  ops.epoll_ctl(ep, fstack::EpollOp::kAdd, lfd, fstack::kEpollIn,
-                static_cast<std::uint64_t>(lfd));
-  std::optional<fstack::FfEventRing> ring;
-  if (zero_copy) {
-    // ONE arming crossing replaces every subsequent wait.
-    ring.emplace(ring_mem, kRxRingSlots);
-    ops.epoll_wait_multishot(ep, ring_mem, kRxRingSlots);
-  }
-  int cfd = -1;
-  bool hot = false;  // zc mode: data expected without a fresh ring event
-  bool eof = false;
-  RxDrainPacer pacer;         // adaptive coalescing window
-  std::uint32_t coalesce = 0;  // turns since the last zc drain
-  std::uint64_t got = 0;
-  while (got < total_bytes && !eof) {
-    bool progress = false;
-    bool readable = false;
-    if (zero_copy) {
-      fstack::FfEpollEvent evs[8];
-      const std::size_t n = ring->pop(evs);  // local loads, no crossing
-      if (n > 0) hot = true;
-      if (cfd < 0) {
-        int fds[1];
-        if (ops.accept_batch(lfd, fds) == 1) {
-          cfd = fds[0];
-          ops.epoll_ctl(ep, fstack::EpollOp::kAdd, cfd, fstack::kEpollIn,
-                        static_cast<std::uint64_t>(cfd));
-          hot = true;
-          progress = true;
-        }
-      }
-      ++coalesce;
-      readable = cfd >= 0 && hot && coalesce >= pacer.window;
-    } else {
-      fstack::FfEpollEvent evs[8];
-      const int n = ops.epoll_wait(ep, evs);
-      for (int i = 0; i < n; ++i) {
-        const int fd = static_cast<int>(evs[i].data);
-        if (fd == lfd) {
-          const int a = ops.accept(lfd);
-          if (a >= 0) {
-            cfd = a;
-            ops.epoll_ctl(ep, fstack::EpollOp::kAdd, cfd, fstack::kEpollIn,
-                          static_cast<std::uint64_t>(cfd));
-            progress = true;
-          }
-        } else if (fd == cfd &&
-                   (evs[i].events & (fstack::kEpollIn | fstack::kEpollHup))) {
-          readable = true;
-        }
-      }
-    }
-    if (readable) {
-      const std::uint64_t e0 = probes->entry_now ? probes->entry_now() : 0;
-      const std::uint64_t t0 = probes->tramp_now ? probes->tramp_now() : 0;
-      (void)libc.clock_gettime_mono_raw_ns();
-      if (zero_copy) {
-        fstack::FfZcRxBuf loans[kRxZcBatch];
-        const std::int64_t r = ops.zc_recv(cfd, loans);
-        if (r > 0) {
-          for (std::int64_t i = 0; i < r; ++i) {
-            got += loans[i].data.size();
-          }
-          ops.zc_recycle_batch({loans, static_cast<std::size_t>(r)});
-          progress = true;
-          // Feed the loan count back into the adaptive window. A full
-          // burst means more may already be queued: drain again next turn
-          // instead of re-coalescing from zero.
-          const std::uint32_t window =
-              pacer.on_drain(static_cast<std::size_t>(r));
-          coalesce =
-              static_cast<std::size_t>(r) == kRxZcBatch ? window : 0;
-        } else if (r == 0) {
-          eof = true;
-        } else {
-          hot = false;  // drained: wait for the next published event
-          coalesce = 0;
-        }
-      } else {
-        const std::int64_t r = ops.read(cfd, rx_buf, 1448);  // v1: per-MSS
-        if (r > 0) {
-          got += static_cast<std::uint64_t>(r);
-          progress = true;
-        } else if (r == 0) {
-          eof = true;
-        }
-      }
-      (void)libc.clock_gettime_mono_raw_ns();
-      if (probes->entry_now) {
-        probes->entry_crossings += probes->entry_now() - e0;
-      }
-      if (probes->tramp_now) {
-        probes->tramp_crossings += probes->tramp_now() - t0;
-      }
-      ++*api_calls;
-    }
-    if (!turn(progress)) break;
-  }
-  if (cfd >= 0) ops.close(cfd);
-  ops.close(ep);
-  ops.close(lfd);
-  return got;
-}
-
-}  // namespace
-
-RxCensus run_ffrecv_rx_census(ScenarioKind kind, std::uint64_t total_bytes,
-                              bool zero_copy, const TestbedOptions& opt) {
-  RxCensus out;
-  const sim::CostModel price = sim::CostModel::morello();
-  const double mib = static_cast<double>(total_bytes) / (1024.0 * 1024.0);
-
-  MorelloTestbed tb(opt);
-  auto& iv = tb.intravisor();
-  auto& clock = tb.clock();
-  auto& arb = tb.arbiter();
-  std::atomic<bool> stop{false};
-  const InstanceConfig icfg = tb.morello_cfg(0);
-
-  const auto sample_stack = [&out](fstack::FfStack& st) {
-    out.copied_bytes = st.rx_stats().copied_bytes;
-    out.zc_loans = st.api_stats().zc_rx_loans;
-    out.zc_recycles = st.api_stats().zc_rx_recycles;
-  };
-
-  if (kind == ScenarioKind::kScenario1) {
-    arb.expect_participants(2);
-    PeerHost& peer = tb.make_peer(0);
-    peer.run_iperf_client(MorelloTestbed::morello_ip(0), kIperfPort,
-                          total_bytes);
-    peer.start();
-    Scenario1Cvm s1(iv, tb.card(), 0, icfg, "cVM1-rx-census");
-    CensusProbes probes;
-    probes.tramp_now = [&] { return s1.cvm().trampoline().crossings(); };
-    s1.cvm().start([&] {
-      FullStackInstance& inst = s1.instance();
-      const machine::CapView rx_buf = s1.alloc(4096);
-      const machine::CapView ring_mem =
-          s1.alloc(fstack::FfEventRing::bytes_for(kRxRingSlots));
-      sim::Participant part(arb, "rx-census-probe");
-      out.bytes = census_recv_loop(
-          s1.ops(), s1.libc(), rx_buf, ring_mem, total_bytes, zero_copy,
-          &out.api_calls, &probes, [&](bool made_progress) {
-            const std::uint64_t token = part.prepare();
-            const bool progress = inst.run_once() || made_progress;
-            if (!progress) {
-              part.wait(token, capped_deadline(inst.next_deadline(),
-                                               clock.now(), kProbeHeartbeat));
-            }
-            return true;
-          });
-      for (int i = 0; i < 10000; ++i) {
-        if (!inst.run_once()) break;  // drain FIN exchange
-      }
-      sample_stack(inst.stack());
-    });
-    s1.cvm().join();
-    peer.request_stop();
-    peer.join();
-    out.crossings = probes.tramp_crossings;
-    out.modeled_ns_per_mib =
-        mib > 0 ? static_cast<double>(out.crossings) *
-                      static_cast<double>(price.trampoline_crossing().count()) /
-                      mib
-                : 0.0;
-    return out;
-  }
-
-  if (kind != ScenarioKind::kScenario2Uncontended) return out;
-
-  // ---- Scenario 2 (uncontended): the receive side lives across the
-  // compartment boundary; the zero-copy path's loans and event batches are
-  // exactly what keeps the app from crossing per packet.
-  arb.expect_participants(3);
-  PeerHost& peer = tb.make_peer(0);
-  peer.run_iperf_client(MorelloTestbed::morello_ip(0), kIperfPort,
-                        total_bytes);
-  peer.start();
-  iv::CVM& cvm1 = iv.create_cvm("cVM1", 96u << 20);
-  FullStackInstance inst(tb.card(), 0, cvm1.heap(), clock, icfg);
-  Scenario2Service svc(iv, cvm1, inst);
-  cvm1.start([&] { svc.run_loop(stop, arb); });
-
-  iv::CVM& app = iv.create_cvm("cVM2-rx-census", 16u << 20);
-  auto ops = svc.make_proxy_ops(app);
-  CensusProbes probes;
-  probes.entry_now = [&] { return iv.entries().crossings(); };
-  probes.tramp_now = [&] { return app.trampoline().crossings(); };
-  app.start([&] {
-    const machine::CapView rx_buf = app.alloc(4096);
-    const machine::CapView ring_mem =
-        app.alloc(fstack::FfEventRing::bytes_for(kRxRingSlots));
-    sim::Participant part(arb, "rx-census-probe");
-    out.bytes = census_recv_loop(
-        *ops, app.libc(), rx_buf, ring_mem, total_bytes, zero_copy,
-        &out.api_calls, &probes, [&](bool made_progress) {
-          const std::uint64_t token = part.prepare();
-          if (!made_progress) part.wait(token, clock.now() + kProbeHeartbeat);
-          return true;
-        });
-  });
-  app.join();
-  stop.store(true);
-  arb.kick();
-  cvm1.join();
-  peer.request_stop();
-  peer.join();
-  sample_stack(inst.stack());
-
-  const double entry_cost = static_cast<double>(
-      price.trampoline_crossing().count() + price.domain_switch_extra.count());
-  out.crossings = probes.entry_crossings + probes.tramp_crossings;
-  out.modeled_ns_per_mib =
-      mib > 0
-          ? (static_cast<double>(probes.entry_crossings) * entry_cost +
-             static_cast<double>(probes.tramp_crossings) *
-                 static_cast<double>(price.trampoline_crossing().count())) /
-                mib
-          : 0.0;
-  return out;
-}
-
-// ===========================================================================
-// API v3 uring census: the byte volumes of the v2 censuses above, moved
-// through the ff_uring ring. Submissions are plain capability stores,
-// completions plain loads; the measured phase begins at the arming
-// crossing, so the crossing count is exactly arm + doorbells (+ the
-// one-time epoll_ctl of an accepted fd on the receive side).
-// ===========================================================================
-
-namespace {
-
+constexpr std::size_t kMss = 1448;
 constexpr std::uint32_t kUringSqSlots = 64;
 constexpr std::uint32_t kUringCqSlots = 128;
-// CQE reap batch and user_data tags of the census loops.
-constexpr std::size_t kUringReap = 16;
-constexpr std::uint64_t kUdAccept = 1;
+constexpr std::size_t kUringReap = 16;  // CQE reap batch per turn
+constexpr std::uint64_t kUdAccept = 1;  // user_data tags of the RX arms
 constexpr std::uint64_t kUdEpoll = 2;
-// Doorbell policy of the census apps: the shared stall-based
-// FfUringDoorbellPolicy (ring only when submissions genuinely sat
-// unclaimed; a parked stack wakes on its own heartbeat regardless).
+constexpr std::size_t kRxZcBatch = 32;  // loans per classic zc envelope
+// Termination guards: a leg still unfinished after this much virtual time,
+// or turning this often without the clock moving (the signature of a
+// lockstep livelock), ends early with whatever it moved — the gates then
+// fail on the byte volume instead of the process hanging.
+constexpr sim::Ns kCensusTimeLimit{60'000'000'000};
+constexpr std::uint64_t kMaxTurnsPerInstant = 1'000'000;
 
-/// Begin/end markers of the measured phase (crossing attribution).
-void probes_begin(CensusProbes* p, std::uint64_t* e0, std::uint64_t* t0) {
-  *e0 = p->entry_now ? p->entry_now() : 0;
-  *t0 = p->tramp_now ? p->tramp_now() : 0;
-}
-void probes_end(CensusProbes* p, std::uint64_t e0, std::uint64_t t0) {
-  if (p->entry_now) p->entry_crossings += p->entry_now() - e0;
-  if (p->tramp_now) p->tramp_crossings += p->tramp_now() - t0;
-}
+/// The adaptive coalescing window of the zero-copy receivers, in turns: a
+/// drain that fills its whole burst halves the window (the queue outruns
+/// the receiver — harvest sooner), a short drain doubles it (let more
+/// accrue per wakeup), clamped to [1, kMax]. The receive window (256 KiB)
+/// holds the accrual either way.
+struct RxDrainPacer {
+  static constexpr std::uint32_t kMax = 64;
+  std::uint32_t window = 8;
 
-/// Connection establishment shared by the TX census loops: classic
-/// readiness path; the ring phase begins — and is measured — from the
-/// arming crossing on. Returns the connected fd (and the epoll fd used to
-/// gate on EPOLLOUT) or -1 when the turn callback gave up.
-int census_tx_connect(apps::FfOps& ops, int* ep_out,
-                      const std::function<bool(bool)>& turn) {
-  const int fd = ops.socket_stream();
-  ops.connect(fd, MorelloTestbed::peer_ip(0), kIperfPort);
-  const int ep = ops.epoll_create();
-  ops.epoll_ctl(ep, fstack::EpollOp::kAdd, fd, fstack::kEpollOut, 1);
-  for (bool writable = false; !writable;) {
-    fstack::FfEpollEvent ev[1];
-    writable = ops.epoll_wait(ep, ev) > 0 &&
-               (ev[0].events & fstack::kEpollOut) != 0;
-    if (!turn(false)) {
-      ops.close(ep);
-      ops.close(fd);
-      return -1;
-    }
+  /// Feed back one drain's loan count (`full` = a whole burst); returns the
+  /// turn count to restart coalescing from — the whole window after a full
+  /// burst, since more may already be queued (drain again next turn).
+  std::uint32_t on_drain(std::size_t loans, std::size_t full) {
+    window = loans >= full ? std::max<std::uint32_t>(window / 2, 1)
+                           : std::min<std::uint32_t>(window * 2, kMax);
+    return loans >= full ? window : 0;
   }
-  *ep_out = ep;
-  return fd;
-}
+};
 
-/// TX over the ring: cover `total_bytes` with OP_WRITEV SQEs of up to 8
-/// MSS-sized iovec capabilities each via the shared UringTxProto
-/// (apps/uring_proto.hpp — the same submit/re-offer protocol the
-/// IperfClient ring port runs); the census adds its SQE/CQE counters and
-/// crossing envelope around it.
-std::uint64_t uring_tx_loop(apps::FfOps& ops, const machine::CapView& buf,
-                            const machine::CapView& ring_mem,
-                            std::uint64_t total_bytes, std::size_t wsize,
-                            UringCensus* out, CensusProbes* probes,
-                            const std::function<bool(bool)>& turn) {
-  int ep = -1;
-  const int fd = census_tx_connect(ops, &ep, turn);
-  if (fd < 0) return 0;
-
-  std::uint64_t e0 = 0;
-  std::uint64_t t0 = 0;
-  probes_begin(probes, &e0, &t0);
-  fstack::FfUring ring(ring_mem, kUringSqSlots, kUringCqSlots);
-  const int id = ops.uring_attach(ring_mem, kUringSqSlots, kUringCqSlots);
-  if (id < 0) {
-    probes_end(probes, e0, t0);
-    ops.close(ep);
-    ops.close(fd);
-    return 0;
-  }
-
-  apps::UringTxProto proto(&ring, fd, buf, wsize,
-                           fstack::FfUringSqe::kMaxCaps);
-  fstack::FfUringDoorbellPolicy bell;
-  while (proto.acked() < total_bytes) {
-    bool progress = false;
-    const std::uint32_t pushed = proto.offer(total_bytes);
-    out->sqes += pushed;
-    progress |= pushed > 0;
-    fstack::FfUringCqe cq[kUringReap];
-    const std::size_t n = ring.cq_pop(cq);
-    for (std::size_t i = 0; i < n; ++i) {
-      out->cqes++;
-      proto.on_cqe(cq[i]);
-      progress = true;
+/// The census rig: Scenario 1 (app and stack share one cVM) or Scenario 2
+/// (app cVM2 calls the stack in cVM1 through sealed entries), plus the peer
+/// host, all driven from the caller's thread. The app body runs inside
+/// app.enter and calls turn() once per iteration; turn() runs the stack's
+/// main loop (Scenario 2: under the shard mutex inside cVM1) and the peer,
+/// and when nobody progressed advances the clock to the earliest deadline.
+class CensusRig {
+ public:
+  CensusRig(ScenarioKind kind, bool tx, std::uint64_t total_bytes,
+            const TestbedOptions& opt)
+      : tb_(opt) {
+    iv::Intravisor& iv = tb_.intravisor();
+    InstanceConfig icfg = tb_.morello_cfg(0);
+    PeerHost& peer = tb_.make_peer(0);
+    if (tx) {
+      icfg.tcp.sndbuf_bytes = std::max<std::size_t>(
+          icfg.tcp.sndbuf_bytes, total_bytes + (64u << 10));
+      peer.serve_iperf(kIperfPort, 1);  // discard sink
+    } else {
+      peer.run_iperf_client(MorelloTestbed::morello_ip(0), kIperfPort,
+                            total_bytes);
     }
-    if (bell.should_ring(ring, progress)) {
-      ops.uring_doorbell(id);  // genuinely unclaimed work: one crossing
-      out->doorbells++;
+    if (kind == ScenarioKind::kScenario1) {
+      s1_ = std::make_unique<Scenario1Cvm>(iv, tb_.card(), 0, icfg,
+                                           "cVM1-census");
+      app_ = &s1_->cvm();
+      ops_ = &s1_->ops();
+      inst_ = &s1_->instance();
+    } else {
+      cvm1_ = &iv.create_cvm("cVM1", 96u << 20);
+      s2_inst_ = std::make_unique<FullStackInstance>(
+          tb_.card(), 0, cvm1_->heap(), tb_.clock(), icfg);
+      svc_ = std::make_unique<Scenario2Service>(iv, *cvm1_, *s2_inst_);
+      app_ = &iv.create_cvm("cVM2-census", 16u << 20);
+      proxy_ = svc_->make_proxy_ops(*app_);
+      ops_ = proxy_.get();
+      inst_ = s2_inst_.get();
     }
-    if (!turn(progress)) break;
-  }
-  probes_end(probes, e0, t0);
-  ops.uring_detach(id);
-  ops.close(ep);
-  ops.close(fd);
-  return proto.acked();
-}
-
-/// Zero-copy TX over the ring: the full v3 TCP zc pipeline. OP_ZC_ALLOC
-/// grants writable bounded capabilities into mbuf data rooms, the payload
-/// is composed in place, OP_ZC_SEND queues retained references the stack
-/// holds until cumulative ACK — zero send-side byte copies AND zero
-/// crossings per op (the alloc round trip rides the ring too, so the
-/// doorbell-only crossing budget is unchanged from the OP_WRITEV path).
-std::uint64_t uring_zc_tx_loop(apps::FfOps& ops, const machine::CapView& buf,
-                               const machine::CapView& ring_mem,
-                               std::uint64_t total_bytes, std::size_t wsize,
-                               UringCensus* out, CensusProbes* probes,
-                               const std::function<bool(bool)>& turn) {
-  int ep = -1;
-  const int fd = census_tx_connect(ops, &ep, turn);
-  if (fd < 0) return 0;
-
-  std::uint64_t e0 = 0;
-  std::uint64_t t0 = 0;
-  probes_begin(probes, &e0, &t0);
-  fstack::FfUring ring(ring_mem, kUringSqSlots, kUringCqSlots);
-  const int id = ops.uring_attach(ring_mem, kUringSqSlots, kUringCqSlots);
-  if (id < 0) {
-    probes_end(probes, e0, t0);
-    ops.close(ep);
-    ops.close(fd);
-    return 0;
+    start_ = instant_ = tb_.clock().now();
   }
 
-  std::byte scratch[512];
-  apps::UringZcTxProto proto(
-      &ring, fd, wsize,
-      [&buf, &scratch](const machine::CapView& room, std::size_t len) {
-        // The application composes its payload straight into the granted
-        // data room — ITS write through ITS bounded capability, not a
-        // stack-side copy.
-        machine::cap_copy(room, 0, buf, 0, len, scratch);
-      });
-  fstack::FfUringDoorbellPolicy bell;
-  while (proto.acked() < total_bytes && !proto.failed()) {
-    bool progress = false;
-    const std::uint32_t pushed = proto.pump(total_bytes);
-    out->sqes += pushed;
-    progress |= pushed > 0;
-    fstack::FfUringCqe cq[kUringReap];
-    const std::size_t n = ring.cq_pop(cq);
-    for (std::size_t i = 0; i < n; ++i) {
-      out->cqes++;
-      proto.on_cqe(cq[i]);
-      progress = true;
-    }
-    if (bell.should_ring(ring, progress)) {
-      ops.uring_doorbell(id);
-      out->doorbells++;
-    }
-    if (!turn(progress)) break;
+  [[nodiscard]] apps::FfOps& ops() noexcept { return *ops_; }
+  [[nodiscard]] machine::CapView alloc(std::size_t n) {
+    return app_->alloc(n);
   }
-  probes_end(probes, e0, t0);
-  ops.uring_detach(id);
-  ops.close(ep);
-  ops.close(fd);
-  return proto.acked();
-}
+  [[nodiscard]] sim::Ns now() noexcept { return tb_.clock().now(); }
 
-/// RX over the ring: the full v3 pipeline. OP_ACCEPT_MULTISHOT posts the
-/// accepted fd, OP_EPOLL_ARM posts readiness, OP_ZC_RECV bursts post one
-/// loan CQE each, OP_RECYCLE returns token batches — all with zero
-/// crossings per op; the adaptive pacer decides when a drain is worth
-/// submitting.
-std::uint64_t uring_rx_loop(apps::FfOps& ops,
-                            const machine::CapView& ring_mem,
-                            std::uint64_t total_bytes, UringCensus* out,
-                            CensusProbes* probes,
-                            const std::function<bool(bool)>& turn) {
-  const int lfd = ops.socket_stream();
-  ops.bind(lfd, fstack::Ipv4Addr{}, kIperfPort);
-  ops.listen(lfd, 4);
-  const int ep = ops.epoll_create();
-
-  std::uint64_t e0 = 0;
-  std::uint64_t t0 = 0;
-  probes_begin(probes, &e0, &t0);
-  fstack::FfUring ring(ring_mem, kUringSqSlots, kUringCqSlots);
-  const int id = ops.uring_attach(ring_mem, kUringSqSlots, kUringCqSlots);
-  if (id < 0) {
-    probes_end(probes, e0, t0);
-    ops.close(ep);
-    ops.close(lfd);
-    return 0;
+  template <typename F>
+  void run(F&& body) {
+    app_->enter(std::forward<F>(body));
   }
 
-  if (apps::push_accept_arm(ring, lfd, kUdAccept)) out->sqes++;
-  if (apps::push_epoll_arm(ring, ep, kUdEpoll)) out->sqes++;
-
-  int cfd = -1;
-  bool hot = false;
-  bool eof = false;
-  bool zc_inflight = false;
-  std::uint64_t got = 0;
-  std::uint32_t burst_loans = 0;
-  RxDrainPacer pacer;
-  std::uint32_t coalesce = 0;
-  // Token batches ride OP_RECYCLE entries; a refused push falls back to
-  // one classic recycle crossing so tokens can never pile up unreturned.
-  fstack::FfUringRecycler recycler(&ring,
-                                   apps::classic_recycle_fallback(&ops));
-  fstack::FfUringDoorbellPolicy bell;
-
-  // The shared receive-pipeline CQE discipline (apps/uring_proto.hpp —
-  // the same dispatch the IperfServer ring port runs) bound to the census
-  // loop's probe state.
-  struct CensusRxDispatch {
-    apps::FfOps& ops;
-    int ep;
-    int& cfd;
-    bool& hot;
-    bool& eof;
-    bool& zc_inflight;
-    std::uint64_t& got;
-    std::uint32_t& burst_loans;
-    RxDrainPacer& pacer;
-    std::uint32_t& coalesce;
-    fstack::FfUringRecycler& recycler;
-
-    void on_accept(int fd, const fstack::FfSockAddrIn&) {
-      if (cfd >= 0) return;
-      cfd = fd;
-      // The one residual classic call of the pipeline: register the
-      // accepted fd's readiness interest (one-time, per connection).
-      ops.epoll_ctl(ep, fstack::EpollOp::kAdd, cfd, fstack::kEpollIn,
-                    static_cast<std::uint64_t>(cfd));
-      hot = true;
+  /// End one app iteration. `app_progress` must be true only when bytes,
+  /// an fd or a loan moved: a bounced call that reported progress would
+  /// re-run at the same instant forever. Returns false once a termination
+  /// guard fired.
+  bool turn(bool app_progress) {
+    bool progress = app_progress;
+    if (svc_ == nullptr) {
+      progress |= inst_->run_once();  // Scenario 1: already in the app cVM
+    } else {
+      iv::CompartmentLockGuard lk(svc_->mutex());
+      progress |= cvm1_->enter([this] { return inst_->run_once(); });
     }
-    void on_readiness(std::uint32_t mask, std::uint64_t) {
-      // Mask-change publications include readable->quiet; only a
-      // readable/hangup mask warrants a drain burst.
-      if ((mask & (fstack::kEpollIn | fstack::kEpollHup)) != 0) hot = true;
+    progress |= tb_.peer(0).step();
+    if (!progress) idle();
+    const sim::Ns t = now();
+    if (t != instant_) {
+      instant_ = t;
+      same_instant_turns_ = 0;
+    } else if (++same_instant_turns_ > kMaxTurnsPerInstant) {
+      return false;
     }
-    void on_loan(const fstack::FfUringCqe& cqe) {
-      got += static_cast<std::uint64_t>(cqe.result);
-      burst_loans++;
-      recycler.add(cqe.aux0);
-    }
-    void on_eof(std::uint64_t) { eof = true; }
-    void on_drained(std::uint64_t) {
-      hot = false;  // drained: wait for the next readiness CQE
-    }
-    void on_coalescing(std::uint64_t) {
-      // stay hot: queued datagrams are waiting out the burst timeout
-    }
-    void on_burst_end(std::uint64_t) {
-      zc_inflight = false;
-      const std::uint32_t window =
-          pacer.on_drain(burst_loans, fstack::FfUringSqe::kMaxCaps);
-      coalesce = burst_loans == fstack::FfUringSqe::kMaxCaps ? window : 0;
-      burst_loans = 0;
-    }
-  } dispatch{ops,  ep,          cfd,   hot,      eof, zc_inflight,
-             got,  burst_loans, pacer, coalesce, recycler};
-
-  while ((got < total_bytes && !eof) || zc_inflight) {
-    bool progress = false;
-    fstack::FfUringCqe cq[kUringReap];
-    const std::size_t n = ring.cq_pop(cq);
-    for (std::size_t i = 0; i < n; ++i) {
-      out->cqes++;
-      progress = true;
-      apps::dispatch_rx_cqe(cq[i], dispatch);
-    }
-    ++coalesce;
-    if (cfd >= 0 && hot && !zc_inflight && !eof && got < total_bytes &&
-        coalesce >= pacer.window) {
-      if (apps::push_zc_recv(ring, cfd, fstack::FfUringSqe::kMaxCaps, 0)) {
-        out->sqes++;
-        zc_inflight = true;
-        burst_loans = 0;
-      }
-    }
-    if (bell.should_ring(ring, progress)) {
-      ops.uring_doorbell(id);  // genuinely unclaimed work: one crossing
-      out->doorbells++;
-    }
-    if (!turn(progress)) break;
+    return t - start_ < kCensusTimeLimit;
   }
-  // Return every outstanding loan and let the stack consume the entries.
-  recycler.flush();
-  for (int spins = 0; spins < 10000 && ring.sq_pending() > 0; ++spins) {
-    fstack::FfUringCqe cq[kUringReap];
-    const bool popped = ring.cq_pop(cq) > 0;
-    if (!turn(popped)) break;
+
+  /// Crossing counters at one instant: sealed-entry jumps (Scenario 2's
+  /// proxied ff_* calls) and the app cVM's trampoline syscalls.
+  struct Marks {
+    std::uint64_t entry = 0;
+    std::uint64_t tramp = 0;
+  };
+  [[nodiscard]] Marks mark() {
+    return {tb_.intravisor().entries().crossings(),
+            app_->trampoline().crossings()};
   }
-  recycler.flush_sync();  // teardown: nothing may stay window-charged
-  out->sqes += recycler.ring_pushes();
-  probes_end(probes, e0, t0);
-  ops.uring_detach(id);
-  if (cfd >= 0) ops.close(cfd);
-  ops.close(ep);
-  ops.close(lfd);
-  return got;
-}
+  /// Attribute the crossings since `m` to the measured envelope.
+  void charge(const Marks& m) {
+    const Marks now_m = mark();
+    entry_x_ += now_m.entry - m.entry;
+    tramp_x_ += now_m.tramp - m.tramp;
+  }
+  /// One classic call inside the Fig. 4 measurement envelope: in a cVM the
+  /// two clock_gettime reads trampoline, and they are part of what a
+  /// measured call costs the application.
+  template <typename F>
+  std::int64_t measured(F&& call) {
+    const Marks m = mark();
+    (void)app_->libc().clock_gettime_mono_raw_ns();
+    const std::int64_t r = std::forward<F>(call)();
+    (void)app_->libc().clock_gettime_mono_raw_ns();
+    charge(m);
+    return r;
+  }
 
-}  // namespace
-
-UringCensus run_uring_tx_census(ScenarioKind kind, std::uint64_t total_bytes,
-                                const TestbedOptions& opt, bool zero_copy) {
-  UringCensus out;
-  const std::size_t wsize = 1448;
-  const sim::CostModel price = sim::CostModel::morello();
-  const double mib = static_cast<double>(total_bytes) / (1024.0 * 1024.0);
-  const std::size_t ring_bytes =
-      fstack::FfUring::bytes_for(kUringSqSlots, kUringCqSlots);
-
-  MorelloTestbed tb(opt);
-  auto& iv = tb.intravisor();
-  auto& clock = tb.clock();
-  auto& arb = tb.arbiter();
-  std::atomic<bool> stop{false};
-
-  // Like the v1/v2 census: the send buffer holds the whole volume so the
-  // comparison prices the per-call fixed costs, not backpressure. (On the
-  // zc path the in-flight volume is additionally pool-bounded: alloc
-  // answers -ENOBUFS near exhaustion and the app coasts on ACK progress.)
-  InstanceConfig icfg = tb.morello_cfg(0);
-  icfg.tcp.sndbuf_bytes =
-      std::max<std::size_t>(icfg.tcp.sndbuf_bytes, total_bytes + (64u << 10));
-
-  const auto tx_loop = zero_copy ? uring_zc_tx_loop : uring_tx_loop;
-  const auto sample_tx = [&out](fstack::FfStack& st) {
+  /// Price the attributed crossings and sample the stack/wire census.
+  void finish(std::uint64_t total_bytes, Census& out) {
+    // A sealed-entry jump pays kernel entry + trampoline + domain switch;
+    // a trampolined syscall the first two (paper Fig. 4/5: 140 + 125 + 75).
+    const sim::CostModel price = sim::CostModel::morello();
+    const auto tramp = static_cast<double>(price.trampoline_crossing().count());
+    const double entry =
+        tramp + static_cast<double>(price.domain_switch_extra.count());
+    const double mib = static_cast<double>(total_bytes) / (1024.0 * 1024.0);
+    out.crossings = entry_x_ + tramp_x_;
+    out.modeled_ns_per_mib =
+        mib > 0 ? (static_cast<double>(entry_x_) * entry +
+                   static_cast<double>(tramp_x_) * tramp) /
+                      mib
+                : 0.0;
+    const fstack::FfStack& st = inst_->stack();
+    out.rx_copied_bytes = st.rx_stats().copied_bytes;
+    out.zc_loans = st.api_stats().zc_rx_loans;
+    out.zc_recycles = st.api_stats().zc_rx_recycles;
     out.tx_copied_bytes = st.tx_stats().copied_bytes;
     out.tx_zc_bytes = st.tx_stats().zc_bytes;
     out.tx_emit_payload_reads = st.tx_stats().emit_payload_reads;
     out.stack_checksum_bytes = st.tx_stats().stack_checksum_bytes;
     out.stack_csum_drops = st.stats().csum_errors;
-    const updk::EthStats es = st.dev().stats();
-    out.tso_frames = es.tso_frames;
-    out.tso_bytes = es.tso_bytes;
-    out.tx_descs = es.tx_segs;
-    out.tx_wire_bytes = es.obytes;
-  };
-  const auto sample_wire = [&out, &tb]() {
-    out.rx_crc_errors = tb.card().port(0).stats().rx_crc_errors;
-    out.wire_corrupts = tb.wire(0).stats(1).impair_corrupts;
-  };
-  CensusProbes probes;
-  if (kind == ScenarioKind::kScenario1) {
-    arb.expect_participants(2);
-    PeerHost& peer = tb.make_peer(0);
-    peer.serve_iperf(kIperfPort, 1);
-    peer.start();
-    Scenario1Cvm s1(iv, tb.card(), 0, icfg, "cVM1-uring-census");
-    probes.tramp_now = [&] { return s1.cvm().trampoline().crossings(); };
-    s1.cvm().start([&] {
-      FullStackInstance& inst = s1.instance();
-      const machine::CapView buf = s1.alloc(wsize);
-      const machine::CapView ring_mem = s1.alloc(ring_bytes);
-      sim::Participant part(arb, "uring-census-probe");
-      out.bytes = tx_loop(
-          s1.ops(), buf, ring_mem, total_bytes, wsize, &out, &probes,
-          [&](bool did) {
-            const std::uint64_t token = part.prepare();
-            const bool progress = inst.run_once() || did;
-            if (!progress) {
-              part.wait(token, capped_deadline(inst.next_deadline(),
-                                               clock.now(), kProbeHeartbeat));
-            }
-            return true;
-          });
-      for (int i = 0; i < 10000; ++i) {
-        if (!inst.run_once()) break;  // drain FIN exchange
-      }
-      sample_tx(inst.stack());
-    });
-    s1.cvm().join();
-    peer.request_stop();
-    peer.join();
-    sample_wire();
-    out.crossings = probes.entry_crossings + probes.tramp_crossings;
-    out.modeled_ns_per_mib =
-        mib > 0 ? static_cast<double>(out.crossings) *
-                      static_cast<double>(price.trampoline_crossing().count()) /
-                      mib
-                : 0.0;
-    return out;
+    out.rx_crc_errors = tb_.card().port(0).stats().rx_crc_errors;
+    out.wire_corrupts = tb_.wire(0).stats(1).impair_corrupts;
+    out.virtual_ns = static_cast<std::uint64_t>((now() - start_).count());
   }
 
-  if (kind != ScenarioKind::kScenario2Uncontended) return out;
+ private:
+  void idle() {
+    if (svc_ != nullptr) {
+      // Where the threaded main loop would park: publish it, so a ring
+      // user knows its next doorbell crossing is worth making.
+      iv::CompartmentLockGuard lk(svc_->mutex());
+      cvm1_->enter([this] { inst_->stack().urings_set_parked(true); });
+    }
+    std::optional<sim::Ns> d = inst_->next_deadline();
+    if (const auto p = tb_.peer(0).next_deadline(); p && (!d || *p < *d)) {
+      d = p;
+    }
+    // Nothing scheduled ahead: step by the heartbeat the threaded loops
+    // park with.
+    tb_.clock().advance_to(d && *d > now() ? *d : now() + kHeartbeat);
+  }
 
-  arb.expect_participants(3);
-  PeerHost& peer = tb.make_peer(0);
-  peer.serve_iperf(kIperfPort, 1);
-  peer.start();
-  iv::CVM& cvm1 = iv.create_cvm("cVM1", 96u << 20);
-  FullStackInstance inst(tb.card(), 0, cvm1.heap(), clock, icfg);
-  Scenario2Service svc(iv, cvm1, inst);
-  cvm1.start([&] { svc.run_loop(stop, arb); });
+  MorelloTestbed tb_;
+  std::unique_ptr<Scenario1Cvm> s1_;
+  iv::CVM* cvm1_ = nullptr;
+  std::unique_ptr<FullStackInstance> s2_inst_;
+  std::unique_ptr<Scenario2Service> svc_;
+  std::unique_ptr<apps::FfOps> proxy_;
+  iv::CVM* app_ = nullptr;
+  apps::FfOps* ops_ = nullptr;
+  FullStackInstance* inst_ = nullptr;
+  sim::Ns start_{0};
+  sim::Ns instant_{0};
+  std::uint64_t same_instant_turns_ = 0;
+  std::uint64_t entry_x_ = 0;
+  std::uint64_t tramp_x_ = 0;
+};
 
-  iv::CVM& app = iv.create_cvm("cVM2-uring-census", 16u << 20);
-  auto ops = svc.make_proxy_ops(app);
-  probes.entry_now = [&] { return iv.entries().crossings(); };
-  probes.tramp_now = [&] { return app.trampoline().crossings(); };
-  app.start([&] {
-    const machine::CapView buf = app.alloc(wsize);
-    const machine::CapView ring_mem = app.alloc(ring_bytes);
-    sim::Participant part(arb, "uring-census-probe");
-    out.bytes = tx_loop(*ops, buf, ring_mem, total_bytes, wsize, &out,
-                        &probes, [&](bool did) {
-                          const std::uint64_t token = part.prepare();
-                          if (!did) {
-                            part.wait(token, clock.now() + kProbeHeartbeat);
-                          }
-                          return true;
-                        });
-  });
-  app.join();
-  stop.store(true);
-  arb.kick();
-  cvm1.join();
-  peer.request_stop();
-  peer.join();
-  sample_tx(inst.stack());
-  sample_wire();
-
-  const double entry_cost = static_cast<double>(
-      price.trampoline_crossing().count() + price.domain_switch_extra.count());
-  out.crossings = probes.entry_crossings + probes.tramp_crossings;
-  out.modeled_ns_per_mib =
-      mib > 0
-          ? (static_cast<double>(probes.entry_crossings) * entry_cost +
-             static_cast<double>(probes.tramp_crossings) *
-                 static_cast<double>(price.trampoline_crossing().count())) /
-                mib
-          : 0.0;
-  return out;
+/// Connect to the peer's discard sink; `*ep` watches the fd for EPOLLOUT.
+int connect_sink(apps::FfOps& ops, int* ep) {
+  const int fd = ops.socket_stream();
+  ops.connect(fd, MorelloTestbed::peer_ip(0), kIperfPort);
+  *ep = ops.epoll_create();
+  ops.epoll_ctl(*ep, fstack::EpollOp::kAdd, fd, fstack::kEpollOut, 1);
+  return fd;
 }
 
-UringCensus run_uring_rx_census(ScenarioKind kind, std::uint64_t total_bytes,
-                                const TestbedOptions& opt) {
-  UringCensus out;
-  const sim::CostModel price = sim::CostModel::morello();
-  const double mib = static_cast<double>(total_bytes) / (1024.0 * 1024.0);
-  const std::size_t ring_bytes =
-      fstack::FfUring::bytes_for(kUringSqSlots, kUringCqSlots);
+bool writable(apps::FfOps& ops, int ep) {
+  fstack::FfEpollEvent ev[1];
+  return ops.epoll_wait(ep, ev) > 0 && (ev[0].events & fstack::kEpollOut) != 0;
+}
 
-  MorelloTestbed tb(opt);
-  auto& iv = tb.intravisor();
-  auto& clock = tb.clock();
-  auto& arb = tb.arbiter();
-  std::atomic<bool> stop{false};
-  const InstanceConfig icfg = tb.morello_cfg(0);
+int listen_census(apps::FfOps& ops) {
+  const int lfd = ops.socket_stream();
+  ops.bind(lfd, fstack::Ipv4Addr{}, kIperfPort);
+  ops.listen(lfd, 4);
+  return lfd;
+}
 
-  // Lossy-wire instrumentation: FCS rejects at the Morello port must match
-  // the wire's peer-egress corruption census one for one, and the stack's
-  // checksum drop count says whether anything leaked past FCS.
-  const auto sample_rx = [&out, &tb](fstack::FfStack& st) {
-    out.stack_csum_drops = st.stats().csum_errors;
-    out.rx_crc_errors = tb.card().port(0).stats().rx_crc_errors;
-    out.wire_corrupts = tb.wire(0).stats(1).impair_corrupts;
-  };
-  CensusProbes probes;
-  if (kind == ScenarioKind::kScenario1) {
-    arb.expect_participants(2);
-    PeerHost& peer = tb.make_peer(0);
-    peer.run_iperf_client(MorelloTestbed::morello_ip(0), kIperfPort,
-                          total_bytes);
-    peer.start();
-    Scenario1Cvm s1(iv, tb.card(), 0, icfg, "cVM1-uring-rx");
-    probes.tramp_now = [&] { return s1.cvm().trampoline().crossings(); };
-    s1.cvm().start([&] {
-      FullStackInstance& inst = s1.instance();
-      const machine::CapView ring_mem = s1.alloc(ring_bytes);
-      sim::Participant part(arb, "uring-rx-probe");
-      out.bytes = uring_rx_loop(
-          s1.ops(), ring_mem, total_bytes, &out, &probes, [&](bool did) {
-            const std::uint64_t token = part.prepare();
-            const bool progress = inst.run_once() || did;
-            if (!progress) {
-              part.wait(token, capped_deadline(inst.next_deadline(),
-                                               clock.now(), kProbeHeartbeat));
-            }
-            return true;
-          });
-      for (int i = 0; i < 10000; ++i) {
-        if (!inst.run_once()) break;
+/// Classic TX (kWrite, kWritev): every measured call is gated on EPOLLOUT,
+/// like the ported iperf3 (§III-B), so the census counts the crossings of
+/// productive calls, not of -EAGAIN spins.
+void classic_tx(CensusRig& rig, std::uint64_t total, std::size_t batch,
+                Census& out) {
+  apps::FfOps& ops = rig.ops();
+  const machine::CapView buf = rig.alloc(kMss);
+  int ep = -1;
+  const int fd = connect_sink(ops, &ep);
+  std::vector<fstack::FfIovec> iov(batch);
+  while (out.bytes < total) {
+    std::int64_t r = 0;
+    if (writable(ops, ep)) {
+      std::size_t k = 0;
+      for (std::uint64_t want = 0; k < batch && out.bytes + want < total;
+           ++k) {
+        const std::size_t n =
+            std::min<std::uint64_t>(kMss, total - out.bytes - want);
+        iov[k] = {buf.window(0, n), n};
+        want += n;
       }
-    });
-    s1.cvm().join();
-    peer.request_stop();
-    peer.join();
-    sample_rx(s1.instance().stack());
-    out.crossings = probes.entry_crossings + probes.tramp_crossings;
-    out.modeled_ns_per_mib =
-        mib > 0 ? static_cast<double>(out.crossings) *
-                      static_cast<double>(price.trampoline_crossing().count()) /
-                      mib
-                : 0.0;
+      r = rig.measured([&] {
+        return batch == 1 ? ops.write(fd, buf, iov[0].len)
+                          : ops.writev(fd, {iov.data(), k});
+      });
+      ++out.api_calls;
+      if (r > 0) out.bytes += static_cast<std::uint64_t>(r);
+    }
+    if (!rig.turn(r > 0)) break;
+  }
+  ops.close(ep);
+  ops.close(fd);
+}
+
+/// Classic RX (kRead, kZcRecv): readiness comes from epoll_wait, OUTSIDE
+/// the measured envelope; the envelope prices exactly one productive
+/// receive iteration — one MSS-sized ff_read, or one ff_zc_recv burst plus
+/// its batched recycle once the coalescing window has elapsed.
+void classic_rx(CensusRig& rig, std::uint64_t total, bool zero_copy,
+                Census& out) {
+  apps::FfOps& ops = rig.ops();
+  const machine::CapView rx_buf = rig.alloc(4096);
+  const int lfd = listen_census(ops);
+  const int ep = ops.epoll_create();
+  ops.epoll_ctl(ep, fstack::EpollOp::kAdd, lfd, fstack::kEpollIn,
+                static_cast<std::uint64_t>(lfd));
+  int cfd = -1;
+  bool eof = false;
+  RxDrainPacer pacer;
+  std::uint32_t coalesce = 0;  // turns since the last zc drain
+  while (out.bytes < total && !eof) {
+    bool progress = false;
+    bool readable = false;
+    fstack::FfEpollEvent evs[8];
+    const int n = ops.epoll_wait(ep, evs);
+    for (int i = 0; i < n; ++i) {
+      const int fd = static_cast<int>(evs[i].data);
+      if (fd == lfd && cfd < 0) {
+        cfd = ops.accept(lfd);
+        if (cfd >= 0) {
+          ops.epoll_ctl(ep, fstack::EpollOp::kAdd, cfd, fstack::kEpollIn,
+                        static_cast<std::uint64_t>(cfd));
+          progress = true;
+        }
+      } else if (fd == cfd &&
+                 (evs[i].events & (fstack::kEpollIn | fstack::kEpollHup))) {
+        readable = true;
+      }
+    }
+    if (zero_copy && ++coalesce < pacer.window) readable = false;
+    if (readable) {
+      const std::int64_t r = rig.measured([&]() -> std::int64_t {
+        if (!zero_copy) {
+          const std::int64_t r = ops.read(cfd, rx_buf, kMss);
+          if (r > 0) out.bytes += static_cast<std::uint64_t>(r);
+          eof = r == 0;
+          return r;
+        }
+        fstack::FfZcRxBuf loans[kRxZcBatch];
+        const std::int64_t r = ops.zc_recv(cfd, loans);
+        if (r > 0) {
+          for (std::int64_t i = 0; i < r; ++i) {
+            out.bytes += loans[i].data.size();
+          }
+          ops.zc_recycle_batch({loans, static_cast<std::size_t>(r)});
+        }
+        coalesce = r > 0 ? pacer.on_drain(static_cast<std::size_t>(r),
+                                          kRxZcBatch)
+                         : 0;
+        eof = r == 0;
+        return r;
+      });
+      progress |= r > 0;
+      ++out.api_calls;
+    }
+    if (!rig.turn(progress)) break;
+  }
+  if (cfd >= 0) ops.close(cfd);
+  ops.close(ep);
+  ops.close(lfd);
+}
+
+/// Ring TX (kRingWritev, kRingZcSend) through the shared protocols of
+/// apps/uring_proto.hpp — the same submit/re-offer and alloc/fill/send
+/// pipelines the IperfClient ring port runs. Connection setup is classic
+/// and unmeasured; the envelope opens at the arming crossing.
+void ring_tx(CensusRig& rig, std::uint64_t total, bool zero_copy,
+             Census& out) {
+  apps::FfOps& ops = rig.ops();
+  const machine::CapView buf = rig.alloc(kMss);
+  const machine::CapView ring_mem =
+      rig.alloc(fstack::FfUring::bytes_for(kUringSqSlots, kUringCqSlots));
+  int ep = -1;
+  const int fd = connect_sink(ops, &ep);
+  bool up = false;
+  while (!(up = writable(ops, ep)) && rig.turn(false)) {
+  }
+  const CensusRig::Marks m = rig.mark();
+  fstack::FfUring ring(ring_mem, kUringSqSlots, kUringCqSlots);
+  const int id =
+      up ? ops.uring_attach(ring_mem, kUringSqSlots, kUringCqSlots) : -1;
+  if (id >= 0) {
+    apps::UringTxProto copy(&ring, fd, buf, kMss,
+                            fstack::FfUringSqe::kMaxCaps);
+    std::byte scratch[512];
+    apps::UringZcTxProto zc(
+        &ring, fd, kMss,
+        [&buf, &scratch](const machine::CapView& room, std::size_t len) {
+          // The application composes its payload straight into the granted
+          // data room — ITS write through ITS bounded capability, not a
+          // stack-side copy.
+          machine::cap_copy(room, 0, buf, 0, len, scratch);
+        });
+    const auto acked = [&] { return zero_copy ? zc.acked() : copy.acked(); };
+    fstack::FfUringDoorbellPolicy bell;
+    std::optional<sim::Ns> bounced;  // instant of the last bounced CQE
+    while (acked() < total && !zc.failed()) {
+      // A bounced OP_WRITEV or a pool-starved (-ENOBUFS) alloc re-submits
+      // only once virtual time has moved: re-submitting at the same
+      // instant is exactly what a lockstep pump would spin on forever.
+      if (bounced != rig.now()) {
+        out.sqes += zero_copy ? zc.pump(total) : copy.offer(total);
+      }
+      bool progress = false;
+      fstack::FfUringCqe cq[kUringReap];
+      const std::size_t n = ring.cq_pop(cq);
+      for (std::size_t i = 0; i < n; ++i) {
+        out.cqes++;
+        const bool grant =
+            cq[i].op == fstack::UringOp::kZcAlloc && cq[i].result > 0;
+        if ((zero_copy ? zc.on_cqe(cq[i]) : copy.on_cqe(cq[i])) > 0 ||
+            grant) {
+          progress = true;
+        } else {
+          bounced = rig.now();
+        }
+      }
+      if (bell.should_ring(ring, progress)) {
+        ops.uring_doorbell(id);  // genuinely unclaimed work: one crossing
+        out.doorbells++;
+      }
+      if (!rig.turn(progress)) break;
+    }
+    out.bytes = acked();
+  }
+  rig.charge(m);
+  if (id >= 0) ops.uring_detach(id);
+  ops.close(ep);
+  ops.close(fd);
+}
+
+/// Ring RX (kRingZcRecv): OP_ACCEPT_MULTISHOT posts the accepted fd,
+/// OP_EPOLL_ARM posts readiness, OP_ZC_RECV bursts post one loan CQE each,
+/// OP_RECYCLE returns token batches — the receive-pipeline CQE discipline
+/// the IperfServer ring port shares; the adaptive pacer decides when a
+/// drain is worth submitting.
+void ring_rx(CensusRig& rig, std::uint64_t total, Census& out) {
+  apps::FfOps& ops = rig.ops();
+  const machine::CapView ring_mem =
+      rig.alloc(fstack::FfUring::bytes_for(kUringSqSlots, kUringCqSlots));
+  const int lfd = listen_census(ops);
+  const int ep = ops.epoll_create();
+  const CensusRig::Marks m = rig.mark();
+  fstack::FfUring ring(ring_mem, kUringSqSlots, kUringCqSlots);
+  const int id = ops.uring_attach(ring_mem, kUringSqSlots, kUringCqSlots);
+  int cfd = -1;
+  if (id >= 0) {
+    // Token batches ride OP_RECYCLE entries; a refused push falls back to
+    // one classic recycle crossing so tokens never pile up unreturned.
+    fstack::FfUringRecycler recycler(&ring,
+                                     apps::classic_recycle_fallback(&ops));
+    struct Dispatch {
+      apps::FfOps& ops;
+      int ep;
+      fstack::FfUringRecycler& recycler;
+      RxDrainPacer pacer;
+      int cfd = -1;
+      bool hot = false;       // a drain burst is worth submitting
+      bool inflight = false;  // a burst's CQE train is outstanding
+      bool eof = false;
+      bool progress = false;  // an fd, a loan or EOF arrived this turn
+      std::uint64_t got = 0;
+      std::uint32_t burst_loans = 0;
+      std::uint32_t coalesce = 0;
+
+      void on_accept(int fd, const fstack::FfSockAddrIn&) {
+        if (cfd >= 0) return;
+        cfd = fd;
+        // The one residual classic call of the pipeline: register the
+        // accepted fd's readiness interest (one-time, per connection).
+        ops.epoll_ctl(ep, fstack::EpollOp::kAdd, cfd, fstack::kEpollIn,
+                      static_cast<std::uint64_t>(cfd));
+        hot = true;
+        progress = true;
+      }
+      void on_readiness(std::uint32_t mask, std::uint64_t) {
+        // Mask changes include readable->quiet; only a readable/hangup
+        // mask warrants a drain burst.
+        if ((mask & (fstack::kEpollIn | fstack::kEpollHup)) != 0) hot = true;
+      }
+      void on_loan(const fstack::FfUringCqe& cqe) {
+        got += static_cast<std::uint64_t>(cqe.result);
+        burst_loans++;
+        recycler.add(cqe.aux0);
+        progress = true;
+      }
+      void on_eof(std::uint64_t) {
+        eof = true;
+        progress = true;
+      }
+      void on_drained(std::uint64_t) { hot = false; }
+      void on_coalescing(std::uint64_t) {}  // UDP only: stay hot
+      void on_burst_end(std::uint64_t) {
+        inflight = false;
+        coalesce = pacer.on_drain(burst_loans, fstack::FfUringSqe::kMaxCaps);
+        burst_loans = 0;
+      }
+    } rx{ops, ep, recycler, {}};
+
+    if (apps::push_accept_arm(ring, lfd, kUdAccept)) out.sqes++;
+    if (apps::push_epoll_arm(ring, ep, kUdEpoll)) out.sqes++;
+    fstack::FfUringDoorbellPolicy bell;
+    while ((rx.got < total && !rx.eof) || rx.inflight) {
+      rx.progress = false;
+      fstack::FfUringCqe cq[kUringReap];
+      const std::size_t n = ring.cq_pop(cq);
+      for (std::size_t i = 0; i < n; ++i) {
+        out.cqes++;
+        apps::dispatch_rx_cqe(cq[i], rx);
+      }
+      ++rx.coalesce;
+      if (rx.cfd >= 0 && rx.hot && !rx.inflight && !rx.eof &&
+          rx.got < total && rx.coalesce >= rx.pacer.window &&
+          apps::push_zc_recv(ring, rx.cfd, fstack::FfUringSqe::kMaxCaps, 0)) {
+        out.sqes++;
+        rx.inflight = true;
+      }
+      if (bell.should_ring(ring, rx.progress)) {
+        ops.uring_doorbell(id);  // genuinely unclaimed work: one crossing
+        out.doorbells++;
+      }
+      if (!rig.turn(rx.progress)) break;
+    }
+    // Return every outstanding loan and let the stack consume the entries.
+    recycler.flush();
+    while (ring.sq_pending() > 0 && rig.turn(false)) {
+      fstack::FfUringCqe cq[kUringReap];
+      (void)ring.cq_pop(cq);
+    }
+    recycler.flush_sync();  // teardown: nothing may stay window-charged
+    out.sqes += recycler.ring_pushes();
+    out.bytes = rx.got;
+    cfd = rx.cfd;
+  }
+  rig.charge(m);
+  if (id >= 0) ops.uring_detach(id);
+  if (cfd >= 0) ops.close(cfd);
+  ops.close(ep);
+  ops.close(lfd);
+}
+
+}  // namespace
+
+Census run_census(ScenarioKind kind, CensusLeg leg, std::uint64_t total_bytes,
+                  const TestbedOptions& opt) {
+  Census out;
+  if (kind != ScenarioKind::kScenario1 &&
+      kind != ScenarioKind::kScenario2Uncontended) {
     return out;
   }
-
-  if (kind != ScenarioKind::kScenario2Uncontended) return out;
-
-  arb.expect_participants(3);
-  PeerHost& peer = tb.make_peer(0);
-  peer.run_iperf_client(MorelloTestbed::morello_ip(0), kIperfPort,
-                        total_bytes);
-  peer.start();
-  iv::CVM& cvm1 = iv.create_cvm("cVM1", 96u << 20);
-  FullStackInstance inst(tb.card(), 0, cvm1.heap(), clock, icfg);
-  Scenario2Service svc(iv, cvm1, inst);
-  cvm1.start([&] { svc.run_loop(stop, arb); });
-
-  iv::CVM& app = iv.create_cvm("cVM2-uring-rx", 16u << 20);
-  auto ops = svc.make_proxy_ops(app);
-  probes.entry_now = [&] { return iv.entries().crossings(); };
-  probes.tramp_now = [&] { return app.trampoline().crossings(); };
-  app.start([&] {
-    const machine::CapView ring_mem = app.alloc(ring_bytes);
-    sim::Participant part(arb, "uring-rx-probe");
-    out.bytes = uring_rx_loop(*ops, ring_mem, total_bytes, &out, &probes,
-                              [&](bool did) {
-                                const std::uint64_t token = part.prepare();
-                                if (!did) {
-                                  part.wait(token,
-                                            clock.now() + kProbeHeartbeat);
-                                }
-                                return true;
-                              });
+  const bool tx = leg == CensusLeg::kWrite || leg == CensusLeg::kWritev ||
+                  leg == CensusLeg::kRingWritev ||
+                  leg == CensusLeg::kRingZcSend;
+  CensusRig rig(kind, tx, total_bytes, opt);
+  rig.run([&] {
+    switch (leg) {
+      case CensusLeg::kWrite:
+        return classic_tx(rig, total_bytes, 1, out);
+      case CensusLeg::kWritev:
+        return classic_tx(rig, total_bytes, kCensusBatch, out);
+      case CensusLeg::kRead:
+        return classic_rx(rig, total_bytes, false, out);
+      case CensusLeg::kZcRecv:
+        return classic_rx(rig, total_bytes, true, out);
+      case CensusLeg::kRingWritev:
+        return ring_tx(rig, total_bytes, false, out);
+      case CensusLeg::kRingZcSend:
+        return ring_tx(rig, total_bytes, true, out);
+      case CensusLeg::kRingZcRecv:
+        return ring_rx(rig, total_bytes, out);
+    }
   });
-  app.join();
-  stop.store(true);
-  arb.kick();
-  cvm1.join();
-  peer.request_stop();
-  peer.join();
-  sample_rx(inst.stack());
-
-  const double entry_cost = static_cast<double>(
-      price.trampoline_crossing().count() + price.domain_switch_extra.count());
-  out.crossings = probes.entry_crossings + probes.tramp_crossings;
-  out.modeled_ns_per_mib =
-      mib > 0
-          ? (static_cast<double>(probes.entry_crossings) * entry_cost +
-             static_cast<double>(probes.tramp_crossings) *
-                 static_cast<double>(price.trampoline_crossing().count())) /
-                mib
-          : 0.0;
+  rig.finish(total_bytes, out);
   return out;
 }
 

@@ -1,7 +1,10 @@
 // Experiment harness: builds the full emulated testbed (Morello node +
 // dual-port 82576 + wires + peer hosts) and runs the paper's evaluation
 // configurations end to end. Each bench binary is a thin printer over
-// run_bandwidth() (Table II) and run_ffwrite_latency() (Figures 4-6).
+// run_bandwidth() (Table II), run_ffwrite_latency() (Figures 4-6) and
+// run_census() (the Fig. 4/5 crossing census). Bandwidth and latency runs
+// are threaded and paced by the time arbiter; the census is single-threaded
+// lockstep, so its counts replay identically.
 #pragma once
 
 #include <array>
@@ -197,127 +200,78 @@ struct LatencyOutcome {
     const TestbedOptions& opt = TestbedOptions{}, std::size_t batch = 1);
 
 // ---------------------------------------------------------------------------
-// API v2 crossing census: how many compartment crossings does it take to
-// move a byte volume through ff_write (batch = 1, the v1 path) versus
-// ff_writev (batch > 1)?
+// Crossing census (the Fig. 4/5 cost split): how many compartment crossings
+// does it take to move a byte volume through each API generation? One rig
+// runs every leg on the caller's thread in virtual-time lockstep — the app
+// body, the stack's main loop and the peer take turns, and the clock only
+// advances to the earliest deadline once nobody progresses — so the counts
+// are a pure function of the inputs, whatever the host load.
 // ---------------------------------------------------------------------------
 
-struct CrossingCensus {
-  std::uint64_t bytes = 0;      // payload bytes queued into the stack
-  std::uint64_t api_calls = 0;  // measured write/writev invocations
-  /// Compartment crossings attributed to the measured calls: the timing
-  /// clock_gettime trampolines of the Fig. 4 measurement envelope
-  /// (Scenario 1) plus the sealed-entry ff_* proxy jumps (Scenario 2).
-  std::uint64_t crossings = 0;
-  /// Those crossings priced by the Morello-calibrated CostModel, per MiB of
-  /// payload — the figure the batch API exists to shrink.
-  double modeled_ns_per_mib = 0.0;
+/// The census legs. Four bodies (classic TX/RX, ring TX/RX), each shared by
+/// its copy and zero-copy variant.
+enum class CensusLeg : std::uint8_t {
+  kWrite,       // TX v1: one EPOLLOUT-gated ff_write per MSS
+  kWritev,      // TX v2: ff_writev of kCensusBatch MSS iovecs per call
+  kRead,        // RX v1: epoll_wait-gated ff_read per MSS, bytes copied out
+  kZcRecv,      // RX v2: epoll_wait-gated ff_zc_recv loan bursts, each
+                //   recycled in one batch — zero receive-side copies
+  kRingWritev,  // TX v3: OP_WRITEV SQEs of 8 exactly-bounded iovec caps
+  kRingZcSend,  // TX v3 zero copy: OP_ZC_ALLOC grants writable data rooms,
+                //   the payload is composed in place, OP_ZC_SEND queues
+                //   retained references held until cumulative ACK
+  kRingZcRecv,  // RX v3: OP_ACCEPT_MULTISHOT + OP_EPOLL_ARM + OP_ZC_RECV +
+                //   OP_RECYCLE, doorbells only when the stack parked
 };
 
-/// Drive `total_bytes` of MSS-sized writes through one endpoint of `kind`
-/// (kScenario1 or kScenario2Uncontended) with `batch` iovecs per call and
-/// count the crossings. batch = 1 is exactly the v1 per-call path.
-[[nodiscard]] CrossingCensus run_ffwrite_crossing_census(
-    ScenarioKind kind, std::uint64_t total_bytes, std::size_t batch,
-    const TestbedOptions& opt = TestbedOptions{});
+/// iovecs per kWritev call.
+inline constexpr std::size_t kCensusBatch = 32;
 
-// ---------------------------------------------------------------------------
-// RX census: what does it cost to RECEIVE a byte volume? The v1 path pays
-// one measured envelope (epoll-gated ff_read) per MSS and copies every byte
-// out of the stack; the zero-copy path arms one multishot event ring and
-// drains ff_zc_recv loan batches, recycling in batches — zero receive-side
-// copies and an amortized fraction of the crossings.
-// ---------------------------------------------------------------------------
-
-struct RxCensus {
-  std::uint64_t bytes = 0;      // payload bytes delivered to the app
-  std::uint64_t api_calls = 0;  // measured receive envelopes issued
-  std::uint64_t crossings = 0;  // crossings attributed to those envelopes
-  /// Bytes the stack copied on the receive side (chain lazy copy, UDP copy
-  /// out, zc bounces) — the zero-copy gate requires exactly 0.
-  std::uint64_t copied_bytes = 0;
-  std::uint64_t zc_loans = 0;      // loans handed out (zero_copy runs)
-  std::uint64_t zc_recycles = 0;   // loans returned
-  double modeled_ns_per_mib = 0.0;
-};
-
-/// Receive `total_bytes` of TCP payload from the peer through one endpoint
-/// of `kind` (kScenario1 or kScenario2Uncontended). zero_copy = false is
-/// the per-call v1 path (epoll_wait + ff_read per envelope); true is the
-/// multishot + ff_zc_recv/ff_zc_recycle_batch pipeline.
-[[nodiscard]] RxCensus run_ffrecv_rx_census(
-    ScenarioKind kind, std::uint64_t total_bytes, bool zero_copy,
-    const TestbedOptions& opt = TestbedOptions{});
-
-// ---------------------------------------------------------------------------
-// API v3 uring census: the same byte volumes through the ff_uring ring —
-// submissions by capability store, completions by capability load, ONE
-// arming crossing and doorbells only when the stack parked. The fig4/fig5
-// gates require >= 2x fewer crossings than the PR-2 batch paths above and
-// ZERO crossings per op in sustained load (crossings stay a small constant
-// while SQEs scale with the volume).
-// ---------------------------------------------------------------------------
-
-struct UringCensus {
-  std::uint64_t bytes = 0;      // payload bytes moved
-  std::uint64_t sqes = 0;       // submissions pushed (ring ops issued)
-  std::uint64_t cqes = 0;       // completions reaped
-  /// Crossings in the measured phase: the arm, the doorbells, and any
-  /// residual per-call setup (e.g. the one epoll_ctl for an accepted fd).
+struct Census {
+  std::uint64_t bytes = 0;      // payload queued (TX) or delivered (RX)
+  std::uint64_t api_calls = 0;  // measured classic envelopes (0 on rings)
+  /// Compartment crossings inside the measured envelopes: the
+  /// clock_gettime trampolines of the Fig. 4 methodology around each
+  /// classic call, the sealed-entry ff_* jumps (Scenario 2), and on ring
+  /// legs everything from the arming crossing on (arm, doorbells, the one
+  /// accept-time epoll_ctl). Readiness gating and connection setup sit
+  /// outside the envelopes.
   std::uint64_t crossings = 0;
+  /// Those crossings priced by the Morello-calibrated CostModel per MiB.
+  double modeled_ns_per_mib = 0.0;
+  // ---- ring legs ----
+  std::uint64_t sqes = 0;
+  std::uint64_t cqes = 0;
   std::uint64_t doorbells = 0;  // doorbell crossings the app chose to make
-  /// Send-side bytes the stack copied into TX stores during the run (the
-  /// TCP zc TX gate requires exactly 0 — FfStack::tx_stats()).
-  std::uint64_t tx_copied_bytes = 0;
-  /// Payload bytes queued as retained mbuf references (the zc path).
-  std::uint64_t tx_zc_bytes = 0;
-  /// Payload bytes EMISSION read back (linearize fallback or a checksum
-  /// range no cached partial covered) — the scatter-gather gate requires
-  /// exactly 0: frames leave as indirect chains with composed checksums.
+  // ---- stack census, sampled when the leg ends ----
+  std::uint64_t rx_copied_bytes = 0;  // receive-side copies (zc gate: 0)
+  std::uint64_t zc_loans = 0;         // RX loans handed out
+  std::uint64_t zc_recycles = 0;      // RX loans returned
+  std::uint64_t tx_copied_bytes = 0;  // send-side copies (zc TX gate: 0)
+  std::uint64_t tx_zc_bytes = 0;      // bytes queued as retained mbuf refs
+  /// Payload bytes emission read back (scatter-gather gate: 0).
   std::uint64_t tx_emit_payload_reads = 0;
-  /// Payload bytes the STACK software-checksummed on the TX path. With TX
-  /// checksum offload negotiated the stack seeds the pseudo-header and the
-  /// device walks the bytes, so the fig4/fig5 offload gate requires exactly
-  /// 0 here (FfStack::tx_stats().stack_checksum_bytes).
+  /// Payload bytes the stack software-checksummed on TX (offload gate: 0).
   std::uint64_t stack_checksum_bytes = 0;
-  /// TSO census from the device (EthStats): oversized chains the hardware
-  /// sliced into wire frames, and the payload bytes those chains carried.
-  std::uint64_t tso_frames = 0;
-  std::uint64_t tso_bytes = 0;
-  /// TX descriptors the driver consumed (EthStats::tx_segs) and the frame
-  /// bytes those descriptors actually emitted (EthStats::obytes) — the TSO
-  /// gate compares descriptors per EMITTED byte against an offload-off
-  /// control, since the census app may exit with queued bytes unemitted
-  /// (zc send completion is queue-time, emission is ACK-clocked).
-  std::uint64_t tx_descs = 0;
-  std::uint64_t tx_wire_bytes = 0;
-  /// Lossy-wire leg instrumentation: frames the Morello port rejected at
-  /// FCS, the wire's own peer-egress corruption census, and frames the
-  /// stack dropped on a checksum (software or device-verdict) mismatch.
-  /// Wire bit flips must die at FCS; a bad frame that somehow passes FCS
-  /// must die at the verdict check — never reach a socket.
+  /// Lossy-wire accounting: Morello-port FCS rejects, the wire's own
+  /// peer-egress corruption census, and frames the stack dropped on a
+  /// checksum verdict. Bit flips must die at FCS or at the verdict check.
   std::uint64_t rx_crc_errors = 0;
   std::uint64_t wire_corrupts = 0;
   std::uint64_t stack_csum_drops = 0;
-  double modeled_ns_per_mib = 0.0;
+  std::uint64_t virtual_ns = 0;  // virtual time the whole leg took
+
+  bool operator==(const Census&) const = default;
 };
 
-/// Send `total_bytes` of MSS-sized TCP payload through the ring.
-/// zero_copy = false: OP_WRITEV SQEs (8 exactly-bounded iovec caps per
-/// entry). zero_copy = true: the TCP zc TX pipeline — OP_ZC_ALLOC grants
-/// writable mbuf data rooms, the payload is composed in place, OP_ZC_SEND
-/// queues retained references held until cumulative ACK; the gate requires
-/// zero send-side byte copies at the same doorbell-only crossing budget.
-[[nodiscard]] UringCensus run_uring_tx_census(
-    ScenarioKind kind, std::uint64_t total_bytes,
-    const TestbedOptions& opt = TestbedOptions{}, bool zero_copy = false);
-
-/// Receive `total_bytes` through the full ring pipeline: OP_ACCEPT_MULTISHOT
-/// (accepted fds as CQEs), OP_EPOLL_ARM (readiness as CQEs), OP_ZC_RECV
-/// (loans as CQEs) and OP_RECYCLE (token batches back) — zero receive-side
-/// copies and zero crossings per op in steady state.
-[[nodiscard]] UringCensus run_uring_rx_census(
-    ScenarioKind kind, std::uint64_t total_bytes,
-    const TestbedOptions& opt = TestbedOptions{});
+/// Run one census leg: move `total_bytes` of MSS-sized TCP payload through
+/// one endpoint of `kind` (kScenario1 or kScenario2Uncontended; other kinds
+/// return an empty Census). TX legs send to the peer's discard sink with a
+/// send buffer that holds the whole volume, so the comparison prices the
+/// per-call fixed costs, not backpressure; RX legs receive from the peer's
+/// iperf client.
+[[nodiscard]] Census run_census(ScenarioKind kind, CensusLeg leg,
+                                std::uint64_t total_bytes,
+                                const TestbedOptions& opt = TestbedOptions{});
 
 }  // namespace cherinet::scen

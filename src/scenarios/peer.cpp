@@ -65,15 +65,19 @@ void PeerHost::join() {
   if (thread_.joinable()) thread_.join();
 }
 
+bool PeerHost::step() {
+  bool progress = inst_->run_once();
+  if (server_) progress |= server_->step();
+  for (auto& c : clients_) progress |= c->step();
+  return progress;
+}
+
 void PeerHost::loop() {
   sim::Participant part(arb_, cfg_.name);
   while (!stop_.load(std::memory_order_acquire)) {
     const std::uint64_t token = part.prepare();
-    bool progress = inst_->run_once();
-    if (server_) progress |= server_->step();
-    for (auto& c : clients_) progress |= c->step();
-    if (progress) continue;
-    auto d = inst_->next_deadline();
+    if (step()) continue;
+    const auto d = next_deadline();
     const sim::Ns cap = clock_.now() + kHeartbeat;
     part.wait(token, d && *d < cap ? *d : cap);
   }

@@ -1,12 +1,13 @@
 // PeerHost: the external load-generator machine on the far end of a wire
 // (the iperf counterpart the Morello node talks to). Runs its own NIC model
 // (no shared-bus constraint — only the Morello card is PCI-limited), its
-// own stack instance, and a polling thread registered with the time
-// arbiter.
+// own stack instance, and either a polling thread registered with the time
+// arbiter (start()) or single-threaded stepping by a lockstep pump (step()).
 #pragma once
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -39,6 +40,15 @@ class PeerHost {
   void start();
   void request_stop() { stop_.store(true, std::memory_order_release); }
   void join();
+
+  /// One poll of the peer machine: its stack's main loop, then its workload
+  /// apps. Returns true when anything progressed. The start() thread loops
+  /// on this; a lockstep pump calls it directly instead.
+  bool step();
+  /// Earliest virtual instant the peer has work scheduled (nullopt: none).
+  [[nodiscard]] std::optional<sim::Ns> next_deadline() const {
+    return inst_->next_deadline();
+  }
 
   [[nodiscard]] bool workload_finished() const;
   [[nodiscard]] const apps::IperfServer* server() const {

@@ -334,20 +334,6 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard)
         z.token = a.a[0];
         return fstack::ff_zc_abort(*st, z);
       }));
-  e_ep_arm_ms_ = reg.install(
-      tag + ":ff_epoll_wait_multishot", target,
-      wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
-        if (!a.cap0.has_value()) return -EFAULT;
-        return fstack::ff_epoll_wait_multishot(
-            *st, static_cast<int>(a.a[0]), *a.cap0,
-            static_cast<std::uint32_t>(a.a[1]));
-      }));
-  e_ep_cancel_ms_ = reg.install(
-      tag + ":ff_epoll_cancel_multishot", target,
-      wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
-        return fstack::ff_epoll_cancel_multishot(*st,
-                                                 static_cast<int>(a.a[0]));
-      }));
   // ff_uring: the arming crossing delegates the app's whole ring region in
   // cap0; doorbell/detach carry only the ring id. Each is one sealed jump
   // under one wrap() mutex acquisition — and the doorbell's acquisition
@@ -600,21 +586,6 @@ int ProxyFfOps::zc_abort(fstack::FfZcBuf& zc) {
     zc.data = machine::CapView{};
   }
   return r;
-}
-
-int ProxyFfOps::epoll_wait_multishot(int epfd, const machine::CapView& ring,
-                                     std::uint32_t capacity) {
-  machine::CrossCallArgs a;
-  a.a[0] = static_cast<std::uint64_t>(epfd);
-  a.a[1] = capacity;
-  a.cap0 = ring;  // the app delegates a bounded write view of its ring
-  return static_cast<int>(call(e_ep_arm_ms_, a));
-}
-
-int ProxyFfOps::epoll_cancel_multishot(int epfd) {
-  machine::CrossCallArgs a;
-  a.a[0] = static_cast<std::uint64_t>(epfd);
-  return static_cast<int>(call(e_ep_cancel_ms_, a));
 }
 
 int ProxyFfOps::uring_attach(const machine::CapView& mem,

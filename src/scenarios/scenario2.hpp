@@ -52,10 +52,6 @@ class Scenario2Service {
   /// others on sibling cVM1 threads.
   void run_shard_loop(std::size_t shard, std::atomic<bool>& stop,
                       sim::TimeArbiter& arb);
-  /// Single-shard legacy entry point (shard 0).
-  void run_loop(std::atomic<bool>& stop, sim::TimeArbiter& arb) {
-    run_shard_loop(0, stop, arb);
-  }
 
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
@@ -129,13 +125,6 @@ class ProxyFfOps final : public apps::FfOps {
   /// crossing under one mutex acquisition.
   std::int64_t zc_recv(int fd, std::span<fstack::FfZcRxBuf> out) override;
   std::int64_t zc_recycle_batch(std::span<fstack::FfZcRxBuf> zcs) override;
-  /// Multishot epoll: the arming crossing delegates a bounded write
-  /// capability into the app's event ring to the network cVM; every
-  /// subsequent main-loop iteration publishes event batches with ZERO
-  /// crossings — the app consumes them with local capability loads.
-  int epoll_wait_multishot(int epfd, const machine::CapView& ring,
-                           std::uint32_t capacity) override;
-  int epoll_cancel_multishot(int epfd) override;
   /// ff_uring (API v3): the attach crossing delegates one bounded RW view
   /// of the app's ring region to the network cVM — the single arming
   /// crossing of the whole attachment. Submissions and completions then
@@ -166,8 +155,8 @@ class ProxyFfOps final : public apps::FfOps {
   machine::SealedEntry e_socket_, e_bind_, e_listen_, e_accept_, e_connect_,
       e_write_, e_read_, e_writev_, e_readv_, e_close_, e_ep_create_,
       e_ep_ctl_, e_ep_wait_, e_accept_batch_, e_zc_recv_, e_zc_recycle_,
-      e_zc_alloc_, e_zc_send_, e_zc_abort_, e_ep_arm_ms_, e_ep_cancel_ms_,
-      e_uring_attach_, e_uring_detach_, e_uring_doorbell_, e_set_class_;
+      e_zc_alloc_, e_zc_send_, e_zc_abort_, e_uring_attach_, e_uring_detach_,
+      e_uring_doorbell_, e_set_class_;
 };
 
 }  // namespace cherinet::scen

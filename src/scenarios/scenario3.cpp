@@ -172,13 +172,6 @@ class TenantFfOps final : public apps::FfOps {
   std::int64_t zc_recycle_batch(std::span<fstack::FfZcRxBuf> zcs) override {
     return inner_->zc_recycle_batch(zcs);
   }
-  int epoll_wait_multishot(int epfd, const machine::CapView& ring,
-                           std::uint32_t capacity) override {
-    return inner_->epoll_wait_multishot(epfd, ring, capacity);
-  }
-  int epoll_cancel_multishot(int epfd) override {
-    return inner_->epoll_cancel_multishot(epfd);
-  }
   int uring_detach(int id) override { return inner_->uring_detach(id); }
   int uring_doorbell(int id) override { return inner_->uring_doorbell(id); }
   int set_class(int fd, std::uint32_t cls) override {
@@ -282,7 +275,7 @@ Scenario3Outcome run_scenario3_fleet(const Scenario3Options& s3,
   for (std::size_t j = 0; j < n; ++j) {
     slot[j].tid = svc.register_tenant(s3.tenants[j].name, s3.tenants[j].quota);
   }
-  cvm1.start([&] { svc.run_loop(stop, arb); });
+  cvm1.start([&] { svc.base().run_shard_loop(0, stop, arb); });
 
   int streams_to_peer = 0;  // iperf + mavlink tenants stream to the peer
   for (std::size_t j = 0; j < n; ++j) {

@@ -95,9 +95,6 @@ class Scenario3Service {
   /// Snapshot of the tenant's stack-side census.
   [[nodiscard]] fstack::TenantStats stats(int tid);
 
-  void run_loop(std::atomic<bool>& stop, sim::TimeArbiter& arb) {
-    svc_.run_loop(stop, arb);
-  }
   [[nodiscard]] Scenario2Service& base() noexcept { return svc_; }
   [[nodiscard]] FullStackInstance& instance() noexcept { return inst_; }
 

@@ -32,14 +32,21 @@ TEST(VirtualClock, MonotoneUnderRacingAdvances) {
 TEST(TimeArbiter, AdvancesToEarliestDeadlineWhenAllParked) {
   sim::VirtualClock clock;
   sim::TimeArbiter arb(clock);
+  // idle_until may return early on a kick — and every advance kicks, so a
+  // participant whose prepare() raced the other's advance re-parks, as
+  // every polling loop does. The test completes only if the arbiter keeps
+  // advancing to the earliest parked deadline.
+  const auto park_until = [&](sim::Participant& p, Ns t) {
+    while (clock.now() < t) p.idle_until(t);
+  };
   std::thread t1([&] {
     sim::Participant p(arb, "t1");
-    p.idle_until(Ns{1000});
+    park_until(p, Ns{1000});
     EXPECT_GE(clock.now(), Ns{1000});
   });
   std::thread t2([&] {
     sim::Participant p(arb, "t2");
-    p.idle_until(Ns{5000});
+    park_until(p, Ns{5000});
     EXPECT_GE(clock.now(), Ns{5000});
   });
   t1.join();

@@ -468,6 +468,51 @@ TEST(Uring, EpollArmDeliversReadinessAsCqes) {
   EXPECT_NE(ev.flags & kCqeMore, 0u);
 }
 
+TEST(Uring, EpollArmDedupsUnchangedReadinessButNotNewActivity) {
+  // The mask/generation dedup of readiness publication: an unchanged mask
+  // with no new activity never re-posts, but more bytes landing while the
+  // mask STAYS readable must post again — otherwise a consumer that
+  // drained to -EAGAIN just before the new bytes arrived would never hear
+  // of them (the edge-trigger lost wakeup).
+  TwoStacks ts;
+  const TcpPair p = connect_b_to_a(ts);
+  AttachedRing ar = attach_ring(ts, 8, 8);
+  const int ep = ff_epoll_create(ts.a());
+  ff_epoll_ctl(ts.a(), ep, EpollOp::kAdd, p.a_fd, kEpollIn, 7);
+  FfUringSqe arm;
+  arm.op = UringOp::kEpollArm;
+  arm.fd = ep;
+  ASSERT_NE(ar.ring.sq_push(arm), FfUring::Push::kFull);
+  ts.a().run_once();
+
+  machine::CapView tx = ts.heap_b().alloc_view(512);
+  tx.write(0, pattern(512));
+  const auto readiness_cqes = [&] {
+    std::size_t n = 0;
+    FfUringCqe cq[8];
+    for (std::size_t k = ar.ring.cq_pop(cq); k > 0; k = ar.ring.cq_pop(cq)) {
+      for (std::size_t i = 0; i < k; ++i) {
+        n += cq[i].op == UringOp::kEpollArm ? 1 : 0;
+      }
+    }
+    return n;
+  };
+  ASSERT_GT(ff_write(ts.b(), p.b_fd, tx, 512), 0);
+  std::size_t first = 0;
+  ts.pump_until([&] { return (first += readiness_cqes()) > 0; });
+  EXPECT_EQ(first, 1u);
+
+  // Nothing new: the unread bytes keep the mask readable, yet no re-post.
+  ts.pump(200);
+  EXPECT_EQ(readiness_cqes(), 0u);
+
+  // New activity under the same mask (still unread): a fresh event.
+  ASSERT_GT(ff_write(ts.b(), p.b_fd, tx, 512), 0);
+  std::size_t again = 0;
+  ts.pump_until([&] { return (again += readiness_cqes()) > 0; });
+  EXPECT_EQ(again, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // UDP RX loan bursts through ff_recvmsg_batch (v3 loan mode)
 // ---------------------------------------------------------------------------

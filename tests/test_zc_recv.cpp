@@ -1,5 +1,4 @@
-// Zero-copy RX: ff_zc_recv loans, recycle lifecycle, window/pool coupling,
-// and the multishot epoll event ring.
+// Zero-copy RX: ff_zc_recv loans, recycle lifecycle, window/pool coupling.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -9,7 +8,6 @@
 #include "cheri/fault.hpp"
 #include "fixtures.hpp"
 #include "fstack/api.hpp"
-#include "fstack/event_ring.hpp"
 
 using namespace cherinet;
 using namespace cherinet::fstack;
@@ -272,80 +270,4 @@ TEST(ZcRecv, OutstandingLoansThrottleTheAdvertisedWindow) {
   FfZcRxBuf stale = loans[0];
   EXPECT_EQ(ff_zc_recycle(ts.a(), stale), -EINVAL);
   EXPECT_EQ(pcb->rcv_wnd(), wnd_idle);
-}
-
-// ---------------------------------------------------------------------------
-// Multishot epoll event ring
-// ---------------------------------------------------------------------------
-
-TEST(Multishot, RingDeliversEventsAcrossIterationsWithoutWaitCalls) {
-  TwoStacks ts;
-  const int lfd = ff_socket(ts.a(), kAfInet, kSockStream, 0);
-  ff_bind(ts.a(), lfd, {Ipv4Addr{}, 5300});
-  ff_listen(ts.a(), lfd, 4);
-  const int ep = ff_epoll_create(ts.a());
-  ASSERT_EQ(ff_epoll_ctl(ts.a(), ep, EpollOp::kAdd, lfd, kEpollIn,
-                         static_cast<std::uint64_t>(lfd)),
-            0);
-
-  constexpr std::uint32_t kSlots = 8;
-  machine::CapView ring_mem =
-      ts.heap_a().alloc_view(FfEventRing::bytes_for(kSlots));
-  FfEventRing ring(ring_mem, kSlots);
-  ASSERT_EQ(ff_epoll_wait_multishot(ts.a(), ep, ring_mem, kSlots), 0);
-
-  // A peer connects; the ring receives the listener's readiness from the
-  // main loop with NO further epoll_wait call.
-  const int bfd = ff_socket(ts.b(), kAfInet, kSockStream, 0);
-  ff_connect(ts.b(), bfd, {ts.ip_a(), 5300});
-  FfEpollEvent evs[4];
-  std::size_t got = 0;
-  ts.pump_until([&] {
-    got += ring.pop({evs + got, 4 - got});
-    return got > 0;
-  });
-  ASSERT_EQ(got, 1u);
-  EXPECT_EQ(static_cast<int>(evs[0].data), lfd);
-  EXPECT_TRUE(evs[0].events & kEpollIn);
-
-  // Accept + register the connection; data arrival publishes a new event.
-  int afd = -1;
-  ts.pump_until([&] {
-    afd = ff_accept(ts.a(), lfd, nullptr);
-    return afd >= 0;
-  });
-  ASSERT_EQ(ff_epoll_ctl(ts.a(), ep, EpollOp::kAdd, afd, kEpollIn,
-                         static_cast<std::uint64_t>(afd)),
-            0);
-  machine::CapView tx = ts.heap_b().alloc_view(64);
-  ff_write(ts.b(), bfd, tx, 64);
-  FfEpollEvent ev2[4];
-  std::size_t got2 = 0;
-  ts.pump_until([&] {
-    got2 += ring.pop({ev2 + got2, 1});
-    return got2 > 0;
-  });
-  EXPECT_EQ(static_cast<int>(ev2[0].data), afd);
-  EXPECT_TRUE(ev2[0].events & kEpollIn);
-
-  // Cancel stops publication.
-  EXPECT_EQ(ff_epoll_cancel_multishot(ts.a(), ep), 0);
-  EXPECT_EQ(ff_epoll_cancel_multishot(ts.a(), ep), -EINVAL);
-}
-
-TEST(Multishot, ArmValidatesRingCapabilityAndSize) {
-  TwoStacks ts;
-  const int ep = ff_epoll_create(ts.a());
-  machine::CapView tiny = ts.heap_a().alloc_view(16);
-  EXPECT_EQ(ff_epoll_wait_multishot(ts.a(), ep, tiny, 8), -EINVAL);
-  // Non-power-of-two capacities are rejected (slot = index & (cap-1) must
-  // stay continuous across u32 cursor wraparound).
-  machine::CapView big = ts.heap_a().alloc_view(FfEventRing::bytes_for(48));
-  EXPECT_EQ(ff_epoll_wait_multishot(ts.a(), ep, big, 48), -EINVAL);
-  // A read-only grant cannot host the ring: the arming call faults rather
-  // than letting the stack discover it mid-publication.
-  machine::CapView ro =
-      ts.heap_a().alloc_view(FfEventRing::bytes_for(8)).readonly();
-  EXPECT_THROW(ff_epoll_wait_multishot(ts.a(), ep, ro, 8), cheri::CapFault);
-  EXPECT_EQ(ff_epoll_wait_multishot(ts.a(), 999, tiny, 8), -EBADF);
 }
