@@ -5,6 +5,8 @@
 // Efficiency follows the paper: achieved bandwidth over the theoretical
 // port rate (1 Gbit/s per Ethernet port; the contended rows divide by the
 // 500 Mbit/s fair share, which is how the paper reaches 106.2 %).
+// Every row runs on the single-threaded lockstep rig (scen::run_bandwidth),
+// so its goodputs and counts replay identically under any host load.
 //
 // Since the scatter-gather emission rework this bench also audits the
 // DRIVER DOORBELL amortization: the Morello stack stages outbound frames

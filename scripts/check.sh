@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: configure + build with warnings-as-errors, then run the full
 # ctest suite (unit/integration tests plus the fig4/fig5 crossing-census
-# and RX-census smoke gates registered in CMakeLists.txt).
+# and Table II bandwidth smoke gates registered in CMakeLists.txt — both
+# run on the lockstep rig, so the sanitizer leg gates them too).
 #
 # SANITIZE=1 switches to the AddressSanitizer + UBSan configuration in its
 # own build tree — the memory-safety net over the loan-based RX pipeline
@@ -57,21 +58,9 @@ if [[ "$TSAN" == "1" ]]; then
 fi
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" || status=$?
 
-# Table II bandwidth + driver-doorbell census: gates >= 8 frames per
-# tx_burst under sustained send load (the staged scatter-gather emission)
-# and persists goodput + burst figures as BENCH_table2.json. The sharded
-# legs ride in the same binary: contended Scenario 2 at 2 shards must
-# aggregate >= 1.8x the single-stack per-stream figure, the 1-shard run
-# must stay within 5% of the classic service, and every shard must show
-# goodput + proxied calls + mutex traffic in the per-shard census that
-# lands in the JSON. Reduced byte volume keeps the CI run short; run the
-# binary directly for paper scale. Skipped on the sanitizer leg with the
-# other wall-clock-sensitive runs.
+# The remaining benches are skipped on the sanitizer leg with the other
+# wall-clock-sensitive runs.
 if [[ "$SANITIZE" != "1" ]]; then
-  CHERINET_BENCH_BYTES="${CHERINET_BENCH_BYTES:-2097152}" \
-  CHERINET_BENCH_JSON_DIR="$BUILD_DIR" \
-    "$BUILD_DIR"/bench_table2_tcp_bandwidth || status=$?
-
   # Locking-strategy ablation, now with the sharded-futex leg: per-shard
   # mutexes must run contention-free (every acquisition a fast path) while
   # the shared-mutex legs price the umtx escalation for comparison.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 
 namespace cherinet::apps {
 
@@ -128,7 +127,6 @@ struct IperfServer::RxDispatch {
     c->report.bytes += static_cast<std::uint64_t>(cqe.result);
     c->report.last_byte = s.clock_->now();
     s.ur_recycler_.add(cqe.aux0);
-    s.interval_report(*c);
   }
   void on_eof(std::uint64_t user_data) {
     Conn* c = conn_of(user_data);
@@ -196,15 +194,6 @@ bool IperfServer::step_uring() {
   return progress;
 }
 
-void IperfServer::interval_report(const Conn& c) {
-  if (!reporter_.due(clock_->now())) return;
-  char line[128];
-  std::snprintf(line, sizeof line, "iperf[fd %d]: %llu bytes, %.1f Mbit/s",
-                c.fd, static_cast<unsigned long long>(c.report.bytes),
-                c.report.mbit_per_sec());
-  reporter_.sink()->add_line(line);
-}
-
 void IperfServer::finish(Conn& c) {
   c.done = true;
   ops_->epoll_ctl(epfd_, fstack::EpollOp::kDel, c.fd, 0, 0);
@@ -215,15 +204,6 @@ void IperfServer::finish(Conn& c) {
   }
   total_.bytes += c.report.bytes;
   total_.last_byte = std::max(total_.last_byte, c.report.last_byte);
-  if (reporter_) {
-    char line[128];
-    std::snprintf(line, sizeof line,
-                  "iperf[fd %d]: done, %llu bytes, %.1f Mbit/s", c.fd,
-                  static_cast<unsigned long long>(c.report.bytes),
-                  c.report.mbit_per_sec());
-    reporter_.sink()->add_line(line);
-    reporter_.sink()->flush();  // whole report: ONE SyscallBatch envelope
-  }
 }
 
 void IperfServer::drain_zero_copy(Conn& c) {
@@ -240,7 +220,6 @@ void IperfServer::drain_zero_copy(Conn& c) {
       // through the read-only loan); recycling is what returns the data
       // rooms — and the receive window — in one batched call.
       ops_->zc_recycle_batch({loans, static_cast<std::size_t>(r)});
-      interval_report(c);
       continue;
     }
     if (r == -ENOTSUP) {  // binding has no loan path: copy from here on
@@ -264,7 +243,6 @@ void IperfServer::drain(Conn& c) {
       if (c.report.bytes == 0) c.report.first_byte = clock_->now();
       c.report.bytes += static_cast<std::uint64_t>(r);
       c.report.last_byte = clock_->now();
-      interval_report(c);
       continue;
     }
     if (r == 0) finish(c);  // EOF: connection complete
@@ -369,15 +347,6 @@ void IperfClient::client_summary() {
   ops_->close(fd_);
   state_ = State::kClosed;
   done_.store(true, std::memory_order_release);
-  if (reporter_) {
-    char line[128];
-    std::snprintf(line, sizeof line,
-                  "iperf-client[fd %d]: done, %llu bytes, %.1f Mbit/s", fd_,
-                  static_cast<unsigned long long>(report_.bytes),
-                  report_.mbit_per_sec());
-    reporter_.sink()->add_line(line);
-    reporter_.sink()->flush();
-  }
 }
 
 bool IperfClient::step_uring_send() {
@@ -418,13 +387,6 @@ bool IperfClient::step_uring_send() {
   }
   if (bell_.should_ring(*uring_, progress)) {
     ops_->uring_doorbell(uring_id_);
-  }
-  if (reporter_ && progress && reporter_.due(clock_->now())) {
-    char line[128];
-    std::snprintf(line, sizeof line, "iperf-client[fd %d]: %llu/%llu bytes",
-                  fd_, static_cast<unsigned long long>(sent_),
-                  static_cast<unsigned long long>(total_));
-    reporter_.sink()->add_line(line);
   }
   if (sent_ >= total_) {
     ops_->uring_detach(uring_id_);
@@ -478,14 +440,6 @@ bool IperfClient::step() {
         if (r <= 0) return progress;  // buffer full: resume next step
         sent_ += static_cast<std::uint64_t>(r);
         progress = true;
-        if (reporter_.due(clock_->now())) {
-          char line[128];
-          std::snprintf(line, sizeof line,
-                        "iperf-client[fd %d]: %llu/%llu bytes", fd_,
-                        static_cast<unsigned long long>(sent_),
-                        static_cast<unsigned long long>(total_));
-          reporter_.sink()->add_line(line);
-        }
       }
       client_summary();
       progress = true;

@@ -9,7 +9,6 @@
 #include <optional>
 
 #include "apps/ff_ops.hpp"
-#include "apps/telemetry.hpp"
 #include "apps/uring_proto.hpp"
 #include "fstack/uring.hpp"
 #include "sim/virtual_clock.hpp"
@@ -53,12 +52,6 @@ class IperfServer {
   int use_uring(machine::CapView ring_mem, std::uint32_t sq_capacity,
                 std::uint32_t cq_capacity);
 
-  /// Report per-interval throughput lines through a batched telemetry
-  /// sink (one SyscallBatch envelope per flush, not one write per line).
-  void set_telemetry(TelemetryBatch* sink, sim::Ns interval) {
-    reporter_.configure(sink, interval);
-  }
-
   /// Drive the server; returns true when progress was made.
   bool step();
   /// Safe to poll from a coordinating thread while another thread steps the
@@ -93,7 +86,6 @@ class IperfServer {
   void drain_zero_copy(Conn& c);
   void finish(Conn& c);
   void accept_ready();
-  void interval_report(const Conn& c);
   bool step_uring();
   /// Drain queued recycle entries, return tail tokens, detach the ring.
   void uring_teardown();
@@ -116,7 +108,6 @@ class IperfServer {
   std::size_t ur_next_conn_ = 0;  // round-robin cursor for burst fairness
   fstack::FfUringRecycler ur_recycler_;
   fstack::FfUringDoorbellPolicy ur_bell_;
-  IntervalReporter reporter_;
   std::vector<Conn> conns_;
   IperfReport total_;
 };
@@ -133,11 +124,6 @@ class IperfClient {
               machine::CapView tx, std::size_t chunk = 1448,
               std::size_t batch = 1);
   ~IperfClient();  // detaches a still-armed ff_uring
-
-  /// Batched interval/summary reporting (same contract as the server's).
-  void set_telemetry(TelemetryBatch* sink, sim::Ns interval) {
-    reporter_.configure(sink, interval);
-  }
 
   /// API v3 port: submit the send stream as OP_WRITEV SQEs (up to 8
   /// exactly-bounded iovec caps each) and account completions from the CQ
@@ -182,7 +168,6 @@ class IperfClient {
   UringZcTxProto zc_proto_;    // OP_ZC_ALLOC/OP_ZC_SEND pipeline
   std::uint64_t ur_ext_ = 0;   // bytes that moved outside the ring (probe)
   fstack::FfUringDoorbellPolicy bell_;
-  IntervalReporter reporter_;
   IperfReport report_;
 };
 

@@ -46,7 +46,7 @@
 //
 // v2 -> v3 migration table: the ff_uring unified boundary
 // ------------------------------------------------------------------------
-// v3 converges the three separate v2 amortization channels — SyscallBatch
+// v3 converges the three separate v2 amortization channels — syscall batch
 // envelopes, the multishot epoll event ring, and the zc loan/recycle token
 // calls — into ONE io_uring-style submission/completion capability-ring
 // pair (fstack/uring.hpp) armed by a single ff_uring_attach crossing and
@@ -81,13 +81,17 @@
 //  ff_epoll_wait_multishot(epfd, ring) | SQE OP_EPOLL_ARM: readiness lands
 //                                      |   as CQEs in the same CQ as every
 //                                      |   other completion
-//  SyscallBatch + invoke_batch         | unchanged surface; the envelope
-//                                      |   now marshals through the same
-//                                      |   ring shape (iv::SyscallRing)
+//  syscall batch envelope              | unchanged in v3 (carried by a
+//   (trampoline batch entry)           |   ring of the same shape); RETIRED
+//                                      |   after v10 with its last producer,
+//                                      |   the Scenario 2 iperf interval
+//                                      |   telemetry: a trampoline has one
+//                                      |   entry, invoke() — one syscall
+//                                      |   per crossing
 // ------------------------------------------------------------------------
 //  semantics deltas (v3):
 //   * the whole pending SQ window is capability-validated in ONE sweep per
-//     drain (amortized like Trampoline::invoke_batch), but verdicts are
+//     drain (amortized over every entry it covers), but verdicts are
 //     PER ENTRY: a forged/replayed SQE capability earns that entry alone
 //     -EINVAL — it cannot poison the rest of the sweep;
 //   * a full CQ backpressures: the stack defers the SQE (and multishot

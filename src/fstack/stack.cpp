@@ -2011,7 +2011,7 @@ int FfStack::epoll_wait(int epfd, std::span<FfEpollEvent> out) {
 // ff_uring (API v3): the unified submission/completion boundary. One arming
 // crossing delegates the ring capability; from then on the main loop drains
 // the SQ every iteration — ONE validation sweep over the whole pending
-// window (amortized like Trampoline::invoke_batch), per-entry -EINVAL
+// window (amortized over every entry it covers), per-entry -EINVAL
 // verdicts that never poison the rest of the sweep, and CQ backpressure
 // that defers (never drops) completions.
 // ===========================================================================
@@ -2352,10 +2352,8 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
   }
   if (pending > 0 && budget > 0) {
     pending = std::min(pending, budget);
-    api_.uring_drains++;
     // Pass 1: ONE capability validation sweep over the whole pending
-    // window — the amortization Trampoline::invoke_batch performs for
-    // syscall envelopes, applied to the ring. Verdicts are per entry.
+    // window, amortized over every entry it covers. Verdicts are per entry.
     // The decode scratch persists per thread: constructing (zeroing) 64
     // entries of CapView arrays on every drain would tax the hot loop;
     // decode_sqe fully rewrites every field it later reads.

@@ -259,7 +259,6 @@ class FfStack final : public TcpEnv {
     // ---- ff_uring (API v3) ----
     std::uint64_t uring_attaches = 0;
     std::uint64_t uring_doorbells = 0;  // drain kicks (a crossing each in S2)
-    std::uint64_t uring_drains = 0;     // drain sweeps that found SQEs
     std::uint64_t uring_sqes = 0;       // submissions consumed
     std::uint64_t uring_cqes = 0;       // completions published
     std::uint64_t uring_sqe_errors = 0; // per-entry -EINVAL verdicts
@@ -381,7 +380,7 @@ class FfStack final : public TcpEnv {
 
   // batch/zero-copy internals. `swept` skips the per-call capability sweep
   // when the ff_uring drain already validated the whole pending window
-  // (one amortized sweep per drain, like Trampoline::invoke_batch).
+  // (one amortized sweep per drain).
   std::int64_t writev_impl(int fd, std::span<const FfIovec> iov,
                            bool swept = false);
   std::int64_t readv_impl(int fd, std::span<const FfIovec> iov);

@@ -2,7 +2,7 @@
 // one completion queue of capability-carrying entries per socket group.
 //
 // PRs 1-2 grew three separate amortization channels across the compartment
-// boundary: SyscallBatch envelopes (one trampoline crossing per batch), the
+// boundary: syscall batch envelopes (one trampoline crossing per batch), the
 // multishot epoll event ring (zero crossings per wait), and the zc loan /
 // recycle token calls (one sealed-entry crossing per burst). The paper's
 // cost model says every one of those crossings has the same fixed price
@@ -13,8 +13,8 @@
 //   * the application produces SQEs (opcode + fd + up to 8 exactly-bounded
 //     iovec capabilities or zc tokens) with plain capability stores;
 //   * the stack's main loop drains the SQ every iteration, validates the
-//     whole pending window in one sweep (amortized exactly like
-//     Trampoline::invoke_batch), executes, and produces CQEs (result +
+//     whole pending window in one sweep (amortized over every entry it
+//     covers), executes, and produces CQEs (result +
 //     loan capability / accepted fd / readiness payload);
 //   * in steady state NO crossing happens per operation. The only crossing
 //     after arm time is the DOORBELL: when the app pushes into an empty SQ

@@ -117,12 +117,4 @@ std::int64_t SyscallRouter::route(SyscallRequest& req) {
   return -ENOSYS;
 }
 
-std::size_t SyscallRouter::route_batch(SyscallBatch& batch) {
-  const std::size_t n = std::min(batch.reqs.size(), batch.results.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    batch.results[i] = route(batch.reqs[i]);
-  }
-  return n;
-}
-
 }  // namespace cherinet::iv

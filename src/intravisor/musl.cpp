@@ -43,15 +43,6 @@ int MuslLibc::futex_wake(const machine::CapView& word, int count) {
   return static_cast<int>(issue(req));
 }
 
-std::size_t MuslLibc::batch(std::span<SyscallRequest> reqs,
-                            std::span<std::int64_t> results) {
-  syscalls_.fetch_add(reqs.size(), std::memory_order_relaxed);
-  SyscallBatch b{reqs, results};
-  if (trampoline_ != nullptr) return trampoline_->invoke_batch(b);
-  if (cost_ != nullptr) cost_->charge(cost_->direct_syscall);
-  return router_->route_batch(b);
-}
-
 std::int64_t MuslLibc::write(int fd, const machine::CapView& buf,
                              std::size_t n) {
   SyscallRequest req;

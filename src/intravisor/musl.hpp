@@ -44,13 +44,6 @@ class MuslLibc {
   /// write(2) to stdout/stderr via a capability-qualified buffer.
   std::int64_t write(int fd, const machine::CapView& buf, std::size_t n);
 
-  /// Issue a pre-marshalled syscall batch. In trampoline mode the whole
-  /// envelope crosses into the Intravisor ONCE (one crossing cost, one
-  /// boundary validation sweep); in direct mode one kernel entry is charged
-  /// for the batch. Returns the number of requests serviced.
-  std::size_t batch(std::span<SyscallRequest> reqs,
-                    std::span<std::int64_t> results);
-
   void nanosleep_ns(std::uint64_t ns);
 
   [[nodiscard]] bool uses_trampoline() const noexcept {

@@ -13,7 +13,6 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
-#include <span>
 
 #include "host/host_os.hpp"
 #include "host/syscall_ids.hpp"
@@ -30,17 +29,6 @@ struct SyscallRequest {
   std::optional<machine::CapView> cap;
 };
 
-/// The batch envelope of API v2: a vector of pre-marshalled syscall images
-/// serviced by ONE trampoline crossing (Trampoline::invoke_batch). The
-/// caller provides a parallel results array; each element gets its own
-/// result (>= 0 or -errno) — a failed element does not abort the batch,
-/// but an *invalid capability* anywhere in it faults before any element
-/// executes (same atomic-validation rule as the ff_* batch calls).
-struct SyscallBatch {
-  std::span<SyscallRequest> reqs;
-  std::span<std::int64_t> results;  // results.size() >= reqs.size()
-};
-
 class SyscallRouter {
  public:
   explicit SyscallRouter(host::HostOS* os) : os_(os) {}
@@ -48,10 +36,6 @@ class SyscallRouter {
   /// Dispatch a translated syscall. Returns the syscall result (>= 0) or
   /// -errno. Capability checks inside fault like hardware (CapFault).
   std::int64_t route(SyscallRequest& req);
-
-  /// Dispatch every request of a batch in order (one kernel entry already
-  /// paid by the caller's envelope). Returns the number routed.
-  std::size_t route_batch(SyscallBatch& batch);
 
   [[nodiscard]] host::HostOS& os() noexcept { return *os_; }
   [[nodiscard]] std::uint64_t routed_total() const noexcept {

@@ -51,39 +51,4 @@ std::int64_t Trampoline::invoke(SyscallRequest& req) {
   return router_->route(req);
 }
 
-std::size_t Trampoline::invoke_batch(SyscallBatch& batch) {
-  RegisterFrame frame;
-  save_frame(frame);
-
-  // Whole-envelope validation sweep before anything routes: the batch is
-  // atomic at the boundary, exactly like the ff_* batch calls above it.
-  for (const SyscallRequest& req : batch.reqs) validate_boundary_cap(req);
-
-  // One crossing and one charged crossing cost amortize over the batch —
-  // the entire point of the envelope (Fig. 4's ~125 ns paid once per N).
-  crossings_.fetch_add(1, std::memory_order_relaxed);
-  batched_requests_.fetch_add(batch.reqs.size(), std::memory_order_relaxed);
-  if (cost_ != nullptr) cost_->charge(cost_->trampoline_crossing());
-
-  // v3: the envelope rides the trampoline's SyscallRing — submit the
-  // request window, drain it inside the Intravisor domain, reap results
-  // in submission order. Envelopes wider than the ring drain in windows
-  // WITHIN the one crossing already paid above (the scope spans the whole
-  // loop), so the cost contract is unchanged; what changed is the shape:
-  // the same submit/drain/reap discipline as the ff_uring boundary.
-  machine::ExecutionContext::Scope scope(*iv_ctx_);
-  ring_.reset();  // a prior faulted envelope must not leave stale slots
-  const std::size_t total =
-      std::min(batch.reqs.size(), batch.results.size());
-  std::size_t done = 0;
-  while (done < total) {
-    const std::size_t pushed = ring_.submit(
-        batch.reqs.subspan(done, total - done));
-    ring_.drain(*router_);
-    ring_drains_.fetch_add(1, std::memory_order_relaxed);
-    done += ring_.reap(batch.results.subspan(done, pushed));
-  }
-  return done;
-}
-
 }  // namespace cherinet::iv

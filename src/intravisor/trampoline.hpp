@@ -13,7 +13,6 @@
 #include <atomic>
 #include <cstdint>
 
-#include "intravisor/syscall_ring.hpp"
 #include "intravisor/syscall_router.hpp"
 #include "machine/context.hpp"
 #include "sim/cost_model.hpp"
@@ -33,29 +32,8 @@ class Trampoline {
   /// Full trampolined syscall: save state, validate, cross, route, return.
   std::int64_t invoke(SyscallRequest& req);
 
-  /// Batched trampolined syscalls: ONE register-frame save, ONE crossing
-  /// and ONE charged crossing cost service the whole envelope. Capability
-  /// arguments of every element are validated at the boundary *before* any
-  /// element routes — a bad capability faults the batch atomically. Returns
-  /// the number of requests routed.
-  ///
-  /// v3: the envelope marshals through the per-trampoline SyscallRing —
-  /// the same submit/drain/reap shape as the ff_uring socket boundary —
-  /// while the surface and the one-crossing cost contract stay exactly as
-  /// PR 1 defined them (SyscallBatch is now a thin shim over the ring).
-  std::size_t invoke_batch(SyscallBatch& batch);
-
   [[nodiscard]] std::uint64_t crossings() const noexcept {
     return crossings_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t batched_requests() const noexcept {
-    return batched_requests_.load(std::memory_order_relaxed);
-  }
-  /// Drain sweeps the envelope ring has performed (>= 1 per invoke_batch;
-  /// envelopes wider than SyscallRing::kSlots drain in windows inside the
-  /// same single crossing).
-  [[nodiscard]] std::uint64_t ring_drains() const noexcept {
-    return ring_drains_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -65,10 +43,7 @@ class Trampoline {
   void validate_boundary_cap(const SyscallRequest& req) const;
 
   const sim::CostModel* cost_;
-  SyscallRing ring_;  // the envelope's v3 carriage (one per trampoline)
   std::atomic<std::uint64_t> crossings_{0};
-  std::atomic<std::uint64_t> batched_requests_{0};
-  std::atomic<std::uint64_t> ring_drains_{0};
 };
 
 }  // namespace cherinet::iv

@@ -1,8 +1,7 @@
 #include "scenarios/experiment.hpp"
 
 #include <atomic>
-#include <chrono>
-#include <functional>
+#include <limits>
 #include <optional>
 #include <thread>
 
@@ -97,54 +96,309 @@ InstanceConfig MorelloTestbed::peer_cfg(int port) const {
 }
 
 // ===========================================================================
-// Generic endpoint loop bodies
+// The lockstep rig
 // ===========================================================================
 
 namespace {
 
-/// Loop for an endpoint that owns its stack instance (Baseline, Scenario 1).
-void direct_endpoint_loop(FullStackInstance& inst, apps::IperfServer* srv,
-                          apps::IperfClient* cli, sim::VirtualClock& clock,
-                          sim::TimeArbiter& arb, std::atomic<bool>& stop,
-                          const std::string& name) {
-  sim::Participant part(arb, name);
-  while (!stop.load(std::memory_order_acquire)) {
-    const std::uint64_t token = part.prepare();
-    bool progress = inst.run_once();
-    if (srv != nullptr) progress |= srv->step();
-    if (cli != nullptr) progress |= cli->step();
-    if (progress) continue;
-    part.wait(token,
-              capped_deadline(inst.next_deadline(), clock.now(), kHeartbeat));
-  }
+// Termination guards: a run still unfinished after its byte volume's worth
+// of virtual time at kGuardNsPerByte (10 Mbit/s, a fiftieth of a contended
+// stream) plus kGuardSlack (room for RTO backoff: the 2% corrupting-wire
+// census leg needs ~25 virtual s at any volume), or turning this often
+// without the clock moving (the signature of a lockstep livelock), ends
+// early with whatever it moved — the gates then fail on the byte volume
+// instead of the process hanging.
+constexpr sim::Ns kGuardSlack{60'000'000'000};
+constexpr std::int64_t kGuardNsPerByte = 800;
+constexpr std::uint64_t kMaxTurnsPerInstant = 1'000'000;
+
+/// The virtual-time budget for `volume_bytes` (saturating: the volume may
+/// come from the environment).
+sim::Ns time_guard(std::uint64_t volume_bytes) {
+  constexpr auto kMaxBytes = static_cast<std::uint64_t>(
+      (std::numeric_limits<std::int64_t>::max() - kGuardSlack.count()) /
+      kGuardNsPerByte);
+  return kGuardSlack +
+         sim::Ns{static_cast<std::int64_t>(std::min(volume_bytes, kMaxBytes)) *
+                 kGuardNsPerByte};
 }
 
-/// Loop for a Scenario 2 application compartment (stack lives in cVM1).
-void proxy_endpoint_loop(apps::IperfServer* srv, apps::IperfClient* cli,
-                         sim::VirtualClock& clock, sim::TimeArbiter& arb,
-                         std::atomic<bool>& stop, const std::string& name) {
-  sim::Participant part(arb, name);
-  while (!stop.load(std::memory_order_acquire)) {
-    const std::uint64_t token = part.prepare();
-    bool progress = false;
-    if (srv != nullptr) progress |= srv->step();
-    if (cli != nullptr) progress |= cli->step();
-    if (progress) continue;
-    part.wait(token, clock.now() + kProbeHeartbeat);
-  }
-}
+/// The Morello node's stacks, its app compartments and the peer hosts, all
+/// pumped from the caller's thread in virtual-time lockstep. The stacks are
+/// one BaselineProcess or Scenario1Cvm per port (endpoint j's app shares
+/// stack j's process or cVM), or the cVM1 shards of a Scenario2Service,
+/// each under its own shard mutex, with one app cVM per endpoint pinned to
+/// shard j % shards. App code runs inside its compartment through run();
+/// turn() runs every stack's main loop inside its own compartment, then
+/// every peer, and when nobody progressed advances the clock to the
+/// earliest deadline.
+class LockstepRig {
+  struct Stack {
+    FullStackInstance* inst;
+    iv::CVM* cvm;                  // its loop's compartment (null: Baseline)
+    iv::CompartmentMutex* mutex;   // its cVM1 shard mutex (Scenario 2)
+    int port;
 
-void wait_all_finished(const std::vector<std::function<bool()>>& done,
-                       std::atomic<bool>& stop, sim::TimeArbiter& arb) {
-  while (true) {
-    bool all = true;
-    for (const auto& f : done) all &= f();
-    if (all) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    template <typename F>
+    decltype(auto) run(F&& f) {
+      std::optional<iv::CompartmentLockGuard> lk;
+      if (mutex != nullptr) lk.emplace(*mutex);
+      return cvm != nullptr ? cvm->enter(std::forward<F>(f))
+                            : std::forward<F>(f)();
+    }
+  };
+  struct Endpoint {
+    std::string label;
+    iv::CVM* cvm = nullptr;  // the app's compartment (null: Baseline)
+    apps::FfOps* ops = nullptr;
+    machine::CompartmentHeap* heap = nullptr;
+    std::size_t stack = 0;
+  };
+
+ public:
+  LockstepRig(ScenarioKind kind, int endpoints, std::uint64_t volume_bytes,
+              const TestbedOptions& opt)
+      : tb_(opt), time_limit_(time_guard(volume_bytes)) {
+    if (kind == ScenarioKind::kScenario2Uncontended ||
+        kind == ScenarioKind::kScenario2Contended) {
+      build_scenario2(endpoints, opt);
+    } else {
+      build_per_port(kind == ScenarioKind::kScenario1, endpoints);
+    }
+    start_ = instant_ = now();
   }
-  stop.store(true, std::memory_order_release);
-  arb.kick();
-}
+
+  [[nodiscard]] MorelloTestbed& testbed() noexcept { return tb_; }
+  [[nodiscard]] sim::Ns now() noexcept { return tb_.clock().now(); }
+  [[nodiscard]] apps::FfOps& ops(int j = 0) { return *eps_.at(j).ops; }
+  [[nodiscard]] machine::CapView alloc(std::size_t n, int j = 0) {
+    return eps_.at(j).heap->alloc_view(n);
+  }
+  [[nodiscard]] const std::string& label(int j) const {
+    return eps_.at(j).label;
+  }
+  /// The stack (Scenario 2: the shard) endpoint j's calls land on, and the
+  /// port that stack serves.
+  [[nodiscard]] std::size_t stack_of(int j) const { return eps_.at(j).stack; }
+  [[nodiscard]] int port_of(int j) const { return stacks_[stack_of(j)].port; }
+  /// Scenario 2 only (nullptr otherwise).
+  [[nodiscard]] Scenario2Service* service() noexcept { return svc_.get(); }
+
+  /// Run `f` as endpoint j's application code: inside its cVM, or plainly
+  /// for a Baseline process.
+  template <typename F>
+  decltype(auto) run(int j, F&& f) {
+    iv::CVM* cvm = eps_.at(j).cvm;
+    return cvm != nullptr ? cvm->enter(std::forward<F>(f))
+                          : std::forward<F>(f)();
+  }
+
+  /// End one app iteration: run every stack, then every peer. The app
+  /// progress must be true only when bytes, an fd or a loan moved: a
+  /// bounced call that reported progress would re-run at the same instant
+  /// forever. Returns false once a termination guard fired.
+  bool turn(bool app_progress) {
+    bool progress = app_progress;
+    for (Stack& s : stacks_) {
+      progress |= s.run([&s] { return s.inst->run_once(); });
+    }
+    for (PeerHost* p : peers_) progress |= p->step();
+    if (!progress) idle();
+    const sim::Ns t = now();
+    if (t != instant_) {
+      instant_ = t;
+      same_instant_turns_ = 0;
+    } else if (++same_instant_turns_ > kMaxTurnsPerInstant) {
+      return false;
+    }
+    return t - start_ < time_limit_;
+  }
+
+  /// Driver-doorbell census summed over the Morello stacks.
+  [[nodiscard]] BandwidthOutcome::TxBurstCensus tx_census() const {
+    BandwidthOutcome::TxBurstCensus c;
+    for (const Stack& s : stacks_) {
+      const updk::EthStats es = s.inst->dev().stats();
+      c.frames += es.opackets;
+      c.bursts += es.tx_bursts;
+      c.segs += es.tx_segs;
+      c.bytes += es.obytes;
+      c.tso_frames += es.tso_frames;
+      c.tso_bytes += es.tso_bytes;
+    }
+    return c;
+  }
+
+  // ---- crossing census (endpoint 0; Scenario 1 or 2, so it has a cVM) ----
+
+  /// Crossing counters at one instant: sealed-entry jumps (Scenario 2's
+  /// proxied ff_* calls) and the app cVM's trampoline syscalls.
+  struct Marks {
+    std::uint64_t entry = 0;
+    std::uint64_t tramp = 0;
+  };
+  [[nodiscard]] Marks mark() {
+    return {tb_.intravisor().entries().crossings(),
+            eps_[0].cvm->trampoline().crossings()};
+  }
+  /// Attribute the crossings since `m` to the measured envelope.
+  void charge(const Marks& m) {
+    const Marks now_m = mark();
+    entry_x_ += now_m.entry - m.entry;
+    tramp_x_ += now_m.tramp - m.tramp;
+  }
+  /// One classic call inside the Fig. 4 measurement envelope: in a cVM the
+  /// two clock_gettime reads trampoline, and they are part of what a
+  /// measured call costs the application.
+  template <typename F>
+  std::int64_t measured(F&& call) {
+    const Marks m = mark();
+    (void)eps_[0].cvm->libc().clock_gettime_mono_raw_ns();
+    const std::int64_t r = std::forward<F>(call)();
+    (void)eps_[0].cvm->libc().clock_gettime_mono_raw_ns();
+    charge(m);
+    return r;
+  }
+
+  /// Price the attributed crossings and sample the stack/wire census.
+  void finish(std::uint64_t total_bytes, Census& out) {
+    // A sealed-entry jump pays kernel entry + trampoline + domain switch;
+    // a trampolined syscall the first two (paper Fig. 4/5: 140 + 125 + 75).
+    const sim::CostModel price = sim::CostModel::morello();
+    const auto tramp = static_cast<double>(price.trampoline_crossing().count());
+    const double entry =
+        tramp + static_cast<double>(price.domain_switch_extra.count());
+    const double mib = static_cast<double>(total_bytes) / (1024.0 * 1024.0);
+    out.crossings = entry_x_ + tramp_x_;
+    out.modeled_ns_per_mib =
+        mib > 0 ? (static_cast<double>(entry_x_) * entry +
+                   static_cast<double>(tramp_x_) * tramp) /
+                      mib
+                : 0.0;
+    const fstack::FfStack& st = stacks_[0].inst->stack();
+    out.rx_copied_bytes = st.rx_stats().copied_bytes;
+    out.zc_loans = st.api_stats().zc_rx_loans;
+    out.zc_recycles = st.api_stats().zc_rx_recycles;
+    out.tx_copied_bytes = st.tx_stats().copied_bytes;
+    out.tx_zc_bytes = st.tx_stats().zc_bytes;
+    out.tx_emit_payload_reads = st.tx_stats().emit_payload_reads;
+    out.stack_checksum_bytes = st.tx_stats().stack_checksum_bytes;
+    out.stack_csum_drops = st.stats().csum_errors;
+    out.rx_crc_errors = tb_.card().port(0).stats().rx_crc_errors;
+    out.wire_corrupts = tb_.wire(0).stats(1).impair_corrupts;
+    out.virtual_ns = static_cast<std::uint64_t>((now() - start_).count());
+  }
+
+ private:
+  /// Baseline / Scenario 1: one stack per port, endpoint i's app in stack
+  /// i's own process or cVM.
+  void build_per_port(bool cheri, int endpoints) {
+    iv::Intravisor& iv = tb_.intravisor();
+    for (int i = 0; i < endpoints; ++i) peers_.push_back(&tb_.make_peer(i));
+    for (int i = 0; i < endpoints; ++i) {
+      Endpoint& e = eps_.emplace_back();
+      e.stack = static_cast<std::size_t>(i);
+      const InstanceConfig cfg = tb_.morello_cfg(i);
+      if (cheri) {
+        e.label = "cVM" + std::to_string(i + 1);
+        auto& s1 = s1_.emplace_back(
+            std::make_unique<Scenario1Cvm>(iv, tb_.card(), i, cfg, e.label));
+        e.cvm = &s1->cvm();
+        e.ops = &s1->ops();
+        e.heap = &s1->cvm().heap();
+        stacks_.push_back({&s1->instance(), e.cvm, nullptr, i});
+      } else {
+        e.label = endpoints > 1 ? "Baseline (cVM" + std::to_string(i + 1) + ")"
+                                : std::string("Baseline (cVM2)");
+        auto& bp = bp_.emplace_back(std::make_unique<BaselineProcess>(
+            iv, tb_.card(), i, cfg, "proc" + std::to_string(i)));
+        e.ops = &bp->ops();
+        e.heap = &bp->heap();
+        stacks_.push_back({&bp->instance(), nullptr, nullptr, i});
+      }
+    }
+  }
+
+  /// Scenario 2: the cVM1 shards (shard s on port s, or all on port 0's
+  /// RSS queues) and one app cVM per endpoint, pinned to shard j % shards.
+  void build_scenario2(int endpoints, const TestbedOptions& opt) {
+    iv::Intravisor& iv = tb_.intravisor();
+    const std::uint32_t nshards = std::max<std::uint32_t>(opt.s2_shards, 1);
+    // Dual-port scale-out puts shard s on port s; the card has two ports.
+    const int nports =
+        opt.s2_shards_same_port || nshards == 1
+            ? 1
+            : static_cast<int>(std::min<std::uint32_t>(nshards, 2));
+    for (int p = 0; p < nports; ++p) peers_.push_back(&tb_.make_peer(p));
+    cvm1_ = &iv.create_cvm("cVM1", 96u << 20);
+    std::vector<FullStackInstance*> ptrs;
+    for (std::uint32_t s = 0; s < nshards; ++s) {
+      const int p = static_cast<int>(s) % nports;
+      // RSS mode: every shard shares port 0's identity (IP + MAC); the
+      // 82576's Toeplitz/RETA steering and the listeners' L4 filters split
+      // the flows across the shards' queues.
+      shards_.push_back(
+          opt.s2_shards_same_port
+              ? std::make_unique<FullStackInstance>(
+                    tb_.card(), 0, s, nshards, cvm1_->heap(), tb_.clock(),
+                    tb_.morello_cfg(0))
+              : std::make_unique<FullStackInstance>(tb_.card(), p,
+                                                    cvm1_->heap(), tb_.clock(),
+                                                    tb_.morello_cfg(p)));
+      ptrs.push_back(shards_.back().get());
+    }
+    svc_ = std::make_unique<Scenario2Service>(iv, *cvm1_, ptrs);
+    for (std::uint32_t s = 0; s < nshards; ++s) {
+      stacks_.push_back(
+          {ptrs[s], cvm1_, &svc_->mutex(s), static_cast<int>(s) % nports});
+    }
+    for (int j = 0; j < endpoints; ++j) {
+      Endpoint& e = eps_.emplace_back();
+      e.label = "cVM" + std::to_string(2 + j);
+      e.cvm = &iv.create_cvm(e.label, 16u << 20);
+      e.stack = static_cast<std::size_t>(j) % nshards;
+      proxies_.push_back(svc_->make_proxy_ops(*e.cvm, e.stack));
+      e.ops = proxies_.back().get();
+      e.heap = &e.cvm->heap();
+    }
+  }
+
+  void idle() {
+    std::optional<sim::Ns> d;
+    const auto earliest = [&d](std::optional<sim::Ns> o) {
+      if (o && (!d || *o < *d)) d = o;
+    };
+    for (Stack& s : stacks_) {
+      if (s.mutex != nullptr) {
+        // Where the threaded main loop would park: publish it, so a ring
+        // user knows its next doorbell crossing is worth making.
+        s.run([&s] { s.inst->stack().urings_set_parked(true); });
+      }
+      earliest(s.inst->next_deadline());
+    }
+    for (PeerHost* p : peers_) earliest(p->next_deadline());
+    // Nothing scheduled ahead: step by the heartbeat the threaded loops
+    // park with.
+    tb_.clock().advance_to(d && *d > now() ? *d : now() + kHeartbeat);
+  }
+
+  MorelloTestbed tb_;
+  std::vector<std::unique_ptr<BaselineProcess>> bp_;
+  std::vector<std::unique_ptr<Scenario1Cvm>> s1_;
+  iv::CVM* cvm1_ = nullptr;
+  std::vector<std::unique_ptr<FullStackInstance>> shards_;
+  std::unique_ptr<Scenario2Service> svc_;
+  std::vector<std::unique_ptr<apps::FfOps>> proxies_;
+  std::vector<Stack> stacks_;
+  std::vector<Endpoint> eps_;
+  std::vector<PeerHost*> peers_;
+  sim::Ns time_limit_;
+  sim::Ns start_{0};
+  sim::Ns instant_{0};
+  std::uint64_t same_instant_turns_ = 0;
+  std::uint64_t entry_x_ = 0;
+  std::uint64_t tramp_x_ = 0;
+};
 
 }  // namespace
 
@@ -155,260 +409,88 @@ void wait_all_finished(const std::vector<std::function<bool()>>& done,
 BandwidthOutcome run_bandwidth(ScenarioKind kind, Direction dir,
                                std::uint64_t bytes_per_stream,
                                const TestbedOptions& opt) {
-  MorelloTestbed tb(opt);
-  auto& iv = tb.intravisor();
-  auto& clock = tb.clock();
-  auto& arb = tb.arbiter();
+  const int streams = kind == ScenarioKind::kBaseline1Proc ||
+                              kind == ScenarioKind::kScenario2Uncontended
+                          ? 1
+                          : 2;
+  LockstepRig rig(kind, streams, bytes_per_stream * streams, opt);
+  MorelloTestbed& tb = rig.testbed();
+  const bool rx = dir == Direction::kMorelloReceives;
+  std::vector<std::unique_ptr<apps::IperfServer>> srv(streams);
+  std::vector<std::unique_ptr<apps::IperfClient>> cli(streams);
+  std::array<int, 2> port_streams{};
+  for (int j = 0; j < streams; ++j) {
+    const int p = rig.port_of(j);
+    const machine::CapView buf = rig.alloc(64 * 1024, j);
+    if (rx) {
+      const auto port = static_cast<std::uint16_t>(kIperfPort + j);
+      rig.run(j, [&] {
+        srv[j] = std::make_unique<apps::IperfServer>(&rig.ops(j), &tb.clock(),
+                                                     port, buf, 1);
+      });
+      tb.peer(p).run_iperf_client(MorelloTestbed::morello_ip(p), port,
+                                  bytes_per_stream);
+    } else {
+      rig.run(j, [&] {
+        cli[j] = std::make_unique<apps::IperfClient>(
+            &rig.ops(j), &tb.clock(), MorelloTestbed::peer_ip(p), kIperfPort,
+            bytes_per_stream, buf.window(0, 16 * 1024));
+      });
+      ++port_streams[p];
+    }
+  }
+  for (int p = 0; p < 2; ++p) {
+    if (port_streams[p] > 0) {
+      tb.peer(p).serve_iperf(kIperfPort, port_streams[p]);
+    }
+  }
+  const auto finished = [&] {
+    for (int j = 0; j < streams; ++j) {
+      if (rx ? !srv[j]->finished()
+             : !tb.peer(rig.port_of(j)).workload_finished()) {
+        return false;
+      }
+    }
+    return true;
+  };
+  // One turn: every app steps inside its compartment, then the rig runs
+  // the stacks and the peers.
+  while (!finished()) {
+    bool progress = false;
+    for (int j = 0; j < streams; ++j) {
+      progress |=
+          rig.run(j, [&] { return rx ? srv[j]->step() : cli[j]->step(); });
+    }
+    if (!rig.turn(progress)) break;
+  }
+
   BandwidthOutcome out;
   out.kind = kind;
   out.dir = dir;
-
-  const bool dual = kind == ScenarioKind::kBaseline2Proc ||
-                    kind == ScenarioKind::kScenario1;
-  const bool s2 = kind == ScenarioKind::kScenario2Uncontended ||
-                  kind == ScenarioKind::kScenario2Contended;
-  std::atomic<bool> stop{false};
-  std::vector<std::function<bool()>> done;
-
-  if (!s2) {
-    const int nports = dual ? 2 : 1;
-    arb.expect_participants(2 * static_cast<std::size_t>(nports));
-    struct Side {
-      std::unique_ptr<BaselineProcess> bp;
-      std::unique_ptr<Scenario1Cvm> s1;
-      std::unique_ptr<apps::IperfServer> srv;
-      std::unique_ptr<apps::IperfClient> cli;
-      std::thread thread;
-      std::string label;
-    };
-    std::vector<Side> sides(static_cast<std::size_t>(nports));
-
-    for (int i = 0; i < nports; ++i) {
-      Side& sd = sides[static_cast<std::size_t>(i)];
-      PeerHost& peer = tb.make_peer(i);
-      apps::FfOps* ops = nullptr;
-      machine::CapView buf;
-      if (kind == ScenarioKind::kScenario1) {
-        sd.label = "cVM" + std::to_string(i + 1);
-        sd.s1 = std::make_unique<Scenario1Cvm>(iv, tb.card(), i,
-                                               tb.morello_cfg(i), sd.label);
-        ops = &sd.s1->ops();
-        buf = sd.s1->alloc(64 * 1024);
-      } else {
-        sd.label = dual ? "Baseline (cVM" + std::to_string(i + 1) + ")"
-                        : "Baseline (cVM2)";
-        sd.bp = std::make_unique<BaselineProcess>(
-            iv, tb.card(), i, tb.morello_cfg(i), "proc" + std::to_string(i));
-        ops = &sd.bp->ops();
-        buf = sd.bp->alloc(64 * 1024);
-      }
-      if (dir == Direction::kMorelloReceives) {
-        sd.srv = std::make_unique<apps::IperfServer>(ops, &clock, kIperfPort,
-                                                     buf, 1);
-        peer.run_iperf_client(MorelloTestbed::morello_ip(i), kIperfPort,
-                              bytes_per_stream);
-        done.push_back([&sd] { return sd.srv->finished(); });
-      } else {
-        sd.cli = std::make_unique<apps::IperfClient>(
-            ops, &clock, MorelloTestbed::peer_ip(i), kIperfPort,
-            bytes_per_stream, buf.window(0, 16 * 1024));
-        peer.serve_iperf(kIperfPort, 1);
-        done.push_back([&peer] { return peer.workload_finished(); });
-      }
-      peer.start();
-    }
-    for (int i = 0; i < nports; ++i) {
-      Side& sd = sides[static_cast<std::size_t>(i)];
-      auto body = [&sd, inst = sd.s1 ? &sd.s1->instance()
-                                     : &sd.bp->instance(),
-                   &clock, &arb, &stop] {
-        direct_endpoint_loop(*inst, sd.srv.get(), sd.cli.get(), clock, arb,
-                             stop, sd.label);
-      };
-      if (sd.s1) {
-        sd.s1->cvm().start(body);
-      } else {
-        sd.thread = std::thread(body);
-      }
-    }
-    wait_all_finished(done, stop, arb);
-    for (auto& sd : sides) {
-      if (sd.s1) sd.s1->cvm().join();
-      if (sd.thread.joinable()) sd.thread.join();
-    }
-    for (int i = 0; i < nports; ++i) {
-      tb.peer(i).request_stop();
-      tb.peer(i).join();
-    }
-    for (int i = 0; i < nports; ++i) {
-      Side& sd = sides[static_cast<std::size_t>(i)];
-      if (dir == Direction::kMorelloReceives) {
-        const auto& r = sd.srv->report();
-        out.endpoints.push_back({sd.label, r.bytes, r.mbit_per_sec()});
-      } else {
-        const auto& r = tb.peer(i).server()->report();
-        out.endpoints.push_back({sd.label, r.bytes, r.mbit_per_sec()});
-      }
-      const updk::EthStats es =
-          (sd.s1 ? sd.s1->instance() : sd.bp->instance()).dev().stats();
-      out.morello_tx.frames += es.opackets;
-      out.morello_tx.bursts += es.tx_bursts;
-      out.morello_tx.segs += es.tx_segs;
-      out.morello_tx.bytes += es.obytes;
-      out.morello_tx.tso_frames += es.tso_frames;
-      out.morello_tx.tso_bytes += es.tso_bytes;
-    }
-    return out;
-  }
-
-  // ---- Scenario 2 ----
-  const int napps = kind == ScenarioKind::kScenario2Contended ? 2 : 1;
-  const std::uint32_t nshards = std::max<std::uint32_t>(opt.s2_shards, 1);
-  const bool same_port = opt.s2_shards_same_port || nshards == 1;
-  // Dual-port scale-out puts shard j on port j; the card has two ports.
-  const int nports =
-      same_port ? 1 : static_cast<int>(std::min<std::uint32_t>(nshards, 2));
-  // App cVM j is pinned to shard j % nshards at make_proxy_ops time; the
-  // shard's frames arrive on its own port (dual-port mode) or its own RSS
-  // queue of port 0 (same-port mode).
-  const auto shard_of = [nshards](int j) {
-    return static_cast<std::uint32_t>(j) % nshards;
-  };
-  const auto port_of_shard = [same_port, nports](std::uint32_t s) {
-    return same_port ? 0 : static_cast<int>(s) % nports;
-  };
-  arb.expect_participants(static_cast<std::size_t>(nports) + nshards +
-                          static_cast<std::size_t>(napps));
-  for (int p = 0; p < nports; ++p) tb.make_peer(p);
-  iv::CVM& cvm1 = iv.create_cvm("cVM1", 96u << 20);
-  std::vector<std::unique_ptr<FullStackInstance>> insts;
-  std::vector<FullStackInstance*> shard_ptrs;
-  for (std::uint32_t s = 0; s < nshards; ++s) {
-    if (opt.s2_shards_same_port) {
-      // RSS mode: every shard shares port 0's identity (IP + MAC); the
-      // 82576's Toeplitz/RETA steering and the listeners' L4 filters split
-      // the flows across the shards' queues.
-      insts.push_back(std::make_unique<FullStackInstance>(
-          tb.card(), 0, s, nshards, cvm1.heap(), clock, tb.morello_cfg(0)));
+  out.morello_tx = rig.tx_census();
+  Scenario2Service* svc = rig.service();
+  if (svc != nullptr) out.shards.resize(svc->shard_count());
+  // Each peer reports its connections in accept order; streams mapped to a
+  // port connected in increasing j, so zip them back in that order.
+  std::array<std::size_t, 2> next_report{};
+  for (int j = 0; j < streams; ++j) {
+    apps::IperfReport r;
+    if (rx) {
+      r = srv[j]->report();
     } else {
-      const int p = port_of_shard(s);
-      insts.push_back(std::make_unique<FullStackInstance>(
-          tb.card(), p, cvm1.heap(), clock, tb.morello_cfg(p)));
-    }
-    shard_ptrs.push_back(insts.back().get());
-  }
-  Scenario2Service svc(iv, cvm1, shard_ptrs);
-  cvm1.start([&] { svc.run_shard_loop(0, stop, arb); });
-  // Sibling shard loops: cVM1 threads in the model, plain threads here
-  // (one CVM body slot). They share cvm1's libc futex path via their own
-  // per-shard mutexes.
-  std::vector<std::thread> shard_threads;
-  for (std::uint32_t s = 1; s < nshards; ++s) {
-    shard_threads.emplace_back(
-        [&svc, s, &stop, &arb] { svc.run_shard_loop(s, stop, arb); });
-  }
-
-  struct App {
-    iv::CVM* cvm = nullptr;
-    std::unique_ptr<apps::FfOps> ops;
-    std::unique_ptr<apps::TelemetryBatch> telemetry;
-    std::unique_ptr<apps::IperfServer> srv;
-    std::unique_ptr<apps::IperfClient> cli;
-    std::string label;
-  };
-  std::vector<App> app(static_cast<std::size_t>(napps));
-  for (int j = 0; j < napps; ++j) {
-    App& a = app[static_cast<std::size_t>(j)];
-    const std::uint32_t s = shard_of(j);
-    const int p = port_of_shard(s);
-    a.label = "cVM" + std::to_string(2 + j);
-    a.cvm = &iv.create_cvm(a.label, 16u << 20);
-    a.ops = svc.make_proxy_ops(*a.cvm, s);
-    machine::CapView buf = a.cvm->alloc(64 * 1024);
-    // Interval reports flush through ONE SyscallBatch envelope per report
-    // instead of one write(2) crossing per line (apps::TelemetryBatch).
-    a.telemetry = std::make_unique<apps::TelemetryBatch>(
-        &a.cvm->libc(), a.cvm->alloc(2048));
-    if (dir == Direction::kMorelloReceives) {
-      const auto port = static_cast<std::uint16_t>(kIperfPort + j);
-      a.srv = std::make_unique<apps::IperfServer>(a.ops.get(), &clock, port,
-                                                  buf, 1);
-      a.srv->set_telemetry(a.telemetry.get(), sim::Ns{250'000'000});
-      tb.peer(p).run_iperf_client(MorelloTestbed::morello_ip(p), port,
-                                  bytes_per_stream);
-      done.push_back([&a] { return a.srv->finished(); });
-    } else {
-      a.cli = std::make_unique<apps::IperfClient>(
-          a.ops.get(), &clock, MorelloTestbed::peer_ip(p), kIperfPort,
-          bytes_per_stream, buf.window(0, 16 * 1024));
-      a.cli->set_telemetry(a.telemetry.get(), sim::Ns{250'000'000});
-    }
-  }
-  if (dir == Direction::kMorelloSends) {
-    for (int p = 0; p < nports; ++p) {
-      int streams = 0;
-      for (int j = 0; j < napps; ++j) {
-        if (port_of_shard(shard_of(j)) == p) ++streams;
-      }
-      tb.peer(p).serve_iperf(kIperfPort, streams);
-      done.push_back(
-          [peer = &tb.peer(p)] { return peer->workload_finished(); });
-    }
-  }
-  for (int p = 0; p < nports; ++p) tb.peer(p).start();
-  for (auto& a : app) {
-    a.cvm->start([&a, &clock, &arb, &stop] {
-      proxy_endpoint_loop(a.srv.get(), a.cli.get(), clock, arb, stop,
-                          a.label);
-    });
-  }
-  wait_all_finished(done, stop, arb);
-  for (auto& a : app) a.cvm->join();
-  cvm1.join();
-  for (auto& t : shard_threads) t.join();
-  for (int p = 0; p < nports; ++p) {
-    tb.peer(p).request_stop();
-    tb.peer(p).join();
-  }
-
-  for (auto& inst : insts) {
-    const updk::EthStats es = inst->dev().stats();
-    out.morello_tx.frames += es.opackets;
-    out.morello_tx.bursts += es.tx_bursts;
-    out.morello_tx.segs += es.tx_segs;
-    out.morello_tx.bytes += es.obytes;
-    out.morello_tx.tso_frames += es.tso_frames;
-    out.morello_tx.tso_bytes += es.tso_bytes;
-  }
-
-  out.shards.resize(nshards);
-  if (dir == Direction::kMorelloReceives) {
-    for (int j = 0; j < napps; ++j) {
-      App& a = app[static_cast<std::size_t>(j)];
-      const auto& r = a.srv->report();
-      out.endpoints.push_back({a.label, r.bytes, r.mbit_per_sec()});
-      out.shards[shard_of(j)].mbps += r.mbit_per_sec();
-    }
-  } else {
-    // Each peer reports its connections in accept order; apps mapped to a
-    // port connected in increasing j, so zip them back in that order.
-    std::vector<std::size_t> next_report(static_cast<std::size_t>(nports), 0);
-    for (int j = 0; j < napps; ++j) {
-      const int p = port_of_shard(shard_of(j));
+      const int p = rig.port_of(j);
       const auto reports = tb.peer(p).server()->connection_reports();
-      const std::size_t idx = next_report[static_cast<std::size_t>(p)]++;
-      if (idx < reports.size()) {
-        out.endpoints.push_back({"cVM" + std::to_string(2 + j),
-                                 reports[idx].bytes,
-                                 reports[idx].mbit_per_sec()});
-        out.shards[shard_of(j)].mbps += reports[idx].mbit_per_sec();
-      }
+      const std::size_t idx = next_report[p]++;
+      if (idx >= reports.size()) continue;
+      r = reports[idx];
     }
+    out.endpoints.push_back({rig.label(j), r.bytes, r.mbit_per_sec()});
+    if (svc != nullptr) out.shards[rig.stack_of(j)].mbps += r.mbit_per_sec();
   }
-  for (std::uint32_t s = 0; s < nshards; ++s) {
-    out.shards[s].mutex_fast = svc.mutex(s).fast_acquires();
-    out.shards[s].mutex_contended = svc.mutex(s).contended_acquires();
-    out.shards[s].proxied_calls = svc.proxied_calls(s);
+  for (std::size_t s = 0; s < out.shards.size(); ++s) {
+    out.shards[s].mutex_fast = svc->mutex(s).fast_acquires();
+    out.shards[s].mutex_contended = svc->mutex(s).contended_acquires();
+    out.shards[s].proxied_calls = svc->proxied_calls(s);
   }
   return out;
 }
@@ -682,13 +764,6 @@ constexpr std::size_t kUringReap = 16;  // CQE reap batch per turn
 constexpr std::uint64_t kUdAccept = 1;  // user_data tags of the RX arms
 constexpr std::uint64_t kUdEpoll = 2;
 constexpr std::size_t kRxZcBatch = 32;  // loans per classic zc envelope
-// Termination guards: a leg still unfinished after this much virtual time,
-// or turning this often without the clock moving (the signature of a
-// lockstep livelock), ends early with whatever it moved — the gates then
-// fail on the byte volume instead of the process hanging.
-constexpr sim::Ns kCensusTimeLimit{60'000'000'000};
-constexpr std::uint64_t kMaxTurnsPerInstant = 1'000'000;
-
 /// The adaptive coalescing window of the zero-copy receivers, in turns: a
 /// drain that fills its whole burst halves the window (the queue outruns
 /// the receiver — harvest sooner), a short drain doubles it (let more
@@ -706,173 +781,6 @@ struct RxDrainPacer {
                            : std::min<std::uint32_t>(window * 2, kMax);
     return loans >= full ? window : 0;
   }
-};
-
-/// The census rig: Scenario 1 (app and stack share one cVM) or Scenario 2
-/// (app cVM2 calls the stack in cVM1 through sealed entries), plus the peer
-/// host, all driven from the caller's thread. The app body runs inside
-/// app.enter and calls turn() once per iteration; turn() runs the stack's
-/// main loop (Scenario 2: under the shard mutex inside cVM1) and the peer,
-/// and when nobody progressed advances the clock to the earliest deadline.
-class CensusRig {
- public:
-  CensusRig(ScenarioKind kind, bool tx, std::uint64_t total_bytes,
-            const TestbedOptions& opt)
-      : tb_(opt) {
-    iv::Intravisor& iv = tb_.intravisor();
-    InstanceConfig icfg = tb_.morello_cfg(0);
-    PeerHost& peer = tb_.make_peer(0);
-    if (tx) {
-      icfg.tcp.sndbuf_bytes = std::max<std::size_t>(
-          icfg.tcp.sndbuf_bytes, total_bytes + (64u << 10));
-      peer.serve_iperf(kIperfPort, 1);  // discard sink
-    } else {
-      peer.run_iperf_client(MorelloTestbed::morello_ip(0), kIperfPort,
-                            total_bytes);
-    }
-    if (kind == ScenarioKind::kScenario1) {
-      s1_ = std::make_unique<Scenario1Cvm>(iv, tb_.card(), 0, icfg,
-                                           "cVM1-census");
-      app_ = &s1_->cvm();
-      ops_ = &s1_->ops();
-      inst_ = &s1_->instance();
-    } else {
-      cvm1_ = &iv.create_cvm("cVM1", 96u << 20);
-      s2_inst_ = std::make_unique<FullStackInstance>(
-          tb_.card(), 0, cvm1_->heap(), tb_.clock(), icfg);
-      svc_ = std::make_unique<Scenario2Service>(iv, *cvm1_, *s2_inst_);
-      app_ = &iv.create_cvm("cVM2-census", 16u << 20);
-      proxy_ = svc_->make_proxy_ops(*app_);
-      ops_ = proxy_.get();
-      inst_ = s2_inst_.get();
-    }
-    start_ = instant_ = tb_.clock().now();
-  }
-
-  [[nodiscard]] apps::FfOps& ops() noexcept { return *ops_; }
-  [[nodiscard]] machine::CapView alloc(std::size_t n) {
-    return app_->alloc(n);
-  }
-  [[nodiscard]] sim::Ns now() noexcept { return tb_.clock().now(); }
-
-  template <typename F>
-  void run(F&& body) {
-    app_->enter(std::forward<F>(body));
-  }
-
-  /// End one app iteration. `app_progress` must be true only when bytes,
-  /// an fd or a loan moved: a bounced call that reported progress would
-  /// re-run at the same instant forever. Returns false once a termination
-  /// guard fired.
-  bool turn(bool app_progress) {
-    bool progress = app_progress;
-    if (svc_ == nullptr) {
-      progress |= inst_->run_once();  // Scenario 1: already in the app cVM
-    } else {
-      iv::CompartmentLockGuard lk(svc_->mutex());
-      progress |= cvm1_->enter([this] { return inst_->run_once(); });
-    }
-    progress |= tb_.peer(0).step();
-    if (!progress) idle();
-    const sim::Ns t = now();
-    if (t != instant_) {
-      instant_ = t;
-      same_instant_turns_ = 0;
-    } else if (++same_instant_turns_ > kMaxTurnsPerInstant) {
-      return false;
-    }
-    return t - start_ < kCensusTimeLimit;
-  }
-
-  /// Crossing counters at one instant: sealed-entry jumps (Scenario 2's
-  /// proxied ff_* calls) and the app cVM's trampoline syscalls.
-  struct Marks {
-    std::uint64_t entry = 0;
-    std::uint64_t tramp = 0;
-  };
-  [[nodiscard]] Marks mark() {
-    return {tb_.intravisor().entries().crossings(),
-            app_->trampoline().crossings()};
-  }
-  /// Attribute the crossings since `m` to the measured envelope.
-  void charge(const Marks& m) {
-    const Marks now_m = mark();
-    entry_x_ += now_m.entry - m.entry;
-    tramp_x_ += now_m.tramp - m.tramp;
-  }
-  /// One classic call inside the Fig. 4 measurement envelope: in a cVM the
-  /// two clock_gettime reads trampoline, and they are part of what a
-  /// measured call costs the application.
-  template <typename F>
-  std::int64_t measured(F&& call) {
-    const Marks m = mark();
-    (void)app_->libc().clock_gettime_mono_raw_ns();
-    const std::int64_t r = std::forward<F>(call)();
-    (void)app_->libc().clock_gettime_mono_raw_ns();
-    charge(m);
-    return r;
-  }
-
-  /// Price the attributed crossings and sample the stack/wire census.
-  void finish(std::uint64_t total_bytes, Census& out) {
-    // A sealed-entry jump pays kernel entry + trampoline + domain switch;
-    // a trampolined syscall the first two (paper Fig. 4/5: 140 + 125 + 75).
-    const sim::CostModel price = sim::CostModel::morello();
-    const auto tramp = static_cast<double>(price.trampoline_crossing().count());
-    const double entry =
-        tramp + static_cast<double>(price.domain_switch_extra.count());
-    const double mib = static_cast<double>(total_bytes) / (1024.0 * 1024.0);
-    out.crossings = entry_x_ + tramp_x_;
-    out.modeled_ns_per_mib =
-        mib > 0 ? (static_cast<double>(entry_x_) * entry +
-                   static_cast<double>(tramp_x_) * tramp) /
-                      mib
-                : 0.0;
-    const fstack::FfStack& st = inst_->stack();
-    out.rx_copied_bytes = st.rx_stats().copied_bytes;
-    out.zc_loans = st.api_stats().zc_rx_loans;
-    out.zc_recycles = st.api_stats().zc_rx_recycles;
-    out.tx_copied_bytes = st.tx_stats().copied_bytes;
-    out.tx_zc_bytes = st.tx_stats().zc_bytes;
-    out.tx_emit_payload_reads = st.tx_stats().emit_payload_reads;
-    out.stack_checksum_bytes = st.tx_stats().stack_checksum_bytes;
-    out.stack_csum_drops = st.stats().csum_errors;
-    out.rx_crc_errors = tb_.card().port(0).stats().rx_crc_errors;
-    out.wire_corrupts = tb_.wire(0).stats(1).impair_corrupts;
-    out.virtual_ns = static_cast<std::uint64_t>((now() - start_).count());
-  }
-
- private:
-  void idle() {
-    if (svc_ != nullptr) {
-      // Where the threaded main loop would park: publish it, so a ring
-      // user knows its next doorbell crossing is worth making.
-      iv::CompartmentLockGuard lk(svc_->mutex());
-      cvm1_->enter([this] { inst_->stack().urings_set_parked(true); });
-    }
-    std::optional<sim::Ns> d = inst_->next_deadline();
-    if (const auto p = tb_.peer(0).next_deadline(); p && (!d || *p < *d)) {
-      d = p;
-    }
-    // Nothing scheduled ahead: step by the heartbeat the threaded loops
-    // park with.
-    tb_.clock().advance_to(d && *d > now() ? *d : now() + kHeartbeat);
-  }
-
-  MorelloTestbed tb_;
-  std::unique_ptr<Scenario1Cvm> s1_;
-  iv::CVM* cvm1_ = nullptr;
-  std::unique_ptr<FullStackInstance> s2_inst_;
-  std::unique_ptr<Scenario2Service> svc_;
-  std::unique_ptr<apps::FfOps> proxy_;
-  iv::CVM* app_ = nullptr;
-  apps::FfOps* ops_ = nullptr;
-  FullStackInstance* inst_ = nullptr;
-  sim::Ns start_{0};
-  sim::Ns instant_{0};
-  std::uint64_t same_instant_turns_ = 0;
-  std::uint64_t entry_x_ = 0;
-  std::uint64_t tramp_x_ = 0;
 };
 
 /// Connect to the peer's discard sink; `*ep` watches the fd for EPOLLOUT.
@@ -899,7 +807,7 @@ int listen_census(apps::FfOps& ops) {
 /// Classic TX (kWrite, kWritev): every measured call is gated on EPOLLOUT,
 /// like the ported iperf3 (§III-B), so the census counts the crossings of
 /// productive calls, not of -EAGAIN spins.
-void classic_tx(CensusRig& rig, std::uint64_t total, std::size_t batch,
+void classic_tx(LockstepRig& rig, std::uint64_t total, std::size_t batch,
                 Census& out) {
   apps::FfOps& ops = rig.ops();
   const machine::CapView buf = rig.alloc(kMss);
@@ -934,7 +842,7 @@ void classic_tx(CensusRig& rig, std::uint64_t total, std::size_t batch,
 /// the measured envelope; the envelope prices exactly one productive
 /// receive iteration — one MSS-sized ff_read, or one ff_zc_recv burst plus
 /// its batched recycle once the coalescing window has elapsed.
-void classic_rx(CensusRig& rig, std::uint64_t total, bool zero_copy,
+void classic_rx(LockstepRig& rig, std::uint64_t total, bool zero_copy,
                 Census& out) {
   apps::FfOps& ops = rig.ops();
   const machine::CapView rx_buf = rig.alloc(4096);
@@ -1002,7 +910,7 @@ void classic_rx(CensusRig& rig, std::uint64_t total, bool zero_copy,
 /// apps/uring_proto.hpp — the same submit/re-offer and alloc/fill/send
 /// pipelines the IperfClient ring port runs. Connection setup is classic
 /// and unmeasured; the envelope opens at the arming crossing.
-void ring_tx(CensusRig& rig, std::uint64_t total, bool zero_copy,
+void ring_tx(LockstepRig& rig, std::uint64_t total, bool zero_copy,
              Census& out) {
   apps::FfOps& ops = rig.ops();
   const machine::CapView buf = rig.alloc(kMss);
@@ -1013,7 +921,7 @@ void ring_tx(CensusRig& rig, std::uint64_t total, bool zero_copy,
   bool up = false;
   while (!(up = writable(ops, ep)) && rig.turn(false)) {
   }
-  const CensusRig::Marks m = rig.mark();
+  const LockstepRig::Marks m = rig.mark();
   fstack::FfUring ring(ring_mem, kUringSqSlots, kUringCqSlots);
   const int id =
       up ? ops.uring_attach(ring_mem, kUringSqSlots, kUringCqSlots) : -1;
@@ -1072,13 +980,13 @@ void ring_tx(CensusRig& rig, std::uint64_t total, bool zero_copy,
 /// OP_RECYCLE returns token batches — the receive-pipeline CQE discipline
 /// the IperfServer ring port shares; the adaptive pacer decides when a
 /// drain is worth submitting.
-void ring_rx(CensusRig& rig, std::uint64_t total, Census& out) {
+void ring_rx(LockstepRig& rig, std::uint64_t total, Census& out) {
   apps::FfOps& ops = rig.ops();
   const machine::CapView ring_mem =
       rig.alloc(fstack::FfUring::bytes_for(kUringSqSlots, kUringCqSlots));
   const int lfd = listen_census(ops);
   const int ep = ops.epoll_create();
-  const CensusRig::Marks m = rig.mark();
+  const LockstepRig::Marks m = rig.mark();
   fstack::FfUring ring(ring_mem, kUringSqSlots, kUringCqSlots);
   const int id = ops.uring_attach(ring_mem, kUringSqSlots, kUringCqSlots);
   int cfd = -1;
@@ -1189,8 +1097,20 @@ Census run_census(ScenarioKind kind, CensusLeg leg, std::uint64_t total_bytes,
   const bool tx = leg == CensusLeg::kWrite || leg == CensusLeg::kWritev ||
                   leg == CensusLeg::kRingWritev ||
                   leg == CensusLeg::kRingZcSend;
-  CensusRig rig(kind, tx, total_bytes, opt);
-  rig.run([&] {
+  TestbedOptions copt = opt;
+  if (tx) {
+    copt.sndbuf_bytes =
+        std::max<std::size_t>(opt.sndbuf_bytes, total_bytes + (64u << 10));
+  }
+  LockstepRig rig(kind, 1, total_bytes, copt);
+  PeerHost& peer = rig.testbed().peer(0);
+  if (tx) {
+    peer.serve_iperf(kIperfPort, 1);  // discard sink
+  } else {
+    peer.run_iperf_client(MorelloTestbed::morello_ip(0), kIperfPort,
+                          total_bytes);
+  }
+  rig.run(0, [&] {
     switch (leg) {
       case CensusLeg::kWrite:
         return classic_tx(rig, total_bytes, 1, out);

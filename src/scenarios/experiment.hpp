@@ -2,9 +2,11 @@
 // dual-port 82576 + wires + peer hosts) and runs the paper's evaluation
 // configurations end to end. Each bench binary is a thin printer over
 // run_bandwidth() (Table II), run_ffwrite_latency() (Figures 4-6) and
-// run_census() (the Fig. 4/5 crossing census). Bandwidth and latency runs
-// are threaded and paced by the time arbiter; the census is single-threaded
-// lockstep, so its counts replay identically.
+// run_census() (the Fig. 4/5 crossing census). Table II and the census run
+// on one single-threaded lockstep rig, so their counts and goodputs replay
+// identically whatever the host load; only the Fig. 4-6 latency probes are
+// threaded and paced by the time arbiter (Fig. 6 times real futex
+// contention between threads).
 #pragma once
 
 #include <array>
@@ -115,6 +117,8 @@ struct EndpointResult {
   std::string label;     // e.g. "cVM1", "Baseline (cVM2)"
   std::uint64_t bytes = 0;
   double mbps = 0.0;
+
+  bool operator==(const EndpointResult&) const = default;
 };
 
 struct BandwidthOutcome {
@@ -140,22 +144,31 @@ struct BandwidthOutcome {
                               static_cast<double>(bursts)
                         : 0.0;
     }
+
+    bool operator==(const TxBurstCensus&) const = default;
   };
   TxBurstCensus morello_tx;
-  /// Scenario 2 only: the per-shard goodput and mutex census. With one
-  /// shard this is the classic shared-mutex picture; with N shards each
-  /// entry counts ONLY its own shard's mutex — cross-flow contention is
-  /// structurally gone, which is what the sharded table2 legs gate on.
+  /// Scenario 2 only: the per-shard goodput and mutex census. Each entry
+  /// counts ONLY its own shard's mutex, which is what the sharded table2
+  /// legs gate on. The lockstep rig is one thread, so every acquisition is
+  /// a fast path; Fig. 6 (run_ffwrite_latency) is where contention is
+  /// measured.
   struct ShardCensus {
     double mbps = 0.0;  // goodput of the stream(s) pinned to this shard
     std::uint64_t mutex_fast = 0;
     std::uint64_t mutex_contended = 0;
     std::uint64_t proxied_calls = 0;
+
+    bool operator==(const ShardCensus&) const = default;
   };
   std::vector<ShardCensus> shards;
+
+  bool operator==(const BandwidthOutcome&) const = default;
 };
 
-/// Run one Table II cell: `bytes_per_stream` of TCP payload per endpoint.
+/// Run one Table II cell: `bytes_per_stream` of TCP payload per endpoint,
+/// on the caller's thread in virtual-time lockstep (the same rig as
+/// run_census), so the outcome is a pure function of the inputs.
 [[nodiscard]] BandwidthOutcome run_bandwidth(
     ScenarioKind kind, Direction dir, std::uint64_t bytes_per_stream,
     const TestbedOptions& opt = TestbedOptions{});

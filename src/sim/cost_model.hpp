@@ -38,9 +38,7 @@ struct CostModel {
   std::chrono::nanoseconds domain_switch_extra{75};
 
   /// Total cost of one trampolined crossing (kernel entry + trampoline
-  /// indirections). Charged ONCE per SyscallBatch envelope — batching N
-  /// requests into one crossing is what amortizes this fixed cost, so it
-  /// must never be charged per batched element.
+  /// indirections), charged once per Trampoline::invoke.
   [[nodiscard]] std::chrono::nanoseconds trampoline_crossing() const noexcept {
     return direct_syscall + trampoline_extra;
   }

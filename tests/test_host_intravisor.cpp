@@ -5,7 +5,6 @@
 
 #include <thread>
 
-#include "apps/telemetry.hpp"
 #include "intravisor/compartment_mutex.hpp"
 #include "intravisor/intravisor.hpp"
 
@@ -105,32 +104,6 @@ TEST(Intravisor, ConsoleWriteCrossesWithCapabilityBuffer) {
   EXPECT_EQ(log.back(), "hello from cVM1");
 }
 
-TEST(Intravisor, TelemetryBatchFlushesWholeReportInOneCrossing) {
-  // The SyscallBatch envelope's first in-tree producer: an app-layer
-  // telemetry sink marshals N report lines and flushes them through ONE
-  // trampoline crossing instead of N write(2) crossings.
-  iv::Intravisor ivr(fast_config());
-  auto& cvm = ivr.create_cvm("cVM1", 1u << 20);
-  apps::TelemetryBatch sink(&cvm.libc(), cvm.alloc(1024));
-  sink.add_line("iperf[fd 4]: 1048576 bytes, 911.2 Mbit/s");
-  sink.add_line("iperf[fd 4]: 2097152 bytes, 922.7 Mbit/s");
-  sink.add_line("iperf[fd 4]: done");
-  const std::uint64_t crossings0 = cvm.trampoline().crossings();
-  const std::uint64_t batched0 = cvm.trampoline().batched_requests();
-  EXPECT_EQ(sink.flush(), 3u);
-  EXPECT_EQ(cvm.trampoline().crossings(), crossings0 + 1);  // ONE envelope
-  EXPECT_EQ(cvm.trampoline().batched_requests(), batched0 + 3);
-  const auto log = ivr.host().console_log();
-  ASSERT_GE(log.size(), 3u);
-  EXPECT_EQ(log[log.size() - 3], "iperf[fd 4]: 1048576 bytes, 911.2 Mbit/s\n");
-  EXPECT_EQ(log.back(), "iperf[fd 4]: done\n");
-  // An empty flush is free: no crossing, no envelope.
-  EXPECT_EQ(sink.flush(), 0u);
-  EXPECT_EQ(cvm.trampoline().crossings(), crossings0 + 1);
-  EXPECT_EQ(sink.lines_total(), 3u);
-  EXPECT_EQ(sink.flushes(), 1u);
-}
-
 TEST(Intravisor, FutexRoutesThroughUmtxTranslation) {
   iv::Intravisor ivr(fast_config());
   auto& cvm = ivr.create_cvm("cVM1", 1u << 20);
@@ -172,53 +145,6 @@ TEST(Intravisor, TrampolineRejectsUntaggedPointerArgument) {
   auto buf = cvm.alloc(64);
   machine::CapView forged(&ivr.address_space().mem(), buf.cap().cleared());
   EXPECT_THROW((void)cvm.libc().write(1, forged, 8), cheri::CapFault);
-}
-
-TEST(Intravisor, SyscallBatchCrossesOnce) {
-  iv::Intravisor ivr(fast_config());
-  auto& cvm = ivr.create_cvm("cVM1", 1u << 20);
-  auto scratch = cvm.alloc(64);
-
-  // Four getpid + one clock_gettime marshalled into one envelope: ONE
-  // trampoline crossing services all five (the v1 path would pay five).
-  iv::SyscallRequest reqs[5];
-  for (int i = 0; i < 4; ++i) reqs[i].nr = host::MuslSyscall::kGetpid;
-  reqs[4].nr = host::MuslSyscall::kClockGettime;
-  reqs[4].args[0] = 4;
-  reqs[4].cap = scratch.window(0, 16);
-  std::int64_t results[5] = {-1, -1, -1, -1, -1};
-
-  const std::uint64_t crossings0 = cvm.trampoline().crossings();
-  const std::uint64_t routed0 = ivr.router().routed_total();
-  EXPECT_EQ(cvm.libc().batch(reqs, results), 5u);
-  EXPECT_EQ(cvm.trampoline().crossings(), crossings0 + 1);
-  EXPECT_EQ(ivr.router().routed_total(), routed0 + 5);
-  EXPECT_EQ(cvm.trampoline().batched_requests(), 5u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(results[i], 1000);
-  EXPECT_EQ(results[4], 0);
-  EXPECT_GT(scratch.load<std::uint64_t>(8), 0u);  // timespec written
-}
-
-TEST(Intravisor, SyscallBatchValidationIsAtomic) {
-  iv::Intravisor ivr(fast_config());
-  auto& cvm = ivr.create_cvm("cVM1", 1u << 20);
-  auto scratch = cvm.alloc(64);
-
-  // A forged (untagged) capability anywhere in the envelope faults the
-  // whole batch at the boundary: nothing routes, no crossing completes.
-  iv::SyscallRequest reqs[3];
-  reqs[0].nr = host::MuslSyscall::kGetpid;
-  reqs[1].nr = host::MuslSyscall::kClockGettime;
-  reqs[1].args[0] = 4;
-  reqs[1].cap = machine::CapView(&ivr.address_space().mem(),
-                                 scratch.cap().cleared());
-  reqs[2].nr = host::MuslSyscall::kGetpid;
-  std::int64_t results[3] = {-1, -1, -1};
-
-  const std::uint64_t routed0 = ivr.router().routed_total();
-  EXPECT_THROW((void)cvm.libc().batch(reqs, results), cheri::CapFault);
-  EXPECT_EQ(ivr.router().routed_total(), routed0);  // not even reqs[0] ran
-  EXPECT_EQ(results[0], -1);
 }
 
 TEST(CompartmentMutex, FastPathAndContention) {
