@@ -23,8 +23,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -32,11 +30,7 @@
 #include "fstack/timer_wheel.hpp"
 #include "fstack/uring.hpp"
 #include "apps/uring_proto.hpp"
-#include "machine/address_space.hpp"
-#include "nic/e82576.hpp"
-#include "nic/wire.hpp"
-#include "scenarios/stack_instance.hpp"
-#include "sim/testbed.hpp"
+#include "scenarios/two_stacks.hpp"
 
 using namespace cherinet;
 using namespace cherinet::bench;
@@ -129,60 +123,6 @@ WheelRow wheel_sweep(std::size_t idle, std::size_t iters, int reps) {
 // Part 2: lifecycle churn through the ring control plane
 // ---------------------------------------------------------------------------
 
-/// Two full stacks on one wire, deterministically pumped (the bench-local
-/// twin of the tests' TwoStacks fixture — benches only link the library).
-struct Rig {
-  sim::VirtualClock clock;
-  machine::AddressSpace as{96u << 20};
-  nic::Wire wire{&clock, nullptr, sim::Testbed::unconstrained()};
-  nic::E82576Device card_a{&as.mem(), &clock,
-                           {nic::MacAddr::local(10), nic::MacAddr::local(11)}};
-  nic::E82576Device card_b{&as.mem(), &clock,
-                           {nic::MacAddr::local(20), nic::MacAddr::local(21)}};
-  std::unique_ptr<machine::CompartmentHeap> heap_a;
-  std::unique_ptr<machine::CompartmentHeap> heap_b;
-  std::unique_ptr<scen::FullStackInstance> a;
-  std::unique_ptr<scen::FullStackInstance> b;
-
-  Rig() {
-    card_a.connect(0, &wire, 0);
-    card_b.connect(0, &wire, 1);
-    heap_a = std::make_unique<machine::CompartmentHeap>(
-        &as.mem(), as.carve(24u << 20, cheri::PermSet::data_rw(), "A"));
-    heap_b = std::make_unique<machine::CompartmentHeap>(
-        &as.mem(), as.carve(24u << 20, cheri::PermSet::data_rw(), "B"));
-    scen::InstanceConfig ca;
-    ca.netif.ip = fstack::Ipv4Addr::of(10, 0, 0, 1);
-    ca.inline_tcp_output = false;
-    scen::InstanceConfig cb = ca;
-    cb.netif.ip = fstack::Ipv4Addr::of(10, 0, 0, 2);
-    a = std::make_unique<scen::FullStackInstance>(card_a, 0, *heap_a, clock,
-                                                  ca);
-    b = std::make_unique<scen::FullStackInstance>(card_b, 0, *heap_b, clock,
-                                                  cb);
-  }
-
-  [[nodiscard]] fstack::Ipv4Addr ip_b() const {
-    return fstack::Ipv4Addr::of(10, 0, 0, 2);
-  }
-
-  bool pump_until(const std::function<bool()>& pred, int max_iters = 200000) {
-    for (int i = 0; i < max_iters; ++i) {
-      if (pred()) return true;
-      bool progress = a->run_once();
-      progress |= b->run_once();
-      if (!progress) {
-        auto d = a->next_deadline();
-        const auto db = b->next_deadline();
-        if (db && (!d || *db < *d)) d = db;
-        if (!d) return pred();
-        clock.advance_to(*d);
-      }
-    }
-    return pred();
-  }
-};
-
 struct ChurnRow {
   std::size_t cycles = 0;
   std::size_t completed = 0;
@@ -196,9 +136,11 @@ struct ChurnRow {
 
 ChurnRow churn_census(std::size_t cycles) {
   using fstack::FfUringCqe;
-  Rig rig;
-  fstack::FfStack& a = rig.a->stack();
-  fstack::FfStack& b = rig.b->stack();
+  // Deferred TCP output: emission runs from the main loop, as in F-Stack.
+  scen::TwoStacks rig(sim::Testbed::unconstrained(), fstack::TcpConfig{},
+                      updk::EalConfig{}, false);
+  fstack::FfStack& a = rig.a();
+  fstack::FfStack& b = rig.b();
   ChurnRow row;
   row.cycles = cycles;
 
@@ -206,18 +148,18 @@ ChurnRow churn_census(std::size_t cycles) {
   const int lfd = ff_socket(b, fstack::kAfInet, fstack::kSockStream, 0);
   ff_bind(b, lfd, {fstack::Ipv4Addr{}, 5400});
   ff_listen(b, lfd, 16);
-  machine::CapView rx = rig.heap_b->alloc_view(4096);
+  machine::CapView rx = rig.heap_b().alloc_view(4096);
 
   // Client side (A): ONE attach, then every lifecycle op rides the ring.
   constexpr std::uint32_t kSq = 32, kCq = 32;
   machine::CapView ring_mem =
-      rig.heap_a->alloc_view(fstack::FfUring::bytes_for(kSq, kCq));
+      rig.heap_a().alloc_view(fstack::FfUring::bytes_for(kSq, kCq));
   fstack::FfUring ring(ring_mem, kSq, kCq);
   if (ff_uring_attach(a, ring_mem, kSq, kCq) <= 0) {
     std::fprintf(stderr, "FAIL: ff_uring_attach\n");
     return row;
   }
-  machine::CapView tx = rig.heap_a->alloc_view(4096);
+  machine::CapView tx = rig.heap_a().alloc_view(4096);
 
   const auto stats0 = a.api_stats();
   const auto await = [&](std::uint64_t ud, FfUringCqe& out) {

@@ -25,80 +25,23 @@
 // Results persist as $CHERINET_BENCH_JSON_DIR/BENCH_impairment.json.
 #include <algorithm>
 #include <cstdio>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "fstack/api.hpp"
 #include "fstack/qos.hpp"
-#include "machine/address_space.hpp"
-#include "nic/e82576.hpp"
 #include "nic/impairment.hpp"
-#include "nic/wire.hpp"
-#include "scenarios/stack_instance.hpp"
-#include "sim/testbed.hpp"
+#include "scenarios/two_stacks.hpp"
 
 using namespace cherinet;
 using namespace cherinet::bench;
 
 namespace {
 
-/// Two full stacks on the default (1 GbE-paced) wire, deterministically
-/// pumped — the bench-local twin of the tests' TwoStacks fixture.
-struct Rig {
-  sim::VirtualClock clock;
-  machine::AddressSpace as{96u << 20};
-  nic::Wire wire{&clock, nullptr, sim::Testbed::unconstrained()};
-  nic::E82576Device card_a{&as.mem(), &clock,
-                           {nic::MacAddr::local(10), nic::MacAddr::local(11)}};
-  nic::E82576Device card_b{&as.mem(), &clock,
-                           {nic::MacAddr::local(20), nic::MacAddr::local(21)}};
-  std::unique_ptr<machine::CompartmentHeap> heap_a;
-  std::unique_ptr<machine::CompartmentHeap> heap_b;
-  std::unique_ptr<scen::FullStackInstance> a;
-  std::unique_ptr<scen::FullStackInstance> b;
-
-  explicit Rig(const fstack::TcpConfig& tcp = fstack::TcpConfig{}) {
-    card_a.connect(0, &wire, 0);
-    card_b.connect(0, &wire, 1);
-    heap_a = std::make_unique<machine::CompartmentHeap>(
-        &as.mem(), as.carve(24u << 20, cheri::PermSet::data_rw(), "A"));
-    heap_b = std::make_unique<machine::CompartmentHeap>(
-        &as.mem(), as.carve(24u << 20, cheri::PermSet::data_rw(), "B"));
-    scen::InstanceConfig ca;
-    ca.netif.ip = fstack::Ipv4Addr::of(10, 0, 0, 1);
-    ca.tcp = tcp;
-    scen::InstanceConfig cb = ca;
-    cb.netif.ip = fstack::Ipv4Addr::of(10, 0, 0, 2);
-    a = std::make_unique<scen::FullStackInstance>(card_a, 0, *heap_a, clock,
-                                                  ca);
-    b = std::make_unique<scen::FullStackInstance>(card_b, 0, *heap_b, clock,
-                                                  cb);
-  }
-
-  [[nodiscard]] fstack::Ipv4Addr ip_b() const {
-    return fstack::Ipv4Addr::of(10, 0, 0, 2);
-  }
-
-  bool pump_until(const std::function<bool()>& pred,
-                  int max_iters = 4'000'000) {
-    for (int i = 0; i < max_iters; ++i) {
-      if (pred()) return true;
-      bool progress = a->run_once();
-      progress |= b->run_once();
-      if (!progress) {
-        auto d = a->next_deadline();
-        const auto db = b->next_deadline();
-        if (db && (!d || *db < *d)) d = db;
-        if (!d) return pred();
-        clock.advance_to(*d);
-      }
-    }
-    return pred();
-  }
-};
+/// Lossy transfers recover through long RTO backoffs: a wider step cap than
+/// the twin-stack rig's default.
+constexpr int kPumpIters = 4'000'000;
 
 /// Timer clamps scaled to the testbed's ~30 us RTT (the defaults' 200 ms
 /// RTO floor is three decades above the RTT and would turn every tail
@@ -135,9 +78,10 @@ struct Xfer {
 /// Pattern-stamped bulk transfer A->B over a fresh connection; every
 /// delivered byte is checked against its position stamp, so corruption
 /// that leaks past the MAC is counted, not silently absorbed.
-Xfer run_transfer(Rig& rig, std::uint64_t total, std::uint16_t port) {
-  fstack::FfStack& a = rig.a->stack();
-  fstack::FfStack& b = rig.b->stack();
+Xfer run_transfer(scen::TwoStacks& rig, std::uint64_t total,
+                  std::uint16_t port) {
+  fstack::FfStack& a = rig.a();
+  fstack::FfStack& b = rig.b();
   Xfer res;
   const int lfd = ff_socket(b, fstack::kAfInet, fstack::kSockStream, 0);
   if (ff_bind(b, lfd, {fstack::Ipv4Addr{}, port}) != 0) return res;
@@ -148,13 +92,13 @@ Xfer run_transfer(Rig& rig, std::uint64_t total, std::uint16_t port) {
   rig.pump_until([&] {
     bfd = ff_accept(b, lfd, nullptr);
     return bfd >= 0;
-  });
+  }, kPumpIters);
   if (bfd < 0) return res;
 
-  machine::CapView src = rig.heap_a->alloc_view(4096);
-  machine::CapView dst = rig.heap_b->alloc_view(4096);
+  machine::CapView src = rig.heap_a().alloc_view(4096);
+  machine::CapView dst = rig.heap_b().alloc_view(4096);
   std::uint64_t sent = 0;
-  const sim::Ns t0 = rig.clock.now();
+  const sim::Ns t0 = rig.clock().now();
   const bool done = rig.pump_until([&] {
     while (sent < total) {
       const auto n = std::min<std::uint64_t>(4096, total - sent);
@@ -177,9 +121,9 @@ Xfer run_transfer(Rig& rig, std::uint64_t total, std::uint16_t port) {
       res.received += static_cast<std::uint64_t>(r);
     }
     return res.received == total;
-  });
+  }, kPumpIters);
   res.virt_secs =
-      static_cast<double>((rig.clock.now() - t0).count()) * 1e-9;
+      static_cast<double>((rig.clock().now() - t0).count()) * 1e-9;
   res.goodput_mbps = res.virt_secs > 0
                          ? static_cast<double>(res.received) * 8.0 /
                                res.virt_secs / 1e6
@@ -214,11 +158,11 @@ std::vector<CurveRow> run_goodput_curve(std::uint64_t volume) {
                   nic::ImpairmentProfile::gilbert_elliott(0.01, 0.33, 104),
                   {}, {}, 0});
   for (CurveRow& row : rows) {
-    Rig rig(scaled_rto_config());
-    rig.wire.set_impairment(0, row.profile);  // data direction only
+    scen::TwoStacks rig(sim::Testbed::unconstrained(), scaled_rto_config());
+    rig.wire().set_impairment(0, row.profile);  // data direction only
     row.xfer = run_transfer(rig, volume, 5500);
-    row.rec = rig.a->stack().tcp_recovery_stats();
-    row.wire_drops = rig.wire.stats(0).dropped;
+    row.rec = rig.a().tcp_recovery_stats();
+    row.wire_drops = rig.wire().stats(0).dropped;
   }
   return rows;
 }
@@ -246,9 +190,9 @@ double p99_us(std::vector<double>& us) {
 }
 
 QosLeg run_mixed_class(std::size_t probes) {
-  Rig rig;
-  fstack::FfStack& a = rig.a->stack();
-  fstack::FfStack& b = rig.b->stack();
+  scen::TwoStacks rig;
+  fstack::FfStack& a = rig.a();
+  fstack::FfStack& b = rig.b();
   QosLeg leg;
 
   // Echo service on class 2: the listener is classed BEFORE any accept, so
@@ -263,7 +207,7 @@ QosLeg run_mixed_class(std::size_t probes) {
   rig.pump_until([&] {
     ebfd = ff_accept(b, elfd, nullptr);
     return ebfd >= 0;
-  });
+  }, kPumpIters);
   if (ebfd < 0 || ff_set_class(a, efd, 2) != 0) return leg;
 
   // Bulk flow on the default class 0, token-bucketed to ~600 Mbit/s with a
@@ -278,18 +222,18 @@ QosLeg run_mixed_class(std::size_t probes) {
   rig.pump_until([&] {
     bbfd = ff_accept(b, blfd, nullptr);
     return bbfd >= 0;
-  });
+  }, kPumpIters);
   if (bbfd < 0) return leg;
   fstack::QosConfig qcfg;
   qcfg.cls[0].rate_bytes_per_sec = 75'000'000;  // 600 Mbit/s
   qcfg.cls[0].burst_bytes = 4096;
   a.set_qos_config(qcfg);
 
-  machine::CapView probe_tx = rig.heap_a->alloc_view(64);
-  machine::CapView probe_rx = rig.heap_a->alloc_view(64);
-  machine::CapView echo_buf = rig.heap_b->alloc_view(64);
-  machine::CapView bulk_tx = rig.heap_a->alloc_view(4096);
-  machine::CapView bulk_rx = rig.heap_b->alloc_view(4096);
+  machine::CapView probe_tx = rig.heap_a().alloc_view(64);
+  machine::CapView probe_rx = rig.heap_a().alloc_view(64);
+  machine::CapView echo_buf = rig.heap_b().alloc_view(64);
+  machine::CapView bulk_tx = rig.heap_a().alloc_view(4096);
+  machine::CapView bulk_rx = rig.heap_b().alloc_view(4096);
   std::uint64_t bulk_received = 0;
   bool bulk_on = false;
 
@@ -297,7 +241,7 @@ QosLeg run_mixed_class(std::size_t probes) {
   // peer and (when enabled) keeps the bulk flow saturated. Every stage
   // retries on -EAGAIN (a momentarily staged class queue backpressures).
   const auto probe_rtt_us = [&]() -> double {
-    const sim::Ns t0 = rig.clock.now();
+    const sim::Ns t0 = rig.clock().now();
     int st = 0;  // 0 probe-write, 1 echo-read, 2 echo-write, 3 reply-read
     const bool done = rig.pump_until([&] {
       if (bulk_on) {
@@ -314,8 +258,8 @@ QosLeg run_mixed_class(std::size_t probes) {
       if (st == 2 && ff_write(b, ebfd, echo_buf, 64) == 64) st = 3;
       if (st == 3 && ff_read(a, efd, probe_rx, 64) == 64) st = 4;
       return st == 4;
-    });
-    return done ? static_cast<double>((rig.clock.now() - t0).count()) / 1e3
+    }, kPumpIters);
+    return done ? static_cast<double>((rig.clock().now() - t0).count()) / 1e3
                 : -1.0;
   };
 
@@ -326,14 +270,14 @@ QosLeg run_mixed_class(std::size_t probes) {
     unloaded.push_back(rtt);
   }
   bulk_on = true;
-  const sim::Ns bulk_t0 = rig.clock.now();
+  const sim::Ns bulk_t0 = rig.clock().now();
   for (std::size_t i = 0; i < probes; ++i) {
     const double rtt = probe_rtt_us();
     if (rtt < 0) return leg;
     loaded.push_back(rtt);
   }
   const double bulk_secs =
-      static_cast<double>((rig.clock.now() - bulk_t0).count()) * 1e-9;
+      static_cast<double>((rig.clock().now() - bulk_t0).count()) * 1e-9;
 
   leg.p99_unloaded_us = p99_us(unloaded);
   leg.p99_loaded_us = p99_us(loaded);
@@ -361,15 +305,15 @@ struct CorruptionLeg {
 };
 
 CorruptionLeg run_corruption(std::uint64_t volume) {
-  Rig rig(scaled_rto_config());
+  scen::TwoStacks rig(sim::Testbed::unconstrained(), scaled_rto_config());
   nic::ImpairmentProfile prof;
   prof.corrupt = 0.02;
   prof.seed = 301;
-  rig.wire.set_impairment(0, prof);
+  rig.wire().set_impairment(0, prof);
   CorruptionLeg leg;
   leg.xfer = run_transfer(rig, volume, 5700);
-  leg.wire_corrupts = rig.wire.stats(0).impair_corrupts;
-  leg.rx_crc_errors = rig.card_b.port(0).stats().rx_crc_errors;
+  leg.wire_corrupts = rig.wire().stats(0).impair_corrupts;
+  leg.rx_crc_errors = rig.card_b().port(0).stats().rx_crc_errors;
   return leg;
 }
 
@@ -379,7 +323,7 @@ struct CauseCensus {
 };
 
 CauseCensus run_seeded_census(std::uint64_t volume) {
-  Rig rig(scaled_rto_config());
+  scen::TwoStacks rig(sim::Testbed::unconstrained(), scaled_rto_config());
   nic::ImpairmentProfile prof;
   prof.seed = 77;
   prof.loss = 0.005;
@@ -387,9 +331,9 @@ CauseCensus run_seeded_census(std::uint64_t volume) {
   prof.reorder = 0.01;
   prof.corrupt = 0.002;
   prof.jitter = sim::Ns{200'000};
-  rig.wire.set_impairment(0, prof);
+  rig.wire().set_impairment(0, prof);
   (void)run_transfer(rig, volume, 5800);
-  const nic::Wire::Stats s = rig.wire.stats(0);
+  const nic::Wire::Stats s = rig.wire().stats(0);
   return {s.impair_loss, s.impair_burst_loss, s.impair_dups,
           s.impair_reorders, s.impair_corrupts, s.impair_jittered};
 }

@@ -32,12 +32,8 @@
 #include "bench_common.hpp"
 #include "fstack/api.hpp"
 #include "fstack/uring.hpp"
-#include "machine/address_space.hpp"
-#include "nic/e82576.hpp"
-#include "nic/wire.hpp"
 #include "scenarios/adversary.hpp"
-#include "scenarios/stack_instance.hpp"
-#include "sim/testbed.hpp"
+#include "scenarios/two_stacks.hpp"
 
 using namespace cherinet;
 using namespace cherinet::fstack;
@@ -53,51 +49,6 @@ constexpr std::uint16_t kSinkPortBase = 6001;
 constexpr std::uint16_t kHostilePort = 7800;
 constexpr std::uint32_t kEvilSq = 256;  // > doorbell + loop drain budgets:
 constexpr std::uint32_t kEvilCq = 64;   // the flooder CAN out-queue its slice
-
-/// Deterministic twin-stack rig (tests' TwoStacks, bench-local): stack A
-/// hosts the tenants, stack B runs the victims' sinks. No threads — every
-/// run with the same seed replays identically.
-struct Rig {
-  sim::VirtualClock clock;
-  machine::AddressSpace as{96u << 20};
-  nic::Wire wire{&clock, nullptr, sim::Testbed::unconstrained()};
-  nic::E82576Device card_a{&as.mem(), &clock,
-                           {nic::MacAddr::local(10), nic::MacAddr::local(11)}};
-  nic::E82576Device card_b{&as.mem(), &clock,
-                           {nic::MacAddr::local(20), nic::MacAddr::local(21)}};
-  std::unique_ptr<machine::CompartmentHeap> heap_a, heap_b;
-  std::unique_ptr<scen::FullStackInstance> a, b;
-
-  Rig() {
-    card_a.connect(0, &wire, 0);
-    card_b.connect(0, &wire, 1);
-    heap_a = std::make_unique<machine::CompartmentHeap>(
-        &as.mem(), as.carve(24u << 20, cheri::PermSet::data_rw(), "A"));
-    heap_b = std::make_unique<machine::CompartmentHeap>(
-        &as.mem(), as.carve(24u << 20, cheri::PermSet::data_rw(), "B"));
-    scen::InstanceConfig ca;
-    ca.netif.ip = Ipv4Addr::of(10, 0, 0, 1);
-    scen::InstanceConfig cb = ca;
-    cb.netif.ip = Ipv4Addr::of(10, 0, 0, 2);
-    a = std::make_unique<scen::FullStackInstance>(card_a, 0, *heap_a, clock,
-                                                  ca);
-    b = std::make_unique<scen::FullStackInstance>(card_b, 0, *heap_b, clock,
-                                                  cb);
-  }
-
-  bool step_once() {
-    bool progress = a->run_once();
-    progress |= b->run_once();
-    if (!progress) {
-      auto d = a->next_deadline();
-      const auto db = b->next_deadline();
-      if (db && (!d || *db < *d)) d = db;
-      if (!d) return false;
-      clock.advance_to(*d);
-    }
-    return true;
-  }
-};
 
 struct RunResult {
   std::array<std::uint64_t, kVictims> victim_bytes{};
@@ -116,15 +67,15 @@ struct RunResult {
 /// and the baseline audit.
 RunResult run_fleet(std::optional<HostileProfile> prof, std::uint64_t seed,
                     std::size_t iters, std::size_t chunk) {
-  Rig rig;
+  scen::TwoStacks rig;  // A hosts the tenants, B runs the victims' sinks
   RunResult out;
-  FfStack& A = rig.a->stack();
-  FfStack& B = rig.b->stack();
-  out.pool0 = rig.a->pool().available();
+  FfStack& A = rig.a();
+  FfStack& B = rig.b();
+  out.pool0 = rig.pool_a().available();
 
   // Victim sinks on B: one listener per victim, reads drained every turn.
   std::array<int, kVictims> lfd{}, sink{};
-  machine::CapView scratch = rig.heap_b->alloc_view(8 * 1024);
+  machine::CapView scratch = rig.heap_b().alloc_view(8 * 1024);
   for (int i = 0; i < kVictims; ++i) {
     lfd[i] = ff_socket(B, kAfInet, kSockStream, 0);
     ff_bind(B, lfd[i], {Ipv4Addr{}, static_cast<std::uint16_t>(
@@ -135,7 +86,7 @@ RunResult run_fleet(std::optional<HostileProfile> prof, std::uint64_t seed,
 
   // Victim tenants on A: unlimited quotas (trusted workloads).
   std::array<int, kVictims> vtid{}, vfd{};
-  machine::CapView tx = rig.heap_a->alloc_view(chunk);
+  machine::CapView tx = rig.heap_a().alloc_view(chunk);
   for (std::size_t off = 0; off < chunk; ++off) {
     tx.store<std::uint8_t>(off, static_cast<std::uint8_t>(off * 131 + 7));
   }
@@ -162,7 +113,7 @@ RunResult run_fleet(std::optional<HostileProfile> prof, std::uint64_t seed,
     bounded.max_cq_stall_rounds = 4;
     etid = ff_tenant_register(A, "evil", bounded);
     machine::CapView ring_mem =
-        rig.heap_a->alloc_view(FfUring::bytes_for(kEvilSq, kEvilCq));
+        rig.heap_a().alloc_view(FfUring::bytes_for(kEvilSq, kEvilCq));
     evil = std::make_unique<HostileTenant>(&evil_ops, ring_mem, kEvilSq,
                                            kEvilCq, *prof, seed,
                                            kHostilePort);
@@ -192,16 +143,12 @@ RunResult run_fleet(std::optional<HostileProfile> prof, std::uint64_t seed,
         }
       }
     }
-    bool progress = rig.a->run_once();
-    progress |= rig.b->run_once();
-    auto target = rig.clock.now() + kTurnQuantum;
-    if (!progress) {
-      auto d = rig.a->next_deadline();
-      const auto db = rig.b->next_deadline();
-      if (db && (!d || *db < *d)) d = db;
+    auto target = rig.clock().now() + kTurnQuantum;
+    if (!rig.run_once()) {
+      const auto d = rig.next_deadline();
       if (d && *d > target) target = *d;
     }
-    rig.clock.advance_to(target);
+    rig.clock().advance_to(target);
   }
 
   // Quiesce and audit. The adversary object "exits" first (its dtor closes
@@ -219,16 +166,12 @@ RunResult run_fleet(std::optional<HostileProfile> prof, std::uint64_t seed,
     ff_close(B, lfd[i]);
   }
   // Drain TIME_WAIT, retransmits and parked frames out in virtual time.
-  for (int i = 0; i < 200000; ++i) {
-    if (A.tcp_pcb_count() == 0 &&
-        rig.a->pool().available() == out.pool0) {
-      break;
-    }
-    if (!rig.step_once()) break;
-  }
+  rig.pump_until([&] {
+    return A.tcp_pcb_count() == 0 && rig.pool_a().available() == out.pool0;
+  });
   out.pcbs_end = A.tcp_pcb_count();
   out.wheel_end = A.timer_wheel().size();
-  out.pool_end = rig.a->pool().available();
+  out.pool_end = rig.pool_a().available();
   out.baselines_exact = out.pcbs_end == 0 && out.pool_end == out.pool0;
   return out;
 }

@@ -1,72 +1,45 @@
 // Quickstart: bring up two user-space stacks on an emulated wire, open a
 // TCP connection through the capability-qualified ff_* API, and exchange a
-// message — the whole public API surface in ~100 lines.
+// message — the whole public API surface in ~60 lines.
 //
 //   build/examples/quickstart
 #include <cstdio>
 
 #include "fstack/api.hpp"
-#include "machine/address_space.hpp"
-#include "scenarios/stack_instance.hpp"
+#include "scenarios/two_stacks.hpp"
 
 using namespace cherinet;
 using namespace cherinet::fstack;
 
 int main() {
-  // --- the "hardware": one address space, one wire, two NICs -------------
-  sim::VirtualClock clock;
-  machine::AddressSpace as(64u << 20);
-  nic::Wire wire(&clock, nullptr, sim::Testbed::unconstrained());
-  nic::E82576Device nic_a(&as.mem(), &clock,
-                          {nic::MacAddr::local(1), nic::MacAddr::local(2)});
-  nic::E82576Device nic_b(&as.mem(), &clock,
-                          {nic::MacAddr::local(3), nic::MacAddr::local(4)});
-  nic_a.connect(0, &wire, 0);
-  nic_b.connect(0, &wire, 1);
-
-  // --- two compartment heaps, two stack instances ------------------------
-  machine::CompartmentHeap heap_a(
-      &as.mem(), as.carve(16u << 20, cheri::PermSet::data_rw(), "A"));
-  machine::CompartmentHeap heap_b(
-      &as.mem(), as.carve(16u << 20, cheri::PermSet::data_rw(), "B"));
-  scen::InstanceConfig cfg_a, cfg_b;
-  cfg_a.netif.ip = Ipv4Addr::of(10, 0, 0, 1);
-  cfg_b.netif.ip = Ipv4Addr::of(10, 0, 0, 2);
-  scen::FullStackInstance a(nic_a, 0, heap_a, clock, cfg_a);
-  scen::FullStackInstance b(nic_b, 0, heap_b, clock, cfg_b);
-
-  // Deterministic pump: step both stacks, advance virtual time when idle.
-  const auto pump = [&](auto&& done) {
-    for (int i = 0; i < 200000 && !done(); ++i) {
-      if (a.run_once() | b.run_once()) continue;
-      auto d = a.next_deadline();
-      if (auto db = b.next_deadline(); db && (!d || *db < *d)) d = db;
-      if (!d) break;
-      clock.advance_to(*d);
-    }
-  };
+  // --- the "hardware": one address space, one wire, two NICs, and a
+  // compartment heap + stack instance per side, pumped deterministically
+  // (step both stacks, advance virtual time when idle) ---------------------
+  scen::TwoStacks ts;
+  FfStack& a = ts.a();
+  FfStack& b = ts.b();
 
   // --- server on B ---------------------------------------------------------
-  const int lfd = ff_socket(b.stack(), kAfInet, kSockStream, 0);
-  ff_bind(b.stack(), lfd, {Ipv4Addr{}, 7000});
-  ff_listen(b.stack(), lfd, 4);
+  const int lfd = ff_socket(b, kAfInet, kSockStream, 0);
+  ff_bind(b, lfd, {Ipv4Addr{}, 7000});
+  ff_listen(b, lfd, 4);
 
   // --- client on A: note the capability-qualified buffer ------------------
-  const int cfd = ff_socket(a.stack(), kAfInet, kSockStream, 0);
-  ff_connect(a.stack(), cfd, {Ipv4Addr::of(10, 0, 0, 2), 7000});
+  const int cfd = ff_socket(a, kAfInet, kSockStream, 0);
+  ff_connect(a, cfd, {Ipv4Addr::of(10, 0, 0, 2), 7000});
 
   int bfd = -1;
-  pump([&] { return (bfd = ff_accept(b.stack(), lfd, nullptr)) >= 0; });
+  ts.pump_until([&] { return (bfd = ff_accept(b, lfd, nullptr)) >= 0; });
   std::printf("accepted connection, fd=%d\n", bfd);
 
-  machine::CapView tx = heap_a.alloc_view(256);  // bounded capability
+  machine::CapView tx = ts.heap_a().alloc_view(256);  // bounded capability
   const char msg[] = "hello through the capability world";
   tx.write(0, std::as_bytes(std::span{msg, sizeof msg}));
-  pump([&] { return ff_write(a.stack(), cfd, tx, sizeof msg) > 0; });
+  ts.pump_until([&] { return ff_write(a, cfd, tx, sizeof msg) > 0; });
 
-  machine::CapView rx = heap_b.alloc_view(256);
+  machine::CapView rx = ts.heap_b().alloc_view(256);
   std::int64_t got = 0;
-  pump([&] { return (got = ff_read(b.stack(), bfd, rx, 256)) > 0; });
+  ts.pump_until([&] { return (got = ff_read(b, bfd, rx, 256)) > 0; });
   char out[sizeof msg]{};
   rx.read(0, std::as_writable_bytes(std::span{out}));
   std::printf("server received %lld bytes: \"%s\"\n",
@@ -74,13 +47,13 @@ int main() {
 
   // The same buffer with a lying length faults instead of leaking memory:
   try {
-    (void)ff_write(a.stack(), cfd, tx, 4096);
+    (void)ff_write(a, cfd, tx, 4096);
   } catch (const cheri::CapFault& f) {
     std::printf("oversized write trapped: %s\n", f.what());
   }
 
-  ff_close(a.stack(), cfd);
-  ff_close(b.stack(), bfd);
+  ff_close(a, cfd);
+  ff_close(b, bfd);
   std::printf("quickstart OK\n");
   return 0;
 }

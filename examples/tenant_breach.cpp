@@ -12,71 +12,19 @@
 //   build/example_tenant_breach
 #include <cstdio>
 #include <cstring>
-#include <memory>
 
 #include "fstack/api.hpp"
 #include "fstack/uring.hpp"
-#include "machine/address_space.hpp"
-#include "nic/e82576.hpp"
-#include "nic/wire.hpp"
-#include "scenarios/stack_instance.hpp"
-#include "sim/testbed.hpp"
+#include "scenarios/two_stacks.hpp"
 
 using namespace cherinet;
 using namespace cherinet::fstack;
 
-namespace {
-
-/// Minimal twin-stack rig (the tests' TwoStacks fixture, inlined): stack A
-/// hosts both tenants; stack B is the remote peer that sends the secret.
-struct Rig {
-  sim::VirtualClock clock;
-  machine::AddressSpace as{96u << 20};
-  nic::Wire wire{&clock, nullptr, sim::Testbed::unconstrained()};
-  nic::E82576Device card_a{&as.mem(), &clock,
-                           {nic::MacAddr::local(10), nic::MacAddr::local(11)}};
-  nic::E82576Device card_b{&as.mem(), &clock,
-                           {nic::MacAddr::local(20), nic::MacAddr::local(21)}};
-  std::unique_ptr<machine::CompartmentHeap> heap_a, heap_b;
-  std::unique_ptr<scen::FullStackInstance> a, b;
-
-  Rig() {
-    card_a.connect(0, &wire, 0);
-    card_b.connect(0, &wire, 1);
-    heap_a = std::make_unique<machine::CompartmentHeap>(
-        &as.mem(), as.carve(24u << 20, cheri::PermSet::data_rw(), "A"));
-    heap_b = std::make_unique<machine::CompartmentHeap>(
-        &as.mem(), as.carve(24u << 20, cheri::PermSet::data_rw(), "B"));
-    scen::InstanceConfig ca;
-    ca.netif.ip = Ipv4Addr::of(10, 0, 0, 1);
-    scen::InstanceConfig cb = ca;
-    cb.netif.ip = Ipv4Addr::of(10, 0, 0, 2);
-    a = std::make_unique<scen::FullStackInstance>(card_a, 0, *heap_a, clock,
-                                                  ca);
-    b = std::make_unique<scen::FullStackInstance>(card_b, 0, *heap_b, clock,
-                                                  cb);
-  }
-
-  void pump(int iters) {
-    for (int i = 0; i < iters; ++i) {
-      bool progress = a->run_once();
-      progress |= b->run_once();
-      if (!progress) {
-        auto d = a->next_deadline();
-        const auto db = b->next_deadline();
-        if (db && (!d || *db < *d)) d = db;
-        if (!d) return;
-        clock.advance_to(*d);
-      }
-    }
-  }
-};
-
-}  // namespace
-
 int main() {
-  Rig rig;
-  FfStack& st = rig.a->stack();
+  // Stack A hosts both tenants; stack B is the remote peer that sends the
+  // secret.
+  scen::TwoStacks rig;
+  FfStack& st = rig.a();
 
   // Two tenant rows on the shared stack: the orchestrator's ledger.
   const int victim = ff_tenant_register(st, "victim", TenantQuota{});
@@ -91,9 +39,9 @@ int main() {
 
   const char key[] = "TOP-SECRET-SESSION-KEY-0xC0FFEE";
   {
-    FfStack& peer = rig.b->stack();
+    FfStack& peer = rig.b();
     const int pfd = ff_socket(peer, kAfInet, kSockDgram, 0);
-    auto msg = rig.heap_b->alloc_view(sizeof key);
+    auto msg = rig.heap_b().alloc_view(sizeof key);
     msg.write(0, std::as_bytes(std::span{key, sizeof key}));
     ff_sendto(peer, pfd, msg, sizeof key, {Ipv4Addr::of(10, 0, 0, 1), 9000});
     rig.pump(200);
@@ -118,7 +66,7 @@ int main() {
   // The attacker tenant attaches its own ring — its only doorway into the
   // shared stack — and the control plane binds it to the attacker's row.
   constexpr std::uint32_t kSq = 8, kCq = 16;
-  auto ring_mem = rig.heap_a->alloc_view(FfUring::bytes_for(kSq, kCq));
+  auto ring_mem = rig.heap_a().alloc_view(FfUring::bytes_for(kSq, kCq));
   FfUring ring(ring_mem, kSq, kCq);
   const int rid = ff_uring_attach(st, ring_mem, kSq, kCq);
   ff_uring_bind_tenant(st, rid, attacker);
@@ -164,14 +112,14 @@ int main() {
   ++attempts;
   std::printf("\n[attacker] forge a capability to the loan from raw bytes...\n");
   try {
-    auto scratch = rig.heap_a->alloc_view(16);
+    auto scratch = rig.heap_a().alloc_view(16);
     scratch.store<std::uint64_t>(0, loan.data.address());
     // The raw store cleared the granule's tag: what loads back is data
     // shaped like a capability, and the first dereference faults.
+    auto& mem = rig.address_space().mem();
     const cheri::Capability forged =
-        rig.as.mem().load_cap(scratch.cap(), scratch.address() & ~0xFull);
-    (void)rig.as.mem().load_scalar<std::uint64_t>(forged,
-                                                  loan.data.address());
+        mem.load_cap(scratch.cap(), scratch.address() & ~0xFull);
+    (void)mem.load_scalar<std::uint64_t>(forged, loan.data.address());
     std::printf("  !! forged capability dereferenced — a CHERI bug\n");
   } catch (const cheri::CapFault& f) {
     ++contained;

@@ -10,8 +10,8 @@
 #
 # TSAN=1 switches to the ThreadSanitizer configuration, again in its own
 # build tree, and runs only the thread-spawning suites (the arbiter-paced
-# scenario fleets, the sharded stacks, the intravisor host shims): the
-# data-race net over the multi-tenant fleet and per-core shard paths.
+# Fig. 4-6 latency probes, the sharded stacks, the intravisor host shims):
+# the data-race net over the per-core shard paths.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -52,7 +52,7 @@ if [[ "$TSAN" == "1" ]]; then
   # Only the suites that actually spawn threads: everything else is
   # single-threaded virtual-time simulation with nothing for TSan to see.
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-    -R '^(test_scenarios|test_tenants|test_shards|test_host_intravisor|test_sim_stats|test_updk)$' \
+    -R '^(test_scenarios|test_shards|test_host_intravisor|test_sim_stats|test_updk)$' \
     || status=$?
   exit "$status"
 fi
@@ -95,48 +95,15 @@ fi
 
 # Surface the census artifacts the bench gates emit (v1 / v2-batch /
 # v3-uring crossings per byte volume; table2 goodput + frames per
-# tx_burst): the perf trajectory tracked across PRs. Printed even when a
-# gate failed — a failing run's numbers are exactly the ones worth reading.
+# tx_burst; churn, impairment and tenant censuses): the perf trajectory
+# tracked across PRs. Printed even when a gate failed — a failing run's
+# numbers are exactly the ones worth reading.
 for f in "$BUILD_DIR"/BENCH_fig4.json "$BUILD_DIR"/BENCH_fig5.json \
          "$BUILD_DIR"/BENCH_table2.json "$BUILD_DIR"/BENCH_churn.json \
          "$BUILD_DIR"/BENCH_impairment.json "$BUILD_DIR"/BENCH_tenants.json; do
   if [[ -f "$f" ]]; then
     echo "== bench artifact: $f"
     cat "$f"
-    # The zc TX gates' persisted evidence: send-side byte copies AND
-    # emission-time payload re-reads on the zero-copy path (both must be
-    # 0 — grep'able across PR runs).
-    grep -o '"tx_copies": [0-9]*' "$f" | sed "s|^|== $(basename "$f") |" || true
-    grep -o '"emit_payload_reads": [0-9]*' "$f" | sed "s|^|== $(basename "$f") |" || true
-    grep -o '"frames_per_burst": [0-9.]*' "$f" | sed "s|^|== $(basename "$f") |" || true
-    # Sharded-stack census evidence: aggregate goodput of the multi-shard
-    # legs plus each shard's own goodput/mutex/proxy counters.
-    grep -o '"send_aggregate_mbps": [0-9.]*' "$f" | sed "s|^|== $(basename "$f") |" || true
-    grep -o '"recv_aggregate_mbps": [0-9.]*' "$f" | sed "s|^|== $(basename "$f") |" || true
-    grep -o '"mutex_contended": [0-9]*' "$f" | sed "s|^|== $(basename "$f") |" || true
-    # Churn census evidence: timer-cost sublinearity across idle-PCB
-    # populations and the ring-resident lifecycle (v1_calls must be 0).
-    grep -o '"sublinearity_x": [0-9.]*' "$f" | sed "s|^|== $(basename "$f") |" || true
-    grep -o '"lifecycles_per_sec": [0-9.]*' "$f" | sed "s|^|== $(basename "$f") |" || true
-    grep -o '"v1_calls": [0-9]*' "$f" | sed "s|^|== $(basename "$f") |" || true
-    # Hostile-wire census evidence: loss-recovery efficiency, classed-QoS
-    # tail latency, and FCS containment (corrupt_bytes_delivered must be 0).
-    grep -o '"retained_at_1pct": [0-9.]*' "$f" | sed "s|^|== $(basename "$f") |" || true
-    grep -o '"p99_unloaded_us": [0-9.]*' "$f" | sed "s|^|== $(basename "$f") |" || true
-    grep -o '"p99_loaded_us": [0-9.]*' "$f" | sed "s|^|== $(basename "$f") |" || true
-    grep -o '"rx_crc_errors": [0-9]*' "$f" | sed "s|^|== $(basename "$f") |" || true
-    grep -o '"corrupt_bytes_delivered": [0-9]*' "$f" | sed "s|^|== $(basename "$f") |" || true
-    # Hardware-offload census evidence: software checksum bytes on the
-    # negotiated TX path and the TSO slicer's output.
-    grep -o '"stack_checksum_bytes": [0-9]*' "$f" | sed "s|^|== $(basename "$f") |" || true
-    grep -o '"tso_frames": [0-9]*' "$f" | sed "s|^|== $(basename "$f") |" || true
-    # Tenant-fleet census evidence: the worst per-victim goodput retention
-    # under any hostile profile, and the offender's per-cause failure
-    # counters (how each abuse was actually absorbed).
-    grep -o '"min_retention": [0-9.]*' "$f" | head -n1 | sed "s|^|== $(basename "$f") |" || true
-    grep -o '"sq_drain_throttled": [0-9]*' "$f" | sed "s|^|== $(basename "$f") |" || true
-    grep -o '"cq_deferral_evictions": [0-9]*' "$f" | sed "s|^|== $(basename "$f") |" || true
-    grep -o '"sqe_errors": [0-9]*' "$f" | sed "s|^|== $(basename "$f") |" || true
   fi
 done
 

@@ -1100,12 +1100,15 @@ int FfStack::sock_bind(int fd, Ipv4Addr ip, std::uint16_t port) {
   Socket* s = socks_.get(fd);
   if (s == nullptr) return -EBADF;
   if (s->bound) return -EINVAL;
+  // The socket's bound state changes only on success: a losing bind must
+  // leave it unbound, free to retry, and not owning the winner's port.
+  const std::uint16_t p = port != 0 ? port : alloc_ephemeral_port();
+  if (p == 0) return -EADDRINUSE;
+  if (s->kind == SockKind::kUdp && udp_binds_.contains(p)) return -EADDRINUSE;
   s->local_ip = ip == Ipv4Addr{} ? cfg_.netif.ip : ip;
-  s->local_port = port != 0 ? port : alloc_ephemeral_port();
-  if (s->local_port == 0) return -EADDRINUSE;
+  s->local_port = p;
   s->bound = true;
   if (s->kind == SockKind::kUdp) {
-    if (udp_binds_.contains(s->local_port)) return -EADDRINUSE;
     s->udp->local_ip = s->local_ip;
     s->udp->local_port = s->local_port;
     udp_binds_[s->local_port] = s->udp.get();

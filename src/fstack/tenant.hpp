@@ -82,6 +82,8 @@ struct TenantStats {
   std::uint64_t sqe_errors = 0;  // per-entry verdicts on this tenant's rings
   std::uint64_t doorbells = 0;   // doorbell crossings from this tenant
   std::uint64_t evictions = 0;   // hard evictions of this tenant
+
+  bool operator==(const TenantStats&) const = default;
 };
 
 /// The registry: tenant ids are small positive integers handed out at

@@ -41,6 +41,8 @@ class HostileTenant {
     std::uint64_t rejects = 0;          // negative CQE results reaped
     std::uint64_t reservations = 0;     // zc tokens currently hoarded
     bool crashed = false;               // kCrash reached its drop-dead step
+
+    bool operator==(const Census&) const = default;
   };
 
   /// `ring_mem` must hold FfUring::bytes_for(sq, cq) bytes of this

@@ -123,284 +123,183 @@ sim::Ns time_guard(std::uint64_t volume_bytes) {
                  kGuardNsPerByte};
 }
 
-/// The Morello node's stacks, its app compartments and the peer hosts, all
-/// pumped from the caller's thread in virtual-time lockstep. The stacks are
-/// one BaselineProcess or Scenario1Cvm per port (endpoint j's app shares
-/// stack j's process or cVM), or the cVM1 shards of a Scenario2Service,
-/// each under its own shard mutex, with one app cVM per endpoint pinned to
-/// shard j % shards. App code runs inside its compartment through run();
-/// turn() runs every stack's main loop inside its own compartment, then
-/// every peer, and when nobody progressed advances the clock to the
-/// earliest deadline.
-class LockstepRig {
-  struct Stack {
-    FullStackInstance* inst;
-    iv::CVM* cvm;                  // its loop's compartment (null: Baseline)
-    iv::CompartmentMutex* mutex;   // its cVM1 shard mutex (Scenario 2)
-    int port;
-
-    template <typename F>
-    decltype(auto) run(F&& f) {
-      std::optional<iv::CompartmentLockGuard> lk;
-      if (mutex != nullptr) lk.emplace(*mutex);
-      return cvm != nullptr ? cvm->enter(std::forward<F>(f))
-                            : std::forward<F>(f)();
-    }
-  };
-  struct Endpoint {
-    std::string label;
-    iv::CVM* cvm = nullptr;  // the app's compartment (null: Baseline)
-    apps::FfOps* ops = nullptr;
-    machine::CompartmentHeap* heap = nullptr;
-    std::size_t stack = 0;
-  };
-
- public:
-  LockstepRig(ScenarioKind kind, int endpoints, std::uint64_t volume_bytes,
-              const TestbedOptions& opt)
-      : tb_(opt), time_limit_(time_guard(volume_bytes)) {
-    if (kind == ScenarioKind::kScenario2Uncontended ||
-        kind == ScenarioKind::kScenario2Contended) {
-      build_scenario2(endpoints, opt);
-    } else {
-      build_per_port(kind == ScenarioKind::kScenario1, endpoints);
-    }
-    start_ = instant_ = now();
-  }
-
-  [[nodiscard]] MorelloTestbed& testbed() noexcept { return tb_; }
-  [[nodiscard]] sim::Ns now() noexcept { return tb_.clock().now(); }
-  [[nodiscard]] apps::FfOps& ops(int j = 0) { return *eps_.at(j).ops; }
-  [[nodiscard]] machine::CapView alloc(std::size_t n, int j = 0) {
-    return eps_.at(j).heap->alloc_view(n);
-  }
-  [[nodiscard]] const std::string& label(int j) const {
-    return eps_.at(j).label;
-  }
-  /// The stack (Scenario 2: the shard) endpoint j's calls land on, and the
-  /// port that stack serves.
-  [[nodiscard]] std::size_t stack_of(int j) const { return eps_.at(j).stack; }
-  [[nodiscard]] int port_of(int j) const { return stacks_[stack_of(j)].port; }
-  /// Scenario 2 only (nullptr otherwise).
-  [[nodiscard]] Scenario2Service* service() noexcept { return svc_.get(); }
-
-  /// Run `f` as endpoint j's application code: inside its cVM, or plainly
-  /// for a Baseline process.
-  template <typename F>
-  decltype(auto) run(int j, F&& f) {
-    iv::CVM* cvm = eps_.at(j).cvm;
-    return cvm != nullptr ? cvm->enter(std::forward<F>(f))
-                          : std::forward<F>(f)();
-  }
-
-  /// End one app iteration: run every stack, then every peer. The app
-  /// progress must be true only when bytes, an fd or a loan moved: a
-  /// bounced call that reported progress would re-run at the same instant
-  /// forever. Returns false once a termination guard fired.
-  bool turn(bool app_progress) {
-    bool progress = app_progress;
-    for (Stack& s : stacks_) {
-      progress |= s.run([&s] { return s.inst->run_once(); });
-    }
-    for (PeerHost* p : peers_) progress |= p->step();
-    if (!progress) idle();
-    const sim::Ns t = now();
-    if (t != instant_) {
-      instant_ = t;
-      same_instant_turns_ = 0;
-    } else if (++same_instant_turns_ > kMaxTurnsPerInstant) {
-      return false;
-    }
-    return t - start_ < time_limit_;
-  }
-
-  /// Driver-doorbell census summed over the Morello stacks.
-  [[nodiscard]] BandwidthOutcome::TxBurstCensus tx_census() const {
-    BandwidthOutcome::TxBurstCensus c;
-    for (const Stack& s : stacks_) {
-      const updk::EthStats es = s.inst->dev().stats();
-      c.frames += es.opackets;
-      c.bursts += es.tx_bursts;
-      c.segs += es.tx_segs;
-      c.bytes += es.obytes;
-      c.tso_frames += es.tso_frames;
-      c.tso_bytes += es.tso_bytes;
-    }
-    return c;
-  }
-
-  // ---- crossing census (endpoint 0; Scenario 1 or 2, so it has a cVM) ----
-
-  /// Crossing counters at one instant: sealed-entry jumps (Scenario 2's
-  /// proxied ff_* calls) and the app cVM's trampoline syscalls.
-  struct Marks {
-    std::uint64_t entry = 0;
-    std::uint64_t tramp = 0;
-  };
-  [[nodiscard]] Marks mark() {
-    return {tb_.intravisor().entries().crossings(),
-            eps_[0].cvm->trampoline().crossings()};
-  }
-  /// Attribute the crossings since `m` to the measured envelope.
-  void charge(const Marks& m) {
-    const Marks now_m = mark();
-    entry_x_ += now_m.entry - m.entry;
-    tramp_x_ += now_m.tramp - m.tramp;
-  }
-  /// One classic call inside the Fig. 4 measurement envelope: in a cVM the
-  /// two clock_gettime reads trampoline, and they are part of what a
-  /// measured call costs the application.
-  template <typename F>
-  std::int64_t measured(F&& call) {
-    const Marks m = mark();
-    (void)eps_[0].cvm->libc().clock_gettime_mono_raw_ns();
-    const std::int64_t r = std::forward<F>(call)();
-    (void)eps_[0].cvm->libc().clock_gettime_mono_raw_ns();
-    charge(m);
-    return r;
-  }
-
-  /// Price the attributed crossings and sample the stack/wire census.
-  void finish(std::uint64_t total_bytes, Census& out) {
-    // A sealed-entry jump pays kernel entry + trampoline + domain switch;
-    // a trampolined syscall the first two (paper Fig. 4/5: 140 + 125 + 75).
-    const sim::CostModel price = sim::CostModel::morello();
-    const auto tramp = static_cast<double>(price.trampoline_crossing().count());
-    const double entry =
-        tramp + static_cast<double>(price.domain_switch_extra.count());
-    const double mib = static_cast<double>(total_bytes) / (1024.0 * 1024.0);
-    out.crossings = entry_x_ + tramp_x_;
-    out.modeled_ns_per_mib =
-        mib > 0 ? (static_cast<double>(entry_x_) * entry +
-                   static_cast<double>(tramp_x_) * tramp) /
-                      mib
-                : 0.0;
-    const fstack::FfStack& st = stacks_[0].inst->stack();
-    out.rx_copied_bytes = st.rx_stats().copied_bytes;
-    out.zc_loans = st.api_stats().zc_rx_loans;
-    out.zc_recycles = st.api_stats().zc_rx_recycles;
-    out.tx_copied_bytes = st.tx_stats().copied_bytes;
-    out.tx_zc_bytes = st.tx_stats().zc_bytes;
-    out.tx_emit_payload_reads = st.tx_stats().emit_payload_reads;
-    out.stack_checksum_bytes = st.tx_stats().stack_checksum_bytes;
-    out.stack_csum_drops = st.stats().csum_errors;
-    out.rx_crc_errors = tb_.card().port(0).stats().rx_crc_errors;
-    out.wire_corrupts = tb_.wire(0).stats(1).impair_corrupts;
-    out.virtual_ns = static_cast<std::uint64_t>((now() - start_).count());
-  }
-
- private:
-  /// Baseline / Scenario 1: one stack per port, endpoint i's app in stack
-  /// i's own process or cVM.
-  void build_per_port(bool cheri, int endpoints) {
-    iv::Intravisor& iv = tb_.intravisor();
-    for (int i = 0; i < endpoints; ++i) peers_.push_back(&tb_.make_peer(i));
-    for (int i = 0; i < endpoints; ++i) {
-      Endpoint& e = eps_.emplace_back();
-      e.stack = static_cast<std::size_t>(i);
-      const InstanceConfig cfg = tb_.morello_cfg(i);
-      if (cheri) {
-        e.label = "cVM" + std::to_string(i + 1);
-        auto& s1 = s1_.emplace_back(
-            std::make_unique<Scenario1Cvm>(iv, tb_.card(), i, cfg, e.label));
-        e.cvm = &s1->cvm();
-        e.ops = &s1->ops();
-        e.heap = &s1->cvm().heap();
-        stacks_.push_back({&s1->instance(), e.cvm, nullptr, i});
-      } else {
-        e.label = endpoints > 1 ? "Baseline (cVM" + std::to_string(i + 1) + ")"
-                                : std::string("Baseline (cVM2)");
-        auto& bp = bp_.emplace_back(std::make_unique<BaselineProcess>(
-            iv, tb_.card(), i, cfg, "proc" + std::to_string(i)));
-        e.ops = &bp->ops();
-        e.heap = &bp->heap();
-        stacks_.push_back({&bp->instance(), nullptr, nullptr, i});
-      }
-    }
-  }
-
-  /// Scenario 2: the cVM1 shards (shard s on port s, or all on port 0's
-  /// RSS queues) and one app cVM per endpoint, pinned to shard j % shards.
-  void build_scenario2(int endpoints, const TestbedOptions& opt) {
-    iv::Intravisor& iv = tb_.intravisor();
-    const std::uint32_t nshards = std::max<std::uint32_t>(opt.s2_shards, 1);
-    // Dual-port scale-out puts shard s on port s; the card has two ports.
-    const int nports =
-        opt.s2_shards_same_port || nshards == 1
-            ? 1
-            : static_cast<int>(std::min<std::uint32_t>(nshards, 2));
-    for (int p = 0; p < nports; ++p) peers_.push_back(&tb_.make_peer(p));
-    cvm1_ = &iv.create_cvm("cVM1", 96u << 20);
-    std::vector<FullStackInstance*> ptrs;
-    for (std::uint32_t s = 0; s < nshards; ++s) {
-      const int p = static_cast<int>(s) % nports;
-      // RSS mode: every shard shares port 0's identity (IP + MAC); the
-      // 82576's Toeplitz/RETA steering and the listeners' L4 filters split
-      // the flows across the shards' queues.
-      shards_.push_back(
-          opt.s2_shards_same_port
-              ? std::make_unique<FullStackInstance>(
-                    tb_.card(), 0, s, nshards, cvm1_->heap(), tb_.clock(),
-                    tb_.morello_cfg(0))
-              : std::make_unique<FullStackInstance>(tb_.card(), p,
-                                                    cvm1_->heap(), tb_.clock(),
-                                                    tb_.morello_cfg(p)));
-      ptrs.push_back(shards_.back().get());
-    }
-    svc_ = std::make_unique<Scenario2Service>(iv, *cvm1_, ptrs);
-    for (std::uint32_t s = 0; s < nshards; ++s) {
-      stacks_.push_back(
-          {ptrs[s], cvm1_, &svc_->mutex(s), static_cast<int>(s) % nports});
-    }
-    for (int j = 0; j < endpoints; ++j) {
-      Endpoint& e = eps_.emplace_back();
-      e.label = "cVM" + std::to_string(2 + j);
-      e.cvm = &iv.create_cvm(e.label, 16u << 20);
-      e.stack = static_cast<std::size_t>(j) % nshards;
-      proxies_.push_back(svc_->make_proxy_ops(*e.cvm, e.stack));
-      e.ops = proxies_.back().get();
-      e.heap = &e.cvm->heap();
-    }
-  }
-
-  void idle() {
-    std::optional<sim::Ns> d;
-    const auto earliest = [&d](std::optional<sim::Ns> o) {
-      if (o && (!d || *o < *d)) d = o;
-    };
-    for (Stack& s : stacks_) {
-      if (s.mutex != nullptr) {
-        // Where the threaded main loop would park: publish it, so a ring
-        // user knows its next doorbell crossing is worth making.
-        s.run([&s] { s.inst->stack().urings_set_parked(true); });
-      }
-      earliest(s.inst->next_deadline());
-    }
-    for (PeerHost* p : peers_) earliest(p->next_deadline());
-    // Nothing scheduled ahead: step by the heartbeat the threaded loops
-    // park with.
-    tb_.clock().advance_to(d && *d > now() ? *d : now() + kHeartbeat);
-  }
-
-  MorelloTestbed tb_;
-  std::vector<std::unique_ptr<BaselineProcess>> bp_;
-  std::vector<std::unique_ptr<Scenario1Cvm>> s1_;
-  iv::CVM* cvm1_ = nullptr;
-  std::vector<std::unique_ptr<FullStackInstance>> shards_;
-  std::unique_ptr<Scenario2Service> svc_;
-  std::vector<std::unique_ptr<apps::FfOps>> proxies_;
-  std::vector<Stack> stacks_;
-  std::vector<Endpoint> eps_;
-  std::vector<PeerHost*> peers_;
-  sim::Ns time_limit_;
-  sim::Ns start_{0};
-  sim::Ns instant_{0};
-  std::uint64_t same_instant_turns_ = 0;
-  std::uint64_t entry_x_ = 0;
-  std::uint64_t tramp_x_ = 0;
-};
-
 }  // namespace
+
+LockstepRig::LockstepRig(ScenarioKind kind, int endpoints,
+                         std::uint64_t volume_bytes, const TestbedOptions& opt)
+    : tb_(opt), time_limit_(time_guard(volume_bytes)) {
+  if (kind == ScenarioKind::kScenario2Uncontended ||
+      kind == ScenarioKind::kScenario2Contended) {
+    build_scenario2(endpoints, opt);
+  } else {
+    build_per_port(kind == ScenarioKind::kScenario1, endpoints);
+  }
+  start_ = instant_ = now();
+}
+
+LockstepRig::~LockstepRig() = default;
+
+bool LockstepRig::turn(bool app_progress) {
+  bool progress = app_progress;
+  for (Stack& s : stacks_) {
+    progress |= s.run([&s] { return s.inst->run_once(); });
+  }
+  for (PeerHost* p : peers_) progress |= p->step();
+  if (!progress) idle();
+  const sim::Ns t = now();
+  if (t != instant_) {
+    instant_ = t;
+    same_instant_turns_ = 0;
+  } else if (++same_instant_turns_ > kMaxTurnsPerInstant) {
+    return false;
+  }
+  return t - start_ < time_limit_;
+}
+
+BandwidthOutcome::TxBurstCensus LockstepRig::tx_census() const {
+  BandwidthOutcome::TxBurstCensus c;
+  for (const Stack& s : stacks_) {
+    const updk::EthStats es = s.inst->dev().stats();
+    c.frames += es.opackets;
+    c.bursts += es.tx_bursts;
+    c.segs += es.tx_segs;
+    c.bytes += es.obytes;
+    c.tso_frames += es.tso_frames;
+    c.tso_bytes += es.tso_bytes;
+  }
+  return c;
+}
+
+LockstepRig::Marks LockstepRig::mark() {
+  return {tb_.intravisor().entries().crossings(),
+          eps_[0].cvm->trampoline().crossings()};
+}
+
+void LockstepRig::charge(const Marks& m) {
+  const Marks now_m = mark();
+  entry_x_ += now_m.entry - m.entry;
+  tramp_x_ += now_m.tramp - m.tramp;
+}
+
+void LockstepRig::finish(std::uint64_t total_bytes, Census& out) {
+  // A sealed-entry jump pays kernel entry + trampoline + domain switch;
+  // a trampolined syscall the first two (paper Fig. 4/5: 140 + 125 + 75).
+  const sim::CostModel price = sim::CostModel::morello();
+  const auto tramp = static_cast<double>(price.trampoline_crossing().count());
+  const double entry =
+      tramp + static_cast<double>(price.domain_switch_extra.count());
+  const double mib = static_cast<double>(total_bytes) / (1024.0 * 1024.0);
+  out.crossings = entry_x_ + tramp_x_;
+  out.modeled_ns_per_mib =
+      mib > 0 ? (static_cast<double>(entry_x_) * entry +
+                 static_cast<double>(tramp_x_) * tramp) /
+                    mib
+              : 0.0;
+  const fstack::FfStack& st = stacks_[0].inst->stack();
+  out.rx_copied_bytes = st.rx_stats().copied_bytes;
+  out.zc_loans = st.api_stats().zc_rx_loans;
+  out.zc_recycles = st.api_stats().zc_rx_recycles;
+  out.tx_copied_bytes = st.tx_stats().copied_bytes;
+  out.tx_zc_bytes = st.tx_stats().zc_bytes;
+  out.tx_emit_payload_reads = st.tx_stats().emit_payload_reads;
+  out.stack_checksum_bytes = st.tx_stats().stack_checksum_bytes;
+  out.stack_csum_drops = st.stats().csum_errors;
+  out.rx_crc_errors = tb_.card().port(0).stats().rx_crc_errors;
+  out.wire_corrupts = tb_.wire(0).stats(1).impair_corrupts;
+  out.virtual_ns = static_cast<std::uint64_t>((now() - start_).count());
+}
+
+void LockstepRig::build_per_port(bool cheri, int endpoints) {
+  iv::Intravisor& iv = tb_.intravisor();
+  for (int i = 0; i < endpoints; ++i) peers_.push_back(&tb_.make_peer(i));
+  for (int i = 0; i < endpoints; ++i) {
+    Endpoint& e = eps_.emplace_back();
+    e.stack = static_cast<std::size_t>(i);
+    const InstanceConfig cfg = tb_.morello_cfg(i);
+    if (cheri) {
+      e.label = "cVM" + std::to_string(i + 1);
+      auto& s1 = s1_.emplace_back(
+          std::make_unique<Scenario1Cvm>(iv, tb_.card(), i, cfg, e.label));
+      e.cvm = &s1->cvm();
+      e.ops = &s1->ops();
+      e.heap = &s1->cvm().heap();
+      stacks_.push_back({&s1->instance(), e.cvm, nullptr, i});
+    } else {
+      e.label = endpoints > 1 ? "Baseline (cVM" + std::to_string(i + 1) + ")"
+                              : std::string("Baseline (cVM2)");
+      auto& bp = bp_.emplace_back(std::make_unique<BaselineProcess>(
+          iv, tb_.card(), i, cfg, "proc" + std::to_string(i)));
+      e.ops = &bp->ops();
+      e.heap = &bp->heap();
+      stacks_.push_back({&bp->instance(), nullptr, nullptr, i});
+    }
+  }
+}
+
+void LockstepRig::build_scenario2(int endpoints, const TestbedOptions& opt) {
+  iv::Intravisor& iv = tb_.intravisor();
+  const std::uint32_t nshards = std::max<std::uint32_t>(opt.s2_shards, 1);
+  // Dual-port scale-out puts shard s on port s; the card has two ports.
+  const int nports =
+      opt.s2_shards_same_port || nshards == 1
+          ? 1
+          : static_cast<int>(std::min<std::uint32_t>(nshards, 2));
+  for (int p = 0; p < nports; ++p) peers_.push_back(&tb_.make_peer(p));
+  cvm1_ = &iv.create_cvm("cVM1", 96u << 20);
+  std::vector<FullStackInstance*> ptrs;
+  for (std::uint32_t s = 0; s < nshards; ++s) {
+    const int p = static_cast<int>(s) % nports;
+    // RSS mode: every shard shares port 0's identity (IP + MAC); the
+    // 82576's Toeplitz/RETA steering and the listeners' L4 filters split
+    // the flows across the shards' queues.
+    shards_.push_back(
+        opt.s2_shards_same_port
+            ? std::make_unique<FullStackInstance>(
+                  tb_.card(), 0, s, nshards, cvm1_->heap(), tb_.clock(),
+                  tb_.morello_cfg(0))
+            : std::make_unique<FullStackInstance>(tb_.card(), p,
+                                                  cvm1_->heap(), tb_.clock(),
+                                                  tb_.morello_cfg(p)));
+    ptrs.push_back(shards_.back().get());
+  }
+  svc_ = std::make_unique<Scenario2Service>(iv, *cvm1_, ptrs);
+  for (std::uint32_t s = 0; s < nshards; ++s) {
+    stacks_.push_back(
+        {ptrs[s], cvm1_, &svc_->mutex(s), static_cast<int>(s) % nports});
+  }
+  for (int j = 0; j < endpoints; ++j) add_app("cVM" + std::to_string(2 + j));
+}
+
+int LockstepRig::add_app(std::string label, int tid) {
+  const int j = static_cast<int>(eps_.size());
+  Endpoint& e = eps_.emplace_back();
+  e.label = std::move(label);
+  e.cvm = &tb_.intravisor().create_cvm(e.label, 16u << 20);
+  e.stack = static_cast<std::size_t>(j) % shards_.size();
+  proxies_.push_back(svc_->make_proxy_ops(*e.cvm, e.stack, tid));
+  e.ops = proxies_.back().get();
+  e.heap = &e.cvm->heap();
+  return j;
+}
+
+void LockstepRig::idle() {
+  std::optional<sim::Ns> d;
+  const auto earliest = [&d](std::optional<sim::Ns> o) {
+    if (o && (!d || *o < *d)) d = o;
+  };
+  for (Stack& s : stacks_) {
+    if (s.mutex != nullptr) {
+      // Where the threaded main loop would park: publish it, so a ring
+      // user knows its next doorbell crossing is worth making.
+      s.run([&s] { s.inst->stack().urings_set_parked(true); });
+    }
+    earliest(s.inst->next_deadline());
+  }
+  for (PeerHost* p : peers_) earliest(p->next_deadline());
+  // Nothing scheduled ahead: step by the heartbeat the threaded loops
+  // park with.
+  tb_.clock().advance_to(d && *d > now() ? *d : now() + kHeartbeat);
+}
 
 // ===========================================================================
 // Table II

@@ -2,8 +2,9 @@
 // dual-port 82576 + wires + peer hosts) and runs the paper's evaluation
 // configurations end to end. Each bench binary is a thin printer over
 // run_bandwidth() (Table II), run_ffwrite_latency() (Figures 4-6) and
-// run_census() (the Fig. 4/5 crossing census). Table II and the census run
-// on one single-threaded lockstep rig, so their counts and goodputs replay
+// run_census() (the Fig. 4/5 crossing census). Table II, the census, the
+// Scenario 3 fleet and the Scenario 2 proxy tests all run on the public
+// single-threaded LockstepRig, so their counts and goodputs replay
 // identically whatever the host load; only the Fig. 4-6 latency probes are
 // threaded and paced by the time arbiter (Fig. 6 times real futex
 // contention between threads).
@@ -11,9 +12,12 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "apps/ff_ops.hpp"
+#include "intravisor/compartment_mutex.hpp"
 #include "intravisor/intravisor.hpp"
 #include "nic/e82576.hpp"
 #include "nic/shared_bus.hpp"
@@ -286,5 +290,140 @@ struct Census {
 [[nodiscard]] Census run_census(ScenarioKind kind, CensusLeg leg,
                                 std::uint64_t total_bytes,
                                 const TestbedOptions& opt = TestbedOptions{});
+
+// ---------------------------------------------------------------------------
+// The lockstep rig
+// ---------------------------------------------------------------------------
+
+class BaselineProcess;
+class Scenario1Cvm;
+class Scenario2Service;
+
+/// The Morello node's stacks, its app compartments and the peer hosts, all
+/// pumped from the caller's thread in virtual-time lockstep. The stacks are
+/// one BaselineProcess or Scenario1Cvm per port (endpoint j's app shares
+/// stack j's process or cVM), or the cVM1 shards of a Scenario2Service,
+/// each under its own shard mutex, with one app cVM per endpoint pinned to
+/// shard j % shards. App code runs inside its compartment through run();
+/// turn() runs every stack's main loop inside its own compartment, then
+/// every peer, and when nobody progressed advances the clock to the
+/// earliest deadline. No threads and no arbiter: a run is a pure function
+/// of its inputs.
+class LockstepRig {
+ public:
+  /// `volume_bytes` sizes the virtual-time termination guard (see turn()).
+  LockstepRig(ScenarioKind kind, int endpoints, std::uint64_t volume_bytes,
+              const TestbedOptions& opt);
+  ~LockstepRig();
+
+  [[nodiscard]] MorelloTestbed& testbed() noexcept { return tb_; }
+  [[nodiscard]] sim::Ns now() noexcept { return tb_.clock().now(); }
+  [[nodiscard]] apps::FfOps& ops(int j = 0) { return *eps_.at(j).ops; }
+  [[nodiscard]] machine::CapView alloc(std::size_t n, int j = 0) {
+    return eps_.at(j).heap->alloc_view(n);
+  }
+  [[nodiscard]] const std::string& label(int j) const {
+    return eps_.at(j).label;
+  }
+  /// The stack (Scenario 2: the shard) endpoint j's calls land on, and the
+  /// port that stack serves.
+  [[nodiscard]] std::size_t stack_of(int j) const { return eps_.at(j).stack; }
+  [[nodiscard]] int port_of(int j) const { return stacks_[stack_of(j)].port; }
+  /// Scenario 2 only (nullptr otherwise).
+  [[nodiscard]] Scenario2Service* service() noexcept { return svc_.get(); }
+
+  /// Scenario 2 only: one more app cVM named `label`, pinned like the
+  /// constructor's endpoints, whose proxy binds every socket and ring it
+  /// creates to tenant `tid`. Returns its endpoint index.
+  int add_app(std::string label, int tid = 0);
+
+  /// Run `f` as endpoint j's application code: inside its cVM, or plainly
+  /// for a Baseline process.
+  template <typename F>
+  decltype(auto) run(int j, F&& f) {
+    iv::CVM* cvm = eps_.at(j).cvm;
+    return cvm != nullptr ? cvm->enter(std::forward<F>(f))
+                          : std::forward<F>(f)();
+  }
+
+  /// End one app iteration: run every stack, then every peer. The app
+  /// progress must be true only when bytes, an fd or a loan moved: a
+  /// bounced call that reported progress would re-run at the same instant
+  /// forever. Returns false once a termination guard fired.
+  bool turn(bool app_progress);
+
+  /// Driver-doorbell census summed over the Morello stacks.
+  [[nodiscard]] BandwidthOutcome::TxBurstCensus tx_census() const;
+
+  // ---- crossing census (endpoint 0; Scenario 1 or 2, so it has a cVM) ----
+
+  /// Crossing counters at one instant: sealed-entry jumps (Scenario 2's
+  /// proxied ff_* calls) and the app cVM's trampoline syscalls.
+  struct Marks {
+    std::uint64_t entry = 0;
+    std::uint64_t tramp = 0;
+  };
+  [[nodiscard]] Marks mark();
+  /// Attribute the crossings since `m` to the measured envelope.
+  void charge(const Marks& m);
+  /// One classic call inside the Fig. 4 measurement envelope: in a cVM the
+  /// two clock_gettime reads trampoline, and they are part of what a
+  /// measured call costs the application.
+  template <typename F>
+  std::int64_t measured(F&& call) {
+    const Marks m = mark();
+    (void)eps_[0].cvm->libc().clock_gettime_mono_raw_ns();
+    const std::int64_t r = std::forward<F>(call)();
+    (void)eps_[0].cvm->libc().clock_gettime_mono_raw_ns();
+    charge(m);
+    return r;
+  }
+  /// Price the attributed crossings and sample the stack/wire census.
+  void finish(std::uint64_t total_bytes, Census& out);
+
+ private:
+  struct Stack {
+    FullStackInstance* inst;
+    iv::CVM* cvm;                  // its loop's compartment (null: Baseline)
+    iv::CompartmentMutex* mutex;   // its cVM1 shard mutex (Scenario 2)
+    int port;
+
+    template <typename F>
+    decltype(auto) run(F&& f) {
+      std::optional<iv::CompartmentLockGuard> lk;
+      if (mutex != nullptr) lk.emplace(*mutex);
+      return cvm != nullptr ? cvm->enter(std::forward<F>(f))
+                            : std::forward<F>(f)();
+    }
+  };
+  struct Endpoint {
+    std::string label;
+    iv::CVM* cvm = nullptr;  // the app's compartment (null: Baseline)
+    apps::FfOps* ops = nullptr;
+    machine::CompartmentHeap* heap = nullptr;
+    std::size_t stack = 0;
+  };
+
+  void build_per_port(bool cheri, int endpoints);
+  void build_scenario2(int endpoints, const TestbedOptions& opt);
+  void idle();
+
+  MorelloTestbed tb_;
+  std::vector<std::unique_ptr<BaselineProcess>> bp_;
+  std::vector<std::unique_ptr<Scenario1Cvm>> s1_;
+  iv::CVM* cvm1_ = nullptr;
+  std::vector<std::unique_ptr<FullStackInstance>> shards_;
+  std::unique_ptr<Scenario2Service> svc_;
+  std::vector<std::unique_ptr<apps::FfOps>> proxies_;
+  std::vector<Stack> stacks_;
+  std::vector<Endpoint> eps_;
+  std::vector<PeerHost*> peers_;
+  sim::Ns time_limit_;
+  sim::Ns start_{0};
+  sim::Ns instant_{0};
+  std::uint64_t same_instant_turns_ = 0;
+  std::uint64_t entry_x_ = 0;
+  std::uint64_t tramp_x_ = 0;
+};
 
 }  // namespace cherinet::scen

@@ -95,15 +95,16 @@ void Scenario2Service::run_shard_loop(std::size_t shard,
 }
 
 std::unique_ptr<apps::FfOps> Scenario2Service::make_proxy_ops(
-    iv::CVM& app, std::size_t shard) {
-  return std::make_unique<ProxyFfOps>(this, &app, shard);
+    iv::CVM& app, std::size_t shard, int tid) {
+  return std::make_unique<ProxyFfOps>(this, &app, shard, tid);
 }
 
 // ---------------------------------------------------------------------------
 // ProxyFfOps
 // ---------------------------------------------------------------------------
 
-ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard)
+ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
+                       int tid)
     : svc_(svc), app_(app) {
   event_buf_ = app_->heap().alloc_view(kMaxProxyEvents * 12);
   zc_buf_ = app_->heap().alloc_view(kMaxZcRecords * kZcRecordBytes);
@@ -133,11 +134,20 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard)
     };
   };
 
-  e_socket_ = reg.install(tag + ":ff_socket", target,
-                          wrap([st](machine::CrossCallArgs&) -> std::int64_t {
-                            return fstack::ff_socket(*st, fstack::kAfInet,
-                                                     fstack::kSockStream, 0);
-                          }));
+  // Tenancy is fixed at attach time and bound INSIDE the creating entry —
+  // the same crossing and mutex acquisition that makes the socket or ring —
+  // so no handle is ever visible untenanted. Over quota, the handle dies
+  // before the app learns of it.
+  e_socket_ = reg.install(
+      tag + ":ff_socket", target,
+      wrap([st, tid](machine::CrossCallArgs&) -> std::int64_t {
+        const int fd =
+            fstack::ff_socket(*st, fstack::kAfInet, fstack::kSockStream, 0);
+        if (fd < 0) return fd;
+        const int r = fstack::ff_set_tenant(*st, fd, tid);
+        if (r < 0) fstack::ff_close(*st, fd);
+        return r < 0 ? r : fd;
+      }));
   e_bind_ = reg.install(
       tag + ":ff_bind", target,
       wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
@@ -322,10 +332,14 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard)
       wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
         fstack::FfZcBuf z;
         z.token = a.a[1];
-        return fstack::ff_zc_send(
+        const std::int64_t r = fstack::ff_zc_send(
             *st, static_cast<int>(a.a[0]), z, a.a[2],
             {fstack::Ipv4Addr{static_cast<std::uint32_t>(a.a[3])},
              static_cast<std::uint16_t>(a.a[4])});
+        // The post-call token goes back for the app-side handle to mirror:
+        // only the stack knows which outcomes consumed it.
+        a.cap0->store<std::uint64_t>(0, z.token);
+        return r;
       }));
   e_zc_abort_ = reg.install(
       tag + ":ff_zc_abort", target,
@@ -340,11 +354,15 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard)
   // covers the entire drain sweep, not one op.
   e_uring_attach_ = reg.install(
       tag + ":ff_uring_attach", target,
-      wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
+      wrap([st, tid](machine::CrossCallArgs& a) -> std::int64_t {
         if (!a.cap0.has_value()) return -EFAULT;
-        return fstack::ff_uring_attach(*st, *a.cap0,
-                                       static_cast<std::uint32_t>(a.a[0]),
-                                       static_cast<std::uint32_t>(a.a[1]));
+        const int id = fstack::ff_uring_attach(
+            *st, *a.cap0, static_cast<std::uint32_t>(a.a[0]),
+            static_cast<std::uint32_t>(a.a[1]));
+        if (id < 0) return id;
+        const int r = fstack::ff_uring_bind_tenant(*st, id, tid);
+        if (r < 0) fstack::ff_uring_detach(*st, id);
+        return r < 0 ? r : id;
       }));
   e_uring_detach_ = reg.install(
       tag + ":ff_uring_detach", target,
@@ -566,14 +584,13 @@ std::int64_t ProxyFfOps::zc_send(int fd, fstack::FfZcBuf& zc,
   a.a[2] = len;
   a.a[3] = to.ip.value;
   a.a[4] = to.port;
+  a.cap0 = zc_buf_;
   const std::int64_t r = call(e_zc_send_, a);
-  // Mirror the stack's token lifecycle in the app-side handle: consumed on
-  // success (and on the UDP driver-full path, where the stack freed the
-  // buffer); kept for retry on -EAGAIN / -EMSGSIZE.
-  if (r >= 0 || r == -ENOBUFS) {
-    zc.token = 0;
-    zc.data = machine::CapView{};
-  }
+  // Mirror the stack's token lifecycle in the app-side handle, exactly as
+  // a direct call would leave it: consumed tokens (success, a dead
+  // connection, any UDP outcome) lose their data view too.
+  zc.token = zc_buf_.load<std::uint64_t>(0);
+  if (zc.token == 0) zc.data = machine::CapView{};
   return r;
 }
 

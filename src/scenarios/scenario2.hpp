@@ -42,9 +42,11 @@ class Scenario2Service {
 
   /// Build the proxied ff_* ops for one application compartment, pinned to
   /// `shard`. Entries are installed per app so each contender's futex
-  /// escalation goes through its own trampoline.
+  /// escalation goes through its own trampoline. A registered tenant `tid`
+  /// (Scenario 3) is bound inside the ff_socket / ff_uring_attach entries
+  /// to every socket and ring the app creates; 0 leaves them untenanted.
   [[nodiscard]] std::unique_ptr<apps::FfOps> make_proxy_ops(
-      iv::CVM& app, std::size_t shard = 0);
+      iv::CVM& app, std::size_t shard = 0, int tid = 0);
 
   /// One shard's main loop body: serialize that shard's stack iterations
   /// against its proxied API calls via the shard's mutex; park on the
@@ -89,7 +91,8 @@ class Scenario2Service {
 /// Client-side stubs living in the application compartment.
 class ProxyFfOps final : public apps::FfOps {
  public:
-  ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard = 0);
+  ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard = 0,
+             int tid = 0);
 
   int socket_stream() override;
   int bind(int fd, fstack::Ipv4Addr ip, std::uint16_t port) override;

@@ -3,10 +3,12 @@
 // Scenario 2 proved the compartment boundary; Scenario 3 proves the stack
 // can be SHARED. N application compartments — a mix of echo, iperf and
 // MAVLink-telemetry workloads — attach to one network cVM, each bound to a
-// tenant row with its own resource quotas (fstack/tenant.hpp). The binding
-// is done by the ORCHESTRATOR through the control plane, never by the app
-// itself: a compartment cannot re-bill its traffic to a neighbour any more
-// than it can forge a capability.
+// tenant row with its own resource quotas (fstack/tenant.hpp). The
+// orchestrator fixes an app's tenant when it builds the app's proxy, and the
+// binding happens INSIDE the sealed ff_socket / ff_uring_attach entries, in
+// the crossing that creates the handle: no handle is ever untenanted, and
+// the app has no call that could re-bill its traffic to a neighbour, any
+// more than it can forge a capability.
 //
 // The fleet optionally includes HOSTILE tenants (scenarios/adversary.hpp):
 // seeded fault injectors that hoard loans, never reap CQEs, flood their SQ,
@@ -15,9 +17,13 @@
 // softly (-ENOBUFS/-EAGAIN/-EINVAL), its failures are accounted per cause
 // in its TenantStats row — while the victims keep their SLO. Eviction then
 // reclaims every resource the offender pinned.
+//
+// The fleet runs on the LockstepRig (scenarios/experiment.hpp): every app
+// compartment, cVM1's stack loop and the wire peer take turns on the
+// caller's thread, so a fleet run replays identically whatever the host
+// load.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -60,6 +66,8 @@ struct TenantOutcome {
   std::uint64_t goodput_bytes = 0;  // victim workloads; 0 for adversaries
   fstack::TenantStats stats;        // stack-side census at harvest time
   HostileTenant::Census abuse;      // adversary-side census (hostile only)
+
+  bool operator==(const TenantOutcome&) const = default;
 };
 
 struct Scenario3Outcome {
@@ -70,23 +78,20 @@ struct Scenario3Outcome {
   std::size_t wheel_end = 0;
   std::uint32_t pool_available_end = 0;
   std::uint32_t pool_indirect_available_end = 0;
+
+  bool operator==(const Scenario3Outcome&) const = default;
 };
 
-/// The tenant-aware control plane over a single-shard Scenario2Service.
-/// All tenant mutations go through here UNDER THE SHARD MUTEX — tenancy is
-/// orchestrator-assigned state, not something an app can set on itself.
+/// The tenant-aware control plane over shard 0 of a Scenario2Service.
+/// Registration, eviction and census reads run UNDER THE SHARD MUTEX —
+/// tenancy is orchestrator-assigned state; an app's tenant is fixed when
+/// its proxy is built (Scenario2Service::make_proxy_ops(app, shard, tid)).
 class Scenario3Service {
  public:
-  Scenario3Service(iv::Intravisor& iv, iv::CVM& cvm1, FullStackInstance& inst);
+  explicit Scenario3Service(Scenario2Service& svc) : svc_(svc) {}
 
   /// Register a tenant row; returns tid >= 1.
   int register_tenant(std::string name, const fstack::TenantQuota& quota);
-
-  /// Proxied ff_* ops for one app compartment with automatic tenant
-  /// binding: every socket the app creates and every ring it attaches is
-  /// bound to `tid` by the control plane before the app sees the handle.
-  [[nodiscard]] std::unique_ptr<apps::FfOps> make_tenant_ops(iv::CVM& app,
-                                                             int tid);
 
   /// Hard-evict a tenant: reclaim every PCB, wheel timer, loan,
   /// reservation, parked frame and pool buffer it pinned.
@@ -95,21 +100,14 @@ class Scenario3Service {
   /// Snapshot of the tenant's stack-side census.
   [[nodiscard]] fstack::TenantStats stats(int tid);
 
-  [[nodiscard]] Scenario2Service& base() noexcept { return svc_; }
-  [[nodiscard]] FullStackInstance& instance() noexcept { return inst_; }
-
  private:
-  friend class TenantFfOps;
-  int bind_socket(int fd, int tid);
-  int bind_ring(int ring_id, int tid);
-
-  Scenario2Service svc_;
-  FullStackInstance& inst_;
+  Scenario2Service& svc_;
 };
 
 /// Run the fleet: one stack compartment, one wire peer, one app compartment
-/// per tenant spec. Victim goodput, per-tenant censuses and post-eviction
-/// baselines come back in the outcome for the SLO / reclamation gates.
+/// per tenant spec, in lockstep on the caller's thread. Victim goodput,
+/// per-tenant censuses and post-eviction baselines come back in the outcome
+/// for the SLO / reclamation gates; the same inputs give the same outcome.
 Scenario3Outcome run_scenario3_fleet(const Scenario3Options& s3,
                                      const TestbedOptions& opt = {});
 

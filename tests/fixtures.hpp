@@ -1,100 +1,12 @@
 // Shared test fixtures.
 #pragma once
 
-#include <functional>
-
-#include "machine/address_space.hpp"
-#include "nic/e82576.hpp"
-#include "nic/wire.hpp"
-#include "scenarios/stack_instance.hpp"
-#include "sim/testbed.hpp"
+#include "scenarios/two_stacks.hpp"
 
 namespace cherinet::test {
 
-/// Two full stacks joined by one wire, stepped deterministically on a
-/// manually-advanced virtual clock (no threads, no arbiter): the workhorse
-/// for protocol-level integration tests.
-class TwoStacks {
- public:
-  explicit TwoStacks(sim::Testbed phys = sim::Testbed::unconstrained(),
-                     fstack::TcpConfig tcp = fstack::TcpConfig{},
-                     updk::EalConfig eal = updk::EalConfig{})
-      : as_(96u << 20),
-        wire_(&clock_, nullptr, phys),
-        card_a_(&as_.mem(), &clock_,
-                {nic::MacAddr::local(10), nic::MacAddr::local(11)}),
-        card_b_(&as_.mem(), &clock_,
-                {nic::MacAddr::local(20), nic::MacAddr::local(21)}) {
-    card_a_.connect(0, &wire_, 0);
-    card_b_.connect(0, &wire_, 1);
-    heap_a_ = std::make_unique<machine::CompartmentHeap>(
-        &as_.mem(), as_.carve(24u << 20, cheri::PermSet::data_rw(), "A"));
-    heap_b_ = std::make_unique<machine::CompartmentHeap>(
-        &as_.mem(), as_.carve(24u << 20, cheri::PermSet::data_rw(), "B"));
-    scen::InstanceConfig ca;
-    ca.netif.ip = fstack::Ipv4Addr::of(10, 0, 0, 1);
-    ca.tcp = tcp;
-    ca.eal = eal;
-    scen::InstanceConfig cb = ca;
-    cb.netif.ip = fstack::Ipv4Addr::of(10, 0, 0, 2);
-    a_ = std::make_unique<scen::FullStackInstance>(card_a_, 0, *heap_a_,
-                                                   clock_, ca);
-    b_ = std::make_unique<scen::FullStackInstance>(card_b_, 0, *heap_b_,
-                                                   clock_, cb);
-  }
-
-  [[nodiscard]] fstack::FfStack& a() { return a_->stack(); }
-  [[nodiscard]] fstack::FfStack& b() { return b_->stack(); }
-  [[nodiscard]] updk::Mempool& pool_a() { return a_->pool(); }
-  [[nodiscard]] updk::Mempool& pool_b() { return b_->pool(); }
-  [[nodiscard]] machine::CompartmentHeap& heap_a() { return *heap_a_; }
-  [[nodiscard]] machine::CompartmentHeap& heap_b() { return *heap_b_; }
-  [[nodiscard]] sim::VirtualClock& clock() { return clock_; }
-  [[nodiscard]] nic::Wire& wire() { return wire_; }
-  /// The NIC device models (MAC-level stats: FCS rejects, filter drops).
-  [[nodiscard]] nic::E82576Device& card_a() { return card_a_; }
-  [[nodiscard]] nic::E82576Device& card_b() { return card_b_; }
-  [[nodiscard]] fstack::Ipv4Addr ip_a() const {
-    return fstack::Ipv4Addr::of(10, 0, 0, 1);
-  }
-  [[nodiscard]] fstack::Ipv4Addr ip_b() const {
-    return fstack::Ipv4Addr::of(10, 0, 0, 2);
-  }
-
-  /// Step both stacks; when neither progresses, advance virtual time to the
-  /// earliest pending deadline. Returns true once `pred` holds.
-  bool pump_until(const std::function<bool()>& pred, int max_iters = 200000) {
-    for (int i = 0; i < max_iters; ++i) {
-      if (pred()) return true;
-      bool progress = a_->run_once();
-      progress |= b_->run_once();
-      if (!progress) {
-        auto d = a_->next_deadline();
-        const auto db = b_->next_deadline();
-        if (db && (!d || *db < *d)) d = db;
-        if (!d) return pred();  // nothing will ever happen again
-        clock_.advance_to(*d);
-      }
-    }
-    return pred();
-  }
-
-  /// Pump a fixed number of iterations (for negative tests).
-  void pump(int iters) {
-    const auto never = [] { return false; };
-    pump_until(never, iters);
-  }
-
- private:
-  sim::VirtualClock clock_;
-  machine::AddressSpace as_;
-  nic::Wire wire_;
-  nic::E82576Device card_a_;
-  nic::E82576Device card_b_;
-  std::unique_ptr<machine::CompartmentHeap> heap_a_;
-  std::unique_ptr<machine::CompartmentHeap> heap_b_;
-  std::unique_ptr<scen::FullStackInstance> a_;
-  std::unique_ptr<scen::FullStackInstance> b_;
-};
+/// The library's deterministic twin-stack rig (scenarios/two_stacks.hpp),
+/// shared with the benches and examples that need a peer stack.
+using scen::TwoStacks;
 
 }  // namespace cherinet::test

@@ -1,11 +1,11 @@
 // Scenario-level integration: all five Table II configurations at reduced
-// volume and the crossing census on the lockstep rig, the threaded ff_write
-// latency probes, the cross-compartment proxy, and compartment-escape
-// containment (Fig. 3).
+// volume, the crossing census and the cross-compartment proxy on the
+// lockstep rig, the threaded ff_write latency probes, and
+// compartment-escape containment (Fig. 3).
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdlib>
-#include <thread>
 
 #include "apps/iperf.hpp"
 #include "scenarios/experiment.hpp"
@@ -193,58 +193,37 @@ TEST(Latency, Scenario2ContentionDwarfsUncontended) {
       << "a paced solo writer must never wait out multiple drain epochs";
 }
 
+// The Scenario 2 proxy tests run on the lockstep rig: the app body, cVM1's
+// stack loop (under the shard mutex) and the wire peer take turns on the
+// test's thread. App code runs inside its cVM through rig.run(), so a
+// capability fault there propagates and fails the test.
+
 TEST(Scenario2Proxy, OpsWorkAcrossCompartments) {
-  MorelloTestbed tb(fast_options());
-  auto& iv = tb.intravisor();
-  tb.arbiter().expect_participants(3);
-  auto& peer = tb.make_peer(0);
+  LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, 64 * 1024,
+                  fast_options());
+  PeerHost& peer = rig.testbed().peer(0);
   peer.serve_iperf(5201, 1);
-  peer.start();
-
-  iv::CVM& cvm1 = iv.create_cvm("cVM1", 64u << 20);
-  FullStackInstance inst(tb.card(), 0, cvm1.heap(), tb.clock(),
-                         tb.morello_cfg(0));
-  Scenario2Service svc(iv, cvm1, inst);
-  std::atomic<bool> stop{false};
-  cvm1.start([&] { svc.run_shard_loop(0, stop, tb.arbiter()); });
-
-  iv::CVM& app = iv.create_cvm("cVM2", 8u << 20);
-  auto ops = svc.make_proxy_ops(app);
-  std::atomic<bool> ok{false};
-  app.start([&] {
-    auto buf = app.alloc(2048);
-    const int fd = ops->socket_stream();
+  apps::FfOps& ops = rig.ops();
+  const machine::CapView buf = rig.alloc(2048);
+  rig.run(0, [&] {
+    const int fd = ops.socket_stream();
     EXPECT_GE(fd, 3);
-    ops->connect(fd, MorelloTestbed::peer_ip(0), 5201);
-    sim::Participant part(tb.arbiter(), "app-probe");
+    ops.connect(fd, MorelloTestbed::peer_ip(0), 5201);
     std::uint64_t sent = 0;
     while (sent < 64 * 1024) {
-      const auto token = part.prepare();
-      const auto r = ops->write(fd, buf, 1448);
-      if (r > 0) {
-        sent += static_cast<std::uint64_t>(r);
-      } else {
-        part.wait(token, tb.clock().now() + sim::Ns{1'000'000});
-      }
+      const auto r = ops.write(fd, buf, 1448);
+      if (r > 0) sent += static_cast<std::uint64_t>(r);
+      if (!rig.turn(r > 0)) break;
     }
-    ops->close(fd);
-    ok = true;
+    ops.close(fd);
   });
-  app.join();
-  EXPECT_TRUE(ok);
-  EXPECT_FALSE(app.faulted());
+  Scenario2Service& svc = *rig.service();
   EXPECT_GT(svc.proxied_calls(), 40u);
-  EXPECT_GT(iv.entries().crossings(), 40u);
+  EXPECT_GT(rig.testbed().intravisor().entries().crossings(), 40u);
 
-  // Let the FIN exchange drain before tearing the service down.
-  for (int i = 0; i < 5000 && !peer.workload_finished(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // Let the FIN exchange drain.
+  while (!peer.workload_finished() && rig.turn(false)) {
   }
-  stop = true;
-  tb.arbiter().kick();
-  cvm1.join();
-  peer.request_stop();
-  peer.join();
   // The bytes actually arrived at the peer (46 writes of 1448 bytes: the
   // probe loop overshoots the 64 KiB target by a partial chunk).
   EXPECT_TRUE(peer.workload_finished());
@@ -256,56 +235,43 @@ TEST(Scenario2Proxy, ZeroCopyRecvAcrossCompartments) {
   // streams into cVM1's stack; the app compartment gates on epoll_wait and
   // drains ff_zc_recv loan bursts (read-only bounded views into cVM1's mbuf
   // arena), recycling in batches.
-  MorelloTestbed tb(fast_options());
-  auto& iv = tb.intravisor();
-  tb.arbiter().expect_participants(3);
   constexpr std::uint64_t kVolume = 256 * 1024;
-  auto& peer = tb.make_peer(0);
-  peer.run_iperf_client(MorelloTestbed::morello_ip(0), 5201, kVolume);
-  peer.start();
+  LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, kVolume,
+                  fast_options());
+  rig.testbed().peer(0).run_iperf_client(MorelloTestbed::morello_ip(0), 5201,
+                                         kVolume);
+  apps::FfOps& ops = rig.ops();
+  std::uint64_t received = 0;
+  bool clean = true;
+  rig.run(0, [&] {
+    const int lfd = ops.socket_stream();
+    ops.bind(lfd, fstack::Ipv4Addr{}, 5201);
+    ops.listen(lfd, 4);
+    const int ep = ops.epoll_create();
+    ops.epoll_ctl(ep, fstack::EpollOp::kAdd, lfd, fstack::kEpollIn,
+                  static_cast<std::uint64_t>(lfd));
 
-  iv::CVM& cvm1 = iv.create_cvm("cVM1", 64u << 20);
-  FullStackInstance inst(tb.card(), 0, cvm1.heap(), tb.clock(),
-                         tb.morello_cfg(0));
-  Scenario2Service svc(iv, cvm1, inst);
-  std::atomic<bool> stop{false};
-  cvm1.start([&] { svc.run_shard_loop(0, stop, tb.arbiter()); });
-
-  iv::CVM& app = iv.create_cvm("cVM2", 8u << 20);
-  auto ops = svc.make_proxy_ops(app);
-  std::atomic<std::uint64_t> received{0};
-  std::atomic<bool> clean{true};
-  app.start([&] {
-    const int lfd = ops->socket_stream();
-    ops->bind(lfd, fstack::Ipv4Addr{}, 5201);
-    ops->listen(lfd, 4);
-    const int ep = ops->epoll_create();
-    ops->epoll_ctl(ep, fstack::EpollOp::kAdd, lfd, fstack::kEpollIn,
-                   static_cast<std::uint64_t>(lfd));
-
-    sim::Participant part(tb.arbiter(), "zc-app");
     int cfd = -1;
     bool eof = false;
-    while (!eof && received.load() < kVolume) {
-      const auto token = part.prepare();
+    while (!eof && received < kVolume) {
       bool progress = false;
       bool readable = false;
       fstack::FfEpollEvent evs[8];
-      const int n = ops->epoll_wait(ep, evs);
+      const int n = ops.epoll_wait(ep, evs);
       for (int i = 0; i < n; ++i) {
         readable |= static_cast<int>(evs[i].data) == cfd;
       }
       if (cfd < 0) {
         int fds[1];
-        if (ops->accept_batch(lfd, fds) == 1) {
+        if (ops.accept_batch(lfd, fds) == 1) {
           cfd = fds[0];
-          ops->epoll_ctl(ep, fstack::EpollOp::kAdd, cfd, fstack::kEpollIn,
-                         static_cast<std::uint64_t>(cfd));
+          ops.epoll_ctl(ep, fstack::EpollOp::kAdd, cfd, fstack::kEpollIn,
+                        static_cast<std::uint64_t>(cfd));
           progress = true;
         }
       } else if (readable) {
         fstack::FfZcRxBuf loans[8];
-        const std::int64_t n = ops->zc_recv(cfd, loans);
+        const std::int64_t n = ops.zc_recv(cfd, loans);
         if (n > 0) {
           for (std::int64_t i = 0; i < n; ++i) {
             received += loans[i].data.size();
@@ -313,7 +279,7 @@ TEST(Scenario2Proxy, ZeroCopyRecvAcrossCompartments) {
             const std::byte poison[1] = {std::byte{0xFF}};
             EXPECT_THROW(loans[i].data.write(0, poison), cheri::CapFault);
           }
-          if (ops->zc_recycle_batch({loans, static_cast<std::size_t>(n)}) !=
+          if (ops.zc_recycle_batch({loans, static_cast<std::size_t>(n)}) !=
               n) {
             clean = false;
           }
@@ -322,24 +288,18 @@ TEST(Scenario2Proxy, ZeroCopyRecvAcrossCompartments) {
           eof = true;
         }
       }
-      if (!progress) part.wait(token, tb.clock().now() + sim::Ns{1'000'000});
+      if (!rig.turn(progress)) break;
     }
-    ops->close(cfd);
-    ops->close(ep);
-    ops->close(lfd);
+    ops.close(cfd);
+    ops.close(ep);
+    ops.close(lfd);
   });
-  app.join();
-  stop = true;
-  tb.arbiter().kick();
-  cvm1.join();
-  peer.request_stop();
-  peer.join();
 
-  EXPECT_FALSE(app.faulted());
-  EXPECT_TRUE(clean.load());
-  EXPECT_GE(received.load(), kVolume);
+  EXPECT_TRUE(clean);
+  EXPECT_GE(received, kVolume);
   // The whole volume moved with ZERO receive-side copies and every loan
   // went back through recycle.
+  FullStackInstance& inst = rig.service()->instance();
   const auto& rx = inst.stack().rx_stats();
   const auto& api = inst.stack().api_stats();
   EXPECT_EQ(rx.copied_bytes, 0u);
@@ -354,53 +314,31 @@ TEST(Scenario2Proxy, UringServesTheReceiveSideAcrossCompartments) {
   // ONE ff_uring (a single sealed-entry arming crossing), and from then on
   // accepted fds, readiness, zc loans and recycle batches all move through
   // the ring — the iperf server port drives it unmodified.
-  MorelloTestbed tb(fast_options());
-  auto& iv = tb.intravisor();
-  tb.arbiter().expect_participants(3);
   constexpr std::uint64_t kVolume = 256 * 1024;
-  auto& peer = tb.make_peer(0);
-  peer.run_iperf_client(MorelloTestbed::morello_ip(0), 5201, kVolume);
-  peer.start();
-
-  iv::CVM& cvm1 = iv.create_cvm("cVM1", 64u << 20);
-  FullStackInstance inst(tb.card(), 0, cvm1.heap(), tb.clock(),
-                         tb.morello_cfg(0));
-  Scenario2Service svc(iv, cvm1, inst);
-  std::atomic<bool> stop{false};
-  cvm1.start([&] { svc.run_shard_loop(0, stop, tb.arbiter()); });
-
-  iv::CVM& app = iv.create_cvm("cVM2", 8u << 20);
-  auto ops = svc.make_proxy_ops(app);
-  std::atomic<std::uint64_t> received{0};
-  std::atomic<std::uint64_t> ring_crossings{0};
-  app.start([&] {
-    machine::CapView rx = app.alloc(16 * 1024);
-    apps::IperfServer srv(ops.get(), &tb.clock(), 5201, rx, 1);
-    machine::CapView ring_mem =
-        app.alloc(fstack::FfUring::bytes_for(32, 64));
-    const std::uint64_t before = iv.entries().crossings();
+  LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, kVolume,
+                  fast_options());
+  rig.testbed().peer(0).run_iperf_client(MorelloTestbed::morello_ip(0), 5201,
+                                         kVolume);
+  const auto& entries = rig.testbed().intravisor().entries();
+  std::uint64_t received = 0;
+  std::uint64_t ring_crossings = 0;
+  rig.run(0, [&] {
+    apps::IperfServer srv(&rig.ops(), &rig.testbed().clock(), 5201,
+                          rig.alloc(16 * 1024), 1);
+    const machine::CapView ring_mem =
+        rig.alloc(fstack::FfUring::bytes_for(32, 64));
+    const std::uint64_t before = entries.crossings();
     EXPECT_EQ(srv.use_uring(ring_mem, 32, 64), 0);
-    sim::Participant part(tb.arbiter(), "uring-app");
-    while (!srv.finished()) {
-      const auto token = part.prepare();
-      if (!srv.step()) {
-        part.wait(token, tb.clock().now() + sim::Ns{1'000'000});
-      }
+    while (!srv.finished() && rig.turn(srv.step())) {
     }
     // Crossings attributable to moving the whole volume through the ring:
     // the arm, the accept-time epoll_ctl, teardown, and doorbells.
-    ring_crossings = iv.entries().crossings() - before;
+    ring_crossings = entries.crossings() - before;
     received = srv.report().bytes;
   });
-  app.join();
-  stop = true;
-  tb.arbiter().kick();
-  cvm1.join();
-  peer.request_stop();
-  peer.join();
 
-  EXPECT_FALSE(app.faulted());
-  EXPECT_EQ(received.load(), kVolume);
+  EXPECT_EQ(received, kVolume);
+  FullStackInstance& inst = rig.service()->instance();
   const auto& api = inst.stack().api_stats();
   EXPECT_GE(api.uring_attaches, 1u);
   EXPECT_GT(api.uring_sqes, 0u);
@@ -409,7 +347,34 @@ TEST(Scenario2Proxy, UringServesTheReceiveSideAcrossCompartments) {
   EXPECT_EQ(inst.stack().rx_stats().copied_bytes, 0u);
   // 176+ MSS segments moved through the boundary on a handful of sealed
   // jumps — nothing remotely per-op (the v2 zc path paid one per burst).
-  EXPECT_LT(ring_crossings.load(), 48u);
+  EXPECT_LT(ring_crossings, 48u);
+}
+
+TEST(Scenario2Proxy, ZcSendOnDeadConnectionLeavesTheSameHandleAsDirect) {
+  // ff_zc_send consumes the token when the TCP connection is dead. The
+  // proxied handle must end exactly where a direct caller's does — token 0,
+  // no data view — and a late abort answers -EINVAL on both.
+  for (const ScenarioKind kind :
+       {ScenarioKind::kBaseline1Proc, ScenarioKind::kScenario2Uncontended}) {
+    SCOPED_TRACE(to_string(kind));
+    LockstepRig rig(kind, 1, 0, fast_options());
+    apps::FfOps& ops = rig.ops();
+    const machine::CapView probe = rig.alloc(16);
+    rig.run(0, [&] {
+      // Nothing listens on the peer's port: the SYN earns an RST.
+      const int fd = ops.socket_stream();
+      ops.connect(fd, MorelloTestbed::peer_ip(0), 5999);
+      while (ops.write(fd, probe, 1) != -ECONNREFUSED && rig.turn(false)) {
+      }
+      fstack::FfZcBuf zc;
+      ASSERT_EQ(ops.zc_alloc(64, &zc), 0);
+      EXPECT_EQ(ops.zc_send(fd, zc, 64, {}), -ECONNREFUSED);
+      EXPECT_EQ(zc.token, 0u);
+      EXPECT_FALSE(zc.data.valid());
+      EXPECT_EQ(ops.zc_abort(zc), -EINVAL);
+      ops.close(fd);
+    });
+  }
 }
 
 TEST(Census, SameInputsSameCounts) {

@@ -32,6 +32,19 @@ TEST(FfApi, BindValidation) {
   const int udp2 = ff_socket(ts.a(), kAfInet, kSockDgram, 0);
   EXPECT_EQ(ff_bind(ts.a(), udp1, {Ipv4Addr{}, 6000}), 0);
   EXPECT_EQ(ff_bind(ts.a(), udp2, {Ipv4Addr{}, 6000}), -EADDRINUSE);
+  // The loser stayed unbound: closing it must not release the winner's
+  // port, which still receives from stack B.
+  EXPECT_EQ(ff_close(ts.a(), udp2), 0);
+  const int sender = ff_socket(ts.b(), kAfInet, kSockDgram, 0);
+  auto msg = ts.heap_b().alloc_view(16);
+  EXPECT_EQ(ff_sendto(ts.b(), sender, msg, 16, {ts.ip_a(), 6000}), 16);
+  auto rx = ts.heap_a().alloc_view(16);
+  EXPECT_TRUE(ts.pump_until(
+      [&] { return ff_recvfrom(ts.a(), udp1, rx, 16, nullptr) == 16; }));
+  // A fresh loser is free to retry on another port.
+  const int udp3 = ff_socket(ts.a(), kAfInet, kSockDgram, 0);
+  EXPECT_EQ(ff_bind(ts.a(), udp3, {Ipv4Addr{}, 6000}), -EADDRINUSE);
+  EXPECT_EQ(ff_bind(ts.a(), udp3, {Ipv4Addr{}, 6001}), 0);
 }
 
 TEST(FfApi, ListenAcceptErrors) {

@@ -581,10 +581,14 @@ TEST(Tenants, HostileForgerOnlyEverEarnsEinval) {
 }
 
 // ---------------------------------------------------------------------------
-// The fleet (threaded scenario-3 harness)
+// The fleet (Scenario 3 on the lockstep rig)
 // ---------------------------------------------------------------------------
 
-TEST(Tenants, FleetMixedWorkloadsWithHostileHoarderKeepSlo) {
+namespace {
+
+/// Echo, iperf and MAVLink victims sharing the stack with a quota-bounded
+/// hoarder.
+scen::Scenario3Options mixed_fleet() {
   scen::Scenario3Options s3;
   s3.bytes_per_tenant = 48 * 1024;
   fstack::TenantQuota trusted;  // unlimited
@@ -600,7 +604,13 @@ TEST(Tenants, FleetMixedWorkloadsWithHostileHoarderKeepSlo) {
       {"mav0", scen::TenantWorkload::kMavlink, trusted, {}});
   s3.tenants.push_back({"evil0", scen::TenantWorkload::kIperf, bounded,
                         scen::HostileProfile::kHoard});
+  return s3;
+}
 
+}  // namespace
+
+TEST(Tenants, FleetMixedWorkloadsWithHostileHoarderKeepSlo) {
+  const scen::Scenario3Options s3 = mixed_fleet();
   const scen::Scenario3Outcome out = scen::run_scenario3_fleet(s3);
   ASSERT_EQ(out.tenants.size(), 4u);
   for (const auto& to : out.tenants) {
@@ -617,4 +627,58 @@ TEST(Tenants, FleetMixedWorkloadsWithHostileHoarderKeepSlo) {
       EXPECT_GE(to.goodput_bytes, s3.bytes_per_tenant) << to.name;
     }
   }
+}
+
+TEST(Tenants, FleetReplaysIdentically) {
+  // The fleet runs in lockstep on one thread: the same options replay the
+  // same outcome field for field — goodput, every tenant's census, the
+  // adversaries' own counts and the post-eviction baselines — whatever the
+  // host load. A flooder rides along so doorbell-driven drains are covered.
+  scen::Scenario3Options s3 = mixed_fleet();
+  fstack::TenantQuota bounded;
+  bounded.max_sockets = 4;
+  bounded.sq_drain_weight = 1;
+  s3.tenants.push_back({"evil1", scen::TenantWorkload::kIperf, bounded,
+                        scen::HostileProfile::kFlood});
+  const scen::Scenario3Outcome a = scen::run_scenario3_fleet(s3);
+  const scen::Scenario3Outcome b = scen::run_scenario3_fleet(s3);
+  ASSERT_EQ(a.tenants.size(), 5u);
+  EXPECT_EQ(a.evicted, 2u);
+  for (const auto& to : a.tenants) {
+    if (!to.hostile) {
+      EXPECT_GE(to.goodput_bytes, s3.bytes_per_tenant) << to.name;
+    }
+  }
+  EXPECT_TRUE(a == b);
+}
+
+TEST(Tenants, ProxyBindsTheTenantInsideTheCreatingEntry) {
+  // Scenario 3 tenancy lives in the sealed entries: ff_socket and
+  // ff_uring_attach bind the app's tenant in the crossing that creates the
+  // handle, and an over-quota socket dies inside that same crossing.
+  scen::TestbedOptions opt;
+  opt.cost = sim::CostModel::disabled();
+  scen::LockstepRig rig(scen::ScenarioKind::kScenario2Uncontended, 0, 0, opt);
+  scen::Scenario3Service svc(*rig.service());
+  TenantQuota q;
+  q.max_sockets = 1;
+  const int tid = svc.register_tenant("t", q);
+  const int app = rig.add_app("tenant:t", tid);
+  apps::FfOps& ops = rig.ops(app);
+  const auto& entries = rig.testbed().intravisor().entries();
+  const machine::CapView ring_mem = rig.alloc(FfUring::bytes_for(8, 16), app);
+  rig.run(app, [&] {
+    FfUring ring(ring_mem, 8, 16);  // lays out the header attach validates
+    EXPECT_GE(ops.socket_stream(), 0);
+    const std::uint64_t before = entries.crossings();
+    EXPECT_EQ(ops.socket_stream(), -EMFILE);
+    EXPECT_EQ(entries.crossings() - before, 1u);  // reject + close: one jump
+    const int id = ops.uring_attach(ring_mem, 8, 16);
+    ASSERT_GT(id, 0);
+    ops.uring_doorbell(id);
+  });
+  const TenantStats st = svc.stats(tid);
+  EXPECT_EQ(st.sockets, 1u);
+  EXPECT_EQ(st.socket_cap_rejects, 1u);
+  EXPECT_EQ(st.doorbells, 1u);  // the ring bills the tenant it was bound to
 }
