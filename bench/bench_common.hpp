@@ -2,9 +2,15 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "scenarios/experiment.hpp"
 #include "stats/box_plot.hpp"
@@ -42,22 +48,181 @@ inline void print_latency(const std::vector<stats::NamedSummary>& rows) {
   std::printf("\n%s\n", stats::render_box_plots(rows).c_str());
 }
 
-/// Everything the fig4/fig5 gates measure, kept so the bench can emit one
-/// JSON artifact per figure (scripts/check.sh surfaces them as
-/// BENCH_fig4.json / BENCH_fig5.json — the cross-PR perf trajectory).
-struct BenchArtifacts {
-  std::uint64_t census_bytes = 0;
-  scen::Census tx_v1;
-  scen::Census tx_v2;
-  scen::Census rx_v1;
-  scen::Census rx_zc;
-  scen::Census tx_uring;
-  scen::Census tx_uring_zc;  // TCP zc TX (OP_ZC_ALLOC + OP_ZC_SEND)
-  scen::Census rx_uring;
-  scen::Census rx_lossy;     // RX through a corrupting wire
-  scen::BandwidthOutcome::TxBurstCensus tso;      // TSO negotiated
-  scen::BandwidthOutcome::TxBurstCensus tso_ctl;  // same run, TSO masked
+// ---------------------------------------------------------------- artifacts
+
+inline std::string json_quote(std::string_view s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char esc[8];
+      std::snprintf(esc, sizeof esc, "\\u%04x", c);
+      out += esc;
+    } else {
+      out += c;
+    }
+  }
+  return out + "\"";
+}
+
+/// One JSON scalar, rendered once: integers print as integers, doubles in
+/// shortest round-trip form (non-finite ones as null), strings quoted.
+/// `num` is what a gate compares.
+struct Value {
+  double num = 0.0;
+  std::string json;
+
+  Value(bool b) : num(b ? 1.0 : 0.0), json(b ? "true" : "false") {}
+  template <std::integral T>
+  Value(T v) : num(static_cast<double>(v)), json(std::to_string(v)) {}
+  Value(double d) : num(d), json("null") {
+    char buf[32];
+    if (std::isfinite(d)) {
+      json.assign(buf, std::to_chars(buf, buf + sizeof buf, d).ptr);
+    }
+  }
+  Value(std::string_view s) : json(json_quote(s)) {}
+  Value(const char* s) : Value(std::string_view(s)) {}
+  Value(const std::string& s) : Value(std::string_view(s)) {}
 };
+
+/// An insertion-ordered JSON object (or array). Paths are dotted:
+/// set("tx.v1.crossings", v) creates the "tx" and "v1" objects on the way.
+class Fields {
+ public:
+  Fields& set(std::string_view path, const Value& v) {
+    at(path).leaf_ = v.json;
+    return *this;
+  }
+  /// The object at `path`, created empty if missing.
+  Fields& at(std::string_view path) {
+    Fields* node = this;
+    for (std::size_t dot = 0; dot != std::string_view::npos;) {
+      dot = path.find('.');
+      node = &node->child(path.substr(0, dot));
+      path.remove_prefix(dot == std::string_view::npos ? path.size()
+                                                       : dot + 1);
+    }
+    return *node;
+  }
+  /// Appends an empty object to the array at `path` and returns it.
+  Fields& row(std::string_view path) {
+    Fields& arr = at(path);
+    arr.array_ = true;
+    return *arr.kids_.emplace_back(std::make_unique<Fields>());
+  }
+  /// Appends a scalar to the array at `path`.
+  Fields& push(std::string_view path, const Value& v) {
+    row(path).leaf_ = v.json;
+    return *this;
+  }
+
+  /// Objects and arrays of scalars stay on one line; the rest nest.
+  void render(std::string& out, int depth) const {
+    if (!leaf_.empty()) {
+      out += leaf_;
+      return;
+    }
+    const bool flat = depth > 0 && std::all_of(kids_.begin(), kids_.end(),
+                                               [](const auto& k) {
+                                                 return !k->leaf_.empty();
+                                               });
+    out += array_ ? '[' : '{';
+    for (std::size_t i = 0; i < kids_.size(); ++i) {
+      out += i > 0 ? (flat ? ", " : ",") : "";
+      if (!flat) out += "\n" + std::string(2 * (depth + 1), ' ');
+      if (!array_) out += json_quote(kids_[i]->key_) + ": ";
+      kids_[i]->render(out, depth + 1);
+    }
+    if (!flat && !kids_.empty()) out += "\n" + std::string(2 * depth, ' ');
+    out += array_ ? ']' : '}';
+  }
+
+ private:
+  Fields& child(std::string_view key) {
+    for (auto& k : kids_) {
+      if (k->key_ == key) return *k;
+    }
+    auto& k = kids_.emplace_back(std::make_unique<Fields>());
+    k->key_ = key;
+    return *k;
+  }
+
+  std::string key_;
+  std::string leaf_;  // rendered scalar; empty for objects and arrays
+  bool array_ = false;
+  std::vector<std::unique_ptr<Fields>> kids_;
+};
+
+/// A bench's artifact and verdict: the measured fields plus one row per
+/// gate. finish() writes $CHERINET_BENCH_JSON_DIR/BENCH_<figure>.json (cwd
+/// when unset) — on failure too, so a stale passing artifact never
+/// outlives a failing run — and returns the process exit status.
+class Report : public Fields {
+ public:
+  explicit Report(std::string figure) : figure_(std::move(figure)) {
+    set("figure", figure_);
+  }
+
+  /// Records `value op bound` (op: < <= == != >= >) and prints its
+  /// PASS/FAIL line. NaN values fail.
+  bool gate(std::string_view label, const Value& value, std::string_view op,
+            const Value& bound) {
+    const double a = value.num;
+    const double b = bound.num;
+    const bool pass = op == "<"    ? a < b
+                      : op == "<=" ? a <= b
+                      : op == "==" ? a == b
+                      : op == "!=" ? a != b
+                      : op == ">=" ? a >= b
+                      : op == ">"  ? a > b
+                                   : false;
+    gates_.row("gates")
+        .set("label", label)
+        .set("value", value)
+        .set("op", op)
+        .set("bound", bound)
+        .set("pass", pass);
+    std::printf("%s: %.*s (%s %.*s %s)\n", pass ? "PASS" : "FAIL",
+                static_cast<int>(label.size()), label.data(),
+                value.json.c_str(), static_cast<int>(op.size()), op.data(),
+                bound.json.c_str());
+    ++total_;
+    failed_ += pass ? 0 : 1;
+    return pass;
+  }
+
+  int finish() {
+    // Splice {"gates": [...], "gates_passed": ...} in as the last fields.
+    std::string out;
+    std::string gates;
+    render(out, 0);
+    gates_.set("gates_passed", failed_ == 0).render(gates, 0);
+    out.resize(out.size() - 2);  // "\n}"
+    out += "," + gates.substr(1) + "\n";
+    const char* dir = std::getenv("CHERINET_BENCH_JSON_DIR");
+    const std::string path =
+        (dir != nullptr && *dir != '\0' ? std::string(dir) + "/"
+                                        : std::string()) +
+        "BENCH_" + figure_ + ".json";
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    bool wrote = f != nullptr && std::fputs(out.c_str(), f) >= 0;
+    if (f != nullptr) wrote &= std::fclose(f) == 0;
+    std::printf("%zu/%zu gates passed; %s %s\n", total_ - failed_, total_,
+                wrote ? "wrote" : "cannot write", path.c_str());
+    return failed_ == 0 ? 0 : 1;
+  }
+
+ private:
+  std::string figure_;
+  Fields gates_;  // {"gates": [...], "gates_passed": ...}, spliced at finish
+  std::size_t total_ = 0;
+  std::size_t failed_ = 0;
+};
+
+// ------------------------------------------------- fig4/fig5 crossing census
 
 /// The census byte volume (CHERINET_CENSUS_KB). The floor keeps the gates
 /// meaningful: below ~one batch of MSS-sized chunks every path degenerates
@@ -74,23 +239,25 @@ inline scen::TestbedOptions counting(const scen::TestbedOptions& opt) {
   return copt;
 }
 
-/// API v2 regression gate shared by fig4/fig5: run the crossing census over
-/// the same byte volume through the v1 per-call path and the batched path,
-/// print the table, and require >= 8x crossing amortization plus strictly
-/// lower modeled cost per MiB. Returns the process exit code (0 pass).
-inline int run_census_gate(scen::ScenarioKind kind,
-                           const scen::TestbedOptions& opt,
-                           BenchArtifacts* art = nullptr) {
+/// API v2 TX leg: the same byte volume through the v1 per-call path and the
+/// batched path; the batch must amortize crossings >= 8x and be strictly
+/// cheaper per MiB. Returns the batch census (the uring leg's baseline).
+inline scen::Census run_tx_census(scen::ScenarioKind kind,
+                                  const scen::TestbedOptions& opt,
+                                  Report& rep) {
   const std::uint64_t bytes = census_bytes();
   const auto v1 =
       run_census(kind, scen::CensusLeg::kWrite, bytes, counting(opt));
   const auto v2 =
       run_census(kind, scen::CensusLeg::kWritev, bytes, counting(opt));
-  if (art != nullptr) {
-    art->census_bytes = bytes;
-    art->tx_v1 = v1;
-    art->tx_v2 = v2;
-  }
+  rep.at("tx.v1")
+      .set("calls", v1.api_calls)
+      .set("crossings", v1.crossings)
+      .set("ns_per_mib", v1.modeled_ns_per_mib);
+  rep.at("tx.v2")
+      .set("calls", v2.api_calls)
+      .set("crossings", v2.crossings)
+      .set("ns_per_mib", v2.modeled_ns_per_mib);
   std::printf("\ncrossing census (%llu KiB, batch=%zu):\n",
               static_cast<unsigned long long>(bytes / 1024),
               scen::kCensusBatch);
@@ -102,45 +269,39 @@ inline int run_census_gate(scen::ScenarioKind kind,
               static_cast<unsigned long long>(v2.api_calls),
               static_cast<unsigned long long>(v2.crossings),
               v2.modeled_ns_per_mib);
-  if (v2.crossings * 8 > v1.crossings) {
-    std::fprintf(stderr,
-                 "FAIL: batch path crossed %llu times, v1 %llu — expected "
-                 ">= 8x amortization\n",
-                 static_cast<unsigned long long>(v2.crossings),
-                 static_cast<unsigned long long>(v1.crossings));
-    return 1;
-  }
-  if (!(v2.crossings < v1.crossings) ||
-      !(v2.modeled_ns_per_mib < v1.modeled_ns_per_mib)) {
-    std::fprintf(stderr, "FAIL: batch path must be strictly cheaper per MiB\n");
-    return 1;
-  }
-  std::printf("  amortization: %.1fx fewer crossings, %.1fx lower modeled "
-              "cost/MiB\n",
-              static_cast<double>(v1.crossings) /
-                  static_cast<double>(v2.crossings),
-              v1.modeled_ns_per_mib / v2.modeled_ns_per_mib);
-  return 0;
+  rep.gate("tx.v2.crossings <= tx.v1.crossings / 8", v2.crossings, "<=",
+           static_cast<double>(v1.crossings) / 8.0);
+  rep.gate("tx.v2.crossings < tx.v1.crossings", v2.crossings, "<",
+           v1.crossings);
+  rep.gate("tx.v2.ns_per_mib < tx.v1.ns_per_mib", v2.modeled_ns_per_mib, "<",
+           v1.modeled_ns_per_mib);
+  return v2;
 }
 
-/// RX census gate shared by fig4/fig5: receive the same byte volume through
-/// the per-call v1 path (epoll_wait + ff_read per MSS, every byte copied
-/// out of the stack) and through the zero-copy path (epoll_wait-gated
-/// ff_zc_recv loan bursts + batched recycling). Requires: the zc path
-/// copies ZERO receive-side bytes, every loan is recycled, crossings
-/// amortize >= 8x, and modeled cost/MiB is strictly lower. Returns the
-/// process exit code (0 pass).
-inline int run_rx_census_gate(scen::ScenarioKind kind,
-                              const scen::TestbedOptions& opt,
-                              BenchArtifacts* art = nullptr) {
+/// RX leg: the per-call v1 path (epoll_wait + ff_read per MSS, every byte
+/// copied out of the stack) against the zero-copy path (epoll_wait-gated
+/// ff_zc_recv loan bursts + batched recycling). The zc path must deliver
+/// the volume copying ZERO receive-side bytes, recycle every loan, amortize
+/// crossings >= 8x and be strictly cheaper per MiB. Returns the zc census.
+inline scen::Census run_rx_census(scen::ScenarioKind kind,
+                                  const scen::TestbedOptions& opt,
+                                  Report& rep) {
   const std::uint64_t bytes = census_bytes();
   const auto v1 = run_census(kind, scen::CensusLeg::kRead, bytes, counting(opt));
   const auto zc =
       run_census(kind, scen::CensusLeg::kZcRecv, bytes, counting(opt));
-  if (art != nullptr) {
-    art->rx_v1 = v1;
-    art->rx_zc = zc;
-  }
+  rep.at("rx.v1")
+      .set("calls", v1.api_calls)
+      .set("crossings", v1.crossings)
+      .set("copied_bytes", v1.rx_copied_bytes)
+      .set("ns_per_mib", v1.modeled_ns_per_mib);
+  rep.at("rx.zc")
+      .set("calls", zc.api_calls)
+      .set("crossings", zc.crossings)
+      .set("copied_bytes", zc.rx_copied_bytes)
+      .set("loans", zc.zc_loans)
+      .set("recycles", zc.zc_recycles)
+      .set("ns_per_mib", zc.modeled_ns_per_mib);
   std::printf("\nRX census (%llu KiB received):\n",
               static_cast<unsigned long long>(bytes / 1024));
   std::printf("  v1 ff_read  : %8llu calls  %8llu crossings  %10llu copied B"
@@ -157,73 +318,66 @@ inline int run_rx_census_gate(scen::ScenarioKind kind,
               zc.modeled_ns_per_mib,
               static_cast<unsigned long long>(zc.zc_loans),
               static_cast<unsigned long long>(zc.zc_recycles));
-  if (zc.bytes < bytes || v1.bytes < bytes) {
-    std::fprintf(stderr, "FAIL: RX census did not deliver the byte volume "
-                         "(v1 %llu, zc %llu of %llu)\n",
-                 static_cast<unsigned long long>(v1.bytes),
-                 static_cast<unsigned long long>(zc.bytes),
-                 static_cast<unsigned long long>(bytes));
-    return 1;
-  }
-  if (zc.rx_copied_bytes != 0) {
-    std::fprintf(stderr,
-                 "FAIL: zero-copy RX path copied %llu bytes (expected 0)\n",
-                 static_cast<unsigned long long>(zc.rx_copied_bytes));
-    return 1;
-  }
-  if (zc.zc_loans == 0 || zc.zc_recycles != zc.zc_loans) {
-    std::fprintf(stderr,
-                 "FAIL: loan lifecycle broken (%llu loans, %llu recycles)\n",
-                 static_cast<unsigned long long>(zc.zc_loans),
-                 static_cast<unsigned long long>(zc.zc_recycles));
-    return 1;
-  }
-  if (zc.crossings * 8 > v1.crossings) {
-    std::fprintf(stderr,
-                 "FAIL: zc RX path crossed %llu times, v1 %llu — expected "
-                 ">= 8x amortization\n",
-                 static_cast<unsigned long long>(zc.crossings),
-                 static_cast<unsigned long long>(v1.crossings));
-    return 1;
-  }
-  if (!(zc.modeled_ns_per_mib < v1.modeled_ns_per_mib)) {
-    std::fprintf(stderr,
-                 "FAIL: zc RX path must be strictly cheaper per MiB\n");
-    return 1;
-  }
-  std::printf("  amortization: %.1fx fewer crossings, zero sockbuf copies "
-              "(v1 copied %.1f MiB)\n",
-              static_cast<double>(v1.crossings) /
-                  static_cast<double>(zc.crossings),
-              static_cast<double>(v1.rx_copied_bytes) / (1024.0 * 1024.0));
-  return 0;
+  rep.gate("rx.v1 bytes delivered >= census volume", v1.bytes, ">=", bytes);
+  rep.gate("rx.zc bytes delivered >= census volume", zc.bytes, ">=", bytes);
+  rep.gate("rx.zc.copied_bytes == 0", zc.rx_copied_bytes, "==", 0);
+  rep.gate("rx.zc.loans > 0", zc.zc_loans, ">", 0);
+  rep.gate("rx.zc.recycles == rx.zc.loans", zc.zc_recycles, "==",
+           zc.zc_loans);
+  rep.gate("rx.zc.crossings <= rx.v1.crossings / 8", zc.crossings, "<=",
+           static_cast<double>(v1.crossings) / 8.0);
+  rep.gate("rx.zc.ns_per_mib < rx.v1.ns_per_mib", zc.modeled_ns_per_mib, "<",
+           v1.modeled_ns_per_mib);
+  return zc;
 }
 
-/// API v3 regression gate shared by fig4/fig5: move the same byte volume
-/// through the ff_uring ring, both directions, and require
-///   * >= 2x fewer crossings than the PR-2 batch path (TX) and zero-copy
-///     path (RX) it replaces, and
+/// API v3 leg: the same byte volume through the ff_uring ring, both
+/// directions, plus TCP zc TX. Requires
+///   * >= 2x fewer crossings than the v2 batch path (TX) and the zero-copy
+///     path (RX) it replaces,
 ///   * zero crossings per op under sustained load: the crossing count must
 ///     stay a small constant (arm + doorbells + one-time setup) while SQEs
 ///     scale with the volume — at most one crossing per 8 ring ops, with a
-///     floor for tiny smoke volumes.
-/// Requires the PR-2 censuses already recorded in `art` (run the v2 gates
-/// first). Returns the process exit code (0 pass).
-inline int run_uring_gate(scen::ScenarioKind kind,
-                          const scen::TestbedOptions& opt,
-                          BenchArtifacts* art) {
-  const std::uint64_t census_bytes = bench::census_bytes();
-  const auto tx = run_census(kind, scen::CensusLeg::kRingWritev, census_bytes,
-                             counting(opt));
-  const auto txz = run_census(kind, scen::CensusLeg::kRingZcSend,
-                              census_bytes, counting(opt));
-  const auto rx = run_census(kind, scen::CensusLeg::kRingZcRecv, census_bytes,
-                             counting(opt));
-  art->tx_uring = tx;
-  art->tx_uring_zc = txz;
-  art->rx_uring = rx;
+///     floor for tiny smoke volumes,
+///   * zc TX: the whole volume rides retained mbuf references (ZERO send-
+///     side copies) and emission gathers indirect chains with checksums
+///     composed from cached partials (ZERO payload re-reads),
+///   * with TX checksum insertion negotiated (the default EthConf), ZERO
+///     payload bytes software-checksummed by the stack.
+inline void run_uring_census(scen::ScenarioKind kind,
+                             const scen::TestbedOptions& opt,
+                             const scen::Census& tx_v2,
+                             const scen::Census& rx_zc, Report& rep) {
+  const std::uint64_t bytes = census_bytes();
+  const auto tx =
+      run_census(kind, scen::CensusLeg::kRingWritev, bytes, counting(opt));
+  const auto txz =
+      run_census(kind, scen::CensusLeg::kRingZcSend, bytes, counting(opt));
+  const auto rx =
+      run_census(kind, scen::CensusLeg::kRingZcRecv, bytes, counting(opt));
+  rep.at("tx.uring")
+      .set("sqes", tx.sqes)
+      .set("cqes", tx.cqes)
+      .set("crossings", tx.crossings)
+      .set("doorbells", tx.doorbells)
+      .set("ns_per_mib", tx.modeled_ns_per_mib);
+  rep.at("tx.zc")
+      .set("sqes", txz.sqes)
+      .set("cqes", txz.cqes)
+      .set("crossings", txz.crossings)
+      .set("doorbells", txz.doorbells)
+      .set("tx_copies", txz.tx_copied_bytes)
+      .set("zc_bytes", txz.tx_zc_bytes)
+      .set("emit_payload_reads", txz.tx_emit_payload_reads);
+  rep.at("rx.uring")
+      .set("sqes", rx.sqes)
+      .set("cqes", rx.cqes)
+      .set("crossings", rx.crossings)
+      .set("doorbells", rx.doorbells)
+      .set("ns_per_mib", rx.modeled_ns_per_mib);
+  rep.set("offload.stack_checksum_bytes", txz.stack_checksum_bytes);
   std::printf("\nuring census (%llu KiB each way):\n",
-              static_cast<unsigned long long>(census_bytes / 1024));
+              static_cast<unsigned long long>(bytes / 1024));
   std::printf("  v3 TX ring : %8llu sqes  %8llu cqes  %4llu crossings "
               "(%llu doorbells)  %10.0f ns/MiB\n",
               static_cast<unsigned long long>(tx.sqes),
@@ -249,105 +403,39 @@ inline int run_uring_gate(scen::ScenarioKind kind,
               static_cast<unsigned long long>(rx.crossings),
               static_cast<unsigned long long>(rx.doorbells),
               rx.modeled_ns_per_mib);
-  if (tx.bytes < census_bytes || rx.bytes < census_bytes ||
-      txz.bytes < census_bytes) {
-    std::fprintf(stderr,
-                 "FAIL: uring census did not move the byte volume "
-                 "(tx %llu, tx-zc %llu, rx %llu of %llu)\n",
-                 static_cast<unsigned long long>(tx.bytes),
-                 static_cast<unsigned long long>(txz.bytes),
-                 static_cast<unsigned long long>(rx.bytes),
-                 static_cast<unsigned long long>(census_bytes));
-    return 1;
+  rep.gate("tx.uring bytes queued >= census volume", tx.bytes, ">=", bytes);
+  rep.gate("tx.zc bytes queued >= census volume", txz.bytes, ">=", bytes);
+  rep.gate("rx.uring bytes delivered >= census volume", rx.bytes, ">=",
+           bytes);
+  rep.gate("tx.zc.tx_copies == 0", txz.tx_copied_bytes, "==", 0);
+  rep.gate("tx.zc.zc_bytes >= census volume", txz.tx_zc_bytes, ">=", bytes);
+  rep.gate("tx.zc.emit_payload_reads == 0", txz.tx_emit_payload_reads, "==",
+           0);
+  if ((opt.offloads & updk::kOffloadTxTcpCsum) != 0) {
+    rep.gate("tx.uring software-checksummed bytes == 0",
+             tx.stack_checksum_bytes, "==", 0);
+    rep.gate("offload.stack_checksum_bytes == 0", txz.stack_checksum_bytes,
+             "==", 0);
   }
-  // The TCP zc TX gate: the whole volume rides retained mbuf references —
-  // ZERO send-side byte copies — while the crossing budget stays the
-  // doorbell-only one of the OP_WRITEV path (the alloc round trip is ring
-  // traffic, not crossings).
-  if (txz.tx_copied_bytes != 0) {
-    std::fprintf(stderr,
-                 "FAIL: TCP zc TX path copied %llu send-side bytes "
-                 "(expected 0)\n",
-                 static_cast<unsigned long long>(txz.tx_copied_bytes));
-    return 1;
-  }
-  if (txz.tx_zc_bytes < census_bytes) {
-    std::fprintf(stderr,
-                 "FAIL: TCP zc TX path queued only %llu zc bytes of %llu\n",
-                 static_cast<unsigned long long>(txz.tx_zc_bytes),
-                 static_cast<unsigned long long>(census_bytes));
-    return 1;
-  }
-  // Scatter-gather emission gate: frames leave as indirect mbuf chains
-  // with checksums COMPOSED from cached partials — the emission path may
-  // read back exactly zero payload bytes (no staging copy, no checksum
-  // re-read), first transmission and retransmission alike.
-  if (txz.tx_emit_payload_reads != 0) {
-    std::fprintf(stderr,
-                 "FAIL: zc TX emission re-read %llu payload bytes "
-                 "(expected 0: gather + cached checksums)\n",
-                 static_cast<unsigned long long>(txz.tx_emit_payload_reads));
-    return 1;
-  }
-  // Hardware-offload gate: with TX checksum insertion negotiated (the
-  // default EthConf), the stack seeds pseudo-headers and never walks
-  // payload bytes for a checksum — on top of the zero-copy and zero-re-read
-  // gates above, at the same doorbell-only crossing budget.
-  if ((opt.offloads & updk::kOffloadTxTcpCsum) != 0 &&
-      (tx.stack_checksum_bytes != 0 || txz.stack_checksum_bytes != 0)) {
-    std::fprintf(stderr,
-                 "FAIL: offload path software-checksummed %llu (writev) / "
-                 "%llu (zc) payload bytes (expected 0: device inserts)\n",
-                 static_cast<unsigned long long>(tx.stack_checksum_bytes),
-                 static_cast<unsigned long long>(txz.stack_checksum_bytes));
-    return 1;
-  }
-  if (tx.crossings * 2 > art->tx_v2.crossings) {
-    std::fprintf(stderr,
-                 "FAIL: uring TX crossed %llu times, v2 batch %llu — "
-                 "expected >= 2x fewer\n",
-                 static_cast<unsigned long long>(tx.crossings),
-                 static_cast<unsigned long long>(art->tx_v2.crossings));
-    return 1;
-  }
-  if (rx.crossings * 2 > art->rx_zc.crossings) {
-    std::fprintf(stderr,
-                 "FAIL: uring RX crossed %llu times, PR-2 zc path %llu — "
-                 "expected >= 2x fewer\n",
-                 static_cast<unsigned long long>(rx.crossings),
-                 static_cast<unsigned long long>(art->rx_zc.crossings));
-    return 1;
-  }
-  // Steady-state: crossings must not scale with ops. The floors cover the
+  rep.gate("tx.uring.crossings <= tx.v2.crossings / 2", tx.crossings, "<=",
+           static_cast<double>(tx_v2.crossings) / 2.0);
+  rep.gate("rx.uring.crossings <= rx.zc.crossings / 2", rx.crossings, "<=",
+           static_cast<double>(rx_zc.crossings) / 2.0);
+  // Steady state: crossings must not scale with ops. The floors cover the
   // fixed setup (arm; RX also one accept-time epoll_ctl) plus doorbell
   // slack on tiny smoke volumes.
-  const auto steady = [](const scen::Census& c,
-                         std::uint64_t floor_) {
-    return c.crossings <= std::max<std::uint64_t>(floor_, c.sqes / 8);
+  const auto budget = [](const scen::Census& c, std::uint64_t floor_) {
+    return std::max<std::uint64_t>(floor_, c.sqes / 8);
   };
-  if (!steady(tx, 6) || !steady(rx, 8) || !steady(txz, 6)) {
-    std::fprintf(stderr,
-                 "FAIL: uring path is crossing per op (tx %llu/%llu sqes, "
-                 "tx-zc %llu/%llu, rx %llu/%llu sqes) — steady state must "
-                 "be doorbell-only\n",
-                 static_cast<unsigned long long>(tx.crossings),
-                 static_cast<unsigned long long>(tx.sqes),
-                 static_cast<unsigned long long>(txz.crossings),
-                 static_cast<unsigned long long>(txz.sqes),
-                 static_cast<unsigned long long>(rx.crossings),
-                 static_cast<unsigned long long>(rx.sqes));
-    return 1;
-  }
-  std::printf("  steady state: zero crossings per op (TX %llu crossings / "
-              "%llu ops, RX %llu / %llu)\n",
-              static_cast<unsigned long long>(tx.crossings),
-              static_cast<unsigned long long>(tx.sqes),
-              static_cast<unsigned long long>(rx.crossings),
-              static_cast<unsigned long long>(rx.sqes));
-  return 0;
+  rep.gate("tx.uring.crossings <= max(6, sqes / 8)", tx.crossings, "<=",
+           budget(tx, 6));
+  rep.gate("tx.zc.crossings <= max(6, sqes / 8)", txz.crossings, "<=",
+           budget(txz, 6));
+  rep.gate("rx.uring.crossings <= max(8, sqes / 8)", rx.crossings, "<=",
+           budget(rx, 8));
 }
 
-/// TSO ablation gate: the same fully-acked TCP volume once with TSO
+/// TSO ablation leg: the same fully-acked TCP volume once with TSO
 /// negotiated and once with it masked off (checksum insertion stays on in
 /// both). The TSO leg must hand super-segment chains to the device
 /// (tso_frames > 0) and consume >= 2x fewer TX descriptors per emitted
@@ -356,99 +444,80 @@ inline int run_uring_gate(scen::ScenarioKind kind,
 /// the census app exits with queued bytes unemitted, which would leave the
 /// descriptor sample dominated by handshake frames. A sub-sockbuf-slice
 /// MSS makes the win visible: the control pays a header descriptor per
-/// MSS, the TSO leg one per 8-MSS super-segment. Returns process exit
-/// code (0 pass).
-inline int run_offload_gate(scen::ScenarioKind kind,
-                            const scen::TestbedOptions& opt,
-                            BenchArtifacts* art) {
-  const std::uint64_t census_bytes = bench::census_bytes();
+/// MSS, the TSO leg one per 8-MSS super-segment.
+inline void run_offload_census(scen::ScenarioKind kind,
+                               const scen::TestbedOptions& opt, Report& rep) {
+  const std::uint64_t bytes = census_bytes();
   scen::TestbedOptions copt = counting(opt);
   copt.inline_tcp_output = true;  // staged emission, full batches
   copt.mss = 724;
   copt.offloads = updk::kOffloadAll;
-  const auto tso = run_bandwidth(kind, scen::Direction::kMorelloSends,
-                                 census_bytes, copt);
+  const auto tso =
+      run_bandwidth(kind, scen::Direction::kMorelloSends, bytes, copt);
   copt.offloads = updk::kOffloadDefault;  // csum insertion stays, TSO off
-  const auto ctl = run_bandwidth(kind, scen::Direction::kMorelloSends,
-                                 census_bytes, copt);
-  art->tso = tso.morello_tx;
-  art->tso_ctl = ctl.morello_tx;
+  const auto ctl =
+      run_bandwidth(kind, scen::Direction::kMorelloSends, bytes, copt);
+  const auto& t = tso.morello_tx;
+  const auto& c = ctl.morello_tx;
+  rep.at("offload.tso")
+      .set("tso_frames", t.tso_frames)
+      .set("tso_bytes", t.tso_bytes)
+      .set("descs", t.segs)
+      .set("payload", t.bytes);
+  rep.at("offload.tso_ctl").set("descs", c.segs).set("payload", c.bytes);
   const auto moved = [](const scen::BandwidthOutcome& o) {
     std::uint64_t b = 0;
     for (const auto& e : o.endpoints) b += e.bytes;
     return b;
   };
-  const auto per_kib = [](const scen::BandwidthOutcome::TxBurstCensus& c) {
-    return c.bytes > 0 ? static_cast<double>(c.segs) * 1024.0 /
-                             static_cast<double>(c.bytes)
+  const auto per_kib = [](const scen::BandwidthOutcome::TxBurstCensus& x) {
+    return x.bytes > 0 ? static_cast<double>(x.segs) * 1024.0 /
+                             static_cast<double>(x.bytes)
                        : 0.0;
   };
   std::printf("\nTSO ablation (%llu KiB acked TCP, mss=%u):\n",
-              static_cast<unsigned long long>(census_bytes / 1024), copt.mss);
+              static_cast<unsigned long long>(bytes / 1024), copt.mss);
   std::printf("  tso on  [%s]: %6llu descs / %llu wire B  %6.2f descs/KiB  "
               "%llu tso frames (%llu B sliced)\n",
               updk::offload_names(updk::kOffloadAll).c_str(),
-              static_cast<unsigned long long>(tso.morello_tx.segs),
-              static_cast<unsigned long long>(tso.morello_tx.bytes),
-              per_kib(tso.morello_tx),
-              static_cast<unsigned long long>(tso.morello_tx.tso_frames),
-              static_cast<unsigned long long>(tso.morello_tx.tso_bytes));
+              static_cast<unsigned long long>(t.segs),
+              static_cast<unsigned long long>(t.bytes), per_kib(t),
+              static_cast<unsigned long long>(t.tso_frames),
+              static_cast<unsigned long long>(t.tso_bytes));
   std::printf("  tso off [%s]: %6llu descs / %llu wire B  %6.2f descs/KiB\n",
               updk::offload_names(updk::kOffloadDefault).c_str(),
-              static_cast<unsigned long long>(ctl.morello_tx.segs),
-              static_cast<unsigned long long>(ctl.morello_tx.bytes),
-              per_kib(ctl.morello_tx));
-  if (moved(tso) < census_bytes || moved(ctl) < census_bytes) {
-    std::fprintf(stderr,
-                 "FAIL: TSO ablation did not move the byte volume "
-                 "(tso %llu, ctl %llu of %llu)\n",
-                 static_cast<unsigned long long>(moved(tso)),
-                 static_cast<unsigned long long>(moved(ctl)),
-                 static_cast<unsigned long long>(census_bytes));
-    return 1;
-  }
-  if (tso.morello_tx.tso_frames == 0 || tso.morello_tx.tso_bytes == 0) {
-    std::fprintf(stderr, "FAIL: TSO leg handed the device no super-segments\n");
-    return 1;
-  }
-  if (ctl.morello_tx.tso_frames != 0) {
-    std::fprintf(stderr,
-                 "FAIL: control leg sent %llu TSO frames with TSO masked\n",
-                 static_cast<unsigned long long>(ctl.morello_tx.tso_frames));
-    return 1;
-  }
-  // Cross-multiplied to stay in integers: ctl descs/byte >= 2x tso's.
-  if (ctl.morello_tx.segs * tso.morello_tx.bytes <
-      2 * tso.morello_tx.segs * ctl.morello_tx.bytes) {
-    std::fprintf(stderr,
-                 "FAIL: TSO saved too few descriptors (%.2f vs %.2f "
-                 "descs/KiB — expected >= 2x fewer)\n",
-                 per_kib(tso.morello_tx), per_kib(ctl.morello_tx));
-    return 1;
-  }
-  std::printf("  amortization: %.1fx fewer descriptors per emitted byte\n",
-              per_kib(ctl.morello_tx) / per_kib(tso.morello_tx));
-  return 0;
+              static_cast<unsigned long long>(c.segs),
+              static_cast<unsigned long long>(c.bytes), per_kib(c));
+  rep.gate("offload.tso bytes moved >= census volume", moved(tso), ">=",
+           bytes);
+  rep.gate("offload.tso_ctl bytes moved >= census volume", moved(ctl), ">=",
+           bytes);
+  rep.gate("offload.tso.tso_frames > 0", t.tso_frames, ">", 0);
+  rep.gate("offload.tso.tso_bytes > 0", t.tso_bytes, ">", 0);
+  rep.gate("offload.tso_ctl tso frames == 0", c.tso_frames, "==", 0);
+  rep.gate("tso_ctl descs/KiB / tso descs/KiB >= 2",
+           per_kib(t) > 0 ? per_kib(c) / per_kib(t) : 0.0, ">=", 2.0);
 }
 
-/// Lossy-wire gate: the RX census volume through a wire that bit-flips a
+/// Lossy-wire leg: the RX census volume through a wire that bit-flips a
 /// fraction of the peer's data frames. Every corruption must die at the
 /// Morello port's FCS check (rx_crc_errors == the wire's own corruption
 /// census) or — had it slipped through — at the RX checksum verdict; the
 /// socket stream itself must still deliver every byte via retransmission.
-/// Returns the process exit code (0 pass).
-inline int run_lossy_wire_gate(scen::ScenarioKind kind,
-                               const scen::TestbedOptions& opt,
-                               BenchArtifacts* art) {
-  const std::uint64_t census_bytes = bench::census_bytes();
+inline void run_lossy_wire_census(scen::ScenarioKind kind,
+                                  const scen::TestbedOptions& opt,
+                                  Report& rep) {
+  const std::uint64_t bytes = census_bytes();
   scen::TestbedOptions lopt = counting(opt);
   lopt.impair.corrupt = 0.02;
   lopt.impair.seed = 7;
-  const auto rx =
-      run_census(kind, scen::CensusLeg::kRingZcRecv, census_bytes, lopt);
-  art->rx_lossy = rx;
+  const auto rx = run_census(kind, scen::CensusLeg::kRingZcRecv, bytes, lopt);
+  rep.at("offload.lossy")
+      .set("wire_corrupts", rx.wire_corrupts)
+      .set("rx_crc_errors", rx.rx_crc_errors)
+      .set("stack_csum_drops", rx.stack_csum_drops);
   std::printf("\nlossy wire (%llu KiB RX, corrupt=%.0f%%):\n",
-              static_cast<unsigned long long>(census_bytes / 1024),
+              static_cast<unsigned long long>(bytes / 1024),
               lopt.impair.corrupt * 100.0);
   std::printf("  %llu wire corrupts  %llu FCS rejects  %llu verdict drops  "
               "%llu B delivered\n",
@@ -456,110 +525,23 @@ inline int run_lossy_wire_gate(scen::ScenarioKind kind,
               static_cast<unsigned long long>(rx.rx_crc_errors),
               static_cast<unsigned long long>(rx.stack_csum_drops),
               static_cast<unsigned long long>(rx.bytes));
-  if (rx.bytes < census_bytes) {
-    std::fprintf(stderr,
-                 "FAIL: lossy-wire RX delivered %llu of %llu bytes\n",
-                 static_cast<unsigned long long>(rx.bytes),
-                 static_cast<unsigned long long>(census_bytes));
-    return 1;
-  }
-  if (rx.wire_corrupts == 0) {
-    std::fprintf(stderr, "FAIL: impairment stage corrupted nothing — the "
-                         "leg tested a clean wire\n");
-    return 1;
-  }
-  if (rx.rx_crc_errors + rx.stack_csum_drops != rx.wire_corrupts) {
-    std::fprintf(stderr,
-                 "FAIL: corruption census disagrees (%llu corrupts vs %llu "
-                 "FCS + %llu verdict drops) — a corrupt frame reached a "
-                 "socket\n",
-                 static_cast<unsigned long long>(rx.wire_corrupts),
-                 static_cast<unsigned long long>(rx.rx_crc_errors),
-                 static_cast<unsigned long long>(rx.stack_csum_drops));
-    return 1;
-  }
-  std::printf("  every corrupt frame died at FCS/verdict; stream intact\n");
-  return 0;
+  rep.gate("lossy rx bytes delivered >= census volume", rx.bytes, ">=",
+           bytes);
+  rep.gate("offload.lossy.wire_corrupts > 0", rx.wire_corrupts, ">", 0);
+  rep.gate("rx_crc_errors + stack_csum_drops == wire_corrupts",
+           rx.rx_crc_errors + rx.stack_csum_drops, "==", rx.wire_corrupts);
 }
 
-/// Write the figure's census numbers as one JSON artifact (the perf
-/// trajectory scripts/check.sh tracks across PRs). Path:
-/// $CHERINET_BENCH_JSON_DIR/BENCH_<fig>.json, cwd when the env is unset.
-inline void emit_bench_json(const char* fig, const BenchArtifacts& a) {
-  const char* dir = std::getenv("CHERINET_BENCH_JSON_DIR");
-  const std::string path =
-      (dir != nullptr && *dir != '\0' ? std::string(dir) + "/" : std::string()) +
-      "BENCH_" + fig + ".json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  const auto u = [](std::uint64_t v) {
-    return static_cast<unsigned long long>(v);
-  };
-  std::fprintf(f, "{\n  \"figure\": \"%s\",\n  \"census_bytes\": %llu,\n",
-               fig, u(a.census_bytes));
-  std::fprintf(f,
-               "  \"tx\": {\n"
-               "    \"v1\":    {\"calls\": %llu, \"crossings\": %llu, "
-               "\"ns_per_mib\": %.0f},\n"
-               "    \"v2\":    {\"calls\": %llu, \"crossings\": %llu, "
-               "\"ns_per_mib\": %.0f},\n"
-               "    \"uring\": {\"sqes\": %llu, \"cqes\": %llu, "
-               "\"crossings\": %llu, \"doorbells\": %llu, "
-               "\"ns_per_mib\": %.0f},\n"
-               "    \"zc\":    {\"sqes\": %llu, \"cqes\": %llu, "
-               "\"crossings\": %llu, \"doorbells\": %llu, "
-               "\"tx_copies\": %llu, \"zc_bytes\": %llu, "
-               "\"emit_payload_reads\": %llu}\n  },\n",
-               u(a.tx_v1.api_calls), u(a.tx_v1.crossings),
-               a.tx_v1.modeled_ns_per_mib, u(a.tx_v2.api_calls),
-               u(a.tx_v2.crossings), a.tx_v2.modeled_ns_per_mib,
-               u(a.tx_uring.sqes), u(a.tx_uring.cqes),
-               u(a.tx_uring.crossings), u(a.tx_uring.doorbells),
-               a.tx_uring.modeled_ns_per_mib, u(a.tx_uring_zc.sqes),
-               u(a.tx_uring_zc.cqes), u(a.tx_uring_zc.crossings),
-               u(a.tx_uring_zc.doorbells), u(a.tx_uring_zc.tx_copied_bytes),
-               u(a.tx_uring_zc.tx_zc_bytes),
-               u(a.tx_uring_zc.tx_emit_payload_reads));
-  std::fprintf(f,
-               "  \"rx\": {\n"
-               "    \"v1\":    {\"calls\": %llu, \"crossings\": %llu, "
-               "\"copied_bytes\": %llu, \"ns_per_mib\": %.0f},\n"
-               "    \"zc\":    {\"calls\": %llu, \"crossings\": %llu, "
-               "\"copied_bytes\": %llu, \"loans\": %llu, "
-               "\"recycles\": %llu, \"ns_per_mib\": %.0f},\n"
-               "    \"uring\": {\"sqes\": %llu, \"cqes\": %llu, "
-               "\"crossings\": %llu, \"doorbells\": %llu, "
-               "\"ns_per_mib\": %.0f}\n  },\n",
-               u(a.rx_v1.api_calls), u(a.rx_v1.crossings),
-               u(a.rx_v1.rx_copied_bytes), a.rx_v1.modeled_ns_per_mib,
-               u(a.rx_zc.api_calls), u(a.rx_zc.crossings),
-               u(a.rx_zc.rx_copied_bytes), u(a.rx_zc.zc_loans),
-               u(a.rx_zc.zc_recycles), a.rx_zc.modeled_ns_per_mib,
-               u(a.rx_uring.sqes), u(a.rx_uring.cqes),
-               u(a.rx_uring.crossings), u(a.rx_uring.doorbells),
-               a.rx_uring.modeled_ns_per_mib);
-  // Hardware-offload trajectory: stack_checksum_bytes from the default
-  // (offload-negotiated) zc census, the TSO ablation descriptor counts, and
-  // the lossy-wire corruption agreement. scripts/check.sh greps these.
-  std::fprintf(f,
-               "  \"offload\": {\n"
-               "    \"stack_checksum_bytes\": %llu,\n"
-               "    \"tso\": {\"tso_frames\": %llu, \"tso_bytes\": %llu, "
-               "\"descs\": %llu, \"payload\": %llu},\n"
-               "    \"tso_ctl\": {\"descs\": %llu, \"payload\": %llu},\n"
-               "    \"lossy\": {\"wire_corrupts\": %llu, "
-               "\"rx_crc_errors\": %llu, \"stack_csum_drops\": %llu}\n"
-               "  }\n}\n",
-               u(a.tx_uring_zc.stack_checksum_bytes), u(a.tso.tso_frames),
-               u(a.tso.tso_bytes), u(a.tso.segs), u(a.tso.bytes),
-               u(a.tso_ctl.segs), u(a.tso_ctl.bytes),
-               u(a.rx_lossy.wire_corrupts), u(a.rx_lossy.rx_crc_errors),
-               u(a.rx_lossy.stack_csum_drops));
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
+/// The fig4/fig5 census legs, in order; every leg runs whatever an earlier
+/// gate decided, so every artifact field was measured.
+inline void run_crossing_census(scen::ScenarioKind kind,
+                                const scen::TestbedOptions& opt,
+                                Report& rep) {
+  rep.set("census_bytes", census_bytes());
+  const scen::Census tx_v2 = run_tx_census(kind, opt, rep);
+  const scen::Census rx_zc = run_rx_census(kind, opt, rep);
+  run_uring_census(kind, opt, tx_v2, rx_zc, rep);
+  run_offload_census(kind, opt, rep);
 }
 
 }  // namespace cherinet::bench

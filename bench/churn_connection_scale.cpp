@@ -14,8 +14,8 @@
 // cycles where the client compartment touches the stack ONLY through its
 // attached ff_uring (OP_CONNECT / OP_WRITEV / OP_CLOSE SQEs, verdict CQEs).
 // Gates: every lifecycle resolves through the ring, and the client makes
-// ZERO per-op API calls after the one attach — ApiStats must show no v1 or
-// batch calls, with >= 3 SQEs per cycle carrying the whole lifecycle.
+// ZERO per-op API calls after the one attach — ApiStats must show no v1
+// calls, with >= 3 SQEs per cycle carrying the whole lifecycle.
 // Reports wall-clock lifecycles/sec through the control plane.
 //
 // Results persist as $CHERINET_BENCH_JSON_DIR/BENCH_churn.json — the
@@ -156,8 +156,8 @@ ChurnRow churn_census(std::size_t cycles) {
       rig.heap_a().alloc_view(fstack::FfUring::bytes_for(kSq, kCq));
   fstack::FfUring ring(ring_mem, kSq, kCq);
   if (ff_uring_attach(a, ring_mem, kSq, kCq) <= 0) {
-    std::fprintf(stderr, "FAIL: ff_uring_attach\n");
-    return row;
+    std::fprintf(stderr, "ff_uring_attach failed\n");
+    return row;  // completed == 0: the lifecycle gate fails
   }
   machine::CapView tx = rig.heap_a().alloc_view(4096);
 
@@ -268,53 +268,6 @@ ChurnRow churn_census(std::size_t cycles) {
   return row;
 }
 
-// ---------------------------------------------------------------------------
-// JSON artifact
-// ---------------------------------------------------------------------------
-
-void emit_churn_json(const std::vector<WheelRow>& wheel, std::size_t iters,
-                     double sublinearity_x, const ChurnRow& churn) {
-  const char* dir = std::getenv("CHERINET_BENCH_JSON_DIR");
-  const std::string path =
-      (dir != nullptr && *dir != '\0' ? std::string(dir) + "/"
-                                      : std::string()) +
-      "BENCH_churn.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"figure\": \"churn\",\n");
-  std::fprintf(f, "  \"wheel\": {\n    \"iters_per_rep\": %zu,\n"
-                  "    \"sublinearity_x\": %.2f,\n    \"rows\": [\n",
-               iters, sublinearity_x);
-  for (std::size_t i = 0; i < wheel.size(); ++i) {
-    std::fprintf(f,
-                 "      {\"idle_timers\": %zu, \"ns_per_iter\": %.1f, "
-                 "\"fired_per_iter\": %.2f, \"next_deadline_ns\": %.0f}%s\n",
-                 wheel[i].population, wheel[i].ns_per_iter,
-                 wheel[i].fired_per_iter, wheel[i].next_deadline_ns,
-                 i + 1 < wheel.size() ? "," : "");
-  }
-  std::fprintf(f, "    ]\n  },\n");
-  std::fprintf(f,
-               "  \"ring_lifecycle\": {\n"
-               "    \"cycles\": %zu,\n    \"completed\": %zu,\n"
-               "    \"lifecycles_per_sec\": %.0f,\n"
-               "    \"sqes\": %llu,\n    \"cqes\": %llu,\n"
-               "    \"doorbells\": %llu,\n"
-               "    \"v1_calls\": %llu,\n    \"batch_calls\": %llu\n"
-               "  }\n}\n",
-               churn.cycles, churn.completed, churn.lifecycles_per_sec,
-               static_cast<unsigned long long>(churn.sqes),
-               static_cast<unsigned long long>(churn.cqes),
-               static_cast<unsigned long long>(churn.doorbells),
-               static_cast<unsigned long long>(churn.v1_calls),
-               static_cast<unsigned long long>(churn.batch_calls));
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main() {
@@ -331,6 +284,8 @@ int main() {
   std::printf("\ntimer wheel, %zu loop turns x %d reps (min), 32 hot "
               "timers over an idle keep-alive population:\n",
               iters, reps);
+  Report rep("churn");
+  rep.set("wheel.iters_per_rep", iters);
   std::vector<WheelRow> rows;
   for (const std::size_t p : pops) {
     rows.push_back(wheel_sweep(p, iters, reps));
@@ -340,22 +295,26 @@ int main() {
                 r.population, r.ns_per_iter, r.fired_per_iter,
                 r.next_deadline_ns);
   }
-  // Sublinearity gate: 100x the idle population may cost at most 2x per
-  // turn (plus a whisker of absolute slack so sub-100ns baselines cannot
-  // flake on a noisy host). A per-PCB walk would blow this by ~100x.
+  // Sublinearity gate: 100x (and, with CHERINET_CHURN_C1M, 1000x) the idle
+  // population may cost at most 2x per turn (plus a whisker of absolute
+  // slack so sub-100ns baselines cannot flake on a noisy host). A per-PCB
+  // walk would blow this by ~100x.
   const double ns3 = rows[0].ns_per_iter;
-  const double ns5 = rows[2].ns_per_iter;
-  const double sublinearity = ns3 > 0 ? ns5 / ns3 : 0.0;
-  int status = 0;
-  if (ns5 > 2.0 * ns3 + 100.0) {
-    std::fprintf(stderr,
-                 "FAIL: timer cost is not sublinear in idle PCBs "
-                 "(10^5: %.1f ns/turn vs 10^3: %.1f — %.1fx, budget 2x)\n",
-                 ns5, ns3, sublinearity);
-    status = 1;
-  } else {
-    std::printf("  sublinear: 10^5 idle costs %.2fx the 10^3 run "
-                "(budget 2x)\n", sublinearity);
+  const double sublinearity = ns3 > 0 ? rows[2].ns_per_iter / ns3 : 0.0;
+  std::printf("  sublinearity: 10^5 idle costs %.2fx the 10^3 run "
+              "(budget 2x)\n", sublinearity);
+  rep.set("wheel.sublinearity_x", sublinearity);
+  for (const WheelRow& r : rows) {
+    rep.row("wheel.rows")
+        .set("idle_timers", r.population)
+        .set("ns_per_iter", r.ns_per_iter)
+        .set("fired_per_iter", r.fired_per_iter)
+        .set("next_deadline_ns", r.next_deadline_ns);
+    if (r.population >= 100'000) {
+      rep.gate(std::to_string(r.population) +
+                   " idle ns_per_iter <= 2 x 10^3 run + 100 ns",
+               r.ns_per_iter, "<=", 2.0 * ns3 + 100.0);
+    }
   }
 
   // ---- Part 2: ring-native lifecycle churn -------------------------------
@@ -373,38 +332,23 @@ int main() {
               static_cast<unsigned long long>(churn.doorbells),
               static_cast<unsigned long long>(churn.v1_calls),
               static_cast<unsigned long long>(churn.batch_calls));
-  if (churn.completed != churn.cycles) {
-    std::fprintf(stderr,
-                 "FAIL: only %zu of %zu lifecycles resolved through the "
-                 "ring\n", churn.completed, churn.cycles);
-    status = 1;
-  }
+  rep.at("ring_lifecycle")
+      .set("cycles", churn.cycles)
+      .set("completed", churn.completed)
+      .set("lifecycles_per_sec", churn.lifecycles_per_sec)
+      .set("sqes", churn.sqes)
+      .set("cqes", churn.cqes)
+      .set("doorbells", churn.doorbells)
+      .set("v1_calls", churn.v1_calls)
+      .set("batch_calls", churn.batch_calls);
+  rep.gate("ring_lifecycle.completed == cycles", churn.completed, "==",
+           churn.cycles);
   // Doorbell-only steady state: after the one attach, the whole lifecycle
   // must ride SQEs/CQEs — any v1 call is a per-op crossing the control
   // plane was built to eliminate. (batch_calls counts the STACK-side
   // drains of our OP_WRITEV SQEs — ring traffic, not app crossings.)
-  if (churn.v1_calls != 0) {
-    std::fprintf(stderr,
-                 "FAIL: client compartment made %llu per-op API calls — "
-                 "lifecycle is not ring-resident\n",
-                 static_cast<unsigned long long>(churn.v1_calls));
-    status = 1;
-  }
-  if (churn.sqes < 3 * churn.completed) {
-    std::fprintf(stderr,
-                 "FAIL: %llu SQEs for %zu lifecycles — connect/transfer/"
-                 "close did not all ride the ring\n",
-                 static_cast<unsigned long long>(churn.sqes),
-                 churn.completed);
-    status = 1;
-  }
-  if (status == 0) {
-    std::printf("  doorbell-only: zero per-op API calls across %zu "
-                "lifecycles after one attach\n", churn.completed);
-  }
-
-  // Emit even on failure: a stale artifact from a previous passing run
-  // would misreport the trajectory.
-  emit_churn_json(rows, iters, sublinearity, churn);
-  return status;
+  rep.gate("ring_lifecycle.v1_calls == 0", churn.v1_calls, "==", 0);
+  rep.gate("ring_lifecycle.sqes >= 3 x completed", churn.sqes, ">=",
+           3 * churn.completed);
+  return rep.finish();
 }

@@ -35,29 +35,14 @@ int main() {
               "(paper: ~+125 ns)\n",
               cheri - base);
 
-  // API v2 regression gates: the TX batch path must amortize the measured-
-  // window crossings >= 8x over per-call v1 for the same byte volume, and
-  // the zero-copy RX path (epoll-gated mbuf loan bursts) must do the
-  // same on the receive side with ZERO receive-sockbuf copies. The v3
-  // uring gate then requires >= 2x fewer crossings than those batch paths
-  // with zero crossings per op in steady state, and the whole census lands
-  // in BENCH_fig4.json for the cross-PR trajectory.
-  BenchArtifacts art;
-  const int tx = run_census_gate(ScenarioKind::kScenario1, opt, &art);
-  const int rx =
-      tx == 0 ? run_rx_census_gate(ScenarioKind::kScenario1, opt, &art) : 0;
-  const int ur =
-      tx == 0 && rx == 0 ? run_uring_gate(ScenarioKind::kScenario1, opt, &art)
-                         : 0;
-  // Hardware-offload ablation: TSO on vs off over the same zc volume must
-  // amortize TX descriptors >= 2x (and the uring gate above already pinned
-  // stack_checksum_bytes == 0 on the offload-negotiated default path).
-  const int off =
-      tx == 0 && rx == 0 && ur == 0
-          ? run_offload_gate(ScenarioKind::kScenario1, opt, &art)
-          : 0;
-  // Emit whatever was measured even when a gate failed: a stale artifact
-  // from a previous (passing) run would misreport the perf trajectory.
-  emit_bench_json("fig4", art);
-  return tx != 0 ? tx : rx != 0 ? rx : ur != 0 ? ur : off;
+  // Crossing census: the TX batch path must amortize the measured-window
+  // crossings >= 8x over per-call v1 for the same byte volume, and the
+  // zero-copy RX path (epoll-gated mbuf loan bursts) must do the same on
+  // the receive side with ZERO receive-sockbuf copies. The v3 uring leg
+  // then requires >= 2x fewer crossings than those batch paths with zero
+  // crossings per op in steady state, and the TSO ablation >= 2x fewer TX
+  // descriptors per byte. Every leg lands in BENCH_fig4.json.
+  Report rep("fig4");
+  run_crossing_census(ScenarioKind::kScenario1, opt, rep);
+  return rep.finish();
 }

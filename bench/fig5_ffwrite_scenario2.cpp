@@ -33,39 +33,18 @@ int main() {
               "(paper: ~+200 ns)\n",
               rows[1].summary.median - rows[0].summary.median);
 
-  // API v2 regression gates: in Scenario 2 every v1 ff_write is its own
-  // cross-cVM jump + mutex acquisition; the batch path must amortize >= 8x.
-  // On the receive side, epoll-gated zc loan bursts must beat
-  // per-call epoll_wait + ff_read by the same factor with zero copies.
-  // The v3 uring gate then requires >= 2x fewer crossings than those batch
-  // paths with zero crossings per op in steady state (doorbell-only), and
-  // the whole census lands in BENCH_fig5.json.
-  BenchArtifacts art;
-  const int tx = run_census_gate(ScenarioKind::kScenario2Uncontended, opt,
-                                 &art);
-  const int rx =
-      tx == 0
-          ? run_rx_census_gate(ScenarioKind::kScenario2Uncontended, opt, &art)
-          : 0;
-  const int ur =
-      tx == 0 && rx == 0
-          ? run_uring_gate(ScenarioKind::kScenario2Uncontended, opt, &art)
-          : 0;
-  // Hardware-offload ablation (TSO descriptor amortization) and the
-  // lossy-wire leg: bit-flip corruption on the peer's egress must be fully
-  // accounted by the Morello port's FCS rejects + RX checksum verdicts
-  // while the stream still delivers every byte.
-  const int off =
-      tx == 0 && rx == 0 && ur == 0
-          ? run_offload_gate(ScenarioKind::kScenario2Uncontended, opt, &art)
-          : 0;
-  const int lw =
-      tx == 0 && rx == 0 && ur == 0 && off == 0
-          ? run_lossy_wire_gate(ScenarioKind::kScenario2Uncontended, opt,
-                                &art)
-          : 0;
-  // Emit whatever was measured even when a gate failed: a stale artifact
-  // from a previous (passing) run would misreport the perf trajectory.
-  emit_bench_json("fig5", art);
-  return tx != 0 ? tx : rx != 0 ? rx : ur != 0 ? ur : off != 0 ? off : lw;
+  // Crossing census: in Scenario 2 every v1 ff_write is its own cross-cVM
+  // jump + mutex acquisition; the batch path must amortize >= 8x. On the
+  // receive side, epoll-gated zc loan bursts must beat per-call
+  // epoll_wait + ff_read by the same factor with zero copies. The v3 uring
+  // leg then requires >= 2x fewer crossings than those batch paths with
+  // zero crossings per op in steady state (doorbell-only), and the TSO
+  // ablation >= 2x fewer TX descriptors per byte. The lossy-wire leg adds
+  // bit-flip corruption on the peer's egress: it must be fully accounted by
+  // the Morello port's FCS rejects + RX checksum verdicts while the stream
+  // still delivers every byte. Every leg lands in BENCH_fig5.json.
+  Report rep("fig5");
+  run_crossing_census(ScenarioKind::kScenario2Uncontended, opt, rep);
+  run_lossy_wire_census(ScenarioKind::kScenario2Uncontended, opt, rep);
+  return rep.finish();
 }

@@ -338,70 +338,13 @@ CauseCensus run_seeded_census(std::uint64_t volume) {
           s.impair_reorders, s.impair_corrupts, s.impair_jittered};
 }
 
-// ---------------------------------------------------------------------------
-// JSON artifact
-// ---------------------------------------------------------------------------
-
-void emit_json(const std::vector<CurveRow>& curve, std::uint64_t volume,
-               double retained_at_1pct, const QosLeg& qos,
-               const CorruptionLeg& corr, bool seed_identical) {
-  const char* dir = std::getenv("CHERINET_BENCH_JSON_DIR");
-  const std::string path =
-      (dir != nullptr && *dir != '\0' ? std::string(dir) + "/"
-                                      : std::string()) +
-      "BENCH_impairment.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  const auto u = [](std::uint64_t v) {
-    return static_cast<unsigned long long>(v);
-  };
-  std::fprintf(f, "{\n  \"figure\": \"impairment\",\n");
-  std::fprintf(f, "  \"volume_bytes\": %llu,\n", u(volume));
-  std::fprintf(f, "  \"goodput_curve\": [\n");
-  for (std::size_t i = 0; i < curve.size(); ++i) {
-    const CurveRow& r = curve[i];
-    std::fprintf(f,
-                 "    {\"label\": \"%s\", \"uniform_loss\": %.4f, "
-                 "\"goodput_mbps\": %.1f, \"virt_secs\": %.6f, "
-                 "\"rexmits\": %llu, \"fast_rexmits\": %llu, "
-                 "\"rto_expirations\": %llu, \"wire_drops\": %llu}%s\n",
-                 r.label.c_str(), r.uniform_loss, r.xfer.goodput_mbps,
-                 r.xfer.virt_secs, u(r.rec.rexmits), u(r.rec.fast_rexmits),
-                 u(r.rec.rto_expirations), u(r.wire_drops),
-                 i + 1 < curve.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"retained_at_1pct\": %.3f,\n", retained_at_1pct);
-  std::fprintf(f,
-               "  \"qos\": {\"p99_unloaded_us\": %.1f, "
-               "\"p99_loaded_us\": %.1f, \"bulk_goodput_mbps\": %.1f, "
-               "\"sent_class0\": %llu, \"sent_class2\": %llu, "
-               "\"throttled_class0\": %llu, \"drr_rounds\": %llu},\n",
-               qos.p99_unloaded_us, qos.p99_loaded_us,
-               qos.bulk_goodput_mbps, u(qos.sent_class0), u(qos.sent_class2),
-               u(qos.throttled_class0), u(qos.drr_rounds));
-  std::fprintf(f,
-               "  \"corruption\": {\"wire_corrupts\": %llu, "
-               "\"rx_crc_errors\": %llu, \"corrupt_bytes_delivered\": %llu, "
-               "\"completed\": %s},\n",
-               u(corr.wire_corrupts), u(corr.rx_crc_errors),
-               u(corr.xfer.corrupt_bytes), corr.xfer.ok ? "true" : "false");
-  std::fprintf(f, "  \"seed_replay_identical\": %s\n}\n",
-               seed_identical ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main() {
   print_header("Hostile wire: goodput under impairment + classed QoS p99",
                "ISSUE 8 (netem-style impairment stage; DRR + token-bucket "
                "TX classes)");
-  int status = 0;
+  Report rep("impairment");
 
   // ---- Leg 1: goodput vs loss --------------------------------------------
   const std::uint64_t volume =
@@ -410,6 +353,7 @@ int main() {
               "direction impaired):\n",
               static_cast<unsigned long long>(volume / 1024));
   const std::vector<CurveRow> curve = run_goodput_curve(volume);
+  rep.set("volume_bytes", volume);
   for (const CurveRow& r : curve) {
     std::printf("  %-12s %8.1f Mbit/s  (%llu rexmits: %llu fast + %llu rto, "
                 "%llu wire drops)%s\n",
@@ -419,40 +363,33 @@ int main() {
                 static_cast<unsigned long long>(r.rec.rto_expirations),
                 static_cast<unsigned long long>(r.wire_drops),
                 r.xfer.ok ? "" : "  [INCOMPLETE]");
-    if (!r.xfer.ok) {
-      std::fprintf(stderr, "FAIL: %s leg did not complete the stream\n",
-                   r.label.c_str());
-      status = 1;
-    }
+    rep.row("goodput_curve")
+        .set("label", r.label)
+        .set("uniform_loss", r.uniform_loss)
+        .set("goodput_mbps", r.xfer.goodput_mbps)
+        .set("virt_secs", r.xfer.virt_secs)
+        .set("rexmits", r.rec.rexmits)
+        .set("fast_rexmits", r.rec.fast_rexmits)
+        .set("rto_expirations", r.rec.rto_expirations)
+        .set("wire_drops", r.wire_drops);
+    rep.gate(r.label + " stream completed intact", r.xfer.ok, "==", true);
   }
   // Monotone in the uniform rows (tiny slack for recovery-path noise).
   for (std::size_t i = 1; i < curve.size(); ++i) {
     if (curve[i].uniform_loss < 0 || curve[i - 1].uniform_loss < 0) continue;
-    if (curve[i].xfer.goodput_mbps >
-        curve[i - 1].xfer.goodput_mbps * 1.02) {
-      std::fprintf(stderr,
-                   "FAIL: goodput rose with loss (%s %.1f -> %s %.1f)\n",
-                   curve[i - 1].label.c_str(),
-                   curve[i - 1].xfer.goodput_mbps, curve[i].label.c_str(),
-                   curve[i].xfer.goodput_mbps);
-      status = 1;
-    }
+    rep.gate(curve[i].label + " goodput <= 1.02 x " + curve[i - 1].label,
+             curve[i].xfer.goodput_mbps, "<=",
+             curve[i - 1].xfer.goodput_mbps * 1.02);
   }
   const double retained_at_1pct =
       curve[0].xfer.goodput_mbps > 0
           ? curve[2].xfer.goodput_mbps / curve[0].xfer.goodput_mbps
           : 0.0;
-  if (retained_at_1pct < 0.5) {
-    std::fprintf(stderr,
-                 "FAIL: 1%% loss retains only %.0f%% of lossless goodput "
-                 "(budget >= 50%%: fast recovery is not carrying losses)\n",
-                 retained_at_1pct * 100.0);
-    status = 1;
-  } else {
-    std::printf("  1%% loss retains %.0f%% of lossless goodput "
-                "(budget >= 50%%)\n",
-                retained_at_1pct * 100.0);
-  }
+  std::printf("  1%% loss retains %.0f%% of lossless goodput "
+              "(budget >= 50%%)\n",
+              retained_at_1pct * 100.0);
+  rep.set("retained_at_1pct", retained_at_1pct);
+  rep.gate("retained_at_1pct >= 0.5", retained_at_1pct, ">=", 0.5);
 
   // ---- Leg 2: mixed-class p99 --------------------------------------------
   const auto probes =
@@ -460,41 +397,33 @@ int main() {
   std::printf("\nmixed-class latency (%zu echo probes on class 2, "
               "token-bucketed bulk on class 0):\n", probes);
   const QosLeg qos = run_mixed_class(probes);
-  if (!qos.ok) {
-    std::fprintf(stderr, "FAIL: mixed-class leg did not run to completion\n");
-    status = 1;
-  } else {
-    std::printf("  echo p99: %.1f us unloaded -> %.1f us under bulk "
-                "(%.1fx)\n  bulk: %.1f Mbit/s while probed "
-                "(%llu class-0 sends, %llu throttles, %llu class-2 sends, "
-                "%llu DRR rounds)\n",
-                qos.p99_unloaded_us, qos.p99_loaded_us,
-                qos.p99_unloaded_us > 0
-                    ? qos.p99_loaded_us / qos.p99_unloaded_us
-                    : 0.0,
-                qos.bulk_goodput_mbps,
-                static_cast<unsigned long long>(qos.sent_class0),
-                static_cast<unsigned long long>(qos.throttled_class0),
-                static_cast<unsigned long long>(qos.sent_class2),
-                static_cast<unsigned long long>(qos.drr_rounds));
-    if (qos.p99_loaded_us > 5.0 * qos.p99_unloaded_us) {
-      std::fprintf(stderr,
-                   "FAIL: high-class p99 blew the 5x budget under bulk "
-                   "(%.1f us vs %.1f us unloaded)\n",
-                   qos.p99_loaded_us, qos.p99_unloaded_us);
-      status = 1;
-    }
-    if (qos.sent_class0 == 0 || qos.sent_class2 == 0 ||
-        qos.bulk_goodput_mbps < 100.0) {
-      std::fprintf(stderr,
-                   "FAIL: a class starved (class 0: %llu sends at %.1f "
-                   "Mbit/s, class 2: %llu sends)\n",
-                   static_cast<unsigned long long>(qos.sent_class0),
-                   qos.bulk_goodput_mbps,
-                   static_cast<unsigned long long>(qos.sent_class2));
-      status = 1;
-    }
-  }
+  std::printf("  echo p99: %.1f us unloaded -> %.1f us under bulk "
+              "(%.1fx)\n  bulk: %.1f Mbit/s while probed "
+              "(%llu class-0 sends, %llu throttles, %llu class-2 sends, "
+              "%llu DRR rounds)\n",
+              qos.p99_unloaded_us, qos.p99_loaded_us,
+              qos.p99_unloaded_us > 0 ? qos.p99_loaded_us / qos.p99_unloaded_us
+                                      : 0.0,
+              qos.bulk_goodput_mbps,
+              static_cast<unsigned long long>(qos.sent_class0),
+              static_cast<unsigned long long>(qos.throttled_class0),
+              static_cast<unsigned long long>(qos.sent_class2),
+              static_cast<unsigned long long>(qos.drr_rounds));
+  rep.at("qos")
+      .set("p99_unloaded_us", qos.p99_unloaded_us)
+      .set("p99_loaded_us", qos.p99_loaded_us)
+      .set("bulk_goodput_mbps", qos.bulk_goodput_mbps)
+      .set("sent_class0", qos.sent_class0)
+      .set("sent_class2", qos.sent_class2)
+      .set("throttled_class0", qos.throttled_class0)
+      .set("drr_rounds", qos.drr_rounds);
+  rep.gate("mixed-class leg ran to completion", qos.ok, "==", true);
+  rep.gate("qos.p99_loaded_us <= 5 x qos.p99_unloaded_us", qos.p99_loaded_us,
+           "<=", 5.0 * qos.p99_unloaded_us);
+  rep.gate("qos.sent_class0 > 0", qos.sent_class0, ">", 0);
+  rep.gate("qos.sent_class2 > 0", qos.sent_class2, ">", 0);
+  rep.gate("qos.bulk_goodput_mbps >= 100", qos.bulk_goodput_mbps, ">=",
+           100.0);
 
   // ---- Leg 3: corruption dies at the MAC ---------------------------------
   const std::uint64_t corr_volume =
@@ -507,16 +436,15 @@ int main() {
               static_cast<unsigned long long>(corr.wire_corrupts),
               static_cast<unsigned long long>(corr.rx_crc_errors),
               static_cast<unsigned long long>(corr.xfer.corrupt_bytes));
-  if (!corr.xfer.ok || corr.rx_crc_errors == 0 ||
-      corr.xfer.corrupt_bytes != 0) {
-    std::fprintf(stderr,
-                 "FAIL: corruption leg (completed=%d, rx_crc_errors=%llu, "
-                 "corrupt bytes=%llu) — flips must die at the FCS check\n",
-                 corr.xfer.ok ? 1 : 0,
-                 static_cast<unsigned long long>(corr.rx_crc_errors),
-                 static_cast<unsigned long long>(corr.xfer.corrupt_bytes));
-    status = 1;
-  }
+  rep.at("corruption")
+      .set("wire_corrupts", corr.wire_corrupts)
+      .set("rx_crc_errors", corr.rx_crc_errors)
+      .set("corrupt_bytes_delivered", corr.xfer.corrupt_bytes)
+      .set("completed", corr.xfer.ok);
+  rep.gate("corruption.completed", corr.xfer.ok, "==", true);
+  rep.gate("corruption.rx_crc_errors > 0", corr.rx_crc_errors, ">", 0);
+  rep.gate("corruption.corrupt_bytes_delivered == 0", corr.xfer.corrupt_bytes,
+           "==", 0);
 
   // ---- Leg 4: seed determinism -------------------------------------------
   const std::uint64_t seed_volume =
@@ -538,14 +466,7 @@ int main() {
               static_cast<unsigned long long>(census_a.jittered),
               static_cast<unsigned long long>(census_b.jittered),
               seed_identical ? "identical" : "DIVERGED");
-  if (!seed_identical) {
-    std::fprintf(stderr,
-                 "FAIL: same seed replayed a different per-cause census\n");
-    status = 1;
-  }
-
-  // Emit even on failure: a stale artifact from a previous passing run
-  // would misreport the trajectory.
-  emit_json(curve, volume, retained_at_1pct, qos, corr, seed_identical);
-  return status;
+  rep.set("seed_replay_identical", seed_identical);
+  rep.gate("seed_replay_identical", seed_identical, "==", true);
+  return rep.finish();
 }

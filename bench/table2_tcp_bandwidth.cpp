@@ -187,156 +187,84 @@ int main() {
       "saturates at ~941 Mbit/s; contended Scenario 2 splits the port "
       "between cVM2/cVM3 while the aggregate stays at the link ceiling.\n");
 
-  // Persist the goodput + frames-per-tx_burst census (scripts/check.sh
-  // surfaces it with the fig4/fig5 artifacts).
-  const char* dir = std::getenv("CHERINET_BENCH_JSON_DIR");
-  const std::string path =
-      (dir != nullptr && *dir != '\0' ? std::string(dir) + "/"
-                                      : std::string()) +
-      "BENCH_table2.json";
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fprintf(f, "{\n  \"figure\": \"table2\",\n  \"bytes\": %llu",
-                 static_cast<unsigned long long>(bytes));
-    for (const RowCensus& r : rows) {
-      std::fprintf(f,
-                   ",\n  \"%s\": {\"send_mbps\": %.1f, \"recv_mbps\": %.1f, "
-                   "\"send_aggregate_mbps\": %.1f, "
-                   "\"recv_aggregate_mbps\": %.1f, "
-                   "\"tx_frames\": %llu, \"tx_bursts\": %llu, "
-                   "\"tx_segs\": %llu, \"frames_per_burst\": %.2f, "
-                   "\"tso_frames\": %llu, \"tso_bytes\": %llu",
-                   r.key, r.send_mbps, r.recv_mbps, r.send_aggregate,
-                   r.recv_aggregate,
-                   static_cast<unsigned long long>(r.tx.frames),
-                   static_cast<unsigned long long>(r.tx.bursts),
-                   static_cast<unsigned long long>(r.tx.segs),
-                   r.tx.frames_per_burst(),
-                   static_cast<unsigned long long>(r.tx.tso_frames),
-                   static_cast<unsigned long long>(r.tx.tso_bytes));
-      if (!r.shards.empty()) {
-        std::fprintf(f, ", \"shards\": [");
-        for (std::size_t s = 0; s < r.shards.size(); ++s) {
-          const auto& sc = r.shards[s];
-          std::fprintf(f,
-                       "%s{\"mbps\": %.1f, \"mutex_fast\": %llu, "
-                       "\"mutex_contended\": %llu, \"proxied_calls\": %llu}",
-                       s == 0 ? "" : ", ", sc.mbps,
-                       static_cast<unsigned long long>(sc.mutex_fast),
-                       static_cast<unsigned long long>(sc.mutex_contended),
-                       static_cast<unsigned long long>(sc.proxied_calls));
-        }
-        std::fprintf(f, "]");
-      }
-      std::fprintf(f, "}");
+  // The goodput + frames-per-tx_burst census, one object per row.
+  Report rep("table2");
+  rep.set("bytes", bytes);
+  for (const RowCensus& r : rows) {
+    Fields& o = rep.at(r.key)
+                    .set("send_mbps", r.send_mbps)
+                    .set("recv_mbps", r.recv_mbps)
+                    .set("send_aggregate_mbps", r.send_aggregate)
+                    .set("recv_aggregate_mbps", r.recv_aggregate)
+                    .set("tx_frames", r.tx.frames)
+                    .set("tx_bursts", r.tx.bursts)
+                    .set("tx_segs", r.tx.segs)
+                    .set("frames_per_burst", r.tx.frames_per_burst())
+                    .set("tso_frames", r.tx.tso_frames)
+                    .set("tso_bytes", r.tx.tso_bytes);
+    for (const auto& sc : r.shards) {
+      o.row("shards")
+          .set("mbps", sc.mbps)
+          .set("mutex_fast", sc.mutex_fast)
+          .set("mutex_contended", sc.mutex_contended)
+          .set("proxied_calls", sc.proxied_calls);
     }
-    std::fprintf(f, "\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
   }
 
-  // Regression gate: sustained single-stream send rows must amortize the
+  // Doorbell gate: sustained single-stream send rows must amortize the
   // driver doorbell >= 8 frames per tx_burst (per-frame bursting — the
   // pre-gather emission — averaged barely above 1).
-  int rc = 0;
   for (const RowCensus& r : rows) {
-    if (!r.gate_bursts) continue;
-    if (r.tx.bursts == 0 || r.tx.frames_per_burst() < 8.0) {
-      std::fprintf(stderr,
-                   "FAIL: %s averaged %.2f frames per tx_burst "
-                   "(%llu frames / %llu bursts) — expected >= 8 under "
-                   "sustained send load\n",
-                   r.key, r.tx.frames_per_burst(),
-                   static_cast<unsigned long long>(r.tx.frames),
-                   static_cast<unsigned long long>(r.tx.bursts));
-      rc = 1;
+    if (r.gate_bursts) {
+      rep.gate(std::string(r.key) + ".frames_per_burst",
+               r.tx.frames_per_burst(), ">=", 8.0);
     }
   }
-
+  // A ratio against a baseline that never moved data fails its gate.
+  const auto ratio = [](double got, double base) {
+    return base > 0 ? got / base : 0.0;
+  };
   // Sharding gate 1: with 2 dual-port shards the contended AGGREGATE must
   // reach >= 1.8x the single-stack contended per-stream goodput, in both
   // directions — the wire fair-share ceiling that capped each stream at
   // ~half a port is gone once the flows stop sharing a stack and a port.
-  {
-    const RowCensus& single = rows[4];
-    const RowCensus& sharded = rows[6];
-    const struct {
-      const char* mode;
-      double base;
-      double agg;
-    } legs[] = {{"send", single.send_mbps, sharded.send_aggregate},
-                {"recv", single.recv_mbps, sharded.recv_aggregate}};
-    for (const auto& l : legs) {
-      if (l.base <= 0 || l.agg < 1.8 * l.base) {
-        std::fprintf(stderr,
-                     "FAIL: sharded2 contended %s aggregate %.1f Mbit/s < "
-                     "1.8x single-stack per-stream %.1f Mbit/s\n",
-                     l.mode, l.agg, l.base);
-        rc = 1;
-      }
-    }
-  }
-
+  rep.gate("sharded2 send aggregate / contended send_mbps >= 1.8",
+           ratio(rows[6].send_aggregate, rows[4].send_mbps), ">=", 1.8);
+  rep.gate("sharded2 recv aggregate / contended recv_mbps >= 1.8",
+           ratio(rows[6].recv_aggregate, rows[4].recv_mbps), ">=", 1.8);
   // Sharding gate 2: the sharded service at ONE shard must not tax the
   // uncontended path — within 5% of the classic single-stack row from the
   // same run (same volume, same transients: self-calibrating).
-  {
-    const RowCensus& classic = rows[3];
-    const RowCensus& sharded1 = rows[5];
-    const struct {
-      const char* mode;
-      double base;
-      double got;
-    } legs[] = {{"send", classic.send_mbps, sharded1.send_mbps},
-                {"recv", classic.recv_mbps, sharded1.recv_mbps}};
-    for (const auto& l : legs) {
-      if (l.base <= 0 || std::fabs(l.got - l.base) > 0.05 * l.base) {
-        std::fprintf(stderr,
-                     "FAIL: sharded1 uncontended %s %.1f Mbit/s is more "
-                     "than 5%% off the classic %.1f Mbit/s\n",
-                     l.mode, l.got, l.base);
-        rc = 1;
-      }
-    }
-  }
-
+  rep.gate("|sharded1 send / uncontended send - 1| <= 0.05",
+           std::fabs(ratio(rows[5].send_mbps, rows[3].send_mbps) - 1.0), "<=",
+           0.05);
+  rep.gate("|sharded1 recv / uncontended recv - 1| <= 0.05",
+           std::fabs(ratio(rows[5].recv_mbps, rows[3].recv_mbps) - 1.0), "<=",
+           0.05);
   // TSO ablation gate: the offload row must actually have sliced in the
   // device (super-segments reached the wire) and goodput must not regress
   // against the TSO-off control from the same run.
-  {
-    const RowCensus& ctl = rows[3];
-    const RowCensus& tso = rows[8];
-    if (tso.tx.tso_frames == 0 || tso.tx.tso_bytes == 0) {
-      std::fprintf(stderr,
-                   "FAIL: TSO row handed the device no super-segments\n");
-      rc = 1;
-    }
-    if (ctl.send_mbps <= 0 || tso.send_mbps < 0.95 * ctl.send_mbps) {
-      std::fprintf(stderr,
-                   "FAIL: TSO send goodput %.1f Mbit/s regressed vs "
-                   "TSO-off control %.1f Mbit/s\n",
-                   tso.send_mbps, ctl.send_mbps);
-      rc = 1;
-    }
-  }
-
-  // Sharding gate 3: every sharded row must show traffic on EVERY shard
-  // (steering worked: no shard sat idle while a sibling carried both
-  // flows), and each shard's calls went through its own mutex.
+  rep.gate("scenario2_uncontended_tso.tso_frames > 0", rows[8].tx.tso_frames,
+           ">", 0);
+  rep.gate("scenario2_uncontended_tso.tso_bytes > 0", rows[8].tx.tso_bytes,
+           ">", 0);
+  rep.gate("tso send / uncontended send >= 0.95",
+           ratio(rows[8].send_mbps, rows[3].send_mbps), ">=", 0.95);
+  // Sharding gate 3: every sharded row must report both of its shards and
+  // show traffic on EVERY shard (steering worked: no shard sat idle while a
+  // sibling carried both flows), and each shard's calls went through its
+  // own mutex.
   for (const RowCensus* r : {&rows[6], &rows[7]}) {
+    const std::string key = r->key;
+    rep.gate(key + " shard count", r->shards.size(), "==", 2);
     for (std::size_t s = 0; s < r->shards.size(); ++s) {
       const auto& sc = r->shards[s];
-      if (sc.mbps <= 0 || sc.proxied_calls == 0 ||
-          sc.mutex_fast + sc.mutex_contended == 0) {
-        std::fprintf(stderr,
-                     "FAIL: %s shard %zu carried no traffic "
-                     "(%.1f Mbit/s, %llu proxied calls)\n",
-                     r->key, s, sc.mbps,
-                     static_cast<unsigned long long>(sc.proxied_calls));
-        rc = 1;
-      }
+      const std::string shard = key + ".shards[" + std::to_string(s) + "]";
+      rep.gate(shard + ".mbps > 0", sc.mbps, ">", 0);
+      rep.gate(shard + ".proxied_calls > 0", sc.proxied_calls, ">", 0);
+      rep.gate(shard + " mutex acquisitions > 0",
+               sc.mutex_fast + sc.mutex_contended, ">", 0);
     }
   }
-  return rc;
+  return rep.finish();
 }

@@ -16,17 +16,15 @@
 //      stack itself returns to exact baselines (PCBs, pool buffers).
 //
 // Results persist as $CHERINET_BENCH_JSON_DIR/BENCH_tenants.json — the
-// artifact scripts/check.sh greps; retention or accounting drift fails CI.
+// artifact scripts/check.sh reads; retention or accounting drift fails CI.
 //
 //   CHERINET_TENANT_ITERS   loop turns per run          (default 4000)
 //   CHERINET_TENANT_CHUNK   victim write chunk, bytes   (default 2048)
 #include <array>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "apps/ff_ops.hpp"
 #include "bench_common.hpp"
@@ -38,7 +36,9 @@
 using namespace cherinet;
 using namespace cherinet::fstack;
 using cherinet::bench::env_u64;
+using cherinet::bench::Fields;
 using cherinet::bench::print_header;
+using cherinet::bench::Report;
 using cherinet::scen::HostileProfile;
 using cherinet::scen::HostileTenant;
 
@@ -213,63 +213,6 @@ bool fully_reclaimed(const RunResult& r) {
          r.baselines_exact;
 }
 
-void emit_json(const RunResult& control, const std::vector<ProfileRow>& rows,
-               std::size_t iters, double min_retention, bool gates_passed) {
-  const char* dir = std::getenv("CHERINET_BENCH_JSON_DIR");
-  const std::string path =
-      (dir != nullptr && *dir != '\0' ? std::string(dir) + "/"
-                                      : std::string()) +
-      "BENCH_tenants.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"figure\": \"tenants\",\n  \"iters\": %zu,\n",
-               iters);
-  std::fprintf(f, "  \"victims\": %d,\n", kVictims);
-  std::fprintf(f, "  \"control_bytes\": [");
-  for (int i = 0; i < kVictims; ++i) {
-    std::fprintf(f, "%llu%s",
-                 static_cast<unsigned long long>(control.victim_bytes[i]),
-                 i + 1 < kVictims ? ", " : "");
-  }
-  std::fprintf(f, "],\n  \"profiles\": [\n");
-  for (std::size_t j = 0; j < rows.size(); ++j) {
-    const ProfileRow& p = rows[j];
-    std::fprintf(f, "    {\"profile\": \"%s\", \"victim_bytes\": [",
-                 scen::to_string(p.prof));
-    for (int i = 0; i < kVictims; ++i) {
-      std::fprintf(f, "%llu%s",
-                   static_cast<unsigned long long>(p.r.victim_bytes[i]),
-                   i + 1 < kVictims ? ", " : "");
-    }
-    std::fprintf(
-        f,
-        "], \"min_retention\": %.3f, \"slo_ok\": %s, \"accounted\": %s, "
-        "\"reclaimed\": %s,\n     \"offender\": {\"zc_cap_rejects\": %llu, "
-        "\"pool_budget_rejects\": %llu, \"cq_deferrals\": %llu, "
-        "\"cq_deferral_evictions\": %llu, \"sq_drain_throttled\": %llu, "
-        "\"doorbells\": %llu, \"sqe_errors\": %llu, \"submits\": %llu}}%s\n",
-        p.min_retention, p.slo_ok ? "true" : "false",
-        p.accounted ? "true" : "false", p.reclaimed ? "true" : "false",
-        static_cast<unsigned long long>(p.r.evil_pre.zc_cap_rejects),
-        static_cast<unsigned long long>(p.r.evil_pre.pool_budget_rejects),
-        static_cast<unsigned long long>(p.r.evil_pre.cq_deferrals),
-        static_cast<unsigned long long>(p.r.evil_pre.cq_deferral_evictions),
-        static_cast<unsigned long long>(p.r.evil_pre.sq_drain_throttled),
-        static_cast<unsigned long long>(p.r.evil_pre.doorbells),
-        static_cast<unsigned long long>(p.r.evil_pre.sqe_errors),
-        static_cast<unsigned long long>(p.r.abuse.submits),
-        j + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"min_retention\": %.3f,\n", min_retention);
-  std::fprintf(f, "  \"gates_passed\": %s\n}\n",
-               gates_passed ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main() {
@@ -285,22 +228,27 @@ int main() {
 
   std::printf("\ncontrol: %d victim streams, %zu turns, no adversary\n",
               kVictims, iters);
+  Report rep("tenants");
+  rep.set("iters", iters).set("victims", kVictims);
   const RunResult control = run_fleet(std::nullopt, kSeed, iters, chunk);
+  bool control_moved = true;
   for (int i = 0; i < kVictims; ++i) {
     std::printf("  victim%d: %llu bytes\n", i,
                 static_cast<unsigned long long>(control.victim_bytes[i]));
-    if (control.victim_bytes[i] == 0) {
-      std::printf("== GATE FAIL: control victim%d moved no bytes\n", i);
-      emit_json(control, {}, iters, 0.0, false);
-      return 1;
-    }
+    rep.push("control_bytes", control.victim_bytes[i]);
+    control_moved &= rep.gate("control victim" + std::to_string(i) +
+                                  " bytes > 0",
+                              control.victim_bytes[i], ">", 0);
   }
+  rep.gate("control baselines restored exactly", control.baselines_exact,
+           "==", true);
+  // Retention is relative to the control: without it there is nothing to
+  // measure the profiles against.
+  if (!control_moved) return rep.finish();
 
   const HostileProfile profiles[] = {
       HostileProfile::kHoard, HostileProfile::kNoReap, HostileProfile::kFlood,
       HostileProfile::kStorm, HostileProfile::kForge, HostileProfile::kCrash};
-  std::vector<ProfileRow> rows;
-  bool all_ok = control.baselines_exact;
   double min_retention = 1.0;
   for (const HostileProfile p : profiles) {
     ProfileRow row;
@@ -318,32 +266,35 @@ int main() {
     min_retention = std::min(min_retention, row.min_retention);
     std::printf(
         "  %-8s min retention %.3f  slo=%s accounted=%s reclaimed=%s "
-        "(submits=%llu rejects=%llu)\n",
+        "(submits=%llu rejects=%llu, pcbs=%zu pool %u/%u)\n",
         scen::to_string(p), row.min_retention, row.slo_ok ? "ok" : "FAIL",
         row.accounted ? "ok" : "FAIL", row.reclaimed ? "ok" : "FAIL",
         static_cast<unsigned long long>(row.r.abuse.submits),
-        static_cast<unsigned long long>(row.r.abuse.rejects));
-    if (!row.slo_ok) {
-      std::printf("== GATE FAIL: %s degrades a victim past 10%%\n",
-                  scen::to_string(p));
-    }
-    if (!row.accounted) {
-      std::printf("== GATE FAIL: %s abuse not visible in its per-cause "
-                  "counters\n",
-                  scen::to_string(p));
-    }
-    if (!row.reclaimed) {
-      std::printf("== GATE FAIL: %s eviction left state pinned "
-                  "(pcbs=%zu pool %u/%u)\n",
-                  scen::to_string(p), row.r.pcbs_end, row.r.pool_end,
-                  row.r.pool0);
-    }
-    all_ok &= row.slo_ok && row.accounted && row.reclaimed;
-    rows.push_back(row);
+        static_cast<unsigned long long>(row.r.abuse.rejects), row.r.pcbs_end,
+        row.r.pool_end, row.r.pool0);
+    const std::string name = scen::to_string(p);
+    const TenantStats& e = row.r.evil_pre;
+    Fields& o = rep.row("profiles").set("profile", name);
+    for (const std::uint64_t b : row.r.victim_bytes) o.push("victim_bytes", b);
+    o.set("min_retention", row.min_retention)
+        .set("slo_ok", row.slo_ok)
+        .set("accounted", row.accounted)
+        .set("reclaimed", row.reclaimed);
+    o.at("offender")
+        .set("zc_cap_rejects", e.zc_cap_rejects)
+        .set("pool_budget_rejects", e.pool_budget_rejects)
+        .set("cq_deferrals", e.cq_deferrals)
+        .set("cq_deferral_evictions", e.cq_deferral_evictions)
+        .set("sq_drain_throttled", e.sq_drain_throttled)
+        .set("doorbells", e.doorbells)
+        .set("sqe_errors", e.sqe_errors)
+        .set("submits", row.r.abuse.submits);
+    rep.gate(name + " min_retention >= 0.90", row.min_retention, ">=", 0.90);
+    rep.gate(name + " abuse visible in its per-cause counters", row.accounted,
+             "==", true);
+    rep.gate(name + " eviction reclaimed every gauge and baseline",
+             row.reclaimed, "==", true);
   }
-
-  emit_json(control, rows, iters, min_retention, all_ok);
-  std::printf("\n%s\n", all_ok ? "ALL TENANT GATES PASSED"
-                               : "TENANT GATES FAILED");
-  return all_ok ? 0 : 1;
+  rep.set("min_retention", min_retention);
+  return rep.finish();
 }

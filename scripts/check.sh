@@ -16,6 +16,11 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+if ! command -v jq > /dev/null; then
+  echo "check.sh reads the bench artifacts with jq; install it first" >&2
+  exit 2
+fi
+
 SANITIZE="${SANITIZE:-0}"
 TSAN="${TSAN:-0}"
 if [[ "$SANITIZE" == "1" && "$TSAN" == "1" ]]; then
@@ -47,6 +52,8 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 cmake -B "$BUILD_DIR" -S . -DCHERINET_WERROR=ON "${EXTRA_FLAGS[@]}"
 cmake --build "$BUILD_DIR" -j "$JOBS"
+# A stale artifact must not stand in for one this run failed to write.
+rm -f "$BUILD_DIR"/BENCH_*.json
 status=0
 if [[ "$TSAN" == "1" ]]; then
   # Only the suites that actually spawn threads: everything else is
@@ -93,58 +100,37 @@ if [[ "$SANITIZE" != "1" ]]; then
     "$BUILD_DIR"/bench_tenant_fleet || status=$?
 fi
 
-# Surface the census artifacts the bench gates emit (v1 / v2-batch /
-# v3-uring crossings per byte volume; table2 goodput + frames per
-# tx_burst; churn, impairment and tenant censuses): the perf trajectory
-# tracked across PRs. Printed even when a gate failed — a failing run's
-# numbers are exactly the ones worth reading.
-for f in "$BUILD_DIR"/BENCH_fig4.json "$BUILD_DIR"/BENCH_fig5.json \
-         "$BUILD_DIR"/BENCH_table2.json "$BUILD_DIR"/BENCH_churn.json \
-         "$BUILD_DIR"/BENCH_impairment.json "$BUILD_DIR"/BENCH_tenants.json; do
-  if [[ -f "$f" ]]; then
-    echo "== bench artifact: $f"
-    cat "$f"
-  fi
-done
-
-# Hardware-offload regression gates over the fig4/fig5 artifacts: with TX
-# checksum offload negotiated (the default), the stack must not have walked
-# a single payload byte for checksums (stack_checksum_bytes == 0), and the
-# TSO ablation leg must actually have sliced super-segments in the device
-# (tso_frames > 0). Either drifting is a silent loss of the offload path.
-for f in "$BUILD_DIR"/BENCH_fig4.json "$BUILD_DIR"/BENCH_fig5.json; do
-  if [[ -f "$f" ]]; then
-    scb="$(grep -o '"stack_checksum_bytes": [0-9]*' "$f" | head -n1 \
-           | grep -o '[0-9]*$' || true)"
-    tsf="$(grep -o '"tso_frames": [0-9]*' "$f" | head -n1 \
-           | grep -o '[0-9]*$' || true)"
-    if [[ "${scb:-}" != "0" ]]; then
-      echo "== OFFLOAD REGRESSION: $(basename "$f") stack_checksum_bytes=${scb:-missing} (want 0)"
-      status=1
-    fi
-    if [[ -z "${tsf:-}" || "$tsf" == "0" ]]; then
-      echo "== OFFLOAD REGRESSION: $(basename "$f") tso_frames=${tsf:-missing} (want > 0)"
-      status=1
-    fi
-  fi
-done
-
-# Tenant-isolation regression gates over the fleet artifact: the bench's own
-# verdict must be green (every hostile profile kept every victim >= 90% of
-# control, was accounted per-cause, and reclaimed exactly), and the
-# retention floor itself is re-checked here so a silent weakening of the
-# in-binary gate cannot slip through.
-f="$BUILD_DIR"/BENCH_tenants.json
-if [[ -f "$f" ]]; then
-  if ! grep -q '"gates_passed": true' "$f"; then
-    echo "== TENANT REGRESSION: $(basename "$f") gates_passed != true"
+# Every gated bench writes BENCH_<fig>.json: its measured fields, one
+# {label, value, op, bound, pass} row per gate and the "gates_passed"
+# verdict. The ctest smoke runs write all six on this leg, so a missing
+# artifact is a failure. Each is printed even when a gate failed — a
+# failing run's numbers are exactly the ones worth reading.
+require() {  # require ARTIFACT JQ_CONDITION
+  if ! jq -e "$2" "$1" > /dev/null; then
+    echo "== ARTIFACT REGRESSION: $(basename "$1") fails $2"
     status=1
   fi
-  minret="$(grep -o '"min_retention": [0-9.]*' "$f" | tail -n1 \
-            | grep -o '[0-9.]*$' || true)"
-  if [[ -z "${minret:-}" ]] || ! awk -v r="$minret" 'BEGIN{exit !(r >= 0.90)}'; then
-    echo "== TENANT REGRESSION: $(basename "$f") min_retention=${minret:-missing} (want >= 0.90)"
+}
+for fig in fig4 fig5 table2 churn impairment tenants; do
+  f="$BUILD_DIR/BENCH_$fig.json"
+  if [[ ! -f "$f" ]]; then
+    echo "== MISSING ARTIFACT: $f"
     status=1
+    continue
   fi
-fi
+  echo "== bench artifact: $f"
+  cat "$f"
+  require "$f" '.gates_passed == true'
+done
+
+# Re-checks outside the binaries, so a silent weakening of an in-binary gate
+# cannot slip through: with TX checksum offload negotiated (the default) the
+# stack walked no payload byte for checksums, the TSO ablation leg sliced
+# super-segments in the device, and every victim kept >= 90% of its control
+# goodput under every hostile tenant profile.
+for fig in fig4 fig5; do
+  require "$BUILD_DIR/BENCH_$fig.json" '.offload.stack_checksum_bytes == 0'
+  require "$BUILD_DIR/BENCH_$fig.json" '.offload.tso.tso_frames > 0'
+done
+require "$BUILD_DIR/BENCH_tenants.json" '.min_retention >= 0.90'
 exit "$status"
