@@ -1,15 +1,22 @@
 // Ablation — locking strategies for the Scenario 2 coordination mutex.
 //
+// This bench owns the mechanism behind the paper's Fig. 6: it is the one
+// place real futex contention between host threads is timed. The Fig. 6
+// bench runs on the single-threaded lockstep rig, where every stack-mutex
+// acquisition is a fast path.
+//
 // The paper's future work: "investigate in detail the impact of different
 // locking strategies to further reduce the overhead of our designs" (§IV).
-// We compare three strategies for the main-loop/API mutex under 2-thread
+// We compare these strategies for the main-loop/API mutex under 2-thread
 // contention:
 //   * futex-mutex  — the paper's design: user-space CAS fast path, kernel
 //                    escalation through trampoline + _umtx_op;
 //   * spinlock     — pure user-space CAS spinning on the shared word (no
 //                    kernel, burns the polling cores);
 //   * native-mutex — a host std::mutex (what a non-compartmentalized
-//                    baseline process would use).
+//                    baseline process would use);
+//   * sharded-futex — one futex mutex per thread, as attach-time shard
+//                    pinning gives each flow (gated contention-free).
 #include <mutex>
 #include <thread>
 
@@ -21,20 +28,22 @@ using namespace cherinet;
 namespace {
 constexpr int kIters = 20'000;
 
+/// Two threads (t = 0, 1) each run kIters critical sections bracketed by
+/// lock(t) / unlock(t); returns the wall-clock ns per section.
 template <typename LockFn, typename UnlockFn>
 double contended_ns_per_section(LockFn&& lock, UnlockFn&& unlock) {
   std::atomic<bool> go{false};
   std::atomic<long> counter{0};
-  auto body = [&] {
+  auto body = [&](int t) {
     while (!go.load(std::memory_order_acquire)) {
     }
     for (int i = 0; i < kIters; ++i) {
-      lock();
+      lock(t);
       counter.fetch_add(1, std::memory_order_relaxed);
-      unlock();
+      unlock(t);
     }
   };
-  std::thread t1(body), t2(body);
+  std::thread t1(body, 0), t2(body, 1);
   const auto t0 = std::chrono::steady_clock::now();
   go.store(true, std::memory_order_release);
   t1.join();
@@ -57,37 +66,15 @@ int main() {
   auto& c1 = ivr.create_cvm("cVM2", 1u << 20);
   auto& c2 = ivr.create_cvm("cVM3", 1u << 20);
 
-  // 1. The paper's futex mutex (trampoline + umtx escalation).
+  // 1. The paper's futex mutex (trampoline + umtx escalation), each
+  // thread locking through its own cVM's libc.
+  iv::MuslLibc* libc[2] = {&c1.libc(), &c2.libc()};
   auto word = ivr.grant_shared(64, "ablation-mutex");
   word.store<std::uint32_t>(0, 0);
   iv::CompartmentMutex futex_mutex(&c1.libc(), word.window(0, 4));
-  thread_local iv::MuslLibc* tls_libc = nullptr;
-  const double futex_ns = [&] {
-    std::atomic<int> idx{0};
-    std::atomic<bool> go{false};
-    std::atomic<long> counter{0};
-    auto body = [&](iv::MuslLibc* libc) {
-      while (!go.load(std::memory_order_acquire)) {
-      }
-      for (int i = 0; i < kIters; ++i) {
-        futex_mutex.lock(libc);
-        counter.fetch_add(1, std::memory_order_relaxed);
-        futex_mutex.unlock(libc);
-      }
-    };
-    std::thread t1(body, &c1.libc()), t2(body, &c2.libc());
-    const auto t0 = std::chrono::steady_clock::now();
-    go.store(true, std::memory_order_release);
-    t1.join();
-    t2.join();
-    const auto dt = std::chrono::steady_clock::now() - t0;
-    (void)idx;
-    (void)tls_libc;
-    return static_cast<double>(
-               std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
-                   .count()) /
-           (2.0 * kIters);
-  }();
+  const double futex_ns = contended_ns_per_section(
+      [&](int t) { futex_mutex.lock(libc[t]); },
+      [&](int t) { futex_mutex.unlock(libc[t]); });
 
   // 2. Pure spinlock on a shared capability word.
   auto spin_word = ivr.grant_shared(64, "ablation-spin");
@@ -96,16 +83,16 @@ int main() {
   const auto spin_cap = spin_word.cap();
   const auto spin_addr = spin_word.address();
   const double spin_ns = contended_ns_per_section(
-      [&] {
+      [&](int) {
         while (mem.atomic_cas_u32(spin_cap, spin_addr, 0, 1) != 0) {
         }
       },
-      [&] { (void)mem.atomic_exchange_u32(spin_cap, spin_addr, 0); });
+      [&](int) { (void)mem.atomic_exchange_u32(spin_cap, spin_addr, 0); });
 
   // 3. Host-native mutex (baseline reference).
   std::mutex native;
   const double native_ns = contended_ns_per_section(
-      [&] { native.lock(); }, [&] { native.unlock(); });
+      [&](int) { native.lock(); }, [&](int) { native.unlock(); });
 
   // 4. Per-shard futex mutexes — the sharded-stack design: the same two
   // contenders, but each flow pinned to its OWN shard mutex (RSS steering
@@ -119,30 +106,9 @@ int main() {
       {&c1.libc(), word_s0.window(0, 4)},
       {&c2.libc(), word_s1.window(0, 4)},
   };
-  const double sharded_ns = [&] {
-    std::atomic<bool> go{false};
-    std::atomic<long> counter{0};
-    auto body = [&](iv::CompartmentMutex* mtx, iv::MuslLibc* libc) {
-      while (!go.load(std::memory_order_acquire)) {
-      }
-      for (int i = 0; i < kIters; ++i) {
-        mtx->lock(libc);
-        counter.fetch_add(1, std::memory_order_relaxed);
-        mtx->unlock(libc);
-      }
-    };
-    std::thread t1(body, &shard_mutex[0], &c1.libc());
-    std::thread t2(body, &shard_mutex[1], &c2.libc());
-    const auto t0 = std::chrono::steady_clock::now();
-    go.store(true, std::memory_order_release);
-    t1.join();
-    t2.join();
-    const auto dt = std::chrono::steady_clock::now() - t0;
-    return static_cast<double>(
-               std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
-                   .count()) /
-           (2.0 * kIters);
-  }();
+  const double sharded_ns = contended_ns_per_section(
+      [&](int t) { shard_mutex[t].lock(libc[t]); },
+      [&](int t) { shard_mutex[t].unlock(libc[t]); });
 
   std::printf("%-14s %16s %26s\n", "strategy", "ns/section",
               "notes");

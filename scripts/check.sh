@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
 # CI gate: configure + build with warnings-as-errors, then run the full
-# ctest suite (unit/integration tests plus the fig4/fig5 crossing-census
-# and Table II bandwidth smoke gates registered in CMakeLists.txt — both
-# run on the lockstep rig, so the sanitizer leg gates them too).
+# ctest suite (unit/integration tests plus the fig4/fig5 crossing-census,
+# fig6 virtual-wait and Table II bandwidth smoke gates registered in
+# CMakeLists.txt — all on the lockstep rig, so the sanitizer leg gates
+# them too).
 #
 # SANITIZE=1 switches to the AddressSanitizer + UBSan configuration in its
 # own build tree — the memory-safety net over the loan-based RX pipeline
 # (mbuf refcounts, capability views, the ff_uring SQ/CQ rings).
 #
 # TSAN=1 switches to the ThreadSanitizer configuration, again in its own
-# build tree, and runs only the thread-spawning suites (the arbiter-paced
-# Fig. 4-6 latency probes, the sharded stacks, the intravisor host shims):
-# the data-race net over the per-core shard paths.
+# build tree, and runs the suites that spawn threads or once did: the
+# intravisor host shims (CompartmentMutex/umtx races, CVM::start), the
+# virtual clock's racing advances, the MPMC ring stress, and the scenario
+# and shard suites, which now run on the lockstep rig and stay in the leg
+# as a regression net for any thread reintroduced there.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -102,7 +105,7 @@ fi
 
 # Every gated bench writes BENCH_<fig>.json: its measured fields, one
 # {label, value, op, bound, pass} row per gate and the "gates_passed"
-# verdict. The ctest smoke runs write all six on this leg, so a missing
+# verdict. The ctest smoke runs write all seven on this leg, so a missing
 # artifact is a failure. Each is printed even when a gate failed — a
 # failing run's numbers are exactly the ones worth reading.
 require() {  # require ARTIFACT JQ_CONDITION
@@ -111,7 +114,7 @@ require() {  # require ARTIFACT JQ_CONDITION
     status=1
   fi
 }
-for fig in fig4 fig5 table2 churn impairment tenants; do
+for fig in fig4 fig5 fig6 table2 churn impairment tenants; do
   f="$BUILD_DIR/BENCH_$fig.json"
   if [[ ! -f "$f" ]]; then
     echo "== MISSING ARTIFACT: $f"

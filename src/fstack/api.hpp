@@ -221,9 +221,9 @@
 //                                      |   uring and mutex word the app
 //                                      |   touches belongs to that shard
 //                                      |   for the app's whole lifetime
-//  svc.run_loop(stop, arb)             | svc.run_shard_loop(s, stop, arb)
-//                                      |   per shard (run_loop retired in
-//                                      |   v10: pass shard 0)
+//  svc.run_loop(stop, arb)             | one polling loop per shard
+//                                      |   (run_loop retired in v10, the
+//                                      |   per-shard loop in v11)
 //  dev.poll(now) (whole device)        | dev.poll_queue(port, q, now):
 //                                      |   TX for the CALLER'S queue only
 //                                      |   + the shared RX classify drain
@@ -278,7 +278,7 @@
 //  semantics deltas (v7):
 //   * a token-paced frame STAYS STAGED until virtual time refills its
 //     bucket (pacing, not loss); FfStack::next_deadline() reports the
-//     release instant so arbiter-driven loops wake exactly then;
+//     release instant so the loop driving the clock wakes exactly then;
 //   * TCP carries the class on the PCB — ACKs, retransmits and FIN ride
 //     the flow's class, and accepted children inherit the listener's;
 //   * the stack's own control traffic (ARP) rides the top class
@@ -432,11 +432,42 @@
 //  FfOps::writev / readv per-element   | pure virtual: every binding
 //    "degrade" defaults                |   implements the batched path
 //  IperfServer::use_multishot          | IperfServer::use_uring
-//  Scenario2Service::run_loop          | run_shard_loop(0, stop, arb)
+//  Scenario2Service::run_loop          | the shard-0 polling loop
+//                                      |   (itself retired in v11)
 //
 //  semantics deltas (v10): none for OP_EPOLL_ARM, whose dedup state is the
 //  one the event ring shared. ApiStats::multishot_arms / multishot_events
 //  now count OP_EPOLL_ARM arms and readiness CQEs only.
+//
+// ------------------------------------------------------------------------
+// v10 -> v11 migration table: one driver for every emulated run
+// ------------------------------------------------------------------------
+// v11 retires the last threaded drivers of the scenario layer. Every
+// figure, table and scenario test now runs on scen::LockstepRig: the app
+// bodies, the stack loops (each under its shard mutex) and the peers take
+// turns on the caller's thread, and virtual time moves only when nothing
+// progressed. The conservative time arbiter that paced host threads
+// against the virtual clock went with its last users. No call in THIS
+// header changed; v11 removes surface and adds none.
+//
+//  v10                                 | v11
+// -------------------------------------|----------------------------------
+//  Scenario2Service per-shard polling  | LockstepRig::turn() runs each
+//    loop on a cVM1 thread, parked on  |   shard's run_once under its
+//    the arbiter (stop flag + arbiter) |   mutex inside cVM1; idle() parks
+//                                      |   the rings and advances the clock
+//  PeerHost::start / join and the      | PeerHost::step() from the same
+//    stop request (a polling thread)   |   turn; next_deadline() feeds the
+//                                      |   rig's earliest-deadline jump
+//  MorelloTestbed::arbiter()           | removed with sim's arbiter and
+//                                      |   participant types
+//  nic::Wire(clock, arbiter, tb) woke  | nic::Wire(clock, nullptr, tb):
+//    parked threads on each transmit   |   the slot stays, unused
+//
+//  semantics deltas (v11): the Fig. 4-6 probes take one measured call per
+//  endpoint per turn; the paced uncontended writer's next write is its due
+//  time in the rig's deadline choice. On one thread every stack-mutex
+//  acquisition is a fast path, so LatencyOutcome::mutex_contended is 0.
 //
 // The capability-qualified buffer handle is machine::CapView — the
 // `void* __capability` of the paper's modified F-Stack API; this header

@@ -13,7 +13,7 @@
 // (`rate_bytes_per_sec`, depth `burst_bytes`; 0 = unlimited): frames past
 // the bucket stay queued (pacing, not loss) and become eligible as virtual
 // time refills the bucket — `next_release` hands the earliest such instant
-// to FfStack::next_deadline so an arbiter-driven loop wakes exactly then.
+// to FfStack::next_deadline so the loop driving the clock wakes exactly then.
 //
 // Flows pick their class with ff_set_class / OP_SET_CLASS (class 0 =
 // default/bulk .. kQosClasses-1 = highest; accepted connections inherit the

@@ -178,12 +178,12 @@ std::optional<sim::Ns> FfStack::next_deadline() const {
   const auto w = wheel_.next_deadline();
   if (w && (!d || *w < *d)) d = w;
   // Token-bucket pacing: a frame waiting on a QoS bucket becomes eligible
-  // at a known virtual instant — the arbiter must wake then or a paced
+  // at a known virtual instant — the driver must wake then or a paced
   // class stalls until unrelated traffic happens to arrive.
   const auto q = qos_.next_release(clock_->now());
   if (q && (!d || *q < *d)) d = q;
   // GRO ack-flush deadlines are reported EXACTLY (no tick ceiling): the
-  // arbiter must wake µs after an arrival pause or the flush degrades
+  // driver must wake µs after an arrival pause or the flush degrades
   // into the delack it exists to pre-empt.
   for (const TcpPcb* pcb : ack_flush_) {
     const auto f = pcb->ack_flush_deadline();
@@ -769,7 +769,7 @@ std::size_t FfStack::flush_tx() {
   // scheduler with their tokens/deficit refunded (backpressure, not loss)
   // and retry at the next flush point; token-paced frames stay queued
   // until virtual time refills their bucket (next_deadline wakes the
-  // arbiter at that instant).
+  // driver at that instant).
   std::size_t total = 0;
   const sim::Ns now = clock_->now();
   while (qos_.staged() > 0) {

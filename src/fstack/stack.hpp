@@ -138,8 +138,8 @@ class FfStack final : public TcpEnv {
   /// reports itself parked). Returns SQEs consumed or -errno.
   int uring_doorbell(int id);
   /// Publish the park state into every attached ring's header (the loop
-  /// harness calls this around its arbiter waits; the app-side push uses
-  /// it to decide whether a doorbell crossing is needed at all).
+  /// harness calls this before it lets virtual time jump; the app-side
+  /// push uses it to decide whether a doorbell crossing is needed at all).
   void urings_set_parked(bool parked);
 
   /// Assign fd's flow to QoS traffic class `cls` (API v7; OP_SET_CLASS /

@@ -26,7 +26,7 @@
 //                      `reorder_extra` after the last overtaker. A held
 //                      frame is never stranded: if the overtakers don't
 //                      come, it is released at its original arrival plus
-//                      `reorder_extra` (the deadline the arbiter sees).
+//                      `reorder_extra` (the deadline next_delivery reports).
 //   corrupt            per-frame probability of a single random bit flip
 //                      anywhere in the frame (header, payload or FCS) —
 //                      the receiving MAC's CRC check must catch it; the

@@ -4,7 +4,7 @@
 // 757 Mbit/s sending — attributed to "hardware limitations imposed by the
 // PCI NIC") are modeled as direction-dependent aggregate serialization of
 // DMA wire-bytes across both ports. Reservations are FIFO, which yields the
-// round-robin fairness the arbiter provides on the real bus, and lossless
+// round-robin fairness of the hardware's PCI bus arbitration, and lossless
 // backpressure: a frame's wire transmission simply starts when its DMA slot
 // completes, so TCP sees a clean rate limit rather than drops — matching
 // the paper's loss-free plateaus.

@@ -13,7 +13,7 @@ void Wire::set_impairment(int side, const ImpairmentProfile& profile) {
 
 void Wire::insert_sorted(Endpoint& ep, sim::Ns arrive, Frame frame) {
   // Arrival-sorted insertion keeps poll()'s front-of-queue pop and the
-  // arbiter's next_delivery() correct under jitter and reordering. Equal
+  // poller's next_delivery() correct under jitter and reordering. Equal
   // arrivals (duplicates) land after their original.
   const auto it = std::upper_bound(
       ep.inbox.begin(), ep.inbox.end(), arrive,
@@ -121,7 +121,6 @@ void Wire::transmit(int side, Frame frame, sim::Ns ready) {
     }
     if (verdict.duplicate) insert_sorted(rx, arrive, std::move(dup));
   }
-  if (arbiter_ != nullptr) arbiter_->kick();
 }
 
 std::vector<Frame> Wire::poll(int side) {

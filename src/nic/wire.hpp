@@ -18,6 +18,7 @@
 // before the impairment stage and indexes real transmit attempts).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -28,7 +29,6 @@
 #include "nic/impairment.hpp"
 #include "nic/shared_bus.hpp"
 #include "sim/testbed.hpp"
-#include "sim/time_arbiter.hpp"
 #include "sim/virtual_clock.hpp"
 
 namespace cherinet::nic {
@@ -42,10 +42,11 @@ struct Frame {
 
 class Wire {
  public:
-  /// `arbiter` may be null (pure unit tests advance the clock manually).
-  Wire(sim::VirtualClock* clock, sim::TimeArbiter* arbiter,
-       const sim::Testbed& tb)
-      : clock_(clock), arbiter_(arbiter), tb_(tb) {}
+  /// Whoever drives `clock` polls both sides and advances it to the
+  /// earliest next_delivery; the wire wakes no one. The second parameter
+  /// is an unused slot kept for existing callers, which pass nullptr.
+  Wire(sim::VirtualClock* clock, std::nullptr_t, const sim::Testbed& tb)
+      : clock_(clock), tb_(tb) {}
 
   /// Attach endpoint `side` (0/1) to a shared host bus; `side`'s transmits
   /// reserve kTx on its own bus and kRx on the peer's bus.
@@ -71,7 +72,7 @@ class Wire {
   /// Frames whose arrival time has passed at endpoint `side`.
   [[nodiscard]] std::vector<Frame> poll(int side);
 
-  /// Earliest undelivered arrival at `side` (the arbiter deadline).
+  /// Earliest undelivered arrival at `side` (the poller's next deadline).
   [[nodiscard]] std::optional<sim::Ns> next_delivery(int side) const;
 
   struct Stats {
@@ -120,7 +121,6 @@ class Wire {
   static void release_due_held(Endpoint& ep, sim::Ns now);
 
   sim::VirtualClock* clock_;
-  sim::TimeArbiter* arbiter_;
   sim::Testbed tb_;
   Endpoint ep_[2];
   LossFn loss_;

@@ -1,9 +1,7 @@
 #include "scenarios/experiment.hpp"
 
-#include <atomic>
 #include <limits>
 #include <optional>
-#include <thread>
 
 #include "scenarios/baseline.hpp"
 #include "scenarios/scenario1.hpp"
@@ -13,13 +11,15 @@ namespace cherinet::scen {
 
 namespace {
 constexpr std::uint16_t kIperfPort = 5201;
-constexpr sim::Ns kHeartbeat{500'000};      // 0.5 ms virtual idle heartbeat
-constexpr sim::Ns kProbeHeartbeat{1'000'000};  // 1 ms for latency probes
+constexpr sim::Ns kHeartbeat{500'000};  // 0.5 ms virtual idle heartbeat
 
-sim::Ns capped_deadline(const std::optional<sim::Ns>& d, sim::Ns now,
-                        sim::Ns horizon) {
-  const sim::Ns cap = now + horizon;
-  return d && *d < cap ? *d : cap;
+/// Endpoints of a Table II / Fig. 4-6 configuration: one stream per port
+/// for the dual-port kinds, one per app cVM for contended Scenario 2.
+int endpoint_count(ScenarioKind kind) {
+  return kind == ScenarioKind::kBaseline1Proc ||
+                 kind == ScenarioKind::kScenario2Uncontended
+             ? 1
+             : 2;
 }
 }  // namespace
 
@@ -42,8 +42,7 @@ const char* to_string(Direction d) noexcept {
 // MorelloTestbed
 // ===========================================================================
 
-MorelloTestbed::MorelloTestbed(TestbedOptions opt)
-    : opt_(opt), arb_(clock_) {
+MorelloTestbed::MorelloTestbed(TestbedOptions opt) : opt_(opt) {
   iv::Intravisor::Config cfg;
   cfg.memory_bytes = opt_.memory_bytes;
   cfg.cost = opt_.cost;
@@ -56,7 +55,7 @@ MorelloTestbed::MorelloTestbed(TestbedOptions opt)
       std::array<nic::MacAddr, 2>{nic::MacAddr::local(1),
                                   nic::MacAddr::local(2)});
   for (int i = 0; i < 2; ++i) {
-    wires_[i] = std::make_unique<nic::Wire>(&clock_, &arb_, opt_.phys);
+    wires_[i] = std::make_unique<nic::Wire>(&clock_, nullptr, opt_.phys);
     wires_[i]->set_bus(0, bus_.get());  // only the Morello card shares a PCI bus
     card_->connect(i, wires_[i].get(), 0);
     if (opt_.impair.enabled()) {
@@ -72,7 +71,7 @@ PeerHost& MorelloTestbed::make_peer(int i) {
     pc.name = "peer" + std::to_string(i);
     pc.inst = peer_cfg(i);
     peers_[i] = std::make_unique<PeerHost>(pc, iv_->address_space(), clock_,
-                                           arb_, *wires_[i], 1);
+                                           *wires_[i], 1);
   }
   return *peers_[i];
 }
@@ -139,13 +138,13 @@ LockstepRig::LockstepRig(ScenarioKind kind, int endpoints,
 
 LockstepRig::~LockstepRig() = default;
 
-bool LockstepRig::turn(bool app_progress) {
+bool LockstepRig::turn(bool app_progress, std::optional<sim::Ns> app_due) {
   bool progress = app_progress;
   for (Stack& s : stacks_) {
     progress |= s.run([&s] { return s.inst->run_once(); });
   }
   for (PeerHost* p : peers_) progress |= p->step();
-  if (!progress) idle();
+  if (!progress) idle(app_due);
   const sim::Ns t = now();
   if (t != instant_) {
     instant_ = t;
@@ -221,6 +220,7 @@ void LockstepRig::build_per_port(bool cheri, int endpoints) {
       auto& s1 = s1_.emplace_back(
           std::make_unique<Scenario1Cvm>(iv, tb_.card(), i, cfg, e.label));
       e.cvm = &s1->cvm();
+      e.libc = &s1->libc();
       e.ops = &s1->ops();
       e.heap = &s1->cvm().heap();
       stacks_.push_back({&s1->instance(), e.cvm, nullptr, i});
@@ -229,6 +229,7 @@ void LockstepRig::build_per_port(bool cheri, int endpoints) {
                               : std::string("Baseline (cVM2)");
       auto& bp = bp_.emplace_back(std::make_unique<BaselineProcess>(
           iv, tb_.card(), i, cfg, "proc" + std::to_string(i)));
+      e.libc = &bp->libc();
       e.ops = &bp->ops();
       e.heap = &bp->heap();
       stacks_.push_back({&bp->instance(), nullptr, nullptr, i});
@@ -275,6 +276,7 @@ int LockstepRig::add_app(std::string label, int tid) {
   Endpoint& e = eps_.emplace_back();
   e.label = std::move(label);
   e.cvm = &tb_.intravisor().create_cvm(e.label, 16u << 20);
+  e.libc = &e.cvm->libc();
   e.stack = static_cast<std::size_t>(j) % shards_.size();
   proxies_.push_back(svc_->make_proxy_ops(*e.cvm, e.stack, tid));
   e.ops = proxies_.back().get();
@@ -282,22 +284,21 @@ int LockstepRig::add_app(std::string label, int tid) {
   return j;
 }
 
-void LockstepRig::idle() {
-  std::optional<sim::Ns> d;
+void LockstepRig::idle(std::optional<sim::Ns> app_due) {
+  std::optional<sim::Ns> d = app_due;
   const auto earliest = [&d](std::optional<sim::Ns> o) {
     if (o && (!d || *o < *d)) d = o;
   };
   for (Stack& s : stacks_) {
     if (s.mutex != nullptr) {
-      // Where the threaded main loop would park: publish it, so a ring
-      // user knows its next doorbell crossing is worth making.
+      // The shard idles across the clock jump: publish its park state, so
+      // a ring user knows its next doorbell crossing is worth making.
       s.run([&s] { s.inst->stack().urings_set_parked(true); });
     }
     earliest(s.inst->next_deadline());
   }
   for (PeerHost* p : peers_) earliest(p->next_deadline());
-  // Nothing scheduled ahead: step by the heartbeat the threaded loops
-  // park with.
+  // Nothing scheduled ahead: step by one heartbeat.
   tb_.clock().advance_to(d && *d > now() ? *d : now() + kHeartbeat);
 }
 
@@ -308,10 +309,7 @@ void LockstepRig::idle() {
 BandwidthOutcome run_bandwidth(ScenarioKind kind, Direction dir,
                                std::uint64_t bytes_per_stream,
                                const TestbedOptions& opt) {
-  const int streams = kind == ScenarioKind::kBaseline1Proc ||
-                              kind == ScenarioKind::kScenario2Uncontended
-                          ? 1
-                          : 2;
+  const int streams = endpoint_count(kind);
   LockstepRig rig(kind, streams, bytes_per_stream * streams, opt);
   MorelloTestbed& tb = rig.testbed();
   const bool rx = dir == Direction::kMorelloReceives;
@@ -414,239 +412,94 @@ std::int64_t measured_write(apps::FfOps& ops, int fd,
   return ops.writev(fd, {iov, k});
 }
 
-/// Probe owning its stack (Baseline / Scenario 1): interleaves measured
-/// writes with main-loop iterations, parking when neither can progress.
-std::vector<double> probe_direct(FullStackInstance& inst, apps::FfOps& ops,
-                                 iv::MuslLibc& libc, sim::VirtualClock& clock,
-                                 sim::TimeArbiter& arb, fstack::Ipv4Addr dst,
-                                 std::uint16_t port, std::size_t iters,
-                                 std::size_t wsize,
-                                 const machine::CapView& buf,
-                                 const std::string& name,
-                                 std::size_t batch = 1) {
-  std::vector<double> samples;
-  samples.reserve(iters);
-  const int fd = ops.socket_stream();
-  ops.connect(fd, dst, port);
-  sim::Participant part(arb, name);
-  while (samples.size() < iters) {
-    const std::uint64_t token = part.prepare();
-    const std::uint64_t t0 = libc.clock_gettime_mono_raw_ns();
-    const std::int64_t r = measured_write(ops, fd, buf, wsize, batch);
-    const std::uint64_t t1 = libc.clock_gettime_mono_raw_ns();
-    bool progress = false;
-    if (r > 0) {
-      samples.push_back(static_cast<double>(t1 - t0));
-      progress = true;
-    }
-    progress |= inst.run_once();
-    if (!progress) {
-      part.wait(token, capped_deadline(inst.next_deadline(), clock.now(),
-                                       kProbeHeartbeat));
-    }
-  }
-  ops.close(fd);
-  for (int i = 0; i < 10000; ++i) {
-    if (!inst.run_once()) break;  // drain FIN exchange
-  }
-  return samples;
-}
-
-/// Probe in a Scenario 2 application compartment: the write crosses into
-/// cVM1 (sealed entry + stack mutex); the stack loop runs elsewhere.
-/// `pace` > 0 reproduces the paper's uncontended methodology — "we
-/// increased the interval between two consecutive ff_write() to reduce the
-/// possibility to be blocked for a long time by the mutex" (§IV): the probe
-/// idles between writes so the polling loop has drained and released.
-std::vector<double> probe_proxy(apps::FfOps& ops, iv::MuslLibc& libc,
-                                sim::VirtualClock& clock,
-                                sim::TimeArbiter& arb, fstack::Ipv4Addr dst,
-                                std::uint16_t port, std::size_t iters,
-                                std::size_t wsize,
-                                const machine::CapView& buf,
-                                const std::string& name, sim::Ns pace,
-                                std::vector<double>* virtual_out = nullptr,
-                                std::size_t batch = 1) {
-  std::vector<double> samples;
-  samples.reserve(iters);
-  const int fd = ops.socket_stream();
-  ops.connect(fd, dst, port);
-  sim::Participant part(arb, name);
-  int spins = 0;
-  std::optional<sim::Ns> first_try;  // virtual instant of the write's
-                                     // first (possibly failing) attempt
-  while (samples.size() < iters) {
-    const std::uint64_t token = part.prepare();
-    if (!first_try) first_try = clock.now();
-    const std::uint64_t t0 = libc.clock_gettime_mono_raw_ns();
-    const std::int64_t r = measured_write(ops, fd, buf, wsize, batch);
-    const std::uint64_t t1 = libc.clock_gettime_mono_raw_ns();
-    if (r > 0) {
-      samples.push_back(static_cast<double>(t1 - t0));
-      if (virtual_out != nullptr) {
-        virtual_out->push_back(
-            static_cast<double>((clock.now() - *first_try).count()));
-      }
-      first_try.reset();
-      spins = 0;
-      if (pace.count() > 0) part.wait(token, clock.now() + pace);
-    } else if (++spins < 64) {
-      // Retry in a tight loop first. For unpaced (contended) probes this
-      // races the polling main loop and the sibling compartment for the
-      // mutex in real time — the regime the paper's Fig. 6 measures. For
-      // paced probes it absorbs the wall-clock race where the writer and
-      // the loop woke at the same virtual instant but the loop has not
-      // had host CPU yet: spinning lets it catch up WITHOUT advancing
-      // virtual time, so the virtual_ns series is not charged for host
-      // scheduling.
-      continue;
-    } else if (pace.count() > 0) {
-      // Still full after spinning: genuine flow control. Step virtual
-      // time just far enough for the next drain rather than a full
-      // heartbeat, so virtual_ns records flow-control delay alone.
-      spins = 0;
-      part.wait(token, clock.now() + sim::Ns{200});
-    } else {
-      spins = 0;
-      part.wait(token, clock.now() + kProbeHeartbeat);
-    }
-  }
-  ops.close(fd);
-  return samples;
-}
-
 }  // namespace
 
 LatencyOutcome run_ffwrite_latency(ScenarioKind kind, std::size_t iterations,
                                    std::size_t write_size,
                                    const TestbedOptions& opt,
                                    std::size_t batch) {
-  MorelloTestbed tb(opt);
-  auto& iv = tb.intravisor();
-  auto& clock = tb.clock();
-  auto& arb = tb.arbiter();
-  LatencyOutcome out;
-  out.kind = kind;
-  std::atomic<bool> stop{false};
-
-  const bool dual = kind == ScenarioKind::kBaseline2Proc ||
-                    kind == ScenarioKind::kScenario1;
-  const bool s2 = kind == ScenarioKind::kScenario2Uncontended ||
-                  kind == ScenarioKind::kScenario2Contended;
-
-  if (!s2) {
-    const int nports = dual ? 2 : 1;
-    arb.expect_participants(2 * static_cast<std::size_t>(nports));
-    struct Side {
-      std::unique_ptr<BaselineProcess> bp;
-      std::unique_ptr<Scenario1Cvm> s1;
-      std::thread thread;
-      std::vector<double> samples;
-      std::string label;
-    };
-    std::vector<Side> sides(static_cast<std::size_t>(nports));
-    for (int i = 0; i < nports; ++i) {
-      Side& sd = sides[static_cast<std::size_t>(i)];
-      PeerHost& peer = tb.make_peer(i);
-      peer.serve_iperf(kIperfPort, 1);  // discard sink
-      peer.start();
-      if (kind == ScenarioKind::kScenario1) {
-        sd.label = "cVM" + std::to_string(i + 1);
-        sd.s1 = std::make_unique<Scenario1Cvm>(iv, tb.card(), i,
-                                               tb.morello_cfg(i), sd.label);
-      } else {
-        sd.label = dual ? "Baseline (cVM" + std::to_string(i + 1) + ")"
-                        : "Baseline";
-        sd.bp = std::make_unique<BaselineProcess>(
-            iv, tb.card(), i, tb.morello_cfg(i), "proc" + std::to_string(i));
-      }
-    }
-    for (int i = 0; i < nports; ++i) {
-      Side& sd = sides[static_cast<std::size_t>(i)];
-      const fstack::Ipv4Addr dst = MorelloTestbed::peer_ip(i);
-      auto body = [&sd, &clock, &arb, dst, iterations, write_size, batch] {
-        FullStackInstance& inst =
-            sd.s1 ? sd.s1->instance() : sd.bp->instance();
-        apps::FfOps& ops = sd.s1 ? sd.s1->ops() : sd.bp->ops();
-        iv::MuslLibc& libc = sd.s1 ? sd.s1->libc() : sd.bp->libc();
-        machine::CapView buf = sd.s1 ? sd.s1->alloc(4096) : sd.bp->alloc(4096);
-        sd.samples = probe_direct(inst, ops, libc, clock, arb, dst,
-                                  kIperfPort, iterations, write_size, buf,
-                                  sd.label + "-probe", batch);
-      };
-      if (sd.s1) {
-        sd.s1->cvm().start(body);
-      } else {
-        sd.thread = std::thread(body);
-      }
-    }
-    for (auto& sd : sides) {
-      if (sd.s1) sd.s1->cvm().join();
-      if (sd.thread.joinable()) sd.thread.join();
-    }
-    stop.store(true);
-    arb.kick();
-    for (int i = 0; i < nports; ++i) {
-      tb.peer(i).request_stop();
-      tb.peer(i).join();
-    }
-    for (auto& sd : sides) {
-      out.series.push_back({sd.label, std::move(sd.samples), {}});
-    }
-    return out;
+  const int n = endpoint_count(kind);
+  LockstepRig rig(kind, n,
+                  iterations * write_size * std::max<std::size_t>(batch, 1) *
+                      static_cast<std::size_t>(n),
+                  opt);
+  MorelloTestbed& tb = rig.testbed();
+  // Every endpoint streams into its port's discard sink.
+  std::array<int, 2> port_conns{};
+  for (int j = 0; j < n; ++j) ++port_conns[rig.port_of(j)];
+  for (int p = 0; p < 2; ++p) {
+    if (port_conns[p] > 0) tb.peer(p).serve_iperf(kIperfPort, port_conns[p]);
   }
-
-  // ---- Scenario 2 ----
-  const int napps = kind == ScenarioKind::kScenario2Contended ? 2 : 1;
-  arb.expect_participants(2 + static_cast<std::size_t>(napps));
-  PeerHost& peer = tb.make_peer(0);
-  peer.serve_iperf(kIperfPort, napps);
-  peer.start();
-  iv::CVM& cvm1 = iv.create_cvm("cVM1", 96u << 20);
-  FullStackInstance inst(tb.card(), 0, cvm1.heap(), clock, tb.morello_cfg(0));
-  Scenario2Service svc(iv, cvm1, inst);
-  cvm1.start([&] { svc.run_shard_loop(0, stop, arb); });
-
-  struct App {
-    iv::CVM* cvm = nullptr;
-    std::unique_ptr<apps::FfOps> ops;
-    std::vector<double> samples;
-    std::vector<double> vsamples;
-    std::string label;
-  };
-  std::vector<App> app(static_cast<std::size_t>(napps));
-  for (int j = 0; j < napps; ++j) {
-    App& a = app[static_cast<std::size_t>(j)];
-    a.label = "cVM" + std::to_string(2 + j);
-    a.cvm = &iv.create_cvm(a.label, 16u << 20);
-    a.ops = svc.make_proxy_ops(*a.cvm);
-  }
-  // Uncontended runs pace their writes exactly as the paper did; contended
-  // runs hammer flat out so every acquisition races the loop and sibling.
+  // "We increased the interval between two consecutive ff_write() to reduce
+  // the possibility to be blocked for a long time by the mutex" (§IV): the
+  // uncontended writer is due 20 us after its last success; every other
+  // writer goes flat out.
   const sim::Ns pace = kind == ScenarioKind::kScenario2Uncontended
                            ? sim::Ns{20'000}
                            : sim::Ns{0};
-  for (auto& a : app) {
-    a.cvm->start([&a, &clock, &arb, iterations, write_size, pace, batch] {
-      machine::CapView buf = a.cvm->alloc(4096);
-      a.samples = probe_proxy(*a.ops, a.cvm->libc(), clock, arb,
-                              MorelloTestbed::peer_ip(0), kIperfPort,
-                              iterations, write_size, buf,
-                              a.label + "-probe", pace, &a.vsamples, batch);
+  struct Probe {
+    int fd = -1;
+    machine::CapView buf;
+    LatencySeries series;
+    std::optional<sim::Ns> first_try;  // first attempt of the pending write
+    sim::Ns due{0};                    // the next write waits for this
+  };
+  std::vector<Probe> probes(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) {
+    Probe& p = probes[static_cast<std::size_t>(j)];
+    p.series.label = rig.label(j);
+    p.buf = rig.alloc(4096, j);
+    rig.run(j, [&] {
+      p.fd = rig.ops(j).socket_stream();
+      rig.ops(j).connect(p.fd, MorelloTestbed::peer_ip(rig.port_of(j)),
+                         kIperfPort);
     });
   }
-  for (auto& a : app) a.cvm->join();
-  stop.store(true);
-  arb.kick();
-  cvm1.join();
-  peer.request_stop();
-  peer.join();
-  for (auto& a : app) {
-    out.series.push_back(
-        {a.label, std::move(a.samples), std::move(a.vsamples)});
+  for (bool running = true; running;) {
+    running = false;
+    bool progress = false;
+    std::optional<sim::Ns> due;
+    for (int j = 0; j < n; ++j) {
+      Probe& p = probes[static_cast<std::size_t>(j)];
+      if (p.series.samples_ns.size() >= iterations) continue;
+      running = true;
+      if (rig.now() < p.due) {
+        if (!due || p.due < *due) due = p.due;
+        continue;
+      }
+      if (!p.first_try) p.first_try = rig.now();
+      iv::MuslLibc& libc = rig.libc(j);
+      std::uint64_t t0 = 0;
+      std::uint64_t t1 = 0;
+      const std::int64_t r = rig.run(j, [&] {
+        t0 = libc.clock_gettime_mono_raw_ns();
+        const std::int64_t w =
+            measured_write(rig.ops(j), p.fd, p.buf, write_size, batch);
+        t1 = libc.clock_gettime_mono_raw_ns();
+        return w;
+      });
+      if (r <= 0) continue;
+      p.series.samples_ns.push_back(static_cast<double>(t1 - t0));
+      p.series.virtual_ns.push_back(
+          static_cast<double>((rig.now() - *p.first_try).count()));
+      p.first_try.reset();
+      p.due = rig.now() + pace;
+      progress = true;
+    }
+    if (running && !rig.turn(progress, due)) break;
   }
-  out.mutex_fast = svc.mutex().fast_acquires();
-  out.mutex_contended = svc.mutex().contended_acquires();
+
+  LatencyOutcome out;
+  out.kind = kind;
+  for (int j = 0; j < n; ++j) {
+    Probe& p = probes[static_cast<std::size_t>(j)];
+    rig.run(j, [&] { rig.ops(j).close(p.fd); });
+    out.series.push_back(std::move(p.series));
+  }
+  if (Scenario2Service* svc = rig.service()) {
+    out.mutex_fast = svc->mutex().fast_acquires();
+    out.mutex_contended = svc->mutex().contended_acquires();
+  }
   return out;
 }
 

@@ -2,12 +2,12 @@
 // dual-port 82576 + wires + peer hosts) and runs the paper's evaluation
 // configurations end to end. Each bench binary is a thin printer over
 // run_bandwidth() (Table II), run_ffwrite_latency() (Figures 4-6) and
-// run_census() (the Fig. 4/5 crossing census). Table II, the census, the
-// Scenario 3 fleet and the Scenario 2 proxy tests all run on the public
-// single-threaded LockstepRig, so their counts and goodputs replay
-// identically whatever the host load; only the Fig. 4-6 latency probes are
-// threaded and paced by the time arbiter (Fig. 6 times real futex
-// contention between threads).
+// run_census() (the Fig. 4/5 crossing census). All of them, the Scenario 3
+// fleet and the Scenario 2 proxy and shard tests run on the public
+// single-threaded LockstepRig, so their counts, goodputs and virtual-time
+// series replay identically whatever the host load. On the rig the stack
+// mutex is never contended; real futex contention between threads is timed
+// by bench/ablation_locking.cpp.
 #pragma once
 
 #include <array>
@@ -25,7 +25,6 @@
 #include "scenarios/peer.hpp"
 #include "scenarios/stack_instance.hpp"
 #include "sim/testbed.hpp"
-#include "sim/time_arbiter.hpp"
 #include "updk/ethdev.hpp"
 
 namespace cherinet::scen {
@@ -83,7 +82,6 @@ class MorelloTestbed {
   explicit MorelloTestbed(TestbedOptions opt);
 
   [[nodiscard]] sim::VirtualClock& clock() noexcept { return clock_; }
-  [[nodiscard]] sim::TimeArbiter& arbiter() noexcept { return arb_; }
   [[nodiscard]] iv::Intravisor& intravisor() noexcept { return *iv_; }
   [[nodiscard]] nic::E82576Device& card() noexcept { return *card_; }
   [[nodiscard]] nic::Wire& wire(int i) { return *wires_.at(i); }
@@ -105,7 +103,6 @@ class MorelloTestbed {
  private:
   TestbedOptions opt_;
   sim::VirtualClock clock_;
-  sim::TimeArbiter arb_;
   std::unique_ptr<iv::Intravisor> iv_;
   std::unique_ptr<nic::SharedBus> bus_;
   std::unique_ptr<nic::E82576Device> card_;
@@ -155,8 +152,8 @@ struct BandwidthOutcome {
   /// Scenario 2 only: the per-shard goodput and mutex census. Each entry
   /// counts ONLY its own shard's mutex, which is what the sharded table2
   /// legs gate on. The lockstep rig is one thread, so every acquisition is
-  /// a fast path; Fig. 6 (run_ffwrite_latency) is where contention is
-  /// measured.
+  /// a fast path; real futex contention is timed by
+  /// bench/ablation_locking.cpp.
   struct ShardCensus {
     double mbps = 0.0;  // goodput of the stream(s) pinned to this shard
     std::uint64_t mutex_fast = 0;
@@ -183,14 +180,15 @@ struct BandwidthOutcome {
 
 struct LatencySeries {
   std::string label;
+  /// Per successful write, the host wall-clock time of the call itself,
+  /// read through the endpoint's own libc clock_gettime (so a cVM's
+  /// trampolined clock read is inside the window, as in §IV).
   std::vector<double> samples_ns;
-  /// Scenario 2 only: per successful write, the VIRTUAL-clock span from the
-  /// first ff_write attempt to the attempt that succeeded. The virtual
-  /// clock advances only through the arbiter's all-wait protocol, paced by
-  /// the simulated port drain — so this series measures how long the write
-  /// was held back by the contending sibling and the stack mutex in
-  /// simulated time, immune to host-scheduler load (unlike samples_ns,
-  /// which wall-clocks the successful call itself).
+  /// Per successful write, the VIRTUAL-clock span from the first attempt to
+  /// the attempt that succeeded. The rig advances virtual time only when
+  /// nothing progressed, paced by the simulated port drain, so this series
+  /// measures how long the write was held back by flow control and the
+  /// sibling's traffic in simulated time — a pure function of the inputs.
   std::vector<double> virtual_ns;
 };
 
@@ -199,18 +197,22 @@ struct LatencyOutcome {
   std::vector<LatencySeries> series;
   /// Scenario 2 only: the shared stack-mutex acquisition census. A
   /// CONTENDED acquisition is one that found the word taken and escalated
-  /// to the futex — the Fig. 6 mechanism itself, counted rather than
-  /// timed, so assertions on it hold under arbitrary host load.
+  /// to the futex. The rig takes turns on one thread, so every acquisition
+  /// is a fast path and mutex_contended is 0: pricing the futex escalation
+  /// in virtual time is not modeled.
   std::uint64_t mutex_fast = 0;
   std::uint64_t mutex_contended = 0;
 };
 
 /// Measure `iterations` successful ff_write() calls of `write_size` bytes
 /// per endpoint, timed with clock_gettime(CLOCK_MONOTONIC_RAW) through the
-/// scenario's own syscall path (direct vs trampolined), as in §IV.
-/// `batch` > 1 issues each measured call as ff_writev of `batch`
-/// write_size-sized iovecs — the contention knob of the Fig. 6 sweep: with
-/// proxied_calls_ counting batches, batch size scales bytes moved per
+/// scenario's own syscall path (direct vs trampolined), as in §IV. Runs on
+/// the LockstepRig: each turn every unfinished endpoint issues one measured
+/// call inside its compartment. The uncontended Scenario 2 writer is paced
+/// 20 us apart, as the paper did; the pace is its due time in the rig's
+/// earliest-deadline choice. `batch` > 1 issues each measured call as
+/// ff_writev of `batch` write_size-sized iovecs — the Fig. 6 sweep's knob:
+/// with proxied_calls_ counting batches, batch size scales bytes moved per
 /// mutex acquisition.
 [[nodiscard]] LatencyOutcome run_ffwrite_latency(
     ScenarioKind kind, std::size_t iterations, std::size_t write_size = 1448,
@@ -307,8 +309,7 @@ class Scenario2Service;
 /// shard j % shards. App code runs inside its compartment through run();
 /// turn() runs every stack's main loop inside its own compartment, then
 /// every peer, and when nobody progressed advances the clock to the
-/// earliest deadline. No threads and no arbiter: a run is a pure function
-/// of its inputs.
+/// earliest deadline. No threads: a run is a pure function of its inputs.
 class LockstepRig {
  public:
   /// `volume_bytes` sizes the virtual-time termination guard (see turn()).
@@ -325,6 +326,8 @@ class LockstepRig {
   [[nodiscard]] const std::string& label(int j) const {
     return eps_.at(j).label;
   }
+  /// Endpoint j's libc: its cVM's (trampolined) or its process's (direct).
+  [[nodiscard]] iv::MuslLibc& libc(int j) { return *eps_.at(j).libc; }
   /// The stack (Scenario 2: the shard) endpoint j's calls land on, and the
   /// port that stack serves.
   [[nodiscard]] std::size_t stack_of(int j) const { return eps_.at(j).stack; }
@@ -349,8 +352,12 @@ class LockstepRig {
   /// End one app iteration: run every stack, then every peer. The app
   /// progress must be true only when bytes, an fd or a loan moved: a
   /// bounced call that reported progress would re-run at the same instant
-  /// forever. Returns false once a termination guard fired.
-  bool turn(bool app_progress);
+  /// forever. `app_due` is the earliest instant an app that is waiting on
+  /// its own schedule wants to run again; when nobody progressed the clock
+  /// advances no further than that. Returns false once a termination guard
+  /// fired.
+  bool turn(bool app_progress,
+            std::optional<sim::Ns> app_due = std::nullopt);
 
   /// Driver-doorbell census summed over the Morello stacks.
   [[nodiscard]] BandwidthOutcome::TxBurstCensus tx_census() const;
@@ -372,9 +379,9 @@ class LockstepRig {
   template <typename F>
   std::int64_t measured(F&& call) {
     const Marks m = mark();
-    (void)eps_[0].cvm->libc().clock_gettime_mono_raw_ns();
+    (void)eps_[0].libc->clock_gettime_mono_raw_ns();
     const std::int64_t r = std::forward<F>(call)();
-    (void)eps_[0].cvm->libc().clock_gettime_mono_raw_ns();
+    (void)eps_[0].libc->clock_gettime_mono_raw_ns();
     charge(m);
     return r;
   }
@@ -399,6 +406,7 @@ class LockstepRig {
   struct Endpoint {
     std::string label;
     iv::CVM* cvm = nullptr;  // the app's compartment (null: Baseline)
+    iv::MuslLibc* libc = nullptr;
     apps::FfOps* ops = nullptr;
     machine::CompartmentHeap* heap = nullptr;
     std::size_t stack = 0;
@@ -406,7 +414,7 @@ class LockstepRig {
 
   void build_per_port(bool cheri, int endpoints);
   void build_scenario2(int endpoints, const TestbedOptions& opt);
-  void idle();
+  void idle(std::optional<sim::Ns> app_due);
 
   MorelloTestbed tb_;
   std::vector<std::unique_ptr<BaselineProcess>> bp_;

@@ -2,14 +2,10 @@
 
 namespace cherinet::scen {
 
-namespace {
-constexpr sim::Ns kHeartbeat{500'000};  // 0.5 ms virtual idle heartbeat
-}
-
 PeerHost::PeerHost(Config cfg, machine::AddressSpace& as,
-                   sim::VirtualClock& clock, sim::TimeArbiter& arb,
-                   nic::Wire& wire, int wire_side)
-    : cfg_(std::move(cfg)), clock_(clock), arb_(arb) {
+                   sim::VirtualClock& clock, nic::Wire& wire,
+                   int wire_side)
+    : cfg_(std::move(cfg)), clock_(clock) {
   card_ = std::make_unique<nic::E82576Device>(
       &as.mem(), &clock,
       std::array<nic::MacAddr, 2>{nic::MacAddr::local(200), nic::MacAddr::local(201)});
@@ -22,11 +18,6 @@ PeerHost::PeerHost(Config cfg, machine::AddressSpace& as,
                                               cfg_.inst);
   ops_ = std::make_unique<apps::DirectFfOps>(&inst_->stack());
   app_buf_ = heap_->alloc_view(64 * 1024);
-}
-
-PeerHost::~PeerHost() {
-  request_stop();
-  join();
 }
 
 void PeerHost::serve_iperf(std::uint16_t port, int expected_connections) {
@@ -57,30 +48,11 @@ bool PeerHost::workload_finished() const {
   return true;
 }
 
-void PeerHost::start() {
-  thread_ = std::thread([this] { loop(); });
-}
-
-void PeerHost::join() {
-  if (thread_.joinable()) thread_.join();
-}
-
 bool PeerHost::step() {
   bool progress = inst_->run_once();
   if (server_) progress |= server_->step();
   for (auto& c : clients_) progress |= c->step();
   return progress;
-}
-
-void PeerHost::loop() {
-  sim::Participant part(arb_, cfg_.name);
-  while (!stop_.load(std::memory_order_acquire)) {
-    const std::uint64_t token = part.prepare();
-    if (step()) continue;
-    const auto d = next_deadline();
-    const sim::Ns cap = clock_.now() + kHeartbeat;
-    part.wait(token, d && *d < cap ? *d : cap);
-  }
 }
 
 }  // namespace cherinet::scen

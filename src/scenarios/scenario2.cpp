@@ -1,11 +1,8 @@
 #include "scenarios/scenario2.hpp"
 
-#include <thread>
-
 namespace cherinet::scen {
 
 namespace {
-constexpr sim::Ns kHeartbeat{500'000};  // 0.5 ms virtual
 constexpr std::size_t kMaxProxyEvents = 64;
 // One marshalling record per zc loan: u64 token, u32 src ip, u16 src port
 // (+2 bytes padding). The same buffer carries recycle token batches and
@@ -39,58 +36,6 @@ Scenario2Service::Scenario2Service(iv::Intravisor& iv, iv::CVM& cvm1,
     // crossing; surface that counter through the stack's own stats.
     shards_[j]->stack().set_crossing_probe(
         [reg = &iv_.entries()] { return reg->crossings(); });
-  }
-}
-
-void Scenario2Service::run_shard_loop(std::size_t shard,
-                                      std::atomic<bool>& stop,
-                                      sim::TimeArbiter& arb) {
-  // DPDK/F-Stack's main loop is a *polling* loop: while traffic flows it
-  // iterates continuously with the coordination mutex held, so a
-  // cross-compartment ff_* call almost always finds the mutex taken and
-  // escalates to the futex — the paper's Fig. 6 mechanism. When an
-  // iteration finds nothing to do, the loop parks on the arbiter (the
-  // virtual clock can only advance while every participant is idle).
-  constexpr std::chrono::microseconds kPollWindow{10};
-  constexpr std::chrono::microseconds kWaiterGrace{3};
-  FullStackInstance& inst = *shards_[shard];
-  iv::CompartmentMutex& mutex = *mutexes_[shard];
-  const std::string pname =
-      shard == 0 ? "cvm1-netsvc" : "cvm1-netsvc-s" + std::to_string(shard);
-  sim::Participant part(arb, pname);
-  sim::VirtualClock* clock = iv_.host().vclock();
-  while (!stop.load(std::memory_order_acquire)) {
-    const std::uint64_t token = part.prepare();
-    bool progress;
-    std::optional<sim::Ns> d;
-    {
-      iv::CompartmentLockGuard lk(mutex);
-      progress = inst.run_once();
-      if (progress) {
-        // Busy traffic: keep polling under the lock for one window, as the
-        // real main loop would between two scheduler-visible instants.
-        const auto t_end = std::chrono::steady_clock::now() + kPollWindow;
-        while (std::chrono::steady_clock::now() < t_end) {
-          progress |= inst.run_once();
-        }
-      }
-      d = inst.next_deadline();
-      // About to park: tell attached ff_urings so an app pushing into an
-      // empty SQ knows the one doorbell crossing is worth making (a
-      // polling loop would pick the SQE up by itself — that is the
-      // zero-crossings-per-op steady state).
-      if (!progress) inst.stack().urings_set_parked(true);
-    }
-    if (mutex.has_waiters()) {
-      // Blocked API callers wake through the kernel; give them a real
-      // window to win the word before the loop re-acquires it, otherwise
-      // the polling loop starves them entirely (total starvation is not
-      // what the paper measures — expensive acquisition is).
-      std::this_thread::sleep_for(kWaiterGrace);
-    }
-    if (progress) continue;
-    const sim::Ns cap = clock->now() + kHeartbeat;
-    part.wait(token, d && *d < cap ? *d : cap);
   }
 }
 

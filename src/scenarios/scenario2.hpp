@@ -24,7 +24,6 @@
 #include "intravisor/compartment_mutex.hpp"
 #include "intravisor/intravisor.hpp"
 #include "scenarios/stack_instance.hpp"
-#include "sim/time_arbiter.hpp"
 
 namespace cherinet::scen {
 
@@ -47,13 +46,6 @@ class Scenario2Service {
   /// to every socket and ring the app creates; 0 leaves them untenanted.
   [[nodiscard]] std::unique_ptr<apps::FfOps> make_proxy_ops(
       iv::CVM& app, std::size_t shard = 0, int tid = 0);
-
-  /// One shard's main loop body: serialize that shard's stack iterations
-  /// against its proxied API calls via the shard's mutex; park on the
-  /// arbiter when idle. Shard 0 conventionally runs on cvm1's thread; the
-  /// others on sibling cVM1 threads.
-  void run_shard_loop(std::size_t shard, std::atomic<bool>& stop,
-                      sim::TimeArbiter& arb);
 
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();

@@ -1,6 +1,5 @@
 // TwoStacks: two full stacks joined by one wire, stepped deterministically
-// on a manually-advanced virtual clock — no threads, no arbiter, no
-// compartments. The protocol-level workhorse of the tests and of the
+// on a manually-advanced virtual clock — no threads, no compartments. The protocol-level workhorse of the tests and of the
 // benches and examples that need a peer: every run with the same inputs
 // replays identically.
 #pragma once

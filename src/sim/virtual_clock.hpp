@@ -4,9 +4,10 @@
 // host CPU speed. We therefore account link pacing in *virtual* nanoseconds:
 // the wire and PCI-bus models stamp each frame with its serialization /
 // arbitration completion time and the clock advances monotonically to those
-// stamps (or, when every participant is idle, to the earliest pending timer
-// through the TimeArbiter). This makes goodput numbers deterministic and
-// independent of the emulation host.
+// stamps. A single-threaded driver (scen::LockstepRig, scen::TwoStacks, the
+// e2e session) moves it to the earliest pending deadline only once nothing
+// progressed at the current instant. This makes goodput numbers
+// deterministic and independent of the emulation host.
 #pragma once
 
 #include <atomic>

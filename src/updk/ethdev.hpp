@@ -2,8 +2,8 @@
 //
 // The stack is written against this interface; the e82576 PMD implements it
 // over the device model. rx_burst never blocks — an empty return simply
-// means "nothing arrived yet", and the caller's main loop decides when to
-// yield to the time arbiter.
+// means "nothing arrived yet", and whoever drives the virtual clock decides
+// when to advance it (the lockstep rig, TwoStacks or the e2e session).
 #pragma once
 
 #include <cstdint>

@@ -245,7 +245,7 @@ TEST(ImpairmentWire, HeldFrameIsNeverStrandedWithoutOvertakers) {
   w.wire.set_impairment(0, prof);
   w.wire.transmit(0, w.frame(64), w.clock.now());
   // No further traffic: the deadline (arrival + reorder_extra) must still
-  // release it, and next_delivery must report that deadline to the arbiter.
+  // release it, and next_delivery must report that deadline to the driver.
   const auto nd = w.wire.next_delivery(1);
   ASSERT_TRUE(nd.has_value());
   w.clock.advance_to(*nd);

@@ -1,7 +1,7 @@
-// Scenario-level integration: all five Table II configurations at reduced
-// volume, the crossing census and the cross-compartment proxy on the
-// lockstep rig, the threaded ff_write latency probes, and
-// compartment-escape containment (Fig. 3).
+// Scenario-level integration, all on the lockstep rig: the five Table II
+// configurations at reduced volume, the ff_write latency probes, the
+// crossing census and the cross-compartment proxy; plus compartment-escape
+// containment (Fig. 3).
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -156,19 +156,17 @@ TEST(Latency, Scenario2ContentionDwarfsUncontended) {
   // The paper's Fig. 6 point: with two applications hammering the shared
   // stack, ff_write() stalls behind the sibling's traffic and the stack
   // mutex; paced solo writes do not. Wall-clock means of that stall are
-  // hostage to host load (this probe used to flake on busy CI), so the
-  // test reads the VIRTUAL clock instead: per successful write, the
-  // simulated-time span from first attempt to completion (virtual_ns).
-  // Virtual time advances only through the arbiter's all-wait protocol,
-  // paced by the simulated port drain — host slowdowns cannot stretch it.
+  // hostage to host load, so the test reads the VIRTUAL clock instead: per
+  // successful write, the simulated-time span from first attempt to
+  // completion (virtual_ns). The rig advances virtual time only when
+  // nothing progressed, paced by the simulated port drain — host
+  // slowdowns cannot stretch it.
   //
-  // The separator is structural, not a mean: a solo writer's worst wait
-  // is bounded by one drain epoch of its own backlog (observed ~90us,
-  // quantized), while a contended writer is regularly held across
-  // MULTIPLE drain/park epochs by the sibling occupying the shared window
-  // (modal wait ~98us, tail to ~2.5ms spanning 500us park heartbeats).
-  // Counting writes that waited > 150us separates the two configurations
-  // with zero overlap on idle and 6-way-loaded hosts alike.
+  // The separator is structural, not a mean: a paced solo writer never
+  // fills its send buffer, while a contended writer is regularly held
+  // across multiple drain epochs by the sibling occupying the shared
+  // window. Counting writes that waited > 150us separates the two
+  // configurations.
   TestbedOptions opt;
   opt.inline_tcp_output = false;
   const auto unc = run_ffwrite_latency(ScenarioKind::kScenario2Uncontended,
@@ -184,13 +182,39 @@ TEST(Latency, Scenario2ContentionDwarfsUncontended) {
     }
     return n;
   };
-  // Observed: 12-25 multi-epoch stalls per contended stream, 0 solo.
+  // Observed: 12 and 13 multi-epoch stalls per contended stream, 0 solo.
   EXPECT_GE(tail(con.series[0]), 5u)
       << "contended writes should stall across drain epochs (paper: ~152x)";
   EXPECT_GE(tail(con.series[1]), 5u)
       << "contended writes should stall across drain epochs (paper: ~152x)";
   EXPECT_LE(tail(unc.series[0]), 2u)
       << "a paced solo writer must never wait out multiple drain epochs";
+}
+
+TEST(Latency, SameInputsSameVirtualSeries) {
+  // The Fig. 5/6 probes run on the lockstep rig, so every write's virtual
+  // wait and the mutex census are functions of the inputs alone: two runs
+  // agree element for element, whatever the host load.
+  TestbedOptions opt;
+  opt.inline_tcp_output = false;
+  for (const ScenarioKind kind : {ScenarioKind::kScenario2Uncontended,
+                                  ScenarioKind::kScenario2Contended}) {
+    SCOPED_TRACE(to_string(kind));
+    const auto a = run_ffwrite_latency(kind, 2000, 1448, opt);
+    const auto b = run_ffwrite_latency(kind, 2000, 1448, opt);
+    ASSERT_EQ(a.series.size(), b.series.size());
+    for (std::size_t i = 0; i < a.series.size(); ++i) {
+      const auto mean = [](const LatencySeries& s) {
+        return stats::summarize(s.virtual_ns).mean;
+      };
+      EXPECT_EQ(a.series[i].virtual_ns.size(), 2000u);
+      EXPECT_TRUE(a.series[i].virtual_ns == b.series[i].virtual_ns)
+          << a.series[i].label << ": virtual mean " << mean(a.series[i])
+          << " vs " << mean(b.series[i]) << " ns";
+    }
+    EXPECT_EQ(a.mutex_fast, b.mutex_fast);
+    EXPECT_EQ(a.mutex_contended, b.mutex_contended);
+  }
 }
 
 // The Scenario 2 proxy tests run on the lockstep rig: the app body, cVM1's

@@ -1,17 +1,15 @@
 // Shard isolation: two FfStack shards on ONE port (2 RSS queues) churn
-// connections concurrently. Every flow must live and die entirely inside
+// connections side by side. Every flow must live and die entirely inside
 // the shard its app was pinned to at attach time — per-shard PCB tables,
 // mempools and timer wheels never see a sibling's traffic, and the leak
-// gates hold per shard. Virtual-time only (no wall-clock assertions), so
-// the test runs unmodified under the sanitizer leg.
+// gates hold per shard. Runs on the lockstep rig (one app cVM pinned to
+// each shard, both shard loops and the peer taking turns on the test's
+// thread), virtual-time only, so it replays identically under every leg.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cerrno>
-#include <thread>
 #include <vector>
 
-#include "intravisor/compartment_mutex.hpp"
 #include "scenarios/experiment.hpp"
 #include "scenarios/scenario2.hpp"
 
@@ -24,114 +22,117 @@ constexpr int kConnsPerShard = 3;
 constexpr std::uint64_t kBytesPerConn = 32 * 1024;
 constexpr std::uint16_t kPort = 5201;
 
-TestbedOptions fast_options() {
+/// Two shards of one port: queue q of 2, same IP/MAC, disjoint state. The
+/// rig pins app cVM j (cVM2, cVM3) to shard j.
+TestbedOptions sharded_options() {
   TestbedOptions opt;
   opt.cost = sim::CostModel::disabled();
+  opt.s2_shards = kShards;
+  opt.s2_shards_same_port = true;
   return opt;
 }
 
 /// One app compartment's churn: sequential connect/write/close cycles,
-/// every call proxied into its OWN shard.
-void churn(iv::CVM& app, apps::FfOps* ops, sim::TimeArbiter& arb,
-           sim::VirtualClock& clock, const char* part_name,
-           std::atomic<int>* completed) {
-  auto buf = app.alloc(2048);
-  sim::Participant part(arb, part_name);
-  for (int c = 0; c < kConnsPerShard; ++c) {
-    const int fd = ops->socket_stream();
-    ASSERT_GE(fd, 3);
-    const int cr = ops->connect(fd, MorelloTestbed::peer_ip(0), kPort);
-    ASSERT_TRUE(cr == 0 || cr == -EINPROGRESS) << cr;
-    std::uint64_t sent = 0;
-    while (sent < kBytesPerConn) {
-      const auto token = part.prepare();
-      const auto r = ops->write(fd, buf, 1448);
-      if (r > 0) {
-        sent += static_cast<std::uint64_t>(r);
-      } else {
-        part.wait(token, clock.now() + sim::Ns{1'000'000});
+/// every call proxied into its OWN shard, one call per rig turn.
+struct Churn {
+  int app;  // rig endpoint
+  int conns;
+  std::uint64_t bytes_per_conn;
+  machine::CapView buf;
+  int fd = -1;
+  std::uint64_t sent = 0;
+  int completed = 0;
+
+  [[nodiscard]] bool done() const { return completed >= conns; }
+
+  /// Open the next connection, or write one MSS (closing the connection
+  /// once its bytes are out), inside the app's cVM. Returns whether an fd
+  /// or bytes moved.
+  bool step(LockstepRig& rig) {
+    bool moved = false;
+    rig.run(app, [&] {
+      apps::FfOps& ops = rig.ops(app);
+      if (fd < 0) {
+        fd = ops.socket_stream();
+        ASSERT_GE(fd, 3);
+        const int cr = ops.connect(fd, MorelloTestbed::peer_ip(0), kPort);
+        ASSERT_TRUE(cr == 0 || cr == -EINPROGRESS) << cr;
+        moved = true;
+        return;
       }
-    }
-    ops->close(fd);
-    completed->fetch_add(1, std::memory_order_relaxed);
+      const auto r = ops.write(fd, buf, 1448);
+      if (r <= 0) return;
+      sent += static_cast<std::uint64_t>(r);
+      moved = true;
+      if (sent >= bytes_per_conn) {
+        ops.close(fd);
+        fd = -1;
+        sent = 0;
+        ++completed;
+      }
+    });
+    return moved;
   }
+};
+
+/// Step every churn once per turn until all are done. A capability fault
+/// inside an app cVM propagates out of rig.run() and out of this call.
+void drive(LockstepRig& rig, std::vector<Churn>& churns) {
+  for (;;) {
+    bool progress = false;
+    bool running = false;
+    for (Churn& c : churns) {
+      if (c.done()) continue;
+      running = true;
+      progress |= c.step(rig);
+    }
+    if (!running || ::testing::Test::HasFatalFailure() ||
+        !rig.turn(progress)) {
+      return;
+    }
+  }
+}
+
+std::uint64_t outstanding(FullStackInstance& i) {
+  return i.pool().stats().allocs - i.pool().stats().frees;
 }
 }  // namespace
 
 TEST(ShardIsolation, ConcurrentChurnStaysWithinShards) {
-  MorelloTestbed tb(fast_options());
-  auto& iv = tb.intravisor();
-  // Participants: 1 peer + 2 shard loops + 2 churning apps.
-  tb.arbiter().expect_participants(5);
-  auto& peer = tb.make_peer(0);
-  peer.serve_iperf(kPort, kShards * kConnsPerShard);
-  peer.start();
-
-  iv::CVM& cvm1 = iv.create_cvm("cVM1", 64u << 20);
-  // Two shards of one port: queue q of 2, same IP/MAC, disjoint state.
-  FullStackInstance inst0(tb.card(), 0, 0, kShards, cvm1.heap(), tb.clock(),
-                          tb.morello_cfg(0));
-  FullStackInstance inst1(tb.card(), 0, 1, kShards, cvm1.heap(), tb.clock(),
-                          tb.morello_cfg(0));
-  Scenario2Service svc(iv, cvm1,
-                       std::vector<FullStackInstance*>{&inst0, &inst1});
+  LockstepRig rig(ScenarioKind::kScenario2Contended, kShards,
+                  kShards * kConnsPerShard * kBytesPerConn, sharded_options());
+  Scenario2Service& svc = *rig.service();
   ASSERT_EQ(svc.shard_count(), kShards);
+  PeerHost& peer = rig.testbed().peer(0);
+  peer.serve_iperf(kPort, kShards * kConnsPerShard);
+  FullStackInstance& inst0 = svc.instance(0);
+  FullStackInstance& inst1 = svc.instance(1);
 
   // Post-attach mempool baseline: the RX ring keeps a fixed population of
   // staged buffers alive for the device's lifetime; the leak gate is that
   // churn returns each shard's OUTSTANDING count to this baseline.
-  const auto outstanding = [](FullStackInstance& i) {
-    return i.pool().stats().allocs - i.pool().stats().frees;
-  };
   const std::uint64_t base_out0 = outstanding(inst0);
   const std::uint64_t base_out1 = outstanding(inst1);
 
-  std::atomic<bool> stop{false};
-  cvm1.start([&] { svc.run_shard_loop(0, stop, tb.arbiter()); });
-  std::thread shard1([&] { svc.run_shard_loop(1, stop, tb.arbiter()); });
+  std::vector<Churn> churns;
+  for (int j = 0; j < static_cast<int>(kShards); ++j) {
+    ASSERT_EQ(rig.stack_of(j), static_cast<std::size_t>(j));
+    churns.push_back({j, kConnsPerShard, kBytesPerConn, rig.alloc(2048, j)});
+  }
+  EXPECT_NO_THROW(drive(rig, churns));
+  EXPECT_EQ(churns[0].completed, kConnsPerShard);
+  EXPECT_EQ(churns[1].completed, kConnsPerShard);
 
-  iv::CVM& app0 = iv.create_cvm("cVM2", 8u << 20);
-  iv::CVM& app1 = iv.create_cvm("cVM3", 8u << 20);
-  auto ops0 = svc.make_proxy_ops(app0, 0);
-  auto ops1 = svc.make_proxy_ops(app1, 1);
-  std::atomic<int> done0{0}, done1{0};
-  app0.start([&] {
-    churn(app0, ops0.get(), tb.arbiter(), tb.clock(), "churn-s0", &done0);
-  });
-  app1.start([&] {
-    churn(app1, ops1.get(), tb.arbiter(), tb.clock(), "churn-s1", &done1);
-  });
-  app0.join();
-  app1.join();
-  EXPECT_FALSE(app0.faulted());
-  EXPECT_FALSE(app1.faulted());
-  EXPECT_EQ(done0.load(), kConnsPerShard);
-  EXPECT_EQ(done1.load(), kConnsPerShard);
-
-  // Let FINs, final ACKs and the 2MSL reaps drain (virtual time idle-jumps
-  // to the TIME_WAIT deadlines once every participant is parked), then
-  // require both shards back at their baselines — the per-shard leak gate.
-  // Each shard's state is read under ITS compartment mutex: the shard loop
-  // holds that mutex around run_once, so this is the one legal way to peek
-  // at a live shard's PCB table from outside.
-  const auto shard_quiet = [&](FullStackInstance& inst, std::size_t s,
-                               std::uint64_t base) {
-    iv::CompartmentLockGuard g(svc.mutex(s));
+  // Let FINs, final ACKs and the 2MSL reaps drain (virtual time jumps to
+  // the TIME_WAIT deadlines once nothing progresses), then require both
+  // shards back at their baselines — the per-shard leak gate.
+  const auto shard_quiet = [](FullStackInstance& inst, std::uint64_t base) {
     return inst.stack().tcp_pcb_count() == 0 && outstanding(inst) == base;
   };
-  const auto drained = [&] {
-    return peer.workload_finished() && shard_quiet(inst0, 0, base_out0) &&
-           shard_quiet(inst1, 1, base_out1);
-  };
-  for (int i = 0; i < 10000 && !drained(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  while (!(peer.workload_finished() && shard_quiet(inst0, base_out0) &&
+           shard_quiet(inst1, base_out1)) &&
+         rig.turn(false)) {
   }
-  stop = true;
-  tb.arbiter().kick();
-  cvm1.join();
-  shard1.join();
-  peer.request_stop();
-  peer.join();
 
   EXPECT_TRUE(peer.workload_finished());
   EXPECT_EQ(peer.server()->report().bytes,
@@ -168,9 +169,10 @@ TEST(ShardIsolation, ConcurrentChurnStaysWithinShards) {
 
   // The NIC agrees: both queues carried traffic, and the port aggregate is
   // exactly the sum of the two queues (frames landed on one queue each).
-  const auto q0 = tb.card().port(0).queue_stats(0);
-  const auto q1 = tb.card().port(0).queue_stats(1);
-  const auto port = tb.card().port(0).stats();
+  nic::E82576Device& card = rig.testbed().card();
+  const auto q0 = card.port(0).queue_stats(0);
+  const auto q1 = card.port(0).queue_stats(1);
+  const auto port = card.port(0).stats();
   EXPECT_GT(q0.rx_packets, 0u);
   EXPECT_GT(q1.rx_packets, 0u);
   EXPECT_EQ(port.rx_packets, q0.rx_packets + q1.rx_packets);
@@ -182,66 +184,26 @@ TEST(ShardIsolation, EphemeralPortsSteerRepliesHome) {
   // The connect() side of attach-time pinning: each shard picks source
   // ports whose REPLY direction RETA-maps to its own queue, so peer
   // traffic arrives where the flow's PCB lives without any L4 filter.
-  MorelloTestbed tb(fast_options());
-  auto& iv = tb.intravisor();
-  tb.arbiter().expect_participants(3);
-  auto& peer = tb.make_peer(0);
+  // One connection per shard, one after the other.
+  LockstepRig rig(ScenarioKind::kScenario2Contended, kShards,
+                  kShards * 8 * 1448, sharded_options());
+  Scenario2Service& svc = *rig.service();
+  PeerHost& peer = rig.testbed().peer(0);
   peer.serve_iperf(kPort, 2);
-  peer.start();
-
-  iv::CVM& cvm1 = iv.create_cvm("cVM1", 64u << 20);
-  FullStackInstance inst0(tb.card(), 0, 0, 2, cvm1.heap(), tb.clock(),
-                          tb.morello_cfg(0));
-  FullStackInstance inst1(tb.card(), 0, 1, 2, cvm1.heap(), tb.clock(),
-                          tb.morello_cfg(0));
-  Scenario2Service svc(iv, cvm1,
-                       std::vector<FullStackInstance*>{&inst0, &inst1});
-  std::atomic<bool> stop{false};
-  cvm1.start([&] { svc.run_shard_loop(0, stop, tb.arbiter()); });
-  std::thread shard1([&] { svc.run_shard_loop(1, stop, tb.arbiter()); });
-
-  iv::CVM& app = iv.create_cvm("cVM2", 8u << 20);
-  auto ops0 = svc.make_proxy_ops(app, 0);
-  auto ops1 = svc.make_proxy_ops(app, 1);
-  std::atomic<bool> ok{false};
-  app.start([&] {
-    auto buf = app.alloc(2048);
-    sim::Participant part(tb.arbiter(), "steer-probe");
-    apps::FfOps* per_shard[2] = {ops0.get(), ops1.get()};
-    for (int s = 0; s < 2; ++s) {
-      const int fd = per_shard[s]->socket_stream();
-      const int cr =
-          per_shard[s]->connect(fd, MorelloTestbed::peer_ip(0), kPort);
-      ASSERT_TRUE(cr == 0 || cr == -EINPROGRESS) << cr;
-      std::uint64_t sent = 0;
-      while (sent < 8 * 1448) {
-        const auto token = part.prepare();
-        const auto r = per_shard[s]->write(fd, buf, 1448);
-        if (r > 0) {
-          sent += static_cast<std::uint64_t>(r);
-        } else {
-          part.wait(token, tb.clock().now() + sim::Ns{1'000'000});
-        }
-      }
-      per_shard[s]->close(fd);
-    }
-    ok = true;
-  });
-  app.join();
-  for (int i = 0; i < 5000 && !peer.workload_finished(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (int s = 0; s < static_cast<int>(kShards); ++s) {
+    ASSERT_EQ(rig.stack_of(s), static_cast<std::size_t>(s));
+    std::vector<Churn> one{{s, 1, 8 * 1448, rig.alloc(2048, s)}};
+    EXPECT_NO_THROW(drive(rig, one));
+    EXPECT_TRUE(one[0].done());
   }
-  stop = true;
-  tb.arbiter().kick();
-  cvm1.join();
-  shard1.join();
-  peer.request_stop();
-  peer.join();
+  while (!peer.workload_finished() && rig.turn(false)) {
+  }
 
-  EXPECT_TRUE(ok.load());
-  EXPECT_FALSE(app.faulted());
+  EXPECT_TRUE(peer.workload_finished());
   // Each connection's inbound frames (SYN-ACK, ACKs, FIN) arrived on the
   // queue of the shard that initiated it — neither stack saw strays.
+  FullStackInstance& inst0 = svc.instance(0);
+  FullStackInstance& inst1 = svc.instance(1);
   EXPECT_GT(inst0.stack().stats().rx_frames, 0u);
   EXPECT_GT(inst1.stack().stats().rx_frames, 0u);
   EXPECT_EQ(inst0.stack().stats().rx_dropped, 0u);

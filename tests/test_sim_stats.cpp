@@ -1,11 +1,10 @@
-// Virtual clock, time arbiter (conservative advancement, kicks, deadlock
-// detection), cost model, and the statistics pipeline the figures use.
+// Virtual clock (monotone under racing advances), cost model, and the
+// statistics pipeline the figures use.
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "sim/cost_model.hpp"
-#include "sim/time_arbiter.hpp"
 #include "sim/virtual_clock.hpp"
 #include "stats/box_plot.hpp"
 #include "stats/stats.hpp"
@@ -27,68 +26,6 @@ TEST(VirtualClock, MonotoneUnderRacingAdvances) {
   EXPECT_EQ(c.now(), Ns{39999 / 4 * 4 + 3});
   c.advance_to(Ns{5});  // going backwards is a no-op
   EXPECT_GT(c.now(), Ns{5});
-}
-
-TEST(TimeArbiter, AdvancesToEarliestDeadlineWhenAllParked) {
-  sim::VirtualClock clock;
-  sim::TimeArbiter arb(clock);
-  // idle_until may return early on a kick — and every advance kicks, so a
-  // participant whose prepare() raced the other's advance re-parks, as
-  // every polling loop does. The test completes only if the arbiter keeps
-  // advancing to the earliest parked deadline.
-  const auto park_until = [&](sim::Participant& p, Ns t) {
-    while (clock.now() < t) p.idle_until(t);
-  };
-  std::thread t1([&] {
-    sim::Participant p(arb, "t1");
-    park_until(p, Ns{1000});
-    EXPECT_GE(clock.now(), Ns{1000});
-  });
-  std::thread t2([&] {
-    sim::Participant p(arb, "t2");
-    park_until(p, Ns{5000});
-    EXPECT_GE(clock.now(), Ns{5000});
-  });
-  t1.join();
-  t2.join();
-  EXPECT_GE(clock.now(), Ns{5000});
-}
-
-TEST(TimeArbiter, KickWakesParkedParticipant) {
-  sim::VirtualClock clock;
-  sim::TimeArbiter arb(clock);
-  std::atomic<bool> woke{false};
-  std::thread t([&] {
-    sim::Participant p(arb, "waiter");
-    // Parked without a deadline: only a kick can wake us. A second
-    // participant (the main thread's) prevents deadlock detection.
-    sim::Participant keepalive(arb, "keepalive");
-    const auto token = p.prepare();
-    (void)keepalive;
-    const bool kicked = p.wait(token, std::nullopt);
-    EXPECT_TRUE(kicked);
-    woke = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  arb.kick();
-  t.join();
-  EXPECT_TRUE(woke);
-}
-
-TEST(TimeArbiter, MissedKickRaceIsClosedByPrepareToken) {
-  sim::VirtualClock clock;
-  sim::TimeArbiter arb(clock);
-  sim::Participant p(arb, "p");
-  const auto token = p.prepare();
-  arb.kick();  // kick lands between prepare and wait
-  EXPECT_TRUE(p.wait(token, std::nullopt));  // returns immediately
-}
-
-TEST(TimeArbiter, AllParkedWithoutDeadlineIsDeadlock) {
-  sim::VirtualClock clock;
-  sim::TimeArbiter arb(clock);
-  sim::Participant p(arb, "only");
-  EXPECT_THROW((void)p.idle_until(std::nullopt), sim::SimDeadlock);
 }
 
 TEST(CostModel, ChargeBurnsApproximatelyRequestedTime) {
