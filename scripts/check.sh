@@ -3,7 +3,8 @@
 # ctest suite (unit/integration tests plus the fig4/fig5 crossing-census,
 # fig6 virtual-wait and Table II bandwidth smoke gates registered in
 # CMakeLists.txt — all on the lockstep rig, so the sanitizer leg gates
-# them too).
+# them too), then diffs every smoke artifact against its committed
+# baseline in bench/baseline/.
 #
 # SANITIZE=1 switches to the AddressSanitizer + UBSan configuration in its
 # own build tree — the memory-safety net over the loan-based RX pipeline
@@ -68,6 +69,41 @@ if [[ "$TSAN" == "1" ]]; then
 fi
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" || status=$?
 
+# Baseline diff: every leaf of each ctest smoke artifact must equal its
+# committed baseline in bench/baseline/ (written from the same smoke
+# knobs), in this leg and in the sanitizer leg alike. A PR that moves a
+# deterministic number regenerates the baseline and says why in CHANGES.md.
+# Leaves that time the host rather than the model are printed, never
+# compared: the keys below wherever they occur, and the value/bound of a
+# gate row whose label names one.
+FIGS=(fig4 fig5 fig6 table2 churn impairment tenants)
+WALL_LEAVES='["ns_per_iter","next_deadline_ns","sublinearity_x","lifecycles_per_sec","wall"]'
+leaves() {  # leaves ARTIFACT WALL(true|false) -> "path = value" lines
+  jq -r --argjson wall "$WALL_LEAVES" --argjson want "$2" '
+    def named($s): $wall | any(.[]; . as $k | $s | tostring | contains($k));
+    def is_wall($p):
+      ($p | any(.[]; . as $k | $wall | any(.[]; . == $k))) or
+      ($p[0] == "gates" and ($p[2] == "value" or $p[2] == "bound") and
+       named(.gates[$p[1]].label));
+    paths(scalars) as $p | select(is_wall($p) == $want)
+    | "\($p | map(tostring) | join(".")) = \(getpath($p))"' "$1"
+}
+for fig in "${FIGS[@]}"; do
+  f="$BUILD_DIR/BENCH_$fig.json"
+  base="bench/baseline/BENCH_$fig.json"
+  [[ -f "$f" ]] || continue  # reported as missing below
+  if ! diff -u --label "$base" --label "$f" <(leaves "$base" false) \
+      <(leaves "$f" false); then
+    echo "== BASELINE DRIFT: $f differs from $base (diff above)"
+    status=1
+  fi
+  wall="$(leaves "$f" true)"
+  if [[ -n "$wall" ]]; then
+    echo "== wall-clock leaves of $f (not compared):"
+    echo "$wall"
+  fi
+done
+
 # The remaining benches are skipped on the sanitizer leg with the other
 # wall-clock-sensitive runs.
 if [[ "$SANITIZE" != "1" ]]; then
@@ -114,7 +150,7 @@ require() {  # require ARTIFACT JQ_CONDITION
     status=1
   fi
 }
-for fig in fig4 fig5 fig6 table2 churn impairment tenants; do
+for fig in "${FIGS[@]}"; do
   f="$BUILD_DIR/BENCH_$fig.json"
   if [[ ! -f "$f" ]]; then
     echo "== MISSING ARTIFACT: $f"

@@ -7,6 +7,11 @@
 // the cross-compartment jump"). Applications therefore depend only on this
 // interface and run unmodified in every scenario — exactly the paper's
 // porting story for iperf3.
+//
+// Each call a binding overrides is one Scenario 2 sealed entry (18 in all;
+// scenarios/scenario2.hpp). Everything else — zero-copy TX, QoS classes,
+// multishot accept, the connection lifecycle — rides the ff_uring rings,
+// so it adds no entry and no virtual here.
 #pragma once
 
 #include <cerrno>
@@ -36,44 +41,6 @@ class FfOps {
                               std::span<const fstack::FfIovec> iov) = 0;
   virtual std::int64_t readv(int fd, std::span<const fstack::FfIovec> iov) = 0;
 
-  /// Drain the accept queue in one go (one compartment crossing for the
-  /// whole fd batch behind proxied ops). Returns fds accepted; the default
-  /// degrades to per-fd accept() so every binding keeps working.
-  virtual int accept_batch(int fd, std::span<int> out) {
-    int n = 0;
-    for (int& slot : out) {
-      const int r = accept(fd);
-      if (r < 0) break;
-      slot = r;
-      ++n;
-    }
-    return n;
-  }
-
-  // Zero-copy TX (API v2): reserve an mbuf data room, fill it in place
-  // through the bounded capability, submit. Works for UDP datagrams and —
-  // since the TxChain retransmission store — TCP streams (the stack holds
-  // the mbuf reference until cumulative ACK; `to` is ignored on TCP).
-  // Defaults report -ENOTSUP; bindings either delegate the data room or
-  // honestly decline (callers fall back to write()).
-  virtual int zc_alloc(std::size_t len, fstack::FfZcBuf* out) {
-    (void)len;
-    (void)out;
-    return -ENOTSUP;
-  }
-  virtual std::int64_t zc_send(int fd, fstack::FfZcBuf& zc, std::size_t len,
-                               const fstack::FfSockAddrIn& to) {
-    (void)fd;
-    (void)zc;
-    (void)len;
-    (void)to;
-    return -ENOTSUP;
-  }
-  virtual int zc_abort(fstack::FfZcBuf& zc) {
-    (void)zc;
-    return -ENOTSUP;
-  }
-
   // Zero-copy RX (API v2). The defaults report -ENOTSUP: no per-element
   // fallback preserves the zero-copy contract, so bindings either implement
   // the loan path or honestly decline (callers fall back to read()).
@@ -92,7 +59,9 @@ class FfOps {
   // on the application submits with plain capability stores and reaps with
   // plain loads — zero crossings per operation in steady state, a doorbell
   // crossing only on an empty->non-empty SQ transition while the stack is
-  // parked. Defaults report -ENOTSUP; the Direct/Proxy bindings override.
+  // parked. Zero-copy TX (OP_ZC_ALLOC / OP_ZC_SEND / OP_ZC_ABORT), QoS
+  // class changes (OP_SET_CLASS) and multishot accept ride this ring.
+  // Defaults report -ENOTSUP; the Direct/Proxy bindings override.
   virtual int uring_attach(const machine::CapView& mem,
                            std::uint32_t sq_capacity,
                            std::uint32_t cq_capacity) {
@@ -110,28 +79,35 @@ class FfOps {
     return -ENOTSUP;
   }
 
-  /// Retired (API v10): the v2 multishot event ring is gone — arm
-  /// readiness with OP_EPOLL_ARM on an ff_uring instead. Both calls answer
-  /// -ENOTSUP and survive only because decorators outside this library
-  /// (bench/e2e/timed.hpp) still forward them.
-  virtual int epoll_wait_multishot(int epfd, const machine::CapView& ring,
-                                   std::uint32_t capacity) {
-    (void)epfd;
-    (void)ring;
-    (void)capacity;
+  // Retired: every call below answers -ENOTSUP, no binding overrides it,
+  // and nothing in this library calls it. They survive only because a
+  // decorator outside the library (bench/e2e/timed.hpp) still forwards
+  // them.
+  //  * API v10: the v2 multishot event ring — arm readiness with
+  //    OP_EPOLL_ARM on an ff_uring instead;
+  //  * API v12: the zero-copy TX, QoS-class and accept-batch entries —
+  //    use OP_ZC_ALLOC / OP_ZC_SEND / OP_ZC_ABORT, OP_SET_CLASS, and
+  //    accept() or OP_ACCEPT_MULTISHOT (the v11 -> v12 table in
+  //    fstack/api.hpp).
+  virtual int epoll_wait_multishot(int /*epfd*/,
+                                   const machine::CapView& /*ring*/,
+                                   std::uint32_t /*capacity*/) {
     return -ENOTSUP;
   }
-  virtual int epoll_cancel_multishot(int epfd) {
-    (void)epfd;
+  virtual int epoll_cancel_multishot(int /*epfd*/) { return -ENOTSUP; }
+  virtual int accept_batch(int /*fd*/, std::span<int> /*out*/) {
     return -ENOTSUP;
   }
-
-  /// API v7: assign fd's flow to a QoS TX class (see fstack/qos.hpp). The
-  /// default declines so every binding keeps working; Direct/Proxy bindings
-  /// delegate to ff_set_class.
-  virtual int set_class(int fd, std::uint32_t cls) {
-    (void)fd;
-    (void)cls;
+  virtual int zc_alloc(std::size_t /*len*/, fstack::FfZcBuf* /*out*/) {
+    return -ENOTSUP;
+  }
+  virtual std::int64_t zc_send(int /*fd*/, fstack::FfZcBuf& /*zc*/,
+                               std::size_t /*len*/,
+                               const fstack::FfSockAddrIn& /*to*/) {
+    return -ENOTSUP;
+  }
+  virtual int zc_abort(fstack::FfZcBuf& /*zc*/) { return -ENOTSUP; }
+  virtual int set_class(int /*fd*/, std::uint32_t /*cls*/) {
     return -ENOTSUP;
   }
 
@@ -186,16 +162,6 @@ class DirectFfOps final : public FfOps {
   std::int64_t readv(int fd, std::span<const fstack::FfIovec> iov) override {
     return fstack::ff_readv(*st_, fd, iov);
   }
-  int zc_alloc(std::size_t len, fstack::FfZcBuf* out) override {
-    return fstack::ff_zc_alloc(*st_, len, out);
-  }
-  std::int64_t zc_send(int fd, fstack::FfZcBuf& zc, std::size_t len,
-                       const fstack::FfSockAddrIn& to) override {
-    return fstack::ff_zc_send(*st_, fd, zc, len, to);
-  }
-  int zc_abort(fstack::FfZcBuf& zc) override {
-    return fstack::ff_zc_abort(*st_, zc);
-  }
   std::int64_t zc_recv(int fd, std::span<fstack::FfZcRxBuf> out) override {
     return fstack::ff_zc_recv(*st_, fd, out);
   }
@@ -211,9 +177,6 @@ class DirectFfOps final : public FfOps {
   }
   int uring_doorbell(int id) override {
     return fstack::ff_uring_doorbell(*st_, id);
-  }
-  int set_class(int fd, std::uint32_t cls) override {
-    return fstack::ff_set_class(*st_, fd, cls);
   }
   int close(int fd) override { return fstack::ff_close(*st_, fd); }
   int epoll_create() override { return fstack::ff_epoll_create(*st_); }

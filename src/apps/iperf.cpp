@@ -252,17 +252,11 @@ void IperfServer::drain(Conn& c) {
 
 void IperfServer::accept_ready() {
   while (static_cast<int>(conns_.size()) < expected_) {
-    int fds[8];
-    const std::size_t want = std::min<std::size_t>(
-        sizeof fds / sizeof fds[0],
-        static_cast<std::size_t>(expected_) - conns_.size());
-    const int k = ops_->accept_batch(listen_fd_, {fds, want});
-    if (k <= 0) break;
-    for (int i = 0; i < k; ++i) {
-      conns_.push_back(Conn{fds[i], IperfReport{}, false, false, false});
-      ops_->epoll_ctl(epfd_, fstack::EpollOp::kAdd, fds[i], fstack::kEpollIn,
-                      static_cast<std::uint64_t>(fds[i]));
-    }
+    const int fd = ops_->accept(listen_fd_);
+    if (fd < 0) break;
+    conns_.push_back(Conn{fd, IperfReport{}, false, false, false});
+    ops_->epoll_ctl(epfd_, fstack::EpollOp::kAdd, fd, fstack::kEpollIn,
+                    static_cast<std::uint64_t>(fd));
   }
 }
 
@@ -379,7 +373,14 @@ bool IperfClient::step_uring_send() {
   progress |= pushed > 0;
   if (ur_zero_copy_ && zc_proto_.failed()) {
     // Permanent failure (connection died, impossible chunk): wind down
-    // with whatever was confirmed instead of livelocking on resubmission.
+    // with whatever was confirmed instead of livelocking on resubmission —
+    // but only once every reservation still held has been aborted.
+    if (!zc_proto_.wound_down()) {
+      if (bell_.should_ring(*uring_, progress)) {
+        ops_->uring_doorbell(uring_id_);
+      }
+      return progress;
+    }
     ops_->uring_detach(uring_id_);
     uring_.reset();
     client_summary();

@@ -100,7 +100,9 @@ class UringTxProto {
 /// the payload in place, OP_ZC_SEND submits the token, and the stack holds
 /// the buffer until cumulative ACK — no byte store anywhere, no crossing
 /// for any step. -EAGAIN'd sends (window full) re-queue their still-valid
-/// token; -ENOBUFS'd allocs uncover their bytes for a later retry.
+/// token; -ENOBUFS'd allocs uncover their bytes for a later retry. A dead
+/// pipeline aborts every reservation it still holds (OP_ZC_ABORT), grants
+/// that arrive after the failure included, so no data room stays pinned.
 class UringZcTxProto {
  public:
   using Fill =
@@ -112,23 +114,27 @@ class UringZcTxProto {
 
   /// Drive the pipeline toward `total` bytes: submit filled reservations,
   /// then request new ones for the uncovered remainder. Returns SQEs
-  /// pushed. A dead pipeline (failed()) pushes nothing.
+  /// pushed. A dead pipeline (failed()) only aborts what it still holds.
   std::uint32_t pump(std::uint64_t total) {
-    if (fatal_) return 0;
     std::uint32_t pushed = 0;
     while (!ready_.empty()) {
       const Pending p = ready_.front();
       fstack::FfUringSqe sqe;
-      sqe.op = fstack::UringOp::kZcSend;
+      sqe.op = fatal_ ? fstack::UringOp::kZcAbort : fstack::UringOp::kZcSend;
       sqe.fd = fd_;
       sqe.user_data = p.token;  // identifies the reservation in the CQE
       sqe.a[0] = p.token;
       sqe.a[1] = p.len;
       if (ring_->sq_push(sqe) == fstack::FfUring::Push::kFull) return pushed;
-      inflight_.emplace(p.token, p.len);
+      if (fatal_) {
+        ++aborts_pending_;
+      } else {
+        inflight_.emplace(p.token, p.len);
+      }
       ready_.pop_front();
       ++pushed;
     }
+    if (fatal_) return pushed;
     bool probed = false;
     while (covered_ < total) {
       // Pool-starved: throttle to ONE alloc probe per pump — enough to
@@ -146,6 +152,7 @@ class UringZcTxProto {
       sqe.user_data = len;
       if (ring_->sq_push(sqe) == fstack::FfUring::Push::kFull) break;
       covered_ += len;
+      ++allocs_pending_;
       ++pushed;
     }
     return pushed;
@@ -155,10 +162,17 @@ class UringZcTxProto {
   /// completions); other opcodes are ignored (return 0). Returns bytes
   /// newly confirmed queued.
   std::uint64_t on_cqe(const fstack::FfUringCqe& cqe) {
+    if (cqe.op == fstack::UringOp::kZcAbort) {
+      if (aborts_pending_ > 0) --aborts_pending_;
+      return 0;
+    }
     if (cqe.op == fstack::UringOp::kZcAlloc) {
+      if (allocs_pending_ > 0) --allocs_pending_;
       if (cqe.result > 0 && cqe.aux0 != 0) {
+        // A grant after the failure still pins a room: queue it so the
+        // next pump() aborts it.
         const auto len = static_cast<std::size_t>(cqe.result);
-        if (fill_) fill_(cqe.cap, len);  // compose the payload in place
+        if (fill_ && !fatal_) fill_(cqe.cap, len);  // compose in place
         ready_.push_back({cqe.aux0, len});
         alloc_backoff_ = false;
       } else if (cqe.result == -ENOBUFS) {
@@ -218,6 +232,11 @@ class UringZcTxProto {
   [[nodiscard]] bool idle() const noexcept {
     return ready_.empty() && inflight_.empty();
   }
+  /// A dead pipeline that holds no reservation and awaits no CQE: every
+  /// grant it received was sent or aborted, so the caller may detach.
+  [[nodiscard]] bool wound_down() const noexcept {
+    return fatal_ && idle() && allocs_pending_ == 0 && aborts_pending_ == 0;
+  }
 
  private:
   struct Pending {
@@ -234,6 +253,8 @@ class UringZcTxProto {
   std::uint64_t covered_ = 0;  // bytes covered by reservations requested
   std::uint64_t acked_ = 0;    // bytes confirmed queued by send CQEs
   std::uint64_t errors_ = 0;   // reservations lost to hard errors
+  std::uint32_t allocs_pending_ = 0;  // OP_ZC_ALLOC SQEs awaiting a CQE
+  std::uint32_t aborts_pending_ = 0;  // OP_ZC_ABORT SQEs awaiting a CQE
   bool alloc_backoff_ = false;  // pool empty: wait for ACKs before realloc
   bool fatal_ = false;          // permanent failure: pipeline is dead
 };

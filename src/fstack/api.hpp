@@ -469,6 +469,38 @@
 //  time in the rig's deadline choice. On one thread every stack-mutex
 //  acquisition is a fast path, so LatencyOutcome::mutex_contended is 0.
 //
+// ------------------------------------------------------------------------
+// v11 -> v12 migration table: 18 sealed entries, each run as its tenant
+// ------------------------------------------------------------------------
+// Scenario 2 exported 23 sealed entries per app. Five repeated a ring op or
+// a v1 call, and three of those ran with no tenant context: a proxied
+// zc_alloc dodged its tenant's quotas, a proxied zc_abort could drop a
+// neighbour's reservation. v12 retires the five. The calls in THIS header
+// stay: they run inside one compartment and are not boundary entries.
+//
+//  v11 sealed entry (FfOps virtual)    | v12
+// -------------------------------------|----------------------------------
+//  ff_zc_alloc / ff_zc_send            | SQE OP_ZC_ALLOC / OP_ZC_SEND
+//  ff_zc_abort                         | SQE OP_ZC_ABORT (new; a0 = token;
+//                                      |   -EINVAL for a consumed, forged
+//                                      |   or neighbour's token)
+//  ff_set_class                        | SQE OP_SET_CLASS
+//  ff_accept_batch                     | accept() per fd, as IperfServer
+//                                      |   does, or OP_ACCEPT_MULTISHOT
+//  the five FfOps virtuals             | -ENOTSUP in every binding
+//  only the ring drain ran as a tenant | every entry runs as the app's
+//                                      |   tenant (FfStack::TenantScope;
+//                                      |   the doorbell's drain nests)
+//
+//  semantics deltas (v12):
+//   * a tenant's ff_zc_recycle entry cannot recycle a neighbour's loan;
+//   * ff_zc_recv and ff_epoll_wait check that the app's buffer takes every
+//     record BEFORE the stack call (-EFAULT otherwise), so no loan or event
+//     strands in cVM1; ff_read/ff_write/ff_zc_recycle answer -EFAULT
+//     without a buffer;
+//   * apps::UringZcTxProto aborts every reservation a dead pipeline still
+//     holds, grants that land after the failure included.
+//
 // The capability-qualified buffer handle is machine::CapView — the
 // `void* __capability` of the paper's modified F-Stack API; this header
 // remains the surface Table I's "modified LoC" census counts.

@@ -1528,7 +1528,7 @@ int FfStack::sock_zc_alloc(std::size_t len, FfZcBuf* out) {
   // guarantees the datapath keeps moving.
   const std::uint32_t reserve = std::min<std::uint32_t>(64, pool_->size() / 8);
   if (pool_->available() <= reserve) return -ENOBUFS;
-  // The reservation bills the draining ring's tenant BEFORE the room is
+  // The reservation bills the active tenant BEFORE the room is
   // pinned: an over-budget tenant's alloc fails while the pool still has
   // rooms for its neighbours.
   const int tenant = active_tenant_;
@@ -2080,6 +2080,7 @@ void validate_sqe(DecodedSqe& d) {
     case UringOp::kClose:
     case UringOp::kEpollCtl:
     case UringOp::kSetClass:
+    case UringOp::kZcAbort:
       return;  // no SQE capability payload; tokens/fds verify at execution
     case UringOp::kWritev:
     case UringOp::kSendmsgBatch:
@@ -2320,7 +2321,7 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
   in_uring_drain_ = true;
   // Ops executed from this ring charge its tenant: zc reservations, loans
   // and token-table lookups all read the adopted context.
-  active_tenant_ = r.tenant;
+  const TenantScope tenant_scope(*this, r.tenant);
   budget = std::min(budget, kUringDrainBudget);  // decode scratch bound
   const std::uint32_t tail = r.mem.atomic_load_u32(FfUring::kSqTail);
   std::uint32_t head = r.mem.atomic_load_u32(FfUring::kSqHead);
@@ -2583,6 +2584,16 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
             if (res < 0) note_sqe_error(r);
             break;
           }
+          case UringOp::kZcAbort: {
+            // Drop an unsent reservation: the data room goes back to the
+            // pool and the tenant's reservation gauge is credited.
+            FfZcBuf z;
+            z.token = d.a[0];
+            const std::int64_t res = sock_zc_abort(z);
+            uring_cq_emit(r, d.user_data, res, d.op, 0, 0, 0, nullptr);
+            if (res < 0) note_sqe_error(r);
+            break;
+          }
           case UringOp::kEpollArm: {
             Socket* e = socks_.get(d.fd);
             if (e == nullptr || e->kind != SockKind::kEpoll || !e->epoll) {
@@ -2618,7 +2629,6 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
     r.mem.atomic_store_u32(FfUring::kSqHead, head);  // release consumed
   }
   in_uring_drain_ = false;
-  active_tenant_ = 0;
   return consumed;
 }
 

@@ -169,6 +169,23 @@ class FfStack final : public TcpEnv {
   [[nodiscard]] const TenantStats* tenant_stats(int tid) const {
     return tenants_.valid(tid) ? &tenants_.stats(tid) : nullptr;
   }
+  /// Run the calls made while this scope lives as tenant `tid`: zc
+  /// reservations and loans on untenanted sockets charge it, and token
+  /// lookups reject a neighbour's tokens. The previous tenant comes back on
+  /// exit, so scopes nest (a doorbell entry's scope encloses the drain's).
+  class TenantScope {
+   public:
+    TenantScope(FfStack& st, int tid) : st_(st), prev_(st.active_tenant_) {
+      st_.active_tenant_ = tid;
+    }
+    ~TenantScope() { st_.active_tenant_ = prev_; }
+    TenantScope(const TenantScope&) = delete;
+    TenantScope& operator=(const TenantScope&) = delete;
+
+   private:
+    FfStack& st_;
+    int prev_;
+  };
   [[nodiscard]] TenantTable& tenants() noexcept { return tenants_; }
   [[nodiscard]] const TenantTable& tenants() const noexcept {
     return tenants_;
@@ -393,7 +410,7 @@ class FfStack final : public TcpEnv {
                      int tenant);
   /// The tenant an operation on socket `s` charges: the socket's own
   /// tenant, or — for untenanted sockets driven through a tenant-bound
-  /// ring — the ring's tenant (adopted for the duration of the drain).
+  /// ring or a tenant app's entry — the active TenantScope's tenant.
   [[nodiscard]] int effective_tenant(const Socket* s) const noexcept {
     return s != nullptr && s->tenant != 0 ? s->tenant : active_tenant_;
   }
@@ -618,9 +635,10 @@ class FfStack final : public TcpEnv {
 
   // ---- tenants (API v9) ----
   TenantTable tenants_;
-  // The tenant whose ring is currently being drained (0 outside drains):
-  // ops on untenanted sockets adopt it as their charging context, and
-  // token-table lookups reject cross-tenant tokens against it.
+  // The tenant of the innermost TenantScope (a ring drain or a proxied
+  // entry; 0 outside them): ops on untenanted sockets adopt it as their
+  // charging context, and token-table lookups reject cross-tenant tokens
+  // against it.
   int active_tenant_ = 0;
   // ARP-parked frame -> charged tenant (eviction and expiry credit it).
   std::unordered_map<updk::Mbuf*, int> parked_tenant_;

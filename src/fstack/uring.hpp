@@ -120,6 +120,10 @@ enum class UringOp : std::uint32_t {
   kSetClass = 12,        // a0=traffic class (0..kQosClasses-1) for fd;
                          //   immediate verdict CQE. On a listener the class
                          //   propagates to subsequently accepted children.
+  // --- v12: the ring is the only zero-copy TX boundary.
+  kZcAbort = 13,         // a0=zc token: release an unsent OP_ZC_ALLOC
+                         //   reservation; result 0, or -EINVAL for a
+                         //   consumed, forged or neighbour's token
 };
 
 /// CQE flags.

@@ -84,6 +84,19 @@ void HostileTenant::push_and_bell(const fstack::FfUringSqe& e) {
   }
 }
 
+fstack::FfUringCqe HostileTenant::submit_and_reap(
+    const fstack::FfUringSqe& e) {
+  fstack::FfUringCqe cqe;
+  cqe.result = -EAGAIN;
+  if (ring_.sq_push(e) == fstack::FfUring::Push::kFull) return cqe;
+  census_.submits++;
+  ops_->uring_doorbell(ring_id_);
+  census_.doorbells++;
+  if (ring_.cq_pop({&cqe, 1}) == 0) cqe.result = -EAGAIN;
+  if (cqe.result < 0) census_.rejects++;
+  return cqe;
+}
+
 bool HostileTenant::step() {
   if (census_.crashed || ring_id_ < 0) return false;
   census_.steps++;
@@ -173,10 +186,17 @@ bool HostileTenant::step() {
       // must answer -EINVAL without touching any state.
       if (victim_fd_ < 0) {
         victim_fd_ = ops_->socket_stream();
-        fstack::FfZcBuf honest;
-        if (ops_->zc_alloc(128, &honest) == 0) {
-          real_token_ = honest.token;
-          ops_->zc_abort(honest);  // token is now dead: replay fodder
+        fstack::FfUringSqe alloc;
+        alloc.op = fstack::UringOp::kZcAlloc;
+        alloc.a[0] = 1;
+        alloc.a[1] = 128;
+        const fstack::FfUringCqe honest = submit_and_reap(alloc);
+        if (honest.result >= 0 && honest.aux0 != 0) {
+          real_token_ = honest.aux0;
+          fstack::FfUringSqe abort;
+          abort.op = fstack::UringOp::kZcAbort;
+          abort.a[0] = real_token_;
+          submit_and_reap(abort);  // token is now dead: replay fodder
         }
         return true;
       }

@@ -70,6 +70,10 @@ class HostileTenant {
   std::uint64_t next_rand();
   void reap_all();
   void push_and_bell(const fstack::FfUringSqe& e);
+  /// Push `e`, ring the doorbell whatever the park state and pop its one
+  /// CQE (result -EAGAIN when none came back): a verdict before the next
+  /// step.
+  fstack::FfUringCqe submit_and_reap(const fstack::FfUringSqe& e);
 
   apps::FfOps* ops_;
   fstack::FfUring ring_;

@@ -692,7 +692,7 @@ void ring_tx(LockstepRig& rig, std::uint64_t total, bool zero_copy,
     const auto acked = [&] { return zero_copy ? zc.acked() : copy.acked(); };
     fstack::FfUringDoorbellPolicy bell;
     std::optional<sim::Ns> bounced;  // instant of the last bounced CQE
-    while (acked() < total && !zc.failed()) {
+    while (acked() < total && !zc.wound_down()) {
       // A bounced OP_WRITEV or a pool-starved (-ENOBUFS) alloc re-submits
       // only once virtual time has moved: re-submitting at the same
       // instant is exactly what a lockstep pump would spin on forever.

@@ -1,14 +1,30 @@
 #include "scenarios/scenario2.hpp"
 
+#include <algorithm>
+
 namespace cherinet::scen {
 
 namespace {
 constexpr std::size_t kMaxProxyEvents = 64;
+constexpr std::size_t kEventRecordBytes = 12;  // u32 events + u64 data
 // One marshalling record per zc loan: u64 token, u32 src ip, u16 src port
-// (+2 bytes padding). The same buffer carries recycle token batches and
-// accepted-fd batches.
+// (+2 bytes padding). The same buffer carries recycle token batches.
 constexpr std::size_t kZcRecordBytes = 16;
 constexpr std::size_t kMaxZcRecords = 64;
+
+constexpr std::uint64_t arg(int v) { return static_cast<std::uint64_t>(v); }
+
+/// True when the app's marshalling buffer is present and takes `bytes` of
+/// stores from its cursor. Entries that marshal results out check this
+/// BEFORE the stack call: a short or read-only buffer must not fault after
+/// loans were popped or events harvested, stranding them in cVM1.
+bool storable(const std::optional<machine::CapView>& buf,
+              std::uint64_t bytes) {
+  if (!buf.has_value()) return false;
+  const cheri::Capability& c = buf->cap();
+  return c.tag() && !c.is_sealed() && c.perms().has(cheri::Perm::kStore) &&
+         c.in_bounds(c.address(), bytes);
+}
 }  // namespace
 
 Scenario2Service::Scenario2Service(iv::Intravisor& iv, iv::CVM& cvm1,
@@ -51,7 +67,7 @@ std::unique_ptr<apps::FfOps> Scenario2Service::make_proxy_ops(
 ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
                        int tid)
     : svc_(svc), app_(app) {
-  event_buf_ = app_->heap().alloc_view(kMaxProxyEvents * 12);
+  event_buf_ = app_->heap().alloc_view(kMaxProxyEvents * kEventRecordBytes);
   zc_buf_ = app_->heap().alloc_view(kMaxZcRecords * kZcRecordBytes);
 
   auto& reg = svc_->iv_.entries();
@@ -69,12 +85,16 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
       app_->name() + (shard == 0 ? "" : ":s" + std::to_string(shard));
 
   // Each wrapper: take the shard's mutex (serializing against that shard's
-  // main loop), run the ff_* function inside cVM1. The sealed entry itself
-  // performed the domain transition before we get here.
-  const auto wrap = [calls, mtx, libc](auto fn) {
-    return [calls, mtx, libc, fn](machine::CrossCallArgs& a) -> std::uint64_t {
+  // main loop), then run the ff_* function inside cVM1 as the app's tenant
+  // — token lookups reject a neighbour's zc tokens and loans, exactly as
+  // they do for the app's ring. The sealed entry itself performed the
+  // domain transition before we get here.
+  const auto wrap = [calls, mtx, libc, st, tid](auto fn) {
+    return [calls, mtx, libc, st, tid,
+            fn](machine::CrossCallArgs& a) -> std::uint64_t {
       iv::CompartmentLockGuard lk(*mtx, libc);
       calls->fetch_add(1, std::memory_order_relaxed);
+      const fstack::FfStack::TenantScope as_tenant(*st, tid);
       return static_cast<std::uint64_t>(fn(a));
     };
   };
@@ -83,7 +103,7 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
   // the same crossing and mutex acquisition that makes the socket or ring —
   // so no handle is ever visible untenanted. Over quota, the handle dies
   // before the app learns of it.
-  e_socket_ = reg.install(
+  e_[kSocket] = reg.install(
       tag + ":ff_socket", target,
       wrap([st, tid](machine::CrossCallArgs&) -> std::int64_t {
         const int fd =
@@ -93,7 +113,7 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
         if (r < 0) fstack::ff_close(*st, fd);
         return r < 0 ? r : fd;
       }));
-  e_bind_ = reg.install(
+  e_[kBind] = reg.install(
       tag + ":ff_bind", target,
       wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
         return fstack::ff_bind(
@@ -101,18 +121,18 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
             {fstack::Ipv4Addr{static_cast<std::uint32_t>(a.a[1])},
              static_cast<std::uint16_t>(a.a[2])});
       }));
-  e_listen_ = reg.install(tag + ":ff_listen", target,
-                          wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
-                            return fstack::ff_listen(
-                                *st, static_cast<int>(a.a[0]),
-                                static_cast<int>(a.a[1]));
-                          }));
-  e_accept_ = reg.install(tag + ":ff_accept", target,
-                          wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
-                            return fstack::ff_accept(
-                                *st, static_cast<int>(a.a[0]), nullptr);
-                          }));
-  e_connect_ = reg.install(
+  e_[kListen] = reg.install(
+      tag + ":ff_listen", target,
+      wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
+        return fstack::ff_listen(*st, static_cast<int>(a.a[0]),
+                                 static_cast<int>(a.a[1]));
+      }));
+  e_[kAccept] = reg.install(
+      tag + ":ff_accept", target,
+      wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
+        return fstack::ff_accept(*st, static_cast<int>(a.a[0]), nullptr);
+      }));
+  e_[kConnect] = reg.install(
       tag + ":ff_connect", target,
       wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
         return fstack::ff_connect(
@@ -120,18 +140,20 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
             {fstack::Ipv4Addr{static_cast<std::uint32_t>(a.a[1])},
              static_cast<std::uint16_t>(a.a[2])});
       }));
-  e_write_ = reg.install(tag + ":ff_write", target,
-                         wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
-                           return fstack::ff_write(*st,
-                                                   static_cast<int>(a.a[0]),
-                                                   *a.cap0, a.a[1]);
-                         }));
-  e_read_ = reg.install(tag + ":ff_read", target,
-                        wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
-                          return fstack::ff_read(*st,
-                                                 static_cast<int>(a.a[0]),
-                                                 *a.cap0, a.a[1]);
-                        }));
+  e_[kWrite] = reg.install(
+      tag + ":ff_write", target,
+      wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
+        if (!a.cap0.has_value()) return -EFAULT;
+        return fstack::ff_write(*st, static_cast<int>(a.a[0]), *a.cap0,
+                                a.a[1]);
+      }));
+  e_[kRead] = reg.install(
+      tag + ":ff_read", target,
+      wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
+        if (!a.cap0.has_value()) return -EFAULT;
+        return fstack::ff_read(*st, static_cast<int>(a.a[0]), *a.cap0,
+                               a.a[1]);
+      }));
   // Batched entries: a[1] iovec views arrive in the vector capability
   // registers, each exactly bounded to its element length (the length IS
   // the capability's bounds — the tightest possible grant crosses). One
@@ -147,7 +169,7 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
     }
     return static_cast<std::int64_t>(k);
   };
-  e_writev_ = reg.install(
+  e_[kWritev] = reg.install(
       tag + ":ff_writev", target,
       wrap([st, unpack_iov](machine::CrossCallArgs& a) -> std::int64_t {
         fstack::FfIovec iov[machine::CrossCallArgs::kMaxVecCaps];
@@ -156,7 +178,7 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
         return fstack::ff_writev(*st, static_cast<int>(a.a[0]),
                                  {iov, static_cast<std::size_t>(k)});
       }));
-  e_readv_ = reg.install(
+  e_[kReadv] = reg.install(
       tag + ":ff_readv", target,
       wrap([st, unpack_iov](machine::CrossCallArgs& a) -> std::int64_t {
         fstack::FfIovec iov[machine::CrossCallArgs::kMaxVecCaps];
@@ -165,23 +187,17 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
         return fstack::ff_readv(*st, static_cast<int>(a.a[0]),
                                 {iov, static_cast<std::size_t>(k)});
       }));
-  e_close_ = reg.install(tag + ":ff_close", target,
-                         wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
-                           return fstack::ff_close(*st,
-                                                   static_cast<int>(a.a[0]));
-                         }));
-  e_set_class_ = reg.install(
-      tag + ":ff_set_class", target,
+  e_[kClose] = reg.install(
+      tag + ":ff_close", target,
       wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
-        return fstack::ff_set_class(*st, static_cast<int>(a.a[0]),
-                                    static_cast<std::uint32_t>(a.a[1]));
+        return fstack::ff_close(*st, static_cast<int>(a.a[0]));
       }));
-  e_ep_create_ = reg.install(
+  e_[kEpollCreate] = reg.install(
       tag + ":ff_epoll_create", target,
       wrap([st](machine::CrossCallArgs&) -> std::int64_t {
         return fstack::ff_epoll_create(*st);
       }));
-  e_ep_ctl_ = reg.install(
+  e_[kEpollCtl] = reg.install(
       tag + ":ff_epoll_ctl", target,
       wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
         return fstack::ff_epoll_ctl(
@@ -189,35 +205,20 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
             static_cast<fstack::EpollOp>(a.a[1]), static_cast<int>(a.a[2]),
             static_cast<std::uint32_t>(a.a[3]), a.a[4]);
       }));
-  e_ep_wait_ = reg.install(
+  e_[kEpollWait] = reg.install(
       tag + ":ff_epoll_wait", target,
       wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
         fstack::FfEpollEvent evs[kMaxProxyEvents];
         const std::size_t want =
             std::min<std::uint64_t>(a.a[1], kMaxProxyEvents);
+        if (!storable(a.cap0, want * kEventRecordBytes)) return -EFAULT;
         const int n = fstack::ff_epoll_wait(*st, static_cast<int>(a.a[0]),
                                             {evs, want});
         // Marshal through the app-provided capability buffer.
         for (int i = 0; i < n; ++i) {
-          a.cap0->store<std::uint32_t>(i * 12u, evs[i].events);
-          a.cap0->store<std::uint64_t>(i * 12u + 4, evs[i].data);
-        }
-        return n;
-      }));
-  // Batched accept: ONE crossing and ONE mutex acquisition drain up to
-  // a[1] queued connections; fds marshal through the shared buffer.
-  e_accept_batch_ = reg.install(
-      tag + ":ff_accept_batch", target,
-      wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
-        const std::size_t want =
-            std::min<std::uint64_t>(a.a[1], kMaxZcRecords);
-        std::int64_t n = 0;
-        while (static_cast<std::size_t>(n) < want) {
-          const int fd =
-              fstack::ff_accept(*st, static_cast<int>(a.a[0]), nullptr);
-          if (fd < 0) break;
-          a.cap0->store<std::int32_t>(static_cast<std::uint64_t>(n) * 4u, fd);
-          ++n;
+          const auto off = static_cast<std::uint64_t>(i) * kEventRecordBytes;
+          a.cap0->store<std::uint32_t>(off, evs[i].events);
+          a.cap0->store<std::uint64_t>(off + 4, evs[i].data);
         }
         return n;
       }));
@@ -226,12 +227,13 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
   // mbuf arena (the CompartOS-style delegation: the app compartment gets
   // authority over exactly the payload bytes, nothing else). Tokens and
   // datagram sources marshal through the shared record buffer.
-  e_zc_recv_ = reg.install(
+  e_[kZcRecv] = reg.install(
       tag + ":ff_zc_recv", target,
       wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
         fstack::FfZcRxBuf loans[machine::CrossCallArgs::kMaxVecCaps];
         const std::size_t want = std::min<std::uint64_t>(
             a.a[1], machine::CrossCallArgs::kMaxVecCaps);
+        if (!storable(a.cap0, want * kZcRecordBytes)) return -EFAULT;
         const std::int64_t r =
             fstack::ff_zc_recv(*st, static_cast<int>(a.a[0]), {loans, want});
         for (std::int64_t i = 0; i < r; ++i) {
@@ -245,9 +247,10 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
       }));
   // Recycling moves a whole token batch back per crossing: the costly
   // direction (per-buffer returns) amortizes exactly like writev.
-  e_zc_recycle_ = reg.install(
+  e_[kZcRecycle] = reg.install(
       tag + ":ff_zc_recycle", target,
       wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
+        if (!a.cap0.has_value()) return -EFAULT;
         const std::size_t n = std::min<std::uint64_t>(a.a[0], kMaxZcRecords);
         std::int64_t ok = 0;
         for (std::size_t i = 0; i < n; ++i) {
@@ -257,47 +260,11 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
         }
         return ok;
       }));
-  // Zero-copy TX: the alloc entry delegates a WRITABLE exactly-bounded
-  // view of a cVM1 mbuf data room back to the app (token marshals through
-  // the record buffer); the send entry consumes the token — on TCP the
-  // payload then lives in the network cVM as a retained reference until
-  // cumulative ACK, with no byte ever copied across the boundary.
-  e_zc_alloc_ = reg.install(
-      tag + ":ff_zc_alloc", target,
-      wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
-        fstack::FfZcBuf z;
-        const int r = fstack::ff_zc_alloc(*st, a.a[0], &z);
-        if (r != 0) return r;
-        a.caps[0] = z.data;  // the writable grant returns in a vector reg
-        a.cap0->store<std::uint64_t>(0, z.token);
-        return 0;
-      }));
-  e_zc_send_ = reg.install(
-      tag + ":ff_zc_send", target,
-      wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
-        fstack::FfZcBuf z;
-        z.token = a.a[1];
-        const std::int64_t r = fstack::ff_zc_send(
-            *st, static_cast<int>(a.a[0]), z, a.a[2],
-            {fstack::Ipv4Addr{static_cast<std::uint32_t>(a.a[3])},
-             static_cast<std::uint16_t>(a.a[4])});
-        // The post-call token goes back for the app-side handle to mirror:
-        // only the stack knows which outcomes consumed it.
-        a.cap0->store<std::uint64_t>(0, z.token);
-        return r;
-      }));
-  e_zc_abort_ = reg.install(
-      tag + ":ff_zc_abort", target,
-      wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
-        fstack::FfZcBuf z;
-        z.token = a.a[0];
-        return fstack::ff_zc_abort(*st, z);
-      }));
   // ff_uring: the arming crossing delegates the app's whole ring region in
   // cap0; doorbell/detach carry only the ring id. Each is one sealed jump
   // under one wrap() mutex acquisition — and the doorbell's acquisition
   // covers the entire drain sweep, not one op.
-  e_uring_attach_ = reg.install(
+  e_[kUringAttach] = reg.install(
       tag + ":ff_uring_attach", target,
       wrap([st, tid](machine::CrossCallArgs& a) -> std::int64_t {
         if (!a.cap0.has_value()) return -EFAULT;
@@ -309,109 +276,78 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
         if (r < 0) fstack::ff_uring_detach(*st, id);
         return r < 0 ? r : id;
       }));
-  e_uring_detach_ = reg.install(
+  e_[kUringDetach] = reg.install(
       tag + ":ff_uring_detach", target,
       wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
         return fstack::ff_uring_detach(*st, static_cast<int>(a.a[0]));
       }));
-  e_uring_doorbell_ = reg.install(
+  e_[kUringDoorbell] = reg.install(
       tag + ":ff_uring_doorbell", target,
       wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
         return fstack::ff_uring_doorbell(*st, static_cast<int>(a.a[0]));
       }));
 }
 
-std::int64_t ProxyFfOps::call(const machine::SealedEntry& e,
-                              machine::CrossCallArgs& args) {
-  return static_cast<std::int64_t>(svc_->iv_.entries().invoke(e, args));
+std::int64_t ProxyFfOps::call(Entry e, machine::CrossCallArgs& args) {
+  return static_cast<std::int64_t>(svc_->iv_.entries().invoke(e_[e], args));
 }
 
-int ProxyFfOps::socket_stream() {
+std::int64_t ProxyFfOps::call(Entry e,
+                              std::initializer_list<std::uint64_t> scalars,
+                              std::optional<machine::CapView> cap0) {
   machine::CrossCallArgs a;
-  return static_cast<int>(call(e_socket_, a));
+  std::copy(scalars.begin(), scalars.end(), a.a);
+  a.cap0 = std::move(cap0);
+  return call(e, a);
 }
+
+int ProxyFfOps::socket_stream() { return static_cast<int>(call(kSocket, {})); }
 
 int ProxyFfOps::bind(int fd, fstack::Ipv4Addr ip, std::uint16_t port) {
-  machine::CrossCallArgs a;
-  a.a[0] = static_cast<std::uint64_t>(fd);
-  a.a[1] = ip.value;
-  a.a[2] = port;
-  return static_cast<int>(call(e_bind_, a));
+  return static_cast<int>(call(kBind, {arg(fd), ip.value, port}));
 }
 
 int ProxyFfOps::listen(int fd, int backlog) {
-  machine::CrossCallArgs a;
-  a.a[0] = static_cast<std::uint64_t>(fd);
-  a.a[1] = static_cast<std::uint64_t>(backlog);
-  return static_cast<int>(call(e_listen_, a));
+  return static_cast<int>(call(kListen, {arg(fd), arg(backlog)}));
 }
 
 int ProxyFfOps::accept(int fd) {
-  machine::CrossCallArgs a;
-  a.a[0] = static_cast<std::uint64_t>(fd);
-  return static_cast<int>(call(e_accept_, a));
+  return static_cast<int>(call(kAccept, {arg(fd)}));
 }
 
 int ProxyFfOps::connect(int fd, fstack::Ipv4Addr ip, std::uint16_t port) {
-  machine::CrossCallArgs a;
-  a.a[0] = static_cast<std::uint64_t>(fd);
-  a.a[1] = ip.value;
-  a.a[2] = port;
-  return static_cast<int>(call(e_connect_, a));
+  return static_cast<int>(call(kConnect, {arg(fd), ip.value, port}));
 }
 
 std::int64_t ProxyFfOps::write(int fd, const machine::CapView& buf,
                                std::size_t n) {
-  machine::CrossCallArgs a;
-  a.a[0] = static_cast<std::uint64_t>(fd);
-  a.a[1] = n;
-  a.cap0 = buf;  // the capability-qualified buffer crosses the boundary
-  return call(e_write_, a);
+  // The capability-qualified buffer crosses the boundary in cap0.
+  return call(kWrite, {arg(fd), n}, buf);
 }
 
 std::int64_t ProxyFfOps::read(int fd, const machine::CapView& buf,
                               std::size_t n) {
-  machine::CrossCallArgs a;
-  a.a[0] = static_cast<std::uint64_t>(fd);
-  a.a[1] = n;
-  a.cap0 = buf;
-  return call(e_read_, a);
+  return call(kRead, {arg(fd), n}, buf);
 }
 
-namespace {
-/// Marshal one chunk of iovecs into the vector capability registers. Each
-/// element crosses as a sub-capability bounded to exactly [0, len) — the
-/// tightest possible grant is what crosses the boundary.
-std::size_t marshal_chunk(std::span<const fstack::FfIovec> iov,
-                          std::size_t from, machine::CrossCallArgs& a,
-                          std::uint64_t* chunk_bytes) {
-  std::size_t k = 0;
-  *chunk_bytes = 0;
-  for (; k < machine::CrossCallArgs::kMaxVecCaps && from + k < iov.size();
-       ++k) {
-    const fstack::FfIovec& e = iov[from + k];
-    a.caps[k] = e.buf.window(0, e.len);
-    *chunk_bytes += e.len;
-  }
-  return k;
-}
-}  // namespace
-
-std::int64_t ProxyFfOps::writev(int fd, std::span<const fstack::FfIovec> iov) {
-  // Whole-batch pre-flight BEFORE the first chunk crosses: batches wider
-  // than the vector register file submit in chunks, and the documented
-  // "any invalid element faults before a byte moves" guarantee must not be
-  // voided by an invalid element in a later chunk.
-  fstack::ff_sweep_iovecs(iov, cheri::Access::kLoad);
+std::int64_t ProxyFfOps::chunked(Entry e, int fd,
+                                 std::span<const fstack::FfIovec> iov) {
   std::int64_t total = 0;
   std::size_t i = 0;
   while (i < iov.size()) {
+    // One chunk per crossing: each element rides a vector register as a
+    // sub-capability bounded to exactly [0, len) — the tightest grant.
     machine::CrossCallArgs a;
-    a.a[0] = static_cast<std::uint64_t>(fd);
     std::uint64_t chunk_bytes = 0;
-    const std::size_t k = marshal_chunk(iov, i, a, &chunk_bytes);
+    std::size_t k = 0;
+    for (; k < machine::CrossCallArgs::kMaxVecCaps && i + k < iov.size();
+         ++k) {
+      a.caps[k] = iov[i + k].buf.window(0, iov[i + k].len);
+      chunk_bytes += iov[i + k].len;
+    }
+    a.a[0] = arg(fd);
     a.a[1] = k;
-    const std::int64_t r = call(e_writev_, a);
+    const std::int64_t r = call(e, a);
     if (r < 0) return total > 0 ? total : r;
     total += r;
     if (static_cast<std::uint64_t>(r) < chunk_bytes) break;  // short count
@@ -420,38 +356,18 @@ std::int64_t ProxyFfOps::writev(int fd, std::span<const fstack::FfIovec> iov) {
   return total;
 }
 
-std::int64_t ProxyFfOps::readv(int fd, std::span<const fstack::FfIovec> iov) {
-  fstack::ff_sweep_iovecs(iov, cheri::Access::kStore);
-  std::int64_t total = 0;
-  std::size_t i = 0;
-  while (i < iov.size()) {
-    machine::CrossCallArgs a;
-    a.a[0] = static_cast<std::uint64_t>(fd);
-    std::uint64_t chunk_bytes = 0;
-    const std::size_t k = marshal_chunk(iov, i, a, &chunk_bytes);
-    a.a[1] = k;
-    const std::int64_t r = call(e_readv_, a);
-    if (r < 0) return total > 0 ? total : r;
-    if (r == 0 && total == 0) return 0;  // EOF / empty batch
-    total += r;
-    if (static_cast<std::uint64_t>(r) < chunk_bytes) break;
-    i += k;
-  }
-  return total;
+std::int64_t ProxyFfOps::writev(int fd, std::span<const fstack::FfIovec> iov) {
+  // Whole-batch pre-flight BEFORE the first chunk crosses: batches wider
+  // than the vector register file submit in chunks, and the documented
+  // "any invalid element faults before a byte moves" guarantee must not be
+  // voided by an invalid element in a later chunk.
+  fstack::ff_sweep_iovecs(iov, cheri::Access::kLoad);
+  return chunked(kWritev, fd, iov);
 }
 
-int ProxyFfOps::accept_batch(int fd, std::span<int> out) {
-  if (out.empty()) return 0;
-  machine::CrossCallArgs a;
-  a.a[0] = static_cast<std::uint64_t>(fd);
-  a.a[1] = std::min<std::uint64_t>(out.size(), kMaxZcRecords);
-  a.cap0 = zc_buf_;
-  const int n = static_cast<int>(call(e_accept_batch_, a));
-  for (int i = 0; i < n; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        zc_buf_.load<std::int32_t>(static_cast<std::uint64_t>(i) * 4u);
-  }
-  return n;
+std::int64_t ProxyFfOps::readv(int fd, std::span<const fstack::FfIovec> iov) {
+  fstack::ff_sweep_iovecs(iov, cheri::Access::kStore);
+  return chunked(kReadv, fd, iov);
 }
 
 std::int64_t ProxyFfOps::zc_recv(int fd, std::span<fstack::FfZcRxBuf> out) {
@@ -464,7 +380,7 @@ std::int64_t ProxyFfOps::zc_recv(int fd, std::span<fstack::FfZcRxBuf> out) {
     a.a[0] = static_cast<std::uint64_t>(fd);
     a.a[1] = want;
     a.cap0 = zc_buf_;
-    const std::int64_t r = call(e_zc_recv_, a);
+    const std::int64_t r = call(kZcRecv, a);
     if (r <= 0) return filled > 0 ? filled : r;
     for (std::int64_t k = 0; k < r; ++k) {
       fstack::FfZcRxBuf& o = out[i + static_cast<std::size_t>(k)];
@@ -490,10 +406,7 @@ std::int64_t ProxyFfOps::zc_recycle_batch(std::span<fstack::FfZcRxBuf> zcs) {
     for (std::size_t k = 0; k < n; ++k) {
       zc_buf_.store<std::uint64_t>(k * kZcRecordBytes, zcs[i + k].token);
     }
-    machine::CrossCallArgs a;
-    a.a[0] = n;
-    a.cap0 = zc_buf_;
-    const std::int64_t r = call(e_zc_recycle_, a);
+    const std::int64_t r = call(kZcRecycle, {n}, zc_buf_);
     if (r < 0) return total > 0 ? total : r;
     for (std::size_t k = 0; k < n; ++k) {  // consumed either way
       zcs[i + k].token = 0;
@@ -505,111 +418,45 @@ std::int64_t ProxyFfOps::zc_recycle_batch(std::span<fstack::FfZcRxBuf> zcs) {
   return total;
 }
 
-int ProxyFfOps::zc_alloc(std::size_t len, fstack::FfZcBuf* out) {
-  if (out == nullptr) return -EINVAL;
-  out->token = 0;
-  out->data = machine::CapView{};
-  machine::CrossCallArgs a;
-  a.a[0] = len;
-  a.cap0 = zc_buf_;
-  const int r = static_cast<int>(call(e_zc_alloc_, a));
-  if (r != 0) return r;
-  if (!a.caps[0].has_value()) return -EFAULT;
-  out->data = *a.caps[0];
-  out->token = zc_buf_.load<std::uint64_t>(0);
-  return 0;
-}
-
-std::int64_t ProxyFfOps::zc_send(int fd, fstack::FfZcBuf& zc,
-                                 std::size_t len,
-                                 const fstack::FfSockAddrIn& to) {
-  machine::CrossCallArgs a;
-  a.a[0] = static_cast<std::uint64_t>(fd);
-  a.a[1] = zc.token;
-  a.a[2] = len;
-  a.a[3] = to.ip.value;
-  a.a[4] = to.port;
-  a.cap0 = zc_buf_;
-  const std::int64_t r = call(e_zc_send_, a);
-  // Mirror the stack's token lifecycle in the app-side handle, exactly as
-  // a direct call would leave it: consumed tokens (success, a dead
-  // connection, any UDP outcome) lose their data view too.
-  zc.token = zc_buf_.load<std::uint64_t>(0);
-  if (zc.token == 0) zc.data = machine::CapView{};
-  return r;
-}
-
-int ProxyFfOps::zc_abort(fstack::FfZcBuf& zc) {
-  machine::CrossCallArgs a;
-  a.a[0] = zc.token;
-  const int r = static_cast<int>(call(e_zc_abort_, a));
-  if (r == 0) {
-    zc.token = 0;
-    zc.data = machine::CapView{};
-  }
-  return r;
-}
-
 int ProxyFfOps::uring_attach(const machine::CapView& mem,
                              std::uint32_t sq_capacity,
                              std::uint32_t cq_capacity) {
-  machine::CrossCallArgs a;
-  a.a[0] = sq_capacity;
-  a.a[1] = cq_capacity;
-  a.cap0 = mem;  // the app delegates its whole ring region, bounded
-  return static_cast<int>(call(e_uring_attach_, a));
+  // The app delegates its whole ring region, bounded, in cap0.
+  return static_cast<int>(
+      call(kUringAttach, {sq_capacity, cq_capacity}, mem));
 }
 
 int ProxyFfOps::uring_detach(int id) {
-  machine::CrossCallArgs a;
-  a.a[0] = static_cast<std::uint64_t>(id);
-  return static_cast<int>(call(e_uring_detach_, a));
+  return static_cast<int>(call(kUringDetach, {arg(id)}));
 }
 
 int ProxyFfOps::uring_doorbell(int id) {
-  machine::CrossCallArgs a;
-  a.a[0] = static_cast<std::uint64_t>(id);
-  return static_cast<int>(call(e_uring_doorbell_, a));
-}
-
-int ProxyFfOps::set_class(int fd, std::uint32_t cls) {
-  machine::CrossCallArgs a;
-  a.a[0] = static_cast<std::uint64_t>(fd);
-  a.a[1] = cls;
-  return static_cast<int>(call(e_set_class_, a));
+  return static_cast<int>(call(kUringDoorbell, {arg(id)}));
 }
 
 int ProxyFfOps::close(int fd) {
-  machine::CrossCallArgs a;
-  a.a[0] = static_cast<std::uint64_t>(fd);
-  return static_cast<int>(call(e_close_, a));
+  return static_cast<int>(call(kClose, {arg(fd)}));
 }
 
 int ProxyFfOps::epoll_create() {
-  machine::CrossCallArgs a;
-  return static_cast<int>(call(e_ep_create_, a));
+  return static_cast<int>(call(kEpollCreate, {}));
 }
 
 int ProxyFfOps::epoll_ctl(int epfd, fstack::EpollOp op, int fd,
                           std::uint32_t events, std::uint64_t data) {
-  machine::CrossCallArgs a;
-  a.a[0] = static_cast<std::uint64_t>(epfd);
-  a.a[1] = static_cast<std::uint64_t>(op);
-  a.a[2] = static_cast<std::uint64_t>(fd);
-  a.a[3] = events;
-  a.a[4] = data;
-  return static_cast<int>(call(e_ep_ctl_, a));
+  return static_cast<int>(call(
+      kEpollCtl,
+      {arg(epfd), static_cast<std::uint64_t>(op), arg(fd), events, data}));
 }
 
 int ProxyFfOps::epoll_wait(int epfd, std::span<fstack::FfEpollEvent> out) {
-  machine::CrossCallArgs a;
-  a.a[0] = static_cast<std::uint64_t>(epfd);
-  a.a[1] = std::min(out.size(), kMaxProxyEvents);
-  a.cap0 = event_buf_;
-  const int n = static_cast<int>(call(e_ep_wait_, a));
+  const int n = static_cast<int>(call(
+      kEpollWait, {arg(epfd), std::min(out.size(), kMaxProxyEvents)},
+      event_buf_));
   for (int i = 0; i < n && i < static_cast<int>(out.size()); ++i) {
-    out[i].events = event_buf_.load<std::uint32_t>(i * 12u);
-    out[i].data = event_buf_.load<std::uint64_t>(i * 12u + 4);
+    const auto off = static_cast<std::uint64_t>(i) * kEventRecordBytes;
+    out[i].events = event_buf_.load<std::uint32_t>(off);
+    out[i].data = event_buf_.load<std::uint64_t>(off + 4);
   }
   return n;
 }

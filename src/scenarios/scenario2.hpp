@@ -7,6 +7,10 @@
 // A mutex in shared memory coordinates the F-Stack main loop with the
 // proxied API calls; its contention is the subject of the paper's Fig. 6.
 //
+// Each app holds 18 entries (ProxyFfOps::Entry), every one run as the
+// app's tenant. Every other verb — zero-copy TX, QoS classes, multishot
+// accept — rides the app's ff_uring ring, so the boundary is no wider.
+//
 // Sharded mode: cVM1 may run N independent FfStack SHARDS, each with its
 // own mempool, PCB table, ARP cache, timer wheel, uring drain set — and its
 // own coordination mutex. An app compartment is pinned to ONE shard at
@@ -16,8 +20,11 @@
 // original single-stack behaviour exactly.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <initializer_list>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "apps/ff_ops.hpp"
@@ -43,7 +50,8 @@ class Scenario2Service {
   /// `shard`. Entries are installed per app so each contender's futex
   /// escalation goes through its own trampoline. A registered tenant `tid`
   /// (Scenario 3) is bound inside the ff_socket / ff_uring_attach entries
-  /// to every socket and ring the app creates; 0 leaves them untenanted.
+  /// to every socket and ring the app creates, and every entry runs as
+  /// that tenant (FfStack::TenantScope); 0 leaves them untenanted.
   [[nodiscard]] std::unique_ptr<apps::FfOps> make_proxy_ops(
       iv::CVM& app, std::size_t shard = 0, int tid = 0);
 
@@ -83,6 +91,17 @@ class Scenario2Service {
 /// Client-side stubs living in the application compartment.
 class ProxyFfOps final : public apps::FfOps {
  public:
+  /// The sealed entries one app holds, one per overridden call.
+  enum Entry : std::uint8_t {
+    // the v1 calls Fig. 4-6 and Table II time
+    kSocket, kBind, kListen, kAccept, kConnect, kWrite, kRead, kClose,
+    kWritev, kReadv, kZcRecv, kZcRecycle,  // gated census legs
+    kEpollCreate, kEpollCtl, kEpollWait,   // EchoServer, IperfServer
+    kUringAttach, kUringDetach, kUringDoorbell,
+    kEntryCount
+  };
+  static_assert(kEntryCount == 18, "Scenario 2 exports 18 sealed entries");
+
   ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard = 0,
              int tid = 0);
 
@@ -101,18 +120,6 @@ class ProxyFfOps final : public apps::FfOps {
   /// the paper's Fig. 4/6 costs demand).
   std::int64_t writev(int fd, std::span<const fstack::FfIovec> iov) override;
   std::int64_t readv(int fd, std::span<const fstack::FfIovec> iov) override;
-  /// Whole fd batch per sealed-entry crossing (one mutex acquisition
-  /// drains the accept queue).
-  int accept_batch(int fd, std::span<int> out) override;
-  /// Zero-copy TX across the compartment boundary: the alloc crossing
-  /// returns a WRITABLE exactly-bounded capability into a cVM1 mbuf data
-  /// room (the reverse delegation of zc_recv's read-only loans); the app
-  /// fills its payload in place and the send crossing submits the token —
-  /// on TCP the network cVM then holds the buffer until cumulative ACK.
-  int zc_alloc(std::size_t len, fstack::FfZcBuf* out) override;
-  std::int64_t zc_send(int fd, fstack::FfZcBuf& zc, std::size_t len,
-                       const fstack::FfSockAddrIn& to) override;
-  int zc_abort(fstack::FfZcBuf& zc) override;
   /// Zero-copy RX across the compartment boundary: each crossing returns
   /// up to CrossCallArgs::kMaxVecCaps exactly-bounded read-only loans in
   /// the vector capability registers (tokens + sources marshal through the
@@ -130,28 +137,32 @@ class ProxyFfOps final : public apps::FfOps {
                    std::uint32_t cq_capacity) override;
   int uring_detach(int id) override;
   int uring_doorbell(int id) override;
-  /// API v7: one sealed-entry crossing assigns fd's QoS class.
-  int set_class(int fd, std::uint32_t cls) override;
   int close(int fd) override;
   int epoll_create() override;
   int epoll_ctl(int epfd, fstack::EpollOp op, int fd, std::uint32_t events,
                 std::uint64_t data) override;
   int epoll_wait(int epfd, std::span<fstack::FfEpollEvent> out) override;
 
+  /// The sealed pair behind entry `e` — the handle the app already holds,
+  /// so a test can invoke it with hand-made arguments.
+  [[nodiscard]] const machine::SealedEntry& entry(Entry e) const {
+    return e_[e];
+  }
+
  private:
-  std::int64_t call(const machine::SealedEntry& e,
-                    machine::CrossCallArgs& args);
+  std::int64_t call(Entry e, machine::CrossCallArgs& args);
+  /// Marshal scalar arguments (and a buffer in cap0) and cross.
+  std::int64_t call(Entry e, std::initializer_list<std::uint64_t> scalars,
+                    std::optional<machine::CapView> cap0 = std::nullopt);
+  /// writev/readv: cross once per kMaxVecCaps-element chunk until the
+  /// batch is done or a chunk comes back short.
+  std::int64_t chunked(Entry e, int fd, std::span<const fstack::FfIovec> iov);
 
   Scenario2Service* svc_;
   iv::CVM* app_;
   machine::CapView event_buf_;  // epoll events cross the boundary here
-  machine::CapView zc_buf_;     // zc tokens/sources + accept fd batches
-
-  machine::SealedEntry e_socket_, e_bind_, e_listen_, e_accept_, e_connect_,
-      e_write_, e_read_, e_writev_, e_readv_, e_close_, e_ep_create_,
-      e_ep_ctl_, e_ep_wait_, e_accept_batch_, e_zc_recv_, e_zc_recycle_,
-      e_zc_alloc_, e_zc_send_, e_zc_abort_, e_uring_attach_, e_uring_detach_,
-      e_uring_doorbell_, e_set_class_;
+  machine::CapView zc_buf_;     // zc tokens + sources, recycle batches
+  std::array<machine::SealedEntry, kEntryCount> e_;
 };
 
 }  // namespace cherinet::scen

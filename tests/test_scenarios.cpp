@@ -286,9 +286,8 @@ TEST(Scenario2Proxy, ZeroCopyRecvAcrossCompartments) {
         readable |= static_cast<int>(evs[i].data) == cfd;
       }
       if (cfd < 0) {
-        int fds[1];
-        if (ops.accept_batch(lfd, fds) == 1) {
-          cfd = fds[0];
+        cfd = ops.accept(lfd);
+        if (cfd >= 0) {
           ops.epoll_ctl(ep, fstack::EpollOp::kAdd, cfd, fstack::kEpollIn,
                         static_cast<std::uint64_t>(cfd));
           progress = true;
@@ -375,30 +374,107 @@ TEST(Scenario2Proxy, UringServesTheReceiveSideAcrossCompartments) {
 }
 
 TEST(Scenario2Proxy, ZcSendOnDeadConnectionLeavesTheSameHandleAsDirect) {
-  // ff_zc_send consumes the token when the TCP connection is dead. The
-  // proxied handle must end exactly where a direct caller's does — token 0,
-  // no data view — and a late abort answers -EINVAL on both.
+  // OP_ZC_SEND consumes the token when the TCP connection is dead. A
+  // proxied app's ring must end exactly where a direct caller's does: the
+  // send answers -ECONNREFUSED and a late OP_ZC_ABORT of the same token
+  // answers -EINVAL on both.
   for (const ScenarioKind kind :
        {ScenarioKind::kBaseline1Proc, ScenarioKind::kScenario2Uncontended}) {
     SCOPED_TRACE(to_string(kind));
     LockstepRig rig(kind, 1, 0, fast_options());
     apps::FfOps& ops = rig.ops();
     const machine::CapView probe = rig.alloc(16);
+    const machine::CapView ring_mem =
+        rig.alloc(fstack::FfUring::bytes_for(8, 8));
     rig.run(0, [&] {
       // Nothing listens on the peer's port: the SYN earns an RST.
       const int fd = ops.socket_stream();
       ops.connect(fd, MorelloTestbed::peer_ip(0), 5999);
       while (ops.write(fd, probe, 1) != -ECONNREFUSED && rig.turn(false)) {
       }
-      fstack::FfZcBuf zc;
-      ASSERT_EQ(ops.zc_alloc(64, &zc), 0);
-      EXPECT_EQ(ops.zc_send(fd, zc, 64, {}), -ECONNREFUSED);
-      EXPECT_EQ(zc.token, 0u);
-      EXPECT_FALSE(zc.data.valid());
-      EXPECT_EQ(ops.zc_abort(zc), -EINVAL);
+      fstack::FfUring ring(ring_mem, 8, 8);
+      const int id = ops.uring_attach(ring_mem, 8, 8);
+      ASSERT_GT(id, 0);
+      // One SQE at a time, each drained by its own doorbell.
+      const auto submit = [&](const fstack::FfUringSqe& e) {
+        fstack::FfUringCqe cqe;
+        EXPECT_NE(ring.sq_push(e), fstack::FfUring::Push::kFull);
+        ops.uring_doorbell(id);
+        EXPECT_EQ(ring.cq_pop({&cqe, 1}), 1u);
+        return cqe;
+      };
+      fstack::FfUringSqe alloc;
+      alloc.op = fstack::UringOp::kZcAlloc;
+      alloc.a[0] = 1;
+      alloc.a[1] = 64;
+      const fstack::FfUringCqe grant = submit(alloc);
+      ASSERT_EQ(grant.result, 64);
+      fstack::FfUringSqe send;
+      send.op = fstack::UringOp::kZcSend;
+      send.fd = fd;
+      send.a[0] = grant.aux0;
+      send.a[1] = 64;
+      EXPECT_EQ(submit(send).result, -ECONNREFUSED);
+      fstack::FfUringSqe abort;
+      abort.op = fstack::UringOp::kZcAbort;
+      abort.a[0] = grant.aux0;
+      EXPECT_EQ(submit(abort).result, -EINVAL);
+      ops.uring_detach(id);
       ops.close(fd);
     });
   }
+}
+
+TEST(Scenario2Proxy, ShortZcRecvBufferFaultsBeforeAnyLoanMoves) {
+  // The ff_zc_recv entry marshals one 16-byte record per loan into the
+  // app's cap0. A buffer too short for the loans asked for answers -EFAULT
+  // BEFORE the stack pops one: no loan strands in cVM1's table with no
+  // token in the app's hands, and the bytes stay queued for a good call.
+  constexpr std::uint64_t kVolume = 64 * 1024;
+  LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, kVolume,
+                  fast_options());
+  rig.testbed().peer(0).run_iperf_client(MorelloTestbed::morello_ip(0), 5201,
+                                         kVolume);
+  auto& ops = dynamic_cast<ProxyFfOps&>(rig.ops());
+  FullStackInstance& inst = rig.service()->instance();
+  const auto& api = inst.stack().api_stats();
+  auto& entries = rig.testbed().intravisor().entries();
+  const machine::CapView short_buf = rig.alloc(16);
+  rig.run(0, [&] {
+    const int lfd = ops.socket_stream();
+    ops.bind(lfd, fstack::Ipv4Addr{}, 5201);
+    ops.listen(lfd, 4);
+    int cfd = -1;
+    while ((cfd = ops.accept(lfd)) < 0 && rig.turn(false)) {
+    }
+    ASSERT_GE(cfd, 0);
+    const fstack::TcpPcb* pcb = inst.stack().sockets().get(cfd)->pcb;
+    while (pcb->rx_used() < 16 * 1024 && rig.turn(false)) {
+    }
+    const std::uint64_t loans0 = api.zc_rx_loans;
+    const std::uint32_t avail0 = inst.pool().available();
+    const std::size_t queued0 = pcb->rx_used();
+    ASSERT_GE(queued0, 16u * 1024u);
+
+    machine::CrossCallArgs a;
+    a.a[0] = static_cast<std::uint64_t>(cfd);
+    a.a[1] = 8;  // eight records want 128 bytes; cap0 grants 16
+    a.cap0 = short_buf;
+    EXPECT_EQ(static_cast<std::int64_t>(
+                  entries.invoke(ops.entry(ProxyFfOps::kZcRecv), a)),
+              -EFAULT);
+    EXPECT_EQ(api.zc_rx_loans, loans0);
+    EXPECT_EQ(inst.pool().available(), avail0);
+    EXPECT_EQ(pcb->rx_used(), queued0);
+
+    // The queued bytes still loan out through a well-formed call.
+    fstack::FfZcRxBuf loans[8];
+    const std::int64_t n = ops.zc_recv(cfd, loans);
+    EXPECT_EQ(n, 8);
+    EXPECT_EQ(ops.zc_recycle_batch({loans, static_cast<std::size_t>(n)}), n);
+    ops.close(cfd);
+    ops.close(lfd);
+  });
 }
 
 TEST(Census, SameInputsSameCounts) {

@@ -682,3 +682,52 @@ TEST(Tenants, ProxyBindsTheTenantInsideTheCreatingEntry) {
   EXPECT_EQ(st.socket_cap_rejects, 1u);
   EXPECT_EQ(st.doorbells, 1u);  // the ring bills the tenant it was bound to
 }
+
+TEST(Tenants, ProxiedRecycleOfNeighbourLoanIsInert) {
+  // Every proxied entry runs as its app's tenant, not only the ring drain:
+  // tenant B handing A's loan token to its own ff_zc_recycle entry
+  // recycles nothing, and A's loan stays outstanding — its read-only view
+  // still points at a data room the pool cannot hand to other traffic.
+  constexpr std::uint64_t kVolume = 16 * 1024;
+  scen::TestbedOptions opt;
+  opt.cost = sim::CostModel::disabled();
+  scen::LockstepRig rig(scen::ScenarioKind::kScenario2Uncontended, 0, kVolume,
+                        opt);
+  scen::Scenario3Service svc(*rig.service());
+  const int ta = svc.register_tenant("a", TenantQuota{});
+  const int tb = svc.register_tenant("b", TenantQuota{});
+  const int app_a = rig.add_app("tenant:a", ta);
+  const int app_b = rig.add_app("tenant:b", tb);
+  rig.testbed().peer(0).run_iperf_client(
+      scen::MorelloTestbed::morello_ip(0), 5201, kVolume);
+
+  FfZcRxBuf loan[1];
+  rig.run(app_a, [&] {
+    apps::FfOps& ops = rig.ops(app_a);
+    const int lfd = ops.socket_stream();
+    ops.bind(lfd, Ipv4Addr{}, 5201);
+    ops.listen(lfd, 4);
+    int cfd = -1;
+    while ((cfd = ops.accept(lfd)) < 0 && rig.turn(false)) {
+    }
+    while (ops.zc_recv(cfd, loan) != 1 && rig.turn(false)) {
+    }
+  });
+  ASSERT_NE(loan[0].token, 0u);
+  ASSERT_EQ(svc.stats(ta).loans_outstanding, 1u);
+
+  std::int64_t stolen = -1;
+  rig.run(app_b, [&] {
+    FfZcRxBuf steal[1];
+    steal[0].token = loan[0].token;
+    stolen = rig.ops(app_b).zc_recycle_batch(steal);
+  });
+  EXPECT_EQ(stolen, 0);
+  EXPECT_EQ(svc.stats(ta).loans_outstanding, 1u);
+
+  // A itself still returns the loan.
+  rig.run(app_a, [&] {
+    EXPECT_EQ(rig.ops(app_a).zc_recycle_batch(loan), 1);
+  });
+  EXPECT_EQ(svc.stats(ta).loans_outstanding, 0u);
+}

@@ -6,11 +6,13 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "apps/echo.hpp"
 #include "apps/ff_ops.hpp"
 #include "apps/iperf.hpp"
+#include "apps/uring_proto.hpp"
 #include "cheri/fault.hpp"
 #include "fixtures.hpp"
 #include "fstack/api.hpp"
@@ -432,10 +434,6 @@ TEST(Uring, AcceptMultishotPublishesEveryAcceptedFd) {
     EXPECT_EQ(uring_unpack_addr(c.aux0).ip, ts.ip_b());
   }
   EXPECT_NE(accepted[0].result, accepted[1].result);
-  // The classic accept_batch shim keeps working alongside (empty now).
-  apps::DirectFfOps ops(&ts.a());
-  int fds[4];
-  EXPECT_EQ(ops.accept_batch(lfd, fds), 0);
 }
 
 TEST(Uring, EpollArmDeliversReadinessAsCqes) {
@@ -744,6 +742,63 @@ TEST(UringZcTx, AllocGrantsWritableRoomsAndSendIsZeroCopy) {
   // copy anywhere.
   EXPECT_EQ(ts.a().tx_stats().copied_bytes, copied0);
   EXPECT_EQ(ts.a().tx_stats().zc_bytes, 1200u);
+}
+
+TEST(UringZcTx, DeadPipelineAbortsEveryStrandedReservation) {
+  // A ring zc stream whose peer resets the connection partway through.
+  // The first hard send error kills the pipeline, and every reservation
+  // it still holds — queued grants and grants that land after the
+  // failure — goes back through OP_ZC_ABORT. Once the dead connection is
+  // reaped, A's pool is back where the stream began.
+  TwoStacks ts;
+  const TcpPair p = connect_b_to_a(ts);
+  const std::uint32_t pool0 = ts.pool_a().available();
+  AttachedRing ar = attach_ring(ts, 8, 16);
+  apps::UringZcTxProto zc(&ar.ring, p.a_fd, 1000, nullptr);
+  constexpr std::uint64_t kTotal = 1024 * 1024;
+  // A send bounced off the full window (or an alloc off the pool reserve)
+  // resubmits only once virtual time moved: resubmitting at the same
+  // instant would keep the stack busy and the wire standing still.
+  std::optional<sim::Ns> bounced;
+  const auto drive = [&] {
+    if (bounced != ts.clock().now()) zc.pump(kTotal);
+    FfUringCqe cq[16];
+    std::size_t n;
+    while ((n = ar.ring.cq_pop(cq)) > 0) {
+      for (std::size_t i = 0; i < n; ++i) {
+        zc.on_cqe(cq[i]);
+        if (cq[i].result == -EAGAIN || cq[i].result == -ENOBUFS) {
+          bounced = ts.clock().now();
+        }
+      }
+    }
+  };
+  // Reset the stream partway through, while grants are in flight.
+  ASSERT_TRUE(ts.pump_until([&] {
+    drive();
+    return zc.acked() >= 32 * 1024;
+  }));
+  EXPECT_FALSE(zc.idle());
+  TcpPcb* peer = nullptr;
+  for (std::uint16_t port = 49152; port < 49160 && peer == nullptr; ++port) {
+    peer = ts.b().find_pcb({ts.ip_b(), port, ts.ip_a(), 5201});
+  }
+  ASSERT_NE(peer, nullptr);
+  peer->abort(ECONNRESET);  // B's RST reaches A over the wire
+  ASSERT_TRUE(ts.pump_until([&] {
+    drive();
+    return zc.wound_down();
+  }));
+  EXPECT_TRUE(zc.failed());
+  EXPECT_GE(ts.a().api_stats().zc_aborts, 1u);
+
+  EXPECT_EQ(ff_uring_detach(ts.a(), ar.id), 0);
+  ff_close(ts.a(), p.a_fd);
+  ff_close(ts.a(), p.listen_fd);
+  ff_close(ts.b(), p.b_fd);
+  EXPECT_TRUE(ts.pump_until(
+      [&] { return ts.pool_a().available() == pool0; }, 4'000'000));
+  EXPECT_EQ(ts.pool_a().available(), pool0);
 }
 
 // ---------------------------------------------------------------------------
