@@ -4,7 +4,9 @@
 # fig6 virtual-wait and Table II bandwidth smoke gates registered in
 # CMakeLists.txt — all on the lockstep rig, so the sanitizer leg gates
 # them too), then diffs every smoke artifact against its committed
-# baseline in bench/baseline/.
+# baseline in bench/baseline/ and, outside the sanitizer leg, runs the
+# repository benchmark's determinism self-check (bench/e2e/run.sh
+# --selfcheck).
 #
 # SANITIZE=1 switches to the AddressSanitizer + UBSan configuration in its
 # own build tree — the memory-safety net over the loan-based RX pipeline
@@ -107,6 +109,10 @@ done
 # The remaining benches are skipped on the sanitizer leg with the other
 # wall-clock-sensitive runs.
 if [[ "$SANITIZE" != "1" ]]; then
+  # The repository benchmark (BENCHMARK.json) must still build from this
+  # tree and replay its smoke volume deterministically on every seed check.
+  bash bench/e2e/run.sh --selfcheck || status=$?
+
   # Locking-strategy ablation, now with the sharded-futex leg: per-shard
   # mutexes must run contention-free (every acquisition a fast path) while
   # the shared-mutex legs price the umtx escalation for comparison.

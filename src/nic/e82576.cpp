@@ -208,8 +208,9 @@ E82576Port::Stats E82576Port::stats() const {
     agg.tso_frames += q.stats.tso_frames;
     agg.tso_bytes += q.stats.tso_bytes;
   }
-  // Pre-classification rejects (CRC, MAC filter) are port-level.
+  // Pre-classification rejects (CRC, length, MAC filter) are port-level.
   agg.rx_crc_errors = port_stats_.rx_crc_errors;
+  agg.rx_length_errors = port_stats_.rx_length_errors;
   agg.rx_filtered = port_stats_.rx_filtered;
   return agg;
 }
@@ -417,7 +418,7 @@ void E82576Port::deliver_rx(E82576Device& dev, Queue& q,
   const std::uint64_t daddr = q.rx_base + std::uint64_t{q.rdh} * sizeof(RxDesc);
   RxDesc d = mem.load_scalar<RxDesc>(auth, daddr);
   if (payload.size() > q.rx_buf_size) {
-    port_stats_.rx_crc_errors++;  // oversize for configured buffer
+    port_stats_.rx_length_errors++;  // oversize for configured buffer
     return;
   }
   mem.store(auth, d.buffer_addr, payload);
@@ -472,7 +473,7 @@ void E82576Port::deliver_rx(E82576Device& dev, Queue& q,
 void E82576Port::process_rx(E82576Device& dev) {
   for (Frame& f : wire_->poll(wire_side_)) {
     if (f.data.size() < kEtherHdrLen + 4) {
-      port_stats_.rx_crc_errors++;
+      port_stats_.rx_length_errors++;  // runt
       continue;
     }
     // Verify and strip the FCS.

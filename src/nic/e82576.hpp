@@ -195,7 +195,8 @@ class E82576Port {
     std::uint64_t tx_packets = 0;
     std::uint64_t tx_bytes = 0;
     std::uint64_t rx_no_desc = 0;   // ring-full drops
-    std::uint64_t rx_crc_errors = 0;
+    std::uint64_t rx_crc_errors = 0;     // FCS mismatch only
+    std::uint64_t rx_length_errors = 0;  // runts and oversize (ROC/RUC)
     std::uint64_t rx_filtered = 0;  // MAC filter rejects
     std::uint64_t tso_frames = 0;   // wire frames produced by TSO slicing
     std::uint64_t tso_bytes = 0;    // payload bytes carried by those frames
@@ -277,7 +278,7 @@ class E82576Port {
   std::vector<Queue> queues_{1};
   RssReta reta_ = make_default_reta(1);
   std::array<L4Filter, kMaxL4Filters> l4_filters_{};
-  Stats port_stats_;  // pre-classification rejects (CRC, MAC filter)
+  Stats port_stats_;  // pre-classification rejects (CRC, length, MAC filter)
 };
 
 class E82576Device {

@@ -2,6 +2,11 @@
 // descriptor rings and capability-checked DMA.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <random>
+#include <vector>
+
 #include "cheri/tagged_memory.hpp"
 #include "nic/crc32.hpp"
 #include "nic/e82576.hpp"
@@ -11,10 +16,65 @@
 using namespace cherinet;
 using sim::Ns;
 
+namespace {
+/// Bit-at-a-time CRC-32 (reflected, poly 0xEDB88320): the reference the
+/// table-driven kernel must reproduce.
+std::uint32_t crc32_bitwise(std::span<const std::byte> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::byte b : data) {
+    c ^= std::to_integer<std::uint32_t>(b);
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::byte> seeded_bytes(std::size_t n, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<std::byte> v(n);
+  for (auto& b : v) b = std::byte{static_cast<std::uint8_t>(rng())};
+  return v;
+}
+
+/// The FCS the MAC appended to a wire frame, in the MAC's byte order.
+std::uint32_t trailing_fcs(const std::vector<std::byte>& frame) {
+  std::uint32_t fcs = 0;
+  std::memcpy(&fcs, frame.data() + frame.size() - 4, 4);
+  return fcs;
+}
+}  // namespace
+
 TEST(Crc32, KnownVectors) {
   const char* s = "123456789";
   EXPECT_EQ(nic::crc32_ieee(std::as_bytes(std::span{s, 9})), 0xCBF43926u);
   EXPECT_EQ(nic::crc32_ieee({}), 0x00000000u);
+}
+
+// Every length up to 2048 at every start offset 0..7: covers the byte-wise
+// tail after each number of 8-byte steps and unaligned word loads.
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  const auto buf = seeded_bytes(2048 + 8, 0xC4C32u);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 2048; ++len) {
+      const std::span<const std::byte> s{buf.data() + off, len};
+      ASSERT_EQ(nic::crc32_ieee(s), crc32_bitwise(s))
+          << "offset " << off << " length " << len;
+    }
+  }
+}
+
+// A CRC-32 detects every single-bit error: the FCS-containment gates
+// (rx_crc_errors + stack_csum_drops == wire_corrupts) rest on this.
+TEST(Crc32, EverySingleBitFlipOfAFullFrameChangesTheFcs) {
+  auto frame = seeded_bytes(1518, 0x802u);
+  const std::uint32_t good = nic::crc32_ieee(frame);
+  for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
+    const std::byte mask{static_cast<std::uint8_t>(1u << (bit % 8))};
+    frame[bit / 8] ^= mask;
+    ASSERT_NE(nic::crc32_ieee(frame), good) << "bit " << bit;
+    frame[bit / 8] ^= mask;
+  }
 }
 
 TEST(MacAddr, BroadcastAndFormatting) {
@@ -208,6 +268,84 @@ TEST_F(DeviceFixture, CorruptFcsIsDroppedAndCounted) {
   clock.advance_to(Ns{1'000'000});
   dev.poll(clock.now());
   EXPECT_EQ(dev.port(0).stats().rx_crc_errors, 1u);
+  EXPECT_EQ(dev.port(0).stats().rx_packets, 0u);
+}
+
+// The FCS the device appends on TX equals the bitwise reference over the
+// frame as emitted — after IC checksum insertion and per TSO slice — so the
+// far MAC is not the only check of the kernel against itself.
+TEST_F(DeviceFixture, EmittedFramesCarryTheReferenceFcs) {
+  // Slot 0: a plain frame.
+  stage_tx(0, 600);
+  // Slot 1: legacy IC checksum insertion over [css, end) into cso.
+  stage_tx(1, 200);
+  const auto icf = seeded_bytes(200, 5);
+  mem.store(root, kTxBuf + 2048, std::span<const std::byte>{icf});
+  auto ic = mem.load_scalar<nic::TxDesc>(root, kTxRing + sizeof(nic::TxDesc));
+  ic.cmd |= nic::kTxCmdIC;
+  ic.css = 34;
+  ic.cso = 50;
+  mem.store_scalar(root, kTxRing + sizeof(nic::TxDesc), ic);
+  // Slots 2-3: a TSO context, then a 54-byte Ether/IPv4/TCP header plus
+  // 1200 payload bytes sliced at MSS 500 into three wire frames.
+  constexpr std::size_t kHdr = 14 + 20 + 20;
+  nic::TxCtxDesc ctx{};
+  ctx.l2_len = 14;
+  ctx.l3_len = 20;
+  ctx.l4_len = 20;
+  ctx.olflags = nic::kTxCtxOlTcp | nic::kTxCtxOlTso;
+  ctx.mss = 500;
+  ctx.cmd = nic::kTxCmdCtx;
+  mem.store_scalar(root, kTxRing + 2 * sizeof(nic::TxDesc), ctx);
+  auto tso = seeded_bytes(kHdr + 1200, 7);
+  tso[14] = std::byte{0x45};  // IPv4, 20-byte header
+  mem.store(root, kTxBuf + 3 * 2048, std::span<const std::byte>{tso});
+  nic::TxDesc d{};
+  d.buffer_addr = kTxBuf + 3 * 2048;
+  d.length = static_cast<std::uint16_t>(tso.size());
+  d.cmd = nic::kTxCmdEOP | nic::kTxCmdTse;
+  mem.store_scalar(root, kTxRing + 3 * sizeof(nic::TxDesc), d);
+
+  dev.port(0).write_tdt(4);
+  dev.poll(clock.now());
+  clock.advance_to(Ns{1'000'000'000});
+  const auto frames = wire.poll(1);
+  ASSERT_EQ(frames.size(), 5u);
+  EXPECT_EQ(dev.port(0).stats().tso_frames, 3u);
+  const std::size_t sizes[] = {600, 200, kHdr + 500, kHdr + 500, kHdr + 200};
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const auto& f = frames[i].data;
+    ASSERT_EQ(f.size(), sizes[i] + 4) << "frame " << i;
+    EXPECT_EQ(trailing_fcs(f),
+              crc32_bitwise(std::span<const std::byte>{f.data(), sizes[i]}))
+        << "frame " << i;
+  }
+  // The IC frame's FCS covers the inserted checksum, not the staged bytes.
+  EXPECT_FALSE(std::equal(icf.begin(), icf.end(), frames[1].data.begin()));
+}
+
+// Runts and frames longer than the RX buffer are length errors (the
+// 82576's ROC/RUC), not FCS errors: rx_crc_errors means wire corruption.
+TEST_F(DeviceFixture, LengthErrorsAreNotCountedAsCrcErrors) {
+  nic::RxDesc rd{};
+  rd.buffer_addr = kRxBuf;
+  mem.store_scalar(root, kRxRing + 0 * sizeof(nic::RxDesc), rd);
+  dev.port(0).write_rdt(4);
+  // 2100 bytes with a valid FCS into the fixture's 2048-byte buffers.
+  const auto big = seeded_bytes(2100, 3);
+  nic::Frame f;
+  f.data = big;
+  f.data.resize(2104);
+  const std::uint32_t fcs = nic::crc32_ieee(big);
+  std::memcpy(f.data.data() + 2100, &fcs, 4);
+  wire.transmit(1, std::move(f), Ns{0});
+  nic::Frame runt;
+  runt.data.resize(10, std::byte{0x77});
+  wire.transmit(1, std::move(runt), Ns{0});
+  clock.advance_to(Ns{1'000'000});
+  dev.poll(clock.now());
+  EXPECT_EQ(dev.port(0).stats().rx_length_errors, 2u);
+  EXPECT_EQ(dev.port(0).stats().rx_crc_errors, 0u);
   EXPECT_EQ(dev.port(0).stats().rx_packets, 0u);
 }
 
