@@ -1,10 +1,11 @@
 // Compartment breach demo (the paper's Fig. 3 as an interactive story):
 // an attacker compartment tries every escape it can think of; the
 // Intravisor's console shows each one trapped while the victim's secret
-// survives.
+// survives. Exits nonzero if any attempt escapes or the secret changes.
 //
-//   build/examples/compartment_breach
+//   build/example_compartment_breach
 #include <cstdio>
+#include <cstring>
 
 #include "intravisor/intravisor.hpp"
 
@@ -86,5 +87,8 @@ int main() {
   secret.read(0, std::as_writable_bytes(std::span{still}));
   std::printf("\n%d/%zu attempts contained; victim's secret intact: \"%s\"\n",
               contained, std::size(attempts), still);
-  return 0;
+  const bool intact = std::memcmp(still, key, sizeof key) == 0;
+  return static_cast<std::size_t>(contained) == std::size(attempts) && intact
+             ? 0
+             : 1;
 }

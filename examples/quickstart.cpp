@@ -1,9 +1,11 @@
 // Quickstart: bring up two user-space stacks on an emulated wire, open a
 // TCP connection through the capability-qualified ff_* API, and exchange a
-// message — the whole public API surface in ~60 lines.
+// message — the whole public API surface in ~60 lines. Exits nonzero if the
+// message does not arrive intact or the oversized write is not trapped.
 //
-//   build/examples/quickstart
+//   build/example_quickstart
 #include <cstdio>
+#include <cstring>
 
 #include "fstack/api.hpp"
 #include "scenarios/two_stacks.hpp"
@@ -45,15 +47,24 @@ int main() {
   std::printf("server received %lld bytes: \"%s\"\n",
               static_cast<long long>(got), out);
 
+  const bool intact = got == static_cast<std::int64_t>(sizeof msg) &&
+                      std::strcmp(out, msg) == 0;
+
   // The same buffer with a lying length faults instead of leaking memory:
+  bool trapped = false;
   try {
     (void)ff_write(a, cfd, tx, 4096);
   } catch (const cheri::CapFault& f) {
+    trapped = true;
     std::printf("oversized write trapped: %s\n", f.what());
   }
 
   ff_close(a, cfd);
   ff_close(b, bfd);
+  if (!intact || !trapped) {
+    std::printf("quickstart FAILED\n");
+    return 1;
+  }
   std::printf("quickstart OK\n");
   return 0;
 }

@@ -6,8 +6,9 @@
 // the victim's token through its own ring, spending it as a TX token,
 // forging a capability to the mbuf's address from raw bytes, and writing
 // through a stolen copy of the loan view. Every attempt is answered by the
-// capability hardware (CapFault) or the tenant ledger (-EINVAL) while the
-// victim's loan stays readable and recyclable.
+// capability hardware (CapFault) or the stack's tenant checks (-EINVAL for
+// a neighbour's token, -EBADF for a neighbour's fd) while the victim's loan
+// stays readable and recyclable. Exits nonzero if any attempt succeeds.
 //
 //   build/example_tenant_breach
 #include <cstdio>
@@ -93,7 +94,7 @@ int main() {
     FfUringCqe cqe;
     if (ring.cq_pop({&cqe, 1}) == 1 && cqe.result < 0) {
       ++contained;
-      std::printf("  rejected by the tenant ledger: result=%lld\n",
+      std::printf("  rejected by the tenant checks: result=%lld\n",
                   static_cast<long long>(cqe.result));
     } else {
       std::printf("  !! the cross-tenant token was honoured\n");

@@ -141,10 +141,6 @@ struct IperfServer::RxDispatch {
     Conn* c = conn_of(user_data);
     if (c != nullptr) c->hot = false;  // wait for the next readiness CQE
   }
-  void on_coalescing(std::uint64_t) {
-    // Datagrams ARE queued, the burst timeout is still running: stay hot
-    // and repoll — an unchanged readiness mask will never re-publish.
-  }
   void on_burst_end(std::uint64_t user_data) {
     for (Conn& c : s.conns_) {
       if (c.fd == static_cast<int>(user_data) && c.inflight) {

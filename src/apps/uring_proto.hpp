@@ -266,11 +266,6 @@ class UringZcTxProto {
 ///   on_loan(const FfUringCqe& cqe)        // result >= 0, token in aux0
 ///   on_eof(std::uint64_t user_data)       // kCqeEof
 ///   on_drained(std::uint64_t user_data)   // drained: await readiness
-///   on_coalescing(std::uint64_t user_data)// -EAGAIN with aux1 set: data
-///                                         // IS queued, the a1 burst
-///                                         // timeout is still running —
-///                                         // repoll, readiness will not
-///                                         // fire for an unchanged mask
 ///   on_burst_end(std::uint64_t user_data) // last CQE of a zc burst
 /// Returns true when the CQE belonged to the receive pipeline (accept /
 /// readiness / zc loans); OP_RECYCLE acks and TX completions return false.
@@ -293,8 +288,6 @@ bool dispatch_rx_cqe(const fstack::FfUringCqe& cqe, Handler&& h) {
         // A loan — zero-length datagrams included: the aux0 token still
         // owes a recycle even when no bytes came with it.
         h.on_loan(cqe);
-      } else if (cqe.aux1 != 0) {
-        h.on_coalescing(cqe.user_data);
       } else {
         h.on_drained(cqe.user_data);
       }
@@ -338,31 +331,26 @@ class UringBurstCredits {
 };
 
 /// Push one OP_ZC_RECV burst request (shared by every receive consumer so
-/// the a0/a1 argument convention cannot drift): `max_loans` CQEs at most,
-/// `timeout_ns` is the UDP recvmmsg-style coalescing knob (0 on TCP).
+/// the a0 argument convention cannot drift): `max_loans` CQEs at most.
 inline bool push_zc_recv(fstack::FfUring& ring, int fd,
-                         std::uint32_t max_loans, std::uint64_t user_data,
-                         std::uint64_t timeout_ns = 0) {
+                         std::uint32_t max_loans, std::uint64_t user_data) {
   fstack::FfUringSqe sqe;
   sqe.op = fstack::UringOp::kZcRecv;
   sqe.fd = fd;
   sqe.user_data = user_data;
   sqe.a[0] = max_loans;
-  sqe.a[1] = timeout_ns;
   return ring.sq_push(sqe) != fstack::FfUring::Push::kFull;
 }
 
 /// Arm multishot accept / epoll delivery (the two one-time arms of the
-/// receive pipeline). `auto_arm` additionally subscribes every accepted fd
-/// to readiness CQEs in the same ring (kEpollArm-shaped, aux0 = fd) — a
-/// churn-heavy acceptor never issues another control call per connection.
+/// receive pipeline). Accepted fds report readiness through the epoll
+/// instance armed with push_epoll_arm.
 inline bool push_accept_arm(fstack::FfUring& ring, int listen_fd,
-                            std::uint64_t user_data, bool auto_arm = false) {
+                            std::uint64_t user_data) {
   fstack::FfUringSqe sqe;
   sqe.op = fstack::UringOp::kAcceptMultishot;
   sqe.fd = listen_fd;
   sqe.user_data = user_data;
-  sqe.a[0] = auto_arm ? 1 : 0;
   return ring.sq_push(sqe) != fstack::FfUring::Push::kFull;
 }
 

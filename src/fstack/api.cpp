@@ -57,37 +57,18 @@ std::int64_t ff_readv(FfStack& st, int fd, std::span<const FfIovec> iov) {
   return st.sock_readv(fd, iov);
 }
 
-std::int64_t ff_sendmsg_batch(FfStack& st, int fd, std::span<FfMsg> msgs) {
-  return st.sock_sendmsg_batch(fd, msgs);
-}
-
-std::int64_t ff_recvmsg_batch(FfStack& st, int fd, std::span<FfMsg> msgs) {
-  return st.sock_recvmsg_batch(fd, msgs);
-}
-
-std::int64_t ff_recvmsg_batch(FfStack& st, int fd, std::span<FfMsg> msgs,
-                              const FfMsgBatchOpts& opts) {
-  return st.sock_recvmsg_batch(fd, msgs, opts);
-}
-
 int ff_zc_alloc(FfStack& st, std::size_t len, FfZcBuf* out) {
   return st.sock_zc_alloc(len, out);
 }
 
-std::int64_t ff_zc_send(FfStack& st, int fd, FfZcBuf& zc, std::size_t len,
-                        const FfSockAddrIn& to) {
-  return st.sock_zc_send(fd, zc, len, to.ip, to.port);
+std::int64_t ff_zc_send(FfStack& st, int fd, FfZcBuf& zc, std::size_t len) {
+  return st.sock_zc_send(fd, zc, len);
 }
 
 int ff_zc_abort(FfStack& st, FfZcBuf& zc) { return st.sock_zc_abort(zc); }
 
 std::int64_t ff_zc_recv(FfStack& st, int fd, std::span<FfZcRxBuf> out) {
   return st.sock_zc_recv(fd, out);
-}
-
-std::int64_t ff_zc_recv(FfStack& st, int fd, std::span<FfZcRxBuf> out,
-                        const FfMsgBatchOpts& opts) {
-  return st.sock_zc_recv(fd, out, opts);
 }
 
 int ff_zc_recycle(FfStack& st, FfZcRxBuf& zc) {

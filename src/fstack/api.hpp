@@ -13,9 +13,8 @@
 // ------------------------------------|-----------------------------------
 //  ff_write(fd, cap, n)               | ff_writev(fd, {iov...})
 //  ff_read(fd, cap, n)                | ff_readv(fd, {iov...})
-//  ff_sendto(fd, cap, n, to) x N      | ff_sendmsg_batch(fd, {msg...})
-//  ff_recvfrom(fd, cap, n, &from) x N | ff_recvmsg_batch(fd, {msg...})
-//  copy into cap, then ff_sendto      | ff_zc_alloc + write + ff_zc_send
+//  ff_sendto / ff_recvfrom x N        | UDP bursts (retired in v13)
+//  copy into cap, then ff_write       | ff_zc_alloc + write + ff_zc_send
 //  ff_read copies out of the stack    | ff_zc_recv(fd, {loan...}) +
 //    (RX byte ring memcpy per call)   |   ff_zc_recycle[_batch]: read-only
 //                                     |   mbuf loans, zero receive copies
@@ -58,21 +57,19 @@
 // -------------------------------------|----------------------------------
 //  ff_writev(fd, {iov...})             | SQE OP_WRITEV: <= 8 exactly-
 //                                      |   bounded iovec caps per entry
-//  ff_sendmsg_batch(fd, {msg...})      | SQE OP_SENDMSG_BATCH: <= 8
-//                                      |   datagram caps to one peer
+//  (UDP bursts)                        | SQE OP_SENDMSG_BATCH (retired
+//                                      |   in v13; opcode 2 is a hole)
 //  ff_zc_alloc(len, &zc) x N           | SQE OP_ZC_ALLOC: one CQE per
 //                                      |   reservation (token + WRITABLE
 //                                      |   bounded cap into the data room)
 //                                      |   — zc TX with no per-alloc
 //                                      |   crossing
-//  ff_zc_send(fd, zc, len, to)         | SQE OP_ZC_SEND (token in a0);
+//  ff_zc_send(fd, zc, len)             | SQE OP_ZC_SEND (token in a0);
 //                                      |   on a TCP fd the slice joins the
 //                                      |   send queue as a retained mbuf
 //                                      |   ref held until cumulative ACK
 //  ff_zc_recv(fd, {loan...})           | SQE OP_ZC_RECV: one CQE per loan
-//                                      |   (token + source + loan cap);
-//                                      |   UDP: a1 = recvmmsg-style burst
-//                                      |   timeout ns
+//                                      |   (token + source + loan cap)
 //  ff_zc_recycle_batch({zc...})        | SQE OP_RECYCLE: <= 16 tokens per
 //                                      |   entry, per-token verdicts
 //  ff_accept x N / accept_batch        | SQE OP_ACCEPT_MULTISHOT: armed
@@ -166,12 +163,9 @@
 //                                      |   a1 = target fd, a2 = events,
 //                                      |   a3 = user data): immediate
 //                                      |   per-entry verdict CQE
-//  epoll_ctl(ADD) per accepted fd      | OP_ACCEPT_MULTISHOT a0 bit 0 =
-//                                      |   auto-arm: every accepted fd is
-//                                      |   subscribed to readiness CQEs
-//                                      |   (kEpollArm-shaped, aux0 = fd)
-//                                      |   in the acceptor's own CQ — no
-//                                      |   epoll instance needed at all
+//  epoll_ctl(ADD) per accepted fd      | OP_ACCEPT_MULTISHOT auto-arm
+//                                      |   (retired in v13: OP_EPOLL_CTL
+//                                      |   + OP_EPOLL_ARM instead)
 // ------------------------------------------------------------------------
 //  semantics deltas (v5) — control-plane ownership rules:
 //   * OP_CONNECT pins the fd's verdict to the submitting ring: the CQE
@@ -182,8 +176,6 @@
 //     connection: each outstanding token still owes exactly one
 //     OP_RECYCLE/ff_zc_recycle (a pure pool return once the PCB died) and
 //     replays still answer -EINVAL;
-//   * auto-armed readiness follows the multishot discipline (kCqeMore set
-//     while the subscription persists, mask-change/activity triggered);
 //   * listener SYN queues are BOUNDED (listen backlog caps embryonic
 //     PCBs; a full accept queue also refuses new SYNs): surplus SYNs are
 //     dropped and counted (TcpPcb::syn_backlog_drops), and the client's
@@ -501,6 +493,40 @@
 //   * apps::UringZcTxProto aborts every reservation a dead pipeline still
 //     holds, grants that land after the failure included.
 //
+// ------------------------------------------------------------------------
+// v12 -> v13 migration table: one implementation per datagram operation
+// ------------------------------------------------------------------------
+// v12 had four UDP send paths, four UDP receive paths and two readiness
+// publishers; nothing outside the tests reached the extra ones. v13 keeps
+// one of each and removes surface without adding any: no option, knob or
+// opcode is new. Opcode numbers stay stable.
+//
+//  v12                                 | v13
+// -------------------------------------|----------------------------------
+//  UDP burst send (the sendmmsg        | ff_sendto per datagram; opcode 2
+//    analogue) and OP_SENDMSG_BATCH    |   earns the unknown-opcode -EINVAL
+//  UDP burst receive (the recvmmsg     | ff_recvfrom copies; ff_zc_recv /
+//    analogue, copy and loan modes)    |   OP_ZC_RECV lend
+//  ff_zc_send / OP_ZC_SEND on UDP      | ff_sendto; zc send is TCP only,
+//                                      |   a UDP fd answers -EBADF before
+//                                      |   the token is looked at (so it
+//                                      |   still aborts); ff_zc_send drops
+//                                      |   its ignored `to` argument
+//  the recvmmsg-style burst timeout,   | none: a receive returns what is
+//    OP_ZC_RECV's a1 timeout and its   |   queued
+//    aux1 "coalescing" CQE flag        |
+//  OP_ACCEPT_MULTISHOT a0 bit 0        | OP_EPOLL_CTL + OP_EPOLL_ARM; a0 is
+//    (accept auto-arm)                 |   reserved: nonzero earns -EINVAL
+//
+//  semantics deltas (v13):
+//   * every fd-taking entry (sock_*, epoll_ctl/_wait, the ring's accept
+//     and epoll arms) resolves the fd as the active tenant: a neighbour's
+//     fd answers -EBADF, the rule zc tokens already followed (untenanted
+//     fds and callers see every fd);
+//   * ff_recvfrom checks the destination's tag, seal and store permission
+//     before it dequeues, and clamps the copy to its bounds: a bad buffer
+//     faults with the datagram still queued.
+//
 // The capability-qualified buffer handle is machine::CapView — the
 // `void* __capability` of the paper's modified F-Stack API; this header
 // remains the surface Table I's "modified LoC" census counts.
@@ -542,6 +568,8 @@ std::int64_t ff_read(FfStack& st, int fd, const machine::CapView& buf,
 
 std::int64_t ff_sendto(FfStack& st, int fd, const machine::CapView& buf,
                        std::size_t nbytes, const FfSockAddrIn& to);
+/// One datagram, oldest first; the copy clamps to `buf`'s bounds. Returns
+/// bytes copied or -EAGAIN; a bad buffer faults before the dequeue.
 std::int64_t ff_recvfrom(FfStack& st, int fd, const machine::CapView& buf,
                          std::size_t nbytes, FfSockAddrIn* from);
 
@@ -553,37 +581,20 @@ std::int64_t ff_recvfrom(FfStack& st, int fd, const machine::CapView& buf,
 std::int64_t ff_writev(FfStack& st, int fd, std::span<const FfIovec> iov);
 std::int64_t ff_readv(FfStack& st, int fd, std::span<const FfIovec> iov);
 
-// UDP bursts. Returns the number of datagrams moved (per-message byte
-// counts land in FfMsg::result), -EAGAIN when none, or -errno. Send is
-// atomic over validation: an invalid buffer anywhere in the burst faults
-// before any datagram is emitted. Receive preserves arrival order.
-// The opts overload adds the recvmmsg-style burst timeout
-// (FfMsgBatchOpts::timeout_ns): the call coalesces — answering -EAGAIN —
-// until the batch fills or the oldest queued datagram has waited out the
-// timeout, then returns the short count. timeout_ns 0 keeps the classic
-// return-what-is-queued semantics.
-std::int64_t ff_sendmsg_batch(FfStack& st, int fd, std::span<FfMsg> msgs);
-std::int64_t ff_recvmsg_batch(FfStack& st, int fd, std::span<FfMsg> msgs);
-std::int64_t ff_recvmsg_batch(FfStack& st, int fd, std::span<FfMsg> msgs,
-                              const FfMsgBatchOpts& opts);
-
-// Zero-copy TX. ff_zc_alloc reserves an mbuf data room and hands the
+// Zero-copy TX (TCP). ff_zc_alloc reserves an mbuf data room and hands the
 // application a bounded capability straight into it; ff_zc_send submits the
 // filled reservation — the payload is never copied through the socket
-// layer. On a UDP socket the headers prepend in the mbuf headroom and the
-// buffer goes to the driver. On a TCP socket (`to` is ignored — the
-// connection addresses the peer) the slice joins the send queue as a
-// RETAINED MBUF REFERENCE: tcp_output gathers segments directly out of the
-// data room, retransmission re-reads the still-live buffer, and cumulative
-// ACK is what finally releases the reference (a partial ACK trims the head
-// slice). Returns 0/-errno from alloc (-EMSGSIZE over MTU, -ENOBUFS pool
-// empty); bytes queued/sent or -errno from send: -EINVAL on a consumed or
-// forged token BEFORE any protocol state mutates, -EAGAIN (TCP send window
-// full) and -EMSGSIZE keep the reservation valid for retry. ff_zc_abort
-// releases an unsent reservation.
+// layer. The slice joins the send queue as a RETAINED MBUF REFERENCE:
+// tcp_output gathers segments directly out of the data room,
+// retransmission re-reads the still-live buffer, and cumulative ACK is what
+// finally releases the reference (a partial ACK trims the head slice).
+// Returns 0/-errno from alloc (-EMSGSIZE over MTU, -ENOBUFS pool empty);
+// bytes queued or -errno from send: -EBADF on a non-TCP fd and -EINVAL on a
+// consumed or forged token, both BEFORE any state mutates; -EAGAIN (send
+// window full) and -EMSGSIZE keep the reservation valid for retry.
+// ff_zc_abort releases an unsent reservation.
 int ff_zc_alloc(FfStack& st, std::size_t len, FfZcBuf* out);
-std::int64_t ff_zc_send(FfStack& st, int fd, FfZcBuf& zc, std::size_t len,
-                        const FfSockAddrIn& to);
+std::int64_t ff_zc_send(FfStack& st, int fd, FfZcBuf& zc, std::size_t len);
 int ff_zc_abort(FfStack& st, FfZcBuf& zc);
 
 // Zero-copy RX (TCP and UDP). ff_zc_recv pops up to out.size() queued
@@ -595,10 +606,6 @@ int ff_zc_abort(FfStack& st, FfZcBuf& zc);
 // token is -EINVAL. ff_zc_recycle_batch recycles a whole burst and returns
 // the number recycled.
 std::int64_t ff_zc_recv(FfStack& st, int fd, std::span<FfZcRxBuf> out);
-/// UDP loan bursts honor the recvmmsg-style FfMsgBatchOpts::timeout_ns
-/// (see ff_recvmsg_batch); TCP sockets ignore the opts.
-std::int64_t ff_zc_recv(FfStack& st, int fd, std::span<FfZcRxBuf> out,
-                        const FfMsgBatchOpts& opts);
 int ff_zc_recycle(FfStack& st, FfZcRxBuf& zc);
 std::int64_t ff_zc_recycle_batch(FfStack& st, std::span<FfZcRxBuf> zcs);
 

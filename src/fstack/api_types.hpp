@@ -29,28 +29,6 @@ struct FfIovec {
   std::size_t len = 0;
 };
 
-/// One datagram of a UDP burst (sendmmsg/recvmmsg analogue). On send,
-/// `addr` is the destination and `len` the payload size; on receive the
-/// stack fills `addr` with the source and `result` with the byte count.
-///
-/// v3 loan mode (receive only): pass the entry DEFAULT-CONSTRUCTED (`buf`
-/// invalid AND `len` == 0 — the explicit opt-in) and the stack routes the
-/// datagram through the zero-copy loan path instead of copying — `buf`
-/// comes back as an exactly-bounded READ-ONLY capability straight into
-/// the RX data room, `token` identifies the loan, and `result` is the
-/// payload length. Return the loan with ff_zc_recycle (identical token
-/// accounting to ff_zc_recv: the data room stays charged against the
-/// socket's queue budget until recycled). Copy entries leave `token` == 0.
-/// An invalid `buf` WITH a nonzero `len` is a forged destination and
-/// faults the batch, exactly as in v2.
-struct FfMsg {
-  machine::CapView buf;
-  std::size_t len = 0;
-  FfSockAddrIn addr{};
-  std::int64_t result = 0;
-  std::uint64_t token = 0;
-};
-
 /// The whole-batch capability sweep of API v2: tag, seal, permission and
 /// bounds are checked for every element BEFORE any byte moves, so a bad
 /// element faults the batch atomically (no partial compartment-boundary
@@ -64,18 +42,6 @@ inline void ff_sweep_iovecs(std::span<const FfIovec> iov,
     c.check(access, c.address(), e.len);
   }
 }
-
-/// Batch options for the UDP receive burst calls (recvmmsg analogue).
-/// `timeout_ns` == 0 keeps the classic semantics: return immediately with
-/// whatever is queued. With a timeout the burst COALESCES: the call answers
-/// -EAGAIN until either the full batch is queued or the oldest queued
-/// datagram has waited `timeout_ns`, then returns the short count — a
-/// sparse sender no longer costs its receiver one wakeup per datagram, and
-/// a short burst is bounded by the timeout instead of waiting for the
-/// batch to fill. The same knob rides OP_ZC_RECV's a1 on UDP sockets.
-struct FfMsgBatchOpts {
-  std::uint64_t timeout_ns = 0;
-};
 
 /// One zero-copy RX loan: `data` is an exactly-bounded READ-ONLY capability
 /// straight into the RX mbuf data room that received the bytes — no copy
@@ -95,7 +61,8 @@ struct FfZcRxBuf {
 
 /// A zero-copy TX reservation: `data` is a bounded capability directly into
 /// an updk::Mbuf data room — the application writes its payload through it
-/// and submits with ff_zc_send, skipping the copy through the socket layer.
+/// and submits with ff_zc_send on a TCP fd, skipping the copy through the
+/// socket layer.
 /// The token is consumed by send/abort; a reused token is -EINVAL.
 struct FfZcBuf {
   std::uint64_t token = 0;  // 0 = invalid / already consumed

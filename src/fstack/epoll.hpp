@@ -40,7 +40,9 @@ class EpollInstance {
   // ---- multishot delivery (the ff_uring OP_EPOLL_ARM path) ----
   // While armed, the owning stack publishes readiness-CHANGE events through
   // the sink every main-loop iteration; the application reaps them as CQEs
-  // without crossing back in (io_uring multishot poll).
+  // without crossing back in (io_uring multishot poll). publish() is the
+  // stack's one edge publisher: accepted fds join an armed interest set
+  // through ctl (OP_EPOLL_CTL) — there is no per-fd arm beside it.
 
   /// Arm (or re-arm) with a completion sink: each publication calls
   /// sink(ready, data); a false return means the sink deferred (full CQ)

@@ -20,39 +20,6 @@ constexpr std::size_t kMaxTxPieces = 8;
 // zc slice plus ring-wrap splits). The descriptor cost is amortized over
 // the whole super-segment, so the 8-piece economy bound does not apply.
 constexpr std::size_t kMaxTsoPieces = 40;
-
-/// Copy a queued datagram out to a caller capability (loan- or copy-backed
-/// alike) — the one block ff_recvfrom and ff_recvmsg_batch share, so the
-/// clamping and census accounting cannot diverge.
-std::size_t udp_copy_out(const fstack::UdpDatagram& d,
-                         const machine::CapView& dst, std::size_t n) {
-  const std::size_t copy = std::min(n, d.size());
-  if (d.mbuf != nullptr) {
-    std::byte scratch[512];
-    machine::cap_copy(dst, 0, d.mbuf->room.window(d.off, copy), 0, copy,
-                      scratch);
-  } else {
-    dst.write(0, std::span<const std::byte>{d.data.data(), copy});
-  }
-  return copy;
-}
-
-/// Receive-side sweep: byte counts are clamped to the capability's bounds
-/// (matching v1 read semantics, where a datagram shorter than the claimed
-/// length still lands) but permission/tag/seal violations fault the batch.
-/// Loan-mode requests (INVALID buf AND len == 0 — the explicit v3 opt-in)
-/// have no destination to validate; an invalid buf WITH a byte count is a
-/// forged destination and still faults the batch like v2.
-void sweep_msgs_store(std::span<const fstack::FfMsg> msgs) {
-  for (const fstack::FfMsg& m : msgs) {
-    if (!m.buf.valid() && m.len == 0) continue;  // loan-mode request
-    if (m.len == 0) continue;
-    std::size_t probe = std::min<std::size_t>(m.len, m.buf.size());
-    if (probe == 0) probe = 1;  // zero-sized view: surface the bounds fault
-    const cheri::Capability& c = m.buf.cap();
-    c.check(cheri::Access::kStore, c.address(), probe);
-  }
-}
 }  // namespace
 
 FfStack::FfStack(StackConfig cfg, updk::EthDev* dev, updk::Mempool* pool,
@@ -494,7 +461,6 @@ void FfStack::udp_input(const Ipv4Header& ih, std::span<const std::byte> l4) {
   UdpDatagram d;
   d.src = ih.src;
   d.src_port = uh->src_port;
-  d.arrived = clock_->now();  // the burst-timeout reference point
   const auto body = l4.subspan(UdpHeader::kSize, uh->length - UdpHeader::kSize);
   // Queue the datagram as a loan of the RX data room whenever the payload
   // sits in one mbuf; reassembled fragments fall back to a copy. The
@@ -1097,7 +1063,7 @@ int FfStack::sock_socket(SockKind kind) {
 }
 
 int FfStack::sock_bind(int fd, Ipv4Addr ip, std::uint16_t port) {
-  Socket* s = socks_.get(fd);
+  Socket* s = scoped_sock(fd);
   if (s == nullptr) return -EBADF;
   if (s->bound) return -EINVAL;
   // The socket's bound state changes only on success: a losing bind must
@@ -1120,7 +1086,7 @@ int FfStack::sock_bind(int fd, Ipv4Addr ip, std::uint16_t port) {
 }
 
 int FfStack::sock_listen(int fd, int backlog) {
-  Socket* s = socks_.get(fd);
+  Socket* s = scoped_sock(fd);
   if (s == nullptr || s->kind != SockKind::kTcp) return -EBADF;
   if (!s->bound) return -EINVAL;
   if (tcp_listeners_.contains(s->local_port)) return -EADDRINUSE;
@@ -1139,7 +1105,7 @@ int FfStack::sock_listen(int fd, int backlog) {
 }
 
 int FfStack::sock_accept(int fd, FourTuple* peer_out) {
-  Socket* s = socks_.get(fd);
+  Socket* s = scoped_sock(fd);
   if (s == nullptr || !s->listening || s->pcb == nullptr) return -EBADF;
   auto& q = s->pcb->accept_queue;
   while (!q.empty()) {
@@ -1179,7 +1145,7 @@ int FfStack::sock_accept(int fd, FourTuple* peer_out) {
 }
 
 int FfStack::sock_connect(int fd, Ipv4Addr ip, std::uint16_t port) {
-  Socket* s = socks_.get(fd);
+  Socket* s = scoped_sock(fd);
   if (s == nullptr || s->kind != SockKind::kTcp) return -EBADF;
   if (s->pcb != nullptr) return -EISCONN;
   if (!s->bound) {
@@ -1205,7 +1171,7 @@ int FfStack::sock_connect(int fd, Ipv4Addr ip, std::uint16_t port) {
 }
 
 int FfStack::sock_set_class(int fd, std::uint32_t cls) {
-  Socket* s = socks_.get(fd);
+  Socket* s = scoped_sock(fd);
   if (s == nullptr || s->kind == SockKind::kEpoll) return -EBADF;
   if (cls >= kQosClasses) return -EINVAL;
   s->tclass = static_cast<std::uint8_t>(cls);
@@ -1235,7 +1201,7 @@ std::int64_t FfStack::sock_writev(int fd, std::span<const FfIovec> iov) {
 
 std::int64_t FfStack::writev_impl(int fd, std::span<const FfIovec> iov,
                                   bool swept) {
-  Socket* s = socks_.get(fd);
+  Socket* s = scoped_sock(fd);
   if (s == nullptr || s->kind != SockKind::kTcp || s->pcb == nullptr) {
     return -EBADF;
   }
@@ -1289,7 +1255,7 @@ std::int64_t FfStack::sock_readv(int fd, std::span<const FfIovec> iov) {
 }
 
 std::int64_t FfStack::readv_impl(int fd, std::span<const FfIovec> iov) {
-  Socket* s = socks_.get(fd);
+  Socket* s = scoped_sock(fd);
   if (s == nullptr || s->kind != SockKind::kTcp || s->pcb == nullptr) {
     return -EBADF;
   }
@@ -1356,7 +1322,7 @@ std::int64_t FfStack::udp_emit_dgram(Socket* s, const machine::CapView& buf,
 std::int64_t FfStack::sock_sendto(int fd, const machine::CapView& buf,
                                   std::size_t n, Ipv4Addr ip,
                                   std::uint16_t port) {
-  Socket* s = socks_.get(fd);
+  Socket* s = scoped_sock(fd);
   if (s == nullptr || s->kind != SockKind::kUdp) return -EBADF;
   if (!s->bound) {
     const int r = sock_bind(fd, Ipv4Addr{}, 0);
@@ -1369,55 +1335,30 @@ std::int64_t FfStack::sock_sendto(int fd, const machine::CapView& buf,
   return r;
 }
 
-std::int64_t FfStack::sock_sendmsg_batch(int fd, std::span<FfMsg> msgs) {
-  return sendmsg_impl(fd, msgs, false);
-}
-
-std::int64_t FfStack::sendmsg_impl(int fd, std::span<FfMsg> msgs,
-                                   bool swept) {
-  Socket* s = socks_.get(fd);
-  if (s == nullptr || s->kind != SockKind::kUdp) return -EBADF;
-  if (msgs.empty()) return 0;
-  if (!s->bound) {
-    const int r = sock_bind(fd, Ipv4Addr{}, 0);
-    if (r != 0) return r;
-  }
-  // Atomic pre-flight: sizes and capabilities for the whole burst are
-  // checked before the first datagram is emitted.
-  for (const FfMsg& m : msgs) {
-    if (m.len > 65535 - UdpHeader::kSize) return -EMSGSIZE;
-  }
-  if (!swept) {  // ff_uring drains sweep the whole pending window instead
-    for (const FfMsg& m : msgs) {
-      if (m.len == 0) continue;
-      const cheri::Capability& c = m.buf.cap();
-      c.check(cheri::Access::kLoad, c.address(), m.len);
-    }
-    api_.validation_sweeps++;
-  }
-  api_.batch_calls++;
-  api_.batched_items += msgs.size();
-  std::int64_t sent = 0;
-  for (FfMsg& m : msgs) {
-    if (m.len == 0) {  // legal and skipped, like zero-length iovecs
-      m.result = 0;
-      continue;
-    }
-    m.result = udp_emit_dgram(s, m.buf, m.len, m.addr.ip, m.addr.port);
-    ++sent;
-  }
-  sync_flush();  // one driver burst covers the whole datagram batch
-  return sent;
-}
-
 std::int64_t FfStack::sock_recvfrom(int fd, const machine::CapView& buf,
                                     std::size_t n, FourTuple* from_out) {
-  Socket* s = socks_.get(fd);
+  Socket* s = scoped_sock(fd);
   if (s == nullptr || s->kind != SockKind::kUdp) return -EBADF;
   if (!s->udp->readable()) return -EAGAIN;
+  // The byte count clamps to the destination's bounds (v1 read semantics:
+  // a datagram shorter than the claimed length still lands), and a bad
+  // tag, seal or store permission faults BEFORE the pop: a fault mid-copy
+  // would destroy the datagram and strand its data room.
+  const std::size_t room = std::min<std::size_t>(n, buf.size());
+  if (n > 0) {
+    buf.cap().check(cheri::Access::kStore, buf.address(),
+                    std::max<std::size_t>(room, 1));
+  }
   api_.v1_calls++;
   UdpDatagram d = s->udp->pop();
-  const std::size_t copy = udp_copy_out(d, buf, n);
+  const std::size_t copy = std::min(room, d.size());
+  if (d.mbuf != nullptr) {
+    std::byte scratch[512];
+    machine::cap_copy(buf, 0, d.mbuf->room.window(d.off, copy), 0, copy,
+                      scratch);
+  } else {
+    buf.write(0, std::span<const std::byte>{d.data.data(), copy});
+  }
   rx_stats_.copied_bytes += copy;
   if (from_out != nullptr) {
     from_out->remote_ip = d.src;
@@ -1429,83 +1370,11 @@ std::int64_t FfStack::sock_recvfrom(int fd, const machine::CapView& buf,
   return static_cast<std::int64_t>(copy);
 }
 
-bool FfStack::udp_burst_ready(const UdpPcb& u, std::size_t want,
-                              std::uint64_t timeout_ns) const {
-  if (!u.readable()) return false;
-  if (timeout_ns == 0 || u.queued() >= want) return true;
-  // recvmmsg-style coalescing: a short burst waits for the batch to fill,
-  // but never longer than the timeout measured from the OLDEST queued
-  // datagram's delivery — then the caller gets the short count.
-  const sim::Ns waited = clock_->now() - u.front().arrived;
-  return waited.count() >= 0 &&
-         static_cast<std::uint64_t>(waited.count()) >= timeout_ns;
-}
-
-std::int64_t FfStack::sock_recvmsg_batch(int fd, std::span<FfMsg> msgs,
-                                         const FfMsgBatchOpts& opts) {
-  Socket* s = socks_.get(fd);
-  if (s == nullptr || s->kind != SockKind::kUdp) return -EBADF;
-  if (msgs.empty()) return 0;
-  if (!udp_burst_ready(*s->udp, msgs.size(), opts.timeout_ns)) {
-    return -EAGAIN;
-  }
-  sweep_msgs_store(msgs);
-  api_.validation_sweeps++;
-  api_.batch_calls++;
-  api_.batched_items += msgs.size();
-  std::int64_t filled = 0;
-  for (FfMsg& m : msgs) {
-    if (!s->udp->readable()) break;
-    if (!m.buf.valid() && m.len == 0) {
-      // v3 loan mode (ROADMAP "UDP RX loan bursts"): the EXPLICIT opt-in —
-      // no destination buffer and no byte count (a default-constructed
-      // FfMsg) — rides the zero-copy loan path: the datagram comes back
-      // as an exactly-bounded read-only view of its RX data room with a
-      // recycle token, not as a copy. (An invalid buf WITH a length is a
-      // forged destination; the sweep above faulted it.)
-      FfZcRxBuf z;
-      const std::int64_t r = udp_pop_loan(s, z);
-      if (r != 1) {
-        // -EMSGSIZE / -ENOBUFS: the datagram stays queued; report it on
-        // this entry and stop so the caller can react (copy it out /
-        // recycle and retry) without losing burst ordering.
-        m.result = r;
-        if (filled == 0) return r;
-        break;
-      }
-      m.buf = z.data;
-      m.token = z.token;
-      m.addr = z.from;
-      m.result = static_cast<std::int64_t>(z.data.size());
-      ++filled;
-      continue;
-    }
-    m.token = 0;  // copy path: no loan to recycle
-    if (m.len == 0) {  // legal and skipped — must NOT consume a datagram
-      m.result = 0;
-      continue;
-    }
-    UdpDatagram d = s->udp->pop();
-    // Clamp to the destination capability as well: the pre-flight sweep
-    // only probed the clamped range, so an unclamped copy could fault
-    // mid-batch and destroy an already-popped datagram.
-    const std::size_t copy = udp_copy_out(
-        d, m.buf, std::min(m.len, static_cast<std::size_t>(m.buf.size())));
-    rx_stats_.copied_bytes += copy;
-    m.addr.ip = d.src;
-    m.addr.port = d.src_port;
-    m.result = static_cast<std::int64_t>(copy);
-    s->udp->release(std::move(d));
-    ++filled;
-  }
-  return filled;
-}
-
 // ===========================================================================
-// Zero-copy TX: the application writes its payload through a bounded
-// capability straight into the mbuf data room; send prepends the protocol
-// headers in the mbuf headroom and hands the buffer to the driver — no copy
-// through the socket layer (the fixed-cost memcpy v1 paid per datagram).
+// Zero-copy TX (TCP): the application writes its payload through a bounded
+// capability straight into the mbuf data room; send queues the room itself
+// as a retained slice of the send chain — no copy through the socket layer
+// (the per-call memcpy ff_write pays).
 // ===========================================================================
 
 int FfStack::sock_zc_alloc(std::size_t len, FfZcBuf* out) {
@@ -1519,7 +1388,7 @@ int FfStack::sock_zc_alloc(std::size_t len, FfZcBuf* out) {
   out->data = machine::CapView{};
   const std::size_t max_payload =
       cfg_.netif.mtu - Ipv4Header::kSize - UdpHeader::kSize;
-  if (len > max_payload) return -EMSGSIZE;  // zc datagrams never fragment
+  if (len > max_payload) return -EMSGSIZE;  // one reservation, one frame
   // Keep a driver reserve: TCP zc reservations can now sit in send queues
   // until cumulatively ACKed, and a sender allowed to pin the WHOLE pool
   // would starve the RX burst of the very buffers that receive its ACKs —
@@ -1538,9 +1407,7 @@ int FfStack::sock_zc_alloc(std::size_t len, FfZcBuf* out) {
     tenants_.credit_zc_reservation(tenant);
     return -ENOBUFS;
   }
-  constexpr std::uint32_t kL2L3L4 =
-      EtherHeader::kSize + Ipv4Header::kSize + UdpHeader::kSize;
-  if (m->headroom() < kL2L3L4 || m->tailroom() < len) {
+  if (m->tailroom() < len) {
     tenants_.credit_zc_reservation(tenant);
     pool_->free(m);
     return -EMSGSIZE;
@@ -1552,13 +1419,11 @@ int FfStack::sock_zc_alloc(std::size_t len, FfZcBuf* out) {
   return 0;
 }
 
-std::int64_t FfStack::sock_zc_send(int fd, FfZcBuf& zc, std::size_t len,
-                                   Ipv4Addr ip, std::uint16_t port) {
-  Socket* s = socks_.get(fd);
-  if (s == nullptr ||
-      (s->kind != SockKind::kUdp && s->kind != SockKind::kTcp)) {
-    return -EBADF;
-  }
+std::int64_t FfStack::sock_zc_send(int fd, FfZcBuf& zc, std::size_t len) {
+  // TCP only. A datagram fd answers -EBADF before the token is looked at,
+  // so the reservation stays live for ff_zc_abort.
+  Socket* s = scoped_sock(fd);
+  if (s == nullptr || s->kind != SockKind::kTcp) return -EBADF;
   // Token lifecycle BEFORE anything else mutates: a replayed or forged
   // token must answer -EINVAL while every byte of protocol state — TCP
   // sequence space included — is still exactly as it was.
@@ -1568,178 +1433,66 @@ std::int64_t FfStack::sock_zc_send(int fd, FfZcBuf& zc, std::size_t len,
   }
   // A tenant may only spend tokens IT reserved: a replayed neighbour token
   // (guessed or leaked) answers -EINVAL without touching the reservation.
-  if (active_tenant_ != 0 && it->second.tenant != 0 &&
-      it->second.tenant != active_tenant_) {
-    return -EINVAL;
-  }
+  if (foreign_tenant(it->second.tenant)) return -EINVAL;
   updk::Mbuf* m = it->second.m;
   if (len > m->data_len) return -EMSGSIZE;  // reservation kept for retry
 
-  if (s->kind == SockKind::kTcp) {
-    // TCP zc TX: the slice joins the send queue as a retained reference —
-    // no byte store; tcp_output gathers segments straight from the data
-    // room and cumulative ACK releases it (ip/port are ignored: the
-    // connection addresses the peer).
-    TcpPcb* pcb = s->pcb;
-    if (pcb == nullptr || s->listening) return -EBADF;
-    if (pcb->error() != 0) {
-      // The connection is DEAD (reset / timed out): this payload can never
-      // be submitted, so the reservation is consumed and the buffer freed —
-      // a caller need not keep an abort path for a peer it can no longer
-      // talk to (and a retry pipeline must not leak one room per attempt).
-      const int err = pcb->error();
-      pool_->free(m);
-      tenants_.credit_zc_reservation(it->second.tenant);
-      zc_pending_.erase(it);
-      zc.token = 0;
-      zc.data = machine::CapView{};
-      return -err;
-    }
-    if (!pcb->connected()) {
-      return pcb->state() == TcpState::kSynSent ? -EAGAIN : -ENOTCONN;
-    }
-    // The slice's checksum is priced HERE, once, as the bytes enter the
-    // stack (one capability walk, no bounce buffer): emission — first
-    // transmission and every retransmission — composes cached sums and
-    // never reads the payload again. With checksum insertion negotiated
-    // even this walk disappears: the device sums the bytes on the wire
-    // path, and the stack never touches them at all.
-    std::uint32_t csum = 0;
-    if (!tx_tcp_csum_) {
-      csum = checksum_cap_partial(m->room, m->data_off, len);
-      tx_stats_.stack_checksum_bytes += len;
-    }
-    if (!pcb->app_zc_send(m, m->data_off, static_cast<std::uint32_t>(len),
-                          csum)) {
-      return -EAGAIN;  // send window full: reservation kept for retry
-    }
-    // Ownership moved to the send chain; the token is consumed.
+  // The slice joins the send queue as a retained reference — no byte
+  // store; tcp_output gathers segments straight from the data room and
+  // cumulative ACK releases it.
+  TcpPcb* pcb = s->pcb;
+  if (pcb == nullptr || s->listening) return -EBADF;
+  if (pcb->error() != 0) {
+    // The connection is DEAD (reset / timed out): this payload can never
+    // be submitted, so the reservation is consumed and the buffer freed —
+    // a caller need not keep an abort path for a peer it can no longer
+    // talk to (and a retry pipeline must not leak one room per attempt).
+    const int err = pcb->error();
+    pool_->free(m);
     tenants_.credit_zc_reservation(it->second.tenant);
     zc_pending_.erase(it);
     zc.token = 0;
     zc.data = machine::CapView{};
-    api_.zc_sends++;
-    if (cfg_.inline_tcp_output) {
-      pcb->output();
-    } else {
-      pending_output_.insert(pcb);
-    }
-    timer_sync(pcb);
-    sync_flush();  // synchronous progress for the inline path
-    return static_cast<std::int64_t>(len);
+    return -err;
   }
-
-  if (!s->bound) {
-    const int r = sock_bind(fd, Ipv4Addr{}, 0);
-    if (r != 0) return r;
+  if (!pcb->connected()) {
+    return pcb->state() == TcpState::kSynSent ? -EAGAIN : -ENOTCONN;
   }
-  // The token is consumed from here on, whatever the outcome — and so is
-  // the data view: a consumed handle must not keep aliasing a data room the
-  // pool may hand to another flow.
+  // The slice's checksum is priced HERE, once, as the bytes enter the
+  // stack (one capability walk, no bounce buffer): emission — first
+  // transmission and every retransmission — composes cached sums and
+  // never reads the payload again. With checksum insertion negotiated
+  // even this walk disappears: the device sums the bytes on the wire
+  // path, and the stack never touches them at all.
+  std::uint32_t csum = 0;
+  if (!tx_tcp_csum_) {
+    csum = checksum_cap_partial(m->room, m->data_off, len);
+    tx_stats_.stack_checksum_bytes += len;
+  }
+  if (!pcb->app_zc_send(m, m->data_off, static_cast<std::uint32_t>(len),
+                        csum)) {
+    return -EAGAIN;  // send window full: reservation kept for retry
+  }
+  // Ownership moved to the send chain; the token is consumed.
   tenants_.credit_zc_reservation(it->second.tenant);
   zc_pending_.erase(it);
   zc.token = 0;
   zc.data = machine::CapView{};
-
-  const Ipv4Addr hop = next_hop_for(ip);
-  const auto mac = arp_.lookup(hop, clock_->now());
-  if (!mac) {
-    // Unresolved next hop: fall back to the copying path so the payload can
-    // park on the ARP pending queue (first packet to a fresh destination).
-    const std::int64_t r = udp_emit_dgram(s, m->data(), len, ip, port);
-    pool_->free(m);
-    api_.zc_sends++;
-    sync_flush();
-    return r;
-  }
-  // Bytes enter the stack here: one capability walk prices the datagram's
-  // checksum (no 512-byte bounce scratch), cached for zc_transmit. With
-  // UDP checksum insertion negotiated the walk is skipped — zc_transmit
-  // seeds the pseudo sum and the device does the pricing.
-  std::uint32_t payload_sum = 0;
-  if (!tx_udp_csum_) {
-    payload_sum = checksum_cap_partial(m->room, m->data_off, len);
-    tx_stats_.stack_checksum_bytes += len;
-  }
-  m->trim(static_cast<std::uint32_t>(m->data_len - len));
-  if (!zc_transmit(m, len, payload_sum, s->local_port, ip, port, *mac,
-                   s->tclass)) {
-    pool_->free(m);
-    return -ENOBUFS;
-  }
   api_.zc_sends++;
-  tx_stats_.zc_bytes += len;
-  sync_flush();
-  return static_cast<std::int64_t>(len);
-}
-
-bool FfStack::zc_transmit(updk::Mbuf* m, std::size_t len,
-                          std::uint32_t payload_sum, std::uint16_t src_port,
-                          Ipv4Addr dst, std::uint16_t dst_port,
-                          const nic::MacAddr& dst_mac, std::uint8_t cls) {
-  // UDP checksum over pseudo-header + header + payload: the payload's
-  // cached partial (computed when the bytes entered) composes in at its
-  // even offset — emission touches no payload byte. With insertion
-  // negotiated the field carries the folded pseudo seed instead and the
-  // device sums the frame (the datagram was bounded to one MTU at alloc
-  // time, so no fragment can reach this path).
-  const auto udp_len = static_cast<std::uint16_t>(UdpHeader::kSize + len);
-  std::byte uh_bytes[UdpHeader::kSize];
-  UdpHeader uh;
-  uh.src_port = src_port;
-  uh.dst_port = dst_port;
-  uh.length = udp_len;
-  uh.checksum = 0;
-  uh.serialize(uh_bytes);
-  if (tx_udp_csum_) {
-    const std::uint32_t ps =
-        checksum_pseudo(cfg_.netif.ip, dst, kIpProtoUdp, udp_len);
-    put_be16(uh_bytes + 6, checksum_fold16(ps));
+  if (cfg_.inline_tcp_output) {
+    pcb->output();
   } else {
-    std::uint32_t sum = checksum_pseudo(cfg_.netif.ip, dst, kIpProtoUdp,
-                                        udp_len);
-    sum = checksum_partial(uh_bytes, sum);
-    sum = checksum_combine(sum, payload_sum, UdpHeader::kSize);
-    std::uint16_t ck = checksum_finish(sum);
-    if (ck == 0) ck = 0xFFFF;  // RFC 768
-    put_be16(uh_bytes + 6, ck);
+    pending_output_.insert(pcb);
   }
-  m->prepend(UdpHeader::kSize).write(0, uh_bytes);
-  if (tx_udp_csum_) {
-    m->ol_flags = updk::kTxOffloadUdpCsum;
-    m->l2_len = EtherHeader::kSize;
-    m->l3_len = Ipv4Header::kSize;
-    m->l4_len = UdpHeader::kSize;
-  }
-
-  Ipv4Header ih;
-  ih.total_len = static_cast<std::uint16_t>(Ipv4Header::kSize + udp_len);
-  ih.id = ip_id_++;
-  ih.flags_frag = Ipv4Header::kFlagDF;  // bounded to one MTU at alloc time
-  ih.proto = kIpProtoUdp;
-  ih.src = cfg_.netif.ip;
-  ih.dst = dst;
-  std::byte ih_bytes[Ipv4Header::kSize];
-  ih.serialize(ih_bytes);
-  m->prepend(Ipv4Header::kSize).write(0, ih_bytes);
-
-  EtherHeader eh;
-  eh.dst = dst_mac;
-  eh.src = dev_->mac();
-  eh.ethertype = kEtherTypeIpv4;
-  std::byte eh_bytes[EtherHeader::kSize];
-  eh.serialize(eh_bytes);
-  m->prepend(EtherHeader::kSize).write(0, eh_bytes);
-
-  stage_frame(m, cls);
-  return true;
+  timer_sync(pcb);
+  sync_flush();  // synchronous progress for the inline path
+  return static_cast<std::int64_t>(len);
 }
 
 int FfStack::sock_zc_abort(FfZcBuf& zc) {
   const auto it = zc_pending_.find(zc.token);
   if (zc.token == 0 || it == zc_pending_.end()) return -EINVAL;
-  if (active_tenant_ != 0 && it->second.tenant != 0 &&
-      it->second.tenant != active_tenant_) {
+  if (foreign_tenant(it->second.tenant)) {
     return -EINVAL;  // a neighbour's token aborts nothing
   }
   pool_->free(it->second.m);
@@ -1813,9 +1566,8 @@ std::int64_t FfStack::udp_pop_loan(Socket* s, FfZcRxBuf& o) {
   return 1;
 }
 
-std::int64_t FfStack::sock_zc_recv(int fd, std::span<FfZcRxBuf> out,
-                                   const FfMsgBatchOpts& opts) {
-  Socket* s = socks_.get(fd);
+std::int64_t FfStack::sock_zc_recv(int fd, std::span<FfZcRxBuf> out) {
+  Socket* s = scoped_sock(fd);
   if (s == nullptr) return -EBADF;
   if (out.empty()) return 0;
   api_.batch_calls++;
@@ -1851,12 +1603,6 @@ std::int64_t FfStack::sock_zc_recv(int fd, std::span<FfZcRxBuf> out,
     return -EAGAIN;
   }
   if (s->kind == SockKind::kUdp) {
-    // The recvmmsg-style burst gate: with a timeout, a short burst
-    // coalesces (-EAGAIN) until it fills or the oldest datagram has
-    // waited long enough — then the short count goes out.
-    if (!udp_burst_ready(*s->udp, out.size(), opts.timeout_ns)) {
-      return -EAGAIN;
-    }
     for (FfZcRxBuf& o : out) {
       const std::int64_t r = udp_pop_loan(s, o);
       if (r == -EAGAIN) break;
@@ -1873,8 +1619,7 @@ int FfStack::sock_zc_recycle(FfZcRxBuf& zc) {
   if (zc.token == 0 || it == zc_rx_loans_.end()) {
     return -EINVAL;  // double recycle / forged token
   }
-  if (active_tenant_ != 0 && it->second.tenant != 0 &&
-      it->second.tenant != active_tenant_) {
+  if (foreign_tenant(it->second.tenant)) {
     return -EINVAL;  // a neighbour's loan cannot be recycled out from under it
   }
   const ZcRxLoan loan = it->second;
@@ -1894,7 +1639,7 @@ int FfStack::sock_zc_recycle(FfZcRxBuf& zc) {
 }
 
 int FfStack::sock_close(int fd) {
-  Socket* s = socks_.get(fd);
+  Socket* s = scoped_sock(fd);
   if (s == nullptr) return -EBADF;
   switch (s->kind) {
     case SockKind::kTcp:
@@ -1933,7 +1678,7 @@ int FfStack::sock_close(int fd) {
         timer_sync(s->pcb);
         detached_.insert(s->pcb);
       }
-      uring_forget_fd(fd);  // the fd's connect/readiness arms end with it
+      uring_forget_fd(fd);  // the fd's connect arm ends with it
       break;
     case SockKind::kUdp:
       udp_binds_.erase(s->local_port);
@@ -1987,14 +1732,14 @@ int FfStack::epoll_create() { return sock_socket(SockKind::kEpoll); }
 
 int FfStack::epoll_ctl(int epfd, EpollOp op, int fd, std::uint32_t events,
                        std::uint64_t data) {
-  Socket* e = socks_.get(epfd);
+  Socket* e = scoped_sock(epfd);
   if (e == nullptr || e->kind != SockKind::kEpoll) return -EBADF;
-  if (socks_.get(fd) == nullptr) return -EBADF;
+  if (scoped_sock(fd) == nullptr) return -EBADF;
   return e->epoll->ctl(op, fd, events, data);
 }
 
 int FfStack::epoll_wait(int epfd, std::span<FfEpollEvent> out) {
-  Socket* e = socks_.get(epfd);
+  Socket* e = scoped_sock(epfd);
   if (e == nullptr || e->kind != SockKind::kEpoll) return -EBADF;
   int n = 0;
   for (const auto& [fd, interest] : e->epoll->interest()) {
@@ -2074,7 +1819,6 @@ void validate_sqe(DecodedSqe& d) {
     case UringOp::kZcRecv:
     case UringOp::kZcAlloc:
     case UringOp::kRecycle:
-    case UringOp::kAcceptMultishot:
     case UringOp::kEpollArm:
     case UringOp::kConnect:
     case UringOp::kClose:
@@ -2082,8 +1826,10 @@ void validate_sqe(DecodedSqe& d) {
     case UringOp::kSetClass:
     case UringOp::kZcAbort:
       return;  // no SQE capability payload; tokens/fds verify at execution
+    case UringOp::kAcceptMultishot:
+      if (d.a[0] != 0) d.err = -EINVAL;  // a0 is reserved
+      return;
     case UringOp::kWritev:
-    case UringOp::kSendmsgBatch:
       for (std::uint32_t i = 0; i < d.ncaps; ++i) {
         const cheri::Capability& c = d.caps[i].cap();
         const std::uint64_t len = d.caps[i].size();
@@ -2101,7 +1847,7 @@ void validate_sqe(DecodedSqe& d) {
       }
       return;
   }
-  d.err = -EINVAL;  // unknown opcode
+  d.err = -EINVAL;  // unknown opcode (2 is retired OP_SENDMSG_BATCH)
 }
 
 }  // namespace
@@ -2167,7 +1913,6 @@ int FfStack::uring_doorbell(int id) {
           : uring_drain_sqes(it->second, kUringDrainBudget);
   uring_service_accept(it->second);
   uring_service_connect(it->second);
-  uring_service_fd_arms(it->second);
   flush_tx();  // the doorbell's drain must make synchronous wire progress
   // The doorbell runs on the CALLER's sealed jump; the main loop may well
   // still be parked. Leave the header telling the truth, or the next
@@ -2229,7 +1974,6 @@ bool FfStack::drain_urings() {
   for (auto& [id, r] : urings_) {
     progress |= uring_service_accept(r);
     progress |= uring_service_connect(r);
-    progress |= uring_service_fd_arms(r);
   }
   return progress;
 }
@@ -2254,25 +1998,22 @@ bool FfStack::uring_cq_stalled(UringReg& r) {
   // work the full CQ is blocking — a quiet ring whose app reaps lazily is
   // not deferring anything.
   const bool work_pending = uring_sq_pending(r) > 0 ||
-                            !r.accept_arms.empty() || !r.connect_arms.empty()
-                            || !r.fd_arms.empty();
+                            !r.accept_arms.empty() || !r.connect_arms.empty();
   if (!work_pending) return true;  // nothing to defer, nothing to charge
   api_.cq_deferrals++;
   if (tenants_.valid(r.tenant)) tenants_.mutable_stats(r.tenant).cq_deferrals++;
   r.cq_stall_rounds++;
   // Past the tenant's stall allowance the ring's RE-DERIVABLE subscription
-  // state is evicted: multishot accept and readiness arms can be re-armed
-  // by the app once it reaps, but until then they are the only stack-side
-  // state a never-reaping ring forces the stack to retain and re-walk.
+  // state is evicted: multishot accept arms can be re-armed by the app
+  // once it reaps, but until then they are the only stack-side state a
+  // never-reaping ring forces the stack to retain and re-walk.
   // Queued SQEs are NOT touched — they live in the tenant's own ring
   // memory, bounded by its sq_cap, not by stack-side memory.
   const std::uint32_t cap =
       tenants_.valid(r.tenant) ? tenants_.quota(r.tenant).max_cq_stall_rounds
                                : 0;
-  if (cap != 0 && r.cq_stall_rounds > cap &&
-      (!r.accept_arms.empty() || !r.fd_arms.empty())) {
+  if (cap != 0 && r.cq_stall_rounds > cap && !r.accept_arms.empty()) {
     r.accept_arms.clear();
-    r.fd_arms.clear();
     api_.cq_deferral_evictions++;
     tenants_.mutable_stats(r.tenant).cq_deferral_evictions++;
   }
@@ -2409,26 +2150,10 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
             uring_cq_emit(r, d.user_data, res, d.op, 0, 0, 0, nullptr);
             break;
           }
-          case UringOp::kSendmsgBatch: {
-            FfMsg msgs[FfUringSqe::kMaxCaps];
-            const FfSockAddrIn to{
-                Ipv4Addr{static_cast<std::uint32_t>(d.a[0])},
-                static_cast<std::uint16_t>(d.a[1])};
-            for (std::uint32_t k = 0; k < d.ncaps; ++k) {
-              msgs[k] = {d.caps[k],
-                         static_cast<std::size_t>(d.caps[k].size()), to, 0};
-            }
-            const std::int64_t res =
-                sendmsg_impl(d.fd, {msgs, d.ncaps}, /*swept=*/true);
-            uring_cq_emit(r, d.user_data, res, d.op, 0, 0, 0, nullptr);
-            break;
-          }
           case UringOp::kZcSend: {
             FfZcBuf z;
             z.token = d.a[0];
-            const std::int64_t res = sock_zc_send(
-                d.fd, z, d.a[1], Ipv4Addr{static_cast<std::uint32_t>(d.a[2])},
-                static_cast<std::uint16_t>(d.a[3]));
+            const std::int64_t res = sock_zc_send(d.fd, z, d.a[1]);
             uring_cq_emit(r, d.user_data, res, d.op, 0, 0, 0, nullptr);
             if (res < 0) note_sqe_error(r);  // forged tokens land here
             break;
@@ -2463,10 +2188,7 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
           }
           case UringOp::kZcRecv: {
             FfZcRxBuf loans[FfUringSqe::kMaxCaps];
-            FfMsgBatchOpts opts;
-            opts.timeout_ns = d.a[1];  // UDP loan bursts: recvmmsg timeout
-            const std::int64_t res =
-                sock_zc_recv(d.fd, {loans, need_cq}, opts);
+            const std::int64_t res = sock_zc_recv(d.fd, {loans, need_cq});
             if (res > 0) {
               for (std::int64_t k = 0; k < res; ++k) {
                 FfZcRxBuf& ln = loans[k];
@@ -2478,21 +2200,9 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
               }
             } else {
               // EOF carries its own flag: result 0 alone could also be a
-              // legal zero-length datagram loan (token in aux0). A burst
-              // still COALESCING (queued datagrams waiting out the a1
-              // timeout) marks aux1: readiness will NOT re-publish for an
-              // unchanged mask, so the consumer must repoll on its own
-              // schedule rather than wait for an event that never comes.
-              std::uint64_t coalescing = 0;
-              if (res == -EAGAIN) {
-                const Socket* sk = socks_.get(d.fd);
-                if (sk != nullptr && sk->kind == SockKind::kUdp &&
-                    sk->udp->readable()) {
-                  coalescing = 1;
-                }
-              }
+              // legal zero-length datagram loan (token in aux0).
               uring_cq_emit(r, d.user_data, res, d.op,
-                            res == 0 ? kCqeEof : 0, 0, coalescing, nullptr);
+                            res == 0 ? kCqeEof : 0, 0, 0, nullptr);
             }
             break;
           }
@@ -2518,7 +2228,7 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
             break;
           }
           case UringOp::kAcceptMultishot: {
-            Socket* s = socks_.get(d.fd);
+            Socket* s = scoped_sock(d.fd);
             if (s == nullptr || s->kind != SockKind::kTcp ||
                 !s->listening) {
               uring_cq_emit(r, d.user_data, -EBADF, d.op, 0, 0, 0, nullptr);
@@ -2531,8 +2241,7 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
                           [&d](const UringReg::AcceptArm& a) {
                             return a.fd == d.fd;
                           });
-            r.accept_arms.push_back({d.fd, d.user_data,
-                                     (d.a[0] & 1) != 0});
+            r.accept_arms.push_back({d.fd, d.user_data});
             break;
           }
           case UringOp::kConnect: {
@@ -2595,7 +2304,7 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
             break;
           }
           case UringOp::kEpollArm: {
-            Socket* e = socks_.get(d.fd);
+            Socket* e = scoped_sock(d.fd);
             if (e == nullptr || e->kind != SockKind::kEpoll || !e->epoll) {
               uring_cq_emit(r, d.user_data, -EBADF, d.op, 0, 0, 0, nullptr);
               break;
@@ -2662,12 +2371,6 @@ bool FfStack::uring_service_accept(UringReg& r) {
                     kCqeMore,
                     uring_pack_addr({peer.remote_ip, peer.remote_port}), 0,
                     nullptr);
-      if (it->auto_arm) {
-        // The accepted fd is born armed: readiness edges post into THIS
-        // ring with the fd as the event payload — no OP_EPOLL_CTL
-        // round trip per connection.
-        r.fd_arms.push_back({nfd, it->user_data, 0, 0});
-      }
       progress = true;
     }
     ++it;
@@ -2711,52 +2414,10 @@ bool FfStack::uring_service_connect(UringReg& r) {
   return progress;
 }
 
-bool FfStack::uring_service_fd_arms(UringReg& r) {
-  bool progress = false;
-  for (auto it = r.fd_arms.begin(); it != r.fd_arms.end();) {
-    if (socks_.get(it->fd) == nullptr) {
-      it = r.fd_arms.erase(it);  // fd released: the arm ends silently
-      continue;
-    }
-    const std::uint32_t mask = sock_readiness(it->fd);
-    const std::uint64_t gen = sock_rx_activity(it->fd);
-    if (mask == 0) {
-      // Went quiet: remember silently so the next edge republishes.
-      it->last_mask = 0;
-      it->last_gen = gen;
-      ++it;
-      continue;
-    }
-    if (mask == it->last_mask && gen == it->last_gen) {
-      ++it;  // unchanged readiness never spams the CQ
-      continue;
-    }
-    if (uring_cq_space(r) == 0) {  // defer: last_* stays stale, so the
-      r.mem.atomic_store_u32(      // edge re-derives next service pass
-          FfUring::kCqOverflow,
-          r.mem.atomic_load_u32(FfUring::kCqOverflow) + 1);
-      break;
-    }
-    uring_cq_emit(r, it->user_data, static_cast<std::int64_t>(mask),
-                  UringOp::kEpollArm, kCqeMore,
-                  static_cast<std::uint64_t>(
-                      static_cast<std::uint32_t>(it->fd)),
-                  0, nullptr);
-    it->last_mask = mask;
-    it->last_gen = gen;
-    api_.multishot_events++;
-    progress = true;
-    ++it;
-  }
-  return progress;
-}
-
 void FfStack::uring_forget_fd(int fd) {
   for (auto& [id, reg] : urings_) {
     std::erase_if(reg.connect_arms,
                   [fd](const UringReg::ConnectArm& a) { return a.fd == fd; });
-    std::erase_if(reg.fd_arms,
-                  [fd](const UringReg::FdArm& a) { return a.fd == fd; });
   }
 }
 

@@ -82,27 +82,17 @@ class FfStack final : public TcpEnv {
   // atomic: any invalid element faults before a byte is queued.
   std::int64_t sock_writev(int fd, std::span<const FfIovec> iov);
   std::int64_t sock_readv(int fd, std::span<const FfIovec> iov);
-  std::int64_t sock_sendmsg_batch(int fd, std::span<FfMsg> msgs);
-  std::int64_t sock_recvmsg_batch(int fd, std::span<FfMsg> msgs) {
-    return sock_recvmsg_batch(fd, msgs, FfMsgBatchOpts{});
-  }
-  /// With opts.timeout_ns: coalesce until msgs.size() datagrams are queued
-  /// or the oldest has waited the timeout (-EAGAIN meanwhile), then return
-  /// the short count — both loan-mode and copy entries.
-  std::int64_t sock_recvmsg_batch(int fd, std::span<FfMsg> msgs,
-                                  const FfMsgBatchOpts& opts);
 
   // ---- zero-copy TX: payload written straight into an mbuf data room ----
   int sock_zc_alloc(std::size_t len, FfZcBuf* out);
-  /// Submit a zc reservation. UDP: headers prepend in the mbuf headroom and
-  /// the buffer goes to the driver. TCP (`ip`/`port` ignored): the slice
-  /// joins the send queue as a retained mbuf reference held until
-  /// cumulatively ACKed — retransmission re-reads the live data room; no
-  /// byte is ever copied into a socket buffer. A consumed/forged token is
-  /// -EINVAL BEFORE any protocol state mutates; -EAGAIN (TCP window full)
-  /// and -EMSGSIZE keep the reservation valid for retry.
-  std::int64_t sock_zc_send(int fd, FfZcBuf& zc, std::size_t len, Ipv4Addr ip,
-                            std::uint16_t port);
+  /// Submit a zc reservation on a TCP fd: the slice joins the send queue
+  /// as a retained mbuf reference held until cumulatively ACKed —
+  /// retransmission re-reads the live data room; no byte is ever copied
+  /// into a socket buffer. Any other fd is -EBADF before the token is
+  /// looked at. A consumed/forged token is -EINVAL BEFORE any protocol
+  /// state mutates; -EAGAIN (window full) and -EMSGSIZE keep the
+  /// reservation valid for retry.
+  std::int64_t sock_zc_send(int fd, FfZcBuf& zc, std::size_t len);
   int sock_zc_abort(FfZcBuf& zc);
 
   // ---- zero-copy RX: loan mbuf data rooms to the application ----
@@ -111,14 +101,7 @@ class FfStack final : public TcpEnv {
   /// -ENOBUFS when a copy-backed slice could not bounce (retriable after
   /// recycling), -EMSGSIZE when the queued datagram can never fit a data
   /// room (drain it with the copy path), or -errno.
-  std::int64_t sock_zc_recv(int fd, std::span<FfZcRxBuf> out) {
-    return sock_zc_recv(fd, out, FfMsgBatchOpts{});
-  }
-  /// UDP loan bursts honor FfMsgBatchOpts::timeout_ns (recvmmsg-style
-  /// coalescing: -EAGAIN until the batch fills or the oldest queued
-  /// datagram has waited out the timeout, then the short count).
-  std::int64_t sock_zc_recv(int fd, std::span<FfZcRxBuf> out,
-                            const FfMsgBatchOpts& opts);
+  std::int64_t sock_zc_recv(int fd, std::span<FfZcRxBuf> out);
   /// Return one loan to the pool; -EINVAL on a consumed or forged token.
   int sock_zc_recycle(FfZcRxBuf& zc);
 
@@ -347,7 +330,7 @@ class FfStack final : public TcpEnv {
   // (synchronous progress for inline callers and Scenario-2 proxies);
   // run_once flushes once per iteration for everything the datapath
   // produced. `cls` is the QoS class the frame rides (TCP: pcb.tclass();
-  // UDP/zc: the socket mirror; ARP/control: kQosClassControl).
+  // UDP: the socket mirror; ARP/control: kQosClassControl).
   /// TX offload metadata threaded from the protocol layer down to the mbuf
   /// that carries the frame (head mbuf ol_flags ABI — see updk/mbuf.hpp).
   /// Null = software frame (no flags set; the device leaves it untouched).
@@ -401,10 +384,9 @@ class FfStack final : public TcpEnv {
   std::int64_t writev_impl(int fd, std::span<const FfIovec> iov,
                            bool swept = false);
   std::int64_t readv_impl(int fd, std::span<const FfIovec> iov);
-  std::int64_t sendmsg_impl(int fd, std::span<FfMsg> msgs, bool swept);
   /// Register a loan in the token table and hand out the bounded read-only
-  /// view (shared by ff_zc_recv, the uring OP_ZC_RECV path and the
-  /// recvmsg_batch loan mode, so the accounting cannot diverge).
+  /// view (shared by the TCP and UDP arms of ff_zc_recv / OP_ZC_RECV, so
+  /// the accounting cannot diverge).
   void zc_issue_loan(FfZcRxBuf& o, const MbufSlice& slice, std::size_t charge,
                      const FfSockAddrIn& from, TcpPcb* pcb, UdpPcb* udp,
                      int tenant);
@@ -413,6 +395,19 @@ class FfStack final : public TcpEnv {
   /// ring or a tenant app's entry — the active TenantScope's tenant.
   [[nodiscard]] int effective_tenant(const Socket* s) const noexcept {
     return s != nullptr && s->tenant != 0 ? s->tenant : active_tenant_;
+  }
+  /// True when an object owned by `tenant` belongs to a neighbour of the
+  /// active TenantScope: both ids are set and they differ. Untenanted
+  /// objects and untenanted callers see everything.
+  [[nodiscard]] bool foreign_tenant(int tenant) const noexcept {
+    return active_tenant_ != 0 && tenant != 0 && tenant != active_tenant_;
+  }
+  /// The one fd lookup of the entry points (sock_*, epoll_ctl/_wait and the
+  /// ring's fd-taking ops): a neighbour's fd reads as no fd at all, so the
+  /// caller answers -EBADF. Internal walks keep socks_.get.
+  [[nodiscard]] Socket* scoped_sock(int fd) {
+    Socket* s = socks_.get(fd);
+    return s != nullptr && foreign_tenant(s->tenant) ? nullptr : s;
   }
   /// Credit the tenant an ARP-parked frame was charged to (expiry, flush,
   /// eviction, teardown all funnel here before releasing the mbuf).
@@ -428,19 +423,8 @@ class FfStack final : public TcpEnv {
   /// empty; retriable after recycling). Failed bounces leave the datagram
   /// queued.
   std::int64_t udp_pop_loan(Socket* s, FfZcRxBuf& o);
-  /// The recvmmsg-style coalescing gate both burst receive paths share:
-  /// ready when `want` datagrams are queued, the oldest queued datagram
-  /// has waited `timeout_ns`, or no timeout was requested.
-  [[nodiscard]] bool udp_burst_ready(const UdpPcb& u, std::size_t want,
-                                     std::uint64_t timeout_ns) const;
   std::int64_t udp_emit_dgram(Socket* s, const machine::CapView& buf,
                               std::size_t n, Ipv4Addr ip, std::uint16_t port);
-  /// `payload_sum`: the datagram's cached partial checksum, computed once
-  /// when the bytes entered at ff_zc_send — emission never re-reads them.
-  bool zc_transmit(updk::Mbuf* m, std::size_t len, std::uint32_t payload_sum,
-                   std::uint16_t src_port, Ipv4Addr dst,
-                   std::uint16_t dst_port, const nic::MacAddr& dst_mac,
-                   std::uint8_t cls = 0);
 
   // ff_uring internals: one registration per attached ring. References
   // into `urings_` stay valid across insertions (std::map), which the
@@ -452,9 +436,6 @@ class FfStack final : public TcpEnv {
     struct AcceptArm {
       int fd = -1;
       std::uint64_t user_data = 0;
-      /// OP_ACCEPT_MULTISHOT a0 bit 0: auto-arm every accepted fd for
-      /// readiness CQEs in this ring (no per-fd OP_EPOLL_CTL needed).
-      bool auto_arm = false;
     };
     std::vector<AcceptArm> accept_arms;  // OP_ACCEPT_MULTISHOT listeners
     std::vector<int> epoll_arms;         // epfds sinking CQEs into this ring
@@ -465,23 +446,13 @@ class FfStack final : public TcpEnv {
       std::uint64_t user_data = 0;
     };
     std::vector<ConnectArm> connect_arms;
-    /// Auto-armed accepted fds: readiness edges post as OP_EPOLL_ARM-shaped
-    /// CQEs (result = mask, aux0 = fd). last_mask/last_gen dedup exactly
-    /// like EpollInstance::publish, so steady readable fds do not spam CQEs.
-    struct FdArm {
-      int fd = -1;
-      std::uint64_t user_data = 0;
-      std::uint32_t last_mask = 0;
-      std::uint64_t last_gen = 0;
-    };
-    std::vector<FdArm> fd_arms;
     /// Owning tenant (0 = untenanted): drain weight, charging context for
     /// the ops this ring submits, and the CQ-stall accounting below.
     int tenant = 0;
     /// Consecutive drain passes this ring sat with a FULL, unreaped CQ
     /// while work was pending. Reset the moment the CQ has space again;
     /// crossing the tenant's max_cq_stall_rounds evicts the ring's
-    /// re-derivable subscription state (accept/readiness arms).
+    /// re-derivable subscription state (multishot accept arms).
     std::uint32_t cq_stall_rounds = 0;
   };
   /// Drain every attached ring under ONE fair-shared per-iteration budget:
@@ -512,9 +483,7 @@ class FfStack final : public TcpEnv {
   bool uring_service_accept(UringReg& r);
   /// Post CQEs for OP_CONNECT handshakes that resolved since submission.
   bool uring_service_connect(UringReg& r);
-  /// Post readiness-edge CQEs for auto-armed accepted fds.
-  bool uring_service_fd_arms(UringReg& r);
-  /// Drop fd from every ring's connect/fd arms (socket closed or errored).
+  /// Drop fd from every ring's connect arms (socket closed or errored).
   void uring_forget_fd(int fd);
   /// Drop `epfd` from every ring's epoll_arms list. Called whenever an
   /// epoll instance's multishot delivery is re-armed onto another ring:

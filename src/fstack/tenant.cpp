@@ -17,7 +17,7 @@ int FfStack::tenant_register(std::string name, const TenantQuota& quota) {
 }
 
 int FfStack::sock_set_tenant(int fd, int tid) {
-  Socket* s = socks_.get(fd);
+  Socket* s = scoped_sock(fd);
   if (s == nullptr) return -EBADF;
   if (tid != 0 && !tenants_.valid(tid)) return -EINVAL;
   if (tid == s->tenant) return 0;
@@ -44,6 +44,8 @@ int FfStack::uring_bind_tenant(int ring_id, int tid) {
 
 int FfStack::tenant_evict(int tid) {
   if (!tenants_.valid(tid)) return -EINVAL;
+  // The control plane reclaims: no tenant scope may hide the fds below.
+  const TenantScope control_plane(*this, 0);
 
   // 1) Rings first: once detached, nothing can submit on the tenant's
   // behalf while the rest of the teardown runs.

@@ -3,8 +3,10 @@
 // v2 receive semantics: a datagram delivered from the RX burst is queued as
 // a zero-copy *loan* of its mbuf data room (the pcb co-owns the buffer via
 // Mempool::retain) whenever the payload lives in one data room; reassembled
-// fragments fall back to copied storage. ff_recvfrom copies lazily out of
-// the queue; ff_zc_recv pops whole loans.
+// fragments fall back to copied storage. The queue has exactly two
+// consumers, both FIFO and neither waiting for a batch to fill:
+// ff_recvfrom copies one datagram out (clamped to the destination's
+// bounds), and ff_zc_recv / OP_ZC_RECV pops whole datagrams as loans.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +14,6 @@
 #include <vector>
 
 #include "fstack/inet.hpp"
-#include "sim/virtual_clock.hpp"
 #include "updk/mempool.hpp"
 
 namespace cherinet::fstack {
@@ -20,10 +21,6 @@ namespace cherinet::fstack {
 struct UdpDatagram {
   Ipv4Addr src;
   std::uint16_t src_port = 0;
-  /// Delivery timestamp (stack clock) — what the recvmmsg-style burst
-  /// timeout measures: a batch call coalesces until the OLDEST queued
-  /// datagram has waited out FfMsgBatchOpts::timeout_ns.
-  sim::Ns arrived{0};
   std::vector<std::byte> data;   // copy fallback (mbuf == nullptr)
   updk::Mbuf* mbuf = nullptr;    // loaned data room (one reference held)
   std::uint32_t off = 0;

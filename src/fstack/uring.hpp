@@ -82,21 +82,21 @@
 namespace cherinet::fstack {
 
 /// SQE opcodes — every batch verb of API v2 becomes a ring operation (the
-/// v2 calls remain as thin shims; see the v2->v3 table in api.hpp).
+/// v2 calls remain as thin shims; see the v2->v3 table in api.hpp). The
+/// numbers are ABI: a retired opcode leaves a hole, and its number earns
+/// the unknown-opcode -EINVAL (2 was OP_SENDMSG_BATCH until v13).
 enum class UringOp : std::uint32_t {
   kNop = 0,              // completes immediately (tests, fences)
   kWritev = 1,           // ncaps iovec caps -> sock_writev
-  kSendmsgBatch = 2,     // ncaps datagram caps to (a0=ip, a1=port) via UDP
-  kZcSend = 3,           // a0=zc token, a1=len, a2=ip, a3=port (UDP only;
-                         //   a TCP fd ignores a2/a3 — the slice joins the
-                         //   send queue as a retained mbuf reference held
-                         //   until cumulative ACK)
-  kZcRecv = 4,           // a0=max loans (<=8); one CQE per loan. UDP fds:
-                         //   a1=burst timeout ns (recvmmsg-style — the
-                         //   burst coalesces until a0 datagrams queue or
-                         //   the oldest has waited a1, then short-counts)
+  kZcSend = 3,           // a0=zc token, a1=len; TCP fds only (any other fd
+                         //   is -EBADF with the reservation untouched). The
+                         //   slice joins the send queue as a retained mbuf
+                         //   reference held until cumulative ACK
+  kZcRecv = 4,           // a0=max loans (<=8); one CQE per loan, TCP or UDP;
+                         //   returns what is queued, never waits to fill
   kRecycle = 5,          // a0=token count (<=16); tokens in payload slots
-  kAcceptMultishot = 6,  // arm: every accepted conn on fd posts a CQE
+  kAcceptMultishot = 6,  // arm: every accepted conn on fd posts a CQE;
+                         //   a0 is reserved (nonzero: -EINVAL, no arm)
   kEpollArm = 7,         // arm: readiness of epfd's interest set posts CQEs
   kZcAlloc = 8,          // a0=buffers (<=8), a1=len each; one CQE per
                          //   reservation: aux0=token, cap=writable bounded

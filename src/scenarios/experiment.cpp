@@ -787,7 +787,6 @@ void ring_rx(LockstepRig& rig, std::uint64_t total, Census& out) {
         progress = true;
       }
       void on_drained(std::uint64_t) { hot = false; }
-      void on_coalescing(std::uint64_t) {}  // UDP only: stay hot
       void on_burst_end(std::uint64_t) {
         inflight = false;
         coalesce = pacer.on_drain(burst_loans, fstack::FfUringSqe::kMaxCaps);

@@ -278,7 +278,7 @@ TEST(FfApiV2, ReadvScattersAcrossIovecs) {
   }
 }
 
-TEST(FfApiV2, UdpBurstPreservesOrdering) {
+TEST(FfApi, UdpDatagramsArriveInSendOrder) {
   TwoStacks ts;
   const int sa = ff_socket(ts.a(), kAfInet, kSockDgram, 0);
   const int sb = ff_socket(ts.b(), kAfInet, kSockDgram, 0);
@@ -286,118 +286,101 @@ TEST(FfApiV2, UdpBurstPreservesOrdering) {
 
   constexpr int kBurst = 4;
   auto tx = ts.heap_a().alloc_view(kBurst * 8);
-  FfMsg out[kBurst];
   for (int i = 0; i < kBurst; ++i) {
-    tx.store<std::uint64_t>(static_cast<std::uint64_t>(i) * 8,
-                            0xB00B5000u + static_cast<std::uint64_t>(i));
-    out[i] = {tx.window(static_cast<std::uint64_t>(i) * 8, 8), 8,
-              {ts.ip_b(), 7000}, 0};
+    const auto off = static_cast<std::uint64_t>(i) * 8;
+    tx.store<std::uint64_t>(off, 0xB00B5000u + static_cast<std::uint64_t>(i));
+    ASSERT_EQ(ff_sendto(ts.a(), sa, tx.window(off, 8), 8, {ts.ip_b(), 7000}),
+              8);
   }
-  ASSERT_EQ(ff_sendmsg_batch(ts.a(), sa, out), kBurst);
-  for (const FfMsg& m : out) EXPECT_EQ(m.result, 8);
-
-  auto rx = ts.heap_b().alloc_view(kBurst * 8);
-  FfMsg in[kBurst];
-  for (int i = 0; i < kBurst; ++i) {
-    in[i] = {rx.window(static_cast<std::uint64_t>(i) * 8, 8), 8, {}, 0};
-  }
-  // Wait until the whole burst landed, then drain it in ONE batch call.
+  // Wait until the whole burst landed, then drain it one call at a time.
   ts.pump_until([&] {
     const Socket* s = ts.b().sockets().get(sb);
     return s != nullptr && s->udp->queued() == kBurst;
   });
-  const std::int64_t n = ff_recvmsg_batch(ts.b(), sb, in);
-  ASSERT_EQ(n, kBurst);
+  auto rx = ts.heap_b().alloc_view(8);
   for (int i = 0; i < kBurst; ++i) {
-    EXPECT_EQ(in[i].result, 8);
-    EXPECT_EQ(in[i].addr.ip, ts.ip_a());
-    // Arrival order == submission order (the burst is one FIFO pass).
-    EXPECT_EQ(rx.load<std::uint64_t>(static_cast<std::uint64_t>(i) * 8),
+    FfSockAddrIn from{};
+    ASSERT_EQ(ff_recvfrom(ts.b(), sb, rx, 8, &from), 8);
+    EXPECT_EQ(from.ip, ts.ip_a());
+    // Arrival order == submission order (the queue is one FIFO).
+    EXPECT_EQ(rx.load<std::uint64_t>(0),
               0xB00B5000u + static_cast<std::uint64_t>(i));
   }
-  EXPECT_EQ(ff_recvmsg_batch(ts.b(), sb, in), -EAGAIN);  // queue drained
+  EXPECT_EQ(ff_recvfrom(ts.b(), sb, rx, 8, nullptr), -EAGAIN);  // drained
 }
 
-TEST(FfApiV2, UdpBurstSkipsZeroLengthAndClampsReceive) {
+TEST(FfApi, FaultingRecvfromKeepsTheDatagramAndItsDataRoom) {
+  // A destination without store permission faults BEFORE the dequeue: the
+  // datagram stays queued and readable, and no pool data room strands. A
+  // claimed length past the destination's bounds clamps instead of
+  // faulting mid-copy.
   TwoStacks ts;
+  const std::uint32_t pool0 = ts.pool_b().available();
   const int sa = ff_socket(ts.a(), kAfInet, kSockDgram, 0);
   const int sb = ff_socket(ts.b(), kAfInet, kSockDgram, 0);
   ASSERT_EQ(ff_bind(ts.b(), sb, {Ipv4Addr{}, 7000}), 0);
-
-  // A zero-length message inside the burst is skipped (no empty datagram
-  // on the wire) and not counted.
+  constexpr int kDgrams = 3;
   auto tx = ts.heap_a().alloc_view(64);
-  FfMsg out[3] = {{tx, 64, {ts.ip_b(), 7000}, 0},
-                  {tx, 0, {ts.ip_b(), 7000}, -1},
-                  {tx, 64, {ts.ip_b(), 7000}, 0}};
-  EXPECT_EQ(ff_sendmsg_batch(ts.a(), sa, out), 2);
-  EXPECT_EQ(out[1].result, 0);
-  ts.pump_until([&] {
-    const Socket* s = ts.b().sockets().get(sb);
-    return s != nullptr && s->udp->queued() == 2;
-  });
-  ts.pump(2000);
-  EXPECT_EQ(ts.b().sockets().get(sb)->udp->queued(), 2u);  // not 3
+  for (int i = 0; i < kDgrams; ++i) {
+    tx.store<std::uint64_t>(0, 0xDA7A0000u + static_cast<std::uint64_t>(i));
+    ASSERT_EQ(ff_sendto(ts.a(), sa, tx, 64, {ts.ip_b(), 7000}), 64);
+  }
+  const Socket* s = ts.b().sockets().get(sb);
+  ts.pump_until([&] { return s->udp->queued() == kDgrams; });
 
-  // Receive with len exceeding the destination capability: the copy clamps
-  // to the bounds (like v1 recvfrom) instead of faulting mid-batch, and
-  // both datagrams survive the drain.
-  // A zero-length receive slot is skipped WITHOUT consuming a datagram.
-  auto small = ts.heap_b().alloc_view(16);  // heap rounds to 16-byte granules
-  FfMsg in[3] = {{small, 0, {}, -1}, {small, 512, {}, 0}, {small, 512, {}, 0}};
-  EXPECT_EQ(ff_recvmsg_batch(ts.b(), sb, in), 2);
-  EXPECT_EQ(in[0].result, 0);
-  EXPECT_EQ(in[1].result, 16);
-  EXPECT_EQ(in[2].result, 16);
+  auto rx = ts.heap_b().alloc_view(64);
+  const machine::CapView read_only(
+      &rx.mem(), rx.cap().with_perms(cheri::PermSet{cheri::Perm::kGlobal} |
+                                     cheri::Perm::kLoad));
+  const machine::CapView forged(&rx.mem(), rx.cap().cleared());
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_THROW((void)ff_recvfrom(ts.b(), sb, read_only, 64, nullptr),
+                 cheri::CapFault);
+    EXPECT_THROW((void)ff_recvfrom(ts.b(), sb, forged, 64, nullptr),
+                 cheri::CapFault);
+  }
+  EXPECT_EQ(s->udp->queued(), static_cast<std::size_t>(kDgrams));
+
+  // 64 bytes claimed into a 16-byte view: the copy clamps to the bounds.
+  auto small = ts.heap_b().alloc_view(16);
+  EXPECT_EQ(ff_recvfrom(ts.b(), sb, small, 64, nullptr), 16);
+  EXPECT_EQ(small.load<std::uint64_t>(0), 0xDA7A0000u);
+  for (int i = 1; i < kDgrams; ++i) {
+    ASSERT_EQ(ff_recvfrom(ts.b(), sb, rx, 64, nullptr), 64);
+    EXPECT_EQ(rx.load<std::uint64_t>(0),
+              0xDA7A0000u + static_cast<std::uint64_t>(i));
+  }
+  EXPECT_EQ(ff_close(ts.b(), sb), 0);
+  ts.pump(200);
+  EXPECT_EQ(ts.pool_b().available(), pool0);
 }
 
-TEST(FfApiV2, ZeroCopySendDeliversAndDoubleSubmitIsEinval) {
+TEST(FfApiV2, ZeroCopySendIsTcpOnlyAndAbortConsumesTheToken) {
   TwoStacks ts;
   const int sa = ff_socket(ts.a(), kAfInet, kSockDgram, 0);
-  const int sb = ff_socket(ts.b(), kAfInet, kSockDgram, 0);
-  ASSERT_EQ(ff_bind(ts.b(), sb, {Ipv4Addr{}, 7000}), 0);
 
-  // Prime the ARP cache so the second zc send takes the true zero-copy
-  // fast path (headers prepended in the mbuf headroom, no payload copy).
-  auto warm = ts.heap_a().alloc_view(8);
-  ASSERT_EQ(ff_sendto(ts.a(), sa, warm, 8, {ts.ip_b(), 7000}), 8);
-  auto sink = ts.heap_b().alloc_view(64);
-  ts.pump_until(
-      [&] { return ff_recvfrom(ts.b(), sb, sink, 64, nullptr) >= 0; });
-
+  // A datagram fd answers -EBADF before the token is looked at: the
+  // reservation is still live, so the abort releases it exactly once.
   FfZcBuf zc;
   ASSERT_EQ(ff_zc_alloc(ts.a(), 32, &zc), 0);
   ASSERT_TRUE(zc.valid());
-  for (std::uint64_t i = 0; i < 32; i += 8) {
-    zc.data.store<std::uint64_t>(i, 0xFEED0000 + i);
-  }
-  EXPECT_EQ(ff_zc_send(ts.a(), sa, zc, 32, {ts.ip_b(), 7000}), 32);
-  EXPECT_FALSE(zc.valid());  // token consumed
-  // Double submit: the reservation is spent.
-  EXPECT_EQ(ff_zc_send(ts.a(), sa, zc, 32, {ts.ip_b(), 7000}), -EINVAL);
+  EXPECT_EQ(ff_zc_send(ts.a(), sa, zc, 32), -EBADF);
+  EXPECT_TRUE(zc.valid());
+  EXPECT_EQ(ff_zc_abort(ts.a(), zc), 0);
+  EXPECT_FALSE(zc.valid());
+  EXPECT_EQ(ff_zc_abort(ts.a(), zc), -EINVAL);
 
-  auto rx = ts.heap_b().alloc_view(64);
-  FfSockAddrIn from{};
-  std::int64_t r = -1;
-  ts.pump_until([&] {
-    r = ff_recvfrom(ts.b(), sb, rx, 64, &from);
-    return r >= 0;
-  });
-  ASSERT_EQ(r, 32);
-  EXPECT_EQ(from.ip, ts.ip_a());
-  for (std::uint64_t i = 0; i < 32; i += 8) {
-    EXPECT_EQ(rx.load<std::uint64_t>(i), 0xFEED0000 + i);
-  }
-
-  // Abort consumes the token the same way.
+  // Abort consumes the token: a later send of it is -EINVAL.
+  const int cfd = connect_pair(ts).first;
   FfZcBuf zc2;
   ASSERT_EQ(ff_zc_alloc(ts.a(), 16, &zc2), 0);
+  FfZcBuf spent = zc2;
   EXPECT_EQ(ff_zc_abort(ts.a(), zc2), 0);
-  EXPECT_EQ(ff_zc_send(ts.a(), sa, zc2, 16, {ts.ip_b(), 7000}), -EINVAL);
-  EXPECT_EQ(ff_zc_abort(ts.a(), zc2), -EINVAL);
+  EXPECT_EQ(ff_zc_send(ts.a(), cfd, spent, 16), -EINVAL);
+  EXPECT_EQ(ff_zc_abort(ts.a(), spent), -EINVAL);
 
-  // Over-MTU reservations are refused outright (zc datagrams never
-  // fragment).
+  // Over-MTU reservations are refused outright (one reservation, one
+  // frame).
   FfZcBuf zc3;
   EXPECT_EQ(ff_zc_alloc(ts.a(), 60000, &zc3), -EMSGSIZE);
 }
@@ -507,24 +490,6 @@ TEST(FfApiV2, BatchValidationIsAtomicOnMissingPermission) {
                                 cheri::Perm::kStore));
   const FfIovec wio[2] = {{tx, 16}, {wo, 16}};
   EXPECT_THROW((void)ff_writev(ts.a(), cfd, wio), cheri::CapFault);
-}
-
-TEST(FfApiV2, UdpBurstValidationFaultsWholeBatch) {
-  TwoStacks ts;
-  const int sa = ff_socket(ts.a(), kAfInet, kSockDgram, 0);
-  const int sb = ff_socket(ts.b(), kAfInet, kSockDgram, 0);
-  ASSERT_EQ(ff_bind(ts.b(), sb, {Ipv4Addr{}, 7000}), 0);
-
-  auto good = ts.heap_a().alloc_view(8);
-  auto small = ts.heap_a().alloc_view(8);
-  FfMsg burst[2] = {{good, 8, {ts.ip_b(), 7000}, 0},
-                    {small, 512, {ts.ip_b(), 7000}, 0}};  // overruns bounds
-  EXPECT_THROW((void)ff_sendmsg_batch(ts.a(), sa, burst), cheri::CapFault);
-
-  // Atomic: not even the valid first datagram went out.
-  ts.pump(2000);
-  auto rx = ts.heap_b().alloc_view(64);
-  EXPECT_EQ(ff_recvfrom(ts.b(), sb, rx, 64, nullptr), -EAGAIN);
 }
 
 TEST(FfApiV2, ApiStatsCountBatchesAndSweeps) {

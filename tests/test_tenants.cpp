@@ -296,6 +296,106 @@ TEST(Tenants, CrossTenantZcTokenIsInertEinval) {
   ff_close(ts.a(), bfd);
 }
 
+TEST(Tenants, NeighbourFdsAnswerEbadfAndTheOwnersStreamSurvives) {
+  // Every fd-taking entry resolves the fd as the active tenant: tenant B
+  // naming tenant A's listener, connection or epoll instance — through its
+  // ring or through a call made in its scope — finds no fd at all.
+  TwoStacks ts;
+  const int ta = ff_tenant_register(ts.a(), "a", TenantQuota{});
+  const int tb = ff_tenant_register(ts.a(), "b", TenantQuota{});
+  constexpr std::uint16_t kPort = 5610;
+  const int lfd = ff_socket(ts.a(), kAfInet, kSockStream, 0);
+  ASSERT_EQ(ff_set_tenant(ts.a(), lfd, ta), 0);
+  ASSERT_EQ(ff_bind(ts.a(), lfd, {Ipv4Addr{}, kPort}), 0);
+  ASSERT_EQ(ff_listen(ts.a(), lfd, 4), 0);
+  const Conn c = establish(ts, lfd, kPort);
+  const int epa = ff_epoll_create(ts.a());
+  ASSERT_EQ(ff_set_tenant(ts.a(), epa, ta), 0);
+  const int epb = ff_epoll_create(ts.a());
+  ASSERT_EQ(ff_set_tenant(ts.a(), epb, tb), 0);
+
+  AttachedRing rb = attach_ring(ts, 16, 16);
+  ASSERT_EQ(ff_uring_bind_tenant(ts.a(), rb.id, tb), 0);
+  const machine::CapView junk = ts.heap_a().alloc_view(64);
+  std::vector<FfUringSqe> attacks;
+  FfUringSqe e;
+  e.op = UringOp::kClose;
+  e.fd = lfd;
+  attacks.push_back(e);
+  e.fd = c.afd;
+  attacks.push_back(e);
+  e = FfUringSqe{};
+  e.op = UringOp::kWritev;
+  e.fd = c.afd;
+  e.ncaps = 1;
+  e.caps[0] = junk;
+  attacks.push_back(e);
+  e = FfUringSqe{};
+  e.op = UringOp::kEpollCtl;
+  e.fd = epb;  // B's own instance, A's fd as the target
+  e.a[0] = static_cast<std::uint64_t>(EpollOp::kAdd);
+  e.a[1] = static_cast<std::uint64_t>(c.afd);
+  e.a[2] = kEpollIn;
+  attacks.push_back(e);
+  e.fd = epa;  // A's instance
+  e.a[1] = static_cast<std::uint64_t>(epb);
+  attacks.push_back(e);
+  e = FfUringSqe{};
+  e.op = UringOp::kAcceptMultishot;
+  e.fd = lfd;
+  attacks.push_back(e);
+  e.op = UringOp::kEpollArm;
+  e.fd = epa;
+  attacks.push_back(e);
+  for (std::size_t i = 0; i < attacks.size(); ++i) {
+    attacks[i].user_data = i + 1;
+    ASSERT_NE(rb.ring.sq_push(attacks[i]), FfUring::Push::kFull);
+  }
+  ts.a().run_once();
+  FfUringCqe cq[16];
+  ASSERT_EQ(rb.ring.cq_pop(cq), attacks.size());
+  for (std::size_t i = 0; i < attacks.size(); ++i) {
+    EXPECT_EQ(cq[i].user_data, i + 1);
+    EXPECT_EQ(cq[i].result, -EBADF) << "attack " << i + 1;
+  }
+  {
+    const FfStack::TenantScope as_b(ts.a(), tb);
+    EXPECT_EQ(ff_close(ts.a(), c.afd), -EBADF);
+    EXPECT_EQ(ff_write(ts.a(), c.afd, junk, 64), -EBADF);
+    EXPECT_EQ(ff_accept(ts.a(), lfd, nullptr), -EBADF);
+    EXPECT_EQ(ff_set_tenant(ts.a(), c.afd, tb), -EBADF);
+  }
+  EXPECT_NE(ts.a().find_listener(kPort), nullptr);
+  EXPECT_TRUE(ts.a().sockets().get(epa)->epoll->interest().empty());
+  EXPECT_TRUE(ts.a().sockets().get(epb)->epoll->interest().empty());
+
+  // A's connection is alive: a stream written as A arrives byte-identical.
+  constexpr std::size_t kBytes = 8 * 1024;
+  const machine::CapView tx = ts.heap_a().alloc_view(kBytes);
+  for (std::size_t i = 0; i < kBytes; i += 8) {
+    tx.store<std::uint64_t>(i, 0x5EED0000u + i);
+  }
+  const machine::CapView rx = ts.heap_b().alloc_view(kBytes);
+  std::size_t sent = 0, got = 0;
+  ts.pump_until([&] {
+    if (sent < kBytes) {
+      const FfStack::TenantScope as_a(ts.a(), ta);
+      const std::int64_t w =
+          ff_write(ts.a(), c.afd, tx.at(sent), kBytes - sent);
+      if (w > 0) sent += static_cast<std::size_t>(w);
+    }
+    const std::int64_t r = ff_read(ts.b(), c.bfd, rx.at(got), kBytes - got);
+    if (r > 0) got += static_cast<std::size_t>(r);
+    return got == kBytes;
+  });
+  ASSERT_EQ(got, kBytes);
+  for (std::size_t i = 0; i < kBytes; i += 8) {
+    ASSERT_EQ(rx.load<std::uint64_t>(i), 0x5EED0000u + i) << "offset " << i;
+  }
+  ff_close(ts.a(), c.afd);
+  ff_close(ts.b(), c.bfd);
+}
+
 // ---------------------------------------------------------------------------
 // Weighted drain + deferred-CQE bounds
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // ff_uring (API v3): ring attach/drain lifecycle, SQ/CQ wrap-around,
 // full-CQ backpressure, per-entry -EINVAL isolation for forged/replayed
-// submissions, multishot accept, epoll-arm CQEs, the zc loan flow over the
-// ring, the recvmsg_batch UDP loan mode, and the iperf/echo app ports.
+// submissions, the verdicts of retired opcodes and arguments, multishot
+// accept, epoll-arm CQEs, the zc loan flow over the ring (TCP and UDP), and
+// the iperf/echo app ports.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -255,37 +256,28 @@ TEST(Uring, ForgedSqeCapabilityIsPerEntryEinvalWithoutPoisoningTheSweep) {
   EXPECT_EQ(ts.a().api_stats().uring_sqe_errors, 1u);
 }
 
-TEST(Uring, SendmsgBatchSqeEmitsAUdpBurst) {
+TEST(Uring, RetiredOpcodeTwoIsPerEntryEinval) {
+  // Opcode 2 carried UDP datagram batches until v13. The number stays a
+  // hole: the sweep answers it like any unknown opcode, and its
+  // neighbours in the same window complete.
   TwoStacks ts;
-  const int a_udp = ff_socket(ts.a(), kAfInet, kSockDgram, 0);
-  const int b_udp = ff_socket(ts.b(), kAfInet, kSockDgram, 0);
-  ASSERT_EQ(ff_bind(ts.b(), b_udp, {Ipv4Addr{}, 9000}), 0);
-  ASSERT_EQ(ff_bind(ts.a(), a_udp, {Ipv4Addr{}, 9001}), 0);
   AttachedRing ar = attach_ring(ts, 8, 8);
-
-  machine::CapView tx = ts.heap_a().alloc_view(3 * 100);
-  tx.write(0, pattern(300));
   FfUringSqe sqe;
-  sqe.op = UringOp::kSendmsgBatch;
-  sqe.fd = a_udp;
-  sqe.user_data = 5;
-  sqe.a[0] = ts.ip_b().value;
-  sqe.a[1] = 9000;
-  sqe.ncaps = 3;
-  for (std::uint32_t i = 0; i < 3; ++i) sqe.caps[i] = tx.window(i * 100, 100);
-  ASSERT_NE(ar.ring.sq_push(sqe), FfUring::Push::kFull);
-
-  machine::CapView rx = ts.heap_b().alloc_view(256);
-  int got = 0;
-  ts.pump_until([&] {
-    FfSockAddrIn from;
-    while (ff_recvfrom(ts.b(), b_udp, rx, 256, &from) > 0) ++got;
-    return got == 3;
-  });
-  EXPECT_EQ(got, 3);
-  FfUringCqe cq[2];
-  ASSERT_EQ(ar.ring.cq_pop(cq), 1u);
-  EXPECT_EQ(cq[0].result, 3);  // datagrams emitted
+  for (std::uint64_t ud = 1; ud <= 3; ++ud) {
+    sqe.op = ud == 2 ? static_cast<UringOp>(2) : UringOp::kNop;
+    sqe.user_data = ud;
+    ASSERT_NE(ar.ring.sq_push(sqe), FfUring::Push::kFull);
+  }
+  ts.a().run_once();
+  FfUringCqe cq[4];
+  ASSERT_EQ(ar.ring.cq_pop(cq), 3u);
+  EXPECT_EQ(cq[0].user_data, 1u);
+  EXPECT_EQ(cq[0].result, 0);
+  EXPECT_EQ(cq[1].user_data, 2u);
+  EXPECT_EQ(cq[1].result, -EINVAL);
+  EXPECT_EQ(cq[2].user_data, 3u);
+  EXPECT_EQ(cq[2].result, 0);
+  EXPECT_EQ(ts.a().api_stats().uring_sqe_errors, 1u);
 }
 
 TEST(Uring, ZcRecvLoansAndRecycleTokensFlowThroughTheRing) {
@@ -509,87 +501,6 @@ TEST(Uring, EpollArmDedupsUnchangedReadinessButNotNewActivity) {
   std::size_t again = 0;
   ts.pump_until([&] { return (again += readiness_cqes()) > 0; });
   EXPECT_EQ(again, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// UDP RX loan bursts through ff_recvmsg_batch (v3 loan mode)
-// ---------------------------------------------------------------------------
-
-TEST(RecvmsgBatch, InvalidBufMeansLoanModeWithTokensAndZeroCopies) {
-  TwoStacks ts;
-  const int a_udp = ff_socket(ts.a(), kAfInet, kSockDgram, 0);
-  const int b_udp = ff_socket(ts.b(), kAfInet, kSockDgram, 0);
-  ASSERT_EQ(ff_bind(ts.a(), a_udp, {Ipv4Addr{}, 9100}), 0);
-  ASSERT_EQ(ff_bind(ts.b(), b_udp, {Ipv4Addr{}, 9101}), 0);
-
-  machine::CapView tx = ts.heap_b().alloc_view(300);
-  tx.write(0, pattern(300));
-  for (int i = 0; i < 3; ++i) {
-    ff_sendto(ts.b(), b_udp, tx.at(static_cast<std::uint64_t>(i) * 100), 100,
-              {ts.ip_a(), 9100});
-  }
-  const auto* sock = ts.a().sockets().get(a_udp);
-  ASSERT_NE(sock, nullptr);
-  ts.pump_until([&] { return sock->udp->queued() == 3; });
-
-  const std::uint64_t copied_before = ts.a().rx_stats().copied_bytes;
-  FfMsg msgs[4];  // default-constructed: INVALID bufs -> loan mode
-  const std::int64_t n = ff_recvmsg_batch(ts.a(), a_udp, msgs);
-  ASSERT_EQ(n, 3);
-  EXPECT_EQ(ts.a().rx_stats().copied_bytes, copied_before)
-      << "loan mode must not copy a byte";
-  const auto payload = pattern(300);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(msgs[i].buf.valid());
-    ASSERT_NE(msgs[i].token, 0u);
-    EXPECT_EQ(msgs[i].result, 100);
-    EXPECT_EQ(msgs[i].buf.size(), 100u);
-    EXPECT_EQ(msgs[i].addr.ip, ts.ip_b());
-    EXPECT_EQ(msgs[i].addr.port, 9101);
-    std::vector<std::byte> chunk(100);
-    msgs[i].buf.read(0, chunk);
-    EXPECT_EQ(0, std::memcmp(chunk.data(),
-                             payload.data() + static_cast<std::size_t>(i) * 100,
-                             100));
-    const std::byte junk[1] = {std::byte{0xFF}};
-    EXPECT_THROW(msgs[i].buf.write(0, junk), cheri::CapFault);
-    // The existing token accounting: recycle exactly once.
-    FfZcRxBuf z;
-    z.token = msgs[i].token;
-    z.data = msgs[i].buf;
-    EXPECT_EQ(ff_zc_recycle(ts.a(), z), 0);
-    EXPECT_EQ(ff_zc_recycle(ts.a(), z), -EINVAL);
-  }
-  EXPECT_EQ(ts.a().api_stats().zc_rx_recycles,
-            ts.a().api_stats().zc_rx_loans);
-  // A msg WITH a destination buffer still takes the copy path (token 0).
-  for (int i = 0; i < 2; ++i) {
-    ff_sendto(ts.b(), b_udp, tx, 100, {ts.ip_a(), 9100});
-  }
-  ts.pump_until([&] { return sock->udp->queued() == 2; });
-  machine::CapView rx = ts.heap_a().alloc_view(128);
-  FfMsg copy_msgs[2];
-  copy_msgs[0].buf = rx;
-  copy_msgs[0].len = 128;
-  // copy_msgs[1] stays invalid: mixed bursts are legal.
-  ASSERT_EQ(ff_recvmsg_batch(ts.a(), a_udp, copy_msgs), 2);
-  EXPECT_EQ(copy_msgs[0].token, 0u);
-  EXPECT_EQ(copy_msgs[0].result, 100);
-  EXPECT_GT(ts.a().rx_stats().copied_bytes, copied_before);
-  ASSERT_NE(copy_msgs[1].token, 0u);
-  FfZcRxBuf z;
-  z.token = copy_msgs[1].token;
-  EXPECT_EQ(ff_zc_recycle(ts.a(), z), 0);
-
-  // Loan mode is an EXPLICIT opt-in (invalid buf AND len 0): a FORGED
-  // destination — tag cleared but a byte count claimed — still faults the
-  // batch exactly like v2, it does not silently become a loan.
-  ff_sendto(ts.b(), b_udp, tx, 100, {ts.ip_a(), 9100});
-  ts.pump_until([&] { return sock->udp->queued() == 1; });
-  FfMsg forged[1];
-  forged[0].buf = machine::CapView(&rx.mem(), rx.cap().cleared());
-  forged[0].len = 64;
-  EXPECT_THROW(ff_recvmsg_batch(ts.a(), a_udp, forged), cheri::CapFault);
 }
 
 // ---------------------------------------------------------------------------
@@ -851,90 +762,81 @@ TEST(Uring, DrainBudgetIsFairSharedAcrossRings) {
 }
 
 // ---------------------------------------------------------------------------
-// UDP loan-burst timeout (recvmmsg-style coalescing)
+// UDP over the ring: loans only, returned as soon as anything is queued
 // ---------------------------------------------------------------------------
 
-TEST(RecvmsgBatch, LoanBurstTimeoutReturnsShortCount) {
+TEST(Uring, UdpZcRecvReturnsWhatIsQueuedWithoutWaiting) {
   TwoStacks ts;
   const int a_udp = ff_socket(ts.a(), kAfInet, kSockDgram, 0);
   const int b_udp = ff_socket(ts.b(), kAfInet, kSockDgram, 0);
   ASSERT_EQ(ff_bind(ts.a(), a_udp, {Ipv4Addr{}, 9300}), 0);
   ASSERT_EQ(ff_bind(ts.b(), b_udp, {Ipv4Addr{}, 9301}), 0);
-
-  machine::CapView tx = ts.heap_b().alloc_view(300);
-  tx.write(0, pattern(300));
-  for (int i = 0; i < 3; ++i) {
-    ff_sendto(ts.b(), b_udp, tx.at(static_cast<std::uint64_t>(i) * 100), 100,
-              {ts.ip_a(), 9300});
-  }
-  const auto* sock = ts.a().sockets().get(a_udp);
-  ASSERT_NE(sock, nullptr);
-  ts.pump_until([&] { return sock->udp->queued() == 3; });
-
-  // 3 of 8 queued with a 50 ms timeout: the burst COALESCES (-EAGAIN)...
-  FfMsgBatchOpts opts;
-  opts.timeout_ns = 50'000'000;
-  {
-    FfMsg msgs[8];  // loan mode
-    EXPECT_EQ(ff_recvmsg_batch(ts.a(), a_udp, msgs, opts), -EAGAIN);
-  }
-  // ...until the oldest datagram has waited it out: then the SHORT COUNT.
-  ts.clock().advance_to(ts.clock().now() + sim::Ns{60'000'000});
-  {
-    FfMsg msgs[8];
-    ASSERT_EQ(ff_recvmsg_batch(ts.a(), a_udp, msgs, opts), 3);
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_NE(msgs[i].token, 0u);
-      FfZcRxBuf z;
-      z.token = msgs[i].token;
-      EXPECT_EQ(ff_zc_recycle(ts.a(), z), 0);
-    }
-  }
-
-  // A FULL batch returns immediately, no waiting.
-  for (int i = 0; i < 2; ++i) {
-    ff_sendto(ts.b(), b_udp, tx, 100, {ts.ip_a(), 9300});
-  }
-  ts.pump_until([&] { return sock->udp->queued() == 2; });
-  {
-    FfMsg msgs[2];
-    EXPECT_EQ(ff_recvmsg_batch(ts.a(), a_udp, msgs, opts), 2);
-    for (FfMsg& m : msgs) {
-      FfZcRxBuf z;
-      z.token = m.token;
-      if (z.token != 0) ff_zc_recycle(ts.a(), z);
-    }
-  }
-
-  // OP_SENDMSG_BATCH's RX twin over the ring honors the same knob: a1 is
-  // the burst timeout.
+  machine::CapView tx = ts.heap_b().alloc_view(100);
+  tx.write(0, pattern(100));
   ff_sendto(ts.b(), b_udp, tx, 100, {ts.ip_a(), 9300});
+  const auto* sock = ts.a().sockets().get(a_udp);
   ts.pump_until([&] { return sock->udp->queued() == 1; });
+
+  // One of four queued, a1 set the way a burst timeout used to be: the
+  // short count comes back at once, and an empty queue is plain -EAGAIN.
   AttachedRing ar = attach_ring(ts, 8, 8);
   FfUringSqe sqe;
   sqe.op = UringOp::kZcRecv;
   sqe.fd = a_udp;
   sqe.user_data = 5;
   sqe.a[0] = 4;
-  sqe.a[1] = 50'000'000;  // coalesce 1-of-4 for up to 50 ms
+  sqe.a[1] = 50'000'000;
+  ASSERT_NE(ar.ring.sq_push(sqe), FfUring::Push::kFull);
   ASSERT_NE(ar.ring.sq_push(sqe), FfUring::Push::kFull);
   ts.a().run_once();
   FfUringCqe cq[4];
-  ASSERT_EQ(ar.ring.cq_pop(cq), 1u);
-  EXPECT_EQ(cq[0].result, -EAGAIN);  // short burst still coalescing
-  // aux1 marks COALESCING (data queued, timeout running): readiness will
-  // not re-publish for an unchanged mask, so the consumer must repoll —
-  // the marker is what keeps queued datagrams from being stranded.
-  EXPECT_EQ(cq[0].aux1, 1u);
-  ts.clock().advance_to(ts.clock().now() + sim::Ns{60'000'000});
-  ASSERT_NE(ar.ring.sq_push(sqe), FfUring::Push::kFull);
-  ts.a().run_once();
-  ASSERT_EQ(ar.ring.cq_pop(cq), 1u);
-  EXPECT_EQ(cq[0].result, 100);  // timed out: the short count (one loan)
+  ASSERT_EQ(ar.ring.cq_pop(cq), 2u);
+  EXPECT_EQ(cq[0].result, 100);
+  EXPECT_EQ(cq[0].flags & kCqeMore, 0u);
   ASSERT_NE(cq[0].aux0, 0u);
+  EXPECT_EQ(cq[1].result, -EAGAIN);
+  EXPECT_EQ(cq[1].aux1, 0u);
   FfZcRxBuf z;
   z.token = cq[0].aux0;
   EXPECT_EQ(ff_zc_recycle(ts.a(), z), 0);
+}
+
+TEST(Uring, ZcSendOnUdpFdIsEbadfAndTheReservationStillAborts) {
+  TwoStacks ts;
+  const int a_udp = ff_socket(ts.a(), kAfInet, kSockDgram, 0);
+  AttachedRing ar = attach_ring(ts, 8, 8);
+  FfUringSqe alloc;
+  alloc.op = UringOp::kZcAlloc;
+  alloc.user_data = 1;
+  alloc.a[0] = 1;
+  alloc.a[1] = 64;
+  ASSERT_NE(ar.ring.sq_push(alloc), FfUring::Push::kFull);
+  ts.a().run_once();
+  FfUringCqe cq[2];
+  ASSERT_EQ(ar.ring.cq_pop(cq), 1u);
+  ASSERT_EQ(cq[0].result, 64);
+  const std::uint64_t token = cq[0].aux0;
+  const std::uint32_t pool_granted = ts.pool_a().available();
+
+  FfUringSqe send;
+  send.op = UringOp::kZcSend;
+  send.fd = a_udp;
+  send.user_data = 2;
+  send.a[0] = token;
+  send.a[1] = 64;
+  FfUringSqe abort;
+  abort.op = UringOp::kZcAbort;
+  abort.user_data = 3;
+  abort.a[0] = token;
+  ASSERT_NE(ar.ring.sq_push(send), FfUring::Push::kFull);
+  ASSERT_NE(ar.ring.sq_push(abort), FfUring::Push::kFull);
+  ts.a().run_once();
+  ASSERT_EQ(ar.ring.cq_pop(cq), 2u);
+  EXPECT_EQ(cq[0].user_data, 2u);
+  EXPECT_EQ(cq[0].result, -EBADF);
+  EXPECT_EQ(cq[1].user_data, 3u);
+  EXPECT_EQ(cq[1].result, 0);  // the send left the reservation alone
+  EXPECT_EQ(ts.pool_a().available(), pool_granted + 1);
 }
 
 TEST(UringApps, IperfClientZeroCopyTxSendsWithoutStackCopies) {

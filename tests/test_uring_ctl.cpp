@@ -1,6 +1,6 @@
 // Ring-native control plane (API v5): OP_CONNECT deferred-verdict CQEs,
-// OP_CLOSE / OP_EPOLL_CTL immediate verdicts, accept auto-arm readiness,
-// SYN-backlog hardening, and the churn-teardown leak gate (PCBs, wheel
+// OP_CLOSE / OP_EPOLL_CTL immediate verdicts, the reserved multishot-accept
+// argument, SYN-backlog hardening, and the churn-teardown leak gate (PCBs, wheel
 // timers and pool buffers must return to baseline across connect/transfer/
 // close cycles).
 #include <gtest/gtest.h>
@@ -214,10 +214,10 @@ TEST(UringCtl, EpollCtlThroughRingAddsAndValidates) {
 }
 
 // ---------------------------------------------------------------------------
-// Accept auto-arm: one attach, zero control calls per connection
+// OP_ACCEPT_MULTISHOT's a0 is reserved (it was the v12 auto-arm bit)
 // ---------------------------------------------------------------------------
 
-TEST(UringCtl, AutoArmedAcceptDeliversReadinessWithoutEpollCalls) {
+TEST(UringCtl, AcceptMultishotWithNonzeroA0IsEinvalAndArmsNothing) {
   TwoStacks ts;
   const int lfd = ff_socket(ts.a(), kAfInet, kSockStream, 0);
   ff_bind(ts.a(), lfd, {Ipv4Addr{}, 5305});
@@ -228,38 +228,23 @@ TEST(UringCtl, AutoArmedAcceptDeliversReadinessWithoutEpollCalls) {
   arm.op = UringOp::kAcceptMultishot;
   arm.fd = lfd;
   arm.user_data = 11;
-  arm.a[0] = 1;  // auto-arm accepted fds for readiness CQEs
+  arm.a[0] = 1;
   ASSERT_NE(ar.ring.sq_push(arm), FfUring::Push::kFull);
   ts.a().run_once();
+  FfUringCqe cq[8];
+  ASSERT_EQ(ar.ring.cq_pop(cq), 1u);
+  EXPECT_EQ(cq[0].user_data, 11u);
+  EXPECT_EQ(cq[0].result, -EINVAL);
+  EXPECT_EQ(ts.a().api_stats().uring_sqe_errors, 1u);
 
+  // No arm was registered: the connection waits for a classic accept and
+  // the ring never hears of it.
   const int bfd = ff_socket(ts.b(), kAfInet, kSockStream, 0);
   ff_connect(ts.b(), bfd, {ts.ip_a(), 5305});
-  FfUringCqe acc;
-  ASSERT_TRUE(await_cqe(ts, ar, 11, acc));
-  ASSERT_GE(acc.result, 0);
-  const int afd = static_cast<int>(acc.result);
-
-  // Peer sends: a readiness CQE for the ACCEPTED fd must appear with no
-  // epoll instance, no epoll_ctl, no epoll arm — the accept arm's auto-arm
-  // subscribed it.
-  machine::CapView tx = ts.heap_b().alloc_view(256);
-  ASSERT_EQ(ff_write(ts.b(), bfd, tx, 256), 256);
-  bool readable = false;
-  ts.pump_until([&] {
-    FfUringCqe cq[8];
-    const std::size_t n = ar.ring.cq_pop(cq);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cq[i].op == UringOp::kEpollArm &&
-          cq[i].aux0 == static_cast<std::uint64_t>(afd) &&
-          (static_cast<std::uint32_t>(cq[i].result) & kEpollIn) != 0) {
-        readable = true;
-        EXPECT_NE(cq[i].flags & kCqeMore, 0u);  // subscription persists
-      }
-    }
-    return readable;
-  });
-  EXPECT_TRUE(readable);
-  EXPECT_GT(ts.a().api_stats().multishot_events, 0u);
+  int afd = -1;
+  ts.pump_until([&] { return (afd = ff_accept(ts.a(), lfd, nullptr)) >= 0; });
+  EXPECT_GE(afd, 0);
+  EXPECT_EQ(ar.ring.cq_pop(cq), 0u);
   ff_close(ts.b(), bfd);
   ff_close(ts.a(), afd);
 }

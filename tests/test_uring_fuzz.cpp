@@ -94,7 +94,7 @@ bool push_fuzz_sqe(AttachedRing& r, std::uint32_t sq_cap, std::uint64_t ud,
     case 1:  // OP_WRITEV with forged (untagged) caps -> sweep -EINVAL
       return raw_push(r, sq_cap, 1, bogus_fd, ud, a,
                       1 + static_cast<std::uint32_t>(pick % 8), rng);
-    case 2:  // OP_SENDMSG_BATCH, same forged-cap shape
+    case 2:  // opcode 2 (OP_SENDMSG_BATCH until v13) -> unknown, -EINVAL
       return raw_push(r, sq_cap, 2, bogus_fd, ud, a,
                       1 + static_cast<std::uint32_t>(pick % 8), rng);
     case 3:  // OP_ZC_SEND with a forged token on a bogus fd
@@ -118,7 +118,8 @@ bool push_fuzz_sqe(AttachedRing& r, std::uint32_t sq_cap, std::uint64_t ud,
       return raw_push(r, sq_cap, 11, bogus_fd, ud, a, 0, rng);
     case 10:  // OP_SET_CLASS on a bogus fd
       return raw_push(r, sq_cap, 12, bogus_fd, ud, a, 0, rng);
-    default:  // OP_ACCEPT_MULTISHOT on a bogus fd -> -EBADF ack
+    default:  // OP_ACCEPT_MULTISHOT on a bogus fd: -EINVAL for the
+              // reserved a0 (set here), -EBADF when a0 happens to be 0
       return raw_push(r, sq_cap, 6, bogus_fd, ud, a, 0, rng);
   }
 }

@@ -239,15 +239,23 @@ TEST(ZcRecv, UdpLoanCarriesDatagramSource) {
             static_cast<std::int64_t>(payload.size()));
   ts.pump_until([&] { return (ts.a().sock_readiness(afd) & kEpollIn) != 0; });
 
+  const std::uint64_t copied_before = ts.a().rx_stats().copied_bytes;
   FfZcRxBuf loans[2];
   ASSERT_EQ(ff_zc_recv(ts.a(), afd, loans), 1);
+  EXPECT_EQ(ts.a().rx_stats().copied_bytes, copied_before)
+      << "a datagram loan must not copy a byte";
   EXPECT_EQ(loans[0].data.size(), payload.size());
   EXPECT_EQ(loans[0].from.ip, ts.ip_b());
   EXPECT_EQ(loans[0].from.port, 7001);
   std::vector<std::byte> got(payload.size());
   loans[0].data.read(0, got);
   EXPECT_EQ(0, std::memcmp(got.data(), payload.data(), payload.size()));
+  const std::byte junk[1] = {std::byte{0xFF}};
+  EXPECT_THROW(loans[0].data.write(0, junk), cheri::CapFault);
+  const FfZcRxBuf replay = loans[0];
   EXPECT_EQ(ff_zc_recycle(ts.a(), loans[0]), 0);
+  FfZcRxBuf again = replay;
+  EXPECT_EQ(ff_zc_recycle(ts.a(), again), -EINVAL);
 }
 
 TEST(ZcRecv, OutstandingLoansThrottleTheAdvertisedWindow) {

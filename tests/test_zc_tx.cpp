@@ -62,7 +62,7 @@ std::uint64_t zc_send_stream(TwoStacks& ts, int fd, std::uint64_t total,
           if (ff_zc_alloc(ts.a(), n, &zc) != 0) break;
           const auto bytes = pattern(n, sent);
           zc.data.write(0, bytes);
-          const std::int64_t r = ff_zc_send(ts.a(), fd, zc, n, {});
+          const std::int64_t r = ff_zc_send(ts.a(), fd, zc, n);
           if (r != static_cast<std::int64_t>(n)) {
             // -EAGAIN keeps the reservation; abort it and retry next turn.
             ff_zc_abort(ts.a(), zc);
@@ -200,7 +200,7 @@ TEST(ZcTcpTx, ReplayedAndForgedTokensAreEinvalBeforeStateMutates) {
   ASSERT_EQ(ff_zc_alloc(ts.a(), 512, &zc), 0);
   zc.data.write(0, pattern(512));
   const std::uint64_t token = zc.token;
-  ASSERT_EQ(ff_zc_send(ts.a(), c.afd, zc, 512, {}), 512);
+  ASSERT_EQ(ff_zc_send(ts.a(), c.afd, zc, 512), 512);
   EXPECT_EQ(zc.token, 0u);  // consumed handle
 
   const TcpPcb* pcb = nullptr;
@@ -215,10 +215,10 @@ TEST(ZcTcpTx, ReplayedAndForgedTokensAreEinvalBeforeStateMutates) {
   // answer -EINVAL with the sequence space untouched and no segment sent.
   FfZcBuf replay;
   replay.token = token;
-  EXPECT_EQ(ff_zc_send(ts.a(), c.afd, replay, 512, {}), -EINVAL);
+  EXPECT_EQ(ff_zc_send(ts.a(), c.afd, replay, 512), -EINVAL);
   FfZcBuf forged;
   forged.token = 0xDEAD600DULL;
-  EXPECT_EQ(ff_zc_send(ts.a(), c.afd, forged, 512, {}), -EINVAL);
+  EXPECT_EQ(ff_zc_send(ts.a(), c.afd, forged, 512), -EINVAL);
 
   const auto after = pcb->debug_snapshot();
   EXPECT_EQ(after.snd_nxt, before.snd_nxt);
@@ -280,7 +280,7 @@ TEST(ZcTcpTx, RstAndRtoGiveUpReleaseUnackedReferences) {
     FfZcBuf zc;
     ASSERT_EQ(ff_zc_alloc(ts.a(), 1000, &zc), 0);
     zc.data.write(0, pattern(1000));
-    ASSERT_EQ(ff_zc_send(ts.a(), c.afd, zc, 1000, {}), 1000);
+    ASSERT_EQ(ff_zc_send(ts.a(), c.afd, zc, 1000), 1000);
     queued += 1000;
   }
   EXPECT_LT(ts.pool_a().available(), base_a);
@@ -323,7 +323,7 @@ TEST(ZcTcpTx, RstAndRtoGiveUpReleaseUnackedReferences) {
   // room per doomed attempt.
   FfZcBuf dead;
   ASSERT_EQ(ff_zc_alloc(ts.a(), 256, &dead), 0);
-  const std::int64_t dr = ff_zc_send(ts.a(), c2.afd, dead, 256, {});
+  const std::int64_t dr = ff_zc_send(ts.a(), c2.afd, dead, 256);
   EXPECT_LT(dr, 0);
   EXPECT_NE(dr, -EAGAIN);
   EXPECT_EQ(dead.token, 0u);  // consumed, not leaked into the token table
