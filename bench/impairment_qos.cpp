@@ -56,8 +56,9 @@ fstack::TcpConfig scaled_rto_config() {
   tcp.initial_rto = sim::Ns{40'000'000};    // 40 ms until the first sample
   // Socket buffers sized to the network (~20x the 3.5 KB BDP, still wire-
   // saturating): the default 256 KB lets cwnd hold ~177 segments in flight,
-  // more than max_ooo_segments can reassemble past a hole — every loss
-  // would degenerate into a go-back-N drain of data the wire delivered.
+  // more than the 64-segment out-of-order queue can reassemble past a
+  // hole — every loss would degenerate into a go-back-N drain of data the
+  // wire delivered.
   tcp.sndbuf_bytes = 64 * 1024;
   tcp.rcvbuf_bytes = 64 * 1024;
   return tcp;

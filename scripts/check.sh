@@ -4,7 +4,8 @@
 # fig6 virtual-wait and Table II bandwidth smoke gates registered in
 # CMakeLists.txt — all on the lockstep rig, so the sanitizer leg gates
 # them too), then diffs every smoke artifact against its committed
-# baseline in bench/baseline/ and, outside the sanitizer leg, runs the
+# baseline in bench/baseline/, holds the Table I capability-aware line
+# count and share at or below theirs and, outside the sanitizer leg, runs the
 # repository benchmark's determinism self-check (bench/e2e/run.sh
 # --selfcheck).
 #
@@ -178,4 +179,22 @@ for fig in fig4 fig5; do
   require "$BUILD_DIR/BENCH_$fig.json" '.offload.tso.tso_frames > 0'
 done
 require "$BUILD_DIR/BENCH_tenants.json" '.min_retention >= 0.90'
+
+# Table I ratchet: neither the capability-annotated line count of
+# src/fstack nor its share may exceed the committed baseline. Any edit
+# there moves `total`, so this compares with <= instead of joining the
+# exact-diff FIGS loop above; a change that lowers either copies the fresh
+# artifact over bench/baseline/BENCH_table1.json.
+t1="$BUILD_DIR/BENCH_table1.json"
+if [[ -f "$t1" ]]; then
+  echo "== bench artifact: $t1"
+  cat "$t1"
+  require "$t1" '.gates_passed == true'
+  for key in annotated share_pct; do
+    require "$t1" ".$key <= $(jq ".$key" bench/baseline/BENCH_table1.json)"
+  done
+else
+  echo "== MISSING ARTIFACT: $t1"
+  status=1
+fi
 exit "$status"

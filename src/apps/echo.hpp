@@ -22,7 +22,7 @@ class EchoServer {
   /// The classic path calls accept() every step — behind proxied ops that
   /// is one sealed-entry crossing per step even when the queue is empty;
   /// armed, accepted fds arrive as CQEs with zero crossings. Returns 0 or
-  /// -errno (-ENOTSUP bindings keep the per-step accept).
+  /// -errno.
   int use_uring(machine::CapView ring_mem, std::uint32_t sq_capacity,
                 std::uint32_t cq_capacity);
 

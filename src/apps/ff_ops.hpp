@@ -41,18 +41,11 @@ class FfOps {
                               std::span<const fstack::FfIovec> iov) = 0;
   virtual std::int64_t readv(int fd, std::span<const fstack::FfIovec> iov) = 0;
 
-  // Zero-copy RX (API v2). The defaults report -ENOTSUP: no per-element
-  // fallback preserves the zero-copy contract, so bindings either implement
-  // the loan path or honestly decline (callers fall back to read()).
-  virtual std::int64_t zc_recv(int fd, std::span<fstack::FfZcRxBuf> out) {
-    (void)fd;
-    (void)out;
-    return -ENOTSUP;
-  }
-  virtual std::int64_t zc_recycle_batch(std::span<fstack::FfZcRxBuf> zcs) {
-    (void)zcs;
-    return -ENOTSUP;
-  }
+  // Zero-copy RX (API v2): every binding implements the loan path.
+  virtual std::int64_t zc_recv(int fd,
+                               std::span<fstack::FfZcRxBuf> out) = 0;
+  virtual std::int64_t zc_recycle_batch(
+      std::span<fstack::FfZcRxBuf> zcs) = 0;
 
   // API v3: the ff_uring unified boundary (fstack/uring.hpp). One attach
   // crossing arms a submission/completion capability-ring pair; from then
@@ -61,23 +54,11 @@ class FfOps {
   // crossing only on an empty->non-empty SQ transition while the stack is
   // parked. Zero-copy TX (OP_ZC_ALLOC / OP_ZC_SEND / OP_ZC_ABORT), QoS
   // class changes (OP_SET_CLASS) and multishot accept ride this ring.
-  // Defaults report -ENOTSUP; the Direct/Proxy bindings override.
   virtual int uring_attach(const machine::CapView& mem,
                            std::uint32_t sq_capacity,
-                           std::uint32_t cq_capacity) {
-    (void)mem;
-    (void)sq_capacity;
-    (void)cq_capacity;
-    return -ENOTSUP;
-  }
-  virtual int uring_detach(int id) {
-    (void)id;
-    return -ENOTSUP;
-  }
-  virtual int uring_doorbell(int id) {
-    (void)id;
-    return -ENOTSUP;
-  }
+                           std::uint32_t cq_capacity) = 0;
+  virtual int uring_detach(int id) = 0;
+  virtual int uring_doorbell(int id) = 0;
 
   // Retired: every call below answers -ENOTSUP, no binding overrides it,
   // and nothing in this library calls it. They survive only because a

@@ -69,7 +69,7 @@ int IperfServer::use_uring(machine::CapView ring_mem,
                            std::uint32_t cq_capacity) {
   fstack::FfUring ring(ring_mem, sq_capacity, cq_capacity);
   const int id = ops_->uring_attach(ring_mem, sq_capacity, cq_capacity);
-  if (id < 0) return id;  // -ENOTSUP bindings keep the classic paths
+  if (id < 0) return id;
   uring_ = ring;
   uring_id_ = id;
   // CQ-sized credit ledger (uring_proto.hpp): bursts may fill at most half
@@ -218,11 +218,6 @@ void IperfServer::drain_zero_copy(Conn& c) {
       ops_->zc_recycle_batch({loans, static_cast<std::size_t>(r)});
       continue;
     }
-    if (r == -ENOTSUP) {  // binding has no loan path: copy from here on
-      zero_copy_ = false;
-      drain(c);
-      return;
-    }
     if (r == 0) finish(c);  // EOF
     return;  // -EAGAIN or EOF
   }
@@ -308,7 +303,7 @@ int IperfClient::use_uring(machine::CapView ring_mem,
                            std::uint32_t cq_capacity, bool zero_copy) {
   fstack::FfUring ring(ring_mem, sq_capacity, cq_capacity);
   const int id = ops_->uring_attach(ring_mem, sq_capacity, cq_capacity);
-  if (id < 0) return id;  // -ENOTSUP bindings keep the classic writev path
+  if (id < 0) return id;
   uring_ = ring;
   uring_id_ = id;
   ur_zero_copy_ = zero_copy;

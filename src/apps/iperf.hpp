@@ -35,8 +35,7 @@ class IperfServer {
 
   /// `rx` must be a writable capability buffer (>= 16 KiB recommended).
   /// With `zero_copy`, connections drain through ff_zc_recv loans +
-  /// ff_zc_recycle instead of copying reads (falls back automatically when
-  /// the binding reports -ENOTSUP).
+  /// ff_zc_recycle instead of copying reads.
   IperfServer(FfOps* ops, sim::VirtualClock* clock, std::uint16_t port,
               machine::CapView rx, int expected_connections = 1,
               bool zero_copy = false);
@@ -48,7 +47,7 @@ class IperfServer {
   /// fds, readiness, zc loans and recycles all flow through the ring's CQ/
   /// SQ with zero crossings per op (the arming call is the one crossing).
   /// `ring_mem` must hold FfUring::bytes_for(sq, cq) bytes of app memory.
-  /// Returns 0 or -errno (-ENOTSUP bindings keep the classic paths).
+  /// Returns 0 or -errno.
   int use_uring(machine::CapView ring_mem, std::uint32_t sq_capacity,
                 std::uint32_t cq_capacity);
 
@@ -97,7 +96,7 @@ class IperfServer {
   int epfd_ = -1;  // iperf3 was ported onto epoll (paper §III-B)
   int expected_;
   std::atomic<int> completed_{0};
-  bool zero_copy_;
+  const bool zero_copy_;
   std::optional<fstack::FfUring> uring_;  // v3: the whole RX pipeline
   int uring_id_ = -1;
   // Per-connection burst credits (shared ledger in uring_proto.hpp): up to
@@ -132,7 +131,7 @@ class IperfClient {
   /// OP_ZC_ALLOC grants writable mbuf data rooms, the payload is composed
   /// in place, and OP_ZC_SEND queues retained references the stack holds
   /// until cumulative ACK — zero send-side byte copies. Returns 0 or
-  /// -errno (-ENOTSUP bindings keep the classic writev path).
+  /// -errno.
   int use_uring(machine::CapView ring_mem, std::uint32_t sq_capacity,
                 std::uint32_t cq_capacity, bool zero_copy = false);
 

@@ -393,23 +393,6 @@ inline bool push_close(fstack::FfUring& ring, int fd,
   return ring.sq_push(sqe) != fstack::FfUring::Push::kFull;
 }
 
-/// OP_EPOLL_CTL: add/del/mod `target` in epoll instance `epfd` through the
-/// ring (immediate-verdict CQE) instead of a proxied ff_epoll_ctl crossing.
-inline bool push_epoll_ctl(fstack::FfUring& ring, int epfd,
-                           fstack::EpollOp op, int target,
-                           std::uint32_t events, std::uint64_t data,
-                           std::uint64_t user_data) {
-  fstack::FfUringSqe sqe;
-  sqe.op = fstack::UringOp::kEpollCtl;
-  sqe.fd = epfd;
-  sqe.user_data = user_data;
-  sqe.a[0] = static_cast<std::uint64_t>(op);
-  sqe.a[1] = static_cast<std::uint64_t>(target);
-  sqe.a[2] = events;
-  sqe.a[3] = data;
-  return ring.sq_push(sqe) != fstack::FfUring::Push::kFull;
-}
-
 /// OP_SET_CLASS (v7): assign `fd`'s flow to QoS TX class `cls` through the
 /// ring (immediate-verdict CQE). On a listener the class propagates to
 /// subsequently accepted children.

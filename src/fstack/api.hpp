@@ -129,8 +129,8 @@
 //     before returning, so inline callers and Scenario-2 proxies keep
 //     synchronous wire progress); a full device ring defers staged frames
 //     to the next flush — backpressure, not loss;
-//   * receivers coalesce ACKs GRO-style (TcpConfig::ack_coalesce_segments,
-//     default every 8th in-order segment), which is what lets the
+//   * receivers coalesce ACKs GRO-style (every 8th in-order segment,
+//     kAckCoalesceSegments in tcp_input.cpp), which is what lets the
 //     ACK-clocked sender fill those bursts; a µs-scale idle flush
 //     (TcpConfig::ack_flush_timeout, the napi gro_flush_timeout analogue)
 //     ACKs a paused sub-threshold tail so small-cwnd flows stay
@@ -180,7 +180,7 @@
 //     PCBs; a full accept queue also refuses new SYNs): surplus SYNs are
 //     dropped and counted (TcpPcb::syn_backlog_drops), and the client's
 //     retransmit makes overflow a deferral, not a denial;
-//   * per-PCB protocol timers (RTO, delack, TIME_WAIT, keep-alive, ARP
+//   * per-PCB protocol timers (RTO, delack, persist, TIME_WAIT, ARP
 //     pending TTL) live in a hierarchical timing wheel
 //     (fstack/timer_wheel.hpp): a loop turn costs O(due timers), not
 //     O(connections) — the bench/churn_connection_scale.cpp census gates

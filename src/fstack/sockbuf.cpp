@@ -57,19 +57,6 @@ std::size_t SockBuf::writev_from(std::span<const FfIovec> iov) {
   return total;
 }
 
-std::size_t SockBuf::write_bytes(std::span<const std::byte> in) {
-  const std::size_t n = std::min(in.size(), free());
-  std::size_t done = 0;
-  while (done < n) {
-    const std::size_t tail = (head_ + used_) % cap_;
-    const std::size_t chunk = std::min(n - done, cap_ - tail);
-    mem_.write(tail, in.subspan(done, chunk));
-    used_ += chunk;
-    done += chunk;
-  }
-  return done;
-}
-
 void SockBuf::peek(std::size_t off, std::span<std::byte> out) const {
   if (off + out.size() > used_) {
     throw std::out_of_range("SockBuf::peek beyond buffered data");
@@ -81,23 +68,6 @@ void SockBuf::peek(std::size_t off, std::span<std::byte> out) const {
     mem_.read(pos, out.subspan(done, chunk));
     done += chunk;
   }
-}
-
-std::size_t SockBuf::read_into(const machine::CapView& dst,
-                               std::size_t dst_off, std::size_t n) {
-  n = std::min(n, used_);
-  std::byte scratch[kScratch];
-  std::size_t done = 0;
-  while (done < n) {
-    const std::size_t contig = std::min(n - done, cap_ - head_);
-    const std::size_t chunk = std::min(contig, sizeof scratch);
-    mem_.read(head_, std::span<std::byte>{scratch, chunk});
-    dst.write(dst_off + done, std::span<const std::byte>{scratch, chunk});
-    head_ = (head_ + chunk) % cap_;
-    used_ -= chunk;
-    done += chunk;
-  }
-  return done;
 }
 
 void SockBuf::consume(std::size_t n) {

@@ -41,16 +41,9 @@ class SockBuf {
   /// full; returns total bytes appended (a short count, never an error).
   std::size_t writev_from(std::span<const FfIovec> iov);
 
-  /// Append from host-side bytes (stack-internal producers).
-  std::size_t write_bytes(std::span<const std::byte> in);
-
   /// Copy bytes out at logical offset `off` from the head, without
   /// consuming (TCP uses this to build segments from unacked data).
   void peek(std::size_t off, std::span<std::byte> out) const;
-
-  /// Copy into a caller capability and consume. Returns bytes read.
-  std::size_t read_into(const machine::CapView& dst, std::size_t dst_off,
-                        std::size_t n);
 
   /// Drop `n` bytes from the head (cumulative ACK).
   void consume(std::size_t n);

@@ -3,7 +3,7 @@
 namespace cherinet::fstack {
 
 Socket* SocketTable::create(SockKind kind) {
-  if (open_ >= max_) return nullptr;
+  if (open_ >= kMaxSockets) return nullptr;
   // Reuse the lowest free slot (POSIX-like fd behaviour).
   std::size_t idx = 0;
   for (; idx < slots_.size(); ++idx) {

@@ -36,8 +36,8 @@ struct Socket {
 class SocketTable {
  public:
   static constexpr int kFirstFd = 3;
-
-  explicit SocketTable(std::size_t max_sockets) : max_(max_sockets) {}
+  /// Live sockets per stack; create() fails past this.
+  static constexpr std::size_t kMaxSockets = 1024;
 
   /// Allocate a socket; returns nullptr when the table is full.
   Socket* create(SockKind kind);
@@ -45,7 +45,6 @@ class SocketTable {
   [[nodiscard]] const Socket* get(int fd) const;
   /// Release the fd slot (the caller has already torn down protocol state).
   void release(int fd);
-  [[nodiscard]] std::size_t open_count() const noexcept { return open_; }
 
   /// Iterate live sockets.
   template <typename F>
@@ -56,7 +55,6 @@ class SocketTable {
   }
 
  private:
-  std::size_t max_;
   std::size_t open_ = 0;
   std::vector<std::unique_ptr<Socket>> slots_;
 };

@@ -29,7 +29,6 @@ FfStack::FfStack(StackConfig cfg, updk::EthDev* dev, updk::Mempool* pool,
       pool_(pool),
       heap_(heap),
       clock_(clock),
-      socks_(cfg_.max_sockets),
       iss_state_(cfg_.iss_seed) {
   // Negotiate offloads once at attach: the device reports its effective
   // per-queue capability set and the stack never requests past it, so a

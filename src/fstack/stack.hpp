@@ -42,7 +42,6 @@ struct NetifConfig {
 struct StackConfig {
   NetifConfig netif;
   TcpConfig tcp;
-  std::size_t max_sockets = 1024;
   std::uint64_t iss_seed = 0x9E3779B97F4A7C15ull;
   /// true  -> ff_write drives tcp_output inline (BSD sosend behaviour);
   /// false -> ff_write only queues into the send buffer and the main loop
@@ -237,11 +236,6 @@ class FfStack final : public TcpEnv {
     std::uint64_t spurious_rexmit_bytes = 0;  // rx-side duplicate payload
   };
   [[nodiscard]] TcpRecoveryStats tcp_recovery_stats() const;
-
-  /// ARP pending-queue accounting (parked frames, capped-queue drops).
-  [[nodiscard]] const ArpCache::Stats& arp_stats() const noexcept {
-    return arp_.stats();
-  }
 
   /// API-v2 accounting: how well callers amortize the per-call fixed costs.
   struct ApiStats {

@@ -8,6 +8,22 @@
 
 namespace cherinet::fstack {
 
+namespace {
+/// GRO/LRO-style ACK coalescing: force an immediate ACK only every Nth
+/// in-order full segment (modern stacks behind aggregating NICs stretch
+/// well past RFC 1122's every-second-segment SHOULD). A PSH-marked
+/// segment, an out-of-order signal, a window-reopening read, or the
+/// delayed-ACK timer still ACK at once, so latency-sensitive tails never
+/// wait. Fewer ACKs is also what lets the SENDER amortize its driver
+/// doorbell: each ACK-clocked wakeup emits a whole stretch of segments
+/// in one staged tx_burst. Congestion control counts acked BYTES
+/// (RFC 3465 style), so stretch ACKs do not starve cwnd growth.
+constexpr std::uint32_t kAckCoalesceSegments = 8;
+/// Out-of-order segments held for reassembly; later ones past a hole are
+/// dropped (and retransmitted by the sender).
+constexpr std::size_t kMaxOooSegments = 64;
+}  // namespace
+
 void TcpPcb::input(const TcpHeader& h, const TcpOptions& opts,
                    std::span<const std::byte> payload) {
   counters_.segs_in++;
@@ -23,16 +39,6 @@ void TcpPcb::input(const TcpHeader& h, const TcpOptions& opts,
       return;
     default:
       break;
-  }
-
-  // Any segment from the peer (even one we go on to reject) proves the
-  // connection alive: stamp the activity clock and reset the probe count.
-  // The armed wheel deadline is deliberately NOT touched (lazy re-arm):
-  // fire_keepalive compares against the stamp and re-arms without probing,
-  // so a hot connection costs zero timer_sync churn per segment.
-  if (keepalive_deadline_) {
-    keepalive_probes_sent_ = 0;
-    keepalive_last_activity_ = env_->tcp_now();
   }
 
   // ---- sequence acceptability (RFC 793 p.69) ----
@@ -329,8 +335,8 @@ void TcpPcb::process_payload(const TcpHeader& h,
     rcv_nxt_ += static_cast<std::uint32_t>(n);
     counters_.bytes_in += n;
     absorb_ooo();
-    if (++segs_since_ack_ >= std::max(1u, cfg_.ack_coalesce_segments)) {
-      // Stretch-ACK coalescing (TcpConfig::ack_coalesce_segments): ACK on
+    if (++segs_since_ack_ >= kAckCoalesceSegments) {
+      // Stretch-ACK coalescing (kAckCoalesceSegments): ACK on
       // the Nth in-order segment; the delayed-ACK timer bounds the wait
       // for any shorter tail.
       ack_now_ = true;
@@ -340,7 +346,7 @@ void TcpPcb::process_payload(const TcpHeader& h,
   } else {
     // Future segment: buffer for reassembly, signal the hole with a dupack.
     counters_.ooo_segs++;
-    if (ooo_.size() < cfg_.max_ooo_segments && !ooo_.contains(seq)) {
+    if (ooo_.size() < kMaxOooSegments && !ooo_.contains(seq)) {
       ooo_.emplace(seq, std::vector<std::byte>(data.begin(), data.end()));
     }
     ack_now_ = true;

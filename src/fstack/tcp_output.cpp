@@ -31,8 +31,8 @@ bool TcpPcb::send_segment(std::uint32_t seq, std::size_t payload_off,
   TcpOptions opts;
   if ((flags & tcpflag::kSyn) != 0) {
     opts.mss = cfg_.mss;
-    if (cfg_.use_wscale) opts.wscale = cfg_.wscale;
-    if (cfg_.use_timestamps) opts.timestamps = {env_->tcp_ts_now(), ts_recent_};
+    opts.wscale = kWscale;
+    opts.timestamps = {env_->tcp_ts_now(), ts_recent_};
   } else if (ts_on_) {
     opts.timestamps = {env_->tcp_ts_now(), ts_recent_};
   }
@@ -139,7 +139,7 @@ bool TcpPcb::output() {
     if (!sent_any && snd_wnd_ == 0 &&
         snd_.used() > (snd_nxt_ - snd_una_) && !persist_deadline_) {
       persist_deadline_ =
-          env_->tcp_now() + cfg_.persist_base * (1u << persist_shift_);
+          env_->tcp_now() + kPersistBase * (1u << persist_shift_);
     }
   }
 

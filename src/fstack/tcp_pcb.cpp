@@ -5,6 +5,11 @@
 
 namespace cherinet::fstack {
 
+namespace {
+// 2*MSL, shortened for simulation.
+constexpr sim::Ns kTimeWait{500'000'000};
+}  // namespace
+
 const char* to_string(TcpState s) noexcept {
   switch (s) {
     case TcpState::kClosed: return "CLOSED";
@@ -35,15 +40,6 @@ void TcpPcb::set_state(TcpState s) {
   state_ = s;
   if (s == TcpState::kSynReceived && listener != nullptr) {
     listener->syn_backlog++;
-  }
-  if (s == TcpState::kEstablished) {
-    keepalive_probes_sent_ = 0;
-    keepalive_last_activity_ = env_->tcp_now();
-    if (cfg_.keepalive_enabled) {
-      keepalive_deadline_ = env_->tcp_now() + cfg_.keepalive_idle;
-    }
-  } else {
-    keepalive_deadline_.reset();
   }
   if (s == TcpState::kClosed) {
     // A dead connection must never fire again; disarming here is also what
@@ -141,11 +137,11 @@ void TcpPcb::negotiate_options(const TcpOptions& opts, bool we_offered) {
   } else {
     mss_eff_ = std::min<std::uint16_t>(cfg_.mss, 536);
   }
-  ts_on_ = we_offered && cfg_.use_timestamps && opts.timestamps.has_value();
-  ws_on_ = we_offered && cfg_.use_wscale && opts.wscale.has_value();
+  ts_on_ = we_offered && opts.timestamps.has_value();
+  ws_on_ = we_offered && opts.wscale.has_value();
   if (ws_on_) {
     snd_wscale_ = std::min<std::uint8_t>(*opts.wscale, 14);
-    rcv_wscale_ = cfg_.wscale;
+    rcv_wscale_ = kWscale;
   }
   if (opts.timestamps) ts_recent_ = opts.timestamps->first;
   cwnd_ = cfg_.init_cwnd_segments * mss_eff_;
@@ -168,7 +164,7 @@ void TcpPcb::rtt_sample(sim::Ns rtt) {
 void TcpPcb::cc_on_new_ack(std::uint32_t acked_bytes) {
   if (cwnd_ < ssthresh_) {
     // Slow start: appropriate byte counting (RFC 3465) — grow by the bytes
-    // the ACK actually covers, so stretch ACKs (ack_coalesce_segments)
+    // the ACK actually covers, so stretch ACKs (kAckCoalesceSegments)
     // ramp exactly as fast as per-segment ACKs did.
     cwnd_ += acked_bytes;
   } else {
@@ -181,7 +177,7 @@ void TcpPcb::cc_on_new_ack(std::uint32_t acked_bytes) {
 
 void TcpPcb::enter_time_wait() {
   set_state(TcpState::kTimeWait);
-  time_wait_deadline_ = env_->tcp_now() + cfg_.time_wait;
+  time_wait_deadline_ = env_->tcp_now() + kTimeWait;
   rexmit_deadline_.reset();
   persist_deadline_.reset();
 }
@@ -212,7 +208,6 @@ std::optional<sim::Ns> TcpPcb::next_deadline() const {
   // exactly in its ack-flush side list instead.
   merge(persist_deadline_);
   merge(time_wait_deadline_);
-  merge(keepalive_deadline_);
   return d;
 }
 
@@ -231,9 +226,6 @@ bool TcpPcb::on_timer(sim::Ns now) {
   }
   if (delack_deadline_ && now >= *delack_deadline_) {
     progress |= fire_delack(now);
-  }
-  if (keepalive_deadline_ && now >= *keepalive_deadline_) {
-    progress |= fire_keepalive(now);
   }
   return progress;
 }

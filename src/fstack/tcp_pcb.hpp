@@ -56,51 +56,25 @@ struct TcpConfig {
   std::size_t sndbuf_bytes = 256 * 1024;
   std::size_t rcvbuf_bytes = 256 * 1024;
   std::uint16_t mss = 1448;  // with 12-byte timestamp option => 1500 MTU
-  bool use_timestamps = true;
-  bool use_wscale = true;
-  std::uint8_t wscale = 7;
   sim::Ns delack_timeout{40'000'000};     // 40 ms
   /// GRO/NAPI-style idle flush bound on ACK coalescing: every in-order
   /// segment slides this deadline forward, so a pending coalesced ACK
   /// leaves this soon after the arrival stream PAUSES (the delayed-ACK
   /// timer stays as the outer protocol bound). Without it a sender whose
-  /// flight is below ack_coalesce_segments becomes delack-clocked — each
-  /// window waits the full delack_timeout for its ACK, collapsing goodput
-  /// exactly when loss recovery has shrunk cwnd. Real aggregating NICs
-  /// bound the stretch the same way (napi gro_flush_timeout, tens of µs).
-  /// 0 disables the flush (pure count + delack coalescing). Wheel-free:
-  /// FfStack tracks these µs-scale deadlines exactly in a side list — the
-  /// timing wheel's ~0.5 ms tick would erase the point of the bound.
+  /// flight is below the stretch-ACK count (kAckCoalesceSegments,
+  /// tcp_input.cpp) becomes delack-clocked — each window waits the full
+  /// delack_timeout for its ACK, collapsing goodput exactly when loss
+  /// recovery has shrunk cwnd. Real aggregating NICs bound the stretch the
+  /// same way (napi gro_flush_timeout, tens of µs). 0 disables the flush
+  /// (pure count + delack coalescing). Wheel-free: FfStack tracks these
+  /// µs-scale deadlines exactly in a side list — the timing wheel's ~0.5 ms
+  /// tick would erase the point of the bound.
   sim::Ns ack_flush_timeout{50'000};      // 50 µs
   sim::Ns min_rto{200'000'000};           // 200 ms
   sim::Ns max_rto{60'000'000'000};        // 60 s
   sim::Ns initial_rto{1'000'000'000};     // RFC 6298 §2
-  sim::Ns persist_base{500'000'000};      // zero-window probe base
-  sim::Ns time_wait{500'000'000};         // 2*MSL, shortened for simulation
   std::uint32_t init_cwnd_segments = 10;  // RFC 6928
   std::uint32_t max_rexmit = 12;          // give up after ~12 backoffs
-  std::uint32_t max_ooo_segments = 64;
-  /// GRO/LRO-style ACK coalescing: force an immediate ACK only every Nth
-  /// in-order full segment (modern stacks behind aggregating NICs stretch
-  /// well past RFC 1122's every-second-segment SHOULD). A PSH-marked
-  /// segment, an out-of-order signal, a window-reopening read, or the
-  /// delayed-ACK timer still ACK at once, so latency-sensitive tails never
-  /// wait. Fewer ACKs is also what lets the SENDER amortize its driver
-  /// doorbell: each ACK-clocked wakeup emits a whole stretch of segments
-  /// in one staged tx_burst. Congestion control counts acked BYTES
-  /// (RFC 3465 style), so stretch ACKs do not starve cwnd growth.
-  std::uint32_t ack_coalesce_segments = 8;
-  /// Keep-alive (SO_KEEPALIVE-style, default OFF like BSD/Linux): an idle
-  /// established connection probes the peer with a below-window ACK after
-  /// `keepalive_idle`, re-probing every `keepalive_intvl` until an answer
-  /// arrives or `keepalive_probes` go unanswered (then ETIMEDOUT). Off by
-  /// default so idle test connections do not wake hours into virtual time;
-  /// the C1M churn census enables it to populate the timer wheel with one
-  /// long-dated deadline per idle PCB.
-  bool keepalive_enabled = false;
-  sim::Ns keepalive_idle{7'200'000'000'000};  // 2 h
-  sim::Ns keepalive_intvl{75'000'000'000};    // 75 s
-  std::uint32_t keepalive_probes = 9;
   /// TSO super-segment bound in MSS multiples: output() may emit up to
   /// tso_max_segs * mss_eff bytes as ONE segment when the queue negotiated
   /// kOffloadTxTso (the device slices it back into MSS wire frames).
@@ -327,6 +301,11 @@ class TcpPcb {
  private:
   friend class StackTcpAccess;  // test/diagnostic backdoor
 
+  /// Window-scale shift offered on our SYN (the peer's is clamped to 14).
+  static constexpr std::uint8_t kWscale = 7;
+  /// Zero-window probe base interval, doubled per unanswered probe.
+  static constexpr sim::Ns kPersistBase{500'000'000};
+
   // --- input helpers (tcp_input.cpp) ---
   void input_listen(const TcpHeader& h, const TcpOptions& opts);
   void input_syn_sent(const TcpHeader& h, const TcpOptions& opts);
@@ -350,12 +329,11 @@ class TcpPcb {
   bool fire_rexmit(sim::Ns now);
   bool fire_delack(sim::Ns now);
   bool fire_persist(sim::Ns now);
-  bool fire_keepalive(sim::Ns now);
 
   /// The single state-transition choke point: maintains the listener's
-  /// embryonic-SYN count, arms/disarms keep-alive with the established
-  /// state, and disarms every timer on entry to kClosed (nothing may fire
-  /// on a dead connection — the wheel unregisters it on the next sync).
+  /// embryonic-SYN count and disarms every timer on entry to kClosed
+  /// (nothing may fire on a dead connection — the wheel unregisters it on
+  /// the next sync).
   void set_state(TcpState s);
 
   TcpEnv* env_;
@@ -409,16 +387,8 @@ class TcpPcb {
   std::optional<sim::Ns> ack_flush_deadline_;  // GRO idle-flush (sub-tick)
   std::optional<sim::Ns> persist_deadline_;
   std::optional<sim::Ns> time_wait_deadline_;
-  std::optional<sim::Ns> keepalive_deadline_;
-  // Lazy keep-alive arming (Linux-style): input traffic only STAMPS this —
-  // the wheel deadline is left alone, so a hot connection never churns
-  // timer_sync. When the (stale) deadline fires, fire_keepalive compares
-  // against the stamp and silently re-arms at stamp + idle if the
-  // connection was active — the probe cost is paid only on true quiescence.
-  sim::Ns keepalive_last_activity_{};
   std::uint32_t rexmit_shift_ = 0;
   std::uint32_t persist_shift_ = 0;
-  std::uint32_t keepalive_probes_sent_ = 0;
 
   // ACK strategy.
   bool ack_pending_ = false;  // delayed ACK armed

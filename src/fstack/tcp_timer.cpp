@@ -87,36 +87,7 @@ bool TcpPcb::fire_persist(sim::Ns now) {
     arm_rexmit();
   }
   persist_shift_ = std::min(persist_shift_ + 1, 6u);
-  persist_deadline_ = now + cfg_.persist_base * (1u << persist_shift_);
-  return true;
-}
-
-bool TcpPcb::fire_keepalive(sim::Ns now) {
-  keepalive_deadline_.reset();
-  if (!cfg_.keepalive_enabled || state_ != TcpState::kEstablished) {
-    return false;
-  }
-  // Lazy arming: traffic since the deadline was set only stamped the
-  // activity clock. If the connection was not truly idle for a full
-  // keepalive_idle window, re-arm relative to the last activity and skip
-  // the probe — the deadline moves once per idle window, not per segment.
-  if (keepalive_probes_sent_ == 0 &&
-      now < keepalive_last_activity_ + cfg_.keepalive_idle) {
-    keepalive_deadline_ = keepalive_last_activity_ + cfg_.keepalive_idle;
-    return true;  // deadline changed: the caller re-syncs the wheel
-  }
-  if (keepalive_probes_sent_ >= cfg_.keepalive_probes) {
-    error_ = ETIMEDOUT;
-    set_state(TcpState::kClosed);
-    snd_.release_all();
-    return true;
-  }
-  ++keepalive_probes_sent_;
-  // Probe one byte below the window (seq = snd_una - 1, no payload): the
-  // peer's acceptability check rejects the stale sequence and answers with
-  // a bare ACK — the liveness signal that resets the idle timer on input.
-  send_segment(snd_una_ - 1, 0, 0, tcpflag::kAck);
-  keepalive_deadline_ = now + cfg_.keepalive_intvl;
+  persist_deadline_ = now + kPersistBase * (1u << persist_shift_);
   return true;
 }
 

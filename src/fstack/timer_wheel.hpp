@@ -2,7 +2,7 @@
 // C1M-scale replacement for walking every PCB on every loop turn.
 //
 // A stack serving a million mostly-idle connections has a million armed
-// timers (keep-alive, TIME_WAIT, the odd RTO) of which only a handful are
+// timers (idle timeouts, TIME_WAIT, the odd RTO) of which only a handful are
 // due on any given iteration. The previous FfStack::process_timers was
 // O(PCBs) per turn; this wheel makes a turn O(due + slots visited): timers
 // register absolute virtual-time deadlines into 4 cascading levels of 64
@@ -12,9 +12,9 @@
 //
 // Geometry: tick = 2^19 ns (~0.52 ms), levels span ~33 ms / ~2.1 s /
 // ~2.2 min / ~2.4 h; deadlines beyond the top level park on an overflow
-// list that is rescanned whenever the top-level cursor advances. Keep-alive
-// idle times (2 h) fit inside level 3, so the overflow list is empty in
-// steady state.
+// list that is rescanned whenever the top-level cursor advances. Idle
+// timeouts of up to ~2 h (the churn census parks 10^6 of them) fit inside
+// level 3, so the overflow list is empty in steady state.
 //
 // Correctness contract with TwoStacks::pump_until (which advances the
 // virtual clock to the earliest next_deadline() when nothing progresses):
@@ -87,7 +87,7 @@ class TimerWheel {
   /// (valid because every slot entry is strictly ahead of the cursor, so
   /// ring order is deadline order). The old behaviour — re-walking the
   /// first occupied slot's whole chain on EVERY idle stall, ~92 µs with
-  /// 10^6 idle timers parked in one keep-alive slot — is now paid only when
+  /// 10^6 idle timers parked in one slot — is now paid only when
   /// the cached minimum actually left the level.
   [[nodiscard]] std::optional<sim::Ns> next_deadline() const;
 

@@ -105,8 +105,6 @@ class TxChain {
     return capacity() - used_;
   }
   [[nodiscard]] bool empty() const noexcept { return used_ == 0; }
-  /// Whether admission caches per-slice partial checksums (software path).
-  [[nodiscard]] bool caches_csums() const noexcept { return cache_csums_; }
 
   /// Gather-append a pre-validated iovec batch through the copy path.
   /// Returns total bytes appended (short count when the budget fills).

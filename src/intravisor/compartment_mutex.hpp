@@ -34,11 +34,6 @@ class CompartmentMutex {
   void lock(MuslLibc* libc);
   void unlock(MuslLibc* libc);
 
-  /// True when some thread has announced contention on the word (state 2).
-  [[nodiscard]] bool has_waiters() const {
-    return word_.mem().atomic_load_u32(word_.cap(), word_.address()) == 2;
-  }
-
   [[nodiscard]] std::uint64_t fast_acquires() const noexcept {
     return fast_.load(std::memory_order_relaxed);
   }

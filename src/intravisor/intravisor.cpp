@@ -64,7 +64,6 @@ std::vector<FaultReport> Intravisor::fault_log() const {
 std::int64_t SyscallRouter::route(SyscallRequest& req) {
   using host::FutexOp;
   using host::MuslSyscall;
-  routed_.fetch_add(1, std::memory_order_relaxed);
 
   switch (req.nr) {
     case MuslSyscall::kClockGettime: {

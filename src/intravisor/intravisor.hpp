@@ -60,7 +60,6 @@ class Intravisor {
 
   /// Create and register a new cVM with a freshly carved heap region.
   CVM& create_cvm(const std::string& name, std::size_t heap_bytes = 8u << 20);
-  [[nodiscard]] std::size_t cvm_count() const noexcept { return cvms_.size(); }
   [[nodiscard]] CVM& cvm(std::size_t i) { return *cvms_.at(i); }
 
   /// Carve a shared region and return the Intravisor's full view of it;

@@ -7,7 +7,6 @@
 namespace cherinet::iv {
 
 std::int64_t MuslLibc::issue(SyscallRequest& req) {
-  syscalls_.fetch_add(1, std::memory_order_relaxed);
   if (trampoline_ != nullptr) return trampoline_->invoke(req);
   if (cost_ != nullptr) cost_->charge(cost_->direct_syscall);
   return router_->route(req);

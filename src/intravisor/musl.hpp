@@ -9,7 +9,6 @@
 // changes, exactly as in the paper).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 #include "intravisor/syscall_router.hpp"
@@ -49,9 +48,6 @@ class MuslLibc {
   [[nodiscard]] bool uses_trampoline() const noexcept {
     return trampoline_ != nullptr;
   }
-  [[nodiscard]] std::uint64_t syscall_count() const noexcept {
-    return syscalls_.load(std::memory_order_relaxed);
-  }
 
  private:
   std::int64_t issue(SyscallRequest& req);
@@ -60,10 +56,6 @@ class MuslLibc {
   const sim::CostModel* cost_ = nullptr; // direct mode
   Trampoline* trampoline_ = nullptr;     // trampoline mode
   machine::CapView scratch_;             // timespec landing zone
-  // One MuslLibc is shared by every thread of its cVM (the shard loops
-  // issue futex wait/wake through it concurrently), so the census counter
-  // must be atomic.
-  std::atomic<std::uint64_t> syscalls_{0};
 };
 
 }  // namespace cherinet::iv

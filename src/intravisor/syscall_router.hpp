@@ -38,16 +38,12 @@ class SyscallRouter {
   std::int64_t route(SyscallRequest& req);
 
   [[nodiscard]] host::HostOS& os() noexcept { return *os_; }
-  [[nodiscard]] std::uint64_t routed_total() const noexcept {
-    return routed_.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] std::uint64_t futex_translations() const noexcept {
     return futex_translated_.load(std::memory_order_relaxed);
   }
 
  private:
   host::HostOS* os_;
-  std::atomic<std::uint64_t> routed_{0};
   std::atomic<std::uint64_t> futex_translated_{0};
 };
 

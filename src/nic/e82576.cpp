@@ -208,10 +208,9 @@ E82576Port::Stats E82576Port::stats() const {
     agg.tso_frames += q.stats.tso_frames;
     agg.tso_bytes += q.stats.tso_bytes;
   }
-  // Pre-classification rejects (CRC, length, MAC filter) are port-level.
+  // Pre-classification rejects (CRC, length) are port-level.
   agg.rx_crc_errors = port_stats_.rx_crc_errors;
   agg.rx_length_errors = port_stats_.rx_length_errors;
-  agg.rx_filtered = port_stats_.rx_filtered;
   return agg;
 }
 
@@ -492,13 +491,6 @@ void E82576Port::process_rx(E82576Device& dev) {
           bad.has_value()) {
         queues_[*bad].stats.rx_crc_errors++;
       }
-      continue;
-    }
-    // MAC destination filter.
-    MacAddr dst;
-    std::memcpy(dst.bytes.data(), f.data.data(), 6);
-    if (!promisc_ && !(dst == mac_) && !dst.is_broadcast()) {
-      port_stats_.rx_filtered++;
       continue;
     }
     const std::span<const std::byte> payload{f.data.data(), payload_len};

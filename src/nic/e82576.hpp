@@ -163,7 +163,6 @@ class E82576Port {
   [[nodiscard]] std::uint32_t read_tdh() const { return read_tdh(0); }
 
   void enable() noexcept { enabled_ = true; }
-  void set_promiscuous(bool on) noexcept { promisc_ = on; }
   [[nodiscard]] bool link_up() const noexcept {
     return enabled_ && wire_ != nullptr;
   }
@@ -197,7 +196,6 @@ class E82576Port {
     std::uint64_t rx_no_desc = 0;   // ring-full drops
     std::uint64_t rx_crc_errors = 0;     // FCS mismatch only
     std::uint64_t rx_length_errors = 0;  // runts and oversize (ROC/RUC)
-    std::uint64_t rx_filtered = 0;  // MAC filter rejects
     std::uint64_t tso_frames = 0;   // wire frames produced by TSO slicing
     std::uint64_t tso_bytes = 0;    // payload bytes carried by those frames
   };
@@ -268,7 +266,6 @@ class E82576Port {
   int wire_side_ = 0;
   int index_ = 0;  // port number on the card (selects the DMA grant)
   bool enabled_ = false;
-  bool promisc_ = true;  // DPDK default for these experiments
 
   // One mutex per port: RX classification (wire drain + descriptor fill for
   // ANY queue) and register writes serialize here. TX descriptor fetch for
@@ -278,7 +275,7 @@ class E82576Port {
   std::vector<Queue> queues_{1};
   RssReta reta_ = make_default_reta(1);
   std::array<L4Filter, kMaxL4Filters> l4_filters_{};
-  Stats port_stats_;  // pre-classification rejects (CRC, length, MAC filter)
+  Stats port_stats_;  // pre-classification rejects (CRC, length)
 };
 
 class E82576Device {
@@ -298,7 +295,6 @@ class E82576Device {
   /// Device poll: advance TX/RX state machines of both ports, all queues.
   /// Called from driver rx/tx burst paths (polling model).
   void poll(sim::Ns now);
-  void poll_port(int i, sim::Ns now) { ports_.at(i).process(*this, now); }
   /// Per-queue poll: TX for the CALLER'S queue only, plus the shared RX
   /// drain (which classifies into every queue). The only device entry a
   /// shard's driver thread uses.

@@ -126,7 +126,6 @@ class ImpairmentEngine {
     return prof_;
   }
   [[nodiscard]] bool enabled() const noexcept { return prof_.enabled(); }
-  [[nodiscard]] bool in_burst() const noexcept { return ge_bad_; }
 
   /// Advance the PRNG and decide the fate of the next transmitted frame.
   /// Knob order is fixed (GE state, burst loss, uniform loss, duplicate,

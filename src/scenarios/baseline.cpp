@@ -2,15 +2,18 @@
 
 namespace cherinet::scen {
 
+namespace {
+constexpr std::size_t kHeapBytes = 48u << 20;
+}  // namespace
+
 BaselineProcess::BaselineProcess(iv::Intravisor& host_os,
                                  nic::E82576Device& card, int port,
                                  const InstanceConfig& cfg,
-                                 const std::string& name,
-                                 std::size_t heap_bytes) {
+                                 const std::string& name) {
   auto& as = host_os.address_space();
   heap_ = std::make_unique<machine::CompartmentHeap>(
       &as.mem(),
-      as.carve(heap_bytes, cheri::PermSet::data_rw(), name + "-heap"));
+      as.carve(kHeapBytes, cheri::PermSet::data_rw(), name + "-heap"));
   inst_ = std::make_unique<FullStackInstance>(
       card, port, *heap_, *host_os.host().vclock(), cfg);
   ops_ = std::make_unique<apps::DirectFfOps>(&inst_->stack());

@@ -19,8 +19,7 @@ namespace cherinet::scen {
 class BaselineProcess {
  public:
   BaselineProcess(iv::Intravisor& host_os, nic::E82576Device& card, int port,
-                  const InstanceConfig& cfg, const std::string& name,
-                  std::size_t heap_bytes = 48u << 20);
+                  const InstanceConfig& cfg, const std::string& name);
 
   [[nodiscard]] FullStackInstance& instance() noexcept { return *inst_; }
   [[nodiscard]] apps::FfOps& ops() noexcept { return *ops_; }

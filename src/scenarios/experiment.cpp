@@ -43,8 +43,11 @@ const char* to_string(Direction d) noexcept {
 // ===========================================================================
 
 MorelloTestbed::MorelloTestbed(TestbedOptions opt) : opt_(opt) {
+  // The emulated Morello board's address space: every compartment heap and
+  // both peers' heaps are carved from it.
+  constexpr std::size_t kMemoryBytes = 448u << 20;
   iv::Intravisor::Config cfg;
-  cfg.memory_bytes = opt_.memory_bytes;
+  cfg.memory_bytes = kMemoryBytes;
   cfg.cost = opt_.cost;
   cfg.vclock = &clock_;
   iv_ = std::make_unique<iv::Intravisor>(cfg);

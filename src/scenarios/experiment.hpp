@@ -46,7 +46,6 @@ enum class Direction : std::uint8_t { kMorelloReceives, kMorelloSends };
 struct TestbedOptions {
   sim::Testbed phys = sim::Testbed::morello_82576();
   sim::CostModel cost = sim::CostModel::morello();
-  std::size_t memory_bytes = 448u << 20;
   bool inline_tcp_output = true;
   std::uint16_t mss = 1448;
   /// Morello-side TCP send buffer. Sized ABOVE the peer's receive window

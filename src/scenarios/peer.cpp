@@ -2,6 +2,10 @@
 
 namespace cherinet::scen {
 
+namespace {
+constexpr std::size_t kHeapBytes = 32u << 20;
+}  // namespace
+
 PeerHost::PeerHost(Config cfg, machine::AddressSpace& as,
                    sim::VirtualClock& clock, nic::Wire& wire,
                    int wire_side)
@@ -12,7 +16,7 @@ PeerHost::PeerHost(Config cfg, machine::AddressSpace& as,
   card_->connect(0, &wire, wire_side);
   heap_ = std::make_unique<machine::CompartmentHeap>(
       &as.mem(),
-      as.carve(cfg_.heap_bytes, cheri::PermSet::data_rw(),
+      as.carve(kHeapBytes, cheri::PermSet::data_rw(),
                cfg_.name + "-heap"));
   inst_ = std::make_unique<FullStackInstance>(*card_, 0, *heap_, clock,
                                               cfg_.inst);

@@ -21,7 +21,6 @@ class PeerHost {
   struct Config {
     std::string name = "peer";
     InstanceConfig inst;
-    std::size_t heap_bytes = 32u << 20;
   };
 
   PeerHost(Config cfg, machine::AddressSpace& as, sim::VirtualClock& clock,
@@ -45,10 +44,6 @@ class PeerHost {
   [[nodiscard]] bool workload_finished() const;
   [[nodiscard]] const apps::IperfServer* server() const {
     return server_.get();
-  }
-  [[nodiscard]] const std::vector<std::unique_ptr<apps::IperfClient>>&
-  clients() const {
-    return clients_;
   }
   [[nodiscard]] fstack::FfStack& stack() { return inst_->stack(); }
 

@@ -18,8 +18,7 @@ namespace cherinet::scen {
 class Scenario1Cvm {
  public:
   Scenario1Cvm(iv::Intravisor& iv, nic::E82576Device& card, int port,
-               const InstanceConfig& cfg, const std::string& name,
-               std::size_t heap_bytes = 48u << 20);
+               const InstanceConfig& cfg, const std::string& name);
 
   [[nodiscard]] iv::CVM& cvm() noexcept { return *cvm_; }
   [[nodiscard]] FullStackInstance& instance() noexcept { return *inst_; }

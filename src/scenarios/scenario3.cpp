@@ -16,6 +16,8 @@ constexpr std::uint16_t kEchoPortBase = 7000;
 constexpr std::uint16_t kHostilePortBase = 7800;
 constexpr std::uint32_t kHostileSq = 16;
 constexpr std::uint32_t kHostileCq = 32;
+// Adversary j draws its abuse sequence from kHostileSeed + j.
+constexpr std::uint64_t kHostileSeed = 0x53EDu;
 
 /// MAVLink-v1 telemetry stream: heartbeat + attitude frames rendered once
 /// into the tx buffer, then streamed over TCP like any telemetry downlink.
@@ -160,7 +162,7 @@ Scenario3Outcome run_scenario3_fleet(const Scenario3Options& s3,
         const machine::CapView ring = rig.alloc(
             fstack::FfUring::bytes_for(kHostileSq, kHostileCq), sl.ep);
         sl.evil = std::make_unique<HostileTenant>(
-            ops, ring, kHostileSq, kHostileCq, *spec.hostile, s3.seed + j,
+            ops, ring, kHostileSq, kHostileCq, *spec.hostile, kHostileSeed + j,
             port(kHostilePortBase));
         return;
       }
@@ -219,11 +221,9 @@ Scenario3Outcome run_scenario3_fleet(const Scenario3Options& s3,
   // Post-run control-plane pass: evict the hostile tenants (nothing steps
   // any more, so the evictions run against a settled stack) and harvest
   // every census.
-  if (s3.evict_hostile) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (s3.tenants[j].hostile && svc.evict(slot[j].tid) == 0) {
-        out.evicted++;
-      }
+  for (std::size_t j = 0; j < n; ++j) {
+    if (s3.tenants[j].hostile && svc.evict(slot[j].tid) == 0) {
+      out.evicted++;
     }
   }
   for (std::size_t j = 0; j < n; ++j) {

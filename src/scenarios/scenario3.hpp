@@ -54,8 +54,6 @@ struct Scenario3TenantSpec {
 struct Scenario3Options {
   std::vector<Scenario3TenantSpec> tenants;
   std::uint64_t bytes_per_tenant = 96 * 1024;
-  bool evict_hostile = true;  // evict adversaries once the victims finish
-  std::uint64_t seed = 0x53EDu;
 };
 
 struct TenantOutcome {

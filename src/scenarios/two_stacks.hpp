@@ -34,7 +34,7 @@ class TwoStacks {
   [[nodiscard]] machine::AddressSpace& address_space() { return as_; }
   [[nodiscard]] sim::VirtualClock& clock() { return clock_; }
   [[nodiscard]] nic::Wire& wire() { return wire_; }
-  /// The NIC device models (MAC-level stats: FCS rejects, filter drops).
+  /// The NIC device models (MAC-level stats: FCS and length rejects).
   [[nodiscard]] nic::E82576Device& card_a() { return card_a_; }
   [[nodiscard]] nic::E82576Device& card_b() { return card_b_; }
   [[nodiscard]] fstack::Ipv4Addr ip_a() const {

@@ -37,12 +37,6 @@ struct Testbed {
   std::uint16_t mtu = 1500;
   std::uint16_t mss = 1448;  // 1500 - 20 IP - 20 TCP - 12 timestamp option
 
-  /// Wire occupancy of one frame whose on-the-wire size (hdr+payload, no
-  /// FCS) is `frame_bytes`.
-  [[nodiscard]] std::uint64_t wire_overhead_bytes() const noexcept {
-    return preamble_bytes + ifg_bytes + fcs_bytes;
-  }
-
   [[nodiscard]] static Testbed morello_82576() noexcept { return Testbed{}; }
 
   /// An idealized testbed without the PCI bottleneck (for unit tests).

@@ -3,6 +3,9 @@
 namespace cherinet::updk {
 
 namespace {
+// Every pool's per-mbuf data room: a 2 KiB frame buffer behind the headroom.
+constexpr std::uint32_t kDataRoom = 2048 + kMbufHeadroom;
+
 // TSO slicing re-inserts the TCP checksum per wire frame, so a TSO request
 // without TCP checksum insertion is incoherent — imply it, like igb does.
 EthConf normalized_eth(EthConf eth) {
@@ -23,7 +26,7 @@ PortResources Eal::attach_port(nic::E82576Device& card, int port,
   card.attach_dma(port, dma_grant);
 
   PortResources res;
-  res.pool = std::make_unique<Mempool>(&heap, cfg.n_mbufs, cfg.data_room);
+  res.pool = std::make_unique<Mempool>(&heap, cfg.n_mbufs, kDataRoom);
   res.dev = std::make_unique<E82576Pmd>(name + std::to_string(port), &card,
                                         port, &heap, res.pool.get(), &clock,
                                         normalized_eth(cfg.eth));
@@ -46,7 +49,7 @@ PortResources Eal::attach_port_queue(nic::E82576Device& card, int port,
     card.port(port).configure_queues(queue_count);
   }
   PortResources res;
-  res.pool = std::make_unique<Mempool>(&heap, cfg.n_mbufs, cfg.data_room);
+  res.pool = std::make_unique<Mempool>(&heap, cfg.n_mbufs, kDataRoom);
   res.dev = std::make_unique<E82576Pmd>(
       name + std::to_string(port) + "q" + std::to_string(queue), &card, port,
       queue, &heap, res.pool.get(), &clock, normalized_eth(cfg.eth));

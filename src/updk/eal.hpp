@@ -25,7 +25,6 @@ struct PortResources {
 
 struct EalConfig {
   std::uint32_t n_mbufs = 2048;
-  std::uint32_t data_room = 2048 + kMbufHeadroom;
   EthConf eth{};
 };
 

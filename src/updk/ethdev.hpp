@@ -37,7 +37,6 @@ inline constexpr std::uint32_t kOffloadAll = kOffloadDefault | kOffloadTxTso;
 struct EthConf {
   std::uint32_t rx_ring_size = 512;
   std::uint32_t tx_ring_size = 512;
-  bool promiscuous = true;
   /// Requested offload capabilities. The driver masks this to what the
   /// hardware supports; EthDev::offloads() reports the effective set the
   /// stack negotiates against at attach. 0 = pure software path.

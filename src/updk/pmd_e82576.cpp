@@ -34,9 +34,7 @@ E82576Pmd::E82576Pmd(std::string name, nic::E82576Device* dev, int port,
   offloads_ = conf_.offloads & kOffloadAll;
   setup_rx_ring();
   setup_tx_ring();
-  auto& p = dev_->port(port_);
-  p.set_promiscuous(conf_.promiscuous);
-  p.enable();
+  dev_->port(port_).enable();
 }
 
 void E82576Pmd::setup_rx_ring() {

@@ -1,7 +1,7 @@
 // Deeper protocol behaviours: zero-window persist probing, delayed-ACK
-// timing, TIME_WAIT reaping, representable-alignment properties, and
-// regression checks for the allocator/compression interplay that keeps
-// compartments disjoint.
+// timing, TIME_WAIT reaping, idle quiescence, representable-alignment
+// properties, and regression checks for the allocator/compression
+// interplay that keeps compartments disjoint.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -127,6 +127,73 @@ TEST(TcpTimeWait, PcbIsReapedAfterTimeWait) {
   EXPECT_GE(bfd2, 0);
 }
 
+// An idle established connection is quiescent: once the last delayed or
+// coalesced ACK has left, neither side keeps a protocol timer on the wheel,
+// so hours of virtual idleness put no frame on the wire and the connection
+// is still usable afterwards.
+TEST(TcpTimers, IdleEstablishedPairArmsNoTimer) {
+  TwoStacks ts;
+  const Conn c = establish(ts, 5201);
+  const TcpPcb* pa = sender_pcb(ts);
+  ASSERT_NE(pa, nullptr);
+  const TcpPcb* pb = ts.b().find_pcb(
+      {ts.ip_b(), 5201, ts.ip_a(), pa->tuple().local_port});
+  ASSERT_NE(pb, nullptr);
+
+  const std::size_t n = 6 * 1024;
+  auto src = ts.heap_a().alloc_view(n);
+  auto dst = ts.heap_b().alloc_view(n);
+  const auto transfer = [&](std::uint8_t salt) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      src.store<std::uint8_t>(i, static_cast<std::uint8_t>(i * 7 + salt));
+    }
+    std::size_t sent = 0, got = 0;
+    ts.pump_until([&] {
+      if (sent < n) {
+        const auto w = ff_write(ts.a(), c.afd, src.window(sent, n - sent),
+                                n - sent);
+        if (w > 0) sent += static_cast<std::size_t>(w);
+      }
+      const auto r = ff_read(ts.b(), c.bfd, dst.window(got, n - got),
+                             n - got);
+      if (r > 0) got += static_cast<std::size_t>(r);
+      return got == n;
+    });
+    ASSERT_EQ(got, n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ASSERT_EQ(dst.load<std::uint8_t>(i), src.load<std::uint8_t>(i));
+    }
+  };
+  transfer(1);
+
+  // Let the last delayed/coalesced ACK leave; then only the ARP sentinel
+  // may remain on either wheel.
+  ASSERT_TRUE(ts.pump_until([&] {
+    const auto sa = pa->debug_snapshot();
+    const auto sb = pb->debug_snapshot();
+    return !sa.ack_pending && !sb.ack_pending && sa.snd_una == sa.snd_nxt &&
+           !sa.rexmit_armed && !sb.delack_armed && !sa.delack_armed;
+  }));
+  EXPECT_FALSE(pa->next_deadline().has_value());
+  EXPECT_FALSE(pb->next_deadline().has_value());
+  EXPECT_LE(ts.a().timer_wheel().size(), 1u);
+  EXPECT_LE(ts.b().timer_wheel().size(), 1u);
+
+  const auto frames_out = [&] {
+    return ts.card_a().port(0).stats().tx_packets +
+           ts.card_b().port(0).stats().tx_packets;
+  };
+  const std::uint64_t before = frames_out();
+  const sim::Ns two_hours{7'200'000'000'000};
+  ts.clock().advance_to(ts.clock().now() + two_hours);
+  ts.pump(1000);
+  EXPECT_EQ(frames_out(), before) << "an idle connection put a frame out";
+  EXPECT_EQ(pa->state(), TcpState::kEstablished);
+  EXPECT_EQ(pb->state(), TcpState::kEstablished);
+
+  transfer(2);  // still usable, byte-identical
+}
+
 TEST(TcpNagleFree, SmallWriteWithNoOutstandingDataGoesImmediately) {
   TwoStacks ts;
   const Conn c = establish(ts, 5201);
@@ -245,7 +312,7 @@ TEST(TcpRtoProps, BackoffUnderJitterStaysClampedAndKarnProtectsSrtt) {
       << "RTO still inflated after a valid sample";
 }
 
-// A sender whose flight sits below ack_coalesce_segments must stay
+// A sender whose flight sits below the stretch-ACK count must stay
 // ACK-clocked, not delack-clocked: the GRO idle flush
 // (TcpConfig::ack_flush_timeout) ACKs a paused sub-threshold burst µs after
 // the arrival stream stops, so a small-cwnd flow never waits the full
@@ -277,7 +344,7 @@ TEST(TcpAckFlush, SmallCwndFlowIsNotDelackClocked) {
     return (ts.clock().now() - start).count();
   };
   TcpConfig tcp;
-  tcp.init_cwnd_segments = 4;  // below ack_coalesce_segments (8)
+  tcp.init_cwnd_segments = 4;  // below the stretch-ACK count (8)
   // The first window is 4 full segments with data still queued behind them
   // (no PSH): without the flush the receiver holds that ACK for the 40 ms
   // delack timeout and the whole transfer pays it. One delack round alone
