@@ -5,9 +5,10 @@
 # CMakeLists.txt — all on the lockstep rig, so the sanitizer leg gates
 # them too), then diffs every smoke artifact against its committed
 # baseline in bench/baseline/, holds the Table I capability-aware line
-# count and share at or below theirs and, outside the sanitizer leg, runs the
-# repository benchmark's determinism self-check (bench/e2e/run.sh
-# --selfcheck).
+# count and share at or below theirs and, outside the sanitizer leg, holds
+# every capability predicate in src/fstack and src/scenarios to the one
+# boundary check (src/fstack/boundary.hpp) and runs the repository
+# benchmark's determinism self-check (bench/e2e/run.sh --selfcheck).
 #
 # SANITIZE=1 switches to the AddressSanitizer + UBSan configuration in its
 # own build tree — the memory-safety net over the loan-based RX pipeline
@@ -110,6 +111,17 @@ done
 # The remaining benches are skipped on the sanitizer leg with the other
 # wall-clock-sensitive runs.
 if [[ "$SANITIZE" != "1" ]]; then
+  # One boundary check: src/fstack/boundary.hpp is the only file in
+  # src/fstack and src/scenarios that asks a capability about its tag,
+  # seal, permissions or bounds. A second copy of the check fails here.
+  copies="$(grep -rnE 'Access::k|\.check\(|is_sealed\(\)|\.tag\(\)|in_bounds\(' \
+    src/fstack src/scenarios | grep -v '^src/fstack/boundary\.hpp:' || true)"
+  if [[ -n "$copies" ]]; then
+    echo "== CAPABILITY CHECK OUTSIDE src/fstack/boundary.hpp:"
+    echo "$copies"
+    status=1
+  fi
+
   # The repository benchmark (BENCHMARK.json) must still build from this
   # tree and replay its smoke volume deterministically on every seed check.
   bash bench/e2e/run.sh --selfcheck || status=$?

@@ -164,39 +164,32 @@ Capability Capability::make_sentry() const {
   return c;
 }
 
+std::optional<FaultKind> Capability::fault(Access kind, std::uint64_t addr,
+                                           std::uint64_t size) const noexcept {
+  // Indexed by Access: the permission each access kind needs, and the fault
+  // its absence raises.
+  static constexpr struct {
+    Perm perm;
+    FaultKind fault;
+  } kNeed[] = {
+      {Perm::kLoad, FaultKind::kPermitLoadViolation},
+      {Perm::kStore, FaultKind::kPermitStoreViolation},
+      {Perm::kLoadCap, FaultKind::kPermitLoadCapViolation},
+      {Perm::kStoreCap, FaultKind::kPermitStoreCapViolation},
+      {Perm::kExecute, FaultKind::kPermitExecuteViolation},
+  };
+  if (!tag_) return FaultKind::kTagViolation;
+  if (is_sealed()) return FaultKind::kSealViolation;
+  const auto& need = kNeed[static_cast<std::size_t>(kind)];
+  if (!perms_.has(need.perm)) return need.fault;
+  if (!in_bounds(addr, size)) return FaultKind::kBoundsViolation;
+  return std::nullopt;
+}
+
 void Capability::check(Access kind, std::uint64_t addr,
                        std::uint64_t size) const {
-  if (!tag_) {
-    throw CapFault(FaultKind::kTagViolation, addr, size, to_string());
-  }
-  if (is_sealed()) {
-    throw CapFault(FaultKind::kSealViolation, addr, size, to_string());
-  }
-  const Perm need = [&] {
-    switch (kind) {
-      case Access::kLoad: return Perm::kLoad;
-      case Access::kStore: return Perm::kStore;
-      case Access::kLoadCap: return Perm::kLoadCap;
-      case Access::kStoreCap: return Perm::kStoreCap;
-      case Access::kExecute: return Perm::kExecute;
-    }
-    return Perm::kLoad;
-  }();
-  if (!perms_.has(need)) {
-    const FaultKind fk = [&] {
-      switch (kind) {
-        case Access::kLoad: return FaultKind::kPermitLoadViolation;
-        case Access::kStore: return FaultKind::kPermitStoreViolation;
-        case Access::kLoadCap: return FaultKind::kPermitLoadCapViolation;
-        case Access::kStoreCap: return FaultKind::kPermitStoreCapViolation;
-        case Access::kExecute: return FaultKind::kPermitExecuteViolation;
-      }
-      return FaultKind::kPermitLoadViolation;
-    }();
-    throw CapFault(fk, addr, size, to_string());
-  }
-  if (!in_bounds(addr, size)) {
-    throw CapFault(FaultKind::kBoundsViolation, addr, size, to_string());
+  if (const auto k = fault(kind, addr, size)) {
+    throw CapFault(*k, addr, size, to_string());
   }
 }
 

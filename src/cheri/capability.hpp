@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "cheri/concentrate.hpp"
@@ -123,8 +124,13 @@ class Capability {
   // Checks
   // ------------------------------------------------------------------
 
-  /// The per-access hardware check: tag, seal, permission, bounds.
-  /// Throws CapFault with the architectural fault kind.
+  /// The per-access hardware check: tag, seal, permission, bounds, in that
+  /// order. fault() names the first violation (nullopt: the access is
+  /// allowed); check() throws it as a CapFault.
+  [[nodiscard]] std::optional<FaultKind> fault(Access kind,
+                                               std::uint64_t addr,
+                                               std::uint64_t size) const
+      noexcept;
   void check(Access kind, std::uint64_t addr, std::uint64_t size) const;
 
   /// Check an access at the cursor.

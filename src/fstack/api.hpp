@@ -24,8 +24,8 @@
 //                                     |   main-loop iteration, no re-cross
 // ------------------------------------------------------------------------
 //  semantics deltas:
-//   * one bounds/permission validation sweep covers the whole batch and is
-//     ATOMIC: any invalid element faults (CapFault) before a byte moves;
+//   * one check covers the whole batch and is ATOMIC: any invalid element
+//     is refused before a byte moves (fstack/boundary.hpp);
 //   * short counts replace -EAGAIN when only part of a batch fits;
 //   * zero-length iovecs are legal and skipped; an all-empty batch is 0;
 //   * a consumed FfZcBuf token (double ff_zc_send / send after abort)
@@ -87,10 +87,9 @@
 //                                      |   per crossing
 // ------------------------------------------------------------------------
 //  semantics deltas (v3):
-//   * the whole pending SQ window is capability-validated in ONE sweep per
-//     drain (amortized over every entry it covers), but verdicts are
-//     PER ENTRY: a forged/replayed SQE capability earns that entry alone
-//     -EINVAL — it cannot poison the rest of the sweep;
+//   * the whole pending SQ window is validated in ONE sweep per drain, but
+//     verdicts are PER ENTRY: a refused SQE payload earns that entry alone
+//     -EINVAL (fstack/boundary.hpp), never the rest of the sweep;
 //   * a full CQ backpressures: the stack defers the SQE (and multishot
 //     publications) and retries next iteration — no CQE is ever dropped;
 //   * SQE buffer caps belong to the app again once its CQE is reaped; CQE
@@ -488,8 +487,8 @@
 //   * a tenant's ff_zc_recycle entry cannot recycle a neighbour's loan;
 //   * ff_zc_recv and ff_epoll_wait check that the app's buffer takes every
 //     record BEFORE the stack call (-EFAULT otherwise), so no loan or event
-//     strands in cVM1; ff_read/ff_write/ff_zc_recycle answer -EFAULT
-//     without a buffer;
+//     strands in cVM1; every entry answers -EFAULT for an argument its
+//     row of fstack/boundary.hpp refuses;
 //   * apps::UringZcTxProto aborts every reservation a dead pipeline still
 //     holds, grants that land after the failure included.
 //
@@ -523,9 +522,9 @@
 //     and epoll arms) resolves the fd as the active tenant: a neighbour's
 //     fd answers -EBADF, the rule zc tokens already followed (untenanted
 //     fds and callers see every fd);
-//   * ff_recvfrom checks the destination's tag, seal and store permission
-//     before it dequeues, and clamps the copy to its bounds: a bad buffer
-//     faults with the datagram still queued.
+//   * ff_recvfrom checks the destination before it dequeues, and clamps
+//     the copy to its bounds: a bad buffer faults with the datagram still
+//     queued.
 //
 // The capability-qualified buffer handle is machine::CapView — the
 // `void* __capability` of the paper's modified F-Stack API; this header
@@ -569,13 +568,13 @@ std::int64_t ff_read(FfStack& st, int fd, const machine::CapView& buf,
 std::int64_t ff_sendto(FfStack& st, int fd, const machine::CapView& buf,
                        std::size_t nbytes, const FfSockAddrIn& to);
 /// One datagram, oldest first; the copy clamps to `buf`'s bounds. Returns
-/// bytes copied or -EAGAIN; a bad buffer faults before the dequeue.
+/// bytes copied or -EAGAIN; a bad buffer is refused before the dequeue.
 std::int64_t ff_recvfrom(FfStack& st, int fd, const machine::CapView& buf,
                          std::size_t nbytes, FfSockAddrIn* from);
 
 // ---------------------------------------------------------------- v2 batch
-// Scatter-gather TCP. One validation sweep, one crossing, one lock for the
-// whole vector. Returns total bytes moved (short count when the socket
+// Scatter-gather TCP. One check, one crossing, one lock for the whole
+// vector. Returns total bytes moved (short count when the socket
 // buffer fills mid-batch), 0 for an all-empty batch (or EOF on readv),
 // -EAGAIN when nothing could move, or -errno.
 std::int64_t ff_writev(FfStack& st, int fd, std::span<const FfIovec> iov);

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "fstack/inet.hpp"
 #include "machine/cap_view.hpp"
@@ -21,27 +20,13 @@ struct FfSockAddrIn {
 };
 
 /// One scatter-gather element: a capability-qualified buffer plus the byte
-/// count the call may touch. `len` may be smaller than the capability's
-/// bounds; it may never be larger — the batch validation sweep faults the
-/// whole call on any oversized entry before a single byte moves.
+/// count the call may touch. `len` may be smaller than the buffer's bounds;
+/// it may never be larger: check_args (fstack/boundary.hpp) refuses the
+/// whole batch on any oversized element before a single byte moves.
 struct FfIovec {
   machine::CapView buf;
   std::size_t len = 0;
 };
-
-/// The whole-batch capability sweep of API v2: tag, seal, permission and
-/// bounds are checked for every element BEFORE any byte moves, so a bad
-/// element faults the batch atomically (no partial compartment-boundary
-/// leak). Both the stack's batch entry points and the Scenario-2 proxy
-/// stubs enforce the same invariant through this one helper.
-inline void ff_sweep_iovecs(std::span<const FfIovec> iov,
-                            cheri::Access access) {
-  for (const FfIovec& e : iov) {
-    if (e.len == 0) continue;
-    const cheri::Capability& c = e.buf.cap();
-    c.check(access, c.address(), e.len);
-  }
-}
 
 /// One zero-copy RX loan: `data` is an exactly-bounded READ-ONLY capability
 /// straight into the RX mbuf data room that received the bytes — no copy

@@ -36,9 +36,9 @@ class SockBuf {
   std::size_t write_from(const machine::CapView& src, std::size_t src_off,
                          std::size_t n, std::uint32_t* csum = nullptr);
 
-  /// Gather-append a pre-validated iovec batch (the API layer has already
-  /// swept bounds/permissions). Fills elements in order until the ring is
-  /// full; returns total bytes appended (a short count, never an error).
+  /// Gather-append an iovec batch check_args already passed. Fills
+  /// elements in order until the ring is full; returns total bytes
+  /// appended (a short count, never an error).
   std::size_t writev_from(std::span<const FfIovec> iov);
 
   /// Copy bytes out at logical offset `off` from the head, without

@@ -1198,21 +1198,27 @@ std::int64_t FfStack::sock_writev(int fd, std::span<const FfIovec> iov) {
   return writev_impl(fd, iov);
 }
 
-std::int64_t FfStack::writev_impl(int fd, std::span<const FfIovec> iov,
-                                  bool swept) {
+std::int64_t FfStack::writev_impl(int fd, std::span<const FfIovec> iov) {
+  TcpPcb* pcb = nullptr;
+  if (const std::int64_t r = tcp_sender(fd, pcb)) return r;
+  if (const std::int64_t r = admit(Op::kWritev, iov)) return r;
+  return tcp_enqueue(*pcb, iov);
+}
+
+std::int64_t FfStack::tcp_sender(int fd, TcpPcb*& pcb) {
   Socket* s = scoped_sock(fd);
   if (s == nullptr || s->kind != SockKind::kTcp || s->pcb == nullptr) {
     return -EBADF;
   }
-  TcpPcb* pcb = s->pcb;
+  pcb = s->pcb;
   if (pcb->error() != 0) return -pcb->error();
   if (!pcb->connected()) {
     return pcb->state() == TcpState::kSynSent ? -EAGAIN : -ENOTCONN;
   }
-  if (!swept) {  // ff_uring drains sweep the whole pending window instead
-    ff_sweep_iovecs(iov, cheri::Access::kLoad);
-    api_.validation_sweeps++;
-  }
+  return 0;
+}
+
+std::int64_t FfStack::tcp_enqueue(TcpPcb& pcb, std::span<const FfIovec> iov) {
   bool any_bytes = false;
   for (const FfIovec& e : iov) any_bytes |= e.len != 0;
   if (!any_bytes) return 0;  // empty batch / all zero-length: no-op
@@ -1226,16 +1232,16 @@ std::int64_t FfStack::writev_impl(int fd, std::span<const FfIovec> iov,
   // from other flows' memory, and a token-paced bulk backlog must not
   // starve a higher class's writes at the API boundary.
   flush_tx();
-  if (qos_.staged(pcb->tclass()) != 0) return -EAGAIN;
-  const std::size_t queued = pcb->app_writev(iov);
+  if (qos_.staged(pcb.tclass()) != 0) return -EAGAIN;
+  const std::size_t queued = pcb.app_writev(iov);
   if (queued == 0) return -EAGAIN;
   // One TCP push services the whole batch.
   if (cfg_.inline_tcp_output) {
-    pcb->output();
+    pcb.output();
   } else {
-    pending_output_.insert(pcb);
+    pending_output_.insert(&pcb);
   }
-  timer_sync(pcb);
+  timer_sync(&pcb);
   sync_flush();  // synchronous progress: the batch's segments leave now
   return static_cast<std::int64_t>(queued);
 }
@@ -1259,8 +1265,7 @@ std::int64_t FfStack::readv_impl(int fd, std::span<const FfIovec> iov) {
     return -EBADF;
   }
   TcpPcb* pcb = s->pcb;
-  ff_sweep_iovecs(iov, cheri::Access::kStore);
-  api_.validation_sweeps++;
+  if (const std::int64_t r = admit(Op::kReadv, iov)) return r;
   std::size_t total = 0;
   bool any_bytes = false;
   for (const FfIovec& e : iov) {
@@ -1323,11 +1328,13 @@ std::int64_t FfStack::sock_sendto(int fd, const machine::CapView& buf,
                                   std::uint16_t port) {
   Socket* s = scoped_sock(fd);
   if (s == nullptr || s->kind != SockKind::kUdp) return -EBADF;
+  if (n > 65535 - UdpHeader::kSize) return -EMSGSIZE;
+  const FfIovec arg{buf, n};
+  if (const std::int64_t r = admit(Op::kSendto, {&arg, 1})) return r;
   if (!s->bound) {
     const int r = sock_bind(fd, Ipv4Addr{}, 0);
     if (r != 0) return r;
   }
-  if (n > 65535 - UdpHeader::kSize) return -EMSGSIZE;
   api_.v1_calls++;
   const std::int64_t r = udp_emit_dgram(s, buf, n, ip, port);
   flush_tx();
@@ -1340,14 +1347,12 @@ std::int64_t FfStack::sock_recvfrom(int fd, const machine::CapView& buf,
   if (s == nullptr || s->kind != SockKind::kUdp) return -EBADF;
   if (!s->udp->readable()) return -EAGAIN;
   // The byte count clamps to the destination's bounds (v1 read semantics:
-  // a datagram shorter than the claimed length still lands), and a bad
-  // tag, seal or store permission faults BEFORE the pop: a fault mid-copy
-  // would destroy the datagram and strand its data room.
+  // a datagram shorter than the claimed length still lands), and the check
+  // runs BEFORE the pop: a fault mid-copy would destroy the datagram and
+  // strand its data room.
+  const FfIovec arg{buf, n};
+  if (const std::int64_t r = admit(Op::kRecvfrom, {&arg, 1})) return r;
   const std::size_t room = std::min<std::size_t>(n, buf.size());
-  if (n > 0) {
-    buf.cap().check(cheri::Access::kStore, buf.address(),
-                    std::max<std::size_t>(room, 1));
-  }
   api_.v1_calls++;
   UdpDatagram d = s->udp->pop();
   const std::size_t copy = std::min(room, d.size());
@@ -1758,9 +1763,9 @@ int FfStack::epoll_wait(int epfd, std::span<FfEpollEvent> out) {
 // ff_uring (API v3): the unified submission/completion boundary. One arming
 // crossing delegates the ring capability; from then on the main loop drains
 // the SQ every iteration — ONE validation sweep over the whole pending
-// window (amortized over every entry it covers), per-entry -EINVAL
-// verdicts that never poison the rest of the sweep, and CQ backpressure
-// that defers (never drops) completions.
+// window (amortized over every entry it covers), per-entry verdicts that
+// never poison the rest of the sweep, and CQ backpressure that defers
+// (never drops) completions.
 // ===========================================================================
 
 namespace {
@@ -1772,7 +1777,8 @@ struct DecodedSqe {
   std::uint64_t user_data = 0;
   std::array<std::uint64_t, 4> a{};
   std::uint32_t ncaps = 0;
-  std::array<machine::CapView, FfUringSqe::kMaxCaps> caps{};
+  // The payload views as iovecs, each over its view's whole size.
+  std::array<FfIovec, FfUringSqe::kMaxCaps> iov{};
   std::array<std::uint64_t, FfUringSqe::kMaxTokens> tokens{};
   std::int64_t err = 0;  // sweep verdict: 0 ok, else -EINVAL
 };
@@ -1786,7 +1792,6 @@ constexpr std::uint32_t kUringDrainBudget = 64;
 
 void decode_sqe(const machine::CapView& mem, std::uint64_t off,
                 DecodedSqe& d) {
-  d.err = 0;  // the decode target is reused scratch: reset the verdict
   d.op = static_cast<UringOp>(mem.load<std::uint32_t>(off));
   d.fd = mem.load<std::int32_t>(off + 4);
   d.user_data = mem.load<std::uint64_t>(off + 8);
@@ -1802,18 +1807,20 @@ void decode_sqe(const machine::CapView& mem, std::uint64_t off,
     }
   } else {
     for (std::uint32_t i = 0; i < d.ncaps; ++i) {
-      d.caps[i] = mem.load_cap(off + FfUring::kSqePayloadOff + i * 16u);
+      const machine::CapView v =
+          mem.load_cap(off + FfUring::kSqePayloadOff + i * 16u);
+      d.iov[i] = {v, static_cast<std::size_t>(v.size())};
     }
   }
 }
 
-/// The per-entry half of the drain's validation sweep: a forged capability
-/// (untagged granule — a data overwrite cleared the tag), a sealed one, or
-/// one whose bounds don't cover its own extent earns THIS entry -EINVAL;
-/// the surrounding entries are untouched.
-void validate_sqe(DecodedSqe& d) {
+/// The per-entry half of the drain's validation sweep: an unknown opcode,
+/// a reserved argument, or a payload its row refuses (check_args through
+/// Door::kRing) earns THIS entry -EINVAL; its neighbours are untouched.
+std::int64_t sqe_verdict(const DecodedSqe& d) {
   switch (d.op) {
     case UringOp::kNop:
+    case UringOp::kWritev:
     case UringOp::kZcSend:
     case UringOp::kZcRecv:
     case UringOp::kZcAlloc:
@@ -1823,30 +1830,14 @@ void validate_sqe(DecodedSqe& d) {
     case UringOp::kClose:
     case UringOp::kEpollCtl:
     case UringOp::kSetClass:
-    case UringOp::kZcAbort:
-      return;  // no SQE capability payload; tokens/fds verify at execution
+    case UringOp::kZcAbort: {
+      const std::optional<Op> op = ring_op(d.op);
+      return op ? check_args(Door::kRing, *op, {d.iov.data(), d.ncaps}) : 0;
+    }
     case UringOp::kAcceptMultishot:
-      if (d.a[0] != 0) d.err = -EINVAL;  // a0 is reserved
-      return;
-    case UringOp::kWritev:
-      for (std::uint32_t i = 0; i < d.ncaps; ++i) {
-        const cheri::Capability& c = d.caps[i].cap();
-        const std::uint64_t len = d.caps[i].size();
-        if (!c.tag() || c.is_sealed()) {
-          d.err = -EINVAL;
-          return;
-        }
-        if (len == 0) continue;  // zero-length iovecs are legal and skipped
-        try {
-          c.check(cheri::Access::kLoad, c.address(), len);
-        } catch (const cheri::CapFault&) {
-          d.err = -EINVAL;
-          return;
-        }
-      }
-      return;
+      return d.a[0] != 0 ? -EINVAL : 0;  // a0 is reserved
   }
-  d.err = -EINVAL;  // unknown opcode (2 is retired OP_SENDMSG_BATCH)
+  return -EINVAL;  // unknown opcode (2 is retired OP_SENDMSG_BATCH)
 }
 
 }  // namespace
@@ -1859,14 +1850,13 @@ int FfStack::uring_attach(const machine::CapView& mem,
     return -EINVAL;
   }
   const std::size_t need = FfUring::bytes_for(sq_capacity, cq_capacity);
-  if (!mem.valid() || mem.size() < need) return -EINVAL;
-  // The arming crossing is the ONE whole-ring validation this attachment
-  // ever pays: data and capability access over the full extent, checked
-  // here and never per-operation (a bad grant faults now, not mid-drain).
-  mem.cap().check(cheri::Access::kLoad, mem.address(), need);
-  mem.cap().check(cheri::Access::kStore, mem.address(), need);
-  mem.cap().check(cheri::Access::kLoadCap, mem.address(), need);
-  mem.cap().check(cheri::Access::kStoreCap, mem.address(), need);
+  if (mem.size() < need) return -EINVAL;
+  // The arming crossing is the ONE whole-ring check this attachment ever
+  // pays, never per operation: a bad grant is refused now, not mid-drain.
+  const FfIovec region{mem, need};
+  if (const std::int64_t r = admit(Op::kUringAttach, {&region, 1})) {
+    return static_cast<int>(r);
+  }
   if (mem.load<std::uint32_t>(FfUring::kSqCapacity) != sq_capacity ||
       mem.load<std::uint32_t>(FfUring::kCqCapacity) != cq_capacity) {
     return -EINVAL;  // header not initialized (FfUring ctor does that)
@@ -2061,7 +2051,7 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
   in_uring_drain_ = true;
   // Ops executed from this ring charge its tenant: zc reservations, loans
   // and token-table lookups all read the adopted context.
-  const TenantScope tenant_scope(*this, r.tenant);
+  const TenantScope tenant_scope(*this, r.tenant, Door::kRing);
   budget = std::min(budget, kUringDrainBudget);  // decode scratch bound
   const std::uint32_t tail = r.mem.atomic_load_u32(FfUring::kSqTail);
   std::uint32_t head = r.mem.atomic_load_u32(FfUring::kSqHead);
@@ -2096,8 +2086,8 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
   }
   if (pending > 0 && budget > 0) {
     pending = std::min(pending, budget);
-    // Pass 1: ONE capability validation sweep over the whole pending
-    // window, amortized over every entry it covers. Verdicts are per entry.
+    // Pass 1: ONE validation sweep over the whole pending window, amortized
+    // over every entry it covers. Verdicts are per entry.
     // The decode scratch persists per thread: constructing (zeroing) 64
     // entries of CapView arrays on every drain would tax the hot loop;
     // decode_sqe fully rewrites every field it later reads.
@@ -2106,7 +2096,7 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
       decode_sqe(r.mem,
                  FfUring::sqe_off(r.sq_cap, (head + i) & (r.sq_cap - 1)),
                  win[i]);
-      validate_sqe(win[i]);
+      win[i].err = sqe_verdict(win[i]);
     }
     api_.validation_sweeps++;
 
@@ -2137,15 +2127,12 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
             uring_cq_emit(r, d.user_data, 0, d.op, 0, 0, 0, nullptr);
             break;
           case UringOp::kWritev: {
-            FfIovec iov[FfUringSqe::kMaxCaps];
-            for (std::uint32_t k = 0; k < d.ncaps; ++k) {
-              iov[k] = {d.caps[k],
-                        static_cast<std::size_t>(d.caps[k].size())};
-            }
+            // The sweep ran the check; the fd's state answers next.
             api_.batch_calls++;
             api_.batched_items += d.ncaps;
-            const std::int64_t res =
-                writev_impl(d.fd, {iov, d.ncaps}, /*swept=*/true);
+            TcpPcb* pcb = nullptr;
+            std::int64_t res = tcp_sender(d.fd, pcb);
+            if (res == 0) res = tcp_enqueue(*pcb, {d.iov.data(), d.ncaps});
             uring_cq_emit(r, d.user_data, res, d.op, 0, 0, 0, nullptr);
             break;
           }

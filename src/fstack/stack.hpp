@@ -21,6 +21,7 @@
 #include "fstack/qos.hpp"
 #include "fstack/uring.hpp"
 #include "fstack/arp.hpp"
+#include "fstack/boundary.hpp"
 #include "fstack/icmp.hpp"
 #include "fstack/ipv4.hpp"
 #include "fstack/socket.hpp"
@@ -77,8 +78,7 @@ class FfStack final : public TcpEnv {
                              std::size_t n, FourTuple* from_out);
 
   // ---- batch socket operations (API v2; see api.hpp migration table) ----
-  // One bounds/permission validation sweep covers the whole batch and is
-  // atomic: any invalid element faults before a byte is queued.
+  // check_args covers the whole batch before a byte is queued.
   std::int64_t sock_writev(int fd, std::span<const FfIovec> iov);
   std::int64_t sock_readv(int fd, std::span<const FfIovec> iov);
 
@@ -151,22 +151,29 @@ class FfStack final : public TcpEnv {
   [[nodiscard]] const TenantStats* tenant_stats(int tid) const {
     return tenants_.valid(tid) ? &tenants_.stats(tid) : nullptr;
   }
-  /// Run the calls made while this scope lives as tenant `tid`: zc
-  /// reservations and loans on untenanted sockets charge it, and token
-  /// lookups reject a neighbour's tokens. The previous tenant comes back on
-  /// exit, so scopes nest (a doorbell entry's scope encloses the drain's).
+  /// Run the calls made while this scope lives as tenant `tid` through
+  /// `door`: zc reservations and loans on untenanted sockets charge it,
+  /// token lookups reject a neighbour's tokens, and a refused argument gets
+  /// the door's verdict (boundary.hpp). The previous tenant and door come
+  /// back on exit, so scopes nest (a doorbell entry's encloses the drain's).
   class TenantScope {
    public:
-    TenantScope(FfStack& st, int tid) : st_(st), prev_(st.active_tenant_) {
+    TenantScope(FfStack& st, int tid, Door door = Door::kCall)
+        : st_(st), prev_(st.active_tenant_), prev_door_(st.door_) {
       st_.active_tenant_ = tid;
+      st_.door_ = door;
     }
-    ~TenantScope() { st_.active_tenant_ = prev_; }
+    ~TenantScope() {
+      st_.active_tenant_ = prev_;
+      st_.door_ = prev_door_;
+    }
     TenantScope(const TenantScope&) = delete;
     TenantScope& operator=(const TenantScope&) = delete;
 
    private:
     FfStack& st_;
     int prev_;
+    Door prev_door_;
   };
   [[nodiscard]] TenantTable& tenants() noexcept { return tenants_; }
   [[nodiscard]] const TenantTable& tenants() const noexcept {
@@ -242,7 +249,7 @@ class FfStack final : public TcpEnv {
     std::uint64_t v1_calls = 0;          // single-element invocations
     std::uint64_t batch_calls = 0;       // v2 batch invocations
     std::uint64_t batched_items = 0;     // elements moved through batches
-    std::uint64_t validation_sweeps = 0; // whole-batch capability sweeps
+    std::uint64_t validation_sweeps = 0; // check_args runs (ring: per drain)
     std::uint64_t zc_allocs = 0;
     std::uint64_t zc_sends = 0;
     std::uint64_t zc_aborts = 0;
@@ -372,12 +379,17 @@ class FfStack final : public TcpEnv {
   void send_arp(std::uint16_t oper, const nic::MacAddr& tha, Ipv4Addr tpa);
   [[nodiscard]] Ipv4Addr next_hop_for(Ipv4Addr dst) const;
 
-  // batch/zero-copy internals. `swept` skips the per-call capability sweep
-  // when the ff_uring drain already validated the whole pending window
-  // (one amortized sweep per drain).
-  std::int64_t writev_impl(int fd, std::span<const FfIovec> iov,
-                           bool swept = false);
+  // batch/zero-copy internals. A TCP send is tcp_sender (the fd's state),
+  // admit, then tcp_enqueue; the ring drain checks in its sweep instead.
+  std::int64_t writev_impl(int fd, std::span<const FfIovec> iov);
+  std::int64_t tcp_sender(int fd, TcpPcb*& pcb);
+  std::int64_t tcp_enqueue(TcpPcb& pcb, std::span<const FfIovec> iov);
   std::int64_t readv_impl(int fd, std::span<const FfIovec> iov);
+  /// check_args through the active door (TenantScope).
+  std::int64_t admit(Op op, std::span<const FfIovec> args) {
+    api_.validation_sweeps++;
+    return check_args(door_, op, args);
+  }
   /// Register a loan in the token table and hand out the bounded read-only
   /// view (shared by the TCP and UDP arms of ff_zc_recv / OP_ZC_RECV, so
   /// the accounting cannot diverge).
@@ -603,6 +615,8 @@ class FfStack final : public TcpEnv {
   // charging context, and token-table lookups reject cross-tenant tokens
   // against it.
   int active_tenant_ = 0;
+  // The door of the innermost TenantScope: how check_args answers.
+  Door door_ = Door::kCall;
   // ARP-parked frame -> charged tenant (eviction and expiry credit it).
   std::unordered_map<updk::Mbuf*, int> parked_tenant_;
 

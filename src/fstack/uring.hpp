@@ -23,12 +23,11 @@
 //     stack picks new SQEs up on its next iteration with no help.
 //
 // Ring memory is application-owned: the arming crossing delegates one
-// bounded RW capability over the whole region to the stack, which validates
-// it once (a bad grant faults at arm time, not mid-drain). Payload
+// bounded RW capability over the whole region to the stack, which checks
+// it once (a bad grant is refused at arm time, not mid-drain). Payload
 // capabilities cross as REAL tagged stores into the ring granules, so a
-// data overwrite or a forged entry clears the tag and the drain sweep
-// answers with a per-entry -EINVAL instead of smuggled authority — the
-// rest of the sweep is unaffected.
+// data overwrite or a forged entry clears the tag, and the drain sweep's
+// check (fstack/boundary.hpp) fails that entry alone with -EINVAL.
 //
 // Layout (little-endian host order, byte offsets; capability granules are
 // 16-byte aligned because the header and both strides are multiples of 16

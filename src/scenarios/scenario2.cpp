@@ -2,28 +2,33 @@
 
 #include <algorithm>
 
+#include "fstack/boundary.hpp"
+
 namespace cherinet::scen {
 
 namespace {
+using fstack::Door;
+using fstack::kEventRecordBytes;
+using fstack::kZcRecordBytes;
+using fstack::Op;
+
 constexpr std::size_t kMaxProxyEvents = 64;
-constexpr std::size_t kEventRecordBytes = 12;  // u32 events + u64 data
-// One marshalling record per zc loan: u64 token, u32 src ip, u16 src port
-// (+2 bytes padding). The same buffer carries recycle token batches.
-constexpr std::size_t kZcRecordBytes = 16;
 constexpr std::size_t kMaxZcRecords = 64;
 
 constexpr std::uint64_t arg(int v) { return static_cast<std::uint64_t>(v); }
 
-/// True when the app's marshalling buffer is present and takes `bytes` of
-/// stores from its cursor. Entries that marshal results out check this
-/// BEFORE the stack call: a short or read-only buffer must not fault after
-/// loans were popped or events harvested, stranding them in cVM1.
-bool storable(const std::optional<machine::CapView>& buf,
-              std::uint64_t bytes) {
-  if (!buf.has_value()) return false;
-  const cheri::Capability& c = buf->cap();
-  return c.tag() && !c.is_sealed() && c.perms().has(cheri::Perm::kStore) &&
-         c.in_bounds(c.address(), bytes);
+/// An argument register's view; an empty register holds the null view,
+/// which check_args refuses like any untagged one.
+machine::CapView view(const std::optional<machine::CapView>& r) {
+  return r.value_or(machine::CapView{});
+}
+
+/// cap0 as `n` marshalling records, checked before the stack call so a bad
+/// buffer answers -EFAULT instead of stranding loans or events in cVM1.
+std::int64_t check_records(Op op, const machine::CrossCallArgs& a,
+                           std::uint64_t n) {
+  const fstack::FfIovec records{view(a.cap0), n};
+  return fstack::check_args(Door::kEntry, op, {&records, 1});
 }
 }  // namespace
 
@@ -87,14 +92,15 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
   // Each wrapper: take the shard's mutex (serializing against that shard's
   // main loop), then run the ff_* function inside cVM1 as the app's tenant
   // — token lookups reject a neighbour's zc tokens and loans, exactly as
-  // they do for the app's ring. The sealed entry itself performed the
-  // domain transition before we get here.
+  // they do for the app's ring — through the sealed-entry door, so a
+  // refused argument answers -EFAULT (fstack/boundary.hpp). The sealed
+  // entry itself performed the domain transition before we get here.
   const auto wrap = [calls, mtx, libc, st, tid](auto fn) {
     return [calls, mtx, libc, st, tid,
             fn](machine::CrossCallArgs& a) -> std::uint64_t {
       iv::CompartmentLockGuard lk(*mtx, libc);
       calls->fetch_add(1, std::memory_order_relaxed);
-      const fstack::FfStack::TenantScope as_tenant(*st, tid);
+      const fstack::FfStack::TenantScope as_tenant(*st, tid, Door::kEntry);
       return static_cast<std::uint64_t>(fn(a));
     };
   };
@@ -143,49 +149,42 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
   e_[kWrite] = reg.install(
       tag + ":ff_write", target,
       wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
-        if (!a.cap0.has_value()) return -EFAULT;
-        return fstack::ff_write(*st, static_cast<int>(a.a[0]), *a.cap0,
+        return fstack::ff_write(*st, static_cast<int>(a.a[0]), view(a.cap0),
                                 a.a[1]);
       }));
   e_[kRead] = reg.install(
       tag + ":ff_read", target,
       wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
-        if (!a.cap0.has_value()) return -EFAULT;
-        return fstack::ff_read(*st, static_cast<int>(a.a[0]), *a.cap0,
+        return fstack::ff_read(*st, static_cast<int>(a.a[0]), view(a.cap0),
                                a.a[1]);
       }));
   // Batched entries: a[1] iovec views arrive in the vector capability
   // registers, each exactly bounded to its element length (the length IS
   // the capability's bounds — the tightest possible grant crosses). One
   // wrap() acquisition serializes the whole batch against the main loop.
-  const auto unpack_iov =
-      [](machine::CrossCallArgs& a,
-         std::span<fstack::FfIovec> out) -> std::int64_t {
+  const auto unpack_iov = [](machine::CrossCallArgs& a,
+                              std::span<fstack::FfIovec> out) {
     const std::size_t k = std::min<std::size_t>(
         a.a[1], machine::CrossCallArgs::kMaxVecCaps);
     for (std::size_t i = 0; i < k; ++i) {
-      if (!a.caps[i].has_value()) return -EFAULT;
-      out[i] = {*a.caps[i], static_cast<std::size_t>(a.caps[i]->size())};
+      const machine::CapView v = view(a.caps[i]);
+      out[i] = {v, static_cast<std::size_t>(v.size())};
     }
-    return static_cast<std::int64_t>(k);
+    return out.first(k);
   };
   e_[kWritev] = reg.install(
       tag + ":ff_writev", target,
       wrap([st, unpack_iov](machine::CrossCallArgs& a) -> std::int64_t {
         fstack::FfIovec iov[machine::CrossCallArgs::kMaxVecCaps];
-        const std::int64_t k = unpack_iov(a, iov);
-        if (k < 0) return k;
         return fstack::ff_writev(*st, static_cast<int>(a.a[0]),
-                                 {iov, static_cast<std::size_t>(k)});
+                                 unpack_iov(a, iov));
       }));
   e_[kReadv] = reg.install(
       tag + ":ff_readv", target,
       wrap([st, unpack_iov](machine::CrossCallArgs& a) -> std::int64_t {
         fstack::FfIovec iov[machine::CrossCallArgs::kMaxVecCaps];
-        const std::int64_t k = unpack_iov(a, iov);
-        if (k < 0) return k;
         return fstack::ff_readv(*st, static_cast<int>(a.a[0]),
-                                {iov, static_cast<std::size_t>(k)});
+                                unpack_iov(a, iov));
       }));
   e_[kClose] = reg.install(
       tag + ":ff_close", target,
@@ -211,7 +210,7 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
         fstack::FfEpollEvent evs[kMaxProxyEvents];
         const std::size_t want =
             std::min<std::uint64_t>(a.a[1], kMaxProxyEvents);
-        if (!storable(a.cap0, want * kEventRecordBytes)) return -EFAULT;
+        if (const auto r = check_records(Op::kEpollWait, a, want)) return r;
         const int n = fstack::ff_epoll_wait(*st, static_cast<int>(a.a[0]),
                                             {evs, want});
         // Marshal through the app-provided capability buffer.
@@ -233,7 +232,7 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
         fstack::FfZcRxBuf loans[machine::CrossCallArgs::kMaxVecCaps];
         const std::size_t want = std::min<std::uint64_t>(
             a.a[1], machine::CrossCallArgs::kMaxVecCaps);
-        if (!storable(a.cap0, want * kZcRecordBytes)) return -EFAULT;
+        if (const auto r = check_records(Op::kZcRecv, a, want)) return r;
         const std::int64_t r =
             fstack::ff_zc_recv(*st, static_cast<int>(a.a[0]), {loans, want});
         for (std::int64_t i = 0; i < r; ++i) {
@@ -250,8 +249,9 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
   e_[kZcRecycle] = reg.install(
       tag + ":ff_zc_recycle", target,
       wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
-        if (!a.cap0.has_value()) return -EFAULT;
         const std::size_t n = std::min<std::uint64_t>(a.a[0], kMaxZcRecords);
+        // Every token record is checked before the first recycle.
+        if (const auto r = check_records(Op::kZcRecycle, a, n)) return r;
         std::int64_t ok = 0;
         for (std::size_t i = 0; i < n; ++i) {
           fstack::FfZcRxBuf z;
@@ -267,9 +267,8 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
   e_[kUringAttach] = reg.install(
       tag + ":ff_uring_attach", target,
       wrap([st, tid](machine::CrossCallArgs& a) -> std::int64_t {
-        if (!a.cap0.has_value()) return -EFAULT;
         const int id = fstack::ff_uring_attach(
-            *st, *a.cap0, static_cast<std::uint32_t>(a.a[0]),
+            *st, view(a.cap0), static_cast<std::uint32_t>(a.a[0]),
             static_cast<std::uint32_t>(a.a[1]));
         if (id < 0) return id;
         const int r = fstack::ff_uring_bind_tenant(*st, id, tid);
@@ -360,13 +359,14 @@ std::int64_t ProxyFfOps::writev(int fd, std::span<const fstack::FfIovec> iov) {
   // Whole-batch pre-flight BEFORE the first chunk crosses: batches wider
   // than the vector register file submit in chunks, and the documented
   // "any invalid element faults before a byte moves" guarantee must not be
-  // voided by an invalid element in a later chunk.
-  fstack::ff_sweep_iovecs(iov, cheri::Access::kLoad);
+  // voided by an invalid element in a later chunk. It runs app-side, so a
+  // bad element is the app's own trap.
+  fstack::check_args(Door::kCall, Op::kWritev, iov);
   return chunked(kWritev, fd, iov);
 }
 
 std::int64_t ProxyFfOps::readv(int fd, std::span<const fstack::FfIovec> iov) {
-  fstack::ff_sweep_iovecs(iov, cheri::Access::kStore);
+  fstack::check_args(Door::kCall, Op::kReadv, iov);
   return chunked(kReadv, fd, iov);
 }
 

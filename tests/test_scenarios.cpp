@@ -430,17 +430,24 @@ TEST(Scenario2Proxy, ShortZcRecvBufferFaultsBeforeAnyLoanMoves) {
   // app's cap0. A buffer too short for the loans asked for answers -EFAULT
   // BEFORE the stack pops one: no loan strands in cVM1's table with no
   // token in the app's hands, and the bytes stay queued for a good call.
+  // The ff_zc_recycle entry reads one record per token from the same
+  // buffer; a batch longer than it answers -EFAULT before the first
+  // recycle. The app runs as a tenant, whose stats row counts its loans.
   constexpr std::uint64_t kVolume = 64 * 1024;
   LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, kVolume,
                   fast_options());
   rig.testbed().peer(0).run_iperf_client(MorelloTestbed::morello_ip(0), 5201,
                                          kVolume);
-  auto& ops = dynamic_cast<ProxyFfOps&>(rig.ops());
   FullStackInstance& inst = rig.service()->instance();
+  const int tid = fstack::ff_tenant_register(inst.stack(), "zc-app", {});
+  const int app = rig.add_app("zc-app", tid);
+  auto& ops = dynamic_cast<ProxyFfOps&>(rig.ops(app));
   const auto& api = inst.stack().api_stats();
+  const fstack::TenantStats& tstats =
+      *fstack::ff_tenant_stats(inst.stack(), tid);
   auto& entries = rig.testbed().intravisor().entries();
-  const machine::CapView short_buf = rig.alloc(16);
-  rig.run(0, [&] {
+  const machine::CapView short_buf = rig.alloc(16, app);
+  rig.run(app, [&] {
     const int lfd = ops.socket_stream();
     ops.bind(lfd, fstack::Ipv4Addr{}, 5201);
     ops.listen(lfd, 4);
@@ -467,11 +474,39 @@ TEST(Scenario2Proxy, ShortZcRecvBufferFaultsBeforeAnyLoanMoves) {
     EXPECT_EQ(inst.pool().available(), avail0);
     EXPECT_EQ(pcb->rx_used(), queued0);
 
+    // The ff_read entry forwards its buffer to the stack's own check,
+    // which answers through the same door: 64 bytes claimed over the
+    // 16-byte view is -EFAULT, and every byte stays queued.
+    machine::CrossCallArgs rd;
+    rd.a[0] = static_cast<std::uint64_t>(cfd);
+    rd.a[1] = 64;
+    rd.cap0 = short_buf;
+    EXPECT_EQ(static_cast<std::int64_t>(
+                  entries.invoke(ops.entry(ProxyFfOps::kRead), rd)),
+              -EFAULT);
+    EXPECT_EQ(pcb->rx_used(), queued0);
+
     // The queued bytes still loan out through a well-formed call.
     fstack::FfZcRxBuf loans[8];
     const std::int64_t n = ops.zc_recv(cfd, loans);
     EXPECT_EQ(n, 8);
+
+    // Two token records want 32 bytes; cap0 grants 16.
+    const std::uint64_t recycles0 = api.zc_rx_recycles;
+    const std::uint32_t outstanding0 = tstats.loans_outstanding;
+    short_buf.store<std::uint64_t>(0, loans[0].token);
+    machine::CrossCallArgs r;
+    r.a[0] = 2;
+    r.cap0 = short_buf;
+    EXPECT_EQ(static_cast<std::int64_t>(
+                  entries.invoke(ops.entry(ProxyFfOps::kZcRecycle), r)),
+              -EFAULT);
+    EXPECT_EQ(api.zc_rx_recycles, recycles0);
+    EXPECT_EQ(tstats.loans_outstanding, outstanding0);
+    EXPECT_EQ(outstanding0, 8u);
+    // The same loans then recycle through a good call.
     EXPECT_EQ(ops.zc_recycle_batch({loans, static_cast<std::size_t>(n)}), n);
+    EXPECT_EQ(tstats.loans_outstanding, 0u);
     ops.close(cfd);
     ops.close(lfd);
   });

@@ -167,6 +167,31 @@ TEST(FfApi, UdpOversizeRejected) {
   EXPECT_EQ(ff_sendto(ts.a(), sa, buf, 70000, {ts.ip_b(), 7000}), -EMSGSIZE);
 }
 
+TEST(FfApi, FaultingSendtoLeavesTheSocketUnbound) {
+  // An unbound UDP socket binds on its first send. A send whose buffer the
+  // check refuses must fault before that: no ephemeral port, no binding
+  // row, no steering filter left behind.
+  TwoStacks ts;
+  const int sb = ff_socket(ts.b(), kAfInet, kSockDgram, 0);
+  ASSERT_EQ(ff_bind(ts.b(), sb, {Ipv4Addr{}, 7000}), 0);
+  const int sa = ff_socket(ts.a(), kAfInet, kSockDgram, 0);
+  auto small = ts.heap_a().alloc_view(16);
+  EXPECT_THROW((void)ff_sendto(ts.a(), sa, small, 64, {ts.ip_b(), 7000}),
+               cheri::CapFault);
+  EXPECT_FALSE(ts.a().sockets().get(sa)->bound);
+
+  // A good send then binds and delivers.
+  auto tx = ts.heap_a().alloc_view(64);
+  tx.store<std::uint64_t>(0, 0x5E4D0000u);
+  ASSERT_EQ(ff_sendto(ts.a(), sa, tx, 64, {ts.ip_b(), 7000}), 64);
+  EXPECT_TRUE(ts.a().sockets().get(sa)->bound);
+  const Socket* s = ts.b().sockets().get(sb);
+  ts.pump_until([&] { return s->udp->queued() == 1; });
+  auto rx = ts.heap_b().alloc_view(64);
+  ASSERT_EQ(ff_recvfrom(ts.b(), sb, rx, 64, nullptr), 64);
+  EXPECT_EQ(rx.load<std::uint64_t>(0), 0x5E4D0000u);
+}
+
 TEST(FfApi, WriteValidatesCapabilityNotJustLength) {
   TwoStacks ts;
   const int lfd = ff_socket(ts.b(), kAfInet, kSockStream, 0);

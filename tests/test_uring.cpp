@@ -254,6 +254,42 @@ TEST(Uring, ForgedSqeCapabilityIsPerEntryEinvalWithoutPoisoningTheSweep) {
   EXPECT_EQ(cq[2].user_data, 3u);
   EXPECT_EQ(cq[2].result, 256);
   EXPECT_EQ(ts.a().api_stats().uring_sqe_errors, 1u);
+
+  // Tagged forgeries, one per remaining branch of the check: an in-bounds
+  // window that may only be stored through (no LOAD), and a sealed one.
+  // Each fails alone between neighbours that deliver.
+  const auto push_cap = [&](std::uint64_t ud, const machine::CapView& v) {
+    FfUringSqe sqe;
+    sqe.op = UringOp::kWritev;
+    sqe.fd = p.a_fd;
+    sqe.user_data = ud;
+    sqe.ncaps = 1;
+    sqe.caps[0] = v;
+    ASSERT_NE(ar.ring.sq_push(sqe), FfUring::Push::kFull);
+  };
+  const machine::CapView window = tx.window(0, 256);
+  const machine::CapView store_only(
+      &tx.mem(), window.cap().with_perms(
+                     cheri::PermSet{cheri::Perm::kGlobal} |
+                     cheri::Perm::kStore));
+  const machine::CapView sealed(
+      &tx.mem(), window.cap().seal_with(
+                     ts.address_space().sealing_root().with_address(
+                         cheri::kOtypeFirstUser)));
+  push_writev(4);
+  push_cap(5, store_only);
+  push_writev(6);
+  push_cap(7, sealed);
+  push_writev(8);
+  ts.a().run_once();
+
+  FfUringCqe more[6];
+  ASSERT_EQ(ar.ring.cq_pop(more), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(more[i].user_data, 4u + i);
+    EXPECT_EQ(more[i].result, i % 2 == 0 ? 256 : -EINVAL);
+  }
+  EXPECT_EQ(ts.a().api_stats().uring_sqe_errors, 3u);
 }
 
 TEST(Uring, RetiredOpcodeTwoIsPerEntryEinval) {
