@@ -7,8 +7,10 @@
 # baseline in bench/baseline/, holds the Table I capability-aware line
 # count and share at or below theirs and, outside the sanitizer leg, holds
 # every capability predicate in src/fstack and src/scenarios to the one
-# boundary check (src/fstack/boundary.hpp) and runs the repository
-# benchmark's determinism self-check (bench/e2e/run.sh --selfcheck).
+# boundary check (src/fstack/boundary.hpp), runs the repository
+# benchmark's determinism self-check (bench/e2e/run.sh --selfcheck) and
+# holds each benchmark workload's smoke crossings per MiB at or below
+# bench/baseline/E2E_crossings.json.
 #
 # SANITIZE=1 switches to the AddressSanitizer + UBSan configuration in its
 # own build tree — the memory-safety net over the loan-based RX pipeline
@@ -125,6 +127,27 @@ if [[ "$SANITIZE" != "1" ]]; then
   # The repository benchmark (BENCHMARK.json) must still build from this
   # tree and replay its smoke volume deterministically on every seed check.
   bash bench/e2e/run.sh --selfcheck || status=$?
+
+  # Crossings ratchet: no workload's smoke crossings_per_mib may exceed
+  # bench/baseline/E2E_crossings.json. The figure is virtual (counted, not
+  # timed), so it is exact run to run; a change that lowers one copies the
+  # fresh numbers over the baseline, the same rule as Table I below.
+  for w in bulk_tx bulk_rx_zc bulk_tx_lossy rr; do
+    if ! line="$(bash bench/e2e/run.sh --workload "$w" --smoke --seed 1 \
+        --trace 0 | tail -n 1)"; then
+      echo "== E2E RUN FAILED: $w"
+      status=1
+      continue
+    fi
+    got="$(jq '.metrics.crossings_per_mib.value' <<< "$line")"
+    bound="$(jq --arg w "$w" '.[$w]' bench/baseline/E2E_crossings.json)"
+    echo "== crossings_per_mib $w: $got (baseline $bound)"
+    if ! jq -en --argjson got "$got" --argjson bound "$bound" \
+        '$got <= $bound' > /dev/null; then
+      echo "== CROSSINGS REGRESSION: $w crossings_per_mib $got > $bound"
+      status=1
+    fi
+  done
 
   # Locking-strategy ablation, now with the sharded-futex leg: per-shard
   # mutexes must run contention-free (every acquisition a fast path) while

@@ -1,88 +1,107 @@
 #include "apps/echo.hpp"
 
 #include <algorithm>
+#include <cerrno>
 
 namespace cherinet::apps {
+
+namespace {
+
+// Events reaped per epoll_wait: a proxied call marshals at most 64.
+constexpr std::size_t kMaxEvents = 64;
+
+}  // namespace
 
 EchoServer::EchoServer(FfOps* ops, std::uint16_t port,
                        machine::CapView scratch)
     : ops_(ops), scratch_(scratch) {
+  // Scatter-gather echo: one readv drains into the two halves of the
+  // scratch buffer and one writev pushes the bytes back.
+  const std::size_t size = static_cast<std::size_t>(scratch_.size());
+  const std::size_t half = size / 2;
+  halves_[0] = {scratch_.window(0, half), half};
+  halves_[1] = {scratch_.window(half, size - half), size - half};
   listen_fd_ = ops_->socket_stream();
   ops_->bind(listen_fd_, fstack::Ipv4Addr{}, port);
   ops_->listen(listen_fd_, 8);
+  epfd_ = ops_->epoll_create();
+  ops_->epoll_ctl(epfd_, fstack::EpollOp::kAdd, listen_fd_, fstack::kEpollIn,
+                  static_cast<std::uint64_t>(listen_fd_));
 }
 
-EchoServer::~EchoServer() {
-  if (uring_.has_value()) ops_->uring_detach(uring_id_);
+bool EchoServer::accept_ready() {
+  bool accepted = false;
+  for (int fd = ops_->accept(listen_fd_); fd >= 0;
+       fd = ops_->accept(listen_fd_)) {
+    ops_->epoll_ctl(epfd_, fstack::EpollOp::kAdd, fd, fstack::kEpollIn,
+                    static_cast<std::uint64_t>(fd));
+    // Served this very step: data may have arrived with the handshake.
+    conns_.push_back(Conn{fd, true, {}});
+    accepted = true;
+  }
+  return accepted;
 }
 
-int EchoServer::use_uring(machine::CapView ring_mem,
-                          std::uint32_t sq_capacity,
-                          std::uint32_t cq_capacity) {
-  fstack::FfUring ring(ring_mem, sq_capacity, cq_capacity);
-  const int id = ops_->uring_attach(ring_mem, sq_capacity, cq_capacity);
-  if (id < 0) return id;
-  uring_ = ring;
-  uring_id_ = id;
-  fstack::FfUringSqe arm;
-  arm.op = fstack::UringOp::kAcceptMultishot;
-  arm.fd = listen_fd_;
-  uring_->sq_push(arm);
-  if (uring_->stack_parked()) ops_->uring_doorbell(uring_id_);
-  return 0;
+bool EchoServer::send(Conn& c, std::size_t n, bool& progress) {
+  const std::size_t lo = std::min(n, halves_[0].len);
+  const fstack::FfIovec wio[2] = {{halves_[0].buf, lo},
+                                  {halves_[1].buf, n - lo}};
+  const std::int64_t w = ops_->writev(c.fd, {wio, n > lo ? 2u : 1u});
+  if (w < 0 && w != -EAGAIN) return false;
+  const std::size_t sent = w > 0 ? static_cast<std::size_t>(w) : 0;
+  echoed_ += sent;
+  progress |= sent > 0;
+  const bool was_owing = !c.tail.empty();
+  c.tail.resize(n - sent);
+  if (!c.tail.empty()) scratch_.read(sent, c.tail);
+  // While bytes are owed, wake on send space only: input waits until
+  // they are out.
+  if (was_owing != !c.tail.empty()) {
+    ops_->epoll_ctl(epfd_, fstack::EpollOp::kMod, c.fd,
+                    c.tail.empty() ? fstack::kEpollIn : fstack::kEpollOut,
+                    static_cast<std::uint64_t>(c.fd));
+  }
+  return true;
+}
+
+bool EchoServer::serve(Conn& c, bool& progress) {
+  if (!c.tail.empty()) {
+    scratch_.write(0, c.tail);
+    if (!send(c, c.tail.size(), progress)) return false;
+    if (!c.tail.empty()) return true;
+  }
+  const std::int64_t r = ops_->readv(c.fd, halves_);
+  if (r == -EAGAIN) return true;
+  if (r <= 0) return false;  // EOF, or a failed read
+  progress = true;
+  return send(c, static_cast<std::size_t>(r), progress);
 }
 
 bool EchoServer::step() {
-  bool progress = false;
-  if (uring_.has_value()) {
-    // Accepted fds arrive as multishot CQEs — no accept crossing, ever.
-    fstack::FfUringCqe cq[8];
-    const std::size_t n = uring_->cq_pop(cq);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cq[i].op == fstack::UringOp::kAcceptMultishot &&
-          cq[i].result >= 0) {
-        conns_.push_back(static_cast<int>(cq[i].result));
-        progress = true;
-      }
-    }
-  } else {
-    for (int fd = ops_->accept(listen_fd_); fd >= 0;
-         fd = ops_->accept(listen_fd_)) {
-      conns_.push_back(fd);
-      progress = true;
+  // One epoll_wait names the connections with work; idle ones cost
+  // nothing. Level-triggered, so a fd the buffer could not hold is
+  // reported again next step.
+  fstack::FfEpollEvent evs[kMaxEvents];
+  const int n = ops_->epoll_wait(epfd_, evs);
+  bool listener = false;
+  for (Conn& c : conns_) c.ready = false;
+  for (int i = 0; i < n; ++i) {
+    const int fd = static_cast<int>(evs[i].data);
+    if (fd == listen_fd_) listener = true;
+    for (Conn& c : conns_) {
+      if (c.fd == fd) c.ready = true;
     }
   }
-  // Scatter-gather echo: drain into two half-views of the scratch buffer
-  // with one ff_readv, push back with one ff_writev — two crossings per
-  // step regardless of how much data arrived (v1 paid two per buffer).
-  const std::size_t half = static_cast<std::size_t>(scratch_.size()) / 2;
+  bool progress = listener && accept_ready();
   for (auto it = conns_.begin(); it != conns_.end();) {
-    std::int64_t r;
-    fstack::FfIovec rio[2];
-    if (half > 0) {
-      rio[0] = {scratch_.window(0, half), half};
-      rio[1] = {scratch_.window(half, scratch_.size() - half),
-                static_cast<std::size_t>(scratch_.size()) - half};
-      r = ops_->readv(*it, rio);
-    } else {
-      rio[0] = {scratch_, static_cast<std::size_t>(scratch_.size())};
-      r = ops_->read(*it, scratch_, scratch_.size());
-    }
-    if (r > 0) {
-      const auto got = static_cast<std::size_t>(r);
-      const std::size_t lo = std::min(got, rio[0].len);
-      fstack::FfIovec wio[2] = {{rio[0].buf, lo}, {rio[1].buf, got - lo}};
-      ops_->writev(*it, {wio, got > lo ? 2u : 1u});
-      echoed_ += static_cast<std::uint64_t>(r);
-      progress = true;
+    if (!it->ready || serve(*it, progress)) {
       ++it;
-    } else if (r == 0) {
-      ops_->close(*it);
-      it = conns_.erase(it);
-      progress = true;
-    } else {
-      ++it;
+      continue;
     }
+    // Closing drops the fd from the epoll set as well.
+    ops_->close(it->fd);
+    it = conns_.erase(it);
+    progress = true;
   }
   return progress;
 }

@@ -1,43 +1,54 @@
 // TCP echo server/client helpers for examples and integration tests.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "apps/ff_ops.hpp"
-#include "fstack/uring.hpp"
 
 namespace cherinet::apps {
 
-/// Step-driven echo server: reads from every accepted connection and writes
-/// the bytes straight back.
+/// Step-driven echo server: reads from every connection epoll reports
+/// ready and writes the bytes straight back. One epoll instance holds the
+/// listener and every accepted fd, so an idle step is one epoll_wait call
+/// (behind proxied ops, one sealed-entry crossing) however many
+/// connections are open.
 class EchoServer {
  public:
   EchoServer(FfOps* ops, std::uint16_t port, machine::CapView scratch);
-  ~EchoServer();  // detaches a still-armed ff_uring
-
-  /// API v3 port: accept through an ff_uring OP_ACCEPT_MULTISHOT arm.
-  /// The classic path calls accept() every step — behind proxied ops that
-  /// is one sealed-entry crossing per step even when the queue is empty;
-  /// armed, accepted fds arrive as CQEs with zero crossings. Returns 0 or
-  /// -errno.
-  int use_uring(machine::CapView ring_mem, std::uint32_t sq_capacity,
-                std::uint32_t cq_capacity);
 
   bool step();
+  /// Bytes the stack accepted back from writev (not merely bytes read).
   [[nodiscard]] std::uint64_t bytes_echoed() const noexcept {
     return echoed_;
   }
 
  private:
+  struct Conn {
+    int fd = -1;
+    bool ready = false;  // reported by epoll (or accepted) this step
+    // Echo bytes the stack has not taken yet. The scratch buffer is
+    // shared between connections, so they wait here; the connection is
+    // not read again until they are out.
+    std::vector<std::byte> tail;
+  };
+
+  bool accept_ready();
+  /// Write scratch_[0, n) to `c`; what the stack does not take becomes
+  /// c.tail. Returns false once the connection failed.
+  bool send(Conn& c, std::size_t n, bool& progress);
+  /// Serve one ready connection. Returns false once it is finished (EOF
+  /// or a failed call) and must be closed.
+  bool serve(Conn& c, bool& progress);
+
   FfOps* ops_;
   machine::CapView scratch_;
+  fstack::FfIovec halves_[2];  // readv targets: the two halves of scratch_
   int listen_fd_ = -1;
-  std::optional<fstack::FfUring> uring_;  // v3: multishot accept CQEs
-  int uring_id_ = -1;
-  std::vector<int> conns_;
+  int epfd_ = -1;
+  std::vector<Conn> conns_;
   std::uint64_t echoed_ = 0;
 };
 

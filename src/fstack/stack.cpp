@@ -1699,6 +1699,13 @@ int FfStack::sock_close(int fd) {
       for (auto& [id, r] : urings_) std::erase(r.epoll_arms, fd);
       break;
   }
+  // The fd leaves every interest set with it, as on Linux: a successor
+  // that reuses the number must not inherit a stale watch or cookie.
+  socks_.for_each([fd](Socket& e) {
+    if (e.kind == SockKind::kEpoll && e.epoll) {
+      (void)e.epoll->ctl(EpollOp::kDel, fd, 0, 0);
+    }
+  });
   tenants_.credit_socket(s->tenant);
   socks_.release(fd);
   sync_flush();  // FIN/RST emission is synchronous with the close

@@ -2,6 +2,10 @@
 // CVE-2024-38951-style trusting parser faulting under CHERI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <string>
+
 #include "apps/echo.hpp"
 #include "apps/iperf.hpp"
 #include "apps/mavlink.hpp"
@@ -68,6 +72,78 @@ TEST(Echo, RoundTripMessage) {
   });
   EXPECT_EQ(client.reply(), "compartmentalize all the things");
   EXPECT_EQ(server.bytes_echoed(), client.reply().size());
+}
+
+TEST(Echo, LargeMessageRoundTripsByteExact) {
+  // 4 MiB outruns both directions' buffers, so the server's writev comes
+  // back short or -EAGAIN; the bytes it could not send yet still go out,
+  // in order, before it reads more.
+  TwoStacks ts;
+  apps::DirectFfOps ops_a(&ts.a());
+  apps::DirectFfOps ops_b(&ts.b());
+  std::string message(4 * 1024 * 1024, '\0');
+  std::uint32_t x = 1;
+  for (char& ch : message) {
+    x = x * 1103515245u + 12345u;
+    ch = static_cast<char>(x >> 24);
+  }
+  apps::EchoServer server(&ops_b, 7777, ts.heap_b().alloc_view(16 * 1024));
+  apps::EchoClient client(&ops_a, ts.ip_b(), 7777, message,
+                          ts.heap_a().alloc_view(16 * 1024));
+  ts.pump_until(
+      [&] {
+        server.step();
+        client.step();
+        return client.done();
+      },
+      1'000'000);
+  ASSERT_EQ(client.reply().size(), message.size());
+  const auto diverge = std::mismatch(message.begin(), message.end(),
+                                     client.reply().begin());
+  EXPECT_EQ(diverge.first - message.begin(),
+            static_cast<std::ptrdiff_t>(message.size()));
+  EXPECT_EQ(server.bytes_echoed(), message.size());
+}
+
+TEST(Echo, ResetConnectionIsClosed) {
+  // A read that fails with anything but -EAGAIN ends the connection like
+  // EOF: the server closes the fd instead of re-reading it every step.
+  TwoStacks ts;
+  apps::DirectFfOps ops_b(&ts.b());
+  apps::EchoServer server(&ops_b, 7777, ts.heap_b().alloc_view(4096));
+  const auto open_conns = [&] {
+    int n = 0;
+    for (int fd = fstack::SocketTable::kFirstFd; fd < 16; ++fd) {
+      const fstack::Socket* s = ts.b().sockets().get(fd);
+      if (s != nullptr && s->kind == fstack::SockKind::kTcp && !s->listening) {
+        ++n;
+      }
+    }
+    return n;
+  };
+  const int fd = fstack::ff_socket(ts.a(), fstack::kAfInet,
+                                   fstack::kSockStream, 0);
+  fstack::ff_connect(ts.a(), fd, {ts.ip_b(), 7777});
+  ASSERT_TRUE(ts.pump_until([&] {
+    server.step();
+    return open_conns() == 1;
+  }));
+  fstack::TcpPcb* client = nullptr;
+  for (std::uint16_t port = 49152; port < 49160 && client == nullptr;
+       ++port) {
+    client = ts.a().find_pcb({ts.ip_a(), port, ts.ip_b(), 7777});
+  }
+  ASSERT_NE(client, nullptr);
+  client->abort(ECONNRESET);  // the RST reaches B over the wire
+  bool closed_step = false;
+  EXPECT_TRUE(ts.pump_until(
+      [&] {
+        closed_step |= server.step();
+        return open_conns() == 0;
+      },
+      10'000));
+  EXPECT_TRUE(closed_step);  // the close counts as progress
+  EXPECT_FALSE(server.step());
 }
 
 // ------------------------------------------------------------- MAVLink

@@ -1,12 +1,16 @@
 // Scenario-level integration, all on the lockstep rig: the five Table II
 // configurations at reduced volume, the ff_write latency probes, the
-// crossing census and the cross-compartment proxy; plus compartment-escape
-// containment (Fig. 3).
+// crossing census and the cross-compartment proxy (the echo server's
+// crossing budget among it); plus compartment-escape containment (Fig. 3).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cerrno>
 #include <cstdlib>
+#include <memory>
+#include <vector>
 
+#include "apps/echo.hpp"
 #include "apps/iperf.hpp"
 #include "scenarios/experiment.hpp"
 #include "scenarios/scenario2.hpp"
@@ -510,6 +514,86 @@ TEST(Scenario2Proxy, ShortZcRecvBufferFaultsBeforeAnyLoanMoves) {
     ops.close(cfd);
     ops.close(lfd);
   });
+}
+
+TEST(Scenario2Proxy, EchoServerCrossesOncePerIdleStep) {
+  // The echo server waits on epoll: with four established connections an
+  // idle step is its one epoll_wait crossing, and a step that echoes one
+  // request adds exactly that connection's readv and writev.
+  LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, 64 * 1024,
+                  fast_options());
+  fstack::FfStack& peer = rig.testbed().peer(0).stack();
+  const auto& entries = rig.testbed().intravisor().entries();
+  const machine::CapView scratch = rig.alloc(4096);
+  const machine::CapView tx = rig.alloc(256);  // the peer's request
+  const machine::CapView rx = rig.alloc(256);  // and its echo
+  std::unique_ptr<apps::EchoServer> srv;
+  rig.run(0, [&] {
+    srv = std::make_unique<apps::EchoServer>(&rig.ops(), 7000, scratch);
+  });
+  struct Step {
+    bool progress;
+    std::uint64_t crossings;
+  };
+  const auto step = [&] {
+    const std::uint64_t before = entries.crossings();
+    const bool progress = rig.run(0, [&] { return srv->step(); });
+    return Step{progress, entries.crossings() - before};
+  };
+
+  std::array<int, 4> fds{};
+  for (int& fd : fds) {
+    fd = fstack::ff_socket(peer, fstack::kAfInet, fstack::kSockStream, 0);
+    ASSERT_EQ(fstack::ff_connect(peer, fd, {MorelloTestbed::morello_ip(0),
+                                            7000}),
+              -EINPROGRESS);
+  }
+  // Send `len` bytes tagged `tag` on connection c and step until their
+  // echo is back; returns the steps that made progress.
+  const auto round_trip = [&](std::size_t c, std::size_t len,
+                              std::uint8_t tag) {
+    std::vector<Step> busy;
+    for (std::size_t i = 0; i < len; ++i) {
+      tx.store<std::uint8_t>(i, static_cast<std::uint8_t>(tag + i * 7));
+    }
+    std::size_t sent = 0;
+    std::vector<std::uint8_t> got;
+    for (int i = 0; i < 10'000 && got.size() < len; ++i) {
+      if (sent == 0) {  // retried until the connection takes it
+        const auto w = fstack::ff_write(peer, fds[c], tx, len);
+        if (w > 0) sent = static_cast<std::size_t>(w);
+      }
+      const Step s = step();
+      if (s.progress) busy.push_back(s);
+      const auto r = fstack::ff_read(peer, fds[c], rx, rx.size());
+      for (std::int64_t k = 0; k < r; ++k) {
+        got.push_back(rx.load<std::uint8_t>(static_cast<std::uint64_t>(k)));
+      }
+      rig.turn(s.progress);
+    }
+    EXPECT_EQ(sent, len);
+    EXPECT_EQ(got.size(), len);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], static_cast<std::uint8_t>(tag + i * 7)) << i;
+    }
+    return busy;
+  };
+  // Setup: each connection is accepted and echoes one request.
+  for (std::size_t c = 0; c < fds.size(); ++c) {
+    round_trip(c, 64, static_cast<std::uint8_t>(c * 40));
+  }
+
+  for (int i = 0; i < 3; ++i) {
+    const Step idle = step();
+    EXPECT_FALSE(idle.progress);
+    EXPECT_EQ(idle.crossings, 1u);  // epoll_wait only
+  }
+  const std::vector<Step> busy = round_trip(2, 200, 0x5A);
+  ASSERT_EQ(busy.size(), 1u);
+  EXPECT_EQ(busy[0].crossings, 3u);  // epoll_wait, readv, writev
+  const Step idle = step();
+  EXPECT_FALSE(idle.progress);
+  EXPECT_EQ(idle.crossings, 1u);
 }
 
 TEST(Census, SameInputsSameCounts) {

@@ -110,6 +110,35 @@ TEST(FfApi, EpollLifecycleAndReadiness) {
   EXPECT_EQ(ff_epoll_ctl(ts.b(), ep, EpollOp::kDel, bfd, 0, 0), -ENOENT);
 }
 
+TEST(FfApi, ClosedFdLeavesEveryEpollSet) {
+  // As on Linux, closing an fd drops it from every interest set: no
+  // error/hang-up event under the dead cookie, and a socket that reuses
+  // the number joins afresh instead of inheriting the stale watch.
+  TwoStacks ts;
+  const int ep1 = ff_epoll_create(ts.b());
+  const int ep2 = ff_epoll_create(ts.b());
+  const int fd = ff_socket(ts.b(), kAfInet, kSockDgram, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(ff_epoll_ctl(ts.b(), ep1, EpollOp::kAdd, fd, kEpollIn, 77), 0);
+  ASSERT_EQ(ff_epoll_ctl(ts.b(), ep2, EpollOp::kAdd, fd, kEpollIn, 77), 0);
+  ASSERT_EQ(ff_close(ts.b(), fd), 0);
+
+  FfEpollEvent evs[4];
+  EXPECT_EQ(ff_epoll_wait(ts.b(), ep1, evs), 0);
+  EXPECT_EQ(ff_epoll_wait(ts.b(), ep2, evs), 0);
+  EXPECT_EQ(ff_epoll_ctl(ts.b(), ep1, EpollOp::kDel, fd, 0, 0), -EBADF);
+
+  const int reused = ff_socket(ts.b(), kAfInet, kSockDgram, 0);
+  ASSERT_EQ(reused, fd);  // the lowest free number comes back
+  EXPECT_EQ(ff_epoll_ctl(ts.b(), ep1, EpollOp::kAdd, reused,
+                         kEpollIn | kEpollOut, 99),
+            0);
+  ASSERT_EQ(ff_epoll_wait(ts.b(), ep1, evs), 1);
+  EXPECT_EQ(evs[0].data, 99u);
+  EXPECT_EQ(evs[0].events, kEpollOut);
+  EXPECT_EQ(ff_epoll_wait(ts.b(), ep2, evs), 0);
+}
+
 TEST(FfApi, UdpSendtoRecvfromRoundTrip) {
   TwoStacks ts;
   const int sa = ff_socket(ts.a(), kAfInet, kSockDgram, 0);

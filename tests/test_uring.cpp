@@ -2,7 +2,7 @@
 // full-CQ backpressure, per-entry -EINVAL isolation for forged/replayed
 // submissions, the verdicts of retired opcodes and arguments, multishot
 // accept, epoll-arm CQEs, the zc loan flow over the ring (TCP and UDP), and
-// the iperf/echo app ports.
+// the iperf app port.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -10,7 +10,6 @@
 #include <optional>
 #include <vector>
 
-#include "apps/echo.hpp"
 #include "apps/ff_ops.hpp"
 #include "apps/iperf.hpp"
 #include "apps/uring_proto.hpp"
@@ -577,26 +576,6 @@ TEST(UringApps, IperfRunsEndToEndOverRings) {
   // returns tail tokens synchronously, so nothing is left in flight).
   EXPECT_EQ(ts.a().api_stats().zc_rx_recycles,
             ts.a().api_stats().zc_rx_loans);
-}
-
-TEST(UringApps, EchoServerAcceptsOverMultishotRing) {
-  TwoStacks ts;
-  apps::DirectFfOps ops_a(&ts.a());
-  apps::DirectFfOps ops_b(&ts.b());
-  apps::EchoServer srv(&ops_a, 7000, ts.heap_a().alloc_view(4096));
-  ASSERT_EQ(
-      srv.use_uring(ts.heap_a().alloc_view(FfUring::bytes_for(8, 8)), 8, 8),
-      0);
-  apps::EchoClient cli(&ops_b, ts.ip_a(), 7000, "ring the bell, not the api",
-                       ts.heap_b().alloc_view(512));
-  const bool done = ts.pump_until([&] {
-    srv.step();
-    cli.step();
-    return cli.done();
-  });
-  ASSERT_TRUE(done);
-  EXPECT_EQ(cli.reply(), "ring the bell, not the api");
-  EXPECT_GT(ts.a().api_stats().uring_cqes, 0u);
 }
 
 // ---------------------------------------------------------------------------
