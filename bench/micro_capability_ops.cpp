@@ -1,11 +1,16 @@
 // Microbenchmarks (google-benchmark): the primitive costs every scenario
 // is built from — capability derivation/check, compressed-bounds codec,
-// tagged-memory access, trampolined syscalls, sealed domain transitions.
+// tagged-memory access, trampolined syscalls, sealed domain transitions —
+// and the Ethernet FCS the emulated MAC computes in host software on every
+// frame it sends and receives.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "intravisor/compartment_mutex.hpp"
 #include "intravisor/intravisor.hpp"
 #include "machine/domain.hpp"
+#include "nic/crc32.hpp"
 
 using namespace cherinet;
 
@@ -82,6 +87,22 @@ static void BM_CheckedBulkCopy1448(benchmark::State& state) {
                           1448);
 }
 BENCHMARK(BM_CheckedBulkCopy1448);
+
+// Per-frame FCS cost at a minimum frame, a full 1514-byte frame and a
+// 9018-byte jumbo (the fold path from 64 B up, the tables below).
+static void BM_Crc32Fcs(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::byte> frame(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    frame[i] = static_cast<std::byte>((i * 131) >> 3);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nic::crc32_ieee(frame));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32Fcs)->Arg(64)->Arg(1514)->Arg(9018);
 
 static void BM_TrampolinedClockGettime(benchmark::State& state) {
   auto& f = Fixture::get();

@@ -8,9 +8,10 @@
 # count and share at or below theirs and, outside the sanitizer leg, holds
 # every capability predicate in src/fstack and src/scenarios to the one
 # boundary check (src/fstack/boundary.hpp), runs the repository
-# benchmark's determinism self-check (bench/e2e/run.sh --selfcheck) and
+# benchmark's determinism self-check (bench/e2e/run.sh --selfcheck),
 # holds each benchmark workload's smoke crossings per MiB at or below
-# bench/baseline/E2E_crossings.json.
+# bench/baseline/E2E_crossings.json and requires its virtual-clock results
+# to equal bench/baseline/E2E_virtual.json exactly.
 #
 # SANITIZE=1 switches to the AddressSanitizer + UBSan configuration in its
 # own build tree — the memory-safety net over the loan-based RX pipeline
@@ -132,6 +133,13 @@ if [[ "$SANITIZE" != "1" ]]; then
   # bench/baseline/E2E_crossings.json. The figure is virtual (counted, not
   # timed), so it is exact run to run; a change that lowers one copies the
   # fresh numbers over the baseline, the same rule as Table I below.
+  # The same runs replay the virtual clock: goodput, p50/p99 latency and
+  # the attempted/failed counts must equal bench/baseline/E2E_virtual.json
+  # exactly. A change that moves one on purpose regenerates that file and
+  # says why in CHANGES.md, the same rule as the BENCH_* baselines.
+  virtual='{goodput_mbps: .metrics.goodput_mbps.value,
+            lat_p50_us: .metrics.lat_p50_us.value,
+            lat_p99_us: .metrics.lat_p99_us.value, attempted, failed}'
   for w in bulk_tx bulk_rx_zc bulk_tx_lossy rr; do
     if ! line="$(bash bench/e2e/run.sh --workload "$w" --smoke --seed 1 \
         --trace 0 | tail -n 1)"; then
@@ -145,6 +153,14 @@ if [[ "$SANITIZE" != "1" ]]; then
     if ! jq -en --argjson got "$got" --argjson bound "$bound" \
         '$got <= $bound' > /dev/null; then
       echo "== CROSSINGS REGRESSION: $w crossings_per_mib $got > $bound"
+      status=1
+    fi
+    got="$(jq -c "$virtual" <<< "$line")"
+    want="$(jq -c --arg w "$w" '.[$w]' bench/baseline/E2E_virtual.json)"
+    echo "== virtual $w: $got"
+    if ! jq -en --argjson got "$got" --argjson want "$want" \
+        '$got == $want' > /dev/null; then
+      echo "== VIRTUAL DRIFT: $w differs from E2E_virtual.json ($want)"
       status=1
     fi
   done

@@ -17,6 +17,7 @@ TxChain::TxChain(TxChain&& other) noexcept
   other.segs_.clear();
   other.used_ = 0;
   other.pool_ = nullptr;
+  other.cursor_ = Cursor{};
 }
 
 TxChain& TxChain::operator=(TxChain&& other) noexcept {
@@ -31,6 +32,7 @@ TxChain& TxChain::operator=(TxChain&& other) noexcept {
     other.segs_.clear();
     other.used_ = 0;
     other.pool_ = nullptr;
+    other.cursor_ = Cursor{};
   }
   return *this;
 }
@@ -43,6 +45,7 @@ void TxChain::release_all() {
   // The copy ring's bytes are dropped with their segments.
   if (ring_.used() > 0) ring_.consume(ring_.used());
   used_ = 0;
+  cursor_ = Cursor{};
 }
 
 namespace {
@@ -146,13 +149,14 @@ std::size_t TxChain::gather(std::size_t off, std::size_t len,
   }
   std::size_t n = 0;
   std::size_t done = 0;
-  std::size_t pos = 0;       // logical chain offset of the current segment
-  std::size_t ring_off = 0;  // copy-ring bytes preceding the current segment
-  for (const Seg& s : segs_) {
-    if (done == len) break;
-    const std::size_t seg_end = pos + s.len;
+  // In-order emission resumes where the last gather ended; a
+  // retransmission below that walks from the head.
+  Cursor c = off >= cursor_.pos ? cursor_ : Cursor{};
+  for (; done < len; ++c.seg) {
+    const Seg& s = segs_[c.seg];
+    const std::size_t seg_end = c.pos + s.len;
     if (off + done < seg_end) {
-      const std::size_t in_seg = off + done - pos;
+      const std::size_t in_seg = off + done - c.pos;
       const std::size_t k = std::min(len - done, s.len - in_seg);
       // A cached sum covers the piece only when the piece IS the slice.
       const bool whole = in_seg == 0 && k == s.len && s.csum_ok;
@@ -164,7 +168,7 @@ std::size_t TxChain::gather(std::size_t off, std::size_t len,
       } else {
         SockBuf::PhysSpan ps[2];
         const std::size_t nspans =
-            ring_.phys_spans(ring_off + in_seg, k, ps);
+            ring_.phys_spans(c.ring_off + in_seg, k, ps);
         for (std::size_t i = 0; i < nspans; ++i) {
           if (n == out.size()) return 0;
           out[n++] = TxPiece{
@@ -176,10 +180,12 @@ std::size_t TxChain::gather(std::size_t off, std::size_t len,
         }
       }
       done += k;
+      if (done == len) break;  // the cursor stays on the last segment read
     }
-    pos = seg_end;
-    if (s.m == nullptr) ring_off += s.len;
+    c.pos = seg_end;
+    if (s.m == nullptr) c.ring_off += s.len;
   }
+  cursor_ = c;
   return n;
 }
 
@@ -188,12 +194,17 @@ void TxChain::consume(std::size_t n) {
     throw std::out_of_range("TxChain::consume beyond buffered data");
   }
   used_ -= n;
+  const std::size_t acked = n;
+  std::size_t popped = 0;
+  std::size_t ring_acked = 0;
+  bool trimmed = false;
   while (n > 0) {
     Seg& s = segs_.front();
     const auto k = static_cast<std::uint32_t>(
         std::min<std::size_t>(n, s.len));
     if (s.m == nullptr) {
       ring_.consume(k);
+      ring_acked += k;
     } else {
       s.off += k;  // partial ACK trims the head slice in place
     }
@@ -202,9 +213,20 @@ void TxChain::consume(std::size_t n) {
     if (s.len == 0) {
       if (s.m != nullptr && pool_ != nullptr) pool_->release_tx(s.m);
       segs_.pop_front();
+      ++popped;
     } else {
       s.csum_ok = false;  // the cached sum covered the untrimmed slice
+      trimmed = true;
     }
+  }
+  // The cursor's segment moves down by what was popped; if it was popped
+  // or trimmed itself, the next gather starts from the head.
+  if (cursor_.seg < popped + (trimmed ? 1 : 0)) {
+    cursor_ = Cursor{};
+  } else {
+    cursor_.seg -= popped;
+    cursor_.pos -= acked;
+    cursor_.ring_off -= ring_acked;
   }
 }
 

@@ -129,6 +129,14 @@ class TxChain {
   /// Decompose [off, off+len) into source extents for scatter-gather
   /// emission. Returns the piece count, or 0 when the range needs more
   /// than out.size() pieces (the caller falls back to peek()).
+  ///
+  /// A cursor remembers the segment the last call ended in (its index,
+  /// its logical offset and the copy-ring bytes before it), so in-order
+  /// emission finds its first segment in O(1): a gather at or past the
+  /// cursor starts there, one below it (a retransmission) walks from the
+  /// head. consume() shifts the cursor by what it popped and resets it
+  /// when its own segment went or was trimmed; release_all() and the moves
+  /// reset it.
   std::size_t gather(std::size_t off, std::size_t len,
                      std::span<TxPiece> out) const;
 
@@ -151,12 +159,21 @@ class TxChain {
     bool csum_ok = false;     // false once a head trim stales the sum
   };
 
+  /// segs_[seg] starts at logical offset `pos`, after `ring_off` copy-ring
+  /// bytes; the default is the head.
+  struct Cursor {
+    std::size_t seg = 0;
+    std::size_t pos = 0;
+    std::size_t ring_off = 0;
+  };
+
   SockBuf ring_;  // copy-backed bytes (in chain order, FIFO)
   updk::Mempool* pool_ = nullptr;
   TxStats* stats_ = nullptr;
   bool cache_csums_ = true;
   std::deque<Seg> segs_;
   std::size_t used_ = 0;
+  mutable Cursor cursor_;  // where the last gather() ended
 };
 
 }  // namespace cherinet::fstack

@@ -1,6 +1,7 @@
 #include "nic/e82576.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -41,14 +42,59 @@ void put_be32_at(std::span<std::byte> f, std::size_t i, std::uint32_t v) {
 // deliberately independent of the stack's composable checksum helpers so
 // the offload property tests compare two implementations, not one with
 // itself.
+//
+// Word-wide (RFC 1071 §2(B)/(C)): the native 32-bit halves of 8-byte loads
+// go into two 64-bit accumulators, 16 bytes per iteration (each adds under
+// 2^34, so neither can overflow on any frame), then the 8/4/2/1-byte tail.
+// The one's-complement sum is byte-order independent: the total, folded
+// once to 16 bits and byte-swapped once, has the same residue mod 0xFFFF
+// as the big-endian pairwise sum, and is zero only when every byte is. The
+// caller's `sum` (big-endian terms) and any pseudo-header terms added
+// afterwards compose with it as before, so ocsum_fold gives the value the
+// byte-pair loop did.
+static_assert(std::endian::native == std::endian::little,
+              "the word-wide adder byte-swaps a little-endian sum");
+
 std::uint32_t ocsum(std::span<const std::byte> b, std::uint32_t sum = 0) {
-  std::size_t i = 0;
-  for (; i + 1 < b.size(); i += 2) {
-    sum += (std::to_integer<std::uint32_t>(b[i]) << 8) |
-           std::to_integer<std::uint32_t>(b[i + 1]);
+  const std::byte* p = b.data();
+  std::size_t n = b.size();
+  const auto halves = [](const std::byte* q) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, q, 8);
+    return (w & 0xFFFFFFFFu) + (w >> 32);
+  };
+  std::uint64_t a0 = 0;
+  std::uint64_t a1 = 0;
+  for (; n >= 16; p += 16, n -= 16) {
+    a0 += halves(p);
+    a1 += halves(p + 8);
   }
-  if (i < b.size()) sum += std::to_integer<std::uint32_t>(b[i]) << 8;
-  return sum;
+  std::uint64_t acc = a0 + a1;
+  if (n >= 8) {
+    acc += halves(p);
+    p += 8;
+    n -= 8;
+  }
+  if (n >= 4) {
+    std::uint32_t w = 0;
+    std::memcpy(&w, p, 4);
+    acc += w;
+    p += 4;
+    n -= 4;
+  }
+  if (n >= 2) {
+    std::uint16_t w = 0;
+    std::memcpy(&w, p, 2);
+    acc += w;
+    p += 2;
+    n -= 2;
+  }
+  // A trailing odd byte is the high byte of its big-endian word, the low
+  // byte of its native one.
+  if (n > 0) acc += std::to_integer<std::uint64_t>(*p);
+  while ((acc >> 16) != 0) acc = (acc & 0xFFFF) + (acc >> 16);
+  const auto f = static_cast<std::uint32_t>(acc);
+  return sum + (((f & 0xFF) << 8) | (f >> 8));
 }
 
 std::uint16_t ocsum_fold(std::uint32_t sum) {

@@ -51,16 +51,30 @@ TEST(Crc32, KnownVectors) {
   EXPECT_EQ(nic::crc32_ieee({}), 0x00000000u);
 }
 
-// Every length up to 2048 at every start offset 0..7: covers the byte-wise
-// tail after each number of 8-byte steps and unaligned word loads.
+// Every length up to 2048 at every start offset 0..15, against both paths
+// of crc32_ieee: the carry-less-multiply fold (whole 16-byte blocks of a
+// buffer of 64 B or more, so every alignment of its 16-byte loads) with the
+// slicing-by-8 tables after it, and the tables alone below 64 B. Lengths
+// cover the byte-wise tail after each number of 8-byte steps and every
+// count of 64-byte fold steps plus 16-byte single folds.
 TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
-  const auto buf = seeded_bytes(2048 + 8, 0xC4C32u);
-  for (std::size_t off = 0; off < 8; ++off) {
+  const auto buf = seeded_bytes(2048 + 16, 0xC4C32u);
+  for (std::size_t off = 0; off < 16; ++off) {
     for (std::size_t len = 0; len <= 2048; ++len) {
       const std::span<const std::byte> s{buf.data() + off, len};
       ASSERT_EQ(nic::crc32_ieee(s), crc32_bitwise(s))
           << "offset " << off << " length " << len;
     }
+  }
+}
+
+// Jumbo and maximum-length buffers: many 64-byte fold steps, then the
+// 16-byte folds and the table tail (2100 = 32*64 + 3*16 + 4,
+// 9018 = 140*64 + 3*16 + 10, 65535 = 1023*64 + 3*16 + 15).
+TEST(Crc32, MatchesBitwiseReferenceOnLongBuffers) {
+  for (const std::size_t len : {2100u, 9018u, 65535u}) {
+    const auto buf = seeded_bytes(len, static_cast<std::uint32_t>(len));
+    ASSERT_EQ(nic::crc32_ieee(buf), crc32_bitwise(buf)) << "length " << len;
   }
 }
 

@@ -82,6 +82,35 @@ struct OffloadDeviceFixture : ::testing::Test {
     }
     return out;
   }
+
+  /// Send `frame` as one descriptor with checksum insertion over
+  /// [css, end) at cso; returns the 16-bit value the device inserted,
+  /// after checking every other byte went out untouched.
+  std::uint16_t insert_one(std::span<const std::byte> frame, std::size_t css,
+                           std::size_t cso) {
+    mem.store(root, kTxBuf + tail * 2048, frame);
+    nic::TxDesc d{};
+    d.buffer_addr = kTxBuf + tail * 2048;
+    d.length = static_cast<std::uint16_t>(frame.size());
+    d.cmd = nic::kTxCmdEOP | nic::kTxCmdIC;
+    d.css = static_cast<std::uint8_t>(css);
+    d.cso = static_cast<std::uint8_t>(cso);
+    mem.store_scalar(root, kTxRing + tail * sizeof(nic::TxDesc), d);
+    tail = (tail + 1) % kRingSlots;
+    dev.port(0).write_tdt(tail);
+    dev.poll(clock.now());
+    const auto frames = drain_wire();
+    if (frames.size() != 1 || frames[0].size() != frame.size()) {
+      ADD_FAILURE() << "expected one " << frame.size() << "-byte frame";
+      return 0;
+    }
+    for (std::size_t i = 0; i < frame.size(); ++i) {
+      if (i != cso && i != cso + 1 && frames[0][i] != frame[i]) {
+        ADD_FAILURE() << "byte " << i << " changed";
+      }
+    }
+    return be16(frames[0], cso);
+  }
 };
 
 }  // namespace
@@ -163,6 +192,53 @@ TEST_F(OffloadDeviceFixture, LegacyInsertionMatchesComposableSoftwareSums) {
     for (std::size_t i = 0; i < total; ++i) {
       if (i == cso || i == cso + 1) continue;
       ASSERT_EQ(frames[0][i], full[i]) << "trial " << trial << " byte " << i;
+    }
+  }
+}
+
+// Edge cases of the device adder against checksum_partial/checksum_finish:
+// every summed length 1..64 and a 1500-byte frame, starting at an even and
+// an odd frame offset, over random, all-zero and all-0xFF bytes; then a
+// driver seed inside the range chosen so the inserted checksum is 0x0000,
+// and the one range that inserts 0xFFFF (it sums to zero: all-zero bytes
+// under a zero seed).
+TEST_F(OffloadDeviceFixture, LegacyInsertionEdgeCasesMatchSoftwareSums) {
+  std::mt19937 rng(0xED6Eu);
+  std::vector<std::size_t> lens;
+  for (std::size_t len = 1; len <= 64; ++len) lens.push_back(len);
+  lens.push_back(1500);
+  const auto software = [](std::span<const std::byte> f, std::size_t css) {
+    return checksum_finish(checksum_partial(f.subspan(css)));
+  };
+  for (const std::size_t len : lens) {
+    for (const std::size_t css : {2u, 3u}) {
+      // The seed field sits before the summed range (cso 0).
+      for (const int fill : {-1, 0x00, 0xFF}) {
+        std::vector<std::byte> f(css + len);
+        for (auto& b : f) {
+          b = std::byte{static_cast<std::uint8_t>(fill < 0 ? rng() : fill)};
+        }
+        EXPECT_EQ(insert_one(f, css, 0), software(f, css))
+            << "len " << len << " css " << css << " fill " << fill;
+      }
+      if (len < 2) continue;
+      // The seed field opens the summed range: seeded with the complement
+      // of the rest's folded sum, the range sums to 0xFFFF and the
+      // inserted checksum is 0x0000.
+      std::vector<std::byte> f(css + len);
+      for (auto& b : f) b = std::byte{static_cast<std::uint8_t>(rng())};
+      put_be16(f, css, 0);
+      const std::uint16_t rest =
+          checksum_fold16(checksum_partial(std::span{f}.subspan(css)));
+      put_be16(f, css, static_cast<std::uint16_t>(~rest));
+      ASSERT_EQ(software(f, css), 0x0000) << "len " << len;
+      EXPECT_EQ(insert_one(f, css, css), 0x0000)
+          << "len " << len << " css " << css;
+      // All-zero bytes under a zero seed sum to zero: 0xFFFF goes in.
+      std::vector<std::byte> zero(css + len);
+      ASSERT_EQ(software(zero, css), 0xFFFF);
+      EXPECT_EQ(insert_one(zero, css, css), 0xFFFF)
+          << "len " << len << " css " << css;
     }
   }
 }
@@ -559,4 +635,93 @@ TEST(OffloadVerdict, FcsValidCorruptL4DiesAtVerdictCheck) {
   });
   EXPECT_EQ(r, static_cast<std::int64_t>(kPay));
   EXPECT_EQ(ts.a().stats().csum_errors, 1u);
+}
+
+// An L4 sum that folds to exactly 0xFFFF verifies clean: UDP payloads
+// tuned so the computed checksum is 0 (sent as 0xFFFF, RFC 768), plus
+// all-0xFF and all-zero payloads at odd and even lengths. Software
+// (checksum_partial/checksum_finish) and the device verdict must agree:
+// every datagram reaches the socket and no checksum error is counted.
+TEST(OffloadVerdict, L4SumFoldingToFfffVerifiesClean) {
+  TwoStacks ts;
+  const int sa = ff_socket(ts.a(), kAfInet, kSockDgram, 0);
+  ASSERT_EQ(ff_bind(ts.a(), sa, {Ipv4Addr{}, 9001}), 0);
+  ASSERT_NE(ts.a().negotiated_offloads() & updk::kOffloadRxCsum, 0u);
+  const Ipv4Addr src = ts.ip_b();
+  const Ipv4Addr dst = ts.ip_a();
+  constexpr std::size_t l4off = EtherHeader::kSize + Ipv4Header::kSize;
+  std::mt19937 rng(0xFFFFu);
+  auto rx = ts.heap_a().alloc_view(2048);
+
+  // fill < 0: random payload whose last two bytes zero the checksum.
+  const auto build = [&](std::size_t pay, int fill) {
+    const std::size_t l4 = UdpHeader::kSize + pay;
+    std::vector<std::byte> f(l4off + l4);
+    EtherHeader eh;
+    eh.dst = nic::MacAddr::local(10);  // card_a port 0
+    eh.src = nic::MacAddr::local(20);
+    eh.ethertype = kEtherTypeIpv4;
+    eh.serialize(f);
+    Ipv4Header ih;
+    ih.total_len = static_cast<std::uint16_t>(Ipv4Header::kSize + l4);
+    ih.proto = kIpProtoUdp;
+    ih.src = src;
+    ih.dst = dst;
+    ih.serialize(std::span<std::byte>{f}.subspan(EtherHeader::kSize));
+    UdpHeader uh;
+    uh.src_port = 9000;
+    uh.dst_port = 9001;
+    uh.length = static_cast<std::uint16_t>(l4);
+    uh.checksum = 0;
+    uh.serialize(std::span<std::byte>{f}.subspan(l4off));
+    for (std::size_t i = l4off + UdpHeader::kSize; i < f.size(); ++i) {
+      f[i] = std::byte{static_cast<std::uint8_t>(fill < 0 ? rng() : fill)};
+    }
+    const auto sum = [&] {
+      return checksum_partial(std::span<const std::byte>{f}.subspan(l4off),
+                              checksum_pseudo(src, dst, kIpProtoUdp,
+                                              static_cast<std::uint16_t>(l4)));
+    };
+    if (fill < 0) {
+      // Payload is even-length here: its last word is a big-endian word of
+      // the L4 sum, set so the sum folds to exactly 0xFFFF.
+      put_be16(f, f.size() - 2, 0);
+      put_be16(f, f.size() - 2,
+               static_cast<std::uint16_t>(0xFFFF - checksum_fold16(sum())));
+      EXPECT_EQ(checksum_finish(sum()), 0x0000);
+    }
+    std::uint16_t ck = checksum_finish(sum());
+    if (ck == 0) ck = 0xFFFF;  // 0 means "no checksum" in UDP
+    put_be16(f, l4off + 6, ck);
+    // With the checksum in place the L4 sum folds to exactly 0xFFFF.
+    EXPECT_EQ(checksum_finish(sum()), 0x0000);
+    const std::size_t n = f.size();
+    f.resize(n + 4);
+    const std::uint32_t fcs =
+        nic::crc32_ieee(std::span<const std::byte>{f.data(), n});
+    std::memcpy(f.data() + n, &fcs, 4);
+    return f;
+  };
+
+  struct Case {
+    std::size_t pay;
+    int fill;
+  };
+  const Case cases[] = {{16, -1}, {2, -1}, {1000, -1}, {1472, -1},
+                        {15, 0xFF}, {16, 0xFF}, {1471, 0xFF}, {15, 0x00},
+                        {1472, 0x00}};
+  for (const Case& c : cases) {
+    nic::Frame fr;
+    fr.data = build(c.pay, c.fill);
+    ts.wire().transmit(1, std::move(fr), ts.clock().now());
+    std::int64_t r = -1;
+    ts.pump_until([&] {
+      r = ff_recvfrom(ts.a(), sa, rx, 2048, nullptr);
+      return r >= 0 || ts.a().stats().csum_errors > 0;
+    });
+    EXPECT_EQ(r, static_cast<std::int64_t>(c.pay))
+        << "payload " << c.pay << " fill " << c.fill;
+    EXPECT_EQ(ts.a().stats().csum_errors, 0u)
+        << "payload " << c.pay << " fill " << c.fill;
+  }
 }
