@@ -27,8 +27,7 @@ int main() {
   const auto attempt = [&](const char* what, auto&& body) {
     iv::CVM& attacker = iv.create_cvm("cVM2", 4u << 20);
     std::printf("\n[cVM2] attempting: %s\n", what);
-    attacker.start(body(attacker));
-    attacker.join();
+    attacker.run(body(attacker));
     std::printf("%s\n", iv.host().console_log().back().c_str());
     std::printf("[cVM1] network stack alive: %s\n",
                 [&] { inst.run_once(); return "yes"; }());

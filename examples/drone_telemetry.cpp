@@ -87,14 +87,13 @@ int main() {
   auto evil = apps::mav_encode(apps::make_heartbeat(99));
   evil[1] = std::byte{200};
   iv::CVM& decoder = iv.create_cvm("telemetry-decoder", 4u << 20);
-  decoder.start([&] {
+  decoder.run([&] {
     machine::CapView frame_buf = decoder.alloc(evil.size());
     frame_buf.write(0, evil);
     // Legacy parser trusts the length byte -> capability bounds fault.
     (void)apps::mav_parse_trusting(frame_buf.window(0, evil.size()),
                                    evil.size());
   });
-  decoder.join();
   std::printf("\ncrafted frame outcome: decoder faulted=%s\n",
               decoder.faulted() ? "yes (contained)" : "no");
   if (!iv.fault_log().empty()) {

@@ -7,7 +7,8 @@
 # baseline in bench/baseline/, holds the Table I capability-aware line
 # count and share at or below theirs and, outside the sanitizer leg, holds
 # every capability predicate in src/fstack and src/scenarios to the one
-# boundary check (src/fstack/boundary.hpp), runs the repository
+# boundary check (src/fstack/boundary.hpp), fails when anything in src/
+# starts a thread, runs the repository
 # benchmark's determinism self-check (bench/e2e/run.sh --selfcheck),
 # holds each benchmark workload's smoke crossings per MiB at or below
 # bench/baseline/E2E_crossings.json and requires its virtual-clock results
@@ -18,11 +19,12 @@
 # (mbuf refcounts, capability views, the ff_uring SQ/CQ rings).
 #
 # TSAN=1 switches to the ThreadSanitizer configuration, again in its own
-# build tree, and runs the suites that spawn threads or once did: the
-# intravisor host shims (CompartmentMutex/umtx races, CVM::start), the
-# virtual clock's racing advances, the MPMC ring stress, and the scenario
-# and shard suites, which now run on the lockstep rig and stay in the leg
-# as a regression net for any thread reintroduced there.
+# build tree, and runs the two binaries that spawn threads: the intravisor
+# host-shim suite (CompartmentMutex/umtx races) and the locking ablation,
+# which drives the compartment mutex, umtx, TaggedMemory's atomic word
+# operations and the syscall router's futex counter under real contention.
+# Everything else runs on one thread; the default leg's thread gate keeps
+# it that way.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -52,9 +54,6 @@ elif [[ "$TSAN" == "1" ]]; then
   EXTRA_FLAGS=(-DCHERINET_TSAN=ON)
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
   export CHERINET_SKIP_TIMING_TESTS=1
-  # The MPMC ring stress spins six threads; full volume is pathological
-  # under TSan's serialization on small machines.
-  export CHERINET_STRESS_LIGHT=1
 else
   BUILD_DIR="${BUILD_DIR:-build-check}"
   EXTRA_FLAGS=()
@@ -67,11 +66,12 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 rm -f "$BUILD_DIR"/BENCH_*.json
 status=0
 if [[ "$TSAN" == "1" ]]; then
-  # Only the suites that actually spawn threads: everything else is
-  # single-threaded virtual-time simulation with nothing for TSan to see.
-  ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-    -R '^(test_scenarios|test_shards|test_host_intravisor|test_sim_stats|test_updk)$' \
+  # Only the binaries that spawn threads: everything else is single-threaded
+  # virtual-time simulation with nothing for TSan to see. The ablation's
+  # shard gate (every acquisition a fast path) does not depend on timing.
+  ctest --test-dir "$BUILD_DIR" --output-on-failure -R '^test_host_intravisor$' \
     || status=$?
+  "$BUILD_DIR"/bench_ablation_locking || status=$?
   exit "$status"
 fi
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" || status=$?
@@ -122,6 +122,17 @@ if [[ "$SANITIZE" != "1" ]]; then
   if [[ -n "$copies" ]]; then
     echo "== CAPABILITY CHECK OUTSIDE src/fstack/boundary.hpp:"
     echo "$copies"
+    status=1
+  fi
+
+  # Single-threaded by construction: every rig runs on the caller's thread,
+  # so nothing in src/ may start one. Only tests and benches that measure
+  # real host contention (test_host_intravisor, bench_ablation_locking)
+  # spawn threads, and the TSan leg runs exactly those.
+  spawners="$(grep -rnE 'std::(thread|jthread|async)\b' src || true)"
+  if [[ -n "$spawners" ]]; then
+    echo "== THREAD STARTED IN src/:"
+    echo "$spawners"
     status=1
   fi
 

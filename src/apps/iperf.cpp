@@ -194,7 +194,7 @@ void IperfServer::finish(Conn& c) {
   c.done = true;
   ops_->epoll_ctl(epfd_, fstack::EpollOp::kDel, c.fd, 0, 0);
   ops_->close(c.fd);
-  completed_.fetch_add(1, std::memory_order_release);
+  ++completed_;
   if (total_.bytes == 0 || c.report.first_byte < total_.first_byte) {
     total_.first_byte = c.report.first_byte;
   }
@@ -331,7 +331,7 @@ void IperfClient::client_summary() {
   report_.last_byte = clock_->now();
   ops_->close(fd_);
   state_ = State::kClosed;
-  done_.store(true, std::memory_order_release);
+  done_ = true;
 }
 
 bool IperfClient::step_uring_send() {

@@ -1,10 +1,9 @@
 // iperf3-like TCP bandwidth measurement application, ported to the ff_* API
 // with epoll (paper §III-B). Step-driven (never blocks) so it can run inside
-// the F-Stack main loop (Scenario 1) or as a separate compartment thread
-// behind proxied ops (Scenario 2).
+// the F-Stack main loop (Scenario 1) or as a separate compartment behind
+// proxied ops (Scenario 2).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 
@@ -53,16 +52,13 @@ class IperfServer {
 
   /// Drive the server; returns true when progress was made.
   bool step();
-  /// Safe to poll from a coordinating thread while another thread steps the
-  /// server (the scenario harnesses do exactly that); everything else on
-  /// this class is single-stepper-thread only.
   [[nodiscard]] bool finished() const noexcept {
-    return completed_.load(std::memory_order_acquire) == expected_;
+    return completed_ == expected_;
   }
   /// Aggregate report across connections.
   [[nodiscard]] const IperfReport& report() const noexcept { return total_; }
   [[nodiscard]] int connections_completed() const noexcept {
-    return completed_.load(std::memory_order_acquire);
+    return completed_;
   }
   /// Per-connection reports (Table II lists each cVM's stream separately).
   [[nodiscard]] std::vector<IperfReport> connection_reports() const {
@@ -95,7 +91,7 @@ class IperfServer {
   int listen_fd_ = -1;
   int epfd_ = -1;  // iperf3 was ported onto epoll (paper §III-B)
   int expected_;
-  std::atomic<int> completed_{0};
+  int completed_ = 0;
   const bool zero_copy_;
   std::optional<fstack::FfUring> uring_;  // v3: the whole RX pipeline
   int uring_id_ = -1;
@@ -136,10 +132,7 @@ class IperfClient {
                 std::uint32_t cq_capacity, bool zero_copy = false);
 
   bool step();
-  /// Poll-safe from a coordinating thread, like IperfServer::finished().
-  [[nodiscard]] bool finished() const noexcept {
-    return done_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] bool finished() const noexcept { return done_; }
   [[nodiscard]] const IperfReport& report() const noexcept { return report_; }
 
  private:
@@ -159,7 +152,7 @@ class IperfClient {
   int fd_ = -1;
   State state_ = State::kConnecting;
   std::uint64_t sent_ = 0;
-  std::atomic<bool> done_{false};
+  bool done_ = false;
   std::optional<fstack::FfUring> uring_;  // v3: ring-submitted send stream
   int uring_id_ = -1;
   bool ur_zero_copy_ = false;

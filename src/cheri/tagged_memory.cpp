@@ -33,7 +33,6 @@ void TaggedMemory::clear_tags(std::uint64_t addr, std::uint64_t size) {
     }
   }
   if (any) {
-    std::lock_guard lk(cap_mu_);
     for (std::uint64_t g = first; g <= last; ++g) cap_table_.erase(g);
   }
 }
@@ -73,7 +72,6 @@ Capability TaggedMemory::load_cap(const Capability& auth,
     Capability c;
     return c.with_address(cursor).cleared();
   }
-  std::lock_guard lk(cap_mu_);
   const auto it = cap_table_.find(g);
   return it != cap_table_.end() ? it->second : Capability{};
 }
@@ -97,7 +95,6 @@ void TaggedMemory::store_cap(const Capability& auth, std::uint64_t addr,
   std::memcpy(mem_.data() + addr, &cursor, sizeof(cursor));
   const std::uint64_t g = addr / kGranule;
   tags_[g] = value.tag() ? 1 : 0;
-  std::lock_guard lk(cap_mu_);
   if (value.tag()) {
     cap_table_[g] = value;
   } else {

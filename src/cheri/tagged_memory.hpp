@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
 #include <span>
 #include <type_traits>
 #include <unordered_map>
@@ -107,7 +106,6 @@ class TaggedMemory {
   // compartments touch disjoint regions, unlike vector<bool>).
   std::vector<std::uint8_t> tags_;
   // Shadow table holding the full capability value for tagged granules.
-  mutable std::mutex cap_mu_;
   std::unordered_map<std::uint64_t, Capability> cap_table_;
 };
 

@@ -27,14 +27,4 @@ void HostOS::nanosleep_ns(std::uint64_t ns) const {
   std::this_thread::sleep_for(std::chrono::nanoseconds{ns});
 }
 
-void HostOS::console_write(std::string_view text) {
-  std::lock_guard lk(console_mu_);
-  console_.emplace_back(text);
-}
-
-std::vector<std::string> HostOS::console_log() const {
-  std::lock_guard lk(console_mu_);
-  return console_;
-}
-
 }  // namespace cherinet::host

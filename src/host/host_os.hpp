@@ -8,10 +8,8 @@
 // futex to our _umtx_op, as on the real system).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,15 +49,16 @@ class HostOS {
   void nanosleep_ns(std::uint64_t ns) const;
 
   // --- write(2) to the console fd ---
-  void console_write(std::string_view text);
-  [[nodiscard]] std::vector<std::string> console_log() const;
+  void console_write(std::string_view text) { console_.emplace_back(text); }
+  [[nodiscard]] const std::vector<std::string>& console_log() const noexcept {
+    return console_;
+  }
 
   [[nodiscard]] sim::VirtualClock* vclock() const noexcept { return vclock_; }
 
  private:
   UmtxTable umtx_;
   sim::VirtualClock* vclock_;
-  mutable std::mutex console_mu_;
   std::vector<std::string> console_;
 };
 

@@ -28,25 +28,13 @@ CVM::CVM(Intravisor& iv, CvmConfig cfg, int id)
   libc_ = std::make_unique<MuslLibc>(tramp_.get(), heap_->alloc_view(64));
 }
 
-CVM::~CVM() {
-  if (thread_.joinable()) thread_.join();
-}
-
-void CVM::start(std::function<void()> body) {
-  thread_ = std::thread([this, body = std::move(body)] {
-    machine::ExecutionContext::Scope scope(ctx_);
-    try {
-      body();
-    } catch (const cheri::CapFault& f) {
-      faulted_ = true;
-      iv_.record_fault(FaultReport{cfg_.name, f.kind(), f.address(),
-                                   f.what()});
-    }
-  });
-}
-
-void CVM::join() {
-  if (thread_.joinable()) thread_.join();
+void CVM::run(const std::function<void()>& body) {
+  try {
+    enter(body);
+  } catch (const cheri::CapFault& f) {
+    faulted_ = true;
+    iv_.record_fault(FaultReport{cfg_.name, f.kind(), f.address(), f.what()});
+  }
 }
 
 }  // namespace cherinet::iv

@@ -1,19 +1,18 @@
-// capability-VM: an isolated application component running as a thread of
-// the Intravisor (paper §II-B).
+// capability-VM: an isolated application component hosted by the
+// Intravisor (paper §II-B).
 //
 // Each cVM owns: a bounded heap region (its DDC), a trampoline into the
 // Intravisor, and a musl libc instance wired to that trampoline. Its body
-// runs inside the compartment context; a capability fault unwinds to the
-// cVM boundary where the Intravisor contains it (records a FaultReport and
-// marks the cVM dead — sibling compartments are unaffected, which is the
-// security claim Fig. 3 demonstrates).
+// runs on the caller's thread inside the compartment context; a capability
+// fault unwinds to the cVM boundary where the Intravisor contains it
+// (records a FaultReport and marks the cVM dead — sibling compartments are
+// unaffected, which is the security claim Fig. 3 demonstrates).
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "intravisor/musl.hpp"
 #include "intravisor/trampoline.hpp"
@@ -33,7 +32,6 @@ struct CvmConfig {
 class CVM {
  public:
   CVM(Intravisor& iv, CvmConfig cfg, int id);
-  ~CVM();
   CVM(const CVM&) = delete;
   CVM& operator=(const CVM&) = delete;
 
@@ -52,10 +50,11 @@ class CVM {
     return heap_->alloc_view(bytes);
   }
 
-  /// Launch the cVM body on its own thread, inside the compartment context,
-  /// with Intravisor fault containment at the boundary.
-  void start(std::function<void()> body);
-  void join();
+  /// Run the cVM body inline (caller thread) inside the compartment
+  /// context, with Intravisor fault containment at the boundary: a
+  /// capability fault ends the body, marks the cVM faulted and is logged;
+  /// the caller's context is restored either way.
+  void run(const std::function<void()>& body);
 
   [[nodiscard]] bool faulted() const noexcept { return faulted_; }
 
@@ -76,7 +75,6 @@ class CVM {
   std::unique_ptr<machine::CompartmentHeap> heap_;
   std::unique_ptr<Trampoline> tramp_;
   std::unique_ptr<MuslLibc> libc_;
-  std::thread thread_;
   bool faulted_ = false;
 };
 

@@ -48,13 +48,7 @@ machine::CapView Intravisor::grant_shared(std::size_t bytes,
 
 void Intravisor::record_fault(FaultReport report) {
   host_.console_write(report.to_console());
-  std::lock_guard lk(fault_mu_);
   faults_.push_back(std::move(report));
-}
-
-std::vector<FaultReport> Intravisor::fault_log() const {
-  std::lock_guard lk(fault_mu_);
-  return faults_;
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -68,7 +67,9 @@ class Intravisor {
                                               const std::string& name);
 
   void record_fault(FaultReport report);
-  [[nodiscard]] std::vector<FaultReport> fault_log() const;
+  [[nodiscard]] const std::vector<FaultReport>& fault_log() const noexcept {
+    return faults_;
+  }
 
  private:
   machine::AddressSpace as_;
@@ -78,7 +79,6 @@ class Intravisor {
   machine::EntryRegistry entries_;
   machine::CompartmentContext ctx_;
   std::vector<std::unique_ptr<CVM>> cvms_;
-  mutable std::mutex fault_mu_;
   std::vector<FaultReport> faults_;
 };
 

@@ -43,7 +43,7 @@ std::int64_t Trampoline::invoke(SyscallRequest& req) {
 
   validate_boundary_cap(req);
 
-  crossings_.fetch_add(1, std::memory_order_relaxed);
+  ++crossings_;
   if (cost_ != nullptr) cost_->charge(cost_->trampoline_crossing());
 
   // Enter the Intravisor domain (PCC/DDC reload via blrs on hardware).

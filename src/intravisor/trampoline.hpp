@@ -10,7 +10,6 @@
 // syscall, paper Fig. 4).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 #include "intravisor/syscall_router.hpp"
@@ -32,9 +31,7 @@ class Trampoline {
   /// Full trampolined syscall: save state, validate, cross, route, return.
   std::int64_t invoke(SyscallRequest& req);
 
-  [[nodiscard]] std::uint64_t crossings() const noexcept {
-    return crossings_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t crossings() const noexcept { return crossings_; }
 
  private:
   SyscallRouter* router_;
@@ -43,7 +40,7 @@ class Trampoline {
   void validate_boundary_cap(const SyscallRequest& req) const;
 
   const sim::CostModel* cost_;
-  std::atomic<std::uint64_t> crossings_{0};
+  std::uint64_t crossings_ = 0;
 };
 
 }  // namespace cherinet::iv

@@ -1,6 +1,8 @@
 #include "machine/address_space.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace cherinet::machine {
 
@@ -24,25 +26,13 @@ cheri::Capability AddressSpace::carve(std::size_t bytes,
       std::max<std::uint64_t>(cheri::cc::representable_alignment(bytes),
                               cheri::TaggedMemory::kGranule);
   const std::size_t rounded = (bytes + align - 1) / align * align;
-  std::lock_guard lk(mu_);
   const std::uint64_t base = (brk_ + align - 1) / align * align;
   if (base + rounded > mem_.size()) {
     throw std::runtime_error("AddressSpace: out of physical memory carving " +
                              std::string(name));
   }
   brk_ = base + rounded;
-  regions_.push_back(Region{std::string(name), base, rounded});
   return root_.with_bounds_exact(base, rounded).with_perms(perms);
-}
-
-std::vector<AddressSpace::Region> AddressSpace::regions() const {
-  std::lock_guard lk(mu_);
-  return regions_;
-}
-
-std::uint64_t AddressSpace::bytes_carved() const {
-  std::lock_guard lk(mu_);
-  return brk_;
 }
 
 }  // namespace cherinet::machine

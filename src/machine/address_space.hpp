@@ -8,10 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "cheri/capability.hpp"
 #include "cheri/tagged_memory.hpp"
@@ -39,27 +36,17 @@ class AddressSpace {
   }
 
   /// Carve a fresh, 16-byte aligned region and return a capability exactly
-  /// bounded to it with `perms`. Thread-safe bump allocation; regions never
+  /// bounded to it with `perms`. Bump allocation: regions never
   /// overlap, which is what gives compartments disjoint footprints.
   [[nodiscard]] cheri::Capability carve(std::size_t bytes,
                                         cheri::PermSet perms,
                                         std::string_view name);
 
-  struct Region {
-    std::string name;
-    std::uint64_t base;
-    std::uint64_t size;
-  };
-  [[nodiscard]] std::vector<Region> regions() const;
-  [[nodiscard]] std::uint64_t bytes_carved() const;
-
  private:
   cheri::TaggedMemory mem_;
   cheri::Capability root_;
   cheri::Capability seal_root_;
-  mutable std::mutex mu_;
   std::uint64_t brk_ = cheri::TaggedMemory::kGranule;  // keep 0 unmapped
-  std::vector<Region> regions_;
 };
 
 }  // namespace cherinet::machine

@@ -24,7 +24,6 @@ EntryRegistry::EntryRegistry(AddressSpace& as, const sim::CostModel* cost)
 SealedEntry EntryRegistry::install(std::string name,
                                    const CompartmentContext* target,
                                    CrossFn fn) {
-  std::lock_guard lk(mu_);
   if (entries_.size() >= kMaxEntries) {
     throw std::runtime_error("EntryRegistry: descriptor table full");
   }
@@ -109,16 +108,12 @@ std::uint64_t EntryRegistry::invoke(const SealedEntry& entry,
                                cheri::PermSet{cheri::Perm::kLoad}),
       code_unsealed.address());
 
-  const Entry* e = nullptr;
-  {
-    std::lock_guard lk(mu_);
-    if (id >= entries_.size() || entries_[id].otype != code.otype()) {
-      throw CapFault(FaultKind::kOtypeViolation, code.address(), 0,
-                     code.to_string(), "blrs: descriptor/otype mismatch");
-    }
-    e = &entries_[id];
+  if (id >= entries_.size() || entries_[id].otype != code.otype()) {
+    throw CapFault(FaultKind::kOtypeViolation, code.address(), 0,
+                   code.to_string(), "blrs: descriptor/otype mismatch");
   }
-  crossings_.fetch_add(1, std::memory_order_relaxed);
+  const Entry* e = &entries_[id];
+  ++crossings_;
   if (cost_ != nullptr) cost_->charge(cost_->domain_switch_extra);
   if (e->target != nullptr) {
     ExecutionContext::Scope scope(*e->target);

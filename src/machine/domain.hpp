@@ -15,10 +15,8 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -69,9 +67,7 @@ class EntryRegistry {
   /// Branch to a sealed pair. Throws CapFault on any validation failure.
   std::uint64_t invoke(const SealedEntry& entry, CrossCallArgs& args);
 
-  [[nodiscard]] std::uint64_t crossings() const noexcept {
-    return crossings_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t crossings() const noexcept { return crossings_; }
 
  private:
   struct Entry {
@@ -85,9 +81,8 @@ class EntryRegistry {
   const sim::CostModel* cost_;
   cheri::Capability code_region_;   // executable region holding descriptors
   cheri::Capability table_author_;  // RW view for writing descriptors
-  mutable std::mutex mu_;
   std::vector<Entry> entries_;
-  std::atomic<std::uint64_t> crossings_{0};
+  std::uint64_t crossings_ = 0;
   std::uint32_t next_otype_ = cheri::kOtypeFirstUser;
 };
 

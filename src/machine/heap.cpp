@@ -29,7 +29,6 @@ cheri::Capability CompartmentHeap::alloc(std::size_t bytes) {
       cheri::cc::representable_alignment(bytes), kAlign);
   const std::uint64_t need = (bytes + align - 1) / align * align;
   if (need == 0) throw std::bad_alloc();
-  std::lock_guard lk(mu_);
   for (auto it = free_.begin(); it != free_.end(); ++it) {
     const std::uint64_t base = (it->first + align - 1) / align * align;
     const std::uint64_t pad = base - it->first;
@@ -46,7 +45,6 @@ cheri::Capability CompartmentHeap::alloc(std::size_t bytes) {
 }
 
 void CompartmentHeap::free(const cheri::Capability& cap) {
-  std::lock_guard lk(mu_);
   const auto it = allocated_.find(cap.base());
   if (it == allocated_.end()) {
     throw std::invalid_argument("CompartmentHeap::free: unknown allocation");
@@ -73,14 +71,12 @@ void CompartmentHeap::free(const cheri::Capability& cap) {
 }
 
 std::uint64_t CompartmentHeap::bytes_free() const {
-  std::lock_guard lk(mu_);
   std::uint64_t total = 0;
   for (const auto& [b, s] : free_) total += s;
   return total;
 }
 
 std::uint64_t CompartmentHeap::bytes_allocated() const {
-  std::lock_guard lk(mu_);
   std::uint64_t total = 0;
   for (const auto& [b, s] : allocated_) total += s;
   return total;

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 
 #include "cheri/capability.hpp"
@@ -47,7 +46,6 @@ class CompartmentHeap {
  private:
   cheri::TaggedMemory* mem_;
   cheri::Capability region_;
-  mutable std::mutex mu_;
   std::map<std::uint64_t, std::uint64_t> free_;       // base -> size
   std::map<std::uint64_t, std::uint64_t> allocated_;  // base -> size
 };

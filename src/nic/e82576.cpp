@@ -127,7 +127,6 @@ void E82576Device::poll(sim::Ns now) {
 }
 
 void E82576Port::configure_queues(std::uint32_t n) {
-  const std::lock_guard<std::mutex> lk(mu_);
   const std::uint32_t count = std::clamp(n, 1u, kMaxQueues);
   queues_.assign(count, Queue{});
   reta_ = make_default_reta(count);
@@ -136,7 +135,6 @@ void E82576Port::configure_queues(std::uint32_t n) {
 
 void E82576Port::set_rx_ring(std::uint32_t q, std::uint64_t base,
                              std::uint32_t count, std::uint32_t buf_size) {
-  const std::lock_guard<std::mutex> lk(mu_);
   Queue& qu = queues_.at(q);
   qu.rx_base = base;
   qu.rx_count = count;
@@ -147,7 +145,6 @@ void E82576Port::set_rx_ring(std::uint32_t q, std::uint64_t base,
 
 void E82576Port::set_tx_ring(std::uint32_t q, std::uint64_t base,
                              std::uint32_t count) {
-  const std::lock_guard<std::mutex> lk(mu_);
   Queue& qu = queues_.at(q);
   qu.tx_base = base;
   qu.tx_count = count;
@@ -156,45 +153,29 @@ void E82576Port::set_tx_ring(std::uint32_t q, std::uint64_t base,
 }
 
 void E82576Port::write_rdt(std::uint32_t q, std::uint32_t v) {
-  const std::lock_guard<std::mutex> lk(mu_);
   Queue& qu = queues_.at(q);
   qu.rdt = v % std::max(1u, qu.rx_count);
 }
 
 void E82576Port::write_tdt(std::uint32_t q, std::uint32_t v) {
-  const std::lock_guard<std::mutex> lk(mu_);
   Queue& qu = queues_.at(q);
   qu.tdt = v % std::max(1u, qu.tx_count);
 }
 
-std::uint32_t E82576Port::read_rdh(std::uint32_t q) const {
-  const std::lock_guard<std::mutex> lk(mu_);
-  return queues_.at(q).rdh;
-}
-
 std::uint32_t E82576Port::read_tdh(std::uint32_t q) const {
-  const std::lock_guard<std::mutex> lk(mu_);
   return queues_.at(q).tdh;
 }
 
-void E82576Port::set_reta(const RssReta& r) {
-  const std::lock_guard<std::mutex> lk(mu_);
-  reta_ = r;
-}
-
 void E82576Port::set_reta_entry(std::uint32_t idx, std::uint8_t queue) {
-  const std::lock_guard<std::mutex> lk(mu_);
   reta_.at(idx) = queue;
 }
 
 RssReta E82576Port::reta() const {
-  const std::lock_guard<std::mutex> lk(mu_);
   return reta_;
 }
 
 int E82576Port::set_l4_filter(std::uint8_t proto, std::uint16_t dst_port,
                               std::uint8_t queue) {
-  const std::lock_guard<std::mutex> lk(mu_);
   // Re-steering an existing (proto, port) pair reuses its slot.
   for (std::size_t i = 0; i < l4_filters_.size(); ++i) {
     L4Filter& f = l4_filters_[i];
@@ -214,7 +195,6 @@ int E82576Port::set_l4_filter(std::uint8_t proto, std::uint16_t dst_port,
 }
 
 void E82576Port::clear_l4_filter(std::uint8_t proto, std::uint16_t dst_port) {
-  const std::lock_guard<std::mutex> lk(mu_);
   for (L4Filter& f : l4_filters_) {
     if (f.valid && f.proto == proto && f.dst_port == dst_port) {
       f = L4Filter{};
@@ -227,7 +207,6 @@ std::uint32_t E82576Port::rx_queue_of(std::uint32_t src_ip,
                                       std::uint16_t src_port,
                                       std::uint16_t dst_port,
                                       std::uint8_t proto) const {
-  const std::lock_guard<std::mutex> lk(mu_);
   const auto nq = static_cast<std::uint32_t>(queues_.size());
   if (nq <= 1) return 0;
   for (const L4Filter& f : l4_filters_) {
@@ -243,7 +222,6 @@ std::uint32_t E82576Port::rx_queue_of(std::uint32_t src_ip,
 }
 
 E82576Port::Stats E82576Port::stats() const {
-  const std::lock_guard<std::mutex> lk(mu_);
   Stats agg;
   for (const Queue& q : queues_) {
     agg.rx_packets += q.stats.rx_packets;
@@ -261,13 +239,11 @@ E82576Port::Stats E82576Port::stats() const {
 }
 
 E82576Port::Stats E82576Port::queue_stats(std::uint32_t q) const {
-  const std::lock_guard<std::mutex> lk(mu_);
   return queues_.at(q).stats;
 }
 
 void E82576Port::process(E82576Device& dev, sim::Ns now) {
   if (!enabled_ || wire_ == nullptr) return;
-  const std::lock_guard<std::mutex> lk(mu_);
   for (Queue& q : queues_) process_tx(dev, q, now);
   process_rx(dev);
 }
@@ -275,7 +251,6 @@ void E82576Port::process(E82576Device& dev, sim::Ns now) {
 void E82576Port::process_queue(E82576Device& dev, std::uint32_t q,
                                sim::Ns now) {
   if (!enabled_ || wire_ == nullptr) return;
-  const std::lock_guard<std::mutex> lk(mu_);
   process_tx(dev, queues_.at(q), now);
   process_rx(dev);
 }

@@ -19,18 +19,15 @@
 // its own neighbour cache warm. Fragmented datagrams hash the IP pair only,
 // keeping reassembly single-queue.
 //
-// Threading: each QUEUE is owned by exactly one driver thread (its shard's
-// main loop). Queue TX state is only touched through poll_queue by the
-// owner; RX classification and all register writes serialize on one
-// per-port mutex — the narrow shared-fate interface (doorbells + the wire),
-// NOT a stack-level lock. The single-queue legacy register surface
+// Each queue is driven by exactly one shard's main loop: its TX state is
+// only touched through poll_queue for that queue, while the RX drain
+// classifies into every queue. The single-queue legacy register surface
 // (set_rx_ring(base,...), write_rdt(v), ...) aliases queue 0.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -146,7 +143,6 @@ class E82576Port {
   void set_tx_ring(std::uint32_t q, std::uint64_t base, std::uint32_t count);
   void write_rdt(std::uint32_t q, std::uint32_t v);
   void write_tdt(std::uint32_t q, std::uint32_t v);
-  [[nodiscard]] std::uint32_t read_rdh(std::uint32_t q) const;
   [[nodiscard]] std::uint32_t read_tdh(std::uint32_t q) const;
 
   // Single-queue legacy surface: queue 0 (pre-multi-queue drivers/tests).
@@ -159,7 +155,6 @@ class E82576Port {
   }
   void write_rdt(std::uint32_t v) { write_rdt(0, v); }
   void write_tdt(std::uint32_t v) { write_tdt(0, v); }
-  [[nodiscard]] std::uint32_t read_rdh() const { return read_rdh(0); }
   [[nodiscard]] std::uint32_t read_tdh() const { return read_tdh(0); }
 
   void enable() noexcept { enabled_ = true; }
@@ -169,7 +164,6 @@ class E82576Port {
   [[nodiscard]] const MacAddr& mac() const noexcept { return mac_; }
 
   // --- RSS steering "registers" ---
-  void set_reta(const RssReta& r);
   void set_reta_entry(std::uint32_t idx, std::uint8_t queue);
   [[nodiscard]] RssReta reta() const;
   /// Install an L4 destination-port filter (takes priority over RSS —
@@ -199,8 +193,7 @@ class E82576Port {
     std::uint64_t tso_frames = 0;   // wire frames produced by TSO slicing
     std::uint64_t tso_bytes = 0;    // payload bytes carried by those frames
   };
-  /// Port-aggregate counters (all queues). Snapshot by value: the port may
-  /// be concurrently polled by other queue owners.
+  /// Port-aggregate counters (all queues), summed on each call.
   [[nodiscard]] Stats stats() const;
   /// Per-queue counters (rx/tx packets+bytes, ring-full drops, and CRC
   /// rejects attributed to the queue the corrupt frame was steered toward)
@@ -257,7 +250,7 @@ class E82576Port {
   void emit_wire_frame(Queue& q, std::span<const std::byte> frame,
                        sim::Ns now);
   /// Queue for one classified frame; nullopt = replicate to every queue
-  /// (non-IPv4: ARP and friends). Caller holds mu_.
+  /// (non-IPv4: ARP and friends).
   [[nodiscard]] std::optional<std::uint32_t> classify_rx(
       std::span<const std::byte> frame) const;
 
@@ -267,11 +260,6 @@ class E82576Port {
   int index_ = 0;  // port number on the card (selects the DMA grant)
   bool enabled_ = false;
 
-  // One mutex per port: RX classification (wire drain + descriptor fill for
-  // ANY queue) and register writes serialize here. TX descriptor fetch for
-  // a queue also runs under it — the walk is short and the lock is
-  // uncontended unless two shards share a port.
-  mutable std::mutex mu_;
   std::vector<Queue> queues_{1};
   RssReta reta_ = make_default_reta(1);
   std::array<L4Filter, kMaxL4Filters> l4_filters_{};
@@ -297,7 +285,7 @@ class E82576Device {
   void poll(sim::Ns now);
   /// Per-queue poll: TX for the CALLER'S queue only, plus the shared RX
   /// drain (which classifies into every queue). The only device entry a
-  /// shard's driver thread uses.
+  /// shard's PMD uses.
   void poll_queue(int i, std::uint32_t q, sim::Ns now) {
     ports_.at(i).process_queue(*this, q, now);
   }

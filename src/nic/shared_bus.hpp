@@ -10,8 +10,8 @@
 // the paper's loss-free plateaus.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <mutex>
 
 #include "sim/virtual_clock.hpp"
 
@@ -43,20 +43,15 @@ class SharedBus {
     sim::Ns reserve(std::uint64_t wire_bytes, sim::Ns ready) {
       const double ns =
           static_cast<double>(wire_bytes) * 8.0 * 1e9 / bits_per_sec_;
-      std::lock_guard lk(m_);
       const sim::Ns start = std::max(ready, next_free_);
       next_free_ = start + sim::Ns{static_cast<std::int64_t>(ns)};
       bytes_ += wire_bytes;
       return next_free_;
     }
-    [[nodiscard]] std::uint64_t total_bytes() const {
-      std::lock_guard lk(m_);
-      return bytes_;
-    }
+    [[nodiscard]] std::uint64_t total_bytes() const { return bytes_; }
 
    private:
     double bits_per_sec_;
-    mutable std::mutex m_;
     sim::Ns next_free_{0};
     std::uint64_t bytes_ = 0;
   };

@@ -6,9 +6,7 @@
 namespace cherinet::nic {
 
 void Wire::set_impairment(int side, const ImpairmentProfile& profile) {
-  Endpoint& tx = ep_[side];
-  std::lock_guard lk(tx.m);
-  tx.impair.configure(profile);
+  ep_[side].impair.configure(profile);
 }
 
 void Wire::insert_sorted(Endpoint& ep, sim::Ns arrive, Frame frame) {
@@ -38,13 +36,9 @@ void Wire::transmit(int side, Frame frame, sim::Ns ready) {
   Endpoint& tx = ep_[side];
   Endpoint& rx = ep_[1 - side];
 
-  std::uint64_t tx_index;
-  {
-    std::lock_guard lk(tx.m);
-    tx_index = tx.tx_index++;
-    tx.stats.tx_frames++;
-    tx.stats.tx_bytes += frame.size();
-  }
+  const std::uint64_t tx_index = tx.tx_index++;
+  tx.stats.tx_frames++;
+  tx.stats.tx_bytes += frame.size();
 
   // DMA out of the sender's host memory, then into the receiver's.
   sim::Ns t = ready;
@@ -55,29 +49,23 @@ void Wire::transmit(int side, Frame frame, sim::Ns ready) {
   const std::uint64_t wire_bytes = frame.size() + tb_.preamble_bytes + tb_.ifg_bytes;
   const auto ser = sim::Ns{static_cast<std::int64_t>(
       static_cast<double>(wire_bytes) * 8.0 * 1e9 / tb_.wire_bits_per_sec)};
-  sim::Ns arrive;
+  tx.lane_free = std::max(t, tx.lane_free) + ser;
+  sim::Ns arrive = tx.lane_free + tb_.wire_latency;
   ImpairmentVerdict verdict;
   sim::Ns reorder_extra{0};
-  {
-    std::lock_guard lk(tx.m);
-    const sim::Ns start = std::max(t, tx.lane_free);
-    tx.lane_free = start + ser;
-    arrive = tx.lane_free + tb_.wire_latency;
-    if (tx.impair.enabled()) {
-      verdict = tx.impair.next_frame();
-      reorder_extra = tx.impair.profile().reorder_extra;
-      if (verdict.drop) tx.stats.impair_loss++;
-      if (verdict.burst_drop) tx.stats.impair_burst_loss++;
-      if (verdict.drop || verdict.burst_drop) tx.stats.dropped++;
-      if (verdict.duplicate) tx.stats.impair_dups++;
-      if (verdict.reorder) tx.stats.impair_reorders++;
-      if (verdict.corrupt) tx.stats.impair_corrupts++;
-      if (verdict.extra_delay.count() > 0) tx.stats.impair_jittered++;
-    }
+  if (tx.impair.enabled()) {
+    verdict = tx.impair.next_frame();
+    reorder_extra = tx.impair.profile().reorder_extra;
+    if (verdict.drop) tx.stats.impair_loss++;
+    if (verdict.burst_drop) tx.stats.impair_burst_loss++;
+    if (verdict.drop || verdict.burst_drop) tx.stats.dropped++;
+    if (verdict.duplicate) tx.stats.impair_dups++;
+    if (verdict.reorder) tx.stats.impair_reorders++;
+    if (verdict.corrupt) tx.stats.impair_corrupts++;
+    if (verdict.extra_delay.count() > 0) tx.stats.impair_jittered++;
   }
 
   if (loss_ && loss_(side, tx_index)) {
-    std::lock_guard lk(tx.m);
     tx.stats.dropped++;
     return;
   }
@@ -94,40 +82,36 @@ void Wire::transmit(int side, Frame frame, sim::Ns ready) {
                                (1u << (bit % 8)));
   }
 
-  {
-    std::lock_guard lk(rx.m);
-    // This frame overtakes anything held back for reordering: count it
-    // against every hold and release the ones it was the last overtaker of,
-    // reorder_extra after this frame's own arrival. The +1ns keeps the
-    // released frame STRICTLY behind its overtaker even at reorder_extra=0
-    // (an arrival tie would sort it back in front — no reordering at all).
-    for (auto it = rx.held.begin(); it != rx.held.end();) {
-      if (it->remaining > 0) --it->remaining;
-      if (it->remaining == 0) {
-        insert_sorted(rx,
-                      std::max(it->deadline, arrive + reorder_extra) +
-                          sim::Ns{1},
-                      std::move(it->frame));
-        it = rx.held.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (verdict.reorder) {
-      rx.held.push_back(
-          Held{arrive + reorder_extra, std::move(frame), verdict.hold_frames});
+  // This frame overtakes anything held back for reordering: count it
+  // against every hold and release the ones it was the last overtaker of,
+  // reorder_extra after this frame's own arrival. The +1ns keeps the
+  // released frame STRICTLY behind its overtaker even at reorder_extra=0
+  // (an arrival tie would sort it back in front — no reordering at all).
+  for (auto it = rx.held.begin(); it != rx.held.end();) {
+    if (it->remaining > 0) --it->remaining;
+    if (it->remaining == 0) {
+      insert_sorted(rx,
+                    std::max(it->deadline, arrive + reorder_extra) +
+                        sim::Ns{1},
+                    std::move(it->frame));
+      it = rx.held.erase(it);
     } else {
-      insert_sorted(rx, arrive, std::move(frame));
+      ++it;
     }
-    if (verdict.duplicate) insert_sorted(rx, arrive, std::move(dup));
   }
+  if (verdict.reorder) {
+    rx.held.push_back(
+        Held{arrive + reorder_extra, std::move(frame), verdict.hold_frames});
+  } else {
+    insert_sorted(rx, arrive, std::move(frame));
+  }
+  if (verdict.duplicate) insert_sorted(rx, arrive, std::move(dup));
 }
 
 std::vector<Frame> Wire::poll(int side) {
   Endpoint& ep = ep_[side];
   const sim::Ns now = clock_->now();
   std::vector<Frame> out;
-  std::lock_guard lk(ep.m);
   release_due_held(ep, now);
   while (!ep.inbox.empty() && ep.inbox.front().arrive <= now) {
     out.push_back(std::move(ep.inbox.front().frame));
@@ -139,7 +123,6 @@ std::vector<Frame> Wire::poll(int side) {
 
 std::optional<sim::Ns> Wire::next_delivery(int side) const {
   const Endpoint& ep = ep_[side];
-  std::lock_guard lk(ep.m);
   std::optional<sim::Ns> next;
   if (!ep.inbox.empty()) next = ep.inbox.front().arrive;
   for (const Held& h : ep.held) {
@@ -148,10 +131,6 @@ std::optional<sim::Ns> Wire::next_delivery(int side) const {
   return next;
 }
 
-Wire::Stats Wire::stats(int side) const {
-  const Endpoint& ep = ep_[side];
-  std::lock_guard lk(ep.m);
-  return ep.stats;
-}
+Wire::Stats Wire::stats(int side) const { return ep_[side].stats; }
 
 }  // namespace cherinet::nic

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -56,10 +55,7 @@ class Wire {
   /// Kept as the surgical shim for single-frame protocol tests; runs before
   /// the impairment stage.
   using LossFn = std::function<bool(int side, std::uint64_t tx_index)>;
-  void set_loss(LossFn fn) {
-    std::scoped_lock lk(ep_[0].m, ep_[1].m);
-    loss_ = std::move(fn);
-  }
+  void set_loss(LossFn fn) { loss_ = std::move(fn); }
 
   /// Impair frames transmitted BY `side` (seed-deterministic; see
   /// impairment.hpp for the knob reference). Resets the engine's PRNG and
@@ -106,7 +102,6 @@ class Wire {
     std::uint32_t remaining;
   };
   struct Endpoint {
-    mutable std::mutex m;
     sim::Ns lane_free{0};         // outbound serialization horizon
     std::deque<InFlight> inbox;   // frames heading *to* this endpoint
     std::vector<Held> held;       // reorder hold-back, same direction
@@ -116,7 +111,6 @@ class Wire {
     ImpairmentEngine impair;      // impairs this endpoint's TRANSMITS
   };
 
-  // Callers hold `ep.m`.
   static void insert_sorted(Endpoint& ep, sim::Ns arrive, Frame frame);
   static void release_due_held(Endpoint& ep, sim::Ns now);
 

@@ -82,7 +82,7 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
   // sibling shard's state.
   fstack::FfStack* st = &svc_->shards_.at(shard)->stack();
   iv::CompartmentMutex* mtx = svc_->mutexes_.at(shard).get();
-  std::atomic<std::uint64_t>* calls = &svc_->proxied_calls_[shard];
+  std::uint64_t* calls = &svc_->proxied_calls_[shard];
   iv::MuslLibc* libc = &app_->libc();  // the *caller's* futex path
   // Entry names are global: suffix the shard so one app may pin proxies to
   // several shards without colliding.
@@ -99,7 +99,7 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
     return [calls, mtx, libc, st, tid,
             fn](machine::CrossCallArgs& a) -> std::uint64_t {
       iv::CompartmentLockGuard lk(*mtx, libc);
-      calls->fetch_add(1, std::memory_order_relaxed);
+      ++*calls;
       const fstack::FfStack::TenantScope as_tenant(*st, tid, Door::kEntry);
       return static_cast<std::uint64_t>(fn(a));
     };

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <initializer_list>
 #include <memory>
 #include <optional>
@@ -65,14 +64,12 @@ class Scenario2Service {
     return *shards_[shard];
   }
   [[nodiscard]] std::uint64_t proxied_calls(std::size_t shard) const noexcept {
-    return proxied_calls_[shard].load(std::memory_order_relaxed);
+    return proxied_calls_[shard];
   }
   /// All-shard total (legacy single-shard accessor).
   [[nodiscard]] std::uint64_t proxied_calls() const noexcept {
     std::uint64_t sum = 0;
-    for (const auto& c : proxied_calls_) {
-      sum += c.load(std::memory_order_relaxed);
-    }
+    for (const std::uint64_t c : proxied_calls_) sum += c;
     return sum;
   }
 
@@ -84,8 +81,9 @@ class Scenario2Service {
   std::vector<FullStackInstance*> shards_;
   std::vector<machine::CapView> mutex_words_;
   std::vector<std::unique_ptr<iv::CompartmentMutex>> mutexes_;
-  // Fixed-size after construction (atomics are not movable).
-  std::vector<std::atomic<std::uint64_t>> proxied_calls_;
+  // Fixed-size after construction: each shard's entries hold a pointer to
+  // its counter.
+  std::vector<std::uint64_t> proxied_calls_;
 };
 
 /// Client-side stubs living in the application compartment.

@@ -10,7 +10,7 @@
 // deterministic and independent of the emulation host.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 
@@ -23,9 +23,7 @@ using Ns = std::chrono::nanoseconds;
 inline constexpr Ns kNever = Ns::max();
 
 /// Monotonic virtual clock shared by every component of one emulated testbed.
-///
-/// Thread-safe: readers use acquire loads; writers advance with a CAS-max so
-/// the clock never moves backwards regardless of racing producers.
+/// It is only ever moved forward: advancing to an earlier instant is a no-op.
 class VirtualClock {
  public:
   VirtualClock() = default;
@@ -33,16 +31,13 @@ class VirtualClock {
   VirtualClock& operator=(const VirtualClock&) = delete;
 
   /// Current virtual time since testbed reset.
-  [[nodiscard]] Ns now() const noexcept {
-    return Ns{now_ns_.load(std::memory_order_acquire)};
-  }
+  [[nodiscard]] Ns now() const noexcept { return now_; }
 
-  /// Advance the clock to at least `t`. Calls racing with a later `t` win;
-  /// the clock is monotone under concurrency.
-  void advance_to(Ns t) noexcept;
+  /// Advance the clock to at least `t`.
+  void advance_to(Ns t) noexcept { now_ = std::max(now_, t); }
 
  private:
-  std::atomic<std::int64_t> now_ns_{0};
+  Ns now_{0};
 };
 
 }  // namespace cherinet::sim

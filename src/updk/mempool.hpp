@@ -1,4 +1,4 @@
-// Fixed-size mbuf pool over a lock-free ring (rte_mempool analogue).
+// Fixed-size mbuf pool over an SP/SC ring (rte_mempool analogue).
 //
 // All data rooms are carved from the owning compartment's heap at pool
 // creation, each as its own exactly-bounded capability. The pool region is

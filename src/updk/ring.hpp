@@ -1,14 +1,15 @@
-// Bounded lock-free MPMC ring (rte_ring-style, two-phase head/tail).
+// Bounded single-producer/single-consumer ring (rte_ring in its SP/SC
+// mode).
 //
-// DPDK's rte_ring is the backbone of mempools and inter-core handoff. The
-// algorithm: producers reserve slots by CAS-advancing prod.head, write
-// their entries, then publish in order by advancing prod.tail once earlier
-// reservations have been published; consumers mirror the scheme. Capacity
-// is a power of two; one slot is never wasted because occupancy is tracked
-// by index difference (indices wrap modulo 2^32).
+// DPDK's rte_ring is the backbone of mempools and inter-core handoff; with
+// RING_F_SP_ENQ | RING_F_SC_DEQ each side owns its index outright and no
+// compare-and-swap is needed. Every rig here runs on one thread, so that
+// is the mode the mempools use. Capacity is a power of two; one slot is
+// never wasted because occupancy is tracked by index difference (indices
+// wrap modulo 2^32).
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -30,38 +31,22 @@ class Ring {
   Ring& operator=(const Ring&) = delete;
 
   [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
-  [[nodiscard]] std::size_t count() const noexcept {
-    return prod_tail_.load(std::memory_order_acquire) -
-           cons_tail_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] std::size_t count() const noexcept { return tail_ - head_; }
   [[nodiscard]] bool empty() const noexcept { return count() == 0; }
 
   bool enqueue(const T& v) { return enqueue_burst({&v, 1}) == 1; }
 
   /// Enqueue up to in.size() items; returns how many were enqueued
-  /// (all-or-nothing per reservation chunk, DPDK "variable" semantics).
+  /// (as many as fit, DPDK "variable" semantics).
   std::size_t enqueue_burst(std::span<const T> in) {
-    const auto n = static_cast<std::uint32_t>(in.size());
-    if (n == 0) return 0;
-    std::uint32_t head = prod_head_.load(std::memory_order_relaxed);
-    std::uint32_t take;
-    do {
-      const std::uint32_t free_slots =
-          static_cast<std::uint32_t>(slots_.size()) -
-          (head - cons_tail_.load(std::memory_order_acquire));
-      take = std::min(n, free_slots);
-      if (take == 0) return 0;
-    } while (!prod_head_.compare_exchange_weak(head, head + take,
-                                               std::memory_order_relaxed));
+    const std::uint32_t free_slots =
+        static_cast<std::uint32_t>(slots_.size()) - (tail_ - head_);
+    const auto take =
+        std::min(static_cast<std::uint32_t>(in.size()), free_slots);
     for (std::uint32_t i = 0; i < take; ++i) {
-      slots_[(head + i) & mask_] = in[i];
+      slots_[(tail_ + i) & mask_] = in[i];
     }
-    // Publish in reservation order.
-    std::uint32_t expected = head;
-    while (!prod_tail_.compare_exchange_weak(expected, head + take,
-                                             std::memory_order_release)) {
-      expected = head;
-    }
+    tail_ += take;
     return take;
   }
 
@@ -71,35 +56,20 @@ class Ring {
   }
 
   std::size_t dequeue_burst(std::span<T> out) {
-    const auto n = static_cast<std::uint32_t>(out.size());
-    if (n == 0) return 0;
-    std::uint32_t head = cons_head_.load(std::memory_order_relaxed);
-    std::uint32_t take;
-    do {
-      const std::uint32_t avail =
-          prod_tail_.load(std::memory_order_acquire) - head;
-      take = std::min(n, avail);
-      if (take == 0) return 0;
-    } while (!cons_head_.compare_exchange_weak(head, head + take,
-                                               std::memory_order_relaxed));
+    const auto take =
+        std::min(static_cast<std::uint32_t>(out.size()), tail_ - head_);
     for (std::uint32_t i = 0; i < take; ++i) {
-      out[i] = slots_[(head + i) & mask_];
+      out[i] = slots_[(head_ + i) & mask_];
     }
-    std::uint32_t expected = head;
-    while (!cons_tail_.compare_exchange_weak(expected, head + take,
-                                             std::memory_order_release)) {
-      expected = head;
-    }
+    head_ += take;
     return take;
   }
 
  private:
   std::vector<T> slots_;
   std::uint32_t mask_ = 0;
-  alignas(64) std::atomic<std::uint32_t> prod_head_{0};
-  alignas(64) std::atomic<std::uint32_t> prod_tail_{0};
-  alignas(64) std::atomic<std::uint32_t> cons_head_{0};
-  alignas(64) std::atomic<std::uint32_t> cons_tail_{0};
+  std::uint32_t head_ = 0;  // next slot to dequeue
+  std::uint32_t tail_ = 0;  // next slot to enqueue
 };
 
 }  // namespace cherinet::updk

@@ -122,21 +122,47 @@ TEST(Intravisor, CvmFaultIsContained) {
   auto good = bystander.alloc(64);
   good.store<std::uint32_t>(0, 0xAAAA5555);
 
-  victim.start([&] {
+  victim.run([&] {
     // Escape attempt: dereference beyond our DDC (the bystander's memory).
     (void)ivr.address_space().mem().load_scalar<std::uint32_t>(
         victim.context().ddc, good.address());
   });
-  victim.join();
 
   EXPECT_TRUE(victim.faulted());
   ASSERT_EQ(ivr.fault_log().size(), 1u);
   EXPECT_EQ(ivr.fault_log()[0].cvm_name, "victim");
   // The sibling's data is untouched and the system continues.
   EXPECT_EQ(good.load<std::uint32_t>(0), 0xAAAA5555u);
-  bystander.start([] {});
-  bystander.join();
+  bystander.run([] {});
   EXPECT_FALSE(bystander.faulted());
+}
+
+TEST(Intravisor, CvmRunRestoresCallerContextAfterContainedFault) {
+  iv::Intravisor ivr(fast_config());
+  auto& outer = ivr.create_cvm("outer", 1u << 20);
+  auto& victim = ivr.create_cvm("victim", 1u << 20);
+  auto secret = outer.alloc(64);
+
+  // The fault unwinds on the caller's own thread, from inside another
+  // compartment's enter: the Scope must hand the outer context back.
+  outer.enter([&] {
+    ASSERT_EQ(&machine::ExecutionContext::current(), &outer.context());
+    victim.run([&] {
+      EXPECT_EQ(&machine::ExecutionContext::current(), &victim.context());
+      (void)ivr.address_space().mem().load_scalar<std::uint32_t>(
+          victim.context().ddc, secret.address());
+    });
+    EXPECT_EQ(&machine::ExecutionContext::current(), &outer.context());
+  });
+  EXPECT_TRUE(victim.faulted());
+  ASSERT_EQ(ivr.fault_log().size(), 1u);
+  EXPECT_EQ(ivr.fault_log()[0].cvm_name, "victim");
+
+  // A body that does not fault adds no report.
+  bool ran = false;
+  victim.run([&] { ran = true; });
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(ivr.fault_log().size(), 1u);
 }
 
 TEST(Intravisor, TrampolineRejectsUntaggedPointerArgument) {

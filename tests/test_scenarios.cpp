@@ -647,11 +647,10 @@ TEST(Containment, AppCvmEscapeAttemptIsContainedFig3) {
   // The stack's socket-buffer memory lives in cVM1's heap; the attacker
   // tries to read it with an address it guessed.
   const std::uint64_t secret_addr = cvm1.context().ddc.base() + 4096;
-  attacker.start([&] {
+  attacker.run([&] {
     (void)iv.address_space().mem().load_scalar<std::uint64_t>(
         attacker.context().ddc, secret_addr);
   });
-  attacker.join();
   EXPECT_TRUE(attacker.faulted());
   ASSERT_GE(iv.fault_log().size(), 1u);
   EXPECT_EQ(iv.fault_log()[0].cvm_name, "cVM2");

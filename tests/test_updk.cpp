@@ -1,9 +1,6 @@
-// updk (DPDK analogue): lock-free rings under contention, mempool
+// updk (DPDK analogue): SP/SC ring FIFO and bursts, mempool
 // accounting, mbuf headroom algebra, PMD rx/tx over the device model.
 #include <gtest/gtest.h>
-
-#include <cstdlib>
-#include <thread>
 
 #include "machine/address_space.hpp"
 #include "nic/wire.hpp"
@@ -36,43 +33,6 @@ TEST(Ring, BurstSemantics) {
 TEST(Ring, CapacityRoundsToPowerOfTwo) {
   updk::Ring<int> r(5);
   EXPECT_EQ(r.capacity(), 8u);
-}
-
-TEST(Ring, MpmcStressConservesItems) {
-  updk::Ring<std::uint64_t> r(1024);
-  constexpr int kProducers = 3, kConsumers = 3;
-  // Six spinning threads are pathological under ThreadSanitizer on small
-  // machines; the TSan CI leg dials the volume down via this knob.
-  const char* light = std::getenv("CHERINET_STRESS_LIGHT");
-  const int kPerProducer = light != nullptr && light[0] == '1' ? 2000 : 50000;
-  std::atomic<std::uint64_t> consumed_sum{0};
-  std::atomic<int> consumed_count{0};
-  std::vector<std::thread> ts;
-  for (int p = 0; p < kProducers; ++p) {
-    ts.emplace_back([&r, p, kPerProducer] {
-      for (std::uint64_t i = 0; i < static_cast<std::uint64_t>(kPerProducer);
-           ++i) {
-        const std::uint64_t v = (std::uint64_t{static_cast<unsigned>(p)} << 32) | i;
-        while (!r.enqueue(v)) std::this_thread::yield();
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    ts.emplace_back([&] {
-      while (consumed_count.load() < kProducers * kPerProducer) {
-        if (auto v = r.dequeue()) {
-          consumed_sum += *v & 0xFFFFFFFF;
-          consumed_count.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& t : ts) t.join();
-  EXPECT_EQ(consumed_count.load(), kProducers * kPerProducer);
-  const std::uint64_t expect =
-      std::uint64_t{kProducers} *
-      (static_cast<std::uint64_t>(kPerProducer) * (kPerProducer - 1) / 2);
-  EXPECT_EQ(consumed_sum.load(), expect);
 }
 
 namespace {
