@@ -25,6 +25,18 @@
 # operations and the syscall router's futex counter under real contention.
 # Everything else runs on one thread; the default leg's thread gate keeps
 # it that way.
+#
+# COVERAGE=1 switches to a Debug build with gcov instrumentation (--coverage
+# on compile and link), again in its own build tree, runs the ctest suite
+# once (the wall-clock test skipped: it passes or fails on host noise) and
+# reads every .gcda with gcov's JSON format through scripts/coverage.jq into
+# <build>/COVERAGE.json: src/'s executable and covered lines, their share,
+# and every src/ function that never ran. It fails when share_pct falls
+# below bench/baseline/COVERAGE.json, when a function that never ran is not
+# on the baseline's never_run list (matched on file and name), or when a
+# baseline entry gives no reason it may stay unrun. A change that raises
+# the share or shortens the list copies the fresh file over the baseline;
+# the leg carries the baseline's reasons into it.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -36,8 +48,9 @@ fi
 
 SANITIZE="${SANITIZE:-0}"
 TSAN="${TSAN:-0}"
-if [[ "$SANITIZE" == "1" && "$TSAN" == "1" ]]; then
-  echo "SANITIZE=1 and TSAN=1 are exclusive (ASan and TSan cannot share a binary)" >&2
+COVERAGE="${COVERAGE:-0}"
+if (( (SANITIZE == 1) + (TSAN == 1) + (COVERAGE == 1) > 1 )); then
+  echo "SANITIZE=1, TSAN=1 and COVERAGE=1 are exclusive (each has its own build)" >&2
   exit 2
 fi
 if [[ "$SANITIZE" == "1" ]]; then
@@ -53,6 +66,11 @@ elif [[ "$TSAN" == "1" ]]; then
   BUILD_DIR="${BUILD_DIR:-build-tsan}"
   EXTRA_FLAGS=(-DCHERINET_TSAN=ON)
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
+  export CHERINET_SKIP_TIMING_TESTS=1
+elif [[ "$COVERAGE" == "1" ]]; then
+  BUILD_DIR="${BUILD_DIR:-build-cov}"
+  EXTRA_FLAGS=(-DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS=--coverage
+               -DCMAKE_EXE_LINKER_FLAGS=--coverage)
   export CHERINET_SKIP_TIMING_TESTS=1
 else
   BUILD_DIR="${BUILD_DIR:-build-check}"
@@ -72,6 +90,40 @@ if [[ "$TSAN" == "1" ]]; then
   ctest --test-dir "$BUILD_DIR" --output-on-failure -R '^test_host_intravisor$' \
     || status=$?
   "$BUILD_DIR"/bench_ablation_locking || status=$?
+  exit "$status"
+fi
+if [[ "$COVERAGE" == "1" ]]; then
+  # Counters from an earlier run would add to this one's.
+  find "$BUILD_DIR" -name '*.gcda' -delete
+  ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" || status=$?
+  cov="$BUILD_DIR/COVERAGE.json"
+  base="bench/baseline/COVERAGE.json"
+  known="$(jq -c '.never_run' "$base" 2> /dev/null || echo '[]')"
+  rm -f "$cov"
+  find "$BUILD_DIR" -name '*.gcda' -print0 \
+    | xargs -0 gcov --json-format --stdout 2> /dev/null \
+    | jq -n --arg root "$PWD" --argjson known "$known" \
+        -f scripts/coverage.jq > "$cov" || status=1
+  echo "== coverage: $cov (baseline $base)"
+  jq '{exec_lines, covered_lines, share_pct, never_run: (.never_run | length)}' \
+    "$cov" "$base" || status=1
+  require_cov() {  # require_cov MESSAGE JQ_FILTER -> the offending entries
+    local bad
+    bad="$(jq -r --slurpfile base "$base" "$2" "$cov")" || bad="jq failed"
+    if [[ -n "$bad" ]]; then
+      echo "== COVERAGE REGRESSION: $1"
+      echo "$bad"
+      status=1
+    fi
+  }
+  require_cov "share_pct fell below the baseline" \
+    'select(.share_pct < $base[0].share_pct) | "\(.share_pct) < \($base[0].share_pct)"'
+  require_cov "functions never run that the baseline does not list" \
+    '.never_run[] | . as $e | select($base[0].never_run
+       | any(.[]; .file == $e.file and .name == $e.name) | not)
+     | "\(.file): \(.name)"'
+  require_cov "baseline never_run entries without a reason" \
+    '$base[0].never_run[] | select((.reason // "") == "") | "\(.file): \(.name)"'
   exit "$status"
 fi
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" || status=$?

@@ -657,12 +657,4 @@ int ff_tenant_evict(FfStack& st, int tid);
 /// The tenant's live gauges and per-cause counters (nullptr: unknown id).
 const TenantStats* ff_tenant_stats(const FfStack& st, int tid);
 
-/// One iteration of the F-Stack main loop: process ring buffers of the
-/// DPDK driver, then run the user-defined function (paper §III-B).
-template <typename UserFn>
-bool ff_run_once(FfStack& st, UserFn&& user_fn) {
-  const bool progress = st.run_once();
-  return static_cast<bool>(user_fn()) || progress;
-}
-
 }  // namespace cherinet::fstack

@@ -33,7 +33,7 @@ std::vector<updk::Mbuf*> ArpCache::take_expired(sim::Ns now) {
   std::vector<updk::Mbuf*> out;
   for (auto it = pending_.begin(); it != pending_.end();) {
     Hop& hop = it->second;
-    if (!hop.frames.empty() && now - hop.oldest >= cfg_.pending_ttl) {
+    if (!hop.frames.empty() && now - hop.oldest >= kPendingTtl) {
       stats_.expired += hop.frames.size();
       out.insert(out.end(), hop.frames.begin(), hop.frames.end());
       it = pending_.erase(it);
@@ -48,7 +48,7 @@ std::optional<sim::Ns> ArpCache::next_expiry() const {
   std::optional<sim::Ns> d;
   for (const auto& [ip, hop] : pending_) {
     if (hop.frames.empty()) continue;
-    const sim::Ns e = hop.oldest + cfg_.pending_ttl;
+    const sim::Ns e = hop.oldest + kPendingTtl;
     if (!d || e < *d) d = e;
   }
   return d;
@@ -73,7 +73,7 @@ std::vector<updk::Mbuf*> ArpCache::take_all_parked() {
 
 bool ArpCache::should_request(Ipv4Addr ip, sim::Ns now) {
   const auto it = last_request_.find(ip);
-  if (it != last_request_.end() && now - it->second < cfg_.request_interval) {
+  if (it != last_request_.end() && now - it->second < kRequestInterval) {
     return false;
   }
   last_request_[ip] = now;

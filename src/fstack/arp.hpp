@@ -24,15 +24,16 @@ namespace cherinet::fstack {
 class ArpCache {
  public:
   struct Config {
-    sim::Ns entry_ttl{60'000'000'000};      // 60 s
-    sim::Ns request_interval{100'000'000};  // re-request at most every 100 ms
+    sim::Ns entry_ttl{60'000'000'000};  // 60 s
     std::size_t max_pending_per_hop = 16;
     std::size_t max_pending_bytes_per_hop = 32 * 1024;
-    /// How long a hop's parked frames may wait for resolution before they
-    /// are dropped (Linux neighbour-queue style): parked mbufs pin pool
-    /// buffers, so an unresolvable hop must not hold them forever.
-    sim::Ns pending_ttl{1'000'000'000};  // 1 s
   };
+  /// Re-request one address at most this often.
+  static constexpr sim::Ns kRequestInterval{100'000'000};  // 100 ms
+  /// How long a hop's parked frames may wait for resolution before they
+  /// are dropped (Linux neighbour-queue style): parked mbufs pin pool
+  /// buffers, so an unresolvable hop must not hold them forever.
+  static constexpr sim::Ns kPendingTtl{1'000'000'000};  // 1 s
 
   ArpCache() : ArpCache(Config{}) {}
   explicit ArpCache(Config cfg) : cfg_(cfg) {}
@@ -46,12 +47,12 @@ class ArpCache {
   /// leaves the mbuf with the caller to free.
   bool park(Ipv4Addr next_hop, updk::Mbuf* frame, sim::Ns now);
 
-  /// Frames whose hop has been unresolved past pending_ttl: ownership
+  /// Frames whose hop has been unresolved past kPendingTtl: ownership
   /// moves to the caller (the stack frees them to its pool). Counted as
   /// expirations in stats.
   [[nodiscard]] std::vector<updk::Mbuf*> take_expired(sim::Ns now);
 
-  /// Earliest moment a parked frame outwaits pending_ttl (nullopt when no
+  /// Earliest moment a parked frame outwaits kPendingTtl (nullopt when no
   /// frames are parked) — what FfStack registers into its timer wheel so
   /// expiry is deadline-driven, not polled per loop turn.
   [[nodiscard]] std::optional<sim::Ns> next_expiry() const;

@@ -1,7 +1,5 @@
 #include "fstack/checksum.hpp"
 
-#include <cstdio>
-
 namespace cherinet::fstack {
 
 std::uint32_t checksum_partial(std::span<const std::byte> data,
@@ -60,13 +58,6 @@ std::uint32_t checksum_cap_partial(const machine::CapView& v,
     sum += static_cast<std::uint32_t>(v.load<std::uint8_t>(off + i)) << 8;
   }
   return sum;
-}
-
-std::string Ipv4Addr::to_string() const {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%u.%u.%u.%u", (value >> 24) & 0xFF,
-                (value >> 16) & 0xFF, (value >> 8) & 0xFF, value & 0xFF);
-  return buf;
 }
 
 }  // namespace cherinet::fstack

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <cstddef>
 #include <functional>
-#include <string>
 
 namespace cherinet::fstack {
 
@@ -44,7 +43,6 @@ struct Ipv4Addr {
     return Ipv4Addr{(std::uint32_t{a} << 24) | (std::uint32_t{b} << 16) |
                     (std::uint32_t{c} << 8) | d};
   }
-  [[nodiscard]] std::string to_string() const;
   [[nodiscard]] constexpr bool is_broadcast() const noexcept {
     return value == 0xFFFFFFFFu;
   }

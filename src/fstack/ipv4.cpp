@@ -30,16 +30,15 @@ std::optional<std::vector<std::byte>> FragReassembler::input(
   expire(now);
   const Key key{h.src.value, h.dst.value, h.id, h.proto};
   Partial& p = parts_[key];
-  if (parts_.size() > cfg_.max_datagrams) {
+  if (parts_.size() > kMaxDatagrams) {
     parts_.erase(key);
     ++stats_.dropped;
     return std::nullopt;
   }
-  p.deadline = now + cfg_.timeout;
+  p.deadline = now + kTimeout;
 
   const std::uint16_t off = h.frag_offset_bytes();
-  if (static_cast<std::size_t>(off) + payload.size() >
-      cfg_.max_datagram_bytes) {
+  if (static_cast<std::size_t>(off) + payload.size() > kMaxDatagramBytes) {
     parts_.erase(key);
     ++stats_.dropped;
     return std::nullopt;

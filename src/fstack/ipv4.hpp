@@ -31,14 +31,10 @@ struct FragmentPlan {
 
 class FragReassembler {
  public:
-  struct Config {
-    sim::Ns timeout{1'000'000'000};  // 1 s
-    std::size_t max_datagrams = 64;
-    std::size_t max_datagram_bytes = 65535;
-  };
-
-  FragReassembler() : FragReassembler(Config{}) {}
-  explicit FragReassembler(Config cfg) : cfg_(cfg) {}
+  /// A partial datagram dies this long after its latest fragment.
+  static constexpr sim::Ns kTimeout{1'000'000'000};  // 1 s
+  static constexpr std::size_t kMaxDatagrams = 64;
+  static constexpr std::size_t kMaxDatagramBytes = 65535;
 
   /// Feed one fragment; returns the reassembled L4 payload when complete.
   [[nodiscard]] std::optional<std::vector<std::byte>> input(
@@ -68,7 +64,6 @@ class FragReassembler {
     sim::Ns deadline;
   };
 
-  Config cfg_;
   std::map<Key, Partial> parts_;
   Stats stats_;
 };

@@ -35,24 +35,6 @@ RxChain::RxChain(RxChain&& other) noexcept
   other.loaned_ = 0;
 }
 
-RxChain& RxChain::operator=(RxChain&& other) noexcept {
-  if (this != &other) {
-    release_all();
-    budget_ = other.budget_;
-    pool_ = other.pool_;
-    stats_ = other.stats_;
-    segs_ = std::move(other.segs_);
-    avail_ = other.avail_;
-    held_ = other.held_;
-    loaned_ = other.loaned_;
-    other.segs_.clear();
-    other.avail_ = 0;
-    other.held_ = 0;
-    other.loaned_ = 0;
-  }
-  return *this;
-}
-
 void RxChain::release_all() {
   for (Seg& s : segs_) {
     if (s.m != nullptr && pool_ != nullptr) pool_->recycle(s.m);

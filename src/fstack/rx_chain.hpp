@@ -72,7 +72,7 @@ class RxChain {
   RxChain(const RxChain&) = delete;
   RxChain& operator=(const RxChain&) = delete;
   RxChain(RxChain&& other) noexcept;
-  RxChain& operator=(RxChain&& other) noexcept;
+  RxChain& operator=(RxChain&& other) = delete;
   ~RxChain() { release_all(); }
 
   [[nodiscard]] std::size_t capacity() const noexcept { return budget_; }

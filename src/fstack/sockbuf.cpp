@@ -46,17 +46,6 @@ std::size_t SockBuf::phys_spans(std::size_t off, std::size_t n,
   return 2;
 }
 
-std::size_t SockBuf::writev_from(std::span<const FfIovec> iov) {
-  std::size_t total = 0;
-  for (const FfIovec& e : iov) {
-    if (e.len == 0) continue;
-    const std::size_t got = write_from(e.buf, 0, e.len);
-    total += got;
-    if (got < e.len) break;  // ring full mid-batch: short count
-  }
-  return total;
-}
-
 void SockBuf::peek(std::size_t off, std::span<std::byte> out) const {
   if (off + out.size() > used_) {
     throw std::out_of_range("SockBuf::peek beyond buffered data");

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <span>
 
-#include "fstack/api_types.hpp"
 #include "machine/cap_view.hpp"
 
 namespace cherinet::fstack {
@@ -35,11 +34,6 @@ class SockBuf {
   /// stack also prices their wire checksum, so emission never re-reads.
   std::size_t write_from(const machine::CapView& src, std::size_t src_off,
                          std::size_t n, std::uint32_t* csum = nullptr);
-
-  /// Gather-append an iovec batch check_args already passed. Fills
-  /// elements in order until the ring is full; returns total bytes
-  /// appended (a short count, never an error).
-  std::size_t writev_from(std::span<const FfIovec> iov);
 
   /// Copy bytes out at logical offset `off` from the head, without
   /// consuming (TCP uses this to build segments from unacked data).

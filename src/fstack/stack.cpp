@@ -1089,6 +1089,9 @@ int FfStack::sock_listen(int fd, int backlog) {
   if (s == nullptr || s->kind != SockKind::kTcp) return -EBADF;
   if (!s->bound) return -EINVAL;
   if (tcp_listeners_.contains(s->local_port)) return -EADDRINUSE;
+  // A connecting or connected fd is bound by its ephemeral port but owns
+  // that connection's PCB: listen(2) refuses it rather than orphan it.
+  if (s->pcb != nullptr) return -EINVAL;
   auto pcb = std::make_unique<TcpPcb>(this, cfg_.tcp, TxChain{}, RxChain{});
   pcb->open_listen(s->local_ip, s->local_port);
   pcb->backlog = std::max(backlog, 1);
@@ -1453,10 +1456,7 @@ std::int64_t FfStack::sock_zc_send(int fd, FfZcBuf& zc, std::size_t len) {
     // talk to (and a retry pipeline must not leak one room per attempt).
     const int err = pcb->error();
     pool_->free(m);
-    tenants_.credit_zc_reservation(it->second.tenant);
-    zc_pending_.erase(it);
-    zc.token = 0;
-    zc.data = machine::CapView{};
+    end_zc_reservation(it, zc);
     return -err;
   }
   if (!pcb->connected()) {
@@ -1478,10 +1478,7 @@ std::int64_t FfStack::sock_zc_send(int fd, FfZcBuf& zc, std::size_t len) {
     return -EAGAIN;  // send window full: reservation kept for retry
   }
   // Ownership moved to the send chain; the token is consumed.
-  tenants_.credit_zc_reservation(it->second.tenant);
-  zc_pending_.erase(it);
-  zc.token = 0;
-  zc.data = machine::CapView{};
+  end_zc_reservation(it, zc);
   api_.zc_sends++;
   if (cfg_.inline_tcp_output) {
     pcb->output();
@@ -1500,12 +1497,17 @@ int FfStack::sock_zc_abort(FfZcBuf& zc) {
     return -EINVAL;  // a neighbour's token aborts nothing
   }
   pool_->free(it->second.m);
+  end_zc_reservation(it, zc);
+  api_.zc_aborts++;
+  return 0;
+}
+
+void FfStack::end_zc_reservation(
+    std::unordered_map<std::uint64_t, ZcTxRes>::iterator it, FfZcBuf& zc) {
   tenants_.credit_zc_reservation(it->second.tenant);
   zc_pending_.erase(it);
   zc.token = 0;
-  zc.data = machine::CapView{};  // drop the alias along with the token
-  api_.zc_aborts++;
-  return 0;
+  zc.data = machine::CapView{};
 }
 
 // ===========================================================================
@@ -2374,12 +2376,12 @@ bool FfStack::uring_service_accept(UringReg& r) {
 bool FfStack::uring_service_connect(UringReg& r) {
   bool progress = false;
   for (auto it = r.connect_arms.begin(); it != r.connect_arms.end();) {
-    const Socket* s = socks_.get(it->fd);
-    const TcpPcb* pcb = s != nullptr ? s->pcb : nullptr;
+    // sock_close drops a fd's arm (uring_forget_fd) and sock_listen refuses
+    // a fd that has a PCB, so an armed fd is still open and holds the PCB
+    // its connect created.
+    const TcpPcb* pcb = socks_.get(it->fd)->pcb;
     std::int64_t res = 1;  // sentinel: still in flight, no CQE yet
-    if (pcb == nullptr) {
-      res = -EBADF;  // fd closed mid-handshake
-    } else if (pcb->error() != 0) {
+    if (pcb->error() != 0) {
       res = -pcb->error();
     } else if (pcb->connected()) {
       res = 0;

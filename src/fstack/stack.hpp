@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -282,17 +281,6 @@ class FfStack final : public TcpEnv {
   /// tests assert a masked-off queue reports the bit absent here.
   [[nodiscard]] std::uint32_t negotiated_offloads() const noexcept {
     return offloads_neg_;
-  }
-
-  /// The compartment-crossing counter this stack's calls are charged to.
-  /// The scenario layer binds it to the owning cVM's Trampoline (Scenario 1)
-  /// or to the Intravisor's sealed-entry registry (Scenario 2); unbound
-  /// stacks (pure in-process tests) report 0.
-  void set_crossing_probe(std::function<std::uint64_t()> probe) {
-    crossing_probe_ = std::move(probe);
-  }
-  [[nodiscard]] std::uint64_t trampoline_crossings() const {
-    return crossing_probe_ ? crossing_probe_() : 0;
   }
 
   // ---- TcpEnv ----
@@ -584,6 +572,11 @@ class FfStack final : public TcpEnv {
   };
   std::unordered_map<std::uint64_t, ZcTxRes> zc_pending_;
   std::uint64_t next_zc_token_ = 1;
+  // Retire reservation `it` (sent, aborted or dead): its tenant gets the
+  // budget back and the caller's handle loses the token and the data-room
+  // alias. The mbuf is the caller's to free or hand to a send chain.
+  void end_zc_reservation(
+      std::unordered_map<std::uint64_t, ZcTxRes>::iterator it, FfZcBuf& zc);
 
   // Outstanding zero-copy RX loans. `pcb`/`udp` point at the budget to
   // credit on recycle and are nulled if the owning connection/socket dies
@@ -638,7 +631,6 @@ class FfStack final : public TcpEnv {
   RxStats rx_stats_;
   TxStats tx_stats_;
   ApiStats api_;
-  std::function<std::uint64_t()> crossing_probe_;
 };
 
 }  // namespace cherinet::fstack

@@ -10,23 +10,6 @@ namespace {
 constexpr sim::Ns kTimeWait{500'000'000};
 }  // namespace
 
-const char* to_string(TcpState s) noexcept {
-  switch (s) {
-    case TcpState::kClosed: return "CLOSED";
-    case TcpState::kListen: return "LISTEN";
-    case TcpState::kSynSent: return "SYN_SENT";
-    case TcpState::kSynReceived: return "SYN_RCVD";
-    case TcpState::kEstablished: return "ESTABLISHED";
-    case TcpState::kFinWait1: return "FIN_WAIT_1";
-    case TcpState::kFinWait2: return "FIN_WAIT_2";
-    case TcpState::kCloseWait: return "CLOSE_WAIT";
-    case TcpState::kClosing: return "CLOSING";
-    case TcpState::kLastAck: return "LAST_ACK";
-    case TcpState::kTimeWait: return "TIME_WAIT";
-  }
-  return "?";
-}
-
 TcpPcb::TcpPcb(TcpEnv* env, const TcpConfig& cfg, TxChain snd, RxChain rcv)
     : env_(env), cfg_(cfg), snd_(std::move(snd)), rx_(std::move(rcv)),
       rto_(cfg.initial_rto) {}

@@ -36,8 +36,6 @@ enum class TcpState : std::uint8_t {
   kTimeWait,
 };
 
-[[nodiscard]] const char* to_string(TcpState s) noexcept;
-
 // 32-bit sequence arithmetic (RFC 793).
 [[nodiscard]] constexpr bool seq_lt(std::uint32_t a, std::uint32_t b) noexcept {
   return static_cast<std::int32_t>(a - b) < 0;
@@ -74,7 +72,6 @@ struct TcpConfig {
   sim::Ns max_rto{60'000'000'000};        // 60 s
   sim::Ns initial_rto{1'000'000'000};     // RFC 6298 §2
   std::uint32_t init_cwnd_segments = 10;  // RFC 6928
-  std::uint32_t max_rexmit = 12;          // give up after ~12 backoffs
   /// TSO super-segment bound in MSS multiples: output() may emit up to
   /// tso_max_segs * mss_eff bytes as ONE segment when the queue negotiated
   /// kOffloadTxTso (the device slices it back into MSS wire frames).
@@ -106,18 +103,18 @@ class TcpEnv {
   /// Child reached kEstablished: append to the listener's accept queue.
   virtual void tcp_accept_ready(TcpPcb& listener, TcpPcb& child) = 0;
   /// Map an in-order payload span onto the mbuf currently being delivered
-  /// by the RX burst, if the bytes live in a single data room. The default
-  /// (no loan available) keeps standalone PCBs on the copy path.
+  /// by the RX burst, if the bytes live in a single data room.
   [[nodiscard]] virtual std::optional<MbufSlice> tcp_rx_loan(
-      std::span<const std::byte> payload) {
-    (void)payload;
-    return std::nullopt;
-  }
+      std::span<const std::byte> payload) = 0;
 };
 
 class TcpPcb {
  public:
   TcpPcb(TcpEnv* env, const TcpConfig& cfg, TxChain snd, RxChain rcv);
+
+  /// Retransmission timeouts in a row before the connection gives up
+  /// (ETIMEDOUT).
+  static constexpr std::uint32_t kMaxRexmit = 12;
 
   // ---- lifecycle (socket layer) ----
   void open_listen(Ipv4Addr local_ip, std::uint16_t local_port);

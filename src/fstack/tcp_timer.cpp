@@ -11,7 +11,7 @@ bool TcpPcb::fire_rexmit(sim::Ns now) {
   (void)now;
   rexmit_deadline_.reset();
 
-  if (++rexmit_shift_ > cfg_.max_rexmit) {
+  if (++rexmit_shift_ > kMaxRexmit) {
     error_ = ETIMEDOUT;
     set_state(TcpState::kClosed);
     snd_.release_all();  // giving up: the retained zc TX refs go back too

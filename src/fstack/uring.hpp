@@ -109,6 +109,8 @@ enum class UringOp : std::uint32_t {
                          //   when the handshake RESOLVES: result 0 on
                          //   ESTABLISHED, -errno (ECONNREFUSED/ETIMEDOUT)
                          //   on failure, aux0=fd. No -EINPROGRESS CQE.
+                         //   Closing the fd before it resolves ends the
+                         //   arm: no verdict CQE ever posts for it.
   kClose = 10,           // graceful close of fd; result is the sock_close
                          //   verdict, aux0=fd. FIN rides the drain's one
                          //   driver burst — no per-close crossing.

@@ -8,7 +8,6 @@
 // futex to our _umtx_op, as on the real system).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -19,19 +18,15 @@
 
 namespace cherinet::host {
 
-enum class ClockId : std::uint8_t {
-  kMonotonicRaw,  // CLOCK_MONOTONIC_RAW — what the paper measures with
-  kVirtual,       // testbed virtual time (bandwidth accounting)
-};
-
 class HostOS {
  public:
   /// `vclock` may be null when no virtual-time components exist.
   HostOS(cheri::TaggedMemory* mem, sim::VirtualClock* vclock)
       : umtx_(mem), vclock_(vclock) {}
 
-  // --- clock_gettime(2) ---
-  [[nodiscard]] std::uint64_t clock_gettime_ns(ClockId id) const;
+  // --- clock_gettime(2) on CLOCK_MONOTONIC_RAW, the clock the paper
+  //     measures with and the only one a cVM asks for ---
+  [[nodiscard]] static std::uint64_t clock_gettime_ns();
 
   // --- _umtx_op(2) ---
   UmtxTable::WaitResult umtx_wait_uint(const cheri::Capability& auth,
@@ -43,10 +38,6 @@ class HostOS {
     return umtx_.wake(addr, count);
   }
   [[nodiscard]] UmtxTable& umtx() noexcept { return umtx_; }
-
-  // --- nanosleep(2): spins the *virtual* clock forward when present,
-  //     otherwise sleeps real time (latency probes use real time). ---
-  void nanosleep_ns(std::uint64_t ns) const;
 
   // --- write(2) to the console fd ---
   void console_write(std::string_view text) { console_.emplace_back(text); }

@@ -1,10 +1,12 @@
-// Syscall numbering of the two worlds the Intravisor bridges.
+// The syscall numbers cVM payloads issue.
 //
 // cVM payloads are linked against musl libc, which issues Linux (aarch64)
 // syscall numbers; the host OS is CheriBSD, which speaks FreeBSD numbers
 // and, for some facilities, entirely different primitives (musl thread
 // synchronization uses futex(2); CheriBSD provides _umtx_op(2) — the
-// translation the paper calls out explicitly in §III-B).
+// translation the paper calls out explicitly in §III-B). The Intravisor's
+// SyscallRouter switches on the musl numbers and calls the HostOS primitive
+// each one maps to, so only the musl side is numbered here.
 #pragma once
 
 #include <cstdint>
@@ -15,26 +17,7 @@ namespace cherinet::host {
 enum class MuslSyscall : std::uint32_t {
   kWrite = 64,
   kFutex = 98,
-  kNanosleep = 101,
   kClockGettime = 113,
-  kGetpid = 172,
-};
-
-/// FreeBSD/CheriBSD numbers (the host side of the proxy table).
-enum class CheriBsdSyscall : std::uint32_t {
-  kWrite = 4,
-  kGetpid = 20,
-  kClockGettime = 232,
-  kNanosleep = 240,
-  kUmtxOp = 454,
-};
-
-/// _umtx_op operation codes (subset; see umtx_op(2)).
-enum class UmtxOp : std::uint32_t {
-  kWaitUint = 11,         // UMTX_OP_WAIT_UINT
-  kWake = 3,              // UMTX_OP_WAKE
-  kWaitUintPrivate = 15,  // UMTX_OP_WAIT_UINT_PRIVATE
-  kWakePrivate = 16,      // UMTX_OP_WAKE_PRIVATE
 };
 
 /// Futex operation codes (subset; see futex(2)).
@@ -44,17 +27,5 @@ enum class FutexOp : std::uint32_t {
   kWaitPrivate = 128,
   kWakePrivate = 129,
 };
-
-/// The musl->CheriBSD translation the Intravisor proxy applies.
-[[nodiscard]] constexpr CheriBsdSyscall translate(MuslSyscall nr) noexcept {
-  switch (nr) {
-    case MuslSyscall::kWrite: return CheriBsdSyscall::kWrite;
-    case MuslSyscall::kFutex: return CheriBsdSyscall::kUmtxOp;
-    case MuslSyscall::kNanosleep: return CheriBsdSyscall::kNanosleep;
-    case MuslSyscall::kClockGettime: return CheriBsdSyscall::kClockGettime;
-    case MuslSyscall::kGetpid: return CheriBsdSyscall::kGetpid;
-  }
-  return CheriBsdSyscall::kGetpid;
-}
 
 }  // namespace cherinet::host

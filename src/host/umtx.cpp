@@ -4,9 +4,9 @@
 
 namespace cherinet::host {
 
-UmtxTable::WaitResult UmtxTable::wait_uint(
-    const cheri::Capability& auth, std::uint64_t addr, std::uint32_t expected,
-    std::optional<std::chrono::nanoseconds> timeout) {
+UmtxTable::WaitResult UmtxTable::wait_uint(const cheri::Capability& auth,
+                                           std::uint64_t addr,
+                                           std::uint32_t expected) {
   std::unique_lock lk(mu_);
   // Re-check under the lock: a racing store+wake either already changed the
   // value (return immediately) or its wake arrives after we registered.
@@ -16,23 +16,11 @@ UmtxTable::WaitResult UmtxTable::wait_uint(
   WaitQueue& q = queues_[addr];
   ++q.waiters;
   ++sleeps_;
-  const auto consume_wake = [&q] {
-    if (q.pending_wakes > 0) {
-      --q.pending_wakes;
-      return true;
-    }
-    return false;
-  };
-  bool woken = true;
-  if (timeout) {
-    woken = q.cv.wait_until(
-        lk, std::chrono::steady_clock::now() + *timeout, consume_wake);
-  } else {
-    q.cv.wait(lk, consume_wake);
-  }
+  q.cv.wait(lk, [&q] { return q.pending_wakes > 0; });
+  --q.pending_wakes;
   --q.waiters;
   if (q.waiters == 0 && q.pending_wakes == 0) queues_.erase(addr);
-  return woken ? WaitResult::kWoken : WaitResult::kTimedOut;
+  return WaitResult::kWoken;
 }
 
 int UmtxTable::wake(std::uint64_t addr, int count) {
@@ -43,7 +31,6 @@ int UmtxTable::wake(std::uint64_t addr, int count) {
   const int to_wake = std::min(count, q.waiters - q.pending_wakes);
   if (to_wake <= 0) return 0;
   q.pending_wakes += to_wake;
-  ++q.wake_epoch;
   q.cv.notify_all();
   return to_wake;
 }

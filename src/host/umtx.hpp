@@ -8,12 +8,10 @@
 // WAKE wakes up to n waiters parked on the same physical address.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <optional>
 
 #include "cheri/capability.hpp"
 #include "cheri/tagged_memory.hpp"
@@ -29,15 +27,12 @@ class UmtxTable {
   enum class WaitResult : std::uint8_t {
     kWoken,        // a WAKE hit us
     kValueChanged, // word != expected at entry (EAGAIN)
-    kTimedOut,
   };
 
   /// UMTX_OP_WAIT_UINT. The word is read through `auth` (a capability
   /// check — a cVM cannot park the kernel on memory it cannot read).
-  WaitResult wait_uint(
-      const cheri::Capability& auth, std::uint64_t addr,
-      std::uint32_t expected,
-      std::optional<std::chrono::nanoseconds> timeout = std::nullopt);
+  WaitResult wait_uint(const cheri::Capability& auth, std::uint64_t addr,
+                       std::uint32_t expected);
 
   /// UMTX_OP_WAKE: wake up to `count` waiters; returns how many were woken.
   int wake(std::uint64_t addr, int count);
@@ -48,7 +43,6 @@ class UmtxTable {
  private:
   struct WaitQueue {
     std::condition_variable cv;
-    std::uint64_t wake_epoch = 0;
     int pending_wakes = 0;
     int waiters = 0;
   };

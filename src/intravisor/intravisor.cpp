@@ -16,8 +16,6 @@ std::string FaultReport::to_console() const {
   return os.str();
 }
 
-Intravisor::Intravisor() : Intravisor(Config{}) {}
-
 Intravisor::Intravisor(Config cfg)
     : as_(cfg.memory_bytes),
       cost_(cfg.cost),
@@ -64,8 +62,7 @@ std::int64_t SyscallRouter::route(SyscallRequest& req) {
       // musl clock_gettime -> CheriBSD SYS_clock_gettime (232). The result
       // timespec is written through the caller's capability.
       if (!req.cap.has_value()) return -EFAULT;
-      const std::uint64_t ns =
-          os_->clock_gettime_ns(host::ClockId::kMonotonicRaw);
+      const std::uint64_t ns = os_->clock_gettime_ns();
       req.cap->store<std::uint64_t>(0, ns / 1'000'000'000ull);
       req.cap->store<std::uint64_t>(8, ns % 1'000'000'000ull);
       return 0;
@@ -100,12 +97,6 @@ std::int64_t SyscallRouter::route(SyscallRequest& req) {
       os_->console_write(text);
       return static_cast<std::int64_t>(n);
     }
-    case MuslSyscall::kNanosleep: {
-      os_->nanosleep_ns(req.args[0]);
-      return 0;
-    }
-    case MuslSyscall::kGetpid:
-      return 1000;
   }
   return -ENOSYS;
 }

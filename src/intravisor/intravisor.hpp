@@ -45,7 +45,6 @@ class Intravisor {
     sim::VirtualClock* vclock = nullptr;
   };
 
-  Intravisor();
   explicit Intravisor(Config cfg);
 
   [[nodiscard]] machine::AddressSpace& address_space() noexcept { return as_; }

@@ -52,11 +52,4 @@ std::int64_t MuslLibc::write(int fd, const machine::CapView& buf,
   return issue(req);
 }
 
-void MuslLibc::nanosleep_ns(std::uint64_t ns) {
-  SyscallRequest req;
-  req.nr = host::MuslSyscall::kNanosleep;
-  req.args[0] = ns;
-  issue(req);
-}
-
 }  // namespace cherinet::iv

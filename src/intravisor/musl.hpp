@@ -3,7 +3,7 @@
 // The paper replaces musl's `svc` with trampoline calls into the Intravisor
 // (§III-B); baseline processes keep the direct syscall. MuslLibc exposes the
 // handful of libc entry points the network stack actually uses — the clock,
-// futex synchronization, console write and nanosleep — and issues them via
+// futex synchronization and console write — and issues them via
 // whichever path the compartment is configured for, so application code is
 // identical across Baseline / Scenario 1 / Scenario 2 (only linkage
 // changes, exactly as in the paper).
@@ -42,8 +42,6 @@ class MuslLibc {
 
   /// write(2) to stdout/stderr via a capability-qualified buffer.
   std::int64_t write(int fd, const machine::CapView& buf, std::size_t n);
-
-  void nanosleep_ns(std::uint64_t ns);
 
   [[nodiscard]] bool uses_trampoline() const noexcept {
     return trampoline_ != nullptr;

@@ -8,7 +8,6 @@ const CompartmentContext& host_context() {
   return ctx;
 }
 thread_local const CompartmentContext* tls_current = nullptr;
-thread_local std::uint64_t tls_switches = 0;
 }  // namespace
 
 const CompartmentContext& ExecutionContext::current() noexcept {
@@ -19,14 +18,9 @@ bool ExecutionContext::in_compartment() noexcept {
   return tls_current != nullptr && tls_current->cvm_id >= 0;
 }
 
-std::uint64_t ExecutionContext::switch_count() noexcept {
-  return tls_switches;
-}
-
 ExecutionContext::Scope::Scope(const CompartmentContext& ctx)
     : saved_(tls_current) {
   tls_current = &ctx;
-  ++tls_switches;
 }
 
 ExecutionContext::Scope::~Scope() { tls_current = saved_; }

@@ -32,9 +32,6 @@ class ExecutionContext {
   [[nodiscard]] static const CompartmentContext& current() noexcept;
   [[nodiscard]] static bool in_compartment() noexcept;
 
-  /// Number of context switches performed by this thread (diagnostics).
-  [[nodiscard]] static std::uint64_t switch_count() noexcept;
-
   class Scope {
    public:
     explicit Scope(const CompartmentContext& ctx);

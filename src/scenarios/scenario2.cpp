@@ -53,10 +53,6 @@ Scenario2Service::Scenario2Service(iv::Intravisor& iv, iv::CVM& cvm1,
     mutex_words_.back().store<std::uint32_t>(0, 0);
     mutexes_.push_back(std::make_unique<iv::CompartmentMutex>(
         &cvm1_.libc(), mutex_words_.back().window(0, 4)));
-    // Every proxied ff_* call reaches a shard through a sealed-entry
-    // crossing; surface that counter through the stack's own stats.
-    shards_[j]->stack().set_crossing_probe(
-        [reg = &iv_.entries()] { return reg->crossings(); });
   }
 }
 

@@ -80,18 +80,6 @@ class MavTelemetry {
 
 }  // namespace
 
-const char* to_string(TenantWorkload w) noexcept {
-  switch (w) {
-    case TenantWorkload::kEcho:
-      return "echo";
-    case TenantWorkload::kIperf:
-      return "iperf";
-    case TenantWorkload::kMavlink:
-      return "mavlink";
-  }
-  return "?";
-}
-
 // ===========================================================================
 // Scenario3Service
 // ===========================================================================

@@ -40,7 +40,6 @@ enum class TenantWorkload : std::uint8_t {
   kIperf,    // iperf client streaming to the peer's server
   kMavlink,  // MAVLink v1 telemetry stream (heartbeat + attitude frames)
 };
-[[nodiscard]] const char* to_string(TenantWorkload w) noexcept;
 
 struct Scenario3TenantSpec {
   std::string name;

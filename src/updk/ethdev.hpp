@@ -88,14 +88,14 @@ class EthDev {
   /// Effective offload capability set of THIS queue (kOffload* bits): the
   /// configured request masked to hardware support. The stack reads it once
   /// at attach and never sets an ol_flag the mask lacks — per-queue
-  /// software fallback falls out of the negotiation. Default: none.
-  [[nodiscard]] virtual std::uint32_t offloads() const { return 0; }
+  /// software fallback falls out of the negotiation.
+  [[nodiscard]] virtual std::uint32_t offloads() const = 0;
 
   /// Earliest future event the device knows about (next wire delivery) —
   /// the main loop's idle deadline.
   [[nodiscard]] virtual std::optional<sim::Ns> next_event() const = 0;
 
-  // --- RX flow steering (multi-queue RSS; defaults = single-queue no-op) ---
+  // --- RX flow steering (multi-queue RSS) ---
 
   /// Which RX queue this driver instance polls, out of how many the port
   /// runs. queue_count == 1 means no steering: every flow lands here.
@@ -103,7 +103,7 @@ class EthDev {
     std::uint16_t queue_count = 1;
     std::uint16_t queue_id = 0;
   };
-  [[nodiscard]] virtual RxSteering rx_steering() const { return {}; }
+  [[nodiscard]] virtual RxSteering rx_steering() const = 0;
 
   /// The RX queue an INBOUND frame with this tuple would land on (remote =
   /// the frame's source). A connect()ing stack filters ephemeral-port
@@ -112,28 +112,15 @@ class EthDev {
   [[nodiscard]] virtual std::uint16_t rx_queue_of(
       std::uint32_t remote_ip, std::uint16_t remote_port,
       std::uint32_t local_ip, std::uint16_t local_port,
-      std::uint8_t proto) const {
-    (void)remote_ip;
-    (void)remote_port;
-    (void)local_ip;
-    (void)local_port;
-    (void)proto;
-    return 0;
-  }
+      std::uint8_t proto) const = 0;
 
   /// Pin inbound frames for (proto, local_port) to THIS driver's queue
   /// (listener steering: accepted flows inherit the listener's shard).
   /// Returns false when the device is out of filter slots.
-  virtual bool steer_local_port(std::uint8_t proto, std::uint16_t local_port) {
-    (void)proto;
-    (void)local_port;
-    return true;
-  }
+  virtual bool steer_local_port(std::uint8_t proto,
+                                std::uint16_t local_port) = 0;
   virtual void unsteer_local_port(std::uint8_t proto,
-                                  std::uint16_t local_port) {
-    (void)proto;
-    (void)local_port;
-  }
+                                  std::uint16_t local_port) = 0;
 };
 
 }  // namespace cherinet::updk

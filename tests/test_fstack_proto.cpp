@@ -191,16 +191,16 @@ TEST(Fragmentation, ReassemblyInOrderAndOutOfOrder) {
 }
 
 TEST(Fragmentation, StalePartialsExpire) {
-  FragReassembler::Config cfg;
-  cfg.timeout = sim::Ns{1000};
-  FragReassembler r(cfg);
+  FragReassembler r;
   Ipv4Header h;
   h.id = 1;
   h.flags_frag = Ipv4Header::kFlagMF;
   std::byte data[8]{};
   EXPECT_FALSE(r.input(h, data, sim::Ns{0}).has_value());
   EXPECT_EQ(r.pending(), 1u);
-  r.expire(sim::Ns{2000});
+  r.expire(FragReassembler::kTimeout - sim::Ns{1});
+  EXPECT_EQ(r.pending(), 1u);
+  r.expire(FragReassembler::kTimeout);
   EXPECT_EQ(r.pending(), 0u);
   EXPECT_EQ(r.stats().expired, 1u);
 }
@@ -345,10 +345,10 @@ TEST(SockBuf, RingSemanticsWithCapabilities) {
 
   sb.consume(30);
   EXPECT_EQ(sb.used(), 34u);
-  // Wrap-around gather write: the bytes sit up to the ring's edge, so both
-  // iovecs land at its physical start.
-  const FfIovec iov[] = {{src.window(0, 10), 10}, {src.window(10, 10), 10}};
-  EXPECT_EQ(sb.writev_from(iov), 20u);
+  // Wrap-around write: the bytes sit up to the ring's edge, so both
+  // writes land at its physical start.
+  EXPECT_EQ(sb.write_from(src, 0, 10), 10u);
+  EXPECT_EQ(sb.write_from(src, 10, 10), 10u);
   std::byte tail[54];
   sb.peek(0, tail);
   EXPECT_EQ(static_cast<std::uint8_t>(tail[0]), 30);

@@ -54,15 +54,6 @@ TEST(Umtx, WakeWithNoWaitersReturnsZero) {
   EXPECT_EQ(ivr.host().umtx_wake(0x1234, 10), 0);
 }
 
-TEST(SyscallIds, MuslToCheriBsdTranslationTable) {
-  using host::CheriBsdSyscall;
-  using host::MuslSyscall;
-  EXPECT_EQ(host::translate(MuslSyscall::kFutex), CheriBsdSyscall::kUmtxOp);
-  EXPECT_EQ(host::translate(MuslSyscall::kClockGettime),
-            CheriBsdSyscall::kClockGettime);
-  EXPECT_EQ(host::translate(MuslSyscall::kWrite), CheriBsdSyscall::kWrite);
-}
-
 TEST(Intravisor, CvmHeapsAreDisjointCompartments) {
   iv::Intravisor ivr(fast_config());
   auto& c1 = ivr.create_cvm("cVM1", 1u << 20);

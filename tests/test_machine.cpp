@@ -94,6 +94,7 @@ TEST(CapView, ReadonlyViewRefusesWrites) {
 
 TEST(ExecutionContext, ScopesNestAndRestore) {
   EXPECT_FALSE(ExecutionContext::in_compartment());
+  EXPECT_EQ(ExecutionContext::current().name, "host");  // none entered yet
   CompartmentContext c1{"c1", 0, {}, {}};
   CompartmentContext c2{"c2", 1, {}, {}};
   {
@@ -106,6 +107,7 @@ TEST(ExecutionContext, ScopesNestAndRestore) {
     EXPECT_EQ(ExecutionContext::current().name, "c1");
   }
   EXPECT_FALSE(ExecutionContext::in_compartment());
+  EXPECT_EQ(ExecutionContext::current().name, "host");
 }
 
 namespace {

@@ -2,8 +2,9 @@
 // 82576 device model must agree bit-for-bit with the stack's composable
 // software checksums; queues with offloads masked off must fall back to the
 // software path and still put identical bytes on the wire; mixed-capability
-// shards coexist on one port; and a corrupt frame that survives the FCS
-// must die at the RX checksum verdict, not reach a socket.
+// shards coexist on one port; a corrupt frame that survives the FCS
+// must die at the RX checksum verdict, not reach a socket; and IPv4 input
+// keeps only datagrams for its own or the broadcast address.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,6 +42,55 @@ std::uint32_t be32(std::span<const std::byte> b, std::size_t at) {
 void put_be16(std::span<std::byte> b, std::size_t at, std::uint16_t v) {
   b[at] = std::byte{static_cast<std::uint8_t>(v >> 8)};
   b[at + 1] = std::byte{static_cast<std::uint8_t>(v & 0xFF)};
+}
+
+/// A wire frame (FCS appended) for card_a port 0 carrying one UDP datagram
+/// 9000 -> 9001 with a kUdpFramePayload-byte payload. `corrupt_l4` breaks
+/// the UDP checksum and keeps the FCS valid.
+constexpr std::size_t kUdpFramePayload = 16;
+std::vector<std::byte> udp_frame(Ipv4Addr src, Ipv4Addr dst, bool corrupt_l4) {
+  constexpr std::size_t kPay = kUdpFramePayload;
+  constexpr std::size_t kL4 = UdpHeader::kSize + kPay;
+  std::vector<std::byte> f(EtherHeader::kSize + Ipv4Header::kSize + kL4);
+  EtherHeader eh;
+  eh.dst = nic::MacAddr::local(10);  // card_a port 0
+  eh.src = nic::MacAddr::local(20);
+  eh.ethertype = kEtherTypeIpv4;
+  eh.serialize(f);
+  Ipv4Header ih;
+  ih.total_len = static_cast<std::uint16_t>(Ipv4Header::kSize + kL4);
+  ih.proto = kIpProtoUdp;
+  ih.src = src;
+  ih.dst = dst;
+  ih.serialize(std::span<std::byte>{f}.subspan(EtherHeader::kSize));
+  constexpr std::size_t l4off = EtherHeader::kSize + Ipv4Header::kSize;
+  UdpHeader uh;
+  uh.src_port = 9000;
+  uh.dst_port = 9001;
+  uh.length = kL4;
+  uh.checksum = 0;
+  uh.serialize(std::span<std::byte>{f}.subspan(l4off));
+  for (std::size_t i = 0; i < kPay; ++i) {
+    f[l4off + UdpHeader::kSize + i] =
+        std::byte{static_cast<std::uint8_t>(i + 1)};
+  }
+  std::uint32_t sum = checksum_pseudo(src, dst, kIpProtoUdp, kL4);
+  sum = checksum_partial(std::span<const std::byte>{f}.subspan(l4off), sum);
+  std::uint16_t ck = checksum_finish(sum);
+  if (ck == 0) ck = 0xFFFF;
+  if (corrupt_l4) {
+    ck ^= 0x0101;        // payload no longer matches the checksum
+    if (ck == 0) ck = 0x0202;
+  }
+  put_be16(f, l4off + 6, ck);
+  // Valid FCS: this corruption modelled a fault past the MAC, so the
+  // CRC32 must pass and the checksum verdict is the only line left.
+  const std::size_t n = f.size();
+  f.resize(n + 4);
+  const std::uint32_t fcs =
+      nic::crc32_ieee(std::span<const std::byte>{f.data(), n});
+  std::memcpy(f.data() + n, &fcs, 4);
+  return f;
 }
 
 /// One port of the device model wired for TX capture: descriptor rings and
@@ -567,56 +617,9 @@ TEST(OffloadVerdict, FcsValidCorruptL4DiesAtVerdictCheck) {
   const int sa = ff_socket(ts.a(), kAfInet, kSockDgram, 0);
   ASSERT_EQ(ff_bind(ts.a(), sa, {Ipv4Addr{}, 9001}), 0);
 
-  constexpr std::size_t kPay = 16;
-  constexpr std::size_t kL4 = UdpHeader::kSize + kPay;
-  const Ipv4Addr src = ts.ip_b();
-  const Ipv4Addr dst = ts.ip_a();
-  const auto build = [&](bool corrupt_l4) {
-    std::vector<std::byte> f(EtherHeader::kSize + Ipv4Header::kSize + kL4);
-    EtherHeader eh;
-    eh.dst = nic::MacAddr::local(10);  // card_a port 0
-    eh.src = nic::MacAddr::local(20);
-    eh.ethertype = kEtherTypeIpv4;
-    eh.serialize(f);
-    Ipv4Header ih;
-    ih.total_len = static_cast<std::uint16_t>(Ipv4Header::kSize + kL4);
-    ih.proto = kIpProtoUdp;
-    ih.src = src;
-    ih.dst = dst;
-    ih.serialize(std::span<std::byte>{f}.subspan(EtherHeader::kSize));
-    constexpr std::size_t l4off = EtherHeader::kSize + Ipv4Header::kSize;
-    UdpHeader uh;
-    uh.src_port = 9000;
-    uh.dst_port = 9001;
-    uh.length = kL4;
-    uh.checksum = 0;
-    uh.serialize(std::span<std::byte>{f}.subspan(l4off));
-    for (std::size_t i = 0; i < kPay; ++i) {
-      f[l4off + UdpHeader::kSize + i] =
-          std::byte{static_cast<std::uint8_t>(i + 1)};
-    }
-    std::uint32_t sum = checksum_pseudo(src, dst, kIpProtoUdp, kL4);
-    sum = checksum_partial(std::span<const std::byte>{f}.subspan(l4off), sum);
-    std::uint16_t ck = checksum_finish(sum);
-    if (ck == 0) ck = 0xFFFF;
-    if (corrupt_l4) {
-      ck ^= 0x0101;        // payload no longer matches the checksum
-      if (ck == 0) ck = 0x0202;
-    }
-    put_be16(f, l4off + 6, ck);
-    // Valid FCS: this corruption modelled a fault past the MAC, so the
-    // CRC32 must pass and the checksum verdict is the only line left.
-    const std::size_t n = f.size();
-    f.resize(n + 4);
-    const std::uint32_t fcs =
-        nic::crc32_ieee(std::span<const std::byte>{f.data(), n});
-    std::memcpy(f.data() + n, &fcs, 4);
-    return f;
-  };
-
   ASSERT_NE(ts.a().negotiated_offloads() & updk::kOffloadRxCsum, 0u);
   nic::Frame bad;
-  bad.data = build(/*corrupt_l4=*/true);
+  bad.data = udp_frame(ts.ip_b(), ts.ip_a(), /*corrupt_l4=*/true);
   ts.wire().transmit(1, std::move(bad), ts.clock().now());
   ts.pump_until([&] { return ts.a().stats().csum_errors >= 1; }, 50'000);
   EXPECT_EQ(ts.a().stats().csum_errors, 1u);
@@ -626,15 +629,44 @@ TEST(OffloadVerdict, FcsValidCorruptL4DiesAtVerdictCheck) {
 
   // Control: the same frame with a correct checksum reaches the socket.
   nic::Frame good;
-  good.data = build(/*corrupt_l4=*/false);
+  good.data = udp_frame(ts.ip_b(), ts.ip_a(), /*corrupt_l4=*/false);
   ts.wire().transmit(1, std::move(good), ts.clock().now());
   std::int64_t r = -1;
   ts.pump_until([&] {
     r = ff_recvfrom(ts.a(), sa, rx, 256, nullptr);
     return r >= 0;
   });
-  EXPECT_EQ(r, static_cast<std::int64_t>(kPay));
+  EXPECT_EQ(r, static_cast<std::int64_t>(kUdpFramePayload));
   EXPECT_EQ(ts.a().stats().csum_errors, 1u);
+}
+
+// IPv4 input takes datagrams for this stack's address or the limited
+// broadcast address and drops the rest: a datagram for another host that
+// reaches the port (a switch flooding an unknown MAC) never reaches a
+// socket, and a broadcast one does.
+TEST(Ipv4Input, BroadcastIsDeliveredForeignDestinationDropped) {
+  TwoStacks ts;
+  const int sa = ff_socket(ts.a(), kAfInet, kSockDgram, 0);
+  ASSERT_EQ(ff_bind(ts.a(), sa, {Ipv4Addr{}, 9001}), 0);
+  auto rx = ts.heap_a().alloc_view(256);
+
+  nic::Frame foreign;
+  foreign.data = udp_frame(ts.ip_b(), Ipv4Addr::of(10, 0, 0, 9), false);
+  ts.wire().transmit(1, std::move(foreign), ts.clock().now());
+  ts.pump_until([&] { return ts.a().stats().rx_dropped >= 1; }, 50'000);
+  EXPECT_EQ(ts.a().stats().rx_dropped, 1u);
+  EXPECT_EQ(ff_recvfrom(ts.a(), sa, rx, 256, nullptr), -EAGAIN);
+
+  nic::Frame broadcast;
+  broadcast.data = udp_frame(ts.ip_b(), Ipv4Addr{0xFFFFFFFFu}, false);
+  ts.wire().transmit(1, std::move(broadcast), ts.clock().now());
+  std::int64_t r = -1;
+  ts.pump_until([&] {
+    r = ff_recvfrom(ts.a(), sa, rx, 256, nullptr);
+    return r >= 0;
+  });
+  EXPECT_EQ(r, static_cast<std::int64_t>(kUdpFramePayload));
+  EXPECT_EQ(ts.a().stats().rx_dropped, 1u);
 }
 
 // An L4 sum that folds to exactly 0xFFFF verifies clean: UDP payloads

@@ -298,7 +298,7 @@ TEST(TcpTimers, RetransmissionTimeoutRecoversFromBlackout) {
     return w == 1000;
   });
   // Let exactly a couple of RTO backoffs elapse in the dark (staying well
-  // under max_rexmit), then heal the wire.
+  // under TcpPcb::kMaxRexmit), then heal the wire.
   const TcpPcb* sender = nullptr;
   for (std::uint16_t p = 49152; p < 49160 && !sender; ++p) {
     sender = ts.a().find_pcb({ts.ip_a(), p, ts.ip_b(), 5201});

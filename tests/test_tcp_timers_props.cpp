@@ -214,7 +214,7 @@ TEST(TcpNagleFree, SmallWriteWithNoOutstandingDataGoesImmediately) {
 // ---------------------------------------------------------------------
 // RTO properties under a jittery wire (ISSUE 8): exponential backoff must
 // stay inside the [min_rto, max_rto] clamps while a blackout starves the
-// flow of ACKs, the connection must survive well under the max_rexmit
+// flow of ACKs, the connection must survive well under the kMaxRexmit
 // give-up, and Karn's rule must keep retransmit-inflated samples out of
 // SRTT so recovery leaves the timer sane.
 // ---------------------------------------------------------------------
@@ -273,9 +273,9 @@ TEST(TcpRtoProps, BackoffUnderJitterStaysClampedAndKarnProtectsSrtt) {
       },
       2'000'000);
   // 0.2 + 0.4 + 0.8 + 1.6 + ... within 8 s: at least four backoff events,
-  // and nowhere near the max_rexmit=12 give-up (the flow must still exist).
+  // and nowhere near the kMaxRexmit=12 give-up (the flow must still exist).
   ASSERT_GE(backed_off.size(), 4u);
-  EXPECT_LT(expirations - before, tcp.max_rexmit);
+  EXPECT_LT(expirations - before, TcpPcb::kMaxRexmit);
   ASSERT_NE(sender_pcb(ts), nullptr) << "blackout aborted the connection";
   for (std::size_t i = 0; i < backed_off.size(); ++i) {
     EXPECT_GE(backed_off[i], tcp.min_rto) << "sample " << i;

@@ -1,8 +1,8 @@
 // Ring-native control plane (API v5): OP_CONNECT deferred-verdict CQEs,
 // OP_CLOSE / OP_EPOLL_CTL immediate verdicts, the reserved multishot-accept
-// argument, SYN-backlog hardening, and the churn-teardown leak gate (PCBs, wheel
-// timers and pool buffers must return to baseline across connect/transfer/
-// close cycles).
+// argument, ring arms and readiness that end with their fd, SYN-backlog
+// hardening, and the churn-teardown leak gate (PCBs, wheel timers and pool
+// buffers must return to baseline across connect/transfer/close cycles).
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -247,6 +247,176 @@ TEST(UringCtl, AcceptMultishotWithNonzeroA0IsEinvalAndArmsNothing) {
   EXPECT_EQ(ar.ring.cq_pop(cq), 0u);
   ff_close(ts.b(), bfd);
   ff_close(ts.a(), afd);
+}
+
+// ---------------------------------------------------------------------------
+// Ring arms and readiness end with their fd
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Every CQE the ring holds right now.
+std::vector<FfUringCqe> drain_cqes(AttachedRing& ar) {
+  std::vector<FfUringCqe> out;
+  FfUringCqe cq[8];
+  for (std::size_t n = ar.ring.cq_pop(cq); n > 0; n = ar.ring.cq_pop(cq)) {
+    out.insert(out.end(), cq, cq + n);
+  }
+  return out;
+}
+
+FfUringSqe accept_arm(int lfd, std::uint64_t user_data) {
+  FfUringSqe arm;
+  arm.op = UringOp::kAcceptMultishot;
+  arm.fd = lfd;
+  arm.user_data = user_data;
+  return arm;
+}
+
+/// B connects to A's `port`; pumps until the handshake completes on B.
+int connect_from_b(TwoStacks& ts, std::uint16_t port) {
+  const int bfd = ff_socket(ts.b(), kAfInet, kSockStream, 0);
+  EXPECT_EQ(ff_connect(ts.b(), bfd, {ts.ip_a(), port}), -EINPROGRESS);
+  ts.pump_until([&] { return ts.b().sockets().get(bfd)->pcb->connected(); });
+  return bfd;
+}
+
+}  // namespace
+
+TEST(UringCtl, ClosedListenersAcceptArmDoesNotFollowItsFdNumber) {
+  TwoStacks ts;
+  AttachedRing ar = attach_ring(ts, 8, 8);
+  const int old_lfd = ff_socket(ts.a(), kAfInet, kSockStream, 0);
+  ff_bind(ts.a(), old_lfd, {Ipv4Addr{}, 5306});
+  ff_listen(ts.a(), old_lfd, 4);
+  ASSERT_NE(ar.ring.sq_push(accept_arm(old_lfd, 41)), FfUring::Push::kFull);
+  ts.a().run_once();
+  EXPECT_TRUE(drain_cqes(ar).empty());  // multishot: no ack CQE
+  ASSERT_EQ(ff_close(ts.a(), old_lfd), 0);
+
+  // A new listener takes the same fd number; its connections are accepted
+  // the classic way, and the dead arm must not claim them.
+  const int lfd = ff_socket(ts.a(), kAfInet, kSockStream, 0);
+  ASSERT_EQ(lfd, old_lfd);
+  ff_bind(ts.a(), lfd, {Ipv4Addr{}, 5307});
+  ff_listen(ts.a(), lfd, 4);
+  const int bfd = connect_from_b(ts, 5307);
+  int afd = -1;
+  ts.pump_until([&] { return (afd = ff_accept(ts.a(), lfd, nullptr)) >= 0; });
+  EXPECT_GE(afd, 0);
+  ts.pump(50);
+  for (const FfUringCqe& c : drain_cqes(ar)) EXPECT_NE(c.user_data, 41u);
+  ff_close(ts.b(), bfd);
+  ff_close(ts.a(), afd);
+}
+
+TEST(UringCtl, RearmedListenerPostsEachAcceptOnceUnderTheNewArm) {
+  TwoStacks ts;
+  AttachedRing ar = attach_ring(ts, 8, 8);
+  const int lfd = ff_socket(ts.a(), kAfInet, kSockStream, 0);
+  ff_bind(ts.a(), lfd, {Ipv4Addr{}, 5308});
+  ff_listen(ts.a(), lfd, 4);
+  ASSERT_NE(ar.ring.sq_push(accept_arm(lfd, 51)), FfUring::Push::kFull);
+  ASSERT_NE(ar.ring.sq_push(accept_arm(lfd, 52)), FfUring::Push::kFull);
+  ts.a().run_once();
+
+  const int b1 = connect_from_b(ts, 5308);
+  const int b2 = connect_from_b(ts, 5308);
+  ts.pump(50);
+  const std::vector<FfUringCqe> cqes = drain_cqes(ar);
+  ASSERT_EQ(cqes.size(), 2u);
+  for (const FfUringCqe& c : cqes) {
+    EXPECT_EQ(c.op, UringOp::kAcceptMultishot);
+    EXPECT_EQ(c.user_data, 52u);
+    EXPECT_GE(c.result, 0);  // the accepted fd
+  }
+  EXPECT_NE(cqes[0].result, cqes[1].result);
+  ff_close(ts.b(), b1);
+  ff_close(ts.b(), b2);
+}
+
+TEST(UringCtl, ClosingAConnectingFdPostsNoVerdict) {
+  TwoStacks ts;
+  const int lfd = ff_socket(ts.b(), kAfInet, kSockStream, 0);
+  ff_bind(ts.b(), lfd, {Ipv4Addr{}, 5309});
+  ff_listen(ts.b(), lfd, 4);
+  AttachedRing ar = attach_ring(ts, 8, 8);
+  const int fd = ff_socket(ts.a(), kAfInet, kSockStream, 0);
+  FfUringSqe sqe;
+  sqe.op = UringOp::kConnect;
+  sqe.fd = fd;
+  sqe.user_data = 61;
+  sqe.a[0] = uring_pack_addr({ts.ip_b(), 5309});
+  ASSERT_NE(ar.ring.sq_push(sqe), FfUring::Push::kFull);
+  ts.a().run_once();  // SYN out, the arm waits for the handshake
+  ASSERT_EQ(ts.a().sockets().get(fd)->pcb->state(), TcpState::kSynSent);
+  ASSERT_EQ(ff_close(ts.a(), fd), 0);
+
+  // Let the SYN-ACK arrive, the retransmission timers run out and the fd
+  // number come back: the closed connect never posts a verdict.
+  const sim::Ns until = ts.clock().now() + sim::Ns{5'000'000'000};
+  ts.pump_until([&] { return ts.clock().now() >= until; });
+  const int reused = ff_socket(ts.a(), kAfInet, kSockStream, 0);
+  EXPECT_EQ(reused, fd);
+  ts.pump(50);
+  EXPECT_TRUE(drain_cqes(ar).empty());
+  ff_close(ts.a(), reused);
+}
+
+TEST(UringCtl, ListenOnAConnectingFdIsRefusedAndTheConnectStillResolves) {
+  TwoStacks ts;
+  const int lfd = ff_socket(ts.b(), kAfInet, kSockStream, 0);
+  ff_bind(ts.b(), lfd, {Ipv4Addr{}, 5310});
+  ff_listen(ts.b(), lfd, 4);
+  AttachedRing ar = attach_ring(ts, 8, 8);
+  const int fd = ff_socket(ts.a(), kAfInet, kSockStream, 0);
+  FfUringSqe sqe;
+  sqe.op = UringOp::kConnect;
+  sqe.fd = fd;
+  sqe.user_data = 71;
+  sqe.a[0] = uring_pack_addr({ts.ip_b(), 5310});
+  ASSERT_NE(ar.ring.sq_push(sqe), FfUring::Push::kFull);
+  ts.a().run_once();
+  const TcpPcb* pcb = ts.a().sockets().get(fd)->pcb;
+  ASSERT_EQ(pcb->state(), TcpState::kSynSent);
+
+  // The connect's ephemeral bind makes the fd look bound; listen must not
+  // swap a listener PCB in under the armed connect.
+  EXPECT_EQ(ff_listen(ts.a(), fd, 4), -EINVAL);
+  EXPECT_EQ(ts.a().sockets().get(fd)->pcb, pcb);
+  FfUringCqe ev;
+  ASSERT_TRUE(await_cqe(ts, ar, 71, ev));
+  EXPECT_EQ(ev.op, UringOp::kConnect);
+  EXPECT_EQ(ev.result, 0);
+  EXPECT_EQ(ev.aux0, static_cast<std::uint64_t>(fd));
+  ff_close(ts.a(), fd);
+}
+
+TEST(UringCtl, UdpFdInAnArmedEpollSetReportsReadable) {
+  TwoStacks ts;
+  const int ufd = ff_socket(ts.a(), kAfInet, kSockDgram, 0);
+  ASSERT_EQ(ff_bind(ts.a(), ufd, {Ipv4Addr{}, 6010}), 0);
+  const int ep = ff_epoll_create(ts.a());
+  ASSERT_EQ(ff_epoll_ctl(ts.a(), ep, EpollOp::kAdd, ufd, kEpollIn, 0xD6), 0);
+  AttachedRing ar = attach_ring(ts, 8, 8);
+  FfUringSqe arm;
+  arm.op = UringOp::kEpollArm;
+  arm.fd = ep;
+  arm.user_data = 81;
+  ASSERT_NE(ar.ring.sq_push(arm), FfUring::Push::kFull);
+  ts.a().run_once();
+  EXPECT_TRUE(drain_cqes(ar).empty());  // nothing queued yet
+
+  const int sender = ff_socket(ts.b(), kAfInet, kSockDgram, 0);
+  machine::CapView msg = ts.heap_b().alloc_view(32);
+  ASSERT_EQ(ff_sendto(ts.b(), sender, msg, 32, {ts.ip_a(), 6010}), 32);
+  FfUringCqe ev;
+  ASSERT_TRUE(await_cqe(ts, ar, 81, ev));
+  EXPECT_EQ(ev.op, UringOp::kEpollArm);
+  EXPECT_NE(ev.result & kEpollIn, 0);
+  EXPECT_EQ(ev.aux0, 0xD6u);
+  ff_close(ts.b(), sender);
+  ff_close(ts.a(), ufd);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 // TCP zero-copy TX (the TxChain retransmission store): end-to-end delivery
 // with ZERO send-side byte copies, retransmission re-reading the still-live
 // mbuf after loss, partial-ACK head trimming, token lifecycle hardening
-// (replay/forge -> -EINVAL before any TCP state mutates), and teardown
-// (FIN completion, RST, RTO give-up) releasing every retained reference
-// back to the pool — the leak half runs under the ASan ctest leg too.
+// (replay/forge -> -EINVAL before any TCP state mutates), the linearizing
+// fallback for segments spread over more slices than the descriptor
+// budget, and teardown (FIN completion, RST, RTO give-up) releasing every
+// retained reference back to the pool — the leak half runs under the ASan
+// ctest leg too.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -16,6 +18,7 @@
 #include "fstack/checksum.hpp"
 #include "fstack/tx_chain.hpp"
 #include "machine/address_space.hpp"
+#include "updk/ethdev.hpp"
 
 using namespace cherinet;
 using namespace cherinet::fstack;
@@ -196,6 +199,53 @@ TEST(ZcTcpTx, RetransmitAfterLossReReadsTheLiveMbuf) {
   EXPECT_EQ(ts.pool_a().available(), baseline);
 }
 
+// A segment spread over more zc slices than the descriptor budget (8 pieces,
+// 40 for a TSO super-segment) linearizes: one bounded copy instead of a
+// 9+-descriptor chain. 64-byte sends queued before any output make every
+// segment such a range, under each checksum mode: software (the copy feeds
+// the checksum), device-inserted, and TSO, whose over-budget super-segment
+// falls back to software IP fragmentation.
+TEST(ZcTcpTx, SegmentsOverThePieceBudgetLinearizeAndArriveIntact) {
+  for (const std::uint32_t offloads :
+       {0u, updk::kOffloadDefault, updk::kOffloadAll}) {
+    SCOPED_TRACE(offloads);
+    updk::EalConfig eal;
+    eal.eth.offloads = offloads;
+    TwoStacks ts(sim::Testbed::unconstrained(), TcpConfig{}, eal,
+                 /*inline_tcp_output=*/false);
+    const Conn c = establish(ts, 5210);
+    constexpr std::uint64_t kTotal = 32 * 1024;
+    const TxStats before = ts.a().tx_stats();
+    ASSERT_EQ(zc_send_stream(ts, c.afd, kTotal, 64), kTotal);
+    std::uint64_t received = 0, corrupt = 0;
+    drain_and_verify(ts, c.bfd, kTotal, &received, &corrupt);
+    EXPECT_EQ(received, kTotal);
+    EXPECT_EQ(corrupt, 0u);
+    EXPECT_EQ(ts.a().tcp_recovery_stats().rexmits, 0u);
+    // Each payload byte was read back exactly once: no segment fit its
+    // budget, and none was sent twice.
+    const TxStats& after = ts.a().tx_stats();
+    EXPECT_EQ(after.emit_payload_reads - before.emit_payload_reads, kTotal);
+    // Software-summed bytes: the admission walk plus the copy (software
+    // checksum), nothing (device checksum), or the copy alone, summed for
+    // the IP fragments the device cannot checksum (TSO).
+    const std::uint64_t summed =
+        after.stack_checksum_bytes - before.stack_checksum_bytes;
+    switch (offloads) {
+      case 0:
+        EXPECT_EQ(summed, 2 * kTotal);
+        break;
+      case updk::kOffloadDefault:
+        EXPECT_EQ(summed, 0u);
+        break;
+      default:
+        EXPECT_EQ(summed, kTotal);
+        EXPECT_EQ(ts.card_a().port(0).stats().tso_frames, 0u);
+        break;
+    }
+  }
+}
+
 TEST(ZcTcpTx, ReplayedAndForgedTokensAreEinvalBeforeStateMutates) {
   TwoStacks ts;
   const Conn c = establish(ts, 5201);
@@ -289,9 +339,9 @@ TEST(ZcTcpTx, RstAndRtoGiveUpReleaseUnackedReferences) {
   }
   EXPECT_LT(ts.pool_a().available(), base_a);
 
-  // The RTO machinery backs off max_rexmit times and gives up (ETIMEDOUT):
-  // the give-up path must free every retained reference even though the
-  // socket fd is still open and the PCB not yet reaped.
+  // The RTO machinery backs off TcpPcb::kMaxRexmit times and gives up
+  // (ETIMEDOUT): the give-up path must free every retained reference even
+  // though the socket fd is still open and the PCB not yet reaped.
   TcpPcb* pcb = nullptr;
   for (std::uint16_t p = 49152; p < 49160 && !pcb; ++p) {
     pcb = ts.a().find_pcb({ts.ip_a(), p, ts.ip_b(), 5201});
