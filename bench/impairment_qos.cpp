@@ -4,8 +4,10 @@
 // Leg 1 — goodput-vs-loss curve: one bulk TCP flow across the 1 GbE testbed
 // wire under uniform loss {0, 0.1%, 1%, 3%} plus a Gilbert-Elliott burst
 // profile. Gates: goodput is monotonically non-increasing in the uniform
-// loss rate, and 1% loss retains >= 50% of the lossless goodput (NewReno
-// fast recovery must be doing the work — pure RTO stalls would crater it).
+// loss rate, and 1% loss retains >= 60% of the lossless goodput (NewReno
+// fast recovery must be doing the work — pure RTO stalls would crater it —
+// and byte-counted congestion avoidance must regrow the halved cwnd past
+// the stretch-ACK count).
 // The RTO clamps scale with the testbed (min_rto 5 ms against a ~30 us
 // RTT), mirroring how production stacks tune RTO floors to their RTT class.
 //
@@ -387,10 +389,10 @@ int main() {
           ? curve[2].xfer.goodput_mbps / curve[0].xfer.goodput_mbps
           : 0.0;
   std::printf("  1%% loss retains %.0f%% of lossless goodput "
-              "(budget >= 50%%)\n",
+              "(budget >= 60%%)\n",
               retained_at_1pct * 100.0);
   rep.set("retained_at_1pct", retained_at_1pct);
-  rep.gate("retained_at_1pct >= 0.5", retained_at_1pct, ">=", 0.5);
+  rep.gate("retained_at_1pct >= 0.6", retained_at_1pct, ">=", 0.6);
 
   // ---- Leg 2: mixed-class p99 --------------------------------------------
   const auto probes =

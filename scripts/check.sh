@@ -200,15 +200,23 @@ if [[ "$SANITIZE" != "1" ]]; then
   # the attempted/failed counts must equal bench/baseline/E2E_virtual.json
   # exactly. A change that moves one on purpose regenerates that file and
   # says why in CHANGES.md, the same rule as the BENCH_* baselines.
+  # The workloads whose wire loses nothing must also retransmit nothing:
+  # any rexmit, fast retransmit or RTO on their recovery: line is spurious.
   virtual='{goodput_mbps: .metrics.goodput_mbps.value,
             lat_p50_us: .metrics.lat_p50_us.value,
             lat_p99_us: .metrics.lat_p99_us.value, attempted, failed}'
   for w in bulk_tx bulk_rx_zc bulk_tx_lossy rr; do
-    if ! line="$(bash bench/e2e/run.sh --workload "$w" --smoke --seed 1 \
-        --trace 0 | tail -n 1)"; then
+    if ! out="$(bash bench/e2e/run.sh --workload "$w" --smoke --seed 1 \
+        --trace 0)"; then
       echo "== E2E RUN FAILED: $w"
       status=1
       continue
+    fi
+    line="$(tail -n 1 <<< "$out")"
+    if [[ $w != bulk_tx_lossy ]] && ! grep -q \
+        '^recovery: rexmits=0 fast_rexmits=0 rto_expirations=0 ' <<< "$out"; then
+      echo "== SPURIOUS RECOVERY: $w $(grep '^recovery:' <<< "$out")"
+      status=1
     fi
     got="$(jq '.metrics.crossings_per_mib.value' <<< "$line")"
     bound="$(jq --arg w "$w" '.[$w]' bench/baseline/E2E_crossings.json)"
@@ -242,8 +250,9 @@ if [[ "$SANITIZE" != "1" ]]; then
     "$BUILD_DIR"/bench_churn_connection_scale || status=$?
 
   # Hostile-wire census: gates the goodput-vs-loss curve (monotone in the
-  # loss rate; 1% uniform loss retains >= 50% of lossless goodput via
-  # NewReno fast recovery + limited transmit + the GRO ack flush), the
+  # loss rate; 1% uniform loss retains >= 60% of lossless goodput via
+  # NewReno fast recovery + limited transmit + the GRO ack flush +
+  # byte-counted congestion avoidance + the immediate gap-fill ACK), the
   # mixed-class p99 under DRR/token-bucket TX scheduling (<= 5x unloaded),
   # corruption containment at the MAC FCS (zero corrupt bytes delivered),
   # and seeded-impairment replay determinism. Persists BENCH_impairment.json.

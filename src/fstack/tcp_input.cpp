@@ -1,6 +1,7 @@
 // TCP segment arrival processing (RFC 793 event processing, RFC 5681 fast
-// retransmit/recovery with NewReno partial-ACK handling, RFC 7323
-// timestamps).
+// retransmit/recovery with NewReno partial-ACK handling (RFC 6582): a
+// duplicate ACK carries no data (§2) and a segment that fills a hole is
+// ACKed at once (§4.2); RFC 7323 timestamps).
 #include <cerrno>
 #include <cstring>
 
@@ -12,12 +13,13 @@ namespace {
 /// GRO/LRO-style ACK coalescing: force an immediate ACK only every Nth
 /// in-order full segment (modern stacks behind aggregating NICs stretch
 /// well past RFC 1122's every-second-segment SHOULD). A PSH-marked
-/// segment, an out-of-order signal, a window-reopening read, or the
-/// delayed-ACK timer still ACK at once, so latency-sensitive tails never
-/// wait. Fewer ACKs is also what lets the SENDER amortize its driver
-/// doorbell: each ACK-clocked wakeup emits a whole stretch of segments
-/// in one staged tx_burst. Congestion control counts acked BYTES
-/// (RFC 3465 style), so stretch ACKs do not starve cwnd growth.
+/// segment, an out-of-order signal, a segment that fills a hole, a
+/// window-reopening read, or the delayed-ACK timer still ACK at once, so
+/// latency-sensitive tails never wait. Fewer ACKs is also what lets the
+/// SENDER amortize its driver doorbell: each ACK-clocked wakeup emits a
+/// whole stretch of segments in one staged tx_burst. Congestion control counts acked BYTES
+/// (RFC 3465) in slow start and congestion avoidance alike, so stretch
+/// ACKs do not starve cwnd growth.
 constexpr std::uint32_t kAckCoalesceSegments = 8;
 /// Out-of-order segments held for reassembly; later ones past a hole are
 /// dropped (and retransmitted by the sender).
@@ -89,7 +91,7 @@ void TcpPcb::input(const TcpHeader& h, const TcpOptions& opts,
     if (listener != nullptr) env_->tcp_accept_ready(*listener, *this);
   }
 
-  process_ack(h, opts);
+  process_ack(h, opts, payload.size());
   if (state_ == TcpState::kClosed) return;  // RST sent by ack processing
   process_payload(h, payload);
   process_fin(h, payload.size());
@@ -163,7 +165,8 @@ void TcpPcb::input_syn_sent(const TcpHeader& h, const TcpOptions& opts) {
   output();
 }
 
-void TcpPcb::process_ack(const TcpHeader& h, const TcpOptions& opts) {
+void TcpPcb::process_ack(const TcpHeader& h, const TcpOptions& opts,
+                         std::size_t payload_len) {
   const std::uint32_t ack = h.ack;
 
   if (seq_gt(ack, snd_nxt_)) {  // acks data never sent
@@ -186,8 +189,11 @@ void TcpPcb::process_ack(const TcpHeader& h, const TcpOptions& opts) {
 
   if (seq_le(ack, snd_una_)) {
     // Duplicate ACK detection (RFC 5681 §2): no payload, window unchanged,
-    // data outstanding.
-    const bool dup = ack == snd_una_ && snd_una_ != snd_nxt_ &&
+    // data outstanding. A data segment that repeats the ACK is the peer
+    // sending, not a signal of loss; counting it would fast-retransmit a
+    // bidirectional stream that lost nothing.
+    const bool dup = payload_len == 0 && ack == snd_una_ &&
+                     snd_una_ != snd_nxt_ &&
                      h.window == (snd_wnd_ >> (ws_on_ ? snd_wscale_ : 0));
     if (!dup) return;
     counters_.dup_acks_in++;
@@ -334,8 +340,12 @@ void TcpPcb::process_payload(const TcpHeader& h,
     }
     rcv_nxt_ += static_cast<std::uint32_t>(n);
     counters_.bytes_in += n;
+    // With out-of-order data queued, this segment fills all or part of the
+    // hole: ACK it at once (RFC 5681 §4.2) so the sender's recovery sees
+    // the repair without waiting for a stretch or a flush.
+    const bool fills_gap = !ooo_.empty();
     absorb_ooo();
-    if (++segs_since_ack_ >= kAckCoalesceSegments) {
+    if (++segs_since_ack_ >= kAckCoalesceSegments || fills_gap) {
       // Stretch-ACK coalescing (kAckCoalesceSegments): ACK on
       // the Nth in-order segment; the delayed-ACK timer bounds the wait
       // for any shorter tail.

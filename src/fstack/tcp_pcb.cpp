@@ -151,10 +151,14 @@ void TcpPcb::cc_on_new_ack(std::uint32_t acked_bytes) {
     // ramp exactly as fast as per-segment ACKs did.
     cwnd_ += acked_bytes;
   } else {
-    // Congestion avoidance: ~one MSS per RTT.
-    const std::uint32_t inc =
-        std::max<std::uint32_t>(1, std::uint32_t{mss_eff_} * mss_eff_ / cwnd_);
-    cwnd_ += inc;
+    // Congestion avoidance: byte counting too (RFC 3465 §2.1), one MSS per
+    // cwnd of acknowledged data. Counting ACKs instead (MSS^2/cwnd each)
+    // would regrow a halved cwnd kAckCoalesceSegments times slower, and a
+    // cwnd held under the stretch count makes every window wait out the
+    // receiver's ack_flush_timeout.
+    const std::uint64_t inc =
+        std::uint64_t{acked_bytes} * mss_eff_ / cwnd_;
+    cwnd_ += static_cast<std::uint32_t>(std::max<std::uint64_t>(1, inc));
   }
 }
 

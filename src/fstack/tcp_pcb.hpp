@@ -58,12 +58,15 @@ struct TcpConfig {
   /// GRO/NAPI-style idle flush bound on ACK coalescing: every in-order
   /// segment slides this deadline forward, so a pending coalesced ACK
   /// leaves this soon after the arrival stream PAUSES (the delayed-ACK
-  /// timer stays as the outer protocol bound). Without it a sender whose
-  /// flight is below the stretch-ACK count (kAckCoalesceSegments,
-  /// tcp_input.cpp) becomes delack-clocked — each window waits the full
-  /// delack_timeout for its ACK, collapsing goodput exactly when loss
-  /// recovery has shrunk cwnd. Real aggregating NICs bound the stretch the
-  /// same way (napi gro_flush_timeout, tens of µs). 0 disables the flush
+  /// timer stays as the outer protocol bound). A sender whose flight is
+  /// below the stretch-ACK count (kAckCoalesceSegments, tcp_input.cpp)
+  /// gets each window's ACK only from this flush — without it, the full
+  /// delack_timeout later. The flush bounds each such wait; what keeps a
+  /// cwnd that loss recovery halved from staying under the stretch count
+  /// is byte-counted congestion avoidance (cc_on_new_ack), and a segment
+  /// that fills a hole is ACKed at once rather than flushed. Real
+  /// aggregating NICs bound the stretch the same way (napi
+  /// gro_flush_timeout, tens of µs). 0 disables the flush
   /// (pure count + delack coalescing). Wheel-free: FfStack tracks these
   /// µs-scale deadlines exactly in a side list — the timing wheel's ~0.5 ms
   /// tick would erase the point of the bound.
@@ -306,7 +309,8 @@ class TcpPcb {
   // --- input helpers (tcp_input.cpp) ---
   void input_listen(const TcpHeader& h, const TcpOptions& opts);
   void input_syn_sent(const TcpHeader& h, const TcpOptions& opts);
-  void process_ack(const TcpHeader& h, const TcpOptions& opts);
+  void process_ack(const TcpHeader& h, const TcpOptions& opts,
+                   std::size_t payload_len);
   void process_payload(const TcpHeader& h, std::span<const std::byte> payload);
   void process_fin(const TcpHeader& h, std::size_t payload_len);
   void absorb_ooo();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <vector>
 
 #include "fixtures.hpp"
@@ -43,6 +44,46 @@ const TcpPcb* sender_pcb(TwoStacks& ts) {
     }
   }
   return nullptr;
+}
+/// B's end of the connection whose A end is `a`.
+const TcpPcb* peer_pcb(TwoStacks& ts, const TcpPcb& a) {
+  return ts.b().find_pcb({ts.ip_b(), 5201, ts.ip_a(), a.tuple().local_port});
+}
+/// One pump step of a one-way bulk stream: the sender writes what its send
+/// buffer takes (up to `total`), the receiver reads everything it holds.
+/// True once `total` bytes arrived.
+struct Bulk {
+  FfStack& tx;
+  int txfd;
+  machine::CapView src;
+  FfStack& rx;
+  int rxfd;
+  machine::CapView dst;
+  std::uint64_t total;
+  std::uint64_t sent = 0, received = 0;
+
+  bool step() {
+    while (sent < total) {
+      const auto w = ff_write(tx, txfd, src,
+                              std::min<std::uint64_t>(4096, total - sent));
+      if (w <= 0) break;
+      sent += static_cast<std::uint64_t>(w);
+    }
+    while (true) {
+      const auto r = ff_read(rx, rxfd, dst, 4096);
+      if (r <= 0) break;
+      received += static_cast<std::uint64_t>(r);
+    }
+    return received == total;
+  }
+};
+Bulk a_to_b(TwoStacks& ts, const Conn& c, std::uint64_t total) {
+  return {ts.a(), c.afd, ts.heap_a().alloc_view(4096),
+          ts.b(), c.bfd, ts.heap_b().alloc_view(4096), total};
+}
+Bulk b_to_a(TwoStacks& ts, const Conn& c, std::uint64_t total) {
+  return {ts.b(), c.bfd, ts.heap_b().alloc_view(4096),
+          ts.a(), c.afd, ts.heap_a().alloc_view(4096), total};
 }
 }  // namespace
 
@@ -402,6 +443,126 @@ TEST(TcpLimitedTransmit, HeadLossAtTinyCwndRecoversWithoutRto) {
       << "limited transmit failed to feed the third dupack; RTO carried it";
   // The RTO path would cost at least min_rto (200 ms).
   EXPECT_LT((ts.clock().now() - start).count(), 100'000'000);
+}
+
+// Congestion avoidance counts bytes (RFC 3465 §2.1): one MSS per cwnd of
+// acknowledged data. The receiver ACKs every 8th segment, so counting ACKs
+// instead (MSS^2/cwnd each) would grow cwnd by an eighth of that and leave
+// a halved window under the stretch count for most of the time to the next
+// loss.
+TEST(TcpCongestionAvoidance, OneCwndOfAckedBytesGrowsCwndByOneMss) {
+  TwoStacks ts(sim::Testbed::unconstrained());
+  const Conn c = establish(ts, 5201);
+  const TcpPcb* pcb = sender_pcb(ts);
+  ASSERT_NE(pcb, nullptr);
+  // One data frame lost in slow start; fast recovery halves cwnd and
+  // leaves the sender in congestion avoidance (cwnd == ssthresh).
+  const std::uint64_t drop = ts.wire().stats(0).tx_frames + 40;
+  ts.wire().set_loss([drop](int side, std::uint64_t idx) {
+    return side == 0 && idx == drop;
+  });
+  Bulk bulk = a_to_b(ts, c, 8 * 1024 * 1024);
+  ASSERT_TRUE(ts.pump_until([&] {
+    bulk.step();
+    return pcb->counters().fast_rexmits == 1 &&
+           !pcb->debug_snapshot().in_recovery;
+  }));
+  const auto cwnd0 = pcb->cwnd();
+  const auto una0 = pcb->debug_snapshot().snd_una;
+  ASSERT_GE(cwnd0, pcb->ssthresh());
+  ASSERT_TRUE(ts.pump_until([&] {
+    bulk.step();
+    return pcb->debug_snapshot().snd_una - una0 >= cwnd0;
+  }));
+  const std::uint32_t acked = pcb->debug_snapshot().snd_una - una0;
+  const std::uint32_t mss = pcb->mss_eff();
+  EXPECT_EQ(pcb->counters().fast_rexmits, 1u);
+  EXPECT_EQ(pcb->counters().rto_expirations, 0u);
+  // The check runs between stack steps, so `acked` may overshoot cwnd0 by
+  // the last stretch ACK; growth is still acked/cwnd0 MSS, within rounding.
+  const double expected = static_cast<double>(mss) * acked / cwnd0;
+  EXPECT_GE(pcb->cwnd() - cwnd0, 0.9 * expected)
+      << "cwnd " << cwnd0 << " grew only " << pcb->cwnd() - cwnd0
+      << " bytes over " << acked << " acknowledged bytes (mss " << mss << ")";
+  EXPECT_LE(pcb->cwnd() - cwnd0, expected + 1);
+  EXPECT_GE(pcb->cwnd() - cwnd0, mss * 3 / 4);
+}
+
+// A segment that fills a hole is ACKed at once (RFC 5681 §4.2): the ACK
+// covering the repair leaves in the stack step that absorbs the
+// retransmission, not ack_flush_timeout later and not after the next
+// stretch of in-order segments.
+TEST(TcpGapFill, RepairIsAckedInTheStepThatAbsorbsIt) {
+  const TcpConfig tcp;
+  TwoStacks ts(sim::Testbed::unconstrained(), tcp);
+  const Conn c = establish(ts, 5201);
+  const TcpPcb* pa = sender_pcb(ts);
+  ASSERT_NE(pa, nullptr);
+  const TcpPcb* pb = peer_pcb(ts, *pa);
+  ASSERT_NE(pb, nullptr);
+  const std::uint64_t drop = ts.wire().stats(0).tx_frames + 20;
+  ts.wire().set_loss([drop](int side, std::uint64_t idx) {
+    return side == 0 && idx == drop;
+  });
+  Bulk bulk = a_to_b(ts, c, 1024 * 1024);
+  // Each predicate call follows exactly one stack step (or one clock
+  // advance). B is observed before the app calls and recorded after them,
+  // so a change between two calls happened in that one step.
+  std::optional<std::uint32_t> hole;  // B's rcv_nxt while OOO data waits
+  std::uint32_t last_rcv_nxt = 0;
+  std::uint64_t last_b_segs_out = 0;
+  std::optional<std::uint32_t> repaired;  // rcv_nxt right after the fill
+  sim::Ns absorbed_at{};
+  bool acked_in_step = false;
+  ASSERT_TRUE(ts.pump_until([&] {
+    const auto rcv_nxt = pb->debug_snapshot().rcv_nxt;
+    if (!hole && pb->counters().ooo_segs > 0) hole = rcv_nxt;
+    if (hole && !repaired && last_rcv_nxt == *hole && rcv_nxt != *hole) {
+      repaired = rcv_nxt;
+      absorbed_at = ts.clock().now();
+      acked_in_step = pb->counters().segs_out > last_b_segs_out;
+    }
+    bulk.step();
+    last_rcv_nxt = pb->debug_snapshot().rcv_nxt;
+    last_b_segs_out = pb->counters().segs_out;
+    return repaired && static_cast<std::int32_t>(
+                           pa->debug_snapshot().snd_una - *repaired) >= 0;
+  }));
+  EXPECT_EQ(pa->counters().fast_rexmits, 1u);
+  EXPECT_EQ(pa->counters().rto_expirations, 0u);
+  EXPECT_TRUE(acked_in_step)
+      << "B absorbed the retransmission and sent nothing in that step";
+  // The ACK crosses the wire in a few µs; a flushed one waits 50 µs first.
+  EXPECT_LT((ts.clock().now() - absorbed_at).count(),
+            tcp.ack_flush_timeout.count() / 2)
+      << "the repair ACK reached A only "
+      << (ts.clock().now() - absorbed_at).count() << " ns after the fill";
+}
+
+// A duplicate ACK carries no data (RFC 5681 §2). In a bidirectional stream
+// the peer's data segments repeat the same ACK while it sends; counting
+// them as dupacks fast-retransmits a stream that lost nothing and halves
+// cwnd each time.
+TEST(TcpDupAck, LossFreeBidirectionalStreamNeverRetransmits) {
+  TwoStacks ts(sim::Testbed::unconstrained());
+  const Conn c = establish(ts, 5201);
+  const TcpPcb* pa = sender_pcb(ts);
+  ASSERT_NE(pa, nullptr);
+  const TcpPcb* pb = peer_pcb(ts, *pa);
+  ASSERT_NE(pb, nullptr);
+  const std::uint64_t total = 4 * 1024 * 1024;
+  Bulk dirs[] = {a_to_b(ts, c, total), b_to_a(ts, c, total)};
+  ASSERT_TRUE(ts.pump_until([&] {
+    bool done = true;
+    for (Bulk& d : dirs) done = d.step() && done;
+    return done;
+  }));
+  EXPECT_EQ(ts.wire().stats(0).dropped + ts.wire().stats(1).dropped, 0u);
+  for (const TcpPcb* pcb : {pa, pb}) {
+    EXPECT_EQ(pcb->counters().fast_rexmits, 0u);
+    EXPECT_EQ(pcb->counters().rexmits, 0u);
+    EXPECT_EQ(pcb->counters().rto_expirations, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------
