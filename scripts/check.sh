@@ -202,6 +202,9 @@ if [[ "$SANITIZE" != "1" ]]; then
   # says why in CHANGES.md, the same rule as the BENCH_* baselines.
   # The workloads whose wire loses nothing must also retransmit nothing:
   # any rexmit, fast retransmit or RTO on their recovery: line is spurious.
+  # The lossy one must recover without a single RTO: SACK recovery repairs
+  # every hole, RACK catches lost retransmissions and the tail-loss probe
+  # the loss nothing follows.
   virtual='{goodput_mbps: .metrics.goodput_mbps.value,
             lat_p50_us: .metrics.lat_p50_us.value,
             lat_p99_us: .metrics.lat_p99_us.value, attempted, failed}'
@@ -216,6 +219,11 @@ if [[ "$SANITIZE" != "1" ]]; then
     if [[ $w != bulk_tx_lossy ]] && ! grep -q \
         '^recovery: rexmits=0 fast_rexmits=0 rto_expirations=0 ' <<< "$out"; then
       echo "== SPURIOUS RECOVERY: $w $(grep '^recovery:' <<< "$out")"
+      status=1
+    fi
+    if [[ $w == bulk_tx_lossy ]] && ! grep -q \
+        '^recovery: .* rto_expirations=0 ' <<< "$out"; then
+      echo "== LOSSY RTO: $w $(grep '^recovery:' <<< "$out")"
       status=1
     fi
     got="$(jq '.metrics.crossings_per_mib.value' <<< "$line")"
@@ -250,12 +258,12 @@ if [[ "$SANITIZE" != "1" ]]; then
     "$BUILD_DIR"/bench_churn_connection_scale || status=$?
 
   # Hostile-wire census: gates the goodput-vs-loss curve (monotone in the
-  # loss rate; 1% uniform loss retains >= 60% of lossless goodput via
-  # NewReno fast recovery + limited transmit + the GRO ack flush +
-  # byte-counted congestion avoidance + the immediate gap-fill ACK), the
-  # mixed-class p99 under DRR/token-bucket TX scheduling (<= 5x unloaded),
-  # corruption containment at the MAC FCS (zero corrupt bytes delivered),
-  # and seeded-impairment replay determinism. Persists BENCH_impairment.json.
+  # loss rate; 1% uniform loss retains >= 75% of lossless goodput via SACK
+  # recovery + RACK + the GRO ack flush + byte-counted congestion avoidance
+  # + the immediate gap-fill ACK), the mixed-class p99 under DRR/token-bucket
+  # TX scheduling (<= 5x unloaded), corruption containment at the MAC FCS
+  # (zero corrupt bytes delivered), seeded-impairment replay determinism and
+  # a tail loss repaired without an RTO. Persists BENCH_impairment.json.
   CHERINET_BENCH_JSON_DIR="$BUILD_DIR" \
     "$BUILD_DIR"/bench_impairment_qos || status=$?
 

@@ -1,5 +1,6 @@
 #include "fstack/headers.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "fstack/checksum.hpp"
@@ -137,36 +138,71 @@ void UdpHeader::serialize(std::span<std::byte> b) const noexcept {
 }
 
 // -------------------------------------------------------------- TCP options
+namespace {
+constexpr std::uint8_t kOptEnd = 0;
+constexpr std::uint8_t kOptNop = 1;
+constexpr std::uint8_t kOptMss = 2;
+constexpr std::uint8_t kOptWscale = 3;
+constexpr std::uint8_t kOptSackPermitted = 4;
+constexpr std::uint8_t kOptSack = 5;
+constexpr std::uint8_t kOptTimestamps = 8;
+constexpr std::size_t kSackBlockLen = 8;
+}  // namespace
+
 std::size_t TcpOptions::encoded_size() const noexcept {
   std::size_t n = 0;
   if (mss) n += 4;
   if (wscale) n += 3;
+  if (sack_permitted) n += 2;
   if (timestamps) n += 10;
+  if (sack_count > 0) {
+    n += 2 + kSackBlockLen * std::min<std::size_t>(sack_count,
+                                                   kMaxSackBlocksOut);
+  }
   return (n + 3) / 4 * 4;
 }
 
 std::size_t TcpOptions::serialize(std::span<std::byte> b) const noexcept {
   std::size_t i = 0;
   if (mss) {
-    b[i] = std::byte{2};
+    b[i] = std::byte{kOptMss};
     b[i + 1] = std::byte{4};
     put_be16(b.data() + i + 2, *mss);
     i += 4;
   }
   if (wscale) {
-    b[i] = std::byte{3};
+    b[i] = std::byte{kOptWscale};
     b[i + 1] = std::byte{3};
     b[i + 2] = std::byte{*wscale};
     i += 3;
   }
+  // SACK-permitted takes two of the SYN's pad bytes: MSS + wscale +
+  // timestamps (17 bytes) pad to 20 with or without it.
+  if (sack_permitted) {
+    b[i] = std::byte{kOptSackPermitted};
+    b[i + 1] = std::byte{2};
+    i += 2;
+  }
   if (timestamps) {
-    b[i] = std::byte{8};
+    b[i] = std::byte{kOptTimestamps};
     b[i + 1] = std::byte{10};
     put_be32(b.data() + i + 2, timestamps->first);
     put_be32(b.data() + i + 6, timestamps->second);
     i += 10;
   }
-  while (i % 4 != 0) b[i++] = std::byte{1};  // NOP pad
+  if (sack_count > 0) {
+    const std::size_t n =
+        std::min<std::size_t>(sack_count, kMaxSackBlocksOut);
+    b[i] = std::byte{kOptSack};
+    b[i + 1] = static_cast<std::byte>(2 + kSackBlockLen * n);
+    i += 2;
+    for (std::size_t k = 0; k < n; ++k) {
+      put_be32(b.data() + i, sack[k].left);
+      put_be32(b.data() + i + 4, sack[k].right);
+      i += kSackBlockLen;
+    }
+  }
+  while (i % 4 != 0) b[i++] = std::byte{kOptNop};  // NOP pad
   return i;
 }
 
@@ -175,8 +211,8 @@ TcpOptions TcpOptions::parse(std::span<const std::byte> b) noexcept {
   std::size_t i = 0;
   while (i < b.size()) {
     const auto kind = static_cast<std::uint8_t>(b[i]);
-    if (kind == 0) break;   // END
-    if (kind == 1) {        // NOP
+    if (kind == kOptEnd) break;
+    if (kind == kOptNop) {
       ++i;
       continue;
     }
@@ -184,13 +220,30 @@ TcpOptions TcpOptions::parse(std::span<const std::byte> b) noexcept {
     const auto len = static_cast<std::uint8_t>(b[i + 1]);
     if (len < 2 || i + len > b.size()) break;
     switch (kind) {
-      case 2:
+      case kOptMss:
         if (len == 4) o.mss = get_be16(b.data() + i + 2);
         break;
-      case 3:
+      case kOptWscale:
         if (len == 3) o.wscale = static_cast<std::uint8_t>(b[i + 2]);
         break;
-      case 8:
+      case kOptSackPermitted:
+        if (len == 2) o.sack_permitted = true;
+        break;
+      case kOptSack: {
+        // 2 + 8n bytes, 1 <= n <= 4; anything else is ignored whole.
+        const std::size_t n = (len - 2u) / kSackBlockLen;
+        if ((len - 2u) % kSackBlockLen != 0 || n == 0 ||
+            n > kMaxSackBlocksIn) {
+          break;
+        }
+        for (std::size_t k = 0; k < n; ++k) {
+          const std::byte* p = b.data() + i + 2 + k * kSackBlockLen;
+          o.sack[k] = SackBlock{get_be32(p), get_be32(p + 4)};
+        }
+        o.sack_count = static_cast<std::uint8_t>(n);
+        break;
+      }
+      case kOptTimestamps:
         if (len == 10) {
           o.timestamps = {get_be32(b.data() + i + 2),
                           get_be32(b.data() + i + 6)};

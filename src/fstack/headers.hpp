@@ -6,6 +6,7 @@
 // check before interpretation.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -127,11 +128,28 @@ inline constexpr std::uint8_t kPsh = 0x08;
 inline constexpr std::uint8_t kAck = 0x10;
 }  // namespace tcpflag
 
-/// Parsed TCP options the stack understands (MSS, window scale, timestamps).
+/// One SACK block (RFC 2018): the receiver holds [left, right).
+struct SackBlock {
+  std::uint32_t left = 0;
+  std::uint32_t right = 0;
+  bool operator==(const SackBlock&) const = default;
+};
+
+/// Parsed TCP options the stack understands (MSS, window scale, SACK,
+/// timestamps).
 struct TcpOptions {
+  /// A SACK option holds at most four blocks (2 + 8n bytes of the 40-byte
+  /// option space); a longer or misaligned one is ignored whole.
+  static constexpr std::size_t kMaxSackBlocksIn = 4;
+  /// Beside the 10-byte timestamp option only three blocks fit.
+  static constexpr std::size_t kMaxSackBlocksOut = 3;
+
   std::optional<std::uint16_t> mss;
   std::optional<std::uint8_t> wscale;
+  bool sack_permitted = false;
   std::optional<std::pair<std::uint32_t, std::uint32_t>> timestamps;  // val,ecr
+  std::uint8_t sack_count = 0;  // valid entries of `sack`
+  std::array<SackBlock, kMaxSackBlocksIn> sack{};
 
   /// Encoded size (multiple of 4) for a SYN / non-SYN segment.
   [[nodiscard]] std::size_t encoded_size() const noexcept;

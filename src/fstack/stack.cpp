@@ -265,6 +265,7 @@ void FfStack::accumulate_reaped(const TcpPcb& pcb) {
   reaped_counters_.rexmits += c.rexmits;
   reaped_counters_.fast_rexmits += c.fast_rexmits;
   reaped_counters_.rto_expirations += c.rto_expirations;
+  reaped_counters_.tlp_probes += c.tlp_probes;
   reaped_counters_.spurious_rexmit_bytes += c.spurious_rexmit_bytes;
 }
 
@@ -274,6 +275,7 @@ FfStack::TcpRecoveryStats FfStack::tcp_recovery_stats() const {
     out.rexmits += c.rexmits;
     out.fast_rexmits += c.fast_rexmits;
     out.rto_expirations += c.rto_expirations;
+    out.tlp_probes += c.tlp_probes;
     out.spurious_rexmit_bytes += c.spurious_rexmit_bytes;
   };
   add(reaped_counters_);

@@ -237,8 +237,9 @@ class FfStack final : public TcpEnv {
   /// bench reads these to tie wire-level loss causes to protocol response.
   struct TcpRecoveryStats {
     std::uint64_t rexmits = 0;            // retransmitted segments (all causes)
-    std::uint64_t fast_rexmits = 0;       // dupack-triggered (RFC 5681)
+    std::uint64_t fast_rexmits = 0;       // of those, in fast recovery
     std::uint64_t rto_expirations = 0;    // RTO fires (backoff events)
+    std::uint64_t tlp_probes = 0;         // tail-loss probes (RFC 8985)
     std::uint64_t spurious_rexmit_bytes = 0;  // rx-side duplicate payload
   };
   [[nodiscard]] TcpRecoveryStats tcp_recovery_stats() const;

@@ -1,7 +1,11 @@
-// TCP segment arrival processing (RFC 793 event processing, RFC 5681 fast
-// retransmit/recovery with NewReno partial-ACK handling (RFC 6582): a
-// duplicate ACK carries no data (§2) and a segment that fills a hole is
-// ACKed at once (§4.2); RFC 7323 timestamps).
+// TCP segment arrival processing (RFC 793 event processing; RFC 5681
+// congestion control, where a duplicate ACK carries no data (§2) and a
+// segment that fills a hole is ACKed at once (§4.2); RFC 7323 timestamps;
+// RFC 2018 SACK blocks in and out; RFC 6675 SACK-based loss recovery and
+// RFC 8985 RACK loss detection, whose tail-loss probe lives in
+// tcp_timer.cpp).
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 
@@ -131,6 +135,7 @@ void TcpPcb::input_listen(const TcpHeader& h, const TcpOptions& opts) {
   child->iss_ = child->env_->tcp_ts_now() * 2654435761u;  // deterministic ISS
   child->snd_una_ = child->iss_;
   child->snd_nxt_ = child->iss_;
+  child->rack_fack_ = child->iss_;
   child->snd_wnd_ = h.window;  // not scaled in SYN
   child->snd_wl1_ = h.seq;
   child->snd_wl2_ = h.seq;
@@ -186,8 +191,10 @@ void TcpPcb::process_ack(const TcpHeader& h, const TcpOptions& opts,
     snd_wl1_ = h.seq;
     snd_wl2_ = ack;
   }
+  const sim::Ns now = env_->tcp_now();
 
   if (seq_le(ack, snd_una_)) {
+    process_sack(opts, now);
     // Duplicate ACK detection (RFC 5681 §2): no payload, window unchanged,
     // data outstanding. A data segment that repeats the ACK is the peer
     // sending, not a signal of loss; counting it would fast-retransmit a
@@ -195,33 +202,18 @@ void TcpPcb::process_ack(const TcpHeader& h, const TcpOptions& opts,
     const bool dup = payload_len == 0 && ack == snd_una_ &&
                      snd_una_ != snd_nxt_ &&
                      h.window == (snd_wnd_ >> (ws_on_ ? snd_wscale_ : 0));
-    if (!dup) return;
-    counters_.dup_acks_in++;
-    if (in_recovery_) {
-      cwnd_ += mss_eff_;  // inflation while the hole persists
-      output();
-      return;
-    }
-    if (++dupacks_ == 3) {
-      // Fast retransmit + enter NewReno recovery.
-      const std::uint32_t flight = snd_nxt_ - snd_una_;
-      ssthresh_ = std::max(flight / 2, 2u * mss_eff_);
-      in_recovery_ = true;
-      recover_ = snd_nxt_;
-      const std::size_t n =
-          std::min<std::size_t>({snd_.used(), mss_eff_,
-                                 static_cast<std::size_t>(flight)});
-      if (n > 0) {
-        send_segment(snd_una_, 0, n, tcpflag::kAck);
-        counters_.fast_rexmits++;
+    if (dup) {
+      counters_.dup_acks_in++;
+      ++dupacks_;
+      if (!sack_on_) {
+        // Without SACK a dupack says one segment left the network above
+        // the hole; the head itself stays unaccounted for.
+        const std::uint32_t out = data_in_flight();
+        reno_sacked_ = std::min(reno_sacked_ + mss_eff_,
+                                out > mss_eff_ ? out - mss_eff_ : 0u);
       }
-      cwnd_ = ssthresh_ + 3 * mss_eff_;
-      arm_rexmit();
-    } else {
-      // Dupacks one and two: limited transmit (RFC 3042) — output() sees
-      // the dupack count and releases up to two new segments beyond cwnd.
-      output();
     }
+    detect_loss(now);
     return;
   }
 
@@ -240,6 +232,10 @@ void TcpPcb::process_ack(const TcpHeader& h, const TcpOptions& opts,
   if (consume > 0) snd_.consume(consume);
   snd_una_ = ack;
   rexmit_shift_ = 0;
+  sb_.ack(ack, [this, now](const SackScoreboard::Range& r) {
+    rack_advance(r, now);
+  });
+  if (seq_lt(rack_fack_, ack)) rack_fack_ = ack;
 
   // RTT sampling: prefer timestamp echo (per-ACK), fall back to timed seq.
   if (ts_on_ && opts.timestamps && opts.timestamps->second != 0) {
@@ -251,29 +247,41 @@ void TcpPcb::process_ack(const TcpHeader& h, const TcpOptions& opts,
     }
     rtt_timing_ = false;
   } else if (rtt_timing_ && seq_gt(ack, rtt_seq_)) {
-    rtt_sample(env_->tcp_now() - rtt_started_);
+    rtt_sample(now - rtt_started_);
     rtt_timing_ = false;
   }
+  process_sack(opts, now);
 
-  if (in_recovery_) {
-    if (seq_ge(ack, recover_)) {
-      // Full recovery: deflate to ssthresh (NewReno exit).
-      in_recovery_ = false;
-      dupacks_ = 0;
+  if (tlp_end_ && seq_ge(ack, *tlp_end_)) {
+    // The probe's episode is over (RFC 8985 §7.4). With no D-SACK to say
+    // the original arrived too, a probe that resent data repaired a loss:
+    // respond to it as to any other.
+    if (tlp_retrans_ && recovery_ == Recovery::kNone) {
+      ssthresh_ = std::max(cwnd_ / 2, 2u * mss_eff_);
       cwnd_ = ssthresh_;
-    } else {
-      // Partial ACK: retransmit the next hole, deflate by amount acked.
-      const std::size_t n = std::min<std::size_t>(snd_.used(), mss_eff_);
-      if (n > 0) {
-        send_segment(snd_una_, 0, n, tcpflag::kAck);
-        counters_.rexmits++;
-      }
-      cwnd_ = cwnd_ > acked ? cwnd_ - acked + mss_eff_ : mss_eff_;
-      arm_rexmit();
+    }
+    tlp_end_.reset();
+  }
+
+  if (recovery_ == Recovery::kFast && seq_lt(ack, recover_)) {
+    // Partial ACK: cwnd holds at ssthresh while the pipe drains (RFC 6675).
+    // Without SACK the next hole starts where this ACK stopped (RFC 6582).
+    if (!sack_on_) {
+      reno_sacked_ -= std::min(reno_sacked_,
+                               acked > mss_eff_ ? acked - mss_eff_ : 0u);
+      sb_.mark_lost(snd_una_, mss_eff_);
     }
   } else {
-    dupacks_ = 0;
-    cc_on_new_ack(acked);
+    if (recovery_ == Recovery::kFast) {
+      cwnd_ = ssthresh_;  // full recovery: deflate to ssthresh
+    } else {
+      cc_on_new_ack(acked);  // also slow start after an RTO
+    }
+    if (recovery_ == Recovery::kNone || seq_ge(ack, recover_)) {
+      recovery_ = Recovery::kNone;
+      dupacks_ = 0;
+      reno_sacked_ = 0;
+    }
   }
 
   if (snd_una_ == snd_nxt_) {
@@ -281,6 +289,7 @@ void TcpPcb::process_ack(const TcpHeader& h, const TcpOptions& opts,
   } else {
     arm_rexmit();  // restart for the remaining outstanding data
   }
+  detect_loss(now);
 
   if (fin_now_acked) {
     fin_acked_ = true;
@@ -301,6 +310,97 @@ void TcpPcb::process_ack(const TcpHeader& h, const TcpOptions& opts,
       default:
         break;
     }
+  }
+}
+
+void TcpPcb::process_sack(const TcpOptions& opts, sim::Ns now) {
+  if (!sack_on_) return;
+  for (std::size_t k = 0; k < opts.sack_count; ++k) {
+    sb_.sack(opts.sack[k], [this, now](const SackScoreboard::Range& r) {
+      rack_advance(r, now);
+    });
+  }
+}
+
+void TcpPcb::rack_advance(const SackScoreboard::Range& r, sim::Ns now) {
+  // Delivered without ever being resent, below what was delivered before:
+  // the network reordered it (RFC 8985 §6.2 step 3).
+  if (!r.has(SackScoreboard::kRetrans) && seq_lt(r.end, rack_fack_)) {
+    reordering_seen_ = true;
+  }
+  if (seq_lt(rack_fack_, r.end)) rack_fack_ = r.end;
+  const sim::Ns rtt = now - r.xmit;
+  // A resent range delivered sooner than any round trip was delivered by
+  // an earlier copy: its time says nothing (RFC 8985 §6.2 step 2).
+  if (r.has(SackScoreboard::kRetrans) && rtt < min_rtt_) return;
+  if (!rack_valid_ || r.xmit > rack_xmit_ ||
+      (r.xmit == rack_xmit_ && seq_gt(r.end, rack_end_))) {
+    rack_valid_ = true;
+    rack_xmit_ = r.xmit;
+    rack_end_ = r.end;
+    rack_rtt_ = rtt;
+  }
+}
+
+sim::Ns TcpPcb::rack_reo_wnd() const {
+  // No reordering seen: once in recovery or with more than DupThresh - 1
+  // segments SACKed above it, a hole is lost at once (RFC 8985 §6.2 step 4).
+  if (!reordering_seen_ &&
+      (recovery_ != Recovery::kNone ||
+       sb_.sacked_bytes() > (kDupThresh - 1) * mss_eff_)) {
+    return sim::Ns{0};
+  }
+  return std::min(min_rtt_ / 4, srtt_);
+}
+
+sim::Ns TcpPcb::rack_detect_loss(sim::Ns now) {
+  if (!rack_valid_) return sim::Ns{0};
+  const sim::Ns reo_wnd = rack_reo_wnd();
+  sim::Ns wait{0};
+  const auto ranges = sb_.ranges();
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    const SackScoreboard::Range& r = ranges[i];
+    if (r.has(SackScoreboard::kSacked | SackScoreboard::kLost)) continue;
+    // Only what left before the newest delivered transmission can be lost.
+    if (r.xmit > rack_xmit_ ||
+        (r.xmit == rack_xmit_ && seq_gt(r.end, rack_end_))) {
+      continue;
+    }
+    const sim::Ns remaining = r.xmit + rack_rtt_ + reo_wnd - now;
+    if (remaining.count() <= 0) {
+      sb_.mark_lost_at(i);
+    } else {
+      wait = std::max(wait, remaining);
+    }
+  }
+  return wait;
+}
+
+void TcpPcb::detect_loss(sim::Ns now) {
+  if (sb_.empty()) return;
+  sim::Ns reo_wait{0};
+  if (sack_on_) {
+    if (recovery_ == Recovery::kNone && sb_.sacked_bytes() == 0) return;
+    reo_wait = rack_detect_loss(now);
+  } else if (recovery_ == Recovery::kNone && dupacks_ >= kDupThresh) {
+    sb_.mark_lost(snd_una_, mss_eff_);
+  }
+  if (recovery_ == Recovery::kNone && sb_.lost_bytes() > 0) {
+    // Enter fast recovery (RFC 6675 §5): halve, then let the pipe decide.
+    ssthresh_ = std::max((snd_nxt_ - snd_una_) / 2, 2u * mss_eff_);
+    cwnd_ = ssthresh_;
+    recovery_ = Recovery::kFast;
+    recover_ = snd_una_ + data_in_flight();
+    send_lost(/*fast_rexmit=*/true);
+  }
+  if (reo_wait.count() > 0) {
+    // Wait out the reordering window before calling the rest lost (§6.3);
+    // the RTO takes over again when it fires.
+    rexmit_deadline_ = now + reo_wait;
+    xmit_timer_ = XmitTimer::kReo;
+  } else if (xmit_timer_ == XmitTimer::kReo ||
+             (xmit_timer_ == XmitTimer::kTlp && !tlp_eligible())) {
+    arm_rto();
   }
 }
 
@@ -354,38 +454,86 @@ void TcpPcb::process_payload(const TcpHeader& h,
       schedule_ack();
     }
   } else {
-    // Future segment: buffer for reassembly, signal the hole with a dupack.
+    // Future segment: buffer for reassembly, signal the hole with a dupack
+    // whose first SACK block reports this arrival.
     counters_.ooo_segs++;
     if (ooo_.size() < kMaxOooSegments && !ooo_.contains(seq)) {
       ooo_.emplace(seq, std::vector<std::byte>(data.begin(), data.end()));
+      sack_newest_ = seq;
     }
     ack_now_ = true;
   }
 }
 
-void TcpPcb::absorb_ooo() {
+bool TcpPcb::absorb_ooo() {
+  const std::uint32_t before = rcv_nxt_;
   while (!ooo_.empty()) {
+    // Find any stored segment that now reaches rcv_nxt (every entry is
+    // checked, so a sequence wrap inside the map's raw-seq order is fine).
     auto it = ooo_.begin();
-    // Find any stored segment that now overlaps rcv_nxt (map is ordered by
-    // raw seq, which is fine within a window's span).
-    bool absorbed = false;
-    for (; it != ooo_.end(); ++it) {
-      const std::uint32_t seq = it->first;
-      const auto len = static_cast<std::uint32_t>(it->second.size());
-      if (seq_le(seq, rcv_nxt_)) {
-        if (seq_gt(seq + len, rcv_nxt_)) {
-          const std::uint32_t skip = rcv_nxt_ - seq;
-          const std::size_t n = rx_.push_bytes(
-              std::span<const std::byte>{it->second}.subspan(skip));
-          rcv_nxt_ += static_cast<std::uint32_t>(n);
-          counters_.bytes_in += n;
-        }
-        ooo_.erase(it);
-        absorbed = true;
-        break;
-      }
+    while (it != ooo_.end() && !seq_le(it->first, rcv_nxt_)) ++it;
+    if (it == ooo_.end()) break;
+    const std::uint32_t seq = it->first;
+    const auto len = static_cast<std::uint32_t>(it->second.size());
+    if (seq_gt(seq + len, rcv_nxt_)) {
+      const std::uint32_t skip = rcv_nxt_ - seq;
+      const std::size_t n = rx_.push_bytes(
+          std::span<const std::byte>{it->second}.subspan(skip));
+      rcv_nxt_ += static_cast<std::uint32_t>(n);
+      counters_.bytes_in += n;
+      // The receive buffer is full: keep the rest. It was SACKed, and
+      // dropping it now would renege on that (RFC 2018 §8); the next
+      // read absorbs it.
+      if (skip + n < len) break;
     }
-    if (!absorbed) break;
+    ooo_.erase(it);
+  }
+  return rcv_nxt_ != before;
+}
+
+void TcpPcb::sack_blocks(TcpOptions& opts, std::size_t len) const {
+  // A data segment carries only the blocks that fit beside a full MSS.
+  std::size_t room = TcpOptions::kMaxSackBlocksOut;
+  if (len > 0) {
+    const std::size_t spare = len < mss_eff_ ? mss_eff_ - len : 0;
+    room = spare < 10 ? 0 : std::min(room, (spare - 2) / 8);
+  }
+  if (room == 0) return;
+  // ooo_ is keyed on raw seq, which a sequence wrap scrambles: order the
+  // held bytes by their distance from rcv_nxt instead, then merge.
+  struct Span {
+    std::uint32_t off, end;
+  };
+  std::array<Span, kMaxOooSegments> spans;
+  std::size_t n = 0;
+  for (const auto& [seq, bytes] : ooo_) {
+    const std::uint32_t end = seq + static_cast<std::uint32_t>(bytes.size());
+    if (!seq_gt(end, rcv_nxt_)) continue;
+    spans[n++] = {seq_lt(seq, rcv_nxt_) ? 0 : seq - rcv_nxt_,
+                  end - rcv_nxt_};
+  }
+  std::sort(spans.begin(), spans.begin() + static_cast<std::ptrdiff_t>(n),
+            [](const Span& a, const Span& b) { return a.off < b.off; });
+  std::size_t blocks = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (blocks > 0 && spans[i].off <= spans[blocks - 1].end) {
+      spans[blocks - 1].end = std::max(spans[blocks - 1].end, spans[i].end);
+    } else {
+      spans[blocks++] = spans[i];
+    }
+  }
+  // RFC 2018 §4: the block holding the newest arrival goes first, then the
+  // others nearest the hole.
+  const std::uint32_t newest = sack_newest_ - rcv_nxt_;
+  std::size_t first = 0;
+  while (first + 1 < blocks && spans[first].end <= newest) ++first;
+  const auto put = [&](const Span& sp) {
+    opts.sack[opts.sack_count++] =
+        SackBlock{rcv_nxt_ + sp.off, rcv_nxt_ + sp.end};
+  };
+  if (blocks > 0) put(spans[first]);
+  for (std::size_t i = 0; i < blocks && opts.sack_count < room; ++i) {
+    if (i != first) put(spans[i]);
   }
 }
 

@@ -32,6 +32,7 @@ void TcpPcb::set_state(TcpState s) {
     ack_flush_deadline_.reset();
     persist_deadline_.reset();
     time_wait_deadline_.reset();
+    sb_.clear();
   }
 }
 
@@ -46,6 +47,7 @@ void TcpPcb::open_connect(const FourTuple& tuple, std::uint32_t iss) {
   iss_ = iss;
   snd_una_ = iss;
   snd_nxt_ = iss;  // send_control(SYN) advances by one
+  rack_fack_ = iss;
   set_state(TcpState::kSynSent);
   mss_eff_ = cfg_.mss;
   cwnd_ = cfg_.init_cwnd_segments * cfg_.mss;
@@ -67,20 +69,24 @@ bool TcpPcb::app_zc_send(updk::Mbuf* m, std::uint32_t off, std::uint32_t len,
 std::size_t TcpPcb::app_read(const machine::CapView& dst, std::size_t n) {
   const std::size_t before = rx_.window_free();
   const std::size_t got = rx_.read_into(dst, 0, n);
-  // If the advertised window had (nearly) collapsed, announce the reopened
-  // window *immediately* — waiting for the delayed-ACK timer would leave
-  // the peer throttled or probing (BSD's sowwakeup -> tcp_output path).
-  if (got > 0 && before < 2u * mss_eff_) {
-    ack_now_ = true;
-    output();
-  }
+  if (got > 0) window_opened(before);
   return got;
 }
 
 void TcpPcb::zc_rx_credit(std::size_t charge) {
   const std::size_t before = rx_.window_free();
   rx_.credit_loan(charge);
-  if (charge > 0 && before < 2u * mss_eff_ && connected()) {
+  if (charge > 0 && connected()) window_opened(before);
+}
+
+void TcpPcb::window_opened(std::size_t before) {
+  // Out-of-order data a full buffer held back moves in now, and the ACK
+  // for it leaves at once (RFC 5681 §4.2). If the advertised window had
+  // (nearly) collapsed, announce the reopened window *immediately* too —
+  // waiting for the delayed-ACK timer would leave the peer throttled or
+  // probing (BSD's sowwakeup -> tcp_output path).
+  const bool filled = !ooo_.empty() && absorb_ooo();
+  if (filled || before < 2u * mss_eff_) {
     ack_now_ = true;
     output();
   }
@@ -122,6 +128,7 @@ void TcpPcb::negotiate_options(const TcpOptions& opts, bool we_offered) {
   }
   ts_on_ = we_offered && opts.timestamps.has_value();
   ws_on_ = we_offered && opts.wscale.has_value();
+  sack_on_ = we_offered && opts.sack_permitted;
   if (ws_on_) {
     snd_wscale_ = std::min<std::uint8_t>(*opts.wscale, 14);
     rcv_wscale_ = kWscale;
@@ -142,6 +149,7 @@ void TcpPcb::rtt_sample(sim::Ns rtt) {
   }
   rto_ = std::clamp(srtt_ + std::max(sim::Ns{1'000'000}, rttvar_ * 4),
                     cfg_.min_rto, cfg_.max_rto);
+  if (min_rtt_.count() == 0 || rtt < min_rtt_) min_rtt_ = rtt;
 }
 
 void TcpPcb::cc_on_new_ack(std::uint32_t acked_bytes) {

@@ -1,6 +1,11 @@
 // TCP protocol control block: connection state machine, sliding-window flow
-// control, RFC 6298 retransmission timing, and NewReno congestion control —
-// the FreeBSD-derived heart of the F-Stack analogue.
+// control, RFC 6298 retransmission timing, RFC 5681 congestion control and
+// SACK-driven loss recovery — the FreeBSD-derived heart of the F-Stack
+// analogue. Recovery is one path for every loss signal: a scoreboard
+// (tcp_scoreboard.hpp) over the bytes in flight, RFC 6675 pipe accounting
+// that retransmits only the holes, RACK time-ordered loss detection and a
+// tail-loss probe (RFC 8985). A peer that did not offer SACK runs the same
+// path, each duplicate ACK standing for one MSS delivered above the hole.
 //
 // The PCB is deliberately single-threaded: it runs under the stack's main
 // loop (Scenario 1) or under the stack mutex (Scenario 2), exactly like
@@ -17,6 +22,7 @@
 #include "fstack/headers.hpp"
 #include "fstack/rx_chain.hpp"
 #include "fstack/sockbuf.hpp"
+#include "fstack/tcp_scoreboard.hpp"
 #include "fstack/tx_chain.hpp"
 #include "sim/virtual_clock.hpp"
 
@@ -35,20 +41,6 @@ enum class TcpState : std::uint8_t {
   kLastAck,
   kTimeWait,
 };
-
-// 32-bit sequence arithmetic (RFC 793).
-[[nodiscard]] constexpr bool seq_lt(std::uint32_t a, std::uint32_t b) noexcept {
-  return static_cast<std::int32_t>(a - b) < 0;
-}
-[[nodiscard]] constexpr bool seq_le(std::uint32_t a, std::uint32_t b) noexcept {
-  return static_cast<std::int32_t>(a - b) <= 0;
-}
-[[nodiscard]] constexpr bool seq_gt(std::uint32_t a, std::uint32_t b) noexcept {
-  return static_cast<std::int32_t>(a - b) > 0;
-}
-[[nodiscard]] constexpr bool seq_ge(std::uint32_t a, std::uint32_t b) noexcept {
-  return static_cast<std::int32_t>(a - b) >= 0;
-}
 
 struct TcpConfig {
   std::size_t sndbuf_bytes = 256 * 1024;
@@ -240,7 +232,8 @@ class TcpPcb {
     return DebugSnapshot{snd_una_, snd_nxt_, snd_wnd_, cwnd_, rcv_nxt_,
                          snd_.used(), snd_.free(), rx_.used(),
                          fin_queued_, fin_sent_, ack_pending_, ack_now_,
-                         in_recovery_, rexmit_deadline_.has_value(),
+                         recovery_ != Recovery::kNone,
+                         rexmit_deadline_.has_value(),
                          delack_deadline_.has_value(),
                          persist_deadline_.has_value()};
   }
@@ -250,9 +243,12 @@ class TcpPcb {
     std::uint64_t segs_out = 0;
     std::uint64_t bytes_in = 0;
     std::uint64_t bytes_out = 0;
-    std::uint64_t rexmits = 0;
+    std::uint64_t rexmits = 0;       // retransmitted segments (all causes)
+    // Of those, the ones sent in fast recovery: ranges the scoreboard
+    // marked lost before any RTO.
     std::uint64_t fast_rexmits = 0;
     std::uint64_t rto_expirations = 0;  // RTO fires (backoff events)
+    std::uint64_t tlp_probes = 0;       // tail-loss probes sent (RFC 8985)
     // Bytes the peer retransmitted that this side had already received
     // (head-trimmed duplicate payload) — the receiver-side evidence of
     // spurious retransmission under reordering/jitter.
@@ -305,6 +301,18 @@ class TcpPcb {
   static constexpr std::uint8_t kWscale = 7;
   /// Zero-window probe base interval, doubled per unanswered probe.
   static constexpr sim::Ns kPersistBase{500'000'000};
+  /// Duplicate ACKs that mark the head lost for a peer without SACK.
+  static constexpr std::uint32_t kDupThresh = 3;
+
+  /// Loss recovery in progress: none, fast recovery (RFC 6675, entered on a
+  /// loss the scoreboard detected) or the recovery after an RTO.
+  enum class Recovery : std::uint8_t { kNone, kFast, kRto };
+  /// What the one retransmission timer waits for: the RTO, a tail-loss
+  /// probe (RFC 8985 §7) or RACK's reordering window (§6.3).
+  enum class XmitTimer : std::uint8_t { kRto, kTlp, kReo };
+
+  /// The application freed receive space that held `before` bytes free.
+  void window_opened(std::size_t before);
 
   // --- input helpers (tcp_input.cpp) ---
   void input_listen(const TcpHeader& h, const TcpOptions& opts);
@@ -313,21 +321,56 @@ class TcpPcb {
                    std::size_t payload_len);
   void process_payload(const TcpHeader& h, std::span<const std::byte> payload);
   void process_fin(const TcpHeader& h, std::size_t payload_len);
-  void absorb_ooo();
+  /// Move out-of-order data that now reaches rcv_nxt into the receive
+  /// queue; true if rcv_nxt moved.
+  bool absorb_ooo();
+  /// The SACK blocks for an outgoing segment that carries `len` bytes.
+  void sack_blocks(TcpOptions& opts, std::size_t len) const;
   void enter_time_wait();
   void rtt_sample(sim::Ns rtt);
   void cc_on_new_ack(std::uint32_t acked_bytes);
   void negotiate_options(const TcpOptions& opts, bool we_offered);
 
+  // --- loss recovery (tcp_input.cpp) ---
+  /// Apply the ACK's SACK blocks to the scoreboard.
+  void process_sack(const TcpOptions& opts, sim::Ns now);
+  /// RACK bookkeeping for one newly delivered range (RFC 8985 §6.2):
+  /// reordering, the highest delivered end and the newest transmission.
+  void rack_advance(const SackScoreboard::Range& r, sim::Ns now);
+  /// Mark what the scoreboard shows lost, enter fast recovery on the first
+  /// loss and arm the reordering timer when RACK must wait.
+  void detect_loss(sim::Ns now);
+  /// RACK: mark lost every range sent a reordering window before the
+  /// newest delivered one; returns how long the rest must still wait.
+  sim::Ns rack_detect_loss(sim::Ns now);
+  [[nodiscard]] sim::Ns rack_reo_wnd() const;
+  /// Data bytes sent and not cumulatively acknowledged (no SYN, no FIN).
+  [[nodiscard]] std::uint32_t data_in_flight() const noexcept {
+    return snd_nxt_ - snd_una_ - ((fin_sent_ && !fin_acked_) ? 1u : 0u);
+  }
+  /// RFC 6675 pipe: the bytes still in the network.
+  [[nodiscard]] std::uint32_t pipe() const noexcept;
+  [[nodiscard]] bool tlp_eligible() const noexcept;
+
   // --- output helpers (tcp_output.cpp) ---
   bool send_segment(std::uint32_t seq, std::size_t payload_off,
                     std::size_t len, std::uint8_t flags);
   bool send_control(std::uint8_t flags);  // SYN / pure ACK / RST
+  /// Retransmit the ranges marked lost, lowest first, while the pipe is
+  /// under cwnd (RFC 6675 NextSeg rule 1); `fast_rexmit` sends the first
+  /// one regardless (the fast retransmit, RFC 6675 §5 step 4.3).
+  bool send_lost(bool fast_rexmit);
+  /// Restart the retransmission timer after a transmission or a new ACK:
+  /// a tail-loss probe when one is due sooner than the RTO, else the RTO.
   void arm_rexmit();
+  void arm_rto();
   void schedule_ack();
 
   // --- timers (tcp_timer.cpp) ---
   bool fire_rexmit(sim::Ns now);
+  bool fire_rto();
+  bool fire_tlp();
+  bool fire_reo(sim::Ns now);
   bool fire_delack(sim::Ns now);
   bool fire_persist(sim::Ns now);
 
@@ -366,13 +409,33 @@ class TcpPcb {
   std::uint8_t snd_wscale_ = 0;  // shift applied to peer's advertised window
   std::uint8_t rcv_wscale_ = 0;  // shift we advertise
   std::uint32_t ts_recent_ = 0;
+  bool sack_on_ = false;  // both ends offered SACK-permitted (RFC 2018)
 
-  // Congestion control (NewReno).
+  // Congestion control and loss recovery.
   std::uint32_t cwnd_ = 0;
   std::uint32_t ssthresh_ = 0xFFFFFFFF;
   std::uint32_t dupacks_ = 0;
-  bool in_recovery_ = false;
+  Recovery recovery_ = Recovery::kNone;
+  // The end of the data in flight when recovery began. A FIN is left out:
+  // once the data is in, a lost FIN is the tail-loss probe's.
   std::uint32_t recover_ = 0;
+  SackScoreboard sb_;          // the bytes in flight, SACKed / lost / resent
+  // Without SACK: the bytes the duplicate ACKs stand for, one MSS each,
+  // delivered somewhere above the hole (Linux's tcp_add_reno_sack).
+  std::uint32_t reno_sacked_ = 0;
+
+  // RACK (RFC 8985 §6): the newest delivered transmission.
+  bool rack_valid_ = false;
+  sim::Ns rack_xmit_{0};          // when it was sent
+  std::uint32_t rack_end_ = 0;    // its end
+  sim::Ns rack_rtt_{0};           // its round trip
+  std::uint32_t rack_fack_ = 0;   // highest end delivered so far
+  bool reordering_seen_ = false;  // a range arrived below rack_fack_
+  sim::Ns min_rtt_{0};
+
+  // Tail-loss probe (RFC 8985 §7): snd_nxt when the probe left.
+  std::optional<std::uint32_t> tlp_end_;
+  bool tlp_retrans_ = false;  // the probe resent data rather than new data
 
   // RTT estimation (RFC 6298).
   sim::Ns srtt_{0};
@@ -388,6 +451,7 @@ class TcpPcb {
   std::optional<sim::Ns> ack_flush_deadline_;  // GRO idle-flush (sub-tick)
   std::optional<sim::Ns> persist_deadline_;
   std::optional<sim::Ns> time_wait_deadline_;
+  XmitTimer xmit_timer_ = XmitTimer::kRto;  // what rexmit_deadline_ is for
   std::uint32_t rexmit_shift_ = 0;
   std::uint32_t persist_shift_ = 0;
 
@@ -404,6 +468,7 @@ class TcpPcb {
 
   // Out-of-order reassembly (seq -> payload).
   std::map<std::uint32_t, std::vector<std::byte>> ooo_;
+  std::uint32_t sack_newest_ = 0;  // seq of the newest out-of-order arrival
 
   std::uint8_t tclass_ = 0;  // QoS class every emission on this flow rides
   int tenant_ = 0;           // owning tenant (0 = untenanted; tenant.hpp)

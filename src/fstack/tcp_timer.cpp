@@ -1,5 +1,6 @@
-// TCP timers: retransmission with exponential backoff (RFC 6298 §5),
-// delayed ACK, and zero-window persist probing.
+// TCP timers: retransmission with exponential backoff (RFC 6298 §5), the
+// tail-loss probe and RACK's reordering timer (RFC 8985 §7, §6.3) on the
+// same deadline, delayed ACK, and zero-window persist probing.
 #include <algorithm>
 #include <cerrno>
 
@@ -8,9 +9,19 @@
 namespace cherinet::fstack {
 
 bool TcpPcb::fire_rexmit(sim::Ns now) {
-  (void)now;
   rexmit_deadline_.reset();
+  switch (xmit_timer_) {
+    case XmitTimer::kTlp:
+      return fire_tlp();
+    case XmitTimer::kReo:
+      return fire_reo(now);
+    case XmitTimer::kRto:
+      break;
+  }
+  return fire_rto();
+}
 
+bool TcpPcb::fire_rto() {
   if (++rexmit_shift_ > kMaxRexmit) {
     error_ = ETIMEDOUT;
     set_state(TcpState::kClosed);
@@ -34,29 +45,80 @@ bool TcpPcb::fire_rexmit(sim::Ns now) {
     return true;
   }
 
-  const std::uint32_t outstanding =
-      snd_nxt_ - snd_una_ - ((fin_sent_ && !fin_acked_) ? 1 : 0);
-  if (outstanding == 0 && !(fin_sent_ && !fin_acked_)) {
+  const bool fin_out = fin_sent_ && !fin_acked_;
+  if (data_in_flight() == 0 && !fin_out) {
     return false;  // spurious: everything got acked meanwhile
   }
 
-  // Loss response (RFC 5681 §3.1): collapse cwnd, halve ssthresh.
-  const std::uint32_t flight = snd_nxt_ - snd_una_;
-  ssthresh_ = std::max(flight / 2, 2u * mss_eff_);
+  // Loss response (RFC 5681 §3.1): collapse cwnd, halve ssthresh. Every
+  // byte the receiver has not SACKed is lost (RFC 6675 §5.1); recovery
+  // resends them lowest first as the window reopens, skipping what was
+  // SACKed, until the data sent so far is acknowledged.
+  ssthresh_ = std::max((snd_nxt_ - snd_una_) / 2, 2u * mss_eff_);
   cwnd_ = mss_eff_;
-  in_recovery_ = false;
+  recovery_ = Recovery::kRto;
+  recover_ = snd_una_ + data_in_flight();
   dupacks_ = 0;
-
-  const std::size_t n =
-      std::min<std::size_t>({static_cast<std::size_t>(outstanding),
-                             snd_.used(), mss_eff_});
-  std::uint8_t flags = tcpflag::kAck;
-  // If this retransmission reaches the FIN, resend it too.
-  if (fin_sent_ && !fin_acked_ && n == outstanding) flags |= tcpflag::kFin;
-  send_segment(snd_una_, 0, n, flags);
-  counters_.rexmits++;
-  arm_rexmit();
+  reno_sacked_ = 0;
+  tlp_end_.reset();
+  // A receiver still holding back what it SACKed after a backed-off RTO,
+  // or SACKing the very byte it has not acknowledged, has reneged: forget
+  // its SACKs and resend everything (RFC 2018 §8).
+  if (!sb_.empty() &&
+      (rexmit_shift_ > 1 ||
+       sb_.ranges().front().has(SackScoreboard::kSacked))) {
+    sb_.clear_sacks();
+  }
+  sb_.mark_all_lost();
+  if (sb_.lost_bytes() == 0) {
+    // Only the FIN is outstanding.
+    send_segment(snd_nxt_ - 1, 0, 0, tcpflag::kAck | tcpflag::kFin);
+    counters_.rexmits++;
+    arm_rexmit();
+    return true;
+  }
+  send_lost(/*fast_rexmit=*/false);
   return true;
+}
+
+bool TcpPcb::fire_tlp() {
+  // RFC 8985 §7.3: one new segment if the windows allow it, else the last
+  // segment again; an ACK or SACK for it brings recovery along, and the RTO
+  // stays behind it.
+  if (snd_una_ == snd_nxt_) return false;
+  counters_.tlp_probes++;
+  const std::uint32_t offset = snd_nxt_ - snd_una_;
+  const std::size_t avail = snd_.used() > offset ? snd_.used() - offset : 0;
+  const bool may_send_data = (state_ == TcpState::kEstablished ||
+                              state_ == TcpState::kCloseWait) &&
+                             !fin_sent_;
+  const std::size_t n = std::min<std::size_t>(
+      {avail, mss_eff_, snd_wnd_ > offset ? snd_wnd_ - offset : 0u});
+  if (may_send_data && n > 0) {
+    const std::uint8_t flags =
+        tcpflag::kAck | (n == avail ? tcpflag::kPsh : 0);
+    if (send_segment(snd_nxt_, offset, n, flags)) {
+      snd_nxt_ += static_cast<std::uint32_t>(n);
+      tlp_retrans_ = false;
+    }
+  } else {
+    const std::uint32_t out = data_in_flight();
+    const std::uint32_t k = std::min<std::uint32_t>(out, mss_eff_);
+    const std::uint32_t seq = snd_una_ + out - k;
+    std::uint8_t flags = tcpflag::kAck;
+    if (fin_sent_ && !fin_acked_) flags |= tcpflag::kFin;
+    if (send_segment(seq, seq - snd_una_, k, flags)) counters_.rexmits++;
+    tlp_retrans_ = true;
+  }
+  tlp_end_ = snd_nxt_;
+  arm_rto();
+  return true;
+}
+
+bool TcpPcb::fire_reo(sim::Ns now) {
+  detect_loss(now);
+  if (!rexmit_deadline_ && snd_una_ != snd_nxt_) arm_rto();
+  return output();
 }
 
 bool TcpPcb::fire_delack(sim::Ns) {

@@ -10,6 +10,7 @@
 #include "fstack/headers.hpp"
 #include "fstack/ipv4.hpp"
 #include "fstack/sockbuf.hpp"
+#include "fstack/tcp_scoreboard.hpp"
 #include "machine/address_space.hpp"
 #include "machine/heap.hpp"
 #include "updk/mempool.hpp"
@@ -138,6 +139,212 @@ TEST(Headers, TcpOptionsTolerateUnknownAndTruncated) {
   const std::uint8_t trunc[] = {2, 4, 0x05};
   const auto q = TcpOptions::parse(std::as_bytes(std::span{trunc}));
   EXPECT_FALSE(q.mss);
+}
+
+TEST(Headers, TcpOptionsSackPermittedFitsTheSynPadding) {
+  TcpOptions o;
+  o.mss = 1448;
+  o.wscale = 7;
+  o.timestamps = {1000u, 2000u};
+  const std::size_t without = o.encoded_size();
+  o.sack_permitted = true;
+  // The SYN keeps its 20 option bytes: SACK-permitted takes two pad bytes.
+  EXPECT_EQ(o.encoded_size(), without);
+  EXPECT_EQ(o.encoded_size(), 20u);
+  std::byte buf[40];
+  const std::size_t n = o.serialize(buf);
+  EXPECT_EQ(n, 20u);
+  const auto p = TcpOptions::parse(std::span<const std::byte>{buf, n});
+  EXPECT_TRUE(p.sack_permitted);
+  ASSERT_TRUE(p.mss && p.wscale && p.timestamps);
+  EXPECT_EQ(*p.mss, 1448);
+  EXPECT_EQ(p.timestamps->second, 2000u);
+}
+
+TEST(Headers, TcpOptionsSackBlocksRoundTrip) {
+  TcpOptions o;
+  o.timestamps = {7u, 9u};
+  o.sack_count = 3;
+  o.sack[0] = {0xFFFFFF00u, 0x00000100u};  // across the sequence wrap
+  o.sack[1] = {5000u, 6448u};
+  o.sack[2] = {9000u, 9001u};
+  // Timestamps (10) + SACK (2 + 3 * 8) = 36: a multiple of 4, no padding.
+  EXPECT_EQ(o.encoded_size(), 36u);
+  std::byte buf[40];
+  const std::size_t n = o.serialize(buf);
+  ASSERT_EQ(n, 36u);
+  const auto p = TcpOptions::parse(std::span<const std::byte>{buf, n});
+  ASSERT_EQ(p.sack_count, 3u);
+  for (std::size_t k = 0; k < 3; ++k) EXPECT_EQ(p.sack[k], o.sack[k]);
+  ASSERT_TRUE(p.timestamps);
+  EXPECT_EQ(p.timestamps->first, 7u);
+  // A fourth block never goes out: it does not fit beside the timestamps.
+  o.sack_count = 4;
+  EXPECT_EQ(o.encoded_size(), 36u);
+}
+
+// A SACK option is 2 + 8n bytes with 1 <= n <= 4 (RFC 2018 §3). Anything
+// else is ignored whole, and nothing past the option list is read.
+TEST(Headers, TcpOptionsMalformedSackIsIgnored) {
+  const auto block = [](std::vector<std::uint8_t>& v, std::uint32_t l,
+                        std::uint32_t r) {
+    for (int s = 24; s >= 0; s -= 8) v.push_back(std::uint8_t(l >> s));
+    for (int s = 24; s >= 0; s -= 8) v.push_back(std::uint8_t(r >> s));
+  };
+  const auto parse = [](const std::vector<std::uint8_t>& v) {
+    return TcpOptions::parse(std::as_bytes(std::span{v}));
+  };
+  {  // well formed: two blocks, then an MSS that must still parse
+    std::vector<std::uint8_t> v{5, 18};
+    block(v, 100, 200);
+    block(v, 300, 400);
+    v.insert(v.end(), {2, 4, 0x05, 0xA8});
+    const auto p = parse(v);
+    ASSERT_EQ(p.sack_count, 2u);
+    EXPECT_EQ(p.sack[1], (SackBlock{300, 400}));
+    ASSERT_TRUE(p.mss);
+  }
+  {  // length not 2 + 8n: skipped by its length, the MSS after it parses
+    std::vector<std::uint8_t> v{5, 12};
+    block(v, 100, 200);
+    v.insert(v.end(), {0, 0});
+    v.insert(v.end(), {2, 4, 0x05, 0xA8});
+    const auto p = parse(v);
+    EXPECT_EQ(p.sack_count, 0u);
+    ASSERT_TRUE(p.mss);
+  }
+  {  // no block at all
+    const auto p = parse({5, 2, 2, 4, 0x05, 0xA8});
+    EXPECT_EQ(p.sack_count, 0u);
+    ASSERT_TRUE(p.mss);
+  }
+  {  // five blocks: more than any option space holds
+    std::vector<std::uint8_t> v{5, 42};
+    for (std::uint32_t k = 0; k < 5; ++k) block(v, k * 10, k * 10 + 5);
+    EXPECT_EQ(parse(v).sack_count, 0u);
+  }
+  {  // truncated block: the length runs past the option list
+    std::vector<std::uint8_t> v{5, 18};
+    block(v, 100, 200);
+    v.insert(v.end(), {0, 0, 1});
+    EXPECT_EQ(parse(v).sack_count, 0u);
+  }
+  {  // SACK-permitted must be exactly two bytes long
+    EXPECT_FALSE(parse({4, 3, 0, 1}).sack_permitted);
+    EXPECT_TRUE(parse({4, 2, 1, 1}).sack_permitted);
+  }
+}
+
+// The sender's scoreboard under a seeded storm of sends, cumulative ACKs,
+// loss marks, retransmissions and SACK blocks — a third of them hostile
+// (below the first byte, past the end, reversed, straddling). After every
+// step the ranges tile [first byte, end) in order, stay within kMaxRanges,
+// and the SACKed/lost byte counts match the marks; a block that reaches
+// outside the board changes nothing.
+TEST(SackScoreboard, HostileBlocksKeepTheBoardBoundedAndConsistent) {
+  std::mt19937 rng(0x5ac);
+  SackScoreboard sb;
+  std::uint32_t una = 0xFFFF0000u;  // the run crosses the sequence wrap
+  std::uint32_t nxt = una;
+  sim::Ns now{0};
+  std::size_t peak = 0;
+  bool wrapped = false;
+  const auto pick = [&](std::uint32_t lo, std::uint32_t span) {
+    return lo + (span == 0 ? 0 : static_cast<std::uint32_t>(rng() % span));
+  };
+  for (int step = 0; step < 20000; ++step) {
+    now += sim::Ns{1000};
+    const std::uint32_t out = nxt - una;
+    switch (rng() % 6) {
+      case 0:
+      case 1:
+        if (out < 256 * 1024) {
+          const std::uint32_t len = 1 + rng() % 4000;
+          sb.on_send(nxt, len, now);
+          nxt += len;
+        }
+        break;
+      case 2:
+        if (out > 0 && rng() % 4 == 0) {
+          una += pick(1, out);
+          sb.ack(una, [](const SackScoreboard::Range&) {});
+        }
+        break;
+      case 3:
+        if (out > 0) sb.mark_lost(pick(una, out), 1 + rng() % 3000);
+        break;
+      case 4:
+        if (out > 0) {
+          const std::uint32_t seq = pick(una, out);
+          sb.on_retransmit(seq, std::min<std::uint32_t>(nxt - seq, 1448),
+                           now);
+        }
+        break;
+      default: {
+        SackBlock b;
+        const bool hostile = rng() % 3 == 0;
+        b.left = pick(hostile ? una - 5000 : una, out + 5000);
+        b.right = b.left + 1 + rng() % 6000;
+        if (hostile && rng() % 2 == 0) std::swap(b.left, b.right);
+        const std::uint32_t sacked = sb.sacked_bytes();
+        const bool inside = seq_lt(b.left, b.right) && seq_ge(b.left, una) &&
+                            seq_le(b.right, nxt);
+        EXPECT_EQ(sb.sack(b, [](const SackScoreboard::Range&) {}),
+                  inside && out > 0);
+        if (!inside) {
+          EXPECT_EQ(sb.sacked_bytes(), sacked);
+        }
+        break;
+      }
+    }
+    const auto ranges = sb.ranges();
+    ASSERT_LE(ranges.size(), SackScoreboard::kMaxRanges);
+    ASSERT_EQ(ranges.empty(), una == nxt);
+    std::uint32_t at = una, sacked = 0, lost = 0;
+    for (const auto& r : ranges) {
+      ASSERT_EQ(r.start, at);
+      ASSERT_TRUE(seq_lt(r.start, r.end));
+      at = r.end;
+      if (r.has(SackScoreboard::kSacked)) sacked += r.len();
+      if (r.has(SackScoreboard::kLost)) lost += r.len();
+      ASSERT_FALSE(r.has(SackScoreboard::kSacked) &&
+                   r.has(SackScoreboard::kLost));
+    }
+    if (!ranges.empty()) {
+      ASSERT_EQ(at, nxt);
+    }
+    peak = std::max(peak, ranges.size());
+    wrapped |= nxt < 0xFFFF0000u;
+    ASSERT_EQ(sb.sacked_bytes(), sacked);
+    ASSERT_EQ(sb.lost_bytes(), lost);
+  }
+  EXPECT_TRUE(wrapped) << "the run never crossed the sequence wrap";
+  EXPECT_EQ(peak, SackScoreboard::kMaxRanges) << "the bound was never hit";
+}
+
+// A full board whose neighbours all differ has nothing safe to merge: a
+// new send merges the last two ranges by forgetting the SACK mark they
+// disagree on, and the board holds kMaxRanges, never more.
+TEST(SackScoreboard, FullBoardForgetsRatherThanGrows) {
+  SackScoreboard sb;
+  constexpr std::uint32_t kLen = 1000;
+  std::uint32_t nxt = 1;
+  for (std::uint32_t k = 0; k < SackScoreboard::kMaxRanges; ++k) {
+    sb.on_send(nxt, kLen, sim::Ns{k});  // every range its own burst
+    if (k % 2 == 1) {
+      ASSERT_TRUE(sb.sack({nxt, nxt + kLen}, [](const auto&) {}));
+    }
+    nxt += kLen;
+  }
+  ASSERT_EQ(sb.ranges().size(), SackScoreboard::kMaxRanges);
+  ASSERT_EQ(sb.sacked_bytes(), SackScoreboard::kMaxRanges / 2 * kLen);
+  sb.on_send(nxt, kLen, sim::Ns{1000});
+  EXPECT_EQ(sb.ranges().size(), SackScoreboard::kMaxRanges);
+  EXPECT_EQ(sb.sacked_bytes(), (SackScoreboard::kMaxRanges / 2 - 1) * kLen);
+  const auto& merged = sb.ranges()[SackScoreboard::kMaxRanges - 2];
+  EXPECT_EQ(merged.len(), 2 * kLen);
+  EXPECT_FALSE(merged.has(SackScoreboard::kSacked));
+  EXPECT_EQ(sb.ranges().back().end, nxt + kLen);
 }
 
 TEST(Fragmentation, PlanCoversPayloadWithAlignedOffsets) {

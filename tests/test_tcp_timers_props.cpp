@@ -1,5 +1,6 @@
 // Deeper protocol behaviours: zero-window persist probing, delayed-ACK
-// timing, TIME_WAIT reaping, idle quiescence, representable-alignment
+// timing, TIME_WAIT reaping, idle quiescence, loss recovery (SACK, RACK,
+// the tail-loss probe, recovery after an RTO), representable-alignment
 // properties, and regression checks for the allocator/compression
 // interplay that keeps compartments disjoint.
 #include <gtest/gtest.h>
@@ -12,6 +13,35 @@
 #include "fstack/api.hpp"
 #include "machine/heap.hpp"
 #include "nic/impairment.hpp"
+
+namespace cherinet::fstack {
+/// The test window into a PCB's recovery state (TcpPcb befriends it).
+class StackTcpAccess {
+ public:
+  static const SackScoreboard& board(const TcpPcb& p) { return p.sb_; }
+  static std::uint8_t snd_wscale(const TcpPcb& p) { return p.snd_wscale_; }
+  /// Both ends forget SACK-permitted: the connection recovers as one with
+  /// a peer that never offered it.
+  static void drop_sack(TcpPcb& a, TcpPcb& b) {
+    a.sack_on_ = false;
+    b.sack_on_ = false;
+  }
+  /// Move the idle stream tx -> rx `delta` bytes along the sequence space,
+  /// on both ends at once (nothing may be in flight either way).
+  static void shift_stream(TcpPcb& tx, TcpPcb& rx, std::uint32_t delta) {
+    tx.iss_ += delta;
+    tx.snd_una_ += delta;
+    tx.snd_nxt_ += delta;
+    tx.snd_wl2_ += delta;
+    tx.rack_fack_ += delta;
+    tx.recover_ += delta;
+    tx.rtt_seq_ += delta;
+    rx.irs_ += delta;
+    rx.rcv_nxt_ += delta;
+    rx.snd_wl1_ += delta;
+  }
+};
+}  // namespace cherinet::fstack
 
 using namespace cherinet;
 using namespace cherinet::fstack;
@@ -85,6 +115,42 @@ Bulk b_to_a(TwoStacks& ts, const Conn& c, std::uint64_t total) {
   return {ts.b(), c.bfd, ts.heap_b().alloc_view(4096),
           ts.a(), c.afd, ts.heap_a().alloc_view(4096), total};
 }
+/// A one-way stream whose every byte is stamped with its position and
+/// checked on arrival: `corrupt` counts bytes that did not arrive as sent.
+struct StampedBulk {
+  Bulk bulk;
+  std::uint64_t corrupt = 0;
+
+  static std::uint8_t stamp(std::uint64_t pos) {
+    return static_cast<std::uint8_t>((pos * 131) >> 3);
+  }
+  bool step() {
+    Bulk& b = bulk;
+    while (b.sent < b.total) {
+      const auto n = std::min<std::uint64_t>(4096, b.total - b.sent);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        b.src.store<std::uint8_t>(i, stamp(b.sent + i));
+      }
+      const auto w = ff_write(b.tx, b.txfd, b.src, n);
+      if (w <= 0) break;
+      b.sent += static_cast<std::uint64_t>(w);
+    }
+    while (true) {
+      const auto r = ff_read(b.rx, b.rxfd, b.dst, 4096);
+      if (r <= 0) break;
+      for (std::int64_t i = 0; i < r; ++i) {
+        const auto k = static_cast<std::uint64_t>(i);
+        if (b.dst.load<std::uint8_t>(k) != stamp(b.received + k)) ++corrupt;
+      }
+      b.received += static_cast<std::uint64_t>(r);
+    }
+    return b.received == b.total;
+  }
+  /// Arrived whole and intact.
+  [[nodiscard]] bool intact() const {
+    return bulk.received == bulk.total && corrupt == 0;
+  }
+};
 }  // namespace
 
 TEST(TcpPersist, ZeroWindowProbeReopensFlow) {
@@ -562,6 +628,217 @@ TEST(TcpDupAck, LossFreeBidirectionalStreamNeverRetransmits) {
     EXPECT_EQ(pcb->counters().fast_rexmits, 0u);
     EXPECT_EQ(pcb->counters().rexmits, 0u);
     EXPECT_EQ(pcb->counters().rto_expirations, 0u);
+  }
+}
+
+// After an RTO the scoreboard still knows every hole (RFC 6675 §5.1): the
+// recovery resends them lowest first as the window reopens. Resending only
+// snd_una, with cwnd at one and then two MSS under the old flight, left the
+// window's second hole to a second RTO.
+TEST(TcpRtoRecovery, SecondHoleOfTheWindowIsRepairedWithoutASecondRto) {
+  TwoStacks ts;
+  const Conn c = establish(ts, 5201);
+  const TcpPcb* pa = sender_pcb(ts);
+  ASSERT_NE(pa, nullptr);
+  // Two data frames of one window are lost, then the first retransmission
+  // and everything after it until the RTO fires.
+  const std::uint64_t base = ts.wire().stats(0).tx_frames;
+  ts.wire().set_loss([base, pa](int side, std::uint64_t idx) {
+    if (side != 0) return false;
+    if (idx == base + 30 || idx == base + 36) return true;
+    return pa->counters().fast_rexmits > 0 &&
+           pa->counters().rto_expirations == 0;
+  });
+  StampedBulk bulk{a_to_b(ts, c, 1024 * 1024)};
+  ASSERT_TRUE(ts.pump_until([&] { return bulk.step(); }));
+  EXPECT_TRUE(bulk.intact());
+  EXPECT_EQ(pa->counters().rto_expirations, 1u)
+      << "a hole the scoreboard knew about waited for another RTO";
+  // The two holes, the fast retransmit and what followed it.
+  EXPECT_GE(ts.wire().stats(0).dropped, 3u);
+}
+
+// RACK (RFC 8985 §6): a retransmission is lost once data sent after it is
+// SACKed, and goes again without waiting out the RTO. NewReno cannot see a
+// lost fast retransmit at all.
+TEST(TcpRack, LostFastRetransmitIsResentWithoutAnRto) {
+  TwoStacks ts;
+  const Conn c = establish(ts, 5201);
+  const TcpPcb* pa = sender_pcb(ts);
+  ASSERT_NE(pa, nullptr);
+  // One data frame is lost, then the fast retransmit that repairs it: the
+  // first frame A sends once it has fast-retransmitted (one ACK arrives per
+  // step, and the retransmission leaves before anything that ACK releases).
+  const std::uint64_t drop = ts.wire().stats(0).tx_frames + 30;
+  bool rexmit_dropped = false;
+  ts.wire().set_loss([&](int side, std::uint64_t idx) {
+    if (side != 0) return false;
+    if (idx == drop) return true;
+    if (!rexmit_dropped && pa->counters().fast_rexmits > 0) {
+      rexmit_dropped = true;
+      return true;
+    }
+    return false;
+  });
+  StampedBulk bulk{a_to_b(ts, c, 1024 * 1024)};
+  ASSERT_TRUE(ts.pump_until([&] { return bulk.step(); }));
+  EXPECT_TRUE(rexmit_dropped);
+  EXPECT_TRUE(bulk.intact());
+  EXPECT_EQ(pa->counters().rto_expirations, 0u)
+      << "the lost retransmission waited for the RTO";
+  EXPECT_GE(pa->counters().fast_rexmits, 2u);
+}
+
+// A seeded storm of hostile SACK blocks — below snd_una, past snd_nxt,
+// reversed, straddling either edge, and lies inside the window — injected
+// as extra ACKs in the middle of a lossy stream. The board stays within its
+// bound, marks nothing outside what was sent, and the stream arrives
+// byte-identical: a lie that hides a real hole is undone when the RTO finds
+// the receiver never delivered it.
+TEST(TcpSack, HostileBlocksMidStreamLeaveTheStreamIntact) {
+  TwoStacks ts;
+  ts.wire().set_impairment(0, nic::ImpairmentProfile::uniform_loss(0.01, 9));
+  const Conn c = establish(ts, 5201);
+  TcpPcb* pa = ts.a().find_pcb(
+      {ts.ip_a(), sender_pcb(ts)->tuple().local_port, ts.ip_b(), 5201});
+  ASSERT_NE(pa, nullptr);
+  std::uint64_t rng = 0x5eed;
+  const auto next = [&rng] {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::uint32_t>(rng >> 33);
+  };
+  StampedBulk bulk{a_to_b(ts, c, 512 * 1024)};
+  std::uint64_t steps = 0, injected = 0;
+  ASSERT_TRUE(ts.pump_until(
+      [&] {
+        if (++steps % 7 == 0) {
+          const auto snap = pa->debug_snapshot();
+          const std::uint32_t out = snap.snd_nxt - snap.snd_una;
+          TcpHeader h;
+          h.src_port = 5201;
+          h.dst_port = pa->tuple().local_port;
+          h.seq = snap.rcv_nxt;
+          h.ack = snap.snd_una;
+          h.flags = tcpflag::kAck;
+          h.window = static_cast<std::uint16_t>(
+              snap.snd_wnd >> StackTcpAccess::snd_wscale(*pa));
+          TcpOptions o;
+          o.sack_count = static_cast<std::uint8_t>(1 + next() % 4);
+          for (std::size_t k = 0; k < o.sack_count; ++k) {
+            const std::uint32_t left =
+                snap.snd_una - 20000 + next() % (out + 40000);
+            const std::uint32_t right = left + 1 + next() % 8000;
+            o.sack[k] = next() % 4 == 0 ? SackBlock{right, left}
+                                        : SackBlock{left, right};
+          }
+          pa->input(h, o, {});
+          ++injected;
+          const auto ranges = StackTcpAccess::board(*pa).ranges();
+          const auto now = pa->debug_snapshot();
+          EXPECT_LE(ranges.size(), SackScoreboard::kMaxRanges);
+          if (!ranges.empty()) {
+            EXPECT_EQ(ranges.front().start, now.snd_una);
+            EXPECT_TRUE(seq_le(ranges.back().end, now.snd_nxt))
+                << "the board marks bytes never sent";
+          }
+        }
+        return bulk.step();
+      },
+      2'000'000));
+  EXPECT_GT(injected, 100u);
+  EXPECT_TRUE(bulk.intact());
+}
+
+// ooo_ is keyed on raw seq, so a window that straddles 2^32 sorts its tail
+// first; the receiver orders SACK blocks by distance from rcv_nxt and the
+// sender's scoreboard by offset from snd_una. Two holes either side of the
+// wrap are repaired by SACK recovery alone.
+TEST(TcpSack, RecoveryAcrossTheSequenceWrap) {
+  TwoStacks ts;
+  const Conn c = establish(ts, 5201);
+  TcpPcb* pa = ts.a().find_pcb(
+      {ts.ip_a(), sender_pcb(ts)->tuple().local_port, ts.ip_b(), 5201});
+  ASSERT_NE(pa, nullptr);
+  TcpPcb* pb = ts.b().find_pcb({ts.ip_b(), 5201, ts.ip_a(),
+                                pa->tuple().local_port});
+  ASSERT_NE(pb, nullptr);
+  // The stream's next byte lands 20,000 bytes (13.8 MSS) short of 2^32.
+  const std::uint32_t una = pa->debug_snapshot().snd_una;
+  StackTcpAccess::shift_stream(*pa, *pb, 0xFFFFFFFFu - 19'999u - una);
+  ASSERT_EQ(pa->debug_snapshot().snd_una, 0xFFFFFFFFu - 19'999u);
+  const std::uint64_t base = ts.wire().stats(0).tx_frames;
+  ts.wire().set_loss([base](int side, std::uint64_t idx) {
+    return side == 0 && (idx == base + 11 || idx == base + 16);
+  });
+  StampedBulk bulk{a_to_b(ts, c, 512 * 1024)};
+  ASSERT_TRUE(ts.pump_until([&] { return bulk.step(); }));
+  EXPECT_TRUE(bulk.intact());
+  EXPECT_EQ(ts.wire().stats(0).dropped, 2u);
+  EXPECT_GE(pb->counters().ooo_segs, 2u);
+  EXPECT_EQ(pa->counters().fast_rexmits, 2u);
+  EXPECT_EQ(pa->counters().rto_expirations, 0u);
+  EXPECT_LT(pa->debug_snapshot().snd_una, 1'000'000u) << "no wrap crossed";
+}
+
+// A peer that never offered SACK runs the same recovery: each duplicate ACK
+// stands for one MSS delivered above the hole, three of them mark the head
+// lost, and each partial ACK marks the next head (RFC 6582).
+TEST(TcpSack, PeerWithoutSackRecoversThroughTheSamePath) {
+  TwoStacks ts;
+  const Conn c = establish(ts, 5201);
+  TcpPcb* pa = ts.a().find_pcb(
+      {ts.ip_a(), sender_pcb(ts)->tuple().local_port, ts.ip_b(), 5201});
+  ASSERT_NE(pa, nullptr);
+  TcpPcb* pb = ts.b().find_pcb({ts.ip_b(), 5201, ts.ip_a(),
+                                pa->tuple().local_port});
+  ASSERT_NE(pb, nullptr);
+  StackTcpAccess::drop_sack(*pa, *pb);
+  const std::uint64_t base = ts.wire().stats(0).tx_frames;
+  ts.wire().set_loss([base](int side, std::uint64_t idx) {
+    return side == 0 && (idx == base + 30 || idx == base + 34);
+  });
+  StampedBulk bulk{a_to_b(ts, c, 1024 * 1024)};
+  ASSERT_TRUE(ts.pump_until([&] { return bulk.step(); }));
+  EXPECT_TRUE(bulk.intact());
+  EXPECT_GE(pa->counters().dup_acks_in, 3u);
+  EXPECT_EQ(pa->counters().fast_rexmits, 2u);
+  EXPECT_EQ(pa->counters().rto_expirations, 0u);
+}
+
+// A loss at the very end of a stream leaves nothing behind it to SACK: the
+// tail-loss probe (RFC 8985 §7) resends the last segment after 2·SRTT plus
+// the worst-case ACK delay, well inside the RTO.
+TEST(TcpTlp, TailLossIsProbedNotTimedOut) {
+  constexpr std::uint64_t kTotal = 64 * 1024;
+  // A clean run counts the frames the stream takes; the second run loses
+  // the last of them.
+  std::uint64_t frames = 0;
+  for (const bool lossy : {false, true}) {
+    TwoStacks ts;
+    const Conn c = establish(ts, 5201);
+    const TcpPcb* pa = sender_pcb(ts);
+    ASSERT_NE(pa, nullptr);
+    const std::uint64_t base = ts.wire().stats(0).tx_frames;
+    if (lossy) {
+      ts.wire().set_loss([last = base + frames - 1](int side,
+                                                     std::uint64_t idx) {
+        return side == 0 && idx == last;
+      });
+    }
+    StampedBulk bulk{a_to_b(ts, c, kTotal)};
+    const sim::Ns t0 = ts.clock().now();
+    ASSERT_TRUE(ts.pump_until([&] { return bulk.step(); }));
+    EXPECT_TRUE(bulk.intact());
+    if (!lossy) {
+      frames = ts.wire().stats(0).tx_frames - base;
+      EXPECT_EQ(pa->counters().tlp_probes, 0u);
+      continue;
+    }
+    EXPECT_EQ(ts.wire().stats(0).dropped, 1u);
+    EXPECT_EQ(pa->counters().tlp_probes, 1u);
+    EXPECT_EQ(pa->counters().rexmits, 1u);
+    EXPECT_EQ(pa->counters().rto_expirations, 0u);
+    EXPECT_LT(ts.clock().now() - t0, pa->rto());
   }
 }
 
