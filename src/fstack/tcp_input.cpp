@@ -507,10 +507,12 @@ void TcpPcb::sack_blocks(TcpOptions& opts, std::size_t len) const {
   std::array<Span, kMaxOooSegments> spans;
   std::size_t n = 0;
   for (const auto& [seq, bytes] : ooo_) {
-    const std::uint32_t end = seq + static_cast<std::uint32_t>(bytes.size());
-    if (!seq_gt(end, rcv_nxt_)) continue;
-    spans[n++] = {seq_lt(seq, rcv_nxt_) ? 0 : seq - rcv_nxt_,
-                  end - rcv_nxt_};
+    // An entry reaching rcv_nxt is the next in-order data, held back only
+    // because the buffer is full: a block must start above a hole (RFC
+    // 2018 §3), and the sender would take one at snd_una for reneging.
+    if (!seq_gt(seq, rcv_nxt_)) continue;
+    spans[n++] = {seq - rcv_nxt_,
+                  seq + static_cast<std::uint32_t>(bytes.size()) - rcv_nxt_};
   }
   std::sort(spans.begin(), spans.begin() + static_cast<std::ptrdiff_t>(n),
             [](const Span& a, const Span& b) { return a.off < b.off; });

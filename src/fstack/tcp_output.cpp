@@ -138,6 +138,74 @@ bool TcpPcb::send_lost(bool fast_rexmit) {
   return sent;
 }
 
+bool TcpPcb::send_new(bool probe) {
+  // Segment size bound: one MSS on the software path, up to tso_max_segs
+  // MSS as a single TSO super-segment when the queue negotiated slicing
+  // (make_pcb pins tso_max_segs to 1 otherwise). The device restores the
+  // per-MSS wire framing; cwnd/window arithmetic is byte-based throughout
+  // so a super-segment consumes exactly what its MSS frames would. A
+  // tail-loss probe is one MSS that cwnd does not hold back (RFC 8985
+  // §7.3).
+  const std::uint32_t wnd = probe ? snd_wnd_ : std::min(snd_wnd_, cwnd_);
+  const std::size_t seg_cap =
+      probe ? mss_eff_
+            : static_cast<std::size_t>(mss_eff_) *
+                  std::max<std::uint32_t>(1, cfg_.tso_max_segs);
+  bool sent = false;
+  while (true) {
+    const std::uint32_t offset = snd_nxt_ - snd_una_;
+    const std::size_t avail = snd_.used() > offset ? snd_.used() - offset : 0;
+    // cwnd bounds the pipe, not snd_nxt - snd_una: what the receiver
+    // SACKed (or, without SACK, each duplicate ACK's MSS) has left the
+    // network, so every ACK in recovery releases as much new data as it
+    // reports delivered. Before recovery that is limited transmit (RFC
+    // 3042) too: the first SACKed segments let new ones out, whose SACKs
+    // then reveal a tail-heavy loss without waiting for the RTO.
+    const std::uint32_t in_flight = pipe();
+    const std::uint32_t cwnd_room =
+        probe ? mss_eff_ : (cwnd_ > in_flight ? cwnd_ - in_flight : 0u);
+    const std::uint32_t usable =
+        std::min(snd_wnd_ > offset ? snd_wnd_ - offset : 0u, cwnd_room);
+    std::size_t n = std::min<std::size_t>(
+        {avail, static_cast<std::size_t>(usable), seg_cap});
+    // Sender-side silly-window avoidance (RFC 1122 §4.2.3.4): a segment
+    // cut short by the WINDOW (not by running out of data) waits for the
+    // in-flight bytes to be acknowledged instead of emitting a runt.
+    // Keeping segments MSS-sized also keeps them aligned with the send
+    // chain's slices, so emission composes cached checksums instead of
+    // re-reading payload. Safe: offset > 0 here (the window is partly
+    // used), so ACKs are expected and the rexmit timer is armed; windows
+    // smaller than one MSS keep the old behaviour (no deadlock).
+    if (n > 0 && n < mss_eff_ && n < avail && wnd >= mss_eff_) {
+      break;
+    }
+    const bool last_chunk = n == avail;
+    const bool fin_rides = fin_queued_ && last_chunk;
+    if (n == 0 && !(fin_rides && avail == 0)) break;
+
+    std::uint8_t flags = tcpflag::kAck;
+    if (n > 0 && last_chunk) flags |= tcpflag::kPsh;
+    if (fin_rides) flags |= tcpflag::kFin;
+    if (!send_segment(snd_nxt_, offset, n, flags)) break;
+    if (!rtt_timing_ && n > 0) {
+      rtt_timing_ = true;
+      rtt_seq_ = snd_nxt_;
+      rtt_started_ = env_->tcp_now();
+    }
+    snd_nxt_ += static_cast<std::uint32_t>(n);
+    if (fin_rides) {
+      fin_sent_ = true;
+      snd_nxt_ += 1;
+      set_state(state_ == TcpState::kEstablished ? TcpState::kFinWait1
+                                                 : TcpState::kLastAck);
+    }
+    arm_rexmit();
+    sent = true;
+    if (fin_rides || probe) break;
+  }
+  return sent;
+}
+
 bool TcpPcb::output() {
   if (state_ == TcpState::kClosed || state_ == TcpState::kListen) {
     return false;
@@ -148,66 +216,7 @@ bool TcpPcb::output() {
   const bool may_send_data = state_ == TcpState::kEstablished ||
                              state_ == TcpState::kCloseWait;
   if (may_send_data && syn_acked_ && !fin_sent_) {
-    const std::uint32_t wnd = std::min(snd_wnd_, cwnd_);
-    // Segment size bound: one MSS on the software path, up to tso_max_segs
-    // MSS as a single TSO super-segment when the queue negotiated slicing
-    // (make_pcb pins tso_max_segs to 1 otherwise). The device restores the
-    // per-MSS wire framing; cwnd/window arithmetic is byte-based throughout
-    // so a super-segment consumes exactly what its MSS frames would.
-    const std::size_t seg_cap =
-        static_cast<std::size_t>(mss_eff_) *
-        std::max<std::uint32_t>(1, cfg_.tso_max_segs);
-    while (true) {
-      const std::uint32_t offset = snd_nxt_ - snd_una_;
-      const std::size_t avail =
-          snd_.used() > offset ? snd_.used() - offset : 0;
-      // cwnd bounds the pipe, not snd_nxt - snd_una: what the receiver
-      // SACKed (or, without SACK, each duplicate ACK's MSS) has left the
-      // network, so every ACK in recovery releases as much new data as it
-      // reports delivered. Before recovery that is limited transmit (RFC
-      // 3042) too: the first SACKed segments let new ones out, whose SACKs
-      // then reveal a tail-heavy loss without waiting for the RTO.
-      const std::uint32_t in_flight = pipe();
-      const std::uint32_t usable =
-          std::min(snd_wnd_ > offset ? snd_wnd_ - offset : 0u,
-                   cwnd_ > in_flight ? cwnd_ - in_flight : 0u);
-      std::size_t n = std::min<std::size_t>(
-          {avail, static_cast<std::size_t>(usable), seg_cap});
-      // Sender-side silly-window avoidance (RFC 1122 §4.2.3.4): a segment
-      // cut short by the WINDOW (not by running out of data) waits for the
-      // in-flight bytes to be acknowledged instead of emitting a runt.
-      // Keeping segments MSS-sized also keeps them aligned with the send
-      // chain's slices, so emission composes cached checksums instead of
-      // re-reading payload. Safe: offset > 0 here (the window is partly
-      // used), so ACKs are expected and the rexmit timer is armed; windows
-      // smaller than one MSS keep the old behaviour (no deadlock).
-      if (n > 0 && n < mss_eff_ && n < avail && wnd >= mss_eff_) {
-        break;
-      }
-      const bool last_chunk = n == avail;
-      const bool fin_rides = fin_queued_ && last_chunk;
-      if (n == 0 && !(fin_rides && avail == 0)) break;
-
-      std::uint8_t flags = tcpflag::kAck;
-      if (n > 0 && last_chunk) flags |= tcpflag::kPsh;
-      if (fin_rides) flags |= tcpflag::kFin;
-      if (!send_segment(snd_nxt_, offset, n, flags)) break;
-      if (!rtt_timing_ && n > 0) {
-        rtt_timing_ = true;
-        rtt_seq_ = snd_nxt_;
-        rtt_started_ = env_->tcp_now();
-      }
-      snd_nxt_ += static_cast<std::uint32_t>(n);
-      if (fin_rides) {
-        fin_sent_ = true;
-        snd_nxt_ += 1;
-        set_state(state_ == TcpState::kEstablished ? TcpState::kFinWait1
-                                                   : TcpState::kLastAck);
-      }
-      arm_rexmit();
-      sent_any = true;
-      if (fin_rides) break;
-    }
+    sent_any = send_new(/*probe=*/false) || sent_any;
 
     // Zero-window probe: data waiting but the peer closed its window.
     if (!sent_any && snd_wnd_ == 0 &&

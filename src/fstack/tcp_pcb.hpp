@@ -360,6 +360,9 @@ class TcpPcb {
   /// under cwnd (RFC 6675 NextSeg rule 1); `fast_rexmit` sends the first
   /// one regardless (the fast retransmit, RFC 6675 §5 step 4.3).
   bool send_lost(bool fast_rexmit);
+  /// Send new data while the peer's window and cwnd allow it; a `probe`
+  /// sends one MSS whatever cwnd says (the tail-loss probe).
+  bool send_new(bool probe);
   /// Restart the retransmission timer after a transmission or a new ACK:
   /// a tail-loss probe when one is due sooner than the RTO, else the RTO.
   void arm_rexmit();

@@ -77,30 +77,24 @@ bool TcpPcb::fire_rto() {
     arm_rexmit();
     return true;
   }
-  send_lost(/*fast_rexmit=*/false);
+  // An emission that fails (no mbuf, tenant over budget, ARP queue full)
+  // sends nothing: the timer must still run, or with everything in flight
+  // lost no ACK ever comes and backoff never reaches ETIMEDOUT.
+  if (!send_lost(/*fast_rexmit=*/false)) arm_rto();
   return true;
 }
 
 bool TcpPcb::fire_tlp() {
-  // RFC 8985 §7.3: one new segment if the windows allow it, else the last
-  // segment again; an ACK or SACK for it brings recovery along, and the RTO
-  // stays behind it.
+  // RFC 8985 §7.3: one new segment if the peer's window allows it, else the
+  // last segment again; an ACK or SACK for it brings recovery along, and
+  // the RTO stays behind it.
   if (snd_una_ == snd_nxt_) return false;
   counters_.tlp_probes++;
-  const std::uint32_t offset = snd_nxt_ - snd_una_;
-  const std::size_t avail = snd_.used() > offset ? snd_.used() - offset : 0;
   const bool may_send_data = (state_ == TcpState::kEstablished ||
                               state_ == TcpState::kCloseWait) &&
                              !fin_sent_;
-  const std::size_t n = std::min<std::size_t>(
-      {avail, mss_eff_, snd_wnd_ > offset ? snd_wnd_ - offset : 0u});
-  if (may_send_data && n > 0) {
-    const std::uint8_t flags =
-        tcpflag::kAck | (n == avail ? tcpflag::kPsh : 0);
-    if (send_segment(snd_nxt_, offset, n, flags)) {
-      snd_nxt_ += static_cast<std::uint32_t>(n);
-      tlp_retrans_ = false;
-    }
+  if (may_send_data && send_new(/*probe=*/true)) {
+    tlp_retrans_ = false;
   } else {
     const std::uint32_t out = data_in_flight();
     const std::uint32_t k = std::min<std::uint32_t>(out, mss_eff_);

@@ -26,6 +26,21 @@ class StackTcpAccess {
     a.sack_on_ = false;
     b.sack_on_ = false;
   }
+  /// Out-of-order data the receiver holds that reaches rcv_nxt: the next
+  /// in-order bytes, held back because the receive buffer is full.
+  static bool holds_back(const TcpPcb& p) {
+    for (const auto& [seq, bytes] : p.ooo_) {
+      if (seq_le(seq, p.rcv_nxt_)) return true;
+    }
+    return false;
+  }
+  /// The SACK blocks the receiver's next pure ACK would carry.
+  static TcpOptions sack_blocks(const TcpPcb& p) {
+    TcpOptions o;
+    p.sack_blocks(o, 0);
+    return o;
+  }
+  static std::uint32_t rcv_nxt(const TcpPcb& p) { return p.rcv_nxt_; }
   /// Move the idle stream tx -> rx `delta` bytes along the sequence space,
   /// on both ends at once (nothing may be in flight either way).
   static void shift_stream(TcpPcb& tx, TcpPcb& rx, std::uint32_t delta) {
@@ -120,6 +135,7 @@ Bulk b_to_a(TwoStacks& ts, const Conn& c, std::uint64_t total) {
 struct StampedBulk {
   Bulk bulk;
   std::uint64_t corrupt = 0;
+  bool reading = true;  // false: the receiving application stops reading
 
   static std::uint8_t stamp(std::uint64_t pos) {
     return static_cast<std::uint8_t>((pos * 131) >> 3);
@@ -135,7 +151,7 @@ struct StampedBulk {
       if (w <= 0) break;
       b.sent += static_cast<std::uint64_t>(w);
     }
-    while (true) {
+    while (reading) {
       const auto r = ff_read(b.rx, b.rxfd, b.dst, 4096);
       if (r <= 0) break;
       for (std::int64_t i = 0; i < r; ++i) {
@@ -687,6 +703,93 @@ TEST(TcpRack, LostFastRetransmitIsResentWithoutAnRto) {
   EXPECT_EQ(pa->counters().rto_expirations, 0u)
       << "the lost retransmission waited for the RTO";
   EXPECT_GE(pa->counters().fast_rexmits, 2u);
+}
+
+// An RTO whose retransmission cannot be emitted (here: A's mbuf pool is
+// empty) still leaves the timer running. Everything in flight was lost, so
+// no ACK will come: without the timer the connection would stall for good
+// and never back off to ETIMEDOUT.
+TEST(TcpRtoRecovery, RtoWhoseResendCannotBeEmittedFiresAgain) {
+  TwoStacks ts;
+  const Conn c = establish(ts, 5201);
+  const TcpPcb* pa = sender_pcb(ts);
+  ASSERT_NE(pa, nullptr);
+  bool blackout = false;
+  ts.wire().set_loss([&](int, std::uint64_t) { return blackout; });
+  // The whole stream fits the send buffer: once it is written, no write
+  // calls output() again, and only the timer can restart the sender.
+  StampedBulk bulk{a_to_b(ts, c, 128 * 1024)};
+  ASSERT_TRUE(ts.pump_until([&] {
+    bulk.step();
+    return pa->counters().segs_out > 40;
+  }));
+  // Mid-stream the wire goes dark both ways: nothing reaches B, and no ACK
+  // is left to reach A. Once what was in flight has settled, A's pool runs
+  // dry until the RTO has fired.
+  blackout = true;
+  const sim::Ns dark = ts.clock().now();
+  ASSERT_TRUE(ts.pump_until([&] {
+    bulk.step();
+    return ts.clock().now() > dark + sim::Ns{1'000'000};
+  }));
+  const std::uint64_t rexmits = pa->counters().rexmits;
+  std::vector<updk::Mbuf*> hoard;
+  ASSERT_TRUE(ts.pump_until([&] {
+    while (updk::Mbuf* m = ts.pool_a().alloc()) hoard.push_back(m);
+    bulk.step();
+    return pa->counters().rto_expirations == 1;
+  }));
+  EXPECT_EQ(pa->counters().rexmits, rexmits) << "the RTO's resend got out";
+  for (updk::Mbuf* m : hoard) ts.pool_a().free(m);
+  // The pool is back, the wire is not: the RTO backs off and fires again.
+  EXPECT_TRUE(ts.pump_until(
+      [&] {
+        bulk.step();
+        return pa->counters().rto_expirations >= 2;
+      },
+      20'000))
+      << "the RTO left no timer behind";
+  blackout = false;
+  ASSERT_TRUE(ts.pump_until([&] { return bulk.step(); }));
+  EXPECT_TRUE(bulk.intact());
+}
+
+// A hole fill into a nearly full receive buffer leaves part of the SACKed
+// out-of-order data waiting in ooo_ at rcv_nxt until the application
+// reads. Those bytes are the next in-order data, not a block above a hole
+// (RFC 2018 §3): no SACK block may start at or below the ACK, which the
+// sender would otherwise take for reneging.
+TEST(TcpSack, HeldBackDataIsNotReportedAsABlock) {
+  fstack::TcpConfig tcp;
+  tcp.sndbuf_bytes = 64 * 1024;
+  tcp.rcvbuf_bytes = 64 * 1024;
+  TwoStacks ts(sim::Testbed::unconstrained(), tcp);
+  const Conn c = establish(ts, 5201);
+  const TcpPcb* pa = sender_pcb(ts);
+  ASSERT_NE(pa, nullptr);
+  const TcpPcb* pb = peer_pcb(ts, *pa);
+  ASSERT_NE(pb, nullptr);
+  const std::uint64_t base = ts.wire().stats(0).tx_frames;
+  ts.wire().set_loss([base](int side, std::uint64_t idx) {
+    return side == 0 && idx == base + 20;
+  });
+  StampedBulk bulk{a_to_b(ts, c, 512 * 1024)};
+  // B's application does not read until the buffer holds data back.
+  bulk.reading = false;
+  ASSERT_TRUE(ts.pump_until([&] {
+    bulk.step();
+    return StackTcpAccess::holds_back(*pb);
+  })) << "the hole fill found room for everything";
+  const TcpOptions o = StackTcpAccess::sack_blocks(*pb);
+  const std::uint32_t ack = StackTcpAccess::rcv_nxt(*pb);
+  for (std::size_t k = 0; k < o.sack_count; ++k) {
+    EXPECT_TRUE(seq_gt(o.sack[k].left, ack))
+        << "block " << k << " starts at or below rcv_nxt";
+  }
+  bulk.reading = true;
+  ASSERT_TRUE(ts.pump_until([&] { return bulk.step(); }));
+  EXPECT_TRUE(bulk.intact());
+  EXPECT_EQ(pa->counters().rto_expirations, 0u);
 }
 
 // A seeded storm of hostile SACK blocks — below snd_una, past snd_nxt,
