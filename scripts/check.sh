@@ -8,7 +8,8 @@
 # count and share at or below theirs and, outside the sanitizer leg, holds
 # every capability predicate in src/fstack and src/scenarios to the one
 # boundary check (src/fstack/boundary.hpp), fails when anything in src/
-# starts a thread, runs the repository
+# starts a thread or an ff_* that src/fstack/api.hpp declares has no caller
+# in src/, bench/ or examples/, runs the repository
 # benchmark's determinism self-check (bench/e2e/run.sh --selfcheck),
 # holds each benchmark workload's smoke crossings per MiB at or below
 # bench/baseline/E2E_crossings.json and requires its virtual-clock results
@@ -187,6 +188,23 @@ if [[ "$SANITIZE" != "1" ]]; then
     echo "$spawners"
     status=1
   fi
+
+  # Every ff_* that src/fstack/api.hpp declares has a caller: a non-comment
+  # call in src/ (outside api.hpp and api.cpp), bench/ or examples/. A call
+  # only tests make is surface nothing runs; delete it or give it a user.
+  for fn in $(grep -vE '^[[:space:]]*//' src/fstack/api.hpp \
+      | grep -oE '\bff_[a-z0-9_]+\(' | tr -d '(' | sort -u); do
+    calls="$(grep -rnE --include='*.cpp' --include='*.hpp' "\b$fn\(" \
+        src bench examples \
+        | grep -vE '^src/fstack/api\.(hpp|cpp):' \
+        | sed -E 's#^[^:]+:[0-9]+:##; s#//.*##' \
+        | grep -vE '^[[:space:]]*\*' || true)"
+    if ! grep -qE "\b$fn\(" <<< "$calls"; then
+      echo "== UNCALLED API: $fn is declared in src/fstack/api.hpp but" \
+        "nothing in src/, bench/ or examples/ calls it"
+      status=1
+    fi
+  done
 
   # The repository benchmark (BENCHMARK.json) must still build from this
   # tree and replay its smoke volume deterministically on every seed check.

@@ -68,8 +68,7 @@ class FfOps {
   //    OP_EPOLL_ARM on an ff_uring instead;
   //  * API v12: the zero-copy TX, QoS-class and accept-batch entries —
   //    use OP_ZC_ALLOC / OP_ZC_SEND / OP_ZC_ABORT, OP_SET_CLASS, and
-  //    accept() or OP_ACCEPT_MULTISHOT (the v11 -> v12 table in
-  //    fstack/api.hpp).
+  //    accept() or OP_ACCEPT_MULTISHOT (CHANGES.md, PR 17).
   virtual int epoll_wait_multishot(int /*epfd*/,
                                    const machine::CapView& /*ring*/,
                                    std::uint32_t /*capacity*/) {

@@ -57,16 +57,6 @@ std::int64_t ff_readv(FfStack& st, int fd, std::span<const FfIovec> iov) {
   return st.sock_readv(fd, iov);
 }
 
-int ff_zc_alloc(FfStack& st, std::size_t len, FfZcBuf* out) {
-  return st.sock_zc_alloc(len, out);
-}
-
-std::int64_t ff_zc_send(FfStack& st, int fd, FfZcBuf& zc, std::size_t len) {
-  return st.sock_zc_send(fd, zc, len);
-}
-
-int ff_zc_abort(FfStack& st, FfZcBuf& zc) { return st.sock_zc_abort(zc); }
-
 std::int64_t ff_zc_recv(FfStack& st, int fd, std::span<FfZcRxBuf> out) {
   return st.sock_zc_recv(fd, out);
 }

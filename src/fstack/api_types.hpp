@@ -1,8 +1,8 @@
-// Value types of the public F-Stack API surface, v1 and v2.
+// Value types of the public F-Stack API surface.
 //
 // Kept separate from api.hpp so the lower layers (sockbuf, tcp_pcb, stack)
 // can speak the same scatter-gather vocabulary without a dependency cycle:
-// the v2 batch calls thread these types from the application, across the
+// the batch calls thread these types from the application, across the
 // compartment boundary, down to the socket buffers.
 #pragma once
 
@@ -44,11 +44,11 @@ struct FfZcRxBuf {
   }
 };
 
-/// A zero-copy TX reservation: `data` is a bounded capability directly into
-/// an updk::Mbuf data room — the application writes its payload through it
-/// and submits with ff_zc_send on a TCP fd, skipping the copy through the
-/// socket layer.
-/// The token is consumed by send/abort; a reused token is -EINVAL.
+/// A zero-copy TX reservation, as an OP_ZC_ALLOC CQE carries it: `data` is
+/// a bounded capability directly into an updk::Mbuf data room — the
+/// application writes its payload through it and submits the token with
+/// OP_ZC_SEND on a TCP fd, skipping the copy through the socket layer.
+/// The token is consumed by OP_ZC_SEND/OP_ZC_ABORT; a reused one is -EINVAL.
 struct FfZcBuf {
   std::uint64_t token = 0;  // 0 = invalid / already consumed
   machine::CapView data;

@@ -62,7 +62,6 @@ class QosScheduler {
   /// Replace the config; refills every bucket and clears deficits (queued
   /// frames stay queued).
   void configure(const QosConfig& cfg);
-  [[nodiscard]] const QosConfig& config() const noexcept { return cfg_; }
 
   struct Picked {
     updk::Mbuf* chain = nullptr;

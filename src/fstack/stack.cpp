@@ -1000,7 +1000,7 @@ void FfStack::tcp_accept_ready(TcpPcb& listener, TcpPcb& child) {
 
 TcpPcb* FfStack::make_pcb() {
   // The send side interleaves the copy ring with retained zc mbuf slices
-  // (TxChain) — ff_zc_send payload is never byte-copied; the receive side
+  // (TxChain) — OP_ZC_SEND payload is never byte-copied; the receive side
   // is a loan chain over RX mbufs. With TCP checksum insertion negotiated
   // the chain skips admission-time partial sums (the device prices the
   // wire checksum), so no TX byte is ever software-summed.
@@ -1387,14 +1387,7 @@ std::int64_t FfStack::sock_recvfrom(int fd, const machine::CapView& buf,
 // ===========================================================================
 
 int FfStack::sock_zc_alloc(std::size_t len, FfZcBuf* out) {
-  if (out == nullptr || len == 0) return -EINVAL;
-  // Every failure path invalidates the caller's handle: a stale token left
-  // in a reused FfZcBuf after a failed re-alloc (the classic case: retrying
-  // against an exhausted pool) must not keep granting the previous
-  // reservation, or an abort-on-failure cleanup would release a buffer the
-  // application still believes is in flight.
-  out->token = 0;
-  out->data = machine::CapView{};
+  if (len == 0) return -EINVAL;
   const std::size_t max_payload =
       cfg_.netif.mtu - Ipv4Header::kSize - UdpHeader::kSize;
   if (len > max_payload) return -EMSGSIZE;  // one reservation, one frame
@@ -1428,16 +1421,17 @@ int FfStack::sock_zc_alloc(std::size_t len, FfZcBuf* out) {
   return 0;
 }
 
-std::int64_t FfStack::sock_zc_send(int fd, FfZcBuf& zc, std::size_t len) {
+std::int64_t FfStack::sock_zc_send(int fd, std::uint64_t token,
+                                   std::size_t len) {
   // TCP only. A datagram fd answers -EBADF before the token is looked at,
-  // so the reservation stays live for ff_zc_abort.
+  // so the reservation stays live for OP_ZC_ABORT.
   Socket* s = scoped_sock(fd);
   if (s == nullptr || s->kind != SockKind::kTcp) return -EBADF;
   // Token lifecycle BEFORE anything else mutates: a replayed or forged
   // token must answer -EINVAL while every byte of protocol state — TCP
   // sequence space included — is still exactly as it was.
-  const auto it = zc_pending_.find(zc.token);
-  if (zc.token == 0 || it == zc_pending_.end()) {
+  const auto it = zc_pending_.find(token);
+  if (token == 0 || it == zc_pending_.end()) {
     return -EINVAL;  // double submit / send after abort / forged token
   }
   // A tenant may only spend tokens IT reserved: a replayed neighbour token
@@ -1458,7 +1452,7 @@ std::int64_t FfStack::sock_zc_send(int fd, FfZcBuf& zc, std::size_t len) {
     // talk to (and a retry pipeline must not leak one room per attempt).
     const int err = pcb->error();
     pool_->free(m);
-    end_zc_reservation(it, zc);
+    end_zc_reservation(it);
     return -err;
   }
   if (!pcb->connected()) {
@@ -1480,7 +1474,7 @@ std::int64_t FfStack::sock_zc_send(int fd, FfZcBuf& zc, std::size_t len) {
     return -EAGAIN;  // send window full: reservation kept for retry
   }
   // Ownership moved to the send chain; the token is consumed.
-  end_zc_reservation(it, zc);
+  end_zc_reservation(it);
   api_.zc_sends++;
   if (cfg_.inline_tcp_output) {
     pcb->output();
@@ -1492,24 +1486,22 @@ std::int64_t FfStack::sock_zc_send(int fd, FfZcBuf& zc, std::size_t len) {
   return static_cast<std::int64_t>(len);
 }
 
-int FfStack::sock_zc_abort(FfZcBuf& zc) {
-  const auto it = zc_pending_.find(zc.token);
-  if (zc.token == 0 || it == zc_pending_.end()) return -EINVAL;
+int FfStack::sock_zc_abort(std::uint64_t token) {
+  const auto it = zc_pending_.find(token);
+  if (token == 0 || it == zc_pending_.end()) return -EINVAL;
   if (foreign_tenant(it->second.tenant)) {
     return -EINVAL;  // a neighbour's token aborts nothing
   }
   pool_->free(it->second.m);
-  end_zc_reservation(it, zc);
+  end_zc_reservation(it);
   api_.zc_aborts++;
   return 0;
 }
 
 void FfStack::end_zc_reservation(
-    std::unordered_map<std::uint64_t, ZcTxRes>::iterator it, FfZcBuf& zc) {
+    std::unordered_map<std::uint64_t, ZcTxRes>::iterator it) {
   tenants_.credit_zc_reservation(it->second.tenant);
   zc_pending_.erase(it);
-  zc.token = 0;
-  zc.data = machine::CapView{};
 }
 
 // ===========================================================================
@@ -1771,7 +1763,7 @@ int FfStack::epoll_wait(int epfd, std::span<FfEpollEvent> out) {
 }
 
 // ===========================================================================
-// ff_uring (API v3): the unified submission/completion boundary. One arming
+// ff_uring: the submission/completion ring boundary. One arming
 // crossing delegates the ring capability; from then on the main loop drains
 // the SQ every iteration — ONE validation sweep over the whole pending
 // window (amortized over every entry it covers), per-entry verdicts that
@@ -2148,9 +2140,7 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
             break;
           }
           case UringOp::kZcSend: {
-            FfZcBuf z;
-            z.token = d.a[0];
-            const std::int64_t res = sock_zc_send(d.fd, z, d.a[1]);
+            const std::int64_t res = sock_zc_send(d.fd, d.a[0], d.a[1]);
             uring_cq_emit(r, d.user_data, res, d.op, 0, 0, 0, nullptr);
             if (res < 0) note_sqe_error(r);  // forged tokens land here
             break;
@@ -2293,9 +2283,7 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
           case UringOp::kZcAbort: {
             // Drop an unsent reservation: the data room goes back to the
             // pool and the tenant's reservation gauge is credited.
-            FfZcBuf z;
-            z.token = d.a[0];
-            const std::int64_t res = sock_zc_abort(z);
+            const std::int64_t res = sock_zc_abort(d.a[0]);
             uring_cq_emit(r, d.user_data, res, d.op, 0, 0, 0, nullptr);
             if (res < 0) note_sqe_error(r);
             break;

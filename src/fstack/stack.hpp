@@ -76,22 +76,10 @@ class FfStack final : public TcpEnv {
   std::int64_t sock_recvfrom(int fd, const machine::CapView& buf,
                              std::size_t n, FourTuple* from_out);
 
-  // ---- batch socket operations (API v2; see api.hpp migration table) ----
+  // ---- batch socket operations ----
   // check_args covers the whole batch before a byte is queued.
   std::int64_t sock_writev(int fd, std::span<const FfIovec> iov);
   std::int64_t sock_readv(int fd, std::span<const FfIovec> iov);
-
-  // ---- zero-copy TX: payload written straight into an mbuf data room ----
-  int sock_zc_alloc(std::size_t len, FfZcBuf* out);
-  /// Submit a zc reservation on a TCP fd: the slice joins the send queue
-  /// as a retained mbuf reference held until cumulatively ACKed —
-  /// retransmission re-reads the live data room; no byte is ever copied
-  /// into a socket buffer. Any other fd is -EBADF before the token is
-  /// looked at. A consumed/forged token is -EINVAL BEFORE any protocol
-  /// state mutates; -EAGAIN (window full) and -EMSGSIZE keep the
-  /// reservation valid for retry.
-  std::int64_t sock_zc_send(int fd, FfZcBuf& zc, std::size_t len);
-  int sock_zc_abort(FfZcBuf& zc);
 
   // ---- zero-copy RX: loan mbuf data rooms to the application ----
   /// Fill up to out.size() read-only loans from fd's receive queue.
@@ -103,7 +91,7 @@ class FfStack final : public TcpEnv {
   /// Return one loan to the pool; -EINVAL on a consumed or forged token.
   int sock_zc_recycle(FfZcRxBuf& zc);
 
-  // ---- ff_uring (API v3): the unified submission/completion boundary ----
+  // ---- ff_uring: the submission/completion ring boundary ----
   /// Attach a caller-initialized FfUring region (see uring.hpp). The ONE
   /// arming crossing: the whole ring capability is validated here — data
   /// and capability access over the full extent — and never again; from
@@ -123,7 +111,7 @@ class FfStack final : public TcpEnv {
   /// push uses it to decide whether a doorbell crossing is needed at all).
   void urings_set_parked(bool parked);
 
-  /// Assign fd's flow to QoS traffic class `cls` (API v7; OP_SET_CLASS /
+  /// Assign fd's flow to QoS traffic class `cls` (OP_SET_CLASS /
   /// ff_set_class). Listeners propagate the class to accepted children.
   /// -EBADF on a bad fd, -EINVAL when cls >= kQosClasses.
   int sock_set_class(int fd, std::uint32_t cls);
@@ -131,7 +119,7 @@ class FfStack final : public TcpEnv {
   void set_qos_config(const QosConfig& cfg) { qos_.configure(cfg); }
   [[nodiscard]] const QosScheduler& qos() const noexcept { return qos_; }
 
-  // ---- tenants (API v9): per-tenant resource accounting ----
+  // ---- tenants: per-tenant resource accounting ----
   // See tenant.hpp for the quota-knob reference. Defined in tenant.cpp.
   /// Register a tenant; returns its id (>= 1).
   int tenant_register(std::string name, const TenantQuota& quota);
@@ -174,16 +162,9 @@ class FfStack final : public TcpEnv {
     int prev_;
     Door prev_door_;
   };
-  [[nodiscard]] TenantTable& tenants() noexcept { return tenants_; }
-  [[nodiscard]] const TenantTable& tenants() const noexcept {
-    return tenants_;
-  }
 
   int sock_close(int fd);
   [[nodiscard]] std::uint32_t sock_readiness(int fd) const;
-  /// Monotonic readiness-activity counter (bytes delivered / connections
-  /// queued): the generation multishot publication keys on.
-  [[nodiscard]] std::uint64_t sock_rx_activity(int fd) const;
 
   int epoll_create();
   int epoll_ctl(int epfd, EpollOp op, int fd, std::uint32_t events,
@@ -191,9 +172,6 @@ class FfStack final : public TcpEnv {
   int epoll_wait(int epfd, std::span<FfEpollEvent> out);
 
   // ---- diagnostics / tests ----
-  [[nodiscard]] const NetifConfig& netif() const noexcept {
-    return cfg_.netif;
-  }
   [[nodiscard]] updk::EthDev& dev() noexcept { return *dev_; }
   [[nodiscard]] const SocketTable& sockets() const noexcept { return socks_; }
   [[nodiscard]] TcpPcb* find_pcb(const FourTuple& t);
@@ -244,10 +222,10 @@ class FfStack final : public TcpEnv {
   };
   [[nodiscard]] TcpRecoveryStats tcp_recovery_stats() const;
 
-  /// API-v2 accounting: how well callers amortize the per-call fixed costs.
+  /// API accounting: how well callers amortize the per-call fixed costs.
   struct ApiStats {
     std::uint64_t v1_calls = 0;          // single-element invocations
-    std::uint64_t batch_calls = 0;       // v2 batch invocations
+    std::uint64_t batch_calls = 0;       // batch invocations
     std::uint64_t batched_items = 0;     // elements moved through batches
     std::uint64_t validation_sweeps = 0; // check_args runs (ring: per drain)
     std::uint64_t zc_allocs = 0;
@@ -257,13 +235,13 @@ class FfStack final : public TcpEnv {
     std::uint64_t zc_rx_recycles = 0;  // loans returned via ff_zc_recycle
     std::uint64_t multishot_arms = 0;
     std::uint64_t multishot_events = 0;  // OP_EPOLL_ARM readiness CQEs
-    // ---- ff_uring (API v3) ----
+    // ---- ff_uring ----
     std::uint64_t uring_attaches = 0;
     std::uint64_t uring_doorbells = 0;  // drain kicks (a crossing each in S2)
     std::uint64_t uring_sqes = 0;       // submissions consumed
     std::uint64_t uring_cqes = 0;       // completions published
     std::uint64_t uring_sqe_errors = 0; // per-entry -EINVAL verdicts
-    // ---- deferred-CQE bounding (API v9) ----
+    // ---- deferred-CQE bounding ----
     std::uint64_t cq_deferrals = 0;  // full-CQ rounds with work pending
     std::uint64_t cq_deferral_evictions = 0;  // stalled rings' arms dropped
     std::uint64_t sq_drain_throttled = 0;     // weighted-share cutoffs
@@ -370,6 +348,11 @@ class FfStack final : public TcpEnv {
 
   // batch/zero-copy internals. A TCP send is tcp_sender (the fd's state),
   // admit, then tcp_enqueue; the ring drain checks in its sweep instead.
+  // Zero-copy TX is ring-only (OP_ZC_ALLOC / OP_ZC_SEND / OP_ZC_ABORT; its
+  // contract is in api.hpp): the drain is the only caller of these three.
+  int sock_zc_alloc(std::size_t len, FfZcBuf* out);
+  std::int64_t sock_zc_send(int fd, std::uint64_t token, std::size_t len);
+  int sock_zc_abort(std::uint64_t token);
   std::int64_t writev_impl(int fd, std::span<const FfIovec> iov);
   std::int64_t tcp_sender(int fd, TcpPcb*& pcb);
   std::int64_t tcp_enqueue(TcpPcb& pcb, std::span<const FfIovec> iov);
@@ -501,6 +484,9 @@ class FfStack final : public TcpEnv {
   /// tcp_recovery_stats() keeps counting across connection churn.
   void accumulate_reaped(const TcpPcb& pcb);
   void publish_multishot();
+  /// Monotonic readiness-activity counter (bytes delivered / connections
+  /// queued): the generation publish_ready keys on.
+  [[nodiscard]] std::uint64_t sock_rx_activity(int fd) const;
   /// Publish current readiness of every interest-set fd through `ep`'s
   /// armed sink; returns events delivered (shared by arm-time and
   /// per-iteration publication so the masking/generation keying cannot
@@ -574,10 +560,9 @@ class FfStack final : public TcpEnv {
   std::unordered_map<std::uint64_t, ZcTxRes> zc_pending_;
   std::uint64_t next_zc_token_ = 1;
   // Retire reservation `it` (sent, aborted or dead): its tenant gets the
-  // budget back and the caller's handle loses the token and the data-room
-  // alias. The mbuf is the caller's to free or hand to a send chain.
+  // budget back. The mbuf is the caller's to free or hand to a send chain.
   void end_zc_reservation(
-      std::unordered_map<std::uint64_t, ZcTxRes>::iterator it, FfZcBuf& zc);
+      std::unordered_map<std::uint64_t, ZcTxRes>::iterator it);
 
   // Outstanding zero-copy RX loans. `pcb`/`udp` point at the budget to
   // credit on recycle and are nulled if the owning connection/socket dies
@@ -602,7 +587,7 @@ class FfStack final : public TcpEnv {
   // the drain's one end-of-window flush (see sync_flush).
   bool in_uring_drain_ = false;
 
-  // ---- tenants (API v9) ----
+  // ---- tenants ----
   TenantTable tenants_;
   // The tenant of the innermost TenantScope (a ring drain or a proxied
   // entry; 0 outside them): ops on untenanted sockets adopt it as their

@@ -1,25 +1,24 @@
 // TxChain: the TCP send queue / retransmission store, zero-copy capable.
 //
-// v2 send semantics copied every application byte into the send SockBuf and
-// held the BYTES until cumulatively acknowledged — the one remaining copy
-// after the PR-2/PR-3 receive path went loan-based. TxChain interleaves two
-// kinds of segments in strict sequence order instead:
+// A byte-only send queue copies every application byte into the send
+// SockBuf and holds the BYTES until cumulatively acknowledged. TxChain
+// interleaves two kinds of segments in strict sequence order instead:
 //
 //   * copy-backed: plain ff_write/ff_writev payload still lands in the
 //     capability-bounded byte ring (SockBuf) exactly as before;
-//   * mbuf-backed: ff_zc_send (and uring OP_ZC_SEND) on a TCP socket
+//   * mbuf-backed: OP_ZC_SEND on a TCP socket
 //     appends a *retained mbuf reference* — an (mbuf, offset, length)
 //     slice whose data room the application filled in place through the
-//     bounded capability ff_zc_alloc handed out. No byte store at all.
+//     bounded capability an OP_ZC_ALLOC grant handed out. No byte store.
 //
-// Emission is scatter-gather (PR 5): tcp_emit decomposes a segment's
+// Emission is scatter-gather: tcp_emit decomposes a segment's
 // [off, off+len) range into TxPieces via gather() — mbuf slices and ring
 // spans the stack turns into indirect mbufs chained behind the header mbuf,
 // so the driver fetches payload straight from the still-live stores and no
 // byte is copied at emission time, first transmission and retransmission
 // alike. Every slice also caches its PARTIAL CHECKSUM, computed exactly
 // once when the bytes enter the stack (during the admit copy for ff_write,
-// from one capability walk at ff_zc_send): a segment covering whole slices
+// from one capability walk at OP_ZC_SEND): a segment covering whole slices
 // checksums in O(#slices) via checksum_combine with zero payload re-reads.
 // Cumulative ACK releases references from the head — a partial ACK trims
 // the head slice (off advances, len shrinks, its cached sum invalidates).
@@ -29,7 +28,7 @@
 // Budget: copied and zc bytes share the one configured sndbuf capacity at
 // BYTE granularity (a zc slice charges its payload length, not its data
 // room — TX rooms are dedicated allocations, not shared RX rooms, so pool
-// pressure is already bounded by ff_zc_alloc's -ENOBUFS).
+// pressure is already bounded by OP_ZC_ALLOC's -ENOBUFS).
 #pragma once
 
 #include <cstdint>
@@ -58,7 +57,7 @@ struct TxStats {
   /// parking — a cold-path copy counted apart from emission re-reads.
   std::uint64_t park_linearized_bytes = 0;
   /// Payload bytes the STACK one's-complement-summed on the TX path —
-  /// admission-time cached partials, ff_zc_send capability walks, emission
+  /// admission-time cached partials, OP_ZC_SEND capability walks, emission
   /// cache-miss walks, software-fallback composes. A queue that negotiated
   /// L4 checksum insertion keeps this at 0 (the device sums instead); the
   /// fig4/fig5 offload census gates on exactly that.
@@ -113,7 +112,7 @@ class TxChain {
   std::size_t writev_from(std::span<const FfIovec> iov);
 
   /// Append one zero-copy slice: the chain takes over the caller's mbuf
-  /// reference (ff_zc_alloc's reservation transfers here on success) and
+  /// reference (an OP_ZC_ALLOC reservation transfers here on success) and
   /// holds it until cumulatively ACKed. `csum` is the slice's partial
   /// checksum, computed once by the caller when the bytes entered.
   /// All-or-nothing against the free budget; returns false (reference NOT

@@ -1,14 +1,8 @@
-// FfUring: the unified compartment-boundary ring — one submission queue and
-// one completion queue of capability-carrying entries per socket group.
-//
-// PRs 1-2 grew three separate amortization channels across the compartment
-// boundary: syscall batch envelopes (one trampoline crossing per batch), the
-// multishot epoll event ring (zero crossings per wait), and the zc loan /
-// recycle token calls (one sealed-entry crossing per burst). The paper's
-// cost model says every one of those crossings has the same fixed price
-// (~125 ns trampoline, Fig. 4; sealed entry + stack-mutex acquisition,
-// Fig. 5/6) — so v3 converges them into ONE io_uring-style pair of SPSC
-// capability rings armed by a single sealed-entry crossing:
+// FfUring: the compartment-boundary ring — one submission queue and one
+// completion queue of capability-carrying entries per socket group. Every
+// crossing has the same fixed price (~125 ns trampoline, Fig. 4; sealed
+// entry + stack-mutex acquisition, Fig. 5/6), so the ring is an
+// io_uring-style pair of SPSC rings armed by a single sealed-entry crossing:
 //
 //   * the application produces SQEs (opcode + fd + up to 8 exactly-bounded
 //     iovec capabilities or zc tokens) with plain capability stores;
@@ -63,9 +57,9 @@
 //     them only inside the drain that consumes the SQE (bytes are queued
 //     into stack buffers before the CQE posts), so the app may reuse the
 //     buffer as soon as it reaps the CQE.
-//   * CQE loan capabilities (OP_ZC_RECV) follow the PR-2 loan contract:
+//   * CQE loan capabilities (OP_ZC_RECV) follow the ff_zc_recv contract:
 //     exactly-bounded, read-only, charged against the receive window until
-//     returned through OP_RECYCLE (or the classic ff_zc_recycle shim).
+//     returned through OP_RECYCLE (or ff_zc_recycle).
 //   * The ring region itself must outlive the attachment; detach (or stack
 //     destruction) ends the stack's use of the delegated capability.
 #pragma once
@@ -80,10 +74,9 @@
 
 namespace cherinet::fstack {
 
-/// SQE opcodes — every batch verb of API v2 becomes a ring operation (the
-/// v2 calls remain as thin shims; see the v2->v3 table in api.hpp). The
-/// numbers are ABI: a retired opcode leaves a hole, and its number earns
-/// the unknown-opcode -EINVAL (2 was OP_SENDMSG_BATCH until v13).
+/// SQE opcodes; api.hpp names the ff_* call each one shares a contract
+/// with. The numbers are ABI: 2 is a retired opcode's hole and earns the
+/// unknown-opcode -EINVAL.
 enum class UringOp : std::uint32_t {
   kNop = 0,              // completes immediately (tests, fences)
   kWritev = 1,           // ncaps iovec caps -> sock_writev
@@ -99,12 +92,7 @@ enum class UringOp : std::uint32_t {
   kEpollArm = 7,         // arm: readiness of epfd's interest set posts CQEs
   kZcAlloc = 8,          // a0=buffers (<=8), a1=len each; one CQE per
                          //   reservation: aux0=token, cap=writable bounded
-                         //   view into the mbuf data room (zc TX without a
-                         //   per-alloc crossing — io_uring's registered-
-                         //   buffer analogue)
-  // --- v5: ring-native control plane. A churn-heavy app crosses the
-  // --- boundary once at attach; connects, closes, and readiness re-arms
-  // --- all ride the rings from then on.
+                         //   view into the mbuf data room
   kConnect = 9,          // a0=packed peer (uring_pack_addr); the CQE posts
                          //   when the handshake RESOLVES: result 0 on
                          //   ESTABLISHED, -errno (ECONNREFUSED/ETIMEDOUT)
@@ -117,11 +105,9 @@ enum class UringOp : std::uint32_t {
   kEpollCtl = 11,        // fd=epfd, a0=EpollOp (1 add / 2 del / 3 mod),
                          //   a1=target fd, a2=events, a3=data; immediate
                          //   verdict CQE
-  // --- v7: classed QoS TX scheduling (see qos.hpp).
   kSetClass = 12,        // a0=traffic class (0..kQosClasses-1) for fd;
                          //   immediate verdict CQE. On a listener the class
                          //   propagates to subsequently accepted children.
-  // --- v12: the ring is the only zero-copy TX boundary.
   kZcAbort = 13,         // a0=zc token: release an unsent OP_ZC_ALLOC
                          //   reservation; result 0, or -EINVAL for a
                          //   consumed, forged or neighbour's token

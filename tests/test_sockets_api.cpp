@@ -8,6 +8,7 @@
 using namespace cherinet;
 using namespace cherinet::fstack;
 using cherinet::test::TwoStacks;
+using cherinet::test::ZcTxRing;
 
 TEST(FfApi, SocketCreationAndFdSpace) {
   TwoStacks ts;
@@ -249,8 +250,7 @@ TEST(FfApi, ReadWriteOnWrongFdKinds) {
 }
 
 // ===========================================================================
-// API v2: batched, scatter-gather, zero-copy calls (see api.hpp migration
-// table).
+// Batched, scatter-gather and zero-copy calls (the contract is api.hpp).
 // ===========================================================================
 
 namespace {
@@ -411,32 +411,43 @@ TEST(FfApi, FaultingRecvfromKeepsTheDatagramAndItsDataRoom) {
 
 TEST(FfApiV2, ZeroCopySendIsTcpOnlyAndAbortConsumesTheToken) {
   TwoStacks ts;
+  ZcTxRing ring(ts);
   const int sa = ff_socket(ts.a(), kAfInet, kSockDgram, 0);
+  const std::uint32_t pool0 = ts.pool_a().available();
 
   // A datagram fd answers -EBADF before the token is looked at: the
   // reservation is still live, so the abort releases it exactly once.
   FfZcBuf zc;
-  ASSERT_EQ(ff_zc_alloc(ts.a(), 32, &zc), 0);
+  ASSERT_EQ(ring.alloc(32, &zc), 32);
   ASSERT_TRUE(zc.valid());
-  EXPECT_EQ(ff_zc_send(ts.a(), sa, zc, 32), -EBADF);
-  EXPECT_TRUE(zc.valid());
-  EXPECT_EQ(ff_zc_abort(ts.a(), zc), 0);
-  EXPECT_FALSE(zc.valid());
-  EXPECT_EQ(ff_zc_abort(ts.a(), zc), -EINVAL);
+  EXPECT_EQ(zc.data.size(), 32u);
+  EXPECT_EQ(ts.pool_a().available(), pool0 - 1);
+  EXPECT_EQ(ring.send(sa, zc.token, 32), -EBADF);
+  // The fd answers first whatever the token: forged, or sent oversized.
+  EXPECT_EQ(ring.send(sa, 0xDEAD600DULL, 32), -EBADF);
+  EXPECT_EQ(ring.send(sa, zc.token, 64), -EBADF);
+  EXPECT_EQ(ring.abort(zc.token), 0);
+  EXPECT_EQ(ts.pool_a().available(), pool0);
+  EXPECT_EQ(ring.abort(zc.token), -EINVAL);
+  EXPECT_EQ(ts.pool_a().available(), pool0);
 
   // Abort consumes the token: a later send of it is -EINVAL.
   const int cfd = connect_pair(ts).first;
   FfZcBuf zc2;
-  ASSERT_EQ(ff_zc_alloc(ts.a(), 16, &zc2), 0);
-  FfZcBuf spent = zc2;
-  EXPECT_EQ(ff_zc_abort(ts.a(), zc2), 0);
-  EXPECT_EQ(ff_zc_send(ts.a(), cfd, spent, 16), -EINVAL);
-  EXPECT_EQ(ff_zc_abort(ts.a(), spent), -EINVAL);
+  ASSERT_EQ(ring.alloc(16, &zc2), 16);
+  EXPECT_EQ(ring.abort(zc2.token), 0);
+  EXPECT_EQ(ring.send(cfd, zc2.token, 16), -EINVAL);
+  EXPECT_EQ(ring.abort(zc2.token), -EINVAL);
 
-  // Over-MTU reservations are refused outright (one reservation, one
-  // frame).
+  // One reservation, one frame: the bound is the MTU's UDP payload
+  // (mtu - 28 = 1472), and anything above it is refused outright.
   FfZcBuf zc3;
-  EXPECT_EQ(ff_zc_alloc(ts.a(), 60000, &zc3), -EMSGSIZE);
+  ASSERT_EQ(ring.alloc(1472, &zc3), 1472);
+  EXPECT_EQ(ring.abort(zc3.token), 0);
+  EXPECT_EQ(ring.alloc(1473, &zc3), -EMSGSIZE);
+  EXPECT_FALSE(zc3.valid());
+  EXPECT_EQ(ring.alloc(60000, &zc3), -EMSGSIZE);
+  EXPECT_EQ(ring.alloc(0, &zc3), -EINVAL);
 }
 
 TEST(FfApiV2, ZcAbortAfterPoolExhaustionRestoresCapacityExactlyOnce) {
@@ -446,46 +457,44 @@ TEST(FfApiV2, ZcAbortAfterPoolExhaustionRestoresCapacityExactlyOnce) {
   eal.eth.rx_ring_size = 4;
   eal.eth.tx_ring_size = 4;
   TwoStacks ts(sim::Testbed::unconstrained(), fstack::TcpConfig{}, eal);
+  ZcTxRing ring(ts);
 
   // Reserve until zc allocation refuses. Since the TCP zc TX store can pin
-  // reservations until cumulative ACK, sock_zc_alloc keeps a driver
-  // reserve (an eighth of the pool, capped at 64) so RX bursts — and the
-  // ACKs that would free pinned buffers — can always land; the pool never
-  // drains to zero through zc reservations alone.
+  // reservations until cumulative ACK, OP_ZC_ALLOC keeps a driver reserve
+  // (an eighth of the pool, capped at 64) so RX bursts — and the ACKs that
+  // would free pinned buffers — can always land; the pool never drains to
+  // zero through zc reservations alone.
   const std::uint32_t reserve =
       std::min<std::uint32_t>(64, ts.pool_a().size() / 8);
   std::vector<FfZcBuf> held;
   FfZcBuf z;
-  int r;
-  while ((r = ff_zc_alloc(ts.a(), 256, &z)) == 0) held.push_back(z);
+  std::int64_t r;
+  while ((r = ring.alloc(256, &z)) == 256) held.push_back(z);
   ASSERT_EQ(r, -ENOBUFS);
   ASSERT_FALSE(held.empty());
   ASSERT_EQ(ts.pool_a().available(), reserve);
-  // Regression: the failed alloc must invalidate the caller's handle — `z`
-  // still holds the LAST successful reservation's token otherwise, and an
-  // abort-on-failure cleanup would release a buffer the application still
-  // owns through `held`, restoring capacity twice.
+  // The refusal's CQE carries no token and no room, so an abort-on-failure
+  // cleanup cannot release a buffer the application still owns through
+  // `held`.
   EXPECT_EQ(z.token, 0u);
-  EXPECT_EQ(ff_zc_abort(ts.a(), z), -EINVAL);
+  EXPECT_FALSE(z.data.valid());
+  EXPECT_EQ(ring.abort(z.token), -EINVAL);
   EXPECT_EQ(ts.pool_a().available(), reserve);
 
   // Aborting each reservation restores capacity exactly once...
   const std::uint32_t before = ts.pool_a().available();
-  for (FfZcBuf& h : held) {
-    EXPECT_EQ(ff_zc_abort(ts.a(), h), 0);
-    EXPECT_FALSE(h.valid());  // token gone AND the data alias dropped
-  }
+  for (const FfZcBuf& h : held) EXPECT_EQ(ring.abort(h.token), 0);
   EXPECT_EQ(ts.pool_a().available(),
             before + static_cast<std::uint32_t>(held.size()));
-  // ...and a second abort of any handle is -EINVAL with no double credit.
-  for (FfZcBuf& h : held) EXPECT_EQ(ff_zc_abort(ts.a(), h), -EINVAL);
+  // ...and a second abort of any token is -EINVAL with no double credit.
+  for (const FfZcBuf& h : held) EXPECT_EQ(ring.abort(h.token), -EINVAL);
   EXPECT_EQ(ts.pool_a().available(),
             before + static_cast<std::uint32_t>(held.size()));
 
   // The pool is usable again end to end.
   FfZcBuf again;
-  EXPECT_EQ(ff_zc_alloc(ts.a(), 256, &again), 0);
-  EXPECT_EQ(ff_zc_abort(ts.a(), again), 0);
+  EXPECT_EQ(ring.alloc(256, &again), 256);
+  EXPECT_EQ(ring.abort(again.token), 0);
 }
 
 TEST(FfApiV2, BatchValidationIsAtomicOnBoundsOverrun) {

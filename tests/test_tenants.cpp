@@ -17,24 +17,12 @@
 
 using namespace cherinet;
 using namespace cherinet::fstack;
+using cherinet::test::AttachedRing;
+using cherinet::test::attach_ring;
 using cherinet::test::TwoStacks;
+using cherinet::test::ZcTxRing;
 
 namespace {
-
-struct AttachedRing {
-  machine::CapView mem;
-  FfUring ring;
-  int id = -1;
-};
-
-AttachedRing attach_ring(TwoStacks& ts, std::uint32_t sq, std::uint32_t cq) {
-  AttachedRing r;
-  r.mem = ts.heap_a().alloc_view(FfUring::bytes_for(sq, cq));
-  r.ring = FfUring(r.mem, sq, cq);
-  r.id = ff_uring_attach(ts.a(), r.mem, sq, cq);
-  EXPECT_GT(r.id, 0);
-  return r;
-}
 
 /// Establish B -> A:port; returns {accepted fd on A, client fd on B}.
 struct Conn {
@@ -161,9 +149,15 @@ TEST(Tenants, ZcReservationQuotaBoundsRingAllocs) {
 
   // Aborting credits the gauge back.
   for (const std::uint64_t tok : tokens) {
-    FfZcBuf zc;
-    zc.token = tok;
-    EXPECT_EQ(ff_zc_abort(ts.a(), zc), 0);
+    FfUringSqe abort;
+    abort.op = UringOp::kZcAbort;
+    abort.a[0] = tok;
+    ASSERT_NE(ar.ring.sq_push(abort), FfUring::Push::kFull);
+  }
+  ts.a().run_once();
+  ASSERT_EQ(ar.ring.cq_pop(cq), tokens.size());
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    EXPECT_EQ(cq[i].result, 0);
   }
   EXPECT_EQ(st->zc_reservations, 0u);
   EXPECT_EQ(st->pool_charged, 0u);
@@ -269,8 +263,9 @@ TEST(Tenants, CrossTenantZcTokenIsInertEinval) {
   ASSERT_GE(cq[0].result, 0);
   const std::uint64_t token = cq[0].aux0;
 
-  // Tenant B replays A's token through ITS ring: -EINVAL, and the
-  // reservation is untouched (the replay is INERT — no state mutates).
+  // Tenant B replays A's token through ITS ring, as a send and as an
+  // abort: -EINVAL each time, and the reservation is untouched (the replay
+  // is INERT — no state mutates).
   AttachedRing rb = attach_ring(ts, 8, 16);
   ASSERT_EQ(ff_uring_bind_tenant(ts.a(), rb.id, tb), 0);
   const int bfd = ff_socket(ts.a(), kAfInet, kSockStream, 0);
@@ -280,19 +275,31 @@ TEST(Tenants, CrossTenantZcTokenIsInertEinval) {
   steal.user_data = 2;
   steal.a[0] = token;
   steal.a[1] = 64;
+  FfUringSqe abort;
+  abort.op = UringOp::kZcAbort;
+  abort.user_data = 3;
+  abort.a[0] = token;
+  const std::uint32_t pool_held = ts.pool_a().available();
   ASSERT_NE(rb.ring.sq_push(steal), FfUring::Push::kFull);
+  ASSERT_NE(rb.ring.sq_push(abort), FfUring::Push::kFull);
   ts.a().run_once();
-  ASSERT_EQ(rb.ring.cq_pop(cq), 1u);
+  ASSERT_EQ(rb.ring.cq_pop(cq), 2u);
   EXPECT_EQ(cq[0].result, -EINVAL);
+  EXPECT_EQ(cq[1].result, -EINVAL);
 
   const TenantStats* sta = ff_tenant_stats(ts.a(), ta);
   const TenantStats* stb = ff_tenant_stats(ts.a(), tb);
   EXPECT_EQ(sta->zc_reservations, 1u);  // A still owns its reservation
-  EXPECT_GE(stb->sqe_errors, 1u);       // the failure billed to B
+  EXPECT_EQ(ts.pool_a().available(), pool_held);
+  EXPECT_EQ(stb->sqe_errors, 2u);       // both failures billed to B
+  EXPECT_EQ(sta->sqe_errors, 0u);
 
-  FfZcBuf zc;
-  zc.token = token;
-  EXPECT_EQ(ff_zc_abort(ts.a(), zc), 0);  // untenanted control-plane cleanup
+  // An untenanted ring is the control plane: its abort still finds the
+  // reservation.
+  ZcTxRing control(ts);
+  EXPECT_EQ(control.abort(token), 0);
+  EXPECT_EQ(sta->zc_reservations, 0u);
+  EXPECT_EQ(ts.pool_a().available(), pool_held + 1);
   ff_close(ts.a(), bfd);
 }
 

@@ -20,6 +20,8 @@
 
 using namespace cherinet;
 using namespace cherinet::fstack;
+using cherinet::test::AttachedRing;
+using cherinet::test::attach_ring;
 using cherinet::test::TwoStacks;
 
 namespace {
@@ -51,22 +53,6 @@ std::vector<std::byte> pattern(std::size_t n, std::uint8_t seed = 1) {
     v[i] = static_cast<std::byte>((seed + i * 7) & 0xFF);
   }
   return v;
-}
-
-/// Allocate + header-init a ring on stack A's heap and attach it.
-struct AttachedRing {
-  machine::CapView mem;
-  FfUring ring;
-  int id = -1;
-};
-
-AttachedRing attach_ring(TwoStacks& ts, std::uint32_t sq, std::uint32_t cq) {
-  AttachedRing r;
-  r.mem = ts.heap_a().alloc_view(FfUring::bytes_for(sq, cq));
-  r.ring = FfUring(r.mem, sq, cq);
-  r.id = ff_uring_attach(ts.a(), r.mem, sq, cq);
-  EXPECT_GT(r.id, 0);
-  return r;
 }
 
 }  // namespace
@@ -814,44 +800,6 @@ TEST(Uring, UdpZcRecvReturnsWhatIsQueuedWithoutWaiting) {
   FfZcRxBuf z;
   z.token = cq[0].aux0;
   EXPECT_EQ(ff_zc_recycle(ts.a(), z), 0);
-}
-
-TEST(Uring, ZcSendOnUdpFdIsEbadfAndTheReservationStillAborts) {
-  TwoStacks ts;
-  const int a_udp = ff_socket(ts.a(), kAfInet, kSockDgram, 0);
-  AttachedRing ar = attach_ring(ts, 8, 8);
-  FfUringSqe alloc;
-  alloc.op = UringOp::kZcAlloc;
-  alloc.user_data = 1;
-  alloc.a[0] = 1;
-  alloc.a[1] = 64;
-  ASSERT_NE(ar.ring.sq_push(alloc), FfUring::Push::kFull);
-  ts.a().run_once();
-  FfUringCqe cq[2];
-  ASSERT_EQ(ar.ring.cq_pop(cq), 1u);
-  ASSERT_EQ(cq[0].result, 64);
-  const std::uint64_t token = cq[0].aux0;
-  const std::uint32_t pool_granted = ts.pool_a().available();
-
-  FfUringSqe send;
-  send.op = UringOp::kZcSend;
-  send.fd = a_udp;
-  send.user_data = 2;
-  send.a[0] = token;
-  send.a[1] = 64;
-  FfUringSqe abort;
-  abort.op = UringOp::kZcAbort;
-  abort.user_data = 3;
-  abort.a[0] = token;
-  ASSERT_NE(ar.ring.sq_push(send), FfUring::Push::kFull);
-  ASSERT_NE(ar.ring.sq_push(abort), FfUring::Push::kFull);
-  ts.a().run_once();
-  ASSERT_EQ(ar.ring.cq_pop(cq), 2u);
-  EXPECT_EQ(cq[0].user_data, 2u);
-  EXPECT_EQ(cq[0].result, -EBADF);
-  EXPECT_EQ(cq[1].user_data, 3u);
-  EXPECT_EQ(cq[1].result, 0);  // the send left the reservation alone
-  EXPECT_EQ(ts.pool_a().available(), pool_granted + 1);
 }
 
 TEST(UringApps, IperfClientZeroCopyTxSendsWithoutStackCopies) {

@@ -15,25 +15,11 @@
 
 using namespace cherinet;
 using namespace cherinet::fstack;
+using cherinet::test::AttachedRing;
+using cherinet::test::attach_ring;
 using cherinet::test::TwoStacks;
 
 namespace {
-
-/// Allocate + header-init a ring on stack A's heap and attach it.
-struct AttachedRing {
-  machine::CapView mem;
-  FfUring ring;
-  int id = -1;
-};
-
-AttachedRing attach_ring(TwoStacks& ts, std::uint32_t sq, std::uint32_t cq) {
-  AttachedRing r;
-  r.mem = ts.heap_a().alloc_view(FfUring::bytes_for(sq, cq));
-  r.ring = FfUring(r.mem, sq, cq);
-  r.id = ff_uring_attach(ts.a(), r.mem, sq, cq);
-  EXPECT_GT(r.id, 0);
-  return r;
-}
 
 /// Pop CQEs until one matching `user_data` appears (pumping both stacks).
 /// Non-matching CQEs are appended to `others` if given.

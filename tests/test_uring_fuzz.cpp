@@ -21,6 +21,8 @@
 
 using namespace cherinet;
 using namespace cherinet::fstack;
+using cherinet::test::AttachedRing;
+using cherinet::test::attach_ring;
 using cherinet::test::TwoStacks;
 
 namespace {
@@ -31,21 +33,6 @@ std::uint64_t splitmix64(std::uint64_t& s) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
-}
-
-struct AttachedRing {
-  machine::CapView mem;
-  FfUring ring;
-  int id = -1;
-};
-
-AttachedRing attach_ring(TwoStacks& ts, std::uint32_t sq, std::uint32_t cq) {
-  AttachedRing r;
-  r.mem = ts.heap_a().alloc_view(FfUring::bytes_for(sq, cq));
-  r.ring = FfUring(r.mem, sq, cq);
-  r.id = ff_uring_attach(ts.a(), r.mem, sq, cq);
-  EXPECT_GT(r.id, 0);
-  return r;
 }
 
 /// Raw-store one malformed SQE straight into the ring slot and publish the

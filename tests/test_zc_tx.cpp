@@ -1,4 +1,5 @@
-// TCP zero-copy TX (the TxChain retransmission store): end-to-end delivery
+// TCP zero-copy TX (the TxChain retransmission store), submitted through
+// the ring's OP_ZC_ALLOC / OP_ZC_SEND / OP_ZC_ABORT: end-to-end delivery
 // with ZERO send-side byte copies, retransmission re-reading the still-live
 // mbuf after loss, partial-ACK head trimming, token lifecycle hardening
 // (replay/forge -> -EINVAL before any TCP state mutates), the linearizing
@@ -23,6 +24,7 @@
 using namespace cherinet;
 using namespace cherinet::fstack;
 using cherinet::test::TwoStacks;
+using cherinet::test::ZcTxRing;
 
 namespace {
 
@@ -56,23 +58,21 @@ std::vector<std::byte> pattern(std::size_t n, std::size_t phase = 0) {
 }
 
 /// Queue `total` patterned bytes on `fd` purely through the zc TX path
-/// (ff_zc_alloc + in-place compose + ff_zc_send), pumping between chunks;
+/// (OP_ZC_ALLOC + in-place compose + OP_ZC_SEND), pumping between chunks;
 /// returns bytes queued.
-std::uint64_t zc_send_stream(TwoStacks& ts, int fd, std::uint64_t total,
-                             std::size_t chunk = 1000) {
+std::uint64_t zc_send_stream(TwoStacks& ts, ZcTxRing& ring, int fd,
+                             std::uint64_t total, std::size_t chunk = 1000) {
   std::uint64_t sent = 0;
   ts.pump_until(
       [&] {
         while (sent < total) {
           const std::size_t n = std::min<std::uint64_t>(chunk, total - sent);
           FfZcBuf zc;
-          if (ff_zc_alloc(ts.a(), n, &zc) != 0) break;
-          const auto bytes = pattern(n, sent);
-          zc.data.write(0, bytes);
-          const std::int64_t r = ff_zc_send(ts.a(), fd, zc, n);
-          if (r != static_cast<std::int64_t>(n)) {
+          if (ring.alloc(n, &zc) < 0) break;
+          zc.data.write(0, pattern(n, sent));
+          if (ring.send(fd, zc.token, n) != static_cast<std::int64_t>(n)) {
             // -EAGAIN keeps the reservation; abort it and retry next turn.
-            ff_zc_abort(ts.a(), zc);
+            ring.abort(zc.token);
             break;
           }
           sent += n;
@@ -112,8 +112,9 @@ void drain_and_verify(TwoStacks& ts, int bfd, std::uint64_t total,
 TEST(ZcTcpTx, DeliversWithZeroSendSideCopies) {
   TwoStacks ts;
   const Conn c = establish(ts, 5201);
+  ZcTxRing ring(ts);
   constexpr std::uint64_t kTotal = 64 * 1024;
-  ASSERT_EQ(zc_send_stream(ts, c.afd, kTotal), kTotal);
+  ASSERT_EQ(zc_send_stream(ts, ring, c.afd, kTotal), kTotal);
   std::uint64_t received = 0, corrupt = 0;
   drain_and_verify(ts, c.bfd, kTotal, &received, &corrupt);
   EXPECT_EQ(received, kTotal);
@@ -128,7 +129,7 @@ TEST(ZcTcpTx, DeliversWithZeroSendSideCopies) {
 TEST(ZcTcpTx, AlignedStreamEmitsWithZeroPayloadReadsEvenAcrossLoss) {
   // MSS-sized zc slices align with emitted segments, so scatter-gather
   // emission composes each segment's checksum from the partial cached at
-  // ff_zc_send time and chains indirect mbufs over the live rooms: ZERO
+  // OP_ZC_SEND time and chains indirect mbufs over the live rooms: ZERO
   // payload bytes are read back at emission — for the first transmission
   // AND for the loss-driven retransmissions (which re-reference the same
   // still-live slices).
@@ -137,8 +138,9 @@ TEST(ZcTcpTx, AlignedStreamEmitsWithZeroPayloadReadsEvenAcrossLoss) {
     return side == 0 && idx >= 12 && idx < 14;  // drop two A->B data frames
   });
   const Conn c = establish(ts, 5201);
+  ZcTxRing ring(ts);
   constexpr std::uint64_t kAligned = 1448 * 48;  // whole MSS-sized slices
-  ASSERT_EQ(zc_send_stream(ts, c.afd, kAligned, 1448), kAligned);
+  ASSERT_EQ(zc_send_stream(ts, ring, c.afd, kAligned, 1448), kAligned);
   std::uint64_t received = 0, corrupt = 0;
   drain_and_verify(ts, c.bfd, kAligned, &received, &corrupt);
   EXPECT_EQ(received, kAligned);
@@ -171,11 +173,12 @@ TEST(ZcTcpTx, RetransmitAfterLossReReadsTheLiveMbuf) {
     return side == 0 && idx >= 10 && idx < 13;
   });
   const Conn c = establish(ts, 5201);
+  ZcTxRing ring(ts);
   // Baseline AFTER attach/establish: the PMD keeps descriptor rings
   // populated, so a quiescent pool is not the raw mbuf count.
   const std::uint32_t baseline = ts.pool_a().available();
   constexpr std::uint64_t kTotal = 96 * 1024;
-  ASSERT_EQ(zc_send_stream(ts, c.afd, kTotal), kTotal);
+  ASSERT_EQ(zc_send_stream(ts, ring, c.afd, kTotal), kTotal);
 
   // While data is unacknowledged the pool visibly holds the references.
   EXPECT_LT(ts.pool_a().available(), baseline);
@@ -214,9 +217,10 @@ TEST(ZcTcpTx, SegmentsOverThePieceBudgetLinearizeAndArriveIntact) {
     TwoStacks ts(sim::Testbed::unconstrained(), TcpConfig{}, eal,
                  /*inline_tcp_output=*/false);
     const Conn c = establish(ts, 5210);
+    ZcTxRing ring(ts);
     constexpr std::uint64_t kTotal = 32 * 1024;
     const TxStats before = ts.a().tx_stats();
-    ASSERT_EQ(zc_send_stream(ts, c.afd, kTotal, 64), kTotal);
+    ASSERT_EQ(zc_send_stream(ts, ring, c.afd, kTotal, 64), kTotal);
     std::uint64_t received = 0, corrupt = 0;
     drain_and_verify(ts, c.bfd, kTotal, &received, &corrupt);
     EXPECT_EQ(received, kTotal);
@@ -249,13 +253,12 @@ TEST(ZcTcpTx, SegmentsOverThePieceBudgetLinearizeAndArriveIntact) {
 TEST(ZcTcpTx, ReplayedAndForgedTokensAreEinvalBeforeStateMutates) {
   TwoStacks ts;
   const Conn c = establish(ts, 5201);
+  ZcTxRing ring(ts);
 
   FfZcBuf zc;
-  ASSERT_EQ(ff_zc_alloc(ts.a(), 512, &zc), 0);
+  ASSERT_EQ(ring.alloc(512, &zc), 512);
   zc.data.write(0, pattern(512));
-  const std::uint64_t token = zc.token;
-  ASSERT_EQ(ff_zc_send(ts.a(), c.afd, zc, 512), 512);
-  EXPECT_EQ(zc.token, 0u);  // consumed handle
+  ASSERT_EQ(ring.send(c.afd, zc.token, 512), 512);
 
   const TcpPcb* pcb = nullptr;
   for (std::uint16_t p = 49152; p < 49160 && !pcb; ++p) {
@@ -266,13 +269,11 @@ TEST(ZcTcpTx, ReplayedAndForgedTokensAreEinvalBeforeStateMutates) {
   const auto segs_before = pcb->counters().segs_out;
 
   // Replay the consumed token and forge one that never existed: both must
-  // answer -EINVAL with the sequence space untouched and no segment sent.
-  FfZcBuf replay;
-  replay.token = token;
-  EXPECT_EQ(ff_zc_send(ts.a(), c.afd, replay, 512), -EINVAL);
-  FfZcBuf forged;
-  forged.token = 0xDEAD600DULL;
-  EXPECT_EQ(ff_zc_send(ts.a(), c.afd, forged, 512), -EINVAL);
+  // answer -EINVAL with the sequence space untouched and no segment sent,
+  // and neither is left to abort.
+  EXPECT_EQ(ring.send(c.afd, zc.token, 512), -EINVAL);
+  EXPECT_EQ(ring.send(c.afd, 0xDEAD600DULL, 512), -EINVAL);
+  EXPECT_EQ(ring.abort(zc.token), -EINVAL);
 
   const auto after = pcb->debug_snapshot();
   EXPECT_EQ(after.snd_nxt, before.snd_nxt);
@@ -290,10 +291,11 @@ TEST(ZcTcpTx, ReplayedAndForgedTokensAreEinvalBeforeStateMutates) {
 TEST(ZcTcpTx, FinTeardownReleasesEveryRetainedReference) {
   TwoStacks ts;
   const Conn c = establish(ts, 5201);
+  ZcTxRing ring(ts);
   const std::uint32_t base_a = ts.pool_a().available();
   const std::uint32_t base_b = ts.pool_b().available();
   constexpr std::uint64_t kTotal = 32 * 1024;
-  ASSERT_EQ(zc_send_stream(ts, c.afd, kTotal), kTotal);
+  ASSERT_EQ(zc_send_stream(ts, ring, c.afd, kTotal), kTotal);
   std::uint64_t received = 0, corrupt = 0;
   drain_and_verify(ts, c.bfd, kTotal, &received, &corrupt);
   ASSERT_EQ(received, kTotal);
@@ -319,6 +321,7 @@ TEST(ZcTcpTx, FinTeardownReleasesEveryRetainedReference) {
 TEST(ZcTcpTx, RstAndRtoGiveUpReleaseUnackedReferences) {
   TwoStacks ts;
   const Conn c = establish(ts, 5201);
+  ZcTxRing ring(ts);
   const std::uint32_t base_a = ts.pool_a().available();
 
   // Queue zc payload, then black out the wire so nothing is ever ACKed:
@@ -332,9 +335,9 @@ TEST(ZcTcpTx, RstAndRtoGiveUpReleaseUnackedReferences) {
   std::uint64_t queued = 0;
   while (queued < kTotal) {
     FfZcBuf zc;
-    ASSERT_EQ(ff_zc_alloc(ts.a(), 1000, &zc), 0);
+    ASSERT_EQ(ring.alloc(1000, &zc), 1000);
     zc.data.write(0, pattern(1000));
-    ASSERT_EQ(ff_zc_send(ts.a(), c.afd, zc, 1000), 1000);
+    ASSERT_EQ(ring.send(c.afd, zc.token, 1000), 1000);
     queued += 1000;
   }
   EXPECT_LT(ts.pool_a().available(), base_a);
@@ -360,7 +363,7 @@ TEST(ZcTcpTx, RstAndRtoGiveUpReleaseUnackedReferences) {
   // retained references the moment it lands.
   blackout = false;
   const Conn c2 = establish(ts, 5202);
-  ASSERT_EQ(zc_send_stream(ts, c2.afd, 4'000), 4'000u);
+  ASSERT_EQ(zc_send_stream(ts, ring, c2.afd, 4'000), 4'000u);
   ff_close(ts.b(), c2.bfd);
   ff_close(ts.b(), c2.listen_fd);
   auto src = ts.heap_a().alloc_view(64);
@@ -376,11 +379,12 @@ TEST(ZcTcpTx, RstAndRtoGiveUpReleaseUnackedReferences) {
   // frees the buffer immediately: a retry pipeline cannot leak one data
   // room per doomed attempt.
   FfZcBuf dead;
-  ASSERT_EQ(ff_zc_alloc(ts.a(), 256, &dead), 0);
-  const std::int64_t dr = ff_zc_send(ts.a(), c2.afd, dead, 256);
+  ASSERT_EQ(ring.alloc(256, &dead), 256);
+  const std::int64_t dr = ring.send(c2.afd, dead.token, 256);
   EXPECT_LT(dr, 0);
   EXPECT_NE(dr, -EAGAIN);
-  EXPECT_EQ(dead.token, 0u);  // consumed, not leaked into the token table
+  // Consumed, not leaked into the token table: nothing is left to abort.
+  EXPECT_EQ(ring.abort(dead.token), -EINVAL);
   ts.pump(2000);
   EXPECT_EQ(ts.pool_a().available(), base_a);
 }
