@@ -11,9 +11,9 @@
 # starts a thread or an ff_* that src/fstack/api.hpp declares has no caller
 # in src/, bench/ or examples/, runs the repository
 # benchmark's determinism self-check (bench/e2e/run.sh --selfcheck),
-# holds each benchmark workload's smoke crossings per MiB at or below
-# bench/baseline/E2E_crossings.json and requires its virtual-clock results
-# to equal bench/baseline/E2E_virtual.json exactly.
+# requires each benchmark workload's smoke crossings per MiB to equal
+# bench/baseline/E2E_crossings.json and its virtual-clock results to equal
+# bench/baseline/E2E_virtual.json, both exactly.
 #
 # SANITIZE=1 switches to the AddressSanitizer + UBSan configuration in its
 # own build tree — the memory-safety net over the loan-based RX pipeline
@@ -210,10 +210,12 @@ if [[ "$SANITIZE" != "1" ]]; then
   # tree and replay its smoke volume deterministically on every seed check.
   bash bench/e2e/run.sh --selfcheck || status=$?
 
-  # Crossings ratchet: no workload's smoke crossings_per_mib may exceed
-  # bench/baseline/E2E_crossings.json. The figure is virtual (counted, not
-  # timed), so it is exact run to run; a change that lowers one copies the
-  # fresh numbers over the baseline, the same rule as Table I below.
+  # Crossings pin: every workload's smoke crossings_per_mib must equal
+  # bench/baseline/E2E_crossings.json. The figure is counted, not timed, so
+  # it is exact run to run, and a fall left unrecorded would let a later
+  # regression climb back into the slack unnoticed: a change that moves one
+  # regenerates the file and says why in CHANGES.md, the same rule as
+  # E2E_virtual.json.
   # The same runs replay the virtual clock: goodput, p50/p99 latency and
   # the attempted/failed counts must equal bench/baseline/E2E_virtual.json
   # exactly. A change that moves one on purpose regenerates that file and
@@ -248,8 +250,8 @@ if [[ "$SANITIZE" != "1" ]]; then
     bound="$(jq --arg w "$w" '.[$w]' bench/baseline/E2E_crossings.json)"
     echo "== crossings_per_mib $w: $got (baseline $bound)"
     if ! jq -en --argjson got "$got" --argjson bound "$bound" \
-        '$got <= $bound' > /dev/null; then
-      echo "== CROSSINGS REGRESSION: $w crossings_per_mib $got > $bound"
+        '$got == $bound' > /dev/null; then
+      echo "== CROSSINGS DRIFT: $w crossings_per_mib $got != $bound"
       status=1
     fi
     got="$(jq -c "$virtual" <<< "$line")"

@@ -110,8 +110,10 @@ struct IperfServer::RxDispatch {
     }
   }
   void on_readiness(std::uint32_t mask, std::uint64_t data) {
-    // Publications fire on any mask CHANGE, including readable->quiet:
-    // only a readable/hangup mask makes a drain burst worth submitting.
+    // A publication is a nonempty mask that changed or saw new activity
+    // (a quiet mask is recorded, never posted); an OUT or ERR edge alone
+    // leaves nothing to drain, so only a readable/hangup mask makes a
+    // drain burst worth submitting.
     if ((mask & (fstack::kEpollIn | fstack::kEpollHup)) != 0) {
       for (Conn& c : s.conns_) {
         if (c.fd == static_cast<int>(data)) c.hot = true;
@@ -330,6 +332,7 @@ void IperfClient::client_summary() {
   report_.bytes = sent_;
   report_.last_byte = clock_->now();
   ops_->close(fd_);
+  if (epfd_ >= 0) ops_->close(epfd_);
   state_ = State::kClosed;
   done_ = true;
 }
@@ -389,6 +392,17 @@ bool IperfClient::step_uring_send() {
   return progress;
 }
 
+bool IperfClient::send_space() {
+  if (epfd_ < 0) {
+    epfd_ = ops_->epoll_create();
+    if (epfd_ < 0) return true;  // no epoll: write until the stack refuses
+    ops_->epoll_ctl(epfd_, fstack::EpollOp::kAdd, fd_, fstack::kEpollOut,
+                    static_cast<std::uint64_t>(fd_));
+  }
+  fstack::FfEpollEvent ev[1];
+  return ops_->epoll_wait(epfd_, ev) > 0;
+}
+
 bool IperfClient::step() {
   if (done_) return false;
   bool progress = false;
@@ -409,14 +423,15 @@ bool IperfClient::step() {
         progress = step_uring_send();
         break;
       }
+      if (sent_ < total_ && !send_space()) return progress;
       while (sent_ < total_) {
         std::int64_t r;
+        std::uint64_t want = 0;
         if (batch_ > 1) {
           // Gather path: one ff_writev moves up to batch_ chunks (the
           // payload is synthetic, so every iovec views the same bytes).
           fstack::FfIovec iov[kMaxBatch];
           std::size_t k = 0;
-          std::uint64_t want = 0;
           for (; k < batch_ && sent_ + want < total_; ++k) {
             const std::size_t n =
                 std::min<std::uint64_t>(chunk_, total_ - sent_ - want);
@@ -425,13 +440,14 @@ bool IperfClient::step() {
           }
           r = ops_->writev(fd_, {iov, k});
         } else {
-          const std::size_t n =
-              std::min<std::uint64_t>(chunk_, total_ - sent_);
-          r = ops_->write(fd_, tx_, n);
+          want = std::min<std::uint64_t>(chunk_, total_ - sent_);
+          r = ops_->write(fd_, tx_, want);
         }
         if (r <= 0) return progress;  // buffer full: resume next step
         sent_ += static_cast<std::uint64_t>(r);
         progress = true;
+        // A short write filled the buffer: wait for space again.
+        if (static_cast<std::uint64_t>(r) < want) return progress;
       }
       client_summary();
       progress = true;

@@ -107,9 +107,12 @@ class IperfServer {
   IperfReport total_;
 };
 
-/// Sender ("client mode"). `batch` > 1 drives the API-v2 gather path:
-/// each step submits up to `batch` MSS-sized iovecs through one ff_writev
-/// (one compartment crossing per batch behind proxied ops).
+/// Sender ("client mode"). Like the ported iperf3 (§III-B), it waits on
+/// epoll: a step writes only when epoll_wait reports send space, and stops
+/// at the first short write (the buffer is full). `batch` > 1 drives the
+/// API-v2 gather path: each write submits up to `batch` MSS-sized iovecs
+/// through one ff_writev (one compartment crossing per batch behind
+/// proxied ops).
 class IperfClient {
  public:
   static constexpr std::size_t kMaxBatch = 64;
@@ -139,6 +142,9 @@ class IperfClient {
   enum class State : std::uint8_t { kConnecting, kSending, kClosed };
 
   bool step_uring_send();
+  /// The copying send path's wait: true when epoll_wait reports fd_
+  /// writable (or epoll is unavailable). Makes the epfd on first use.
+  bool send_space();
   void client_summary();
 
   FfOps* ops_;
@@ -150,6 +156,7 @@ class IperfClient {
   std::size_t chunk_;
   std::size_t batch_;
   int fd_ = -1;
+  int epfd_ = -1;  // kEpollOut on fd_; made by the first copying send step
   State state_ = State::kConnecting;
   std::uint64_t sent_ = 0;
   bool done_ = false;

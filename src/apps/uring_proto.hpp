@@ -262,7 +262,9 @@ class UringZcTxProto {
 /// The receive-pipeline CQE discipline every ring consumer shares. `h` is
 /// any type providing:
 ///   on_accept(int fd, const FfSockAddrIn& peer)
-///   on_readiness(std::uint32_t mask, std::uint64_t data)
+///   on_readiness(std::uint32_t mask, std::uint64_t data) // a nonempty
+///                                         // mask; an arm's final CQE
+///                                         // (-ECANCELED, -EBADF) is not one
 ///   on_loan(const FfUringCqe& cqe)        // result >= 0, token in aux0
 ///   on_eof(std::uint64_t user_data)       // kCqeEof
 ///   on_drained(std::uint64_t user_data)   // drained: await readiness
@@ -279,7 +281,9 @@ bool dispatch_rx_cqe(const fstack::FfUringCqe& cqe, Handler&& h) {
       }
       return true;
     case fstack::UringOp::kEpollArm:
-      h.on_readiness(static_cast<std::uint32_t>(cqe.result), cqe.aux0);
+      if (cqe.result >= 0) {
+        h.on_readiness(static_cast<std::uint32_t>(cqe.result), cqe.aux0);
+      }
       return true;
     case fstack::UringOp::kZcRecv:
       if ((cqe.flags & fstack::kCqeEof) != 0) {

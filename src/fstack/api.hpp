@@ -147,8 +147,18 @@ int ff_epoll_create(FfStack& st);
 int ff_epoll_ctl(FfStack& st, int epfd, EpollOp op, int fd,
                  std::uint32_t events, std::uint64_t data);
 /// Entry kEpollWait (row kEpollWait: 12-byte records, checked before the
-/// call); SQE OP_EPOLL_ARM (readiness CQEs with kCqeMore while armed);
-/// row - for the direct call. Events written; -EBADF.
+/// call); SQE OP_EPOLL_ARM (readiness CQEs with kCqeMore while armed; an
+/// arm that ends, because its epfd closed, another ring re-armed it or its
+/// ring detached, posts one last CQE without kCqeMore, result -ECANCELED);
+/// row - for the direct call. Events written; -EBADF. On an armed epfd the
+/// call first publishes what it is about to report, so any readiness that
+/// rises after an answer of 0 posts a CQE.
+/// Scenario 2's proxy answers 0 without crossing when that is provable:
+/// its last crossing for the epfd answered 0, it has made no crossing
+/// since, no app on the shard has crossed into ff_epoll_ctl or a doorbell
+/// since, and its own live arm on the epfd has posted nothing since.
+/// Readiness rises only in the main loop, which publishes it, or through
+/// those calls, so the answer is exact (scenarios/scenario2.hpp).
 int ff_epoll_wait(FfStack& st, int epfd, std::span<FfEpollEvent> events);
 
 // ------------------------------------------------------------ the ring

@@ -14,11 +14,11 @@ int EpollInstance::ctl(EpollOp op, int fd, std::uint32_t events,
     case EpollOp::kMod: {
       const auto it = interest_.find(fd);
       if (it == interest_.end()) return -ENOENT;
-      it->second = Interest{events, data};
+      it->second.events = events;  // the publication record stays
+      it->second.data = data;
       return 0;
     }
     case EpollOp::kDel:
-      last_.erase(fd);
       return interest_.erase(fd) > 0 ? 0 : -ENOENT;
   }
   return -EINVAL;
@@ -27,26 +27,19 @@ int EpollInstance::ctl(EpollOp op, int fd, std::uint32_t events,
 void EpollInstance::arm_sink(
     std::function<bool(std::uint32_t, std::uint64_t)> sink) {
   sink_ = std::move(sink);
-  last_.clear();  // re-arming republishes the current readiness
+  forget_published();  // re-arming republishes the current readiness
 }
 
 void EpollInstance::disarm() {
   sink_ = nullptr;
-  last_.clear();
+  forget_published();
 }
 
-bool EpollInstance::publish(int fd, std::uint32_t ready, std::uint64_t gen) {
-  auto& last = last_[fd];
-  if (ready == 0) {  // went quiet: remember, but epoll delivers no event
-    last.mask = 0;
-    last.gen = gen;
-    return false;
+void EpollInstance::forget_published() {
+  for (auto& [fd, w] : interest_) {
+    w.published = 0;
+    w.published_gen = 0;
   }
-  if (ready == last.mask && gen == last.gen) return false;
-  if (!sink_(ready, interest_.at(fd).data)) return false;  // CQ full: retry
-  last.mask = ready;
-  last.gen = gen;
-  return true;
 }
 
 }  // namespace cherinet::fstack

@@ -30,6 +30,10 @@ class EpollInstance {
   struct Interest {
     std::uint32_t events = 0;
     std::uint64_t data = 0;
+    // The edge publisher's record for this fd (see publish): the last
+    // mask published (0: quiet, or nothing yet) and its generation.
+    std::uint32_t published = 0;
+    std::uint64_t published_gen = 0;
   };
 
   int ctl(EpollOp op, int fd, std::uint32_t events, std::uint64_t data);
@@ -40,7 +44,7 @@ class EpollInstance {
   // ---- multishot delivery (the ff_uring OP_EPOLL_ARM path) ----
   // While armed, the owning stack publishes readiness-CHANGE events through
   // the sink every main-loop iteration; the application reaps them as CQEs
-  // without crossing back in (io_uring multishot poll). publish() is the
+  // without crossing back in (io_uring multishot poll). publish_all() is the
   // stack's one edge publisher: accepted fds join an armed interest set
   // through ctl (OP_EPOLL_CTL) — there is no per-fd arm beside it.
 
@@ -51,24 +55,47 @@ class EpollInstance {
   void disarm();
   [[nodiscard]] bool armed() const noexcept { return sink_ != nullptr; }
 
-  /// Publish `ready` for `fd` if the mask changed OR new readiness
-  /// activity happened since the last publication (`gen` is a monotonic
-  /// per-fd activity counter: bytes delivered, connections queued, …).
-  /// Without the generation, a consumer that drains to -EAGAIN right
-  /// before more data lands would never see another event — the classic
-  /// edge-trigger lost wakeup. Returns true when an event was delivered
-  /// (false: no change, empty mask, or the sink deferred).
-  bool publish(int fd, std::uint32_t ready, std::uint64_t gen);
+  /// Publish each watched fd's readiness if its mask changed OR new
+  /// readiness activity happened since its last publication. `probe(fd,
+  /// events)` answers {ready mask, gen}; `gen` is a monotonic per-fd
+  /// activity counter (bytes delivered, connections queued, bytes
+  /// acknowledged for an OUT watch). Without the generation, a consumer
+  /// that drains to -EAGAIN (or fills the send buffer) right before more
+  /// data lands (or an ACK frees space) would never see another event —
+  /// the classic edge-trigger lost wakeup. A quiet mask is recorded, never
+  /// delivered; a deferring sink (full CQ) leaves the record for a retry.
+  /// Returns the events delivered.
+  template <typename Probe>
+  int publish_all(Probe&& probe) {
+    int delivered = 0;
+    deferred_ = false;
+    for (auto& [fd, w] : interest_) {
+      const auto [ready, gen] = probe(fd, w.events);
+      if (ready == 0) {
+        w.published = 0;
+        w.published_gen = gen;
+      } else if (ready != w.published || gen != w.published_gen) {
+        if (!sink_(ready, w.data)) {
+          deferred_ = true;
+          continue;
+        }
+        w.published = ready;
+        w.published_gen = gen;
+        ++delivered;
+      }
+    }
+    return delivered;
+  }
+  /// The last publish_all left an edge unposted (the sink deferred).
+  [[nodiscard]] bool deferred() const noexcept { return deferred_; }
 
  private:
-  struct Published {
-    std::uint32_t mask = 0;
-    std::uint64_t gen = 0;
-  };
+  /// Forget every publication: the next pass republishes all readiness.
+  void forget_published();
 
   std::map<int, Interest> interest_;
   std::function<bool(std::uint32_t, std::uint64_t)> sink_;
-  std::map<int, Published> last_;
+  bool deferred_ = false;
 };
 
 }  // namespace cherinet::fstack

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "fstack/checksum.hpp"
 
@@ -113,7 +114,7 @@ bool FfStack::run_once() {
   progress |= flush_tx() > 0;
 
   reap_closed();
-  publish_multishot();
+  publish_multishot(progress);
   return progress;
 }
 
@@ -284,14 +285,19 @@ FfStack::TcpRecoveryStats FfStack::tcp_recovery_stats() const {
   return out;
 }
 
-std::uint64_t FfStack::sock_rx_activity(int fd) const {
+std::uint64_t FfStack::sock_activity(int fd, std::uint32_t events) const {
   const Socket* s = socks_.get(fd);
   if (s == nullptr) return 0;
   switch (s->kind) {
-    case SockKind::kTcp:
+    case SockKind::kTcp: {
       if (s->pcb == nullptr) return 0;
       if (s->listening) return s->pcb->accept_ready_total;
-      return s->pcb->counters().bytes_in;
+      // Send space is activity only to an OUT watch: a consumer that
+      // filled the buffer between two publications must hear of the ACK
+      // that frees it even though the mask reads OUT both times.
+      const TcpPcb::Counters& c = s->pcb->counters();
+      return c.bytes_in + ((events & kEpollOut) != 0 ? c.bytes_acked : 0);
+    }
     case SockKind::kUdp:
       return s->udp->delivered_total();
     case SockKind::kEpoll:
@@ -300,25 +306,24 @@ std::uint64_t FfStack::sock_rx_activity(int fd) const {
   return 0;
 }
 
-int FfStack::publish_ready(EpollInstance& ep) {
-  int published = 0;
-  for (const auto& [fd, interest] : ep.interest()) {
-    const std::uint32_t ready =
-        sock_readiness(fd) & (interest.events | kEpollErr | kEpollHup);
-    if (ep.publish(fd, ready, sock_rx_activity(fd))) {
-      api_.multishot_events++;
-      ++published;
-    }
-  }
-  return published;
+void FfStack::publish_ready(EpollInstance& ep) {
+  const int published = ep.publish_all([this](int fd, std::uint32_t events) {
+    return std::pair{sock_readiness(fd) & (events | kEpollErr | kEpollHup),
+                     sock_activity(fd, events)};
+  });
+  api_.multishot_events += static_cast<std::uint64_t>(published);
 }
 
-void FfStack::publish_multishot() {
-  socks_.for_each([this](Socket& s) {
-    if (s.kind == SockKind::kEpoll && s.epoll && s.epoll->armed()) {
-      publish_ready(*s.epoll);
+void FfStack::publish_multishot(bool progress) {
+  const bool changed = progress || fd_lookups_ != published_lookups_;
+  published_lookups_ = fd_lookups_;
+  for (auto& [id, r] : urings_) {
+    uring_post_arm_ends(r);  // an arm's end posts before later edges
+    for (const UringReg::EpollArm& a : r.epoll_arms) {
+      EpollInstance& ep = *socks_.get(a.epfd)->epoll;
+      if (changed || ep.deferred()) publish_ready(ep);
     }
-  });
+  }
 }
 
 // ===========================================================================
@@ -1690,9 +1695,9 @@ int FfStack::sock_close(int fd) {
       }
       break;
     case SockKind::kEpoll:
-      // The fd may be reused: forget uring CQ sinks armed through it so a
-      // later detach cannot disarm an unrelated successor instance.
-      for (auto& [id, r] : urings_) std::erase(r.epoll_arms, fd);
+      // The fd may be reused: end the arm made through it, so its ring
+      // hears the end and a later detach cannot disarm a successor.
+      uring_end_epoll_arm(fd, nullptr);
       break;
   }
   // The fd leaves every interest set with it, as on Linux: a successor
@@ -1748,6 +1753,11 @@ int FfStack::epoll_ctl(int epfd, EpollOp op, int fd, std::uint32_t events,
 int FfStack::epoll_wait(int epfd, std::span<FfEpollEvent> out) {
   Socket* e = scoped_sock(epfd);
   if (e == nullptr || e->kind != SockKind::kEpoll) return -EBADF;
+  // An armed instance's edge publisher is re-baselined to what this call
+  // reports: readiness that appears after an answer of 0 posts a CQE even
+  // when the caller filled a buffer and waits again before the loop's
+  // next publication.
+  if (e->epoll->armed()) publish_ready(*e->epoll);
   int n = 0;
   for (const auto& [fd, interest] : e->epoll->interest()) {
     if (n == static_cast<int>(out.size())) break;
@@ -1877,12 +1887,13 @@ int FfStack::uring_attach(const machine::CapView& mem,
 int FfStack::uring_detach(int id) {
   const auto it = urings_.find(id);
   if (it == urings_.end()) return -EBADF;
-  for (const int epfd : it->second.epoll_arms) {
-    Socket* e = socks_.get(epfd);
-    if (e != nullptr && e->kind == SockKind::kEpoll && e->epoll) {
-      e->epoll->disarm();
-    }
+  // The ring's epoll arms end with it, and say so while the ring is still
+  // delegated: what a full CQ cannot take, no one is left to reap.
+  for (const UringReg::EpollArm& a : it->second.epoll_arms) {
+    socks_.get(a.epfd)->epoll->disarm();
+    it->second.ended_arms.push_back(a.user_data);
   }
+  uring_post_arm_ends(it->second);
   urings_.erase(it);
   return 0;
 }
@@ -1942,6 +1953,12 @@ bool FfStack::drain_urings() {
       spent_any = false;
       for (auto& [id, r] : urings_) {
         if (budget == 0) break;
+        // A ring with nothing queued, no arm to serve and no stall streak
+        // has nothing the CQ check or the drain could change.
+        if (uring_sq_pending(r) == 0 && r.accept_arms.empty() &&
+            r.connect_arms.empty() && r.cq_stall_rounds == 0) {
+          continue;
+        }
         if (uring_cq_stalled(r)) continue;
         const std::uint32_t w = tenants_.drain_weight(r.tenant);
         const auto share = std::max<std::uint32_t>(
@@ -2046,6 +2063,10 @@ bool FfStack::uring_cq_emit(UringReg& r, std::uint64_t user_data,
 }
 
 std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
+  const std::uint32_t tail = r.mem.atomic_load_u32(FfUring::kSqTail);
+  std::uint32_t head = r.mem.atomic_load_u32(FfUring::kSqHead);
+  std::uint32_t pending = tail - head;
+  if (pending == 0) return 0;  // the idle ring's whole cost
   std::uint32_t consumed = 0;
   // Ops executed by the drain defer their tail flushes (sync_flush) to the
   // ONE flush the caller performs after the whole window — per-SQE driver
@@ -2056,9 +2077,6 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
   // and token-table lookups all read the adopted context.
   const TenantScope tenant_scope(*this, r.tenant, Door::kRing);
   budget = std::min(budget, kUringDrainBudget);  // decode scratch bound
-  const std::uint32_t tail = r.mem.atomic_load_u32(FfUring::kSqTail);
-  std::uint32_t head = r.mem.atomic_load_u32(FfUring::kSqHead);
-  std::uint32_t pending = tail - head;
   if (pending > 0 && budget > 0) {
     // Peek the HEAD entry's completion demand before committing to a
     // sweep: the drain is FIFO, so if the head cannot complete, nothing
@@ -2294,9 +2312,10 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
               uring_cq_emit(r, d.user_data, -EBADF, d.op, 0, 0, 0, nullptr);
               break;
             }
-            // Re-arming moves ownership: no other ring may keep a claim
-            // on this epfd (its detach would disarm OUR delivery).
-            uring_forget_epoll_arm(d.fd);
+            // Re-arming moves ownership: the ring that held the arm hears
+            // it end, and its detach can no longer disarm OUR delivery.
+            // Re-arming on the same ring replaces the arm in place.
+            uring_end_epoll_arm(d.fd, &r);
             UringReg* reg = &r;  // std::map references are stable
             const std::uint64_t ud = d.user_data;
             e->epoll->arm_sink(
@@ -2306,9 +2325,13 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
                                        UringOp::kEpollArm, kCqeMore, data, 0,
                                        nullptr);
                 });
-            if (std::find(r.epoll_arms.begin(), r.epoll_arms.end(), d.fd) ==
-                r.epoll_arms.end()) {
-              r.epoll_arms.push_back(d.fd);
+            const auto own = std::find_if(
+                r.epoll_arms.begin(), r.epoll_arms.end(),
+                [&d](const UringReg::EpollArm& a) { return a.epfd == d.fd; });
+            if (own == r.epoll_arms.end()) {
+              r.epoll_arms.push_back({d.fd, ud});
+            } else {
+              own->user_data = ud;
             }
             api_.multishot_arms++;
             publish_ready(*e->epoll);  // immediate readiness snapshot
@@ -2326,8 +2349,27 @@ std::uint32_t FfStack::uring_drain_sqes(UringReg& r, std::uint32_t budget) {
   return consumed;
 }
 
-void FfStack::uring_forget_epoll_arm(int epfd) {
-  for (auto& [id, reg] : urings_) std::erase(reg.epoll_arms, epfd);
+void FfStack::uring_end_epoll_arm(int epfd, const UringReg* keep) {
+  for (auto& [id, reg] : urings_) {
+    if (&reg == keep) continue;
+    const auto it = std::find_if(
+        reg.epoll_arms.begin(), reg.epoll_arms.end(),
+        [epfd](const UringReg::EpollArm& a) { return a.epfd == epfd; });
+    if (it == reg.epoll_arms.end()) continue;
+    reg.ended_arms.push_back(it->user_data);
+    reg.epoll_arms.erase(it);
+    uring_post_arm_ends(reg);
+  }
+}
+
+void FfStack::uring_post_arm_ends(UringReg& r) {
+  // Deferred (the overflow word counts it), never dropped: what a full CQ
+  // refuses, publish_multishot retries.
+  while (!r.ended_arms.empty() &&
+         uring_cq_emit(r, r.ended_arms.front(), -ECANCELED,
+                       UringOp::kEpollArm, 0, 0, 0, nullptr)) {
+    r.ended_arms.erase(r.ended_arms.begin());
+  }
 }
 
 bool FfStack::uring_service_accept(UringReg& r) {

@@ -384,6 +384,7 @@ class FfStack final : public TcpEnv {
   /// ring's fd-taking ops): a neighbour's fd reads as no fd at all, so the
   /// caller answers -EBADF. Internal walks keep socks_.get.
   [[nodiscard]] Socket* scoped_sock(int fd) {
+    ++fd_lookups_;
     Socket* s = socks_.get(fd);
     return s != nullptr && foreign_tenant(s->tenant) ? nullptr : s;
   }
@@ -416,7 +417,17 @@ class FfStack final : public TcpEnv {
       std::uint64_t user_data = 0;
     };
     std::vector<AcceptArm> accept_arms;  // OP_ACCEPT_MULTISHOT listeners
-    std::vector<int> epoll_arms;         // epfds sinking CQEs into this ring
+    /// OP_EPOLL_ARM arms whose readiness sinks into this ring. Every armed
+    /// EpollInstance sits in exactly one ring's list, so the per-iteration
+    /// publication walks these lists, not the socket table.
+    struct EpollArm {
+      int epfd = -1;
+      std::uint64_t user_data = 0;
+    };
+    std::vector<EpollArm> epoll_arms;
+    /// Arms that ended while the CQ was full: their final -ECANCELED CQE
+    /// (user_data each) posts before the next readiness publication.
+    std::vector<std::uint64_t> ended_arms;
     /// OP_CONNECT submissions in flight: the CQE posts when the handshake
     /// resolves (0 on ESTABLISHED, -errno on refusal/timeout).
     struct ConnectArm {
@@ -463,11 +474,13 @@ class FfStack final : public TcpEnv {
   bool uring_service_connect(UringReg& r);
   /// Drop fd from every ring's connect arms (socket closed or errored).
   void uring_forget_fd(int fd);
-  /// Drop `epfd` from every ring's epoll_arms list. Called whenever an
-  /// epoll instance's multishot delivery is re-armed onto another ring:
-  /// the OLD ring must not disarm the new owner's delivery when it
-  /// detaches later.
-  void uring_forget_epoll_arm(int epfd);
+  /// End `epfd`'s arm on every ring but `keep` (the epfd closed, or was
+  /// re-armed onto `keep`): the ring that loses it gets a final CQE without
+  /// kCqeMore, result -ECANCELED (io_uring's multishot discipline), and a
+  /// later detach of that ring cannot disarm the new owner's delivery.
+  void uring_end_epoll_arm(int epfd, const UringReg* keep);
+  /// Post the final CQEs of `r.ended_arms` while the CQ has room.
+  void uring_post_arm_ends(UringReg& r);
 
   // housekeeping
   void process_timers(sim::Ns now, bool& progress);
@@ -483,15 +496,17 @@ class FfStack final : public TcpEnv {
   /// Fold a dying PCB's recovery counters into the reaped accumulator so
   /// tcp_recovery_stats() keeps counting across connection churn.
   void accumulate_reaped(const TcpPcb& pcb);
-  void publish_multishot();
+  /// The loop's publication pass. `progress`: the iteration changed stack
+  /// state.
+  void publish_multishot(bool progress);
   /// Monotonic readiness-activity counter (bytes delivered / connections
-  /// queued): the generation publish_ready keys on.
-  [[nodiscard]] std::uint64_t sock_rx_activity(int fd) const;
+  /// queued, plus bytes acknowledged when `events` watches kEpollOut): the
+  /// generation publish_ready keys on.
+  [[nodiscard]] std::uint64_t sock_activity(int fd, std::uint32_t events) const;
   /// Publish current readiness of every interest-set fd through `ep`'s
-  /// armed sink; returns events delivered (shared by arm-time and
-  /// per-iteration publication so the masking/generation keying cannot
-  /// diverge).
-  int publish_ready(EpollInstance& ep);
+  /// armed sink (shared by arm-time, per-iteration and ff_epoll_wait
+  /// publication so the masking/generation keying cannot diverge).
+  void publish_ready(EpollInstance& ep);
   // With a known peer (connect), only ports whose reply-direction RSS hash
   // steers back to this shard's RX queue qualify — a flow's whole lifetime
   // stays on one shard. Peer-less allocation (bind) takes any free port.
@@ -586,6 +601,11 @@ class FfStack final : public TcpEnv {
   // True while a uring drain executes SQEs: per-op tail flushes defer to
   // the drain's one end-of-window flush (see sync_flush).
   bool in_uring_drain_ = false;
+  // Readiness changes only where the loop progresses or an entry point
+  // looks an fd up (scoped_sock): a publication pass with neither since
+  // the last one has nothing new to say, unless a full CQ deferred an edge.
+  std::uint64_t fd_lookups_ = 0;
+  std::uint64_t published_lookups_ = 0;
 
   // ---- tenants ----
   TenantTable tenants_;

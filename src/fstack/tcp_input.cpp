@@ -230,6 +230,7 @@ void TcpPcb::process_ack(const TcpHeader& h, const TcpOptions& opts,
   }
   const std::size_t consume = std::min<std::size_t>(acked, snd_.used());
   if (consume > 0) snd_.consume(consume);
+  counters_.bytes_acked += consume;
   snd_una_ = ack;
   rexmit_shift_ = 0;
   sb_.ack(ack, [this, now](const SackScoreboard::Range& r) {

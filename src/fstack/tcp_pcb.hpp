@@ -243,6 +243,7 @@ class TcpPcb {
     std::uint64_t segs_out = 0;
     std::uint64_t bytes_in = 0;
     std::uint64_t bytes_out = 0;
+    std::uint64_t bytes_acked = 0;   // send-buffer bytes freed by ACKs
     std::uint64_t rexmits = 0;       // retransmitted segments (all causes)
     // Of those, the ones sent in fast recovery: ranges the scoreboard
     // marked lost before any RTO.

@@ -90,6 +90,9 @@ enum class UringOp : std::uint32_t {
   kAcceptMultishot = 6,  // arm: every accepted conn on fd posts a CQE;
                          //   a0 is reserved (nonzero: -EINVAL, no arm)
   kEpollArm = 7,         // arm: readiness of epfd's interest set posts CQEs
+                         //   (kCqeMore); the arm's end (epfd closed,
+                         //   re-armed on another ring, ring detached) posts
+                         //   a last CQE without it, result -ECANCELED
   kZcAlloc = 8,          // a0=buffers (<=8), a1=len each; one CQE per
                          //   reservation: aux0=token, cap=writable bounded
                          //   view into the mbuf data room

@@ -775,8 +775,8 @@ void ring_rx(LockstepRig& rig, std::uint64_t total, Census& out) {
         progress = true;
       }
       void on_readiness(std::uint32_t mask, std::uint64_t) {
-        // Mask changes include readable->quiet; only a readable/hangup
-        // mask warrants a drain burst.
+        // Only a readable/hangup mask warrants a drain burst (quiet masks
+        // are never posted).
         if ((mask & (fstack::kEpollIn | fstack::kEpollHup)) != 0) hot = true;
       }
       void on_loan(const fstack::FfUringCqe& cqe) {

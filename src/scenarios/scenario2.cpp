@@ -14,6 +14,10 @@ using fstack::Op;
 
 constexpr std::size_t kMaxProxyEvents = 64;
 constexpr std::size_t kMaxZcRecords = 64;
+// The readiness ring carries only OP_EPOLL_ARM submissions; its CQ holds
+// the edges posted between two waits.
+constexpr std::uint32_t kEdgeSq = 4;
+constexpr std::uint32_t kEdgeCq = 64;
 
 constexpr std::uint64_t arg(int v) { return static_cast<std::uint64_t>(v); }
 
@@ -41,7 +45,8 @@ Scenario2Service::Scenario2Service(iv::Intravisor& iv, iv::CVM& cvm1,
     : iv_(iv),
       cvm1_(cvm1),
       shards_(std::move(shards)),
-      proxied_calls_(shards_.size()) {
+      proxied_calls_(shards_.size()),
+      interest_calls_(shards_.size()) {
   mutex_words_.reserve(shards_.size());
   mutexes_.reserve(shards_.size());
   for (std::size_t j = 0; j < shards_.size(); ++j) {
@@ -67,7 +72,9 @@ std::unique_ptr<apps::FfOps> Scenario2Service::make_proxy_ops(
 
 ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
                        int tid)
-    : svc_(svc), app_(app) {
+    : svc_(svc),
+      app_(app),
+      interest_calls_(&svc->interest_calls_.at(shard)) {
   event_buf_ = app_->heap().alloc_view(kMaxProxyEvents * kEventRecordBytes);
   zc_buf_ = app_->heap().alloc_view(kMaxZcRecords * kZcRecordBytes);
 
@@ -79,6 +86,7 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
   fstack::FfStack* st = &svc_->shards_.at(shard)->stack();
   iv::CompartmentMutex* mtx = svc_->mutexes_.at(shard).get();
   std::uint64_t* calls = &svc_->proxied_calls_[shard];
+  std::uint64_t* interest = &svc_->interest_calls_[shard];
   iv::MuslLibc* libc = &app_->libc();  // the *caller's* futex path
   // Entry names are global: suffix the shard so one app may pin proxies to
   // several shards without colliding.
@@ -194,7 +202,8 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
       }));
   e_[kEpollCtl] = reg.install(
       tag + ":ff_epoll_ctl", target,
-      wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
+      wrap([st, interest](machine::CrossCallArgs& a) -> std::int64_t {
+        ++*interest;
         return fstack::ff_epoll_ctl(
             *st, static_cast<int>(a.a[0]),
             static_cast<fstack::EpollOp>(a.a[1]), static_cast<int>(a.a[2]),
@@ -276,14 +285,22 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
       wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
         return fstack::ff_uring_detach(*st, static_cast<int>(a.a[0]));
       }));
+  // The doorbell's drain may run OP_EPOLL_CTL: it counts with ff_epoll_ctl
+  // as a crossing that can add readiness to any app's interest set.
   e_[kUringDoorbell] = reg.install(
       tag + ":ff_uring_doorbell", target,
-      wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
+      wrap([st, interest](machine::CrossCallArgs& a) -> std::int64_t {
+        ++*interest;
         return fstack::ff_uring_doorbell(*st, static_cast<int>(a.a[0]));
       }));
 }
 
+ProxyFfOps::~ProxyFfOps() {
+  if (edges_id_ >= 0) uring_detach(edges_id_);
+}
+
 std::int64_t ProxyFfOps::call(Entry e, machine::CrossCallArgs& args) {
+  ++crossings_;
   return static_cast<std::int64_t>(svc_->iv_.entries().invoke(e_[e], args));
 }
 
@@ -431,7 +448,14 @@ int ProxyFfOps::uring_doorbell(int id) {
 }
 
 int ProxyFfOps::close(int fd) {
-  return static_cast<int>(call(kClose, {arg(fd)}));
+  const int r = static_cast<int>(call(kClose, {arg(fd)}));
+  // A watched epfd's arm ended with it (its final CQE is reaped here); a
+  // successor reusing the number starts a watch of its own.
+  if (watches_.contains(fd)) {
+    reap_edges();
+    watches_.erase(fd);
+  }
+  return r;
 }
 
 int ProxyFfOps::epoll_create() {
@@ -445,7 +469,77 @@ int ProxyFfOps::epoll_ctl(int epfd, fstack::EpollOp op, int fd,
       {arg(epfd), static_cast<std::uint64_t>(op), arg(fd), events, data}));
 }
 
+void ProxyFfOps::reap_edges() {
+  if (!edges_) return;
+  // One CQE at a time: edges are rare, and the empty CQ of a quiet wait
+  // is its hot path.
+  fstack::FfUringCqe cqe;
+  std::size_t popped = 0;
+  for (; edges_->cq_pop({&cqe, 1}) == 1; ++popped) {
+    const auto it = watches_.find(static_cast<int>(cqe.user_data));
+    if (it == watches_.end()) continue;
+    if ((cqe.flags & fstack::kCqeMore) != 0) {
+      it->second.quiet = false;  // an edge since the last crossing
+    } else {
+      it->second.arm = Watch::Arm::kDead;  // -ECANCELED, or -EBADF
+    }
+  }
+  // A deferred CQE may be an arm's end that a detach then lost: no arm on
+  // this ring can be trusted again. Only a reap that found the CQ full can
+  // follow an overflow (nothing else empties it).
+  if (popped >= kEdgeCq && edges_->cq_overflows() != edges_overflows_) {
+    edges_overflows_ = edges_->cq_overflows();
+    for (auto& [fd, w] : watches_) w.arm = Watch::Arm::kDead;
+  }
+  if (pending_arms_ > 0 && edges_->sq_pending() == 0) {  // all drained
+    pending_arms_ = 0;
+    for (auto& [fd, w] : watches_) {
+      if (w.arm == Watch::Arm::kPending) w.arm = Watch::Arm::kLive;
+    }
+  }
+}
+
+ProxyFfOps::Watch& ProxyFfOps::watch(int epfd) {
+  reap_edges();
+  Watch& w = watches_[epfd];
+  if (w.arm != Watch::Arm::kNone || edges_failed_) return w;
+  if (!edges_) {
+    const machine::CapView mem =
+        app_->heap().alloc_view(fstack::FfUring::bytes_for(kEdgeSq, kEdgeCq));
+    fstack::FfUring ring(mem, kEdgeSq, kEdgeCq);
+    const int id = uring_attach(mem, kEdgeSq, kEdgeCq);
+    if (id < 0) {
+      app_->heap().free(mem.cap());
+      edges_failed_ = true;
+      return w;
+    }
+    edges_ = ring;
+    edges_id_ = id;
+  }
+  fstack::FfUringSqe arm;
+  arm.op = fstack::UringOp::kEpollArm;
+  arm.fd = epfd;
+  arm.user_data = static_cast<std::uint64_t>(epfd);
+  switch (edges_->sq_push(arm)) {
+    case fstack::FfUring::Push::kFull:
+      return w;  // submitted on a later wait
+    case fstack::FfUring::Push::kDoorbell:
+      uring_doorbell(edges_id_);
+      break;
+    case fstack::FfUring::Push::kQueued:
+      break;
+  }
+  w.arm = Watch::Arm::kPending;
+  ++pending_arms_;
+  return w;
+}
+
 int ProxyFfOps::epoll_wait(int epfd, std::span<fstack::FfEpollEvent> out) {
+  Watch& w = watch(epfd);
+  if (w.arm == Watch::Arm::kLive && w.quiet && crossings_ == w.own_mark &&
+      *interest_calls_ == w.interest_mark) {
+    return 0;
+  }
   const int n = static_cast<int>(call(
       kEpollWait, {arg(epfd), std::min(out.size(), kMaxProxyEvents)},
       event_buf_));
@@ -454,6 +548,10 @@ int ProxyFfOps::epoll_wait(int epfd, std::span<fstack::FfEpollEvent> out) {
     out[i].events = event_buf_.load<std::uint32_t>(off);
     out[i].data = event_buf_.load<std::uint64_t>(off + 4);
   }
+  // An empty `out` reads nothing, so its 0 proves nothing.
+  w.quiet = n == 0 && !out.empty();
+  w.own_mark = crossings_;
+  w.interest_mark = *interest_calls_;
   return n;
 }
 

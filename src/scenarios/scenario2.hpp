@@ -11,6 +11,28 @@
 // app's tenant. Every other verb — zero-copy TX, QoS classes, multishot
 // accept — rides the app's ff_uring ring, so the boundary is no wider.
 //
+// Waiting without crossing. A proxied ff_epoll_wait answers 0 from the app
+// side, with no crossing, when that answer is provably what the stack
+// would give. On an app's first epoll_wait the proxy attaches one small
+// ff_uring of its own (one crossing) and arms each epfd it waits on with
+// OP_EPOLL_ARM (user_data = epfd), ringing the doorbell only when sq_push
+// asks. Readiness rises only in the stack's main loop (input, ACKs,
+// timers, ring drains), which ends every iteration by publishing each
+// armed epfd's readiness edges as CQEs, or in a crossing that edits an
+// interest set (ff_epoll_ctl, or a doorbell whose drain runs
+// OP_EPOLL_CTL); other calls only consume readiness. And the stack's
+// ff_epoll_wait re-baselines an armed epfd's edge publisher to the answer
+// it gives, so whatever rises after a crossing that answered 0 posts a
+// CQE. The proxy therefore answers 0 locally exactly when:
+//   * its previous crossing for that epfd answered 0,
+//   * it has made no other crossing since, and no app pinned to the shard
+//     has crossed into ff_epoll_ctl or a doorbell since,
+//   * the arm is live (drained, and not ended), and
+//   * the arm has posted no CQE since.
+// Otherwise it crosses. An arm ends visibly, with a final CQE
+// without kCqeMore; an ended arm, a failed attach or a CQ overflow means
+// "always cross" for the epfds concerned.
+//
 // Sharded mode: cVM1 may run N independent FfStack SHARDS, each with its
 // own mempool, PCB table, ARP cache, timer wheel, uring drain set — and its
 // own coordination mutex. An app compartment is pinned to ONE shard at
@@ -22,11 +44,13 @@
 
 #include <array>
 #include <initializer_list>
+#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "apps/ff_ops.hpp"
+#include "fstack/uring.hpp"
 #include "intravisor/compartment_mutex.hpp"
 #include "intravisor/intravisor.hpp"
 #include "scenarios/stack_instance.hpp"
@@ -82,8 +106,13 @@ class Scenario2Service {
   std::vector<machine::CapView> mutex_words_;
   std::vector<std::unique_ptr<iv::CompartmentMutex>> mutexes_;
   // Fixed-size after construction: each shard's entries hold a pointer to
-  // its counter.
+  // its counters.
   std::vector<std::uint64_t> proxied_calls_;
+  // Per shard: the crossings that can add readiness to ANY app's interest
+  // set (ff_epoll_ctl, and the doorbell, whose drain may run
+  // OP_EPOLL_CTL). A proxy's quiet epoll answer survives every other
+  // app's crossing but these.
+  std::vector<std::uint64_t> interest_calls_;
 };
 
 /// Client-side stubs living in the application compartment.
@@ -94,7 +123,7 @@ class ProxyFfOps final : public apps::FfOps {
     // the v1 calls Fig. 4-6 and Table II time
     kSocket, kBind, kListen, kAccept, kConnect, kWrite, kRead, kClose,
     kWritev, kReadv, kZcRecv, kZcRecycle,  // gated census legs
-    kEpollCreate, kEpollCtl, kEpollWait,   // EchoServer, IperfServer
+    kEpollCreate, kEpollCtl, kEpollWait,   // EchoServer, the iperf apps
     kUringAttach, kUringDetach, kUringDoorbell,
     kEntryCount
   };
@@ -102,6 +131,10 @@ class ProxyFfOps final : public apps::FfOps {
 
   ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard = 0,
              int tid = 0);
+  /// Detaches the readiness ring, if epoll_wait attached one.
+  ~ProxyFfOps() override;
+  ProxyFfOps(const ProxyFfOps&) = delete;
+  ProxyFfOps& operator=(const ProxyFfOps&) = delete;
 
   int socket_stream() override;
   int bind(int fd, fstack::Ipv4Addr ip, std::uint16_t port) override;
@@ -139,6 +172,8 @@ class ProxyFfOps final : public apps::FfOps {
   int epoll_create() override;
   int epoll_ctl(int epfd, fstack::EpollOp op, int fd, std::uint32_t events,
                 std::uint64_t data) override;
+  /// Answers 0 without crossing when the readiness ring proves it (see
+  /// the header comment); crosses otherwise.
   int epoll_wait(int epfd, std::span<fstack::FfEpollEvent> out) override;
 
   /// The sealed pair behind entry `e` — the handle the app already holds,
@@ -156,11 +191,40 @@ class ProxyFfOps final : public apps::FfOps {
   /// batch is done or a chunk comes back short.
   std::int64_t chunked(Entry e, int fd, std::span<const fstack::FfIovec> iov);
 
+  /// What the proxy knows of one epfd it waits on.
+  struct Watch {
+    enum class Arm : std::uint8_t {
+      kNone,     // not submitted (no ring, or its SQ was full)
+      kPending,  // OP_EPOLL_ARM queued, not yet drained
+      kLive,     // drained: every later edge posts a CQE
+      kDead,     // ended or refused: always cross
+    };
+    Arm arm = Arm::kNone;
+    bool quiet = false;  // the last crossing answered 0, no CQE since
+    // Right after that crossing: this proxy's crossings and the shard's
+    // interest-changing crossings.
+    std::uint64_t own_mark = 0;
+    std::uint64_t interest_mark = 0;
+  };
+  /// The epfd's watch, armed on the readiness ring (attached on first use)
+  /// once the SQ takes the arm; reaps the ring's CQEs first.
+  Watch& watch(int epfd);
+  /// Pop every readiness CQE into the watches.
+  void reap_edges();
+
   Scenario2Service* svc_;
   iv::CVM* app_;
+  std::uint64_t crossings_ = 0;  // this proxy's sealed-entry calls
+  const std::uint64_t* interest_calls_;  // the shard's, see the service
   machine::CapView event_buf_;  // epoll events cross the boundary here
   machine::CapView zc_buf_;     // zc tokens + sources, recycle batches
   std::array<machine::SealedEntry, kEntryCount> e_;
+  std::optional<fstack::FfUring> edges_;  // the readiness ring
+  int edges_id_ = -1;
+  bool edges_failed_ = false;  // attach refused: every wait crosses
+  std::uint32_t edges_overflows_ = 0;
+  std::uint32_t pending_arms_ = 0;  // watches in Arm::kPending
+  std::map<int, Watch> watches_;
 };
 
 }  // namespace cherinet::scen

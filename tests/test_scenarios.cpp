@@ -8,10 +8,13 @@
 #include <cerrno>
 #include <cstdlib>
 #include <memory>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "apps/echo.hpp"
 #include "apps/iperf.hpp"
+#include "apps/uring_proto.hpp"
 #include "scenarios/experiment.hpp"
 #include "scenarios/scenario2.hpp"
 #include "stats/stats.hpp"
@@ -26,6 +29,87 @@ TestbedOptions fast_options() {
   return opt;
 }
 constexpr std::uint64_t kSmall = 3 * 1024 * 1024;  // per-stream bytes
+
+/// Forwards every call to `in` (a Scenario 2 proxy) and checks each
+/// epoll_wait answer against the stack's own ff_epoll_wait, called
+/// directly at the same instant. Counts what the checks covered.
+class CheckedWaits final : public apps::FfOps {
+ public:
+  CheckedWaits(apps::FfOps& in, fstack::FfStack& st,
+               const machine::EntryRegistry& entries)
+      : in_(in), direct_(&st), entries_(entries) {}
+
+  int socket_stream() override { return in_.socket_stream(); }
+  int bind(int fd, fstack::Ipv4Addr ip, std::uint16_t port) override {
+    return in_.bind(fd, ip, port);
+  }
+  int listen(int fd, int backlog) override { return in_.listen(fd, backlog); }
+  int accept(int fd) override { return in_.accept(fd); }
+  int connect(int fd, fstack::Ipv4Addr ip, std::uint16_t port) override {
+    return in_.connect(fd, ip, port);
+  }
+  std::int64_t write(int fd, const machine::CapView& buf,
+                     std::size_t n) override {
+    return in_.write(fd, buf, n);
+  }
+  std::int64_t read(int fd, const machine::CapView& buf,
+                    std::size_t n) override {
+    return in_.read(fd, buf, n);
+  }
+  std::int64_t writev(int fd, std::span<const fstack::FfIovec> iov) override {
+    return in_.writev(fd, iov);
+  }
+  std::int64_t readv(int fd, std::span<const fstack::FfIovec> iov) override {
+    return in_.readv(fd, iov);
+  }
+  std::int64_t zc_recv(int fd, std::span<fstack::FfZcRxBuf> out) override {
+    return in_.zc_recv(fd, out);
+  }
+  std::int64_t zc_recycle_batch(std::span<fstack::FfZcRxBuf> zcs) override {
+    return in_.zc_recycle_batch(zcs);
+  }
+  int uring_attach(const machine::CapView& mem, std::uint32_t sq,
+                   std::uint32_t cq) override {
+    return in_.uring_attach(mem, sq, cq);
+  }
+  int uring_detach(int id) override { return in_.uring_detach(id); }
+  int uring_doorbell(int id) override { return in_.uring_doorbell(id); }
+  int close(int fd) override {
+    ++closes;
+    return in_.close(fd);
+  }
+  int epoll_create() override { return in_.epoll_create(); }
+  int epoll_ctl(int epfd, fstack::EpollOp op, int fd, std::uint32_t events,
+                std::uint64_t data) override {
+    if (op == fstack::EpollOp::kMod) ++mods;
+    return in_.epoll_ctl(epfd, op, fd, events, data);
+  }
+  int epoll_wait(int epfd, std::span<fstack::FfEpollEvent> out) override {
+    const std::uint64_t before = entries_.crossings();
+    const int n = in_.epoll_wait(epfd, out);
+    if (entries_.crossings() == before) ++local;
+    ++waits;
+    std::array<fstack::FfEpollEvent, 64> truth{};
+    const int t = direct_.epoll_wait(
+        epfd, std::span{truth}.first(std::min(out.size(), truth.size())));
+    EXPECT_EQ(n, t) << "wait " << waits;
+    for (int i = 0; i < std::min(n, t); ++i) {
+      EXPECT_EQ(out[i].events, truth[i].events) << "wait " << waits;
+      EXPECT_EQ(out[i].data, truth[i].data) << "wait " << waits;
+    }
+    return n;
+  }
+
+  std::uint64_t waits = 0;
+  std::uint64_t local = 0;  // answered without a crossing
+  std::uint64_t mods = 0;
+  std::uint64_t closes = 0;
+
+ private:
+  apps::FfOps& in_;
+  apps::DirectFfOps direct_;
+  const machine::EntryRegistry& entries_;
+};
 }  // namespace
 
 TEST(Bandwidth, Baseline1ProcReachesSinglePortCeiling) {
@@ -516,10 +600,12 @@ TEST(Scenario2Proxy, ShortZcRecvBufferFaultsBeforeAnyLoanMoves) {
   });
 }
 
-TEST(Scenario2Proxy, EchoServerCrossesOncePerIdleStep) {
-  // The echo server waits on epoll: with four established connections an
-  // idle step is its one epoll_wait crossing, and a step that echoes one
-  // request adds exactly that connection's readv and writev.
+TEST(Scenario2Proxy, EchoServerIdleStepsCrossNothing) {
+  // The echo server waits on epoll, and the proxy answers a provable 0
+  // from its readiness ring: with four established connections, a step
+  // that echoes one request crosses for epoll_wait, readv and writev; the
+  // step after it crosses once (the wait that sees the quiet); every later
+  // idle step crosses nothing.
   LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, 64 * 1024,
                   fast_options());
   fstack::FfStack& peer = rig.testbed().peer(0).stack();
@@ -549,10 +635,10 @@ TEST(Scenario2Proxy, EchoServerCrossesOncePerIdleStep) {
               -EINPROGRESS);
   }
   // Send `len` bytes tagged `tag` on connection c and step until their
-  // echo is back; returns the steps that made progress.
+  // echo is back; returns every step from the first that made progress.
   const auto round_trip = [&](std::size_t c, std::size_t len,
                               std::uint8_t tag) {
-    std::vector<Step> busy;
+    std::vector<Step> steps;
     for (std::size_t i = 0; i < len; ++i) {
       tx.store<std::uint8_t>(i, static_cast<std::uint8_t>(tag + i * 7));
     }
@@ -564,7 +650,7 @@ TEST(Scenario2Proxy, EchoServerCrossesOncePerIdleStep) {
         if (w > 0) sent = static_cast<std::size_t>(w);
       }
       const Step s = step();
-      if (s.progress) busy.push_back(s);
+      if (s.progress || !steps.empty()) steps.push_back(s);
       const auto r = fstack::ff_read(peer, fds[c], rx, rx.size());
       for (std::int64_t k = 0; k < r; ++k) {
         got.push_back(rx.load<std::uint8_t>(static_cast<std::uint64_t>(k)));
@@ -576,7 +662,7 @@ TEST(Scenario2Proxy, EchoServerCrossesOncePerIdleStep) {
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i], static_cast<std::uint8_t>(tag + i * 7)) << i;
     }
-    return busy;
+    return steps;
   };
   // Setup: each connection is accepted and echoes one request.
   for (std::size_t c = 0; c < fds.size(); ++c) {
@@ -586,14 +672,339 @@ TEST(Scenario2Proxy, EchoServerCrossesOncePerIdleStep) {
   for (int i = 0; i < 3; ++i) {
     const Step idle = step();
     EXPECT_FALSE(idle.progress);
-    EXPECT_EQ(idle.crossings, 1u);  // epoll_wait only
+    EXPECT_EQ(idle.crossings, 0u);  // answered from the readiness ring
+    rig.turn(false);
   }
-  const std::vector<Step> busy = round_trip(2, 200, 0x5A);
-  ASSERT_EQ(busy.size(), 1u);
-  EXPECT_EQ(busy[0].crossings, 3u);  // epoll_wait, readv, writev
+  const std::vector<Step> steps = round_trip(2, 200, 0x5A);
+  ASSERT_GE(steps.size(), 2u);
+  EXPECT_TRUE(steps[0].progress);
+  EXPECT_EQ(steps[0].crossings, 3u);  // epoll_wait, readv, writev
+  EXPECT_FALSE(steps[1].progress);
+  EXPECT_EQ(steps[1].crossings, 1u);  // the wait that finds it quiet
+  for (std::size_t i = 2; i < steps.size(); ++i) {
+    EXPECT_FALSE(steps[i].progress) << i;
+    EXPECT_EQ(steps[i].crossings, 0u) << i;
+  }
   const Step idle = step();
   EXPECT_FALSE(idle.progress);
-  EXPECT_EQ(idle.crossings, 1u);
+  EXPECT_EQ(idle.crossings, 0u);
+}
+
+TEST(Scenario2Proxy, IperfClientWaitsForSendSpaceWithoutCrossing) {
+  // The client writes only when epoll_wait reports send space. Against a
+  // peer that never reads, its buffer fills: the wait after the short
+  // write crosses once to see it full, and every step after that crosses
+  // nothing while the buffer stays full.
+  LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, 4 << 20,
+                  fast_options());
+  fstack::FfStack& peer = rig.testbed().peer(0).stack();
+  const int lfd = fstack::ff_socket(peer, fstack::kAfInet,
+                                    fstack::kSockStream, 0);
+  ASSERT_EQ(fstack::ff_bind(peer, lfd, {fstack::Ipv4Addr{}, 5301}), 0);
+  ASSERT_EQ(fstack::ff_listen(peer, lfd, 1), 0);
+  const auto& entries = rig.testbed().intravisor().entries();
+  const machine::CapView buf = rig.alloc(1448);
+  std::unique_ptr<apps::IperfClient> cli;
+  rig.run(0, [&] {
+    cli = std::make_unique<apps::IperfClient>(
+        &rig.ops(), &rig.testbed().clock(), MorelloTestbed::peer_ip(0), 5301,
+        std::uint64_t{64} << 20, buf);
+  });
+  // Step until a step made progress and the next several made none: the
+  // send buffer and the peer's window are full.
+  int quiet = 0;
+  for (int i = 0; i < 20'000 && quiet < 50; ++i) {
+    const bool progress = rig.run(0, [&] { return cli->step(); });
+    quiet = progress ? 0 : quiet + 1;
+    rig.turn(progress);
+  }
+  ASSERT_EQ(quiet, 50);
+  EXPECT_FALSE(cli->finished());
+  for (int i = 0; i < 20; ++i) {
+    const std::uint64_t before = entries.crossings();
+    EXPECT_FALSE(rig.run(0, [&] { return cli->step(); }));
+    EXPECT_EQ(entries.crossings() - before, 0u) << i;
+    rig.turn(false);
+  }
+}
+
+TEST(Scenario2Proxy, LocalWaitAnswersMatchTheStackSeeded) {
+  // Differential check of the proxy's local answers: a seeded peer drives
+  // an EchoServer (requests on four connections, one of them read only
+  // in phases so the echo backs up and the server flips its interest to
+  // EPOLLOUT and back, and connections closed and reopened), and every
+  // epoll_wait answer the proxy gives must equal the stack's own answer
+  // at that instant.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    TestbedOptions opt = fast_options();
+    opt.sndbuf_bytes = 16 * 1024;  // a backed-up echo soon writes short
+    LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, 64 << 20, opt);
+    fstack::FfStack& peer = rig.testbed().peer(0).stack();
+    CheckedWaits ops(rig.ops(), rig.service()->instance().stack(),
+                     rig.testbed().intravisor().entries());
+    const machine::CapView scratch = rig.alloc(4096);
+    const machine::CapView tx = rig.alloc(2048);
+    const machine::CapView rx = rig.alloc(64 * 1024);
+    std::unique_ptr<apps::EchoServer> srv;
+    rig.run(0, [&] {
+      srv = std::make_unique<apps::EchoServer>(&ops, 7000, scratch);
+    });
+    const auto open = [&] {
+      const int fd =
+          fstack::ff_socket(peer, fstack::kAfInet, fstack::kSockStream, 0);
+      EXPECT_EQ(fstack::ff_connect(peer, fd, {MorelloTestbed::morello_ip(0),
+                                              7000}),
+                -EINPROGRESS);
+      return fd;
+    };
+    std::array<int, 4> fds{};
+    for (int& fd : fds) fd = open();
+    std::mt19937_64 rng(seed);
+    for (int i = 0; i < 4000; ++i) {
+      const std::uint64_t roll = rng() % 100;
+      const std::size_t c = rng() % fds.size();
+      const bool slow_reads = (i / 400) % 2 == 1;  // conn 0's read phases
+      if (roll < 40) {
+        const std::size_t k = c < 2 ? 0 : c;  // half the requests: conn 0
+        const std::size_t len = 1 + rng() % tx.size();
+        for (std::size_t b = 0; b < len; b += 64) {
+          tx.store<std::uint8_t>(b, static_cast<std::uint8_t>(rng()));
+        }
+        (void)fstack::ff_write(peer, fds[k], tx, len);
+      } else if (roll < 70 && (c != 0 || slow_reads)) {
+        while (fstack::ff_read(peer, fds[c], rx, rx.size()) > 0) {
+        }
+      } else if (roll < 72 && c != 0) {
+        fstack::ff_close(peer, fds[c]);
+        fds[c] = open();
+      }
+      const bool progress = rig.run(0, [&] { return srv->step(); });
+      rig.turn(progress);
+    }
+    EXPECT_GT(srv->bytes_echoed(), 0u);
+    EXPECT_GT(ops.mods, 0u);    // EPOLLIN <-> EPOLLOUT flips happened
+    EXPECT_GT(ops.closes, 0u);  // watched fds closed
+    EXPECT_GT(ops.local, ops.waits / 2);  // most waits never crossed
+  }
+}
+
+TEST(Scenario2Proxy, WaitStaysRightWhenTheAppArmsItsOwnRing) {
+  // An app that arms its own ring on an epfd the proxy watches takes the
+  // arm away; the proxy's ring hears it end and from then on every wait
+  // crosses, so each answer is still the stack's.
+  LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, 4 << 20,
+                  fast_options());
+  fstack::FfStack& peer = rig.testbed().peer(0).stack();
+  const auto& entries = rig.testbed().intravisor().entries();
+  CheckedWaits ops(rig.ops(), rig.service()->instance().stack(), entries);
+  const int lfd =
+      fstack::ff_socket(peer, fstack::kAfInet, fstack::kSockStream, 0);
+  ASSERT_EQ(fstack::ff_bind(peer, lfd, {fstack::Ipv4Addr{}, 5302}), 0);
+  ASSERT_EQ(fstack::ff_listen(peer, lfd, 1), 0);
+  const machine::CapView buf = rig.alloc(4096);
+  const machine::CapView ring_mem =
+      rig.alloc(fstack::FfUring::bytes_for(8, 8));
+  int fd = -1;
+  int ep = -1;
+  rig.run(0, [&] {
+    fd = ops.socket_stream();
+    ops.connect(fd, MorelloTestbed::peer_ip(0), 5302);
+    ep = ops.epoll_create();
+    ops.epoll_ctl(ep, fstack::EpollOp::kAdd, fd, fstack::kEpollIn, 9);
+  });
+  int pfd = -1;
+  for (int i = 0; i < 10'000 && pfd < 0; ++i) {
+    pfd = fstack::ff_accept(peer, lfd, nullptr);
+    rig.turn(false);
+  }
+  ASSERT_GE(pfd, 0);
+  fstack::FfEpollEvent ev[4];
+  const auto wait = [&] {
+    const std::uint64_t before = entries.crossings();
+    const int n = rig.run(0, [&] { return ops.epoll_wait(ep, ev); });
+    rig.turn(false);
+    return std::pair{n, entries.crossings() - before};
+  };
+  const auto deliver = [&](std::size_t len) {
+    ASSERT_EQ(fstack::ff_write(peer, pfd, buf, len),
+              static_cast<std::int64_t>(len));
+    for (int i = 0; i < 100; ++i) rig.turn(false);
+  };
+  for (int i = 0; i < 3; ++i) (void)wait();
+  EXPECT_EQ(wait(), (std::pair<int, std::uint64_t>{0, 0}));  // local
+  deliver(100);
+  EXPECT_EQ(wait().first, 1);  // the edge made it cross
+  rig.run(0, [&] {
+    while (ops.read(fd, buf, buf.size()) > 0) {
+    }
+  });
+  (void)wait();
+  EXPECT_EQ(wait(), (std::pair<int, std::uint64_t>{0, 0}));
+
+  // The app arms its own ring on the same epfd.
+  fstack::FfUring ring(ring_mem, 8, 8);
+  int id = -1;
+  rig.run(0, [&] {
+    id = ops.uring_attach(ring_mem, 8, 8);
+    ASSERT_TRUE(apps::push_epoll_arm(ring, ep, 77));
+    if (ring.stack_parked()) ops.uring_doorbell(id);
+  });
+  ASSERT_GT(id, 0);
+  for (int i = 0; i < 10; ++i) rig.turn(false);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(wait().second, 1u) << i;
+  deliver(200);
+  EXPECT_EQ(wait(), (std::pair<int, std::uint64_t>{1, 1}));
+  fstack::FfUringCqe cq[8];
+  const std::size_t got = ring.cq_pop(cq);
+  ASSERT_GE(got, 1u);
+  EXPECT_EQ(cq[got - 1].user_data, 77u);  // the app's arm saw the edge
+  EXPECT_NE(cq[got - 1].result & fstack::kEpollIn, 0);
+  rig.run(0, [&] {
+    while (ops.read(fd, buf, buf.size()) > 0) {
+    }
+  });
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(wait(), (std::pair<int, std::uint64_t>{0, 1})) << i;
+  }
+  rig.run(0, [&] { ops.uring_detach(id); });
+}
+
+TEST(Scenario2Proxy, WaitAfterAnotherCrossingCrosses) {
+  // A quiet answer stays provable only while no proxied call crosses: an
+  // epoll_ctl that adds an already-readable fd changes the answer before
+  // the loop publishes anything, so the next wait must cross and see it.
+  LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, 4 << 20,
+                  fast_options());
+  fstack::FfStack& peer = rig.testbed().peer(0).stack();
+  const auto& entries = rig.testbed().intravisor().entries();
+  CheckedWaits ops(rig.ops(), rig.service()->instance().stack(), entries);
+  const int lfd =
+      fstack::ff_socket(peer, fstack::kAfInet, fstack::kSockStream, 0);
+  ASSERT_EQ(fstack::ff_bind(peer, lfd, {fstack::Ipv4Addr{}, 5303}), 0);
+  ASSERT_EQ(fstack::ff_listen(peer, lfd, 1), 0);
+  const machine::CapView buf = rig.alloc(256);
+  int fd = -1;
+  int ep = -1;
+  rig.run(0, [&] {
+    fd = ops.socket_stream();
+    ops.connect(fd, MorelloTestbed::peer_ip(0), 5303);
+    ep = ops.epoll_create();
+  });
+  int pfd = -1;
+  for (int i = 0; i < 10'000 && pfd < 0; ++i) {
+    pfd = fstack::ff_accept(peer, lfd, nullptr);
+    rig.turn(false);
+  }
+  ASSERT_GE(pfd, 0);
+  ASSERT_EQ(fstack::ff_write(peer, pfd, buf, 100), 100);
+  for (int i = 0; i < 100; ++i) rig.turn(false);
+  fstack::FfEpollEvent ev[4];
+  const auto wait = [&] {
+    const std::uint64_t before = entries.crossings();
+    const int n = rig.run(0, [&] { return ops.epoll_wait(ep, ev); });
+    return std::pair{n, entries.crossings() - before};
+  };
+  for (int i = 0; i < 3; ++i) {
+    (void)wait();
+    rig.turn(false);
+  }
+  EXPECT_EQ(wait(), (std::pair<int, std::uint64_t>{0, 0}));  // provably 0
+  rig.run(0, [&] {
+    ops.epoll_ctl(ep, fstack::EpollOp::kAdd, fd, fstack::kEpollIn, 4);
+  });
+  EXPECT_EQ(wait(), (std::pair<int, std::uint64_t>{1, 1}));
+  EXPECT_EQ(ev[0].data, 4u);
+}
+
+TEST(Scenario2Proxy, AnotherAppKeepsTheQuietUnlessItChangesInterest) {
+  // Two apps on one shard. App B's ordinary crossings cannot add
+  // readiness to app A's interest set, so A keeps answering 0 without
+  // crossing; B's epoll_ctl on A's epfd can, and A's next wait crosses.
+  LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, 4 << 20,
+                  fast_options());
+  const int b = rig.add_app("cVM3");
+  fstack::FfStack& peer = rig.testbed().peer(0).stack();
+  const auto& entries = rig.testbed().intravisor().entries();
+  CheckedWaits ops(rig.ops(), rig.service()->instance().stack(), entries);
+  const int lfd =
+      fstack::ff_socket(peer, fstack::kAfInet, fstack::kSockStream, 0);
+  ASSERT_EQ(fstack::ff_bind(peer, lfd, {fstack::Ipv4Addr{}, 5304}), 0);
+  ASSERT_EQ(fstack::ff_listen(peer, lfd, 2), 0);
+  const machine::CapView buf = rig.alloc(256, b);
+  int fd_a = -1;
+  int ep = -1;
+  int fd_b = -1;
+  // B connects first, so the peer's first accepted fd is B's.
+  rig.run(b, [&] {
+    fd_b = rig.ops(b).socket_stream();
+    rig.ops(b).connect(fd_b, MorelloTestbed::peer_ip(0), 5304);
+  });
+  const auto accept_one = [&] {
+    int fd = -1;
+    for (int i = 0; i < 10'000 && fd < 0; ++i) {
+      fd = fstack::ff_accept(peer, lfd, nullptr);
+      rig.turn(false);
+    }
+    return fd;
+  };
+  const int peer_b = accept_one();
+  ASSERT_GE(peer_b, 0);
+  rig.run(0, [&] {
+    fd_a = ops.socket_stream();
+    ops.connect(fd_a, MorelloTestbed::peer_ip(0), 5304);
+    ep = ops.epoll_create();
+    ops.epoll_ctl(ep, fstack::EpollOp::kAdd, fd_a, fstack::kEpollIn, 1);
+  });
+  ASSERT_GE(accept_one(), 0);
+  fstack::FfEpollEvent ev[4];
+  const auto wait = [&] {
+    const std::uint64_t before = entries.crossings();
+    const int n = rig.run(0, [&] { return ops.epoll_wait(ep, ev); });
+    return std::pair{n, entries.crossings() - before};
+  };
+  for (int i = 0; i < 3; ++i) {
+    (void)wait();
+    rig.turn(false);
+  }
+  EXPECT_EQ(wait(), (std::pair<int, std::uint64_t>{0, 0}));
+  // B's writes cross, and the peer's bytes make B's fd readable.
+  for (int i = 0; i < 3; ++i) {
+    rig.run(b, [&] { return rig.ops(b).write(fd_b, buf, 100); });
+    EXPECT_EQ(wait(), (std::pair<int, std::uint64_t>{0, 0})) << i;
+    rig.turn(false);
+  }
+  ASSERT_EQ(fstack::ff_write(peer, peer_b, buf, 50), 50);
+  for (int i = 0; i < 100; ++i) rig.turn(false);
+  EXPECT_EQ(wait(), (std::pair<int, std::uint64_t>{0, 0}));  // not A's fd
+  rig.run(b, [&] {
+    rig.ops(b).epoll_ctl(ep, fstack::EpollOp::kAdd, fd_b, fstack::kEpollIn,
+                         2);
+  });
+  EXPECT_EQ(wait(), (std::pair<int, std::uint64_t>{1, 1}));
+  EXPECT_EQ(ev[0].data, 2u);
+}
+
+TEST(Scenario2Proxy, RefusedRingAttachMakesEveryWaitCross) {
+  // With no readiness ring (here: the app's tenant id is not registered,
+  // so the attach entry refuses to bind it), the proxy cannot prove a 0
+  // and every epoll_wait crosses.
+  LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, 1 << 20,
+                  fast_options());
+  const int app = rig.add_app("cVM-unregistered", 7);
+  const auto& entries = rig.testbed().intravisor().entries();
+  int ep = -1;
+  rig.run(app, [&] { ep = rig.ops(app).epoll_create(); });
+  ASSERT_GE(ep, 0);
+  fstack::FfEpollEvent ev[4];
+  for (int i = 0; i < 5; ++i) {
+    const std::uint64_t before = entries.crossings();
+    EXPECT_EQ(rig.run(app, [&] { return rig.ops(app).epoll_wait(ep, ev); }),
+              0);
+    // The first wait also pays the refused attach.
+    EXPECT_EQ(entries.crossings() - before, i == 0 ? 2u : 1u) << i;
+    rig.turn(false);
+  }
 }
 
 TEST(Census, SameInputsSameCounts) {

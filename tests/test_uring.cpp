@@ -524,6 +524,236 @@ TEST(Uring, EpollArmDedupsUnchangedReadinessButNotNewActivity) {
   EXPECT_EQ(again, 1u);
 }
 
+TEST(Uring, EpollArmPostsSendSpaceFreedBetweenPublications) {
+  // The send-space lost wakeup: an OUT watcher fills the send buffer with
+  // v1 writes between two publications, and an ACK frees space before the
+  // next one. That publication reads OUT again with no new RX activity,
+  // so only the acknowledged bytes can tell it something happened.
+  TwoStacks ts;
+  const TcpPair p = connect_b_to_a(ts);
+  AttachedRing ar = attach_ring(ts, 8, 8);
+  const int ep = ff_epoll_create(ts.a());
+  ff_epoll_ctl(ts.a(), ep, EpollOp::kAdd, p.a_fd, kEpollOut, 5);
+  FfUringSqe arm;
+  arm.op = UringOp::kEpollArm;
+  arm.fd = ep;
+  arm.user_data = 55;
+  ASSERT_NE(ar.ring.sq_push(arm), FfUring::Push::kFull);
+  const auto out_edges = [&] {
+    std::size_t n = 0;
+    FfUringCqe cq[8];
+    for (std::size_t k = ar.ring.cq_pop(cq); k > 0; k = ar.ring.cq_pop(cq)) {
+      for (std::size_t i = 0; i < k; ++i) {
+        n += cq[i].user_data == 55 && cq[i].result > 0 &&
+                     (cq[i].result & kEpollOut) != 0
+                 ? 1
+                 : 0;
+      }
+    }
+    return n;
+  };
+  std::size_t first = 0;
+  ASSERT_TRUE(ts.pump_until([&] { return (first += out_edges()) > 0; }));
+
+  // Fill A's send buffer while A's loop does not run.
+  machine::CapView tx = ts.heap_a().alloc_view(16 * 1024);
+  tx.write(0, pattern(16 * 1024));
+  std::size_t queued = 0;
+  for (std::int64_t w = 0; w != -EAGAIN;) {
+    w = ff_write(ts.a(), p.a_fd, tx, tx.size());
+    ASSERT_TRUE(w > 0 || w == -EAGAIN) << w;
+    queued += w > 0 ? static_cast<std::size_t>(w) : 0;
+  }
+  ASSERT_GT(queued, 0u);
+  ASSERT_EQ(ts.a().sock_readiness(p.a_fd) & kEpollOut, 0u);
+  // B takes the segments and ACKs them before A's next publication.
+  for (int i = 0; i < 1000; ++i) {
+    if (ts.b().run_once()) continue;
+    const auto d = ts.b().next_deadline();
+    if (!d) break;
+    ts.clock().advance_to(*d);
+  }
+  ts.a().run_once();  // the ACK frees space; the same pass publishes
+  EXPECT_NE(ts.a().sock_readiness(p.a_fd) & kEpollOut, 0u);
+  std::size_t woke = 0;
+  EXPECT_TRUE(ts.pump_until([&] { return (woke += out_edges()) > 0; }, 2000));
+}
+
+TEST(Uring, ArmedEpollWaitPublishesWhatItAnswers) {
+  // ff_epoll_wait on an armed instance re-baselines the edge publisher to
+  // the answer it gives: readiness the caller brought about itself (here,
+  // adding an fd that is already readable) is posted at once, not at the
+  // loop's next publication pass.
+  TwoStacks ts;
+  const TcpPair p = connect_b_to_a(ts);
+  AttachedRing ar = attach_ring(ts, 8, 8);
+  const int ep = ff_epoll_create(ts.a());
+  FfUringSqe arm;
+  arm.op = UringOp::kEpollArm;
+  arm.fd = ep;
+  arm.user_data = 61;
+  ASSERT_NE(ar.ring.sq_push(arm), FfUring::Push::kFull);
+  machine::CapView tx = ts.heap_b().alloc_view(512);
+  tx.write(0, pattern(512));
+  ASSERT_EQ(ff_write(ts.b(), p.b_fd, tx, 512), 512);
+  ASSERT_TRUE(ts.pump_until(
+      [&] { return (ts.a().sock_readiness(p.a_fd) & kEpollIn) != 0; }));
+  FfUringCqe cq[4];
+  EXPECT_EQ(ar.ring.cq_pop(cq), 0u);  // nothing watched yet
+  ASSERT_EQ(ff_epoll_ctl(ts.a(), ep, EpollOp::kAdd, p.a_fd, kEpollIn, 3), 0);
+  FfEpollEvent ev[4];
+  ASSERT_EQ(ff_epoll_wait(ts.a(), ep, ev), 1);
+  ASSERT_EQ(ar.ring.cq_pop(cq), 1u);  // posted by the wait itself
+  EXPECT_EQ(cq[0].user_data, 61u);
+  EXPECT_EQ(cq[0].aux0, 3u);
+  EXPECT_NE(cq[0].result & kEpollIn, 0);
+  ts.a().run_once();  // the loop's pass has nothing new to say
+  EXPECT_EQ(ar.ring.cq_pop(cq), 0u);
+}
+
+TEST(Uring, EpollCtlOnAnArmedSetPublishesOnTheNextQuietPass) {
+  // A loop pass with no progress of its own still publishes after an
+  // entry point touched an fd: here a direct ff_epoll_ctl adds an fd that
+  // became readable while nothing watched it, and the stack has nothing
+  // else left to do.
+  TwoStacks ts;
+  const TcpPair p = connect_b_to_a(ts);
+  AttachedRing ar = attach_ring(ts, 8, 8);
+  const int ep = ff_epoll_create(ts.a());
+  FfUringSqe arm;
+  arm.op = UringOp::kEpollArm;
+  arm.fd = ep;
+  arm.user_data = 71;
+  ASSERT_NE(ar.ring.sq_push(arm), FfUring::Push::kFull);
+  machine::CapView tx = ts.heap_b().alloc_view(512);
+  tx.write(0, pattern(512));
+  ASSERT_EQ(ff_write(ts.b(), p.b_fd, tx, 512), 512);
+  ts.pump(500);  // delivered, ACKed, every timer settled
+  ASSERT_NE(ts.a().sock_readiness(p.a_fd) & kEpollIn, 0u);
+  FfUringCqe cq[4];
+  ASSERT_EQ(ar.ring.cq_pop(cq), 0u);
+  ASSERT_FALSE(ts.a().run_once());  // the stack is quiet
+  ASSERT_EQ(ff_epoll_ctl(ts.a(), ep, EpollOp::kAdd, p.a_fd, kEpollIn, 8), 0);
+  EXPECT_FALSE(ts.a().run_once());
+  ASSERT_EQ(ar.ring.cq_pop(cq), 1u);
+  EXPECT_EQ(cq[0].user_data, 71u);
+  EXPECT_EQ(cq[0].aux0, 8u);
+  EXPECT_NE(cq[0].result & kEpollIn, 0);
+}
+
+TEST(Uring, EpollEdgeDeferredByAFullCqPostsOnAQuietPass) {
+  // An edge a full CQ deferred posts once the app reaps, even on a loop
+  // pass with nothing else to do.
+  TwoStacks ts;
+  const TcpPair p = connect_b_to_a(ts);
+  AttachedRing ar = attach_ring(ts, 8, 2);
+  const int ep = ff_epoll_create(ts.a());
+  ASSERT_EQ(ff_epoll_ctl(ts.a(), ep, EpollOp::kAdd, p.a_fd, kEpollIn, 9), 0);
+  FfUringSqe arm;
+  arm.op = UringOp::kEpollArm;
+  arm.fd = ep;
+  arm.user_data = 81;
+  ASSERT_NE(ar.ring.sq_push(arm), FfUring::Push::kFull);
+  ts.a().run_once();  // armed; nothing readable yet
+  FfUringSqe nop;     // two NOP completions fill the CQ
+  ASSERT_NE(ar.ring.sq_push(nop), FfUring::Push::kFull);
+  ASSERT_NE(ar.ring.sq_push(nop), FfUring::Push::kFull);
+  ts.a().run_once();
+  ASSERT_EQ(ar.ring.sq_pending(), 0u);
+  machine::CapView tx = ts.heap_b().alloc_view(512);
+  tx.write(0, pattern(512));
+  ASSERT_EQ(ff_write(ts.b(), p.b_fd, tx, 512), 512);
+  const std::uint32_t overflows = ar.ring.cq_overflows();
+  ts.pump(500);  // the edge meets the full CQ
+  EXPECT_GT(ar.ring.cq_overflows(), overflows);
+  FfUringCqe cq[4];
+  ASSERT_EQ(ar.ring.cq_pop(cq), 2u);
+  EXPECT_EQ(cq[0].op, UringOp::kNop);
+  EXPECT_EQ(cq[1].op, UringOp::kNop);
+  EXPECT_FALSE(ts.a().run_once());  // quiet, but the edge still posts
+  ASSERT_EQ(ar.ring.cq_pop(cq), 1u);
+  EXPECT_EQ(cq[0].user_data, 81u);
+  EXPECT_NE(cq[0].result & kEpollIn, 0);
+}
+
+TEST(Uring, EpollArmEndsWithAFinalCqe) {
+  // A multishot arm that ends says so: re-arming the epfd on another ring,
+  // closing the epfd and detaching the ring each post a last CQE without
+  // kCqeMore, result -ECANCELED, to the ring that loses the arm.
+  TwoStacks ts;
+  AttachedRing r1 = attach_ring(ts, 8, 8);
+  AttachedRing r2 = attach_ring(ts, 8, 8);
+  const auto arm = [&](AttachedRing& r, int ep, std::uint64_t ud) {
+    FfUringSqe e;
+    e.op = UringOp::kEpollArm;
+    e.fd = ep;
+    e.user_data = ud;
+    ASSERT_NE(r.ring.sq_push(e), FfUring::Push::kFull);
+    ts.a().run_once();
+  };
+  const auto expect_end = [](AttachedRing& r, std::uint64_t ud) {
+    FfUringCqe cq[4];
+    ASSERT_EQ(r.ring.cq_pop(cq), 1u);
+    EXPECT_EQ(cq[0].op, UringOp::kEpollArm);
+    EXPECT_EQ(cq[0].user_data, ud);
+    EXPECT_EQ(cq[0].result, -ECANCELED);
+    EXPECT_EQ(cq[0].flags & kCqeMore, 0u);
+  };
+  FfUringCqe none[4];
+  const int ep = ff_epoll_create(ts.a());
+  arm(r1, ep, 11);
+  EXPECT_EQ(r1.ring.cq_pop(none), 0u);  // an empty set posts nothing
+  arm(r1, ep, 12);  // re-armed on its own ring: replaced, not ended
+  EXPECT_EQ(r1.ring.cq_pop(none), 0u);
+  arm(r2, ep, 21);
+  expect_end(r1, 12);
+  EXPECT_EQ(r2.ring.cq_pop(none), 0u);
+  ASSERT_EQ(ff_close(ts.a(), ep), 0);
+  expect_end(r2, 21);
+  EXPECT_EQ(r1.ring.cq_pop(none), 0u);
+
+  const int ep2 = ff_epoll_create(ts.a());
+  arm(r2, ep2, 22);
+  ASSERT_EQ(ff_uring_detach(ts.a(), r2.id), 0);
+  expect_end(r2, 22);
+  // The detached ring's arm is gone: closing its epfd posts nowhere.
+  ASSERT_EQ(ff_close(ts.a(), ep2), 0);
+  EXPECT_EQ(r1.ring.cq_pop(none), 0u);
+}
+
+TEST(Uring, EpollArmEndDeferredByAFullCqPostsLater) {
+  // The final CQE is never dropped: a full CQ defers it (counted as an
+  // overflow) until the app reaps.
+  TwoStacks ts;
+  AttachedRing r1 = attach_ring(ts, 8, 2);
+  AttachedRing r2 = attach_ring(ts, 8, 8);
+  const int ep = ff_epoll_create(ts.a());
+  FfUringSqe e;
+  e.op = UringOp::kEpollArm;
+  e.fd = ep;
+  e.user_data = 31;
+  ASSERT_NE(r1.ring.sq_push(e), FfUring::Push::kFull);
+  FfUringSqe nop;  // two NOP completions fill r1's CQ behind the arm
+  nop.user_data = 1;
+  ASSERT_NE(r1.ring.sq_push(nop), FfUring::Push::kFull);
+  ASSERT_NE(r1.ring.sq_push(nop), FfUring::Push::kFull);
+  ts.a().run_once();
+  const std::uint32_t overflows = r1.ring.cq_overflows();
+  e.user_data = 41;
+  ASSERT_NE(r2.ring.sq_push(e), FfUring::Push::kFull);
+  ts.a().run_once();  // r2 takes the arm; r1's CQ has no room for the end
+  EXPECT_GT(r1.ring.cq_overflows(), overflows);
+  FfUringCqe cq[4];
+  ASSERT_EQ(r1.ring.cq_pop(cq), 2u);
+  EXPECT_EQ(cq[0].op, UringOp::kNop);
+  EXPECT_EQ(cq[1].op, UringOp::kNop);
+  ts.a().run_once();
+  ASSERT_EQ(r1.ring.cq_pop(cq), 1u);
+  EXPECT_EQ(cq[0].user_data, 31u);
+  EXPECT_EQ(cq[0].result, -ECANCELED);
+  EXPECT_EQ(cq[0].flags & kCqeMore, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // App ports
 // ---------------------------------------------------------------------------
