@@ -236,6 +236,11 @@ void IperfServer::drain(Conn& c) {
       if (c.report.bytes == 0) c.report.first_byte = clock_->now();
       c.report.bytes += static_cast<std::uint64_t>(r);
       c.report.last_byte = clock_->now();
+      // A short read emptied the socket: stop here instead of crossing
+      // again for -EAGAIN. Whatever lands later, a FIN queued behind
+      // these bytes included, keeps the level-triggered wait reporting
+      // the fd, and the read after that wait sees it.
+      if (static_cast<std::uint64_t>(r) < rx_.size()) break;
       continue;
     }
     if (r == 0) finish(c);  // EOF: connection complete

@@ -109,7 +109,10 @@ class IperfServer {
 
 /// Sender ("client mode"). Like the ported iperf3 (§III-B), it waits on
 /// epoll: a step writes only when epoll_wait reports send space, and stops
-/// at the first short write (the buffer is full). `batch` > 1 drives the
+/// at the first short write (the buffer is full). Send space means the
+/// send buffer has passed its low-water mark (a fifth of it free,
+/// TcpPcb::kSendLowatDiv), so each wake buys a batch of writes rather than
+/// the few segments one ACK frees. `batch` > 1 drives the
 /// API-v2 gather path: each write submits up to `batch` MSS-sized iovecs
 /// through one ff_writev (one compartment crossing per batch behind
 /// proxied ops).

@@ -153,6 +153,11 @@ int ff_epoll_ctl(FfStack& st, int epfd, EpollOp op, int fd,
 /// row - for the direct call. Events written; -EBADF. On an armed epfd the
 /// call first publishes what it is about to report, so any readiness that
 /// rises after an answer of 0 posts a CQE.
+/// A TCP socket reports kEpollOut only once a fifth of its send buffer is
+/// free (TcpPcb::kSendLowatDiv); a write below that mark still takes
+/// whatever fits. An ACK that moves the buffer past the mark changes the
+/// mask, so an armed epfd posts it; one that leaves it below posts
+/// nothing.
 /// Scenario 2's proxy answers 0 without crossing when that is provable:
 /// its last crossing for the epfd answered 0, it has made no crossing
 /// since, no app on the shard has crossed into ff_epoll_ctl or a doorbell

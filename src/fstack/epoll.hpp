@@ -14,6 +14,9 @@
 namespace cherinet::fstack {
 
 inline constexpr std::uint32_t kEpollIn = 0x1;
+/// Send space. A TCP socket reports it once its send buffer has passed the
+/// low-water mark (a fifth of it free, TcpPcb::kSendLowatDiv), so a writer
+/// wakes for a batch; a UDP socket always reports it.
 inline constexpr std::uint32_t kEpollOut = 0x4;
 inline constexpr std::uint32_t kEpollErr = 0x8;
 inline constexpr std::uint32_t kEpollHup = 0x10;
@@ -59,7 +62,7 @@ class EpollInstance {
   /// readiness activity happened since its last publication. `probe(fd,
   /// events)` answers {ready mask, gen}; `gen` is a monotonic per-fd
   /// activity counter (bytes delivered, connections queued, bytes
-  /// acknowledged for an OUT watch). Without the generation, a consumer
+  /// acknowledged under an OUT mask). Without the generation, a consumer
   /// that drains to -EAGAIN (or fills the send buffer) right before more
   /// data lands (or an ACK frees space) would never see another event —
   /// the classic edge-trigger lost wakeup. A quiet mask is recorded, never

@@ -285,18 +285,20 @@ FfStack::TcpRecoveryStats FfStack::tcp_recovery_stats() const {
   return out;
 }
 
-std::uint64_t FfStack::sock_activity(int fd, std::uint32_t events) const {
+std::uint64_t FfStack::sock_activity(int fd, std::uint32_t ready) const {
   const Socket* s = socks_.get(fd);
   if (s == nullptr) return 0;
   switch (s->kind) {
     case SockKind::kTcp: {
       if (s->pcb == nullptr) return 0;
       if (s->listening) return s->pcb->accept_ready_total;
-      // Send space is activity only to an OUT watch: a consumer that
+      // Send space is activity only under an OUT mask: a consumer that
       // filled the buffer between two publications must hear of the ACK
-      // that frees it even though the mask reads OUT both times.
+      // that frees it past the low-water mark even though the mask reads
+      // OUT both times. Below the mark an ACK is no news, so a mask
+      // without OUT stays quiet however many bytes it acknowledges.
       const TcpPcb::Counters& c = s->pcb->counters();
-      return c.bytes_in + ((events & kEpollOut) != 0 ? c.bytes_acked : 0);
+      return c.bytes_in + ((ready & kEpollOut) != 0 ? c.bytes_acked : 0);
     }
     case SockKind::kUdp:
       return s->udp->delivered_total();
@@ -308,8 +310,9 @@ std::uint64_t FfStack::sock_activity(int fd, std::uint32_t events) const {
 
 void FfStack::publish_ready(EpollInstance& ep) {
   const int published = ep.publish_all([this](int fd, std::uint32_t events) {
-    return std::pair{sock_readiness(fd) & (events | kEpollErr | kEpollHup),
-                     sock_activity(fd, events)};
+    const std::uint32_t ready =
+        sock_readiness(fd) & (events | kEpollErr | kEpollHup);
+    return std::pair{ready, sock_activity(fd, ready)};
   });
   api_.multishot_events += static_cast<std::uint64_t>(published);
 }

@@ -500,9 +500,9 @@ class FfStack final : public TcpEnv {
   /// state.
   void publish_multishot(bool progress);
   /// Monotonic readiness-activity counter (bytes delivered / connections
-  /// queued, plus bytes acknowledged when `events` watches kEpollOut): the
-  /// generation publish_ready keys on.
-  [[nodiscard]] std::uint64_t sock_activity(int fd, std::uint32_t events) const;
+  /// queued, plus bytes acknowledged when the `ready` mask holds
+  /// kEpollOut): the generation publish_ready keys on.
+  [[nodiscard]] std::uint64_t sock_activity(int fd, std::uint32_t ready) const;
   /// Publish current readiness of every interest-set fd through `ep`'s
   /// armed sink (shared by arm-time, per-iteration and ff_epoll_wait
   /// publication so the masking/generation keying cannot diverge).

@@ -12,6 +12,7 @@
 // F-Stack's FreeBSD stack instance in the paper.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -162,10 +163,20 @@ class TcpPcb {
   [[nodiscard]] bool readable() const noexcept {
     return !rx_.empty() || fin_received_ || error_ != 0;
   }
+  /// EPOLLOUT's low-water mark: the socket reports writable only once a
+  /// 1/kSendLowatDiv share of its send buffer is free, so a waiting writer
+  /// wakes for a batch of writes rather than for every ACK that frees a
+  /// few segments. Linux's tcp_poll asks for half of what is queued (a
+  /// third of a full buffer); at a third, a writer could sleep through
+  /// fast recovery with nothing queued behind a lost retransmission for
+  /// RACK to see, and the RTO had to find it. Write admission ignores the
+  /// mark: a write below it still takes whatever fits.
+  static constexpr std::size_t kSendLowatDiv = 5;
   [[nodiscard]] bool writable() const noexcept {
     return state_ == TcpState::kEstablished ||
            state_ == TcpState::kCloseWait
-               ? snd_.free() > 0
+               ? snd_.free() >=
+                     std::max<std::size_t>(snd_.capacity() / kSendLowatDiv, 1)
                : false;
   }
   [[nodiscard]] bool eof() const noexcept {

@@ -728,6 +728,195 @@ TEST(Scenario2Proxy, IperfClientWaitsForSendSpaceWithoutCrossing) {
   }
 }
 
+TEST(Scenario2Proxy, IperfClientCrossingsPerMibArePinned) {
+  // A proxied IperfClient against the peer's iperf server: every crossing
+  // is a write, a wait or the setup and close-out. EPOLLOUT waits for the
+  // send buffer's low-water mark, so a wake buys a batch of writes: 752.5
+  // crossings per MiB against a floor of 724 (one per 1448-byte write).
+  // The gather path (8 MSS per ff_writev) waits the same way: 118.5 per
+  // MiB against a floor of 90.5.
+  constexpr std::uint64_t kBytes = 4 << 20;
+  for (const auto& [batch, pinned] :
+       {std::pair<std::size_t, std::uint64_t>{1, 3010}, {8, 474}}) {
+    SCOPED_TRACE(batch);
+    LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, 8 << 20,
+                    fast_options());
+    PeerHost& peer = rig.testbed().peer(0);
+    peer.serve_iperf(5201, 1);
+    const auto& entries = rig.testbed().intravisor().entries();
+    const machine::CapView buf = rig.alloc(1448);
+    const std::uint64_t before = entries.crossings();
+    std::unique_ptr<apps::IperfClient> cli;
+    rig.run(0, [&] {
+      cli = std::make_unique<apps::IperfClient>(
+          &rig.ops(), &rig.testbed().clock(), MorelloTestbed::peer_ip(0),
+          5201, kBytes, buf, 1448, batch);
+    });
+    while (!cli->finished()) {
+      const bool progress = rig.run(0, [&] { return cli->step(); });
+      ASSERT_TRUE(rig.turn(progress));
+    }
+    const std::uint64_t crossings = entries.crossings() - before;
+    while (!peer.workload_finished() && rig.turn(false)) {
+    }
+    ASSERT_TRUE(peer.workload_finished());
+    EXPECT_EQ(peer.server()->report().bytes, kBytes);
+    EXPECT_EQ(crossings, pinned);
+  }
+}
+
+TEST(Scenario2Proxy, IperfServerStopsReadingAtAShortRead) {
+  // A read shorter than the buffer proves the socket drained, so a
+  // readable wakeup crosses twice (the wait and one read) instead of
+  // ending on a read that answers -EAGAIN.
+  LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, 4 << 20,
+                  fast_options());
+  fstack::FfStack& peer = rig.testbed().peer(0).stack();
+  const auto& entries = rig.testbed().intravisor().entries();
+  const machine::CapView rx = rig.alloc(16 * 1024);
+  const machine::CapView tx = rig.alloc(1000);
+  std::unique_ptr<apps::IperfServer> srv;
+  rig.run(0, [&] {
+    srv = std::make_unique<apps::IperfServer>(
+        &rig.ops(), &rig.testbed().clock(), 5302, rx);
+  });
+  const auto received = [&] {
+    std::uint64_t n = 0;
+    for (const apps::IperfReport& r : srv->connection_reports()) n += r.bytes;
+    return n;
+  };
+  const auto step = [&] {  // returns the step's crossings
+    const std::uint64_t before = entries.crossings();
+    rig.turn(rig.run(0, [&] { return srv->step(); }));
+    return entries.crossings() - before;
+  };
+  const int fd = fstack::ff_socket(peer, fstack::kAfInet,
+                                   fstack::kSockStream, 0);
+  ASSERT_EQ(fstack::ff_connect(peer, fd, {MorelloTestbed::morello_ip(0),
+                                          5302}),
+            -EINPROGRESS);
+  std::uint64_t expect = 0;
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE(round);
+    std::int64_t w = -EAGAIN;
+    for (int i = 0; i < 1000 && w == -EAGAIN; ++i) {
+      w = fstack::ff_write(peer, fd, tx, 1000);
+      if (w == -EAGAIN) step();  // accepts the connection first
+    }
+    ASSERT_EQ(w, 1000);
+    expect += 1000;
+    std::vector<std::uint64_t> wakes;  // crossings of each step that read
+    for (int i = 0; i < 1000 && received() < expect; ++i) {
+      const std::uint64_t got = received();
+      const std::uint64_t crossings = step();
+      if (received() != got) wakes.push_back(crossings);
+    }
+    ASSERT_EQ(wakes.size(), 1u);
+    EXPECT_EQ(wakes[0], 2u);  // epoll_wait, read
+  }
+  EXPECT_FALSE(srv->finished());
+}
+
+TEST(Scenario2Proxy, IperfServerFinishesAStreamWhoseFinRidesItsLastData) {
+  // The peer writes and closes at once, so the FIN lands right behind the
+  // last data, before the server reads any of it. Reads that fill the
+  // buffer go on; the short read that takes the rest stops the drain; the
+  // next level-triggered wait still reports the fd, and its read sees EOF.
+  LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, 4 << 20,
+                  fast_options());
+  fstack::FfStack& peer = rig.testbed().peer(0).stack();
+  const auto& entries = rig.testbed().intravisor().entries();
+  const machine::CapView rx = rig.alloc(1024);
+  const machine::CapView tx = rig.alloc(3000);
+  std::unique_ptr<apps::IperfServer> srv;
+  rig.run(0, [&] {
+    srv = std::make_unique<apps::IperfServer>(
+        &rig.ops(), &rig.testbed().clock(), 5303, rx);
+  });
+  const auto received = [&] {
+    std::uint64_t n = 0;
+    for (const apps::IperfReport& r : srv->connection_reports()) n += r.bytes;
+    return n;
+  };
+  const auto step = [&] {
+    const bool progress = rig.run(0, [&] { return srv->step(); });
+    rig.turn(progress);
+    return progress;
+  };
+  const int fd = fstack::ff_socket(peer, fstack::kAfInet,
+                                   fstack::kSockStream, 0);
+  ASSERT_EQ(fstack::ff_connect(peer, fd, {MorelloTestbed::morello_ip(0),
+                                          5303}),
+            -EINPROGRESS);
+  for (int i = 0; i < 1000 && !step(); ++i) {  // until accepted
+  }
+  ASSERT_EQ(fstack::ff_write(peer, fd, tx, 3000), 3000);
+  ASSERT_EQ(fstack::ff_close(peer, fd), 0);
+  for (int i = 0; i < 200; ++i) rig.turn(false);  // data and FIN land
+  const std::uint64_t before = entries.crossings();
+  ASSERT_TRUE(step());
+  EXPECT_EQ(received(), 3000u);
+  EXPECT_EQ(entries.crossings() - before, 4u);  // the wait, 1024+1024+952
+  EXPECT_FALSE(srv->finished());  // the short read stopped the drain
+  ASSERT_TRUE(step());
+  EXPECT_TRUE(srv->finished());
+  EXPECT_EQ(srv->report().bytes, 3000u);
+}
+
+TEST(Scenario2Proxy, EchoTailOutlastsAPausedReader) {
+  // An echo that outruns a small send buffer while its reader pauses: the
+  // server keeps the unsent tail and waits for EPOLLOUT, which reports
+  // only past the send buffer's low-water mark. Every byte still comes
+  // back in order once the reader resumes (no lost wakeup), and every
+  // wait answer the proxy gives is the stack's.
+  TestbedOptions opt = fast_options();
+  opt.sndbuf_bytes = 16 * 1024;
+  LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, 64 << 20, opt);
+  fstack::FfStack& peer = rig.testbed().peer(0).stack();
+  CheckedWaits ops(rig.ops(), rig.service()->instance().stack(),
+                   rig.testbed().intravisor().entries());
+  const machine::CapView scratch = rig.alloc(4096);
+  const machine::CapView tx = rig.alloc(8 * 1024);
+  const machine::CapView rx = rig.alloc(64 * 1024);
+  std::unique_ptr<apps::EchoServer> srv;
+  rig.run(0, [&] {
+    srv = std::make_unique<apps::EchoServer>(&ops, 7000, scratch);
+  });
+  std::vector<std::byte> msg(1 << 20);
+  std::mt19937_64 rng(7);
+  for (std::byte& b : msg) b = static_cast<std::byte>(rng());
+  const int fd = fstack::ff_socket(peer, fstack::kAfInet,
+                                   fstack::kSockStream, 0);
+  ASSERT_EQ(fstack::ff_connect(peer, fd, {MorelloTestbed::morello_ip(0),
+                                          7000}),
+            -EINPROGRESS);
+  std::size_t sent = 0;
+  std::vector<std::byte> got;
+  std::vector<std::byte> chunk(rx.size());
+  for (int i = 0; i < 400'000 && got.size() < msg.size(); ++i) {
+    if (sent < msg.size()) {
+      const std::size_t n =
+          std::min<std::size_t>(tx.size(), msg.size() - sent);
+      tx.write(0, std::span{msg}.subspan(sent, n));
+      const std::int64_t w = fstack::ff_write(peer, fd, tx, n);
+      if (w > 0) sent += static_cast<std::size_t>(w);
+    }
+    if ((i / 2000) % 2 == 1) {  // the reader pauses every other 2000 turns
+      const std::int64_t r = fstack::ff_read(peer, fd, rx, rx.size());
+      if (r > 0) {
+        rx.read(0, std::span{chunk}.first(static_cast<std::size_t>(r)));
+        got.insert(got.end(), chunk.begin(), chunk.begin() + r);
+      }
+    }
+    const bool progress = rig.run(0, [&] { return srv->step(); });
+    rig.turn(progress);
+  }
+  ASSERT_EQ(got.size(), msg.size());
+  EXPECT_TRUE(got == msg);
+  EXPECT_EQ(srv->bytes_echoed(), msg.size());
+  EXPECT_GT(ops.mods, 0u);  // the server waited on EPOLLOUT for its tail
+}
+
 TEST(Scenario2Proxy, LocalWaitAnswersMatchTheStackSeeded) {
   // Differential check of the proxy's local answers: a seeded peer drives
   // an EchoServer (requests on four connections, one of them read only

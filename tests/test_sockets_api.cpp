@@ -290,6 +290,40 @@ TEST(FfApiV2, WritevShortCountWhenBufferFillsMidBatch) {
   EXPECT_EQ(ff_writev(ts.a(), cfd, iov), -EAGAIN);
 }
 
+TEST(FfApi, TcpEpollOutWaitsForTheLowWaterMark) {
+  // EPOLLOUT on a TCP socket means a 1/kSendLowatDiv share of the send
+  // buffer is free: absent one byte below that mark, present at it. Write
+  // admission ignores the mark, so a write below it still takes what fits.
+  TcpConfig tcp;
+  tcp.sndbuf_bytes = 16 * 1024;
+  TwoStacks ts(sim::Testbed::unconstrained(), tcp);
+  const auto [cfd, sfd] = connect_pair(ts);
+  const std::size_t mark = tcp.sndbuf_bytes / TcpPcb::kSendLowatDiv;
+  const int ep = ff_epoll_create(ts.a());
+  ASSERT_EQ(ff_epoll_ctl(ts.a(), ep, EpollOp::kAdd, cfd, kEpollOut, 7), 0);
+  FfEpollEvent ev[1];
+  ASSERT_EQ(ff_epoll_wait(ts.a(), ep, ev), 1);
+
+  // A's loop does not run from here on, so no ACK frees anything.
+  auto buf = ts.heap_a().alloc_view(tcp.sndbuf_bytes);
+  const std::size_t to_mark = tcp.sndbuf_bytes - mark;
+  ASSERT_EQ(ff_write(ts.a(), cfd, buf, to_mark),
+            static_cast<std::int64_t>(to_mark));
+  ASSERT_EQ(ff_epoll_wait(ts.a(), ep, ev), 1);  // free == mark
+  EXPECT_EQ(ev[0].events, kEpollOut);
+  EXPECT_EQ(ev[0].data, 7u);
+  ASSERT_EQ(ff_write(ts.a(), cfd, buf, 1), 1);
+  EXPECT_EQ(ff_epoll_wait(ts.a(), ep, ev), 0);  // free == mark - 1
+  EXPECT_EQ(ts.a().sock_readiness(cfd) & kEpollOut, 0u);
+
+  EXPECT_EQ(ff_write(ts.a(), cfd, buf, mark),
+            static_cast<std::int64_t>(mark - 1));  // partial, not -EAGAIN
+  EXPECT_EQ(ff_write(ts.a(), cfd, buf, 1), -EAGAIN);
+  // The peer acknowledges everything: the mark is passed again.
+  EXPECT_TRUE(
+      ts.pump_until([&] { return ff_epoll_wait(ts.a(), ep, ev) == 1; }));
+}
+
 TEST(FfApiV2, WritevEmptyAndZeroLengthEdgeCases) {
   TwoStacks ts;
   const auto [cfd, sfd] = connect_pair(ts);

@@ -526,10 +526,14 @@ TEST(Uring, EpollArmDedupsUnchangedReadinessButNotNewActivity) {
 
 TEST(Uring, EpollArmPostsSendSpaceFreedBetweenPublications) {
   // The send-space lost wakeup: an OUT watcher fills the send buffer with
-  // v1 writes between two publications, and an ACK frees space before the
-  // next one. That publication reads OUT again with no new RX activity,
-  // so only the acknowledged bytes can tell it something happened.
-  TwoStacks ts;
+  // v1 writes between two publications, and an ACK frees space past the
+  // low-water mark before the next one. That publication reads OUT again
+  // with no new RX activity, so only the acknowledged bytes can tell it
+  // something happened. The send buffer is sized so that one ACK pass on
+  // a cold cwnd (10 segments) frees more than the mark.
+  TcpConfig tcp;
+  tcp.sndbuf_bytes = 16 * 1024;
+  TwoStacks ts(sim::Testbed::unconstrained(), tcp);
   const TcpPair p = connect_b_to_a(ts);
   AttachedRing ar = attach_ring(ts, 8, 8);
   const int ep = ff_epoll_create(ts.a());
@@ -577,6 +581,74 @@ TEST(Uring, EpollArmPostsSendSpaceFreedBetweenPublications) {
   EXPECT_NE(ts.a().sock_readiness(p.a_fd) & kEpollOut, 0u);
   std::size_t woke = 0;
   EXPECT_TRUE(ts.pump_until([&] { return (woke += out_edges()) > 0; }, 2000));
+}
+
+TEST(Uring, EpollArmPostsOneOutEdgePerCrossingOfTheLowWaterMark) {
+  // A writer that filled its send buffer hears nothing while ACKs free it
+  // back up to the low-water mark, and one OUT edge when a publication
+  // finds it past the mark. The watch also holds IN over unread bytes, so
+  // the mask below the mark is IN: acknowledged bytes must not re-post it.
+  TwoStacks ts;  // 256 KiB send buffer: several ACK passes below the mark
+  const TcpPair p = connect_b_to_a(ts);
+  machine::CapView unread = ts.heap_b().alloc_view(64);
+  ASSERT_EQ(ff_write(ts.b(), p.b_fd, unread, 64), 64);  // A never reads it
+  ASSERT_TRUE(ts.pump_until(
+      [&] { return (ts.a().sock_readiness(p.a_fd) & kEpollIn) != 0; }));
+  AttachedRing ar = attach_ring(ts, 8, 8);
+  const int ep = ff_epoll_create(ts.a());
+  ff_epoll_ctl(ts.a(), ep, EpollOp::kAdd, p.a_fd, kEpollIn | kEpollOut, 5);
+  FfUringSqe arm;
+  arm.op = UringOp::kEpollArm;
+  arm.fd = ep;
+  arm.user_data = 56;
+  ASSERT_NE(ar.ring.sq_push(arm), FfUring::Push::kFull);
+  struct Edges {
+    std::size_t out = 0;
+    std::size_t other = 0;
+  };
+  const auto edges = [&] {
+    Edges e;
+    FfUringCqe cq[8];
+    for (std::size_t k = ar.ring.cq_pop(cq); k > 0; k = ar.ring.cq_pop(cq)) {
+      for (std::size_t i = 0; i < k; ++i) {
+        if (cq[i].user_data != 56 || cq[i].result <= 0) continue;
+        ++((cq[i].result & kEpollOut) != 0 ? e.out : e.other);
+      }
+    }
+    return e;
+  };
+  std::size_t armed = 0;
+  ASSERT_TRUE(ts.pump_until([&] { return (armed += edges().out) > 0; }));
+  ASSERT_EQ(armed, 1u);
+
+  machine::CapView tx = ts.heap_a().alloc_view(64 * 1024);
+  tx.write(0, pattern(64 * 1024));
+  const TcpPcb& pcb = *ts.a().sockets().get(p.a_fd)->pcb;
+  for (int crossing = 0; crossing < 3; ++crossing) {
+    SCOPED_TRACE(crossing);
+    for (std::int64_t w = 0; w != -EAGAIN;) {
+      w = ff_write(ts.a(), p.a_fd, tx, tx.size());
+      ASSERT_TRUE(w > 0 || w == -EAGAIN) << w;
+    }
+    ASSERT_EQ(ts.a().sock_readiness(p.a_fd) & kEpollOut, 0u);
+    Edges seen;
+    std::size_t acks_below = 0;  // passes that freed space under the mark
+    std::uint64_t acked = pcb.counters().bytes_acked;
+    ASSERT_TRUE(ts.pump_until([&] {
+      const Edges e = edges();
+      seen.out += e.out;
+      seen.other += e.other;
+      const bool out = (ts.a().sock_readiness(p.a_fd) & kEpollOut) != 0;
+      if (!out && pcb.counters().bytes_acked != acked) ++acks_below;
+      acked = pcb.counters().bytes_acked;
+      return seen.out > 0;
+    }));
+    EXPECT_GE(acks_below, 2u);
+    EXPECT_EQ(seen.out, 1u);
+    // Falling below the mark changed the mask to IN, which posts once;
+    // the ACKs under the mark added nothing to it.
+    EXPECT_EQ(seen.other, 1u);
+  }
 }
 
 TEST(Uring, ArmedEpollWaitPublishesWhatItAnswers) {
