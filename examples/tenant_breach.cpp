@@ -1,7 +1,8 @@
 // Tenant breach demo (Scenario 3's isolation claim as an interactive
-// story): two tenants share ONE network stack compartment. The victim
-// tenant receives a secret over the wire as a zero-copy RX loan — an
-// exactly-bounded read-only capability straight into the stack's mbuf.
+// story): two tenants share ONE network stack compartment, each with its
+// own ring. The victim tenant receives a secret over the wire as a
+// zero-copy RX loan — an OP_ZC_RECV CQE carrying an exactly-bounded
+// read-only capability straight into the stack's mbuf.
 // The attacker tenant then tries every way to reach that loan: replaying
 // the victim's token through its own ring, spending it as a TX token,
 // forging a capability to the mbuf's address from raw bytes, and writing
@@ -13,6 +14,7 @@
 //   build/example_tenant_breach
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "fstack/api.hpp"
 #include "fstack/uring.hpp"
@@ -20,6 +22,40 @@
 
 using namespace cherinet;
 using namespace cherinet::fstack;
+
+namespace {
+
+/// A tenant's doorway into the shared stack: a ring the control plane
+/// binds to the tenant's row. Each submission is drained by its doorbell.
+struct TenantRing {
+  static constexpr std::uint32_t kSq = 8, kCq = 16;
+
+  TenantRing(scen::TwoStacks& rig, int tid)
+      : st(rig.a()),
+        mem(rig.heap_a().alloc_view(FfUring::bytes_for(kSq, kCq))),
+        ring(mem, kSq, kCq),
+        id(ff_uring_attach(st, mem, kSq, kCq)) {
+    ff_uring_bind_tenant(st, id, tid);
+  }
+  /// One SQE in, drained by the doorbell that follows it.
+  void submit(const FfUringSqe& e) {
+    ring.sq_push(e);
+    ff_uring_doorbell(st, id);
+  }
+  /// The next CQE, or nothing when the stack posted none.
+  std::optional<FfUringCqe> reap() {
+    FfUringCqe cqe;
+    if (ring.cq_pop({&cqe, 1}) != 1) return std::nullopt;
+    return cqe;
+  }
+
+  FfStack& st;
+  machine::CapView mem;
+  FfUring ring;
+  int id;
+};
+
+}  // namespace
 
 int main() {
   // Stack A hosts both tenants; stack B is the remote peer that sends the
@@ -49,11 +85,22 @@ int main() {
     ff_close(peer, pfd);
   }
 
-  // Zero-copy receive: the loan is an exactly-bounded READ-ONLY capability
-  // into the stack's own mbuf — no copy was made, so the only thing
-  // guarding the secret is the capability itself (and the tenant ledger).
-  FfZcRxBuf loan;
-  if (ff_zc_recv(st, vfd, {&loan, 1}) != 1 || !loan.valid()) {
+  // Zero-copy receive through the victim's ring: the loan is an
+  // exactly-bounded READ-ONLY capability into the stack's own mbuf — no
+  // copy was made, so the only thing guarding the secret is the
+  // capability itself (and the tenant ledger).
+  TenantRing vring(rig, victim);
+  FfUringSqe take;
+  take.op = UringOp::kZcRecv;
+  take.fd = vfd;
+  take.a[0] = 1;
+  vring.submit(take);
+  const std::optional<FfUringCqe> got = vring.reap();
+  const FfZcRxBuf loan =
+      got && got->result > 0
+          ? FfZcRxBuf{got->aux0, got->cap, uring_unpack_addr(got->aux1)}
+          : FfZcRxBuf{};
+  if (!loan.valid()) {
     std::printf("!! secret never arrived\n");
     return 1;
   }
@@ -66,11 +113,7 @@ int main() {
 
   // The attacker tenant attaches its own ring — its only doorway into the
   // shared stack — and the control plane binds it to the attacker's row.
-  constexpr std::uint32_t kSq = 8, kCq = 16;
-  auto ring_mem = rig.heap_a().alloc_view(FfUring::bytes_for(kSq, kCq));
-  FfUring ring(ring_mem, kSq, kCq);
-  const int rid = ff_uring_attach(st, ring_mem, kSq, kCq);
-  ff_uring_bind_tenant(st, rid, attacker);
+  TenantRing aring(rig, attacker);
 
   int contained = 0, attempts = 0;
   const auto ring_verdict = [&](UringOp op, std::uint64_t token,
@@ -88,14 +131,15 @@ int main() {
       e.a[0] = token;
       e.a[1] = 16;
     }
-    ring.sq_push(e);
-    st.uring_doorbell(rid);
+    aring.submit(e);
     rig.pump(8);
-    FfUringCqe cqe;
-    if (ring.cq_pop({&cqe, 1}) == 1 && cqe.result < 0) {
+    const std::optional<FfUringCqe> cqe = aring.reap();
+    if (cqe && cqe->result < 0) {
       ++contained;
       std::printf("  rejected by the tenant checks: result=%lld\n",
-                  static_cast<long long>(cqe.result));
+                  static_cast<long long>(cqe->result));
+    } else if (!cqe) {
+      std::printf("  !! no verdict came back\n");
     } else {
       std::printf("  !! the cross-tenant token was honoured\n");
     }
@@ -141,13 +185,19 @@ int main() {
   }
 
   // The victim is untouched by all of it: the secret still reads back and
-  // the loan recycles normally under the victim's own identity.
+  // the loan recycles normally through the victim's own ring.
   std::memset(seen, 0, sizeof seen);
   loan.data.read(0, std::as_writable_bytes(std::span{seen}));
-  const int recycled = ff_zc_recycle(st, loan);
+  FfUringSqe give_back;
+  give_back.op = UringOp::kRecycle;
+  give_back.a[0] = 1;
+  give_back.tokens[0] = loan.token;
+  vring.submit(give_back);
+  const std::optional<FfUringCqe> back = vring.reap();
+  const std::int64_t recycled = back ? back->result : 0;
   std::printf("\n%d/%d attempts contained; victim still reads \"%s\" and "
-              "recycles its loan (rc=%d)\n",
-              contained, attempts, seen, recycled);
+              "recycles its loan (recycled=%lld)\n",
+              contained, attempts, seen, static_cast<long long>(recycled));
   ff_close(st, vfd);
-  return contained == attempts && recycled == 0 ? 0 : 1;
+  return contained == attempts && recycled == 1 ? 0 : 1;
 }

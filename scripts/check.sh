@@ -5,7 +5,7 @@
 # CMakeLists.txt — all on the lockstep rig, so the sanitizer leg gates
 # them too), then diffs every smoke artifact against its committed
 # baseline in bench/baseline/, holds the Table I capability-aware line
-# count and share at or below theirs and, outside the sanitizer leg, holds
+# count at or below its baseline and, outside the sanitizer leg, holds
 # every capability predicate in src/fstack and src/scenarios to the one
 # boundary check (src/fstack/boundary.hpp), fails when anything in src/
 # starts a thread or an ff_* that src/fstack/api.hpp declares has no caller
@@ -28,7 +28,8 @@
 # it that way.
 #
 # COVERAGE=1 switches to a Debug build with gcov instrumentation (--coverage
-# on compile and link), again in its own build tree, runs the ctest suite
+# on compile and link, counters updated atomically so the threaded tests
+# cannot race on them), again in its own build tree, runs the ctest suite
 # once (the wall-clock test skipped: it passes or fails on host noise) and
 # reads every .gcda with gcov's JSON format through scripts/coverage.jq into
 # <build>/COVERAGE.json: src/'s executable and covered lines, their share,
@@ -70,7 +71,11 @@ elif [[ "$TSAN" == "1" ]]; then
   export CHERINET_SKIP_TIMING_TESTS=1
 elif [[ "$COVERAGE" == "1" ]]; then
   BUILD_DIR="${BUILD_DIR:-build-cov}"
-  EXTRA_FLAGS=(-DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS=--coverage
+  # Atomic counter updates: the threaded tests (CompartmentMutex.*, Umtx.*)
+  # would otherwise race on the counters of the code they share, and two
+  # runs at one commit would read different line counts.
+  EXTRA_FLAGS=(-DCMAKE_BUILD_TYPE=Debug
+               "-DCMAKE_CXX_FLAGS=--coverage -fprofile-update=atomic"
                -DCMAKE_EXE_LINKER_FLAGS=--coverage)
   export CHERINET_SKIP_TIMING_TESTS=1
 else
@@ -331,19 +336,20 @@ for fig in fig4 fig5; do
 done
 require "$BUILD_DIR/BENCH_tenants.json" '.min_retention >= 0.90'
 
-# Table I ratchet: neither the capability-annotated line count of
-# src/fstack nor its share may exceed the committed baseline. Any edit
-# there moves `total`, so this compares with <= instead of joining the
-# exact-diff FIGS loop above; a change that lowers either copies the fresh
-# artifact over bench/baseline/BENCH_table1.json.
+# Table I ratchet: the capability-annotated line count of src/fstack (the
+# count Table I reports) may not exceed the committed baseline. Its share
+# is not gated: with `annotated` held, the share can only rise when `total`
+# falls, and deleting lines that mention no capability is the aim, not a
+# regression. Any edit there moves `total`, so this compares instead of
+# joining the exact-diff FIGS loop above; a change that passes and moves
+# either figure copies the fresh artifact over
+# bench/baseline/BENCH_table1.json.
 t1="$BUILD_DIR/BENCH_table1.json"
 if [[ -f "$t1" ]]; then
   echo "== bench artifact: $t1"
   cat "$t1"
   require "$t1" '.gates_passed == true'
-  for key in annotated share_pct; do
-    require "$t1" ".$key <= $(jq ".$key" bench/baseline/BENCH_table1.json)"
-  done
+  require "$t1" ".annotated <= $(jq .annotated bench/baseline/BENCH_table1.json)"
 else
   echo "== MISSING ARTIFACT: $t1"
   status=1

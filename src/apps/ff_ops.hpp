@@ -8,10 +8,10 @@
 // interface and run unmodified in every scenario — exactly the paper's
 // porting story for iperf3.
 //
-// Each call a binding overrides is one Scenario 2 sealed entry (18 in all;
-// scenarios/scenario2.hpp). Everything else — zero-copy TX, QoS classes,
-// multishot accept, the connection lifecycle — rides the ff_uring rings,
-// so it adds no entry and no virtual here.
+// Each call a binding overrides is one Scenario 2 sealed entry (16 in all;
+// scenarios/scenario2.hpp). Everything else — zero-copy RX and TX, QoS
+// classes, multishot accept, the connection lifecycle — rides the ff_uring
+// rings, so it adds no entry and no virtual here.
 #pragma once
 
 #include <cerrno>
@@ -41,19 +41,14 @@ class FfOps {
                               std::span<const fstack::FfIovec> iov) = 0;
   virtual std::int64_t readv(int fd, std::span<const fstack::FfIovec> iov) = 0;
 
-  // Zero-copy RX (API v2): every binding implements the loan path.
-  virtual std::int64_t zc_recv(int fd,
-                               std::span<fstack::FfZcRxBuf> out) = 0;
-  virtual std::int64_t zc_recycle_batch(
-      std::span<fstack::FfZcRxBuf> zcs) = 0;
-
   // API v3: the ff_uring unified boundary (fstack/uring.hpp). One attach
   // crossing arms a submission/completion capability-ring pair; from then
   // on the application submits with plain capability stores and reaps with
   // plain loads — zero crossings per operation in steady state, a doorbell
   // crossing only on an empty->non-empty SQ transition while the stack is
-  // parked. Zero-copy TX (OP_ZC_ALLOC / OP_ZC_SEND / OP_ZC_ABORT), QoS
-  // class changes (OP_SET_CLASS) and multishot accept ride this ring.
+  // parked. Zero-copy RX (OP_ZC_RECV / OP_RECYCLE), zero-copy TX
+  // (OP_ZC_ALLOC / OP_ZC_SEND / OP_ZC_ABORT), QoS class changes
+  // (OP_SET_CLASS) and multishot accept ride this ring.
   virtual int uring_attach(const machine::CapView& mem,
                            std::uint32_t sq_capacity,
                            std::uint32_t cq_capacity) = 0;
@@ -68,7 +63,9 @@ class FfOps {
   //    OP_EPOLL_ARM on an ff_uring instead;
   //  * API v12: the zero-copy TX, QoS-class and accept-batch entries —
   //    use OP_ZC_ALLOC / OP_ZC_SEND / OP_ZC_ABORT, OP_SET_CLASS, and
-  //    accept() or OP_ACCEPT_MULTISHOT (CHANGES.md, PR 17).
+  //    accept() or OP_ACCEPT_MULTISHOT;
+  //  * the zero-copy RX entries — use OP_ZC_RECV / OP_RECYCLE.
+  // CHANGES.md records when each went.
   virtual int epoll_wait_multishot(int /*epfd*/,
                                    const machine::CapView& /*ring*/,
                                    std::uint32_t /*capacity*/) {
@@ -90,6 +87,14 @@ class FfOps {
   virtual int set_class(int /*fd*/, std::uint32_t /*cls*/) {
     return -ENOTSUP;
   }
+  virtual std::int64_t zc_recv(int /*fd*/,
+                               std::span<fstack::FfZcRxBuf> /*out*/) {
+    return -ENOTSUP;
+  }
+  virtual std::int64_t zc_recycle_batch(
+      std::span<fstack::FfZcRxBuf> /*zcs*/) {
+    return -ENOTSUP;
+  }
 
   virtual int close(int fd) = 0;
   virtual int epoll_create() = 0;
@@ -97,18 +102,6 @@ class FfOps {
                         std::uint32_t events, std::uint64_t data) = 0;
   virtual int epoll_wait(int epfd, std::span<fstack::FfEpollEvent> out) = 0;
 };
-
-/// The FfUringRecycler fallback every ring consumer shares: a token batch
-/// the SQ refused goes back through ONE classic zc_recycle_batch crossing
-/// instead of piling up while the loans stay window-charged.
-inline fstack::FfUringRecycler::Fallback classic_recycle_fallback(
-    FfOps* ops) {
-  return [ops](std::span<const std::uint64_t> toks) {
-    fstack::FfZcRxBuf zcs[fstack::FfUringSqe::kMaxTokens];
-    for (std::size_t i = 0; i < toks.size(); ++i) zcs[i].token = toks[i];
-    ops->zc_recycle_batch({zcs, toks.size()});
-  };
-}
 
 /// Direct binding: app and stack share a compartment (Baseline, Scenario 1).
 class DirectFfOps final : public FfOps {
@@ -141,12 +134,6 @@ class DirectFfOps final : public FfOps {
   }
   std::int64_t readv(int fd, std::span<const fstack::FfIovec> iov) override {
     return fstack::ff_readv(*st_, fd, iov);
-  }
-  std::int64_t zc_recv(int fd, std::span<fstack::FfZcRxBuf> out) override {
-    return fstack::ff_zc_recv(*st_, fd, out);
-  }
-  std::int64_t zc_recycle_batch(std::span<fstack::FfZcRxBuf> zcs) override {
-    return fstack::ff_zc_recycle_batch(*st_, zcs);
   }
   int uring_attach(const machine::CapView& mem, std::uint32_t sq_capacity,
                    std::uint32_t cq_capacity) override {

@@ -15,12 +15,8 @@ constexpr std::uint64_t kUdEpoll = 2;
 
 IperfServer::IperfServer(FfOps* ops, sim::VirtualClock* clock,
                          std::uint16_t port, machine::CapView rx,
-                         int expected_connections, bool zero_copy)
-    : ops_(ops),
-      clock_(clock),
-      rx_(rx),
-      expected_(expected_connections),
-      zero_copy_(zero_copy) {
+                         int expected_connections, bool)
+    : ops_(ops), clock_(clock), rx_(rx), expected_(expected_connections) {
   listen_fd_ = ops_->socket_stream();
   ops_->bind(listen_fd_, fstack::Ipv4Addr{}, port);
   ops_->listen(listen_fd_, 8);
@@ -34,31 +30,27 @@ IperfServer::~IperfServer() {
 }
 
 void IperfServer::uring_teardown() {
-  // Tokens still in the accumulator go back synchronously, and ring-queued
-  // OP_RECYCLE entries are drained NOW via the (synchronous) doorbell —
-  // detaching with entries pending would drop their tokens and pin the
-  // loaned data rooms forever. Reap the CQ between rings: a full CQ makes
-  // every drain a no-op, so the doorbell alone cannot make progress.
-  ur_recycler_.flush_sync();
-  const auto reap = [this] {
+  // Every token goes back as an OP_RECYCLE entry, and the doorbell drains
+  // them NOW: detaching with entries pending would drop their tokens and
+  // pin the loaned data rooms forever. A straggler loan CQE reaped here
+  // joins the store, and a push the full SQ refused goes out after the
+  // next drain. Reap the CQ before each ring: a full CQ makes every drain
+  // a no-op, so the doorbell alone cannot make progress.
+  for (int spins = 0; spins < 64; ++spins) {
     fstack::FfUringCqe cq[16];
     for (std::size_t n = uring_->cq_pop(cq); n > 0; n = uring_->cq_pop(cq)) {
       for (std::size_t i = 0; i < n; ++i) {
-        // A straggler loan CQE reaped here still owes its token back.
         if (cq[i].op == fstack::UringOp::kZcRecv && cq[i].result >= 0 &&
             (cq[i].flags & fstack::kCqeEof) == 0 && cq[i].aux0 != 0) {
-          fstack::FfZcRxBuf z;
-          z.token = cq[i].aux0;
-          ops_->zc_recycle_batch({&z, 1});
+          ur_recycler_.add(cq[i].aux0);
         }
       }
     }
-  };
-  for (int spins = 0; spins < 64 && uring_->sq_pending() > 0; ++spins) {
-    reap();
+    ur_recycler_.flush();
+    // An empty SQ after the flush means the store is empty too.
+    if (uring_->sq_pending() == 0) break;
     ops_->uring_doorbell(uring_id_);
   }
-  reap();
   ops_->uring_detach(uring_id_);
   uring_.reset();
   ur_recycler_ = fstack::FfUringRecycler();  // no dangling ring pointer
@@ -76,8 +68,8 @@ int IperfServer::use_uring(machine::CapView ring_mem,
   // the CQ so completions for accept/readiness/recycle always have room.
   ur_credits_.configure(
       cq_capacity, static_cast<std::uint32_t>(fstack::FfUringSqe::kMaxCaps));
-  ur_recycler_ =
-      fstack::FfUringRecycler(&*uring_, classic_recycle_fallback(ops_));
+  ur_recycler_ = fstack::FfUringRecycler(
+      &*uring_, ur_credits_.credits() * fstack::FfUringSqe::kMaxCaps);
   // Arm once: accepted fds and readiness arrive as CQEs from here on.
   push_accept_arm(*uring_, listen_fd_, kUdAccept);
   push_epoll_arm(*uring_, epfd_, kUdEpoll);
@@ -133,10 +125,9 @@ struct IperfServer::RxDispatch {
   void on_eof(std::uint64_t user_data) {
     Conn* c = conn_of(user_data);
     if (c == nullptr) return;
-    // EOF: return the tail tokens SYNCHRONOUSLY (one teardown crossing) —
-    // a ring entry pushed now might never drain once the server stops
-    // stepping, and loans must not outlive it.
-    s.ur_recycler_.flush_sync();
+    // EOF: the tail tokens go out now; uring_teardown drains them once
+    // the last connection completes.
+    s.ur_recycler_.flush();
     s.finish(*c);
   }
   void on_drained(std::uint64_t user_data) {
@@ -162,6 +153,9 @@ bool IperfServer::step_uring() {
     progress = true;
     dispatch_rx_cqe(cq[i], h);
   }
+  // A batch the SQ refused goes out before any new burst, which keeps the
+  // token store within its bound (fstack::FfUringRecycler).
+  ur_recycler_.retry();
   // One zc burst per connection, up to the ledger's credits overlapped
   // inside the same CQ window, rotated round-robin so a saturating sender
   // that stays hot cannot starve its siblings of harvest bursts.
@@ -204,32 +198,7 @@ void IperfServer::finish(Conn& c) {
   total_.last_byte = std::max(total_.last_byte, c.report.last_byte);
 }
 
-void IperfServer::drain_zero_copy(Conn& c) {
-  while (true) {
-    fstack::FfZcRxBuf loans[kZcBatch];
-    const std::int64_t r = ops_->zc_recv(c.fd, loans);
-    if (r > 0) {
-      std::uint64_t got = 0;
-      for (std::int64_t i = 0; i < r; ++i) got += loans[i].data.size();
-      if (c.report.bytes == 0) c.report.first_byte = clock_->now();
-      c.report.bytes += got;
-      c.report.last_byte = clock_->now();
-      // The payload is consumed in place (a real receiver would parse it
-      // through the read-only loan); recycling is what returns the data
-      // rooms — and the receive window — in one batched call.
-      ops_->zc_recycle_batch({loans, static_cast<std::size_t>(r)});
-      continue;
-    }
-    if (r == 0) finish(c);  // EOF
-    return;  // -EAGAIN or EOF
-  }
-}
-
 void IperfServer::drain(Conn& c) {
-  if (zero_copy_) {
-    drain_zero_copy(c);
-    return;
-  }
   while (true) {
     const std::int64_t r = ops_->read(c.fd, rx_, rx_.size());
     if (r > 0) {

@@ -30,14 +30,14 @@ struct IperfReport {
 /// Receiver ("server mode" in the paper's Table II).
 class IperfServer {
  public:
-  static constexpr std::size_t kZcBatch = 16;
-
   /// `rx` must be a writable capability buffer (>= 16 KiB recommended).
-  /// With `zero_copy`, connections drain through ff_zc_recv loans +
-  /// ff_zc_recycle instead of copying reads.
+  /// Connections drain through copying reads; use_uring() switches the
+  /// server to zero-copy loans. The last parameter is ignored: zero-copy
+  /// RX has one door, the ring, and the flag survives only because a
+  /// caller outside the library (bench/e2e/session.cpp) still passes it.
   IperfServer(FfOps* ops, sim::VirtualClock* clock, std::uint16_t port,
               machine::CapView rx, int expected_connections = 1,
-              bool zero_copy = false);
+              bool /*zero_copy*/ = false);
   /// Detaches a still-armed ff_uring (the ring region is app memory; the
   /// stack's delegated capability must not outlive the server).
   ~IperfServer();
@@ -78,11 +78,10 @@ class IperfServer {
   struct RxDispatch;  // uring_proto CQE handler (defined in iperf.cpp)
 
   void drain(Conn& c);
-  void drain_zero_copy(Conn& c);
   void finish(Conn& c);
   void accept_ready();
   bool step_uring();
-  /// Drain queued recycle entries, return tail tokens, detach the ring.
+  /// Return every token through the ring, drain it, detach it.
   void uring_teardown();
 
   FfOps* ops_;
@@ -92,7 +91,6 @@ class IperfServer {
   int epfd_ = -1;  // iperf3 was ported onto epoll (paper §III-B)
   int expected_;
   int completed_ = 0;
-  const bool zero_copy_;
   std::optional<fstack::FfUring> uring_;  // v3: the whole RX pipeline
   int uring_id_ = -1;
   // Per-connection burst credits (shared ledger in uring_proto.hpp): up to

@@ -57,22 +57,6 @@ std::int64_t ff_readv(FfStack& st, int fd, std::span<const FfIovec> iov) {
   return st.sock_readv(fd, iov);
 }
 
-std::int64_t ff_zc_recv(FfStack& st, int fd, std::span<FfZcRxBuf> out) {
-  return st.sock_zc_recv(fd, out);
-}
-
-int ff_zc_recycle(FfStack& st, FfZcRxBuf& zc) {
-  return st.sock_zc_recycle(zc);
-}
-
-std::int64_t ff_zc_recycle_batch(FfStack& st, std::span<FfZcRxBuf> zcs) {
-  std::int64_t n = 0;
-  for (FfZcRxBuf& zc : zcs) {
-    if (st.sock_zc_recycle(zc) == 0) ++n;
-  }
-  return n;
-}
-
 std::int64_t ff_sendto(FfStack& st, int fd, const machine::CapView& buf,
                        std::size_t nbytes, const FfSockAddrIn& to) {
   return st.sock_sendto(fd, buf, nbytes, to.ip, to.port);

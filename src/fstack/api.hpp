@@ -2,7 +2,7 @@
 //
 // Doors. Every ff_* below is a direct call: the app shares the stack's
 // compartment (Baseline, Scenario 1). In Scenario 2 an app in its own cVM
-// reaches 18 of them as sealed entries (ProxyFfOps::Entry in
+// reaches 16 of them as sealed entries (ProxyFfOps::Entry in
 // scenarios/scenario2.hpp), each run as the app's tenant. Once a ring is
 // attached, most verbs are also an SQE opcode of the ff_uring
 // (fstack/uring.hpp), run as the ring's tenant with no crossing per op.
@@ -53,7 +53,7 @@ int ff_accept(FfStack& st, int fd, FfSockAddrIn* peer);
 /// -EBADF, -EISCONN, -EADDRINUSE (no ephemeral port steers to this shard).
 int ff_connect(FfStack& st, int fd, const FfSockAddrIn& addr);
 /// Entry kClose; SQE OP_CLOSE; row -. 0; -EBADF. Outstanding zc RX loans
-/// outlive the fd: each still owes one recycle.
+/// outlive the fd: each still owes one OP_RECYCLE.
 int ff_close(FfStack& st, int fd);
 
 // ------------------------------------------------------------ TCP bytes
@@ -91,21 +91,27 @@ std::int64_t ff_recvfrom(FfStack& st, int fd, const machine::CapView& buf,
 
 // ------------------------------------------------------------ zero-copy RX
 
-/// Entry kZcRecv (row kZcRecv: 16-byte records, checked before a loan
-/// moves); SQE OP_ZC_RECV (one CQE per loan, kCqeEof at EOF); row - for
-/// the direct call. TCP or UDP. Fills up to out.size() exactly-bounded
-/// READ-ONLY capability loans into RX data rooms: loans filled, 0 at EOF;
-/// -EAGAIN, -EBADF, -ENOBUFS (the tenant's loan or pool cap, or no room to
-/// bounce a copied slice; retry after recycling), -EMSGSIZE (a datagram no
-/// room can hold: take it with ff_recvfrom). A loan stays charged against
-/// the receive window until recycled.
-std::int64_t ff_zc_recv(FfStack& st, int fd, std::span<FfZcRxBuf> out);
-/// Entry kZcRecycle (row kZcRecycle; up to 64 tokens per crossing); SQE
-/// OP_RECYCLE (up to 16 tokens, aux0 counts the refused). 0; -EINVAL for a
-/// recycled, forged or neighbour's token. The only way a loan's room goes
-/// back to the pool; ff_zc_recycle_batch returns how many it recycled.
-int ff_zc_recycle(FfStack& st, FfZcRxBuf& zc);
-std::int64_t ff_zc_recycle_batch(FfStack& st, std::span<FfZcRxBuf> zcs);
+// Zero-copy RX has one door, the ring (entry -, row -), and runs as the
+// ring's tenant. TCP or UDP.
+//  OP_ZC_RECV   fd, a0 the most loans wanted (clamped to 1..8; the CQ must
+//               have room for them). One CQE per loan: result = its
+//               length, aux0 = token, aux1 = the source (uring_pack_addr),
+//               cap = an exactly-bounded READ-ONLY view into the RX data
+//               room that holds the bytes, no copy made; kCqeMore on all
+//               but the last. It returns what is queued and never waits to
+//               fill. Without a loan one CQE carries the answer: kCqeEof
+//               with result 0 at EOF (a zero-length datagram is a loan:
+//               result 0, a token, no kCqeEof), -EAGAIN, -EBADF, -ENOBUFS
+//               (the tenant's loan or pool cap, or no room to bounce a
+//               copied slice; retry after recycling), -EMSGSIZE (a datagram
+//               no room can hold: take it with ff_recvfrom). A loan stays
+//               charged against the receive window until recycled, and
+//               outlives its fd.
+//  OP_RECYCLE   a0 tokens (up to 16, in the payload slots): result = how
+//               many were recycled, aux0 = how many were refused (a
+//               recycled, forged or neighbour's token); an entry that
+//               recycles none answers -EINVAL. The only way a loan's room
+//               goes back to the pool.
 
 // Zero-copy TX has one door, the ring (entry -, row -), and runs as the
 // ring's tenant:

@@ -30,10 +30,11 @@ struct FfIovec {
 
 /// One zero-copy RX loan: `data` is an exactly-bounded READ-ONLY capability
 /// straight into the RX mbuf data room that received the bytes — no copy
-/// through any socket buffer. The application reads the payload in place
-/// and returns the buffer with ff_zc_recycle; until then the loaned bytes
-/// stay charged against the socket's receive window. The token is consumed
-/// by recycle; a reused or forged token is -EINVAL.
+/// through any socket buffer. An OP_ZC_RECV CQE carries one; the
+/// application reads the payload in place and returns the buffer with
+/// OP_RECYCLE; until then the loaned bytes stay charged against the
+/// socket's receive window. The token is consumed by recycle; a reused or
+/// forged token is refused.
 struct FfZcRxBuf {
   std::uint64_t token = 0;  // 0 = invalid / already recycled
   machine::CapView data;

@@ -37,7 +37,7 @@ enum class Door : std::uint8_t { kCall, kEntry, kRing };
 /// A row of kOps. ff_write and ff_read run as one-element batches.
 enum class Op : std::uint8_t {
   kWritev, kReadv, kSendto, kRecvfrom,  // direct calls
-  kEpollWait, kZcRecv, kZcRecycle,      // records a sealed entry marshals
+  kEpollWait,                           // records a sealed entry marshals
   kUringAttach,
 };
 
@@ -45,10 +45,8 @@ enum class Op : std::uint8_t {
 /// region needs load, store, load-cap and store-cap.
 enum class Need : std::uint8_t { kLoad = 1, kStore = 2, kRingRegion = 15 };
 
-/// Scenario 2 records: an epoll event is u32 events + u64 data; a zc record
-/// is u64 token, u32 source ip, u16 source port, two bytes of padding.
+/// A Scenario 2 epoll event record: u32 events + u64 data.
 inline constexpr std::uint8_t kEventRecordBytes = 12;
-inline constexpr std::uint8_t kZcRecordBytes = 16;
 
 struct OpRow {
   Op op;
@@ -67,8 +65,6 @@ inline constexpr OpRow kOps[] = {
     {Op::kSendto, nullptr, {}, Need::kLoad, 1},
     {Op::kRecvfrom, nullptr, {}, Need::kStore, 1, true},
     {Op::kEpollWait, "ff_epoll_wait", {}, Need::kStore, kEventRecordBytes},
-    {Op::kZcRecv, "ff_zc_recv", {}, Need::kStore, kZcRecordBytes},
-    {Op::kZcRecycle, "ff_zc_recycle", {}, Need::kLoad, kZcRecordBytes},
     {Op::kUringAttach, "ff_uring_attach", {}, Need::kRingRegion, 1},
 };
 static_assert([] {

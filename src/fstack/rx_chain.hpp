@@ -10,13 +10,13 @@
 //
 //   * ff_read / ff_readv copy LAZILY out of the queued chain (one copy,
 //     application-driven, into the caller's capability);
-//   * ff_zc_recv pops whole slices as exactly-bounded read-only capability
+//   * OP_ZC_RECV pops whole slices as exactly-bounded read-only capability
 //     loans — zero copies; Mempool::recycle is the only way a loaned data
 //     room returns to the pool.
 //
 // Out-of-order segments and reassembled IP fragments have no single backing
 // mbuf and fall back to copied storage; a copy-backed slice popped through
-// ff_zc_recv bounces through a fresh mbuf so the loan lifecycle stays
+// OP_ZC_RECV bounces through a fresh mbuf so the loan lifecycle stays
 // uniform.
 //
 // Budget accounting is in PINNED MEMORY, not payload bytes: a queued or
@@ -55,7 +55,7 @@ struct RxStats {
   std::uint64_t bounce_segs = 0;     // copy-backed slices bounced for a loan
 };
 
-/// Bounce copy-backed receive bytes into a fresh mbuf so a ff_zc_recv
+/// Bounce copy-backed receive bytes into a fresh mbuf so an OP_ZC_RECV
 /// caller still gets a recyclable loan (TCP's RxChain and the UDP queue
 /// share this — the stats the RX census gates on update in one place).
 /// Returns nullptr when the pool cannot supply the buffer; the caller
@@ -103,7 +103,7 @@ class RxChain {
   std::size_t read_into(const machine::CapView& dst, std::size_t dst_off,
                         std::size_t n);
 
-  /// Pop the head slice for ff_zc_recv. The chain's mbuf reference moves
+  /// Pop the head slice for OP_ZC_RECV. The chain's mbuf reference moves
   /// to the caller (who must Mempool::recycle it); the slice's charge
   /// moves from held to loaned until credit_loan(). A copy-backed head
   /// bounces into a fresh mbuf from the pool — nullopt when the chain is

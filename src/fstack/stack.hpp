@@ -231,8 +231,8 @@ class FfStack final : public TcpEnv {
     std::uint64_t zc_allocs = 0;
     std::uint64_t zc_sends = 0;
     std::uint64_t zc_aborts = 0;
-    std::uint64_t zc_rx_loans = 0;     // loans handed out by ff_zc_recv
-    std::uint64_t zc_rx_recycles = 0;  // loans returned via ff_zc_recycle
+    std::uint64_t zc_rx_loans = 0;     // loans handed out by OP_ZC_RECV
+    std::uint64_t zc_rx_recycles = 0;  // loans returned via OP_RECYCLE
     std::uint64_t multishot_arms = 0;
     std::uint64_t multishot_events = 0;  // OP_EPOLL_ARM readiness CQEs
     // ---- ff_uring ----
@@ -363,7 +363,7 @@ class FfStack final : public TcpEnv {
     return check_args(door_, op, args);
   }
   /// Register a loan in the token table and hand out the bounded read-only
-  /// view (shared by the TCP and UDP arms of ff_zc_recv / OP_ZC_RECV, so
+  /// view (shared by the TCP and UDP arms of OP_ZC_RECV, so
   /// the accounting cannot diverge).
   void zc_issue_loan(FfZcRxBuf& o, const MbufSlice& slice, std::size_t charge,
                      const FfSockAddrIn& from, TcpPcb* pcb, UdpPcb* udp,

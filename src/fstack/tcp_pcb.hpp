@@ -132,7 +132,7 @@ class TcpPcb {
   /// queued RX chain; returns bytes, 0 when nothing available (check
   /// eof()/error() to distinguish).
   std::size_t app_read(const machine::CapView& dst, std::size_t n);
-  /// Pop the next in-order slice as a zero-copy loan (ff_zc_recv). The
+  /// Pop the next in-order slice as a zero-copy loan (OP_ZC_RECV). The
   /// slice's charge (`*charge_out`) stays held against the receive window
   /// until zc_rx_credit() reopens it at recycle time.
   std::optional<MbufSlice> zc_rx_pop(std::size_t* charge_out) {

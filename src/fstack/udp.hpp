@@ -6,7 +6,7 @@
 // fragments fall back to copied storage. The queue has exactly two
 // consumers, both FIFO and neither waiting for a batch to fill:
 // ff_recvfrom copies one datagram out (clamped to the destination's
-// bounds), and ff_zc_recv / OP_ZC_RECV pops whole datagrams as loans.
+// bounds), and OP_ZC_RECV pops whole datagrams as loans.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +54,7 @@ class UdpPcb {
   [[nodiscard]] updk::Mempool* pool() const noexcept { return pool_; }
 
   /// Enqueue a received datagram; drops (and counts) when over budget —
-  /// loans handed out through ff_zc_recv charge their whole data room
+  /// loans handed out through OP_ZC_RECV charge their whole data room
   /// against the budget until recycled, so a slow recycler throttles its
   /// own socket instead of pinning the shared mempool. A dropped loan is
   /// recycled on the spot.
@@ -71,7 +71,7 @@ class UdpPcb {
   }
 
   /// Loan budget accounting (the owning stack calls these around the
-  /// ff_zc_recv / ff_zc_recycle lifecycle).
+  /// OP_ZC_RECV / OP_RECYCLE lifecycle).
   void charge_loan(std::size_t charge) noexcept { loaned_charge_ += charge; }
   void credit_loan(std::size_t charge) noexcept {
     loaned_charge_ = charge < loaned_charge_ ? loaned_charge_ - charge : 0;
@@ -92,7 +92,7 @@ class UdpPcb {
 
   /// Pop the oldest datagram (caller checked readable()). The caller now
   /// owns the loan reference: copy + release(), or hand it out as a
-  /// ff_zc_recv token.
+  /// OP_ZC_RECV token.
   [[nodiscard]] UdpDatagram pop() {
     UdpDatagram d = std::move(rx_.front());
     rx_.pop_front();

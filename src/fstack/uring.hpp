@@ -57,17 +57,19 @@
 //     them only inside the drain that consumes the SQE (bytes are queued
 //     into stack buffers before the CQE posts), so the app may reuse the
 //     buffer as soon as it reaps the CQE.
-//   * CQE loan capabilities (OP_ZC_RECV) follow the ff_zc_recv contract:
-//     exactly-bounded, read-only, charged against the receive window until
-//     returned through OP_RECYCLE (or ff_zc_recycle).
+//   * CQE loan capabilities (OP_ZC_RECV) are exactly bounded and
+//     read-only, and stay charged against the receive window until
+//     returned through OP_RECYCLE, the only way a loan goes back.
 //   * The ring region itself must outlive the attachment; detach (or stack
 //     destruction) ends the stack's use of the delegated capability.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <span>
+#include <stdexcept>
+#include <vector>
 
 #include "fstack/api_types.hpp"
 #include "machine/cap_view.hpp"
@@ -252,54 +254,64 @@ class FfUring {
   std::uint32_t cq_cap_ = 0;
 };
 
-/// Accumulates zc recycle tokens into OP_RECYCLE submissions. The add/flush
-/// discipline guarantees the token array can NEVER overfill: an entry that
-/// the SQ refuses goes out through the caller-provided synchronous fallback
-/// (typically one classic ff_zc_recycle_batch crossing) instead of piling
-/// up — loans are window-charged, so holding them is not an option.
+/// Accumulates zc recycle tokens into OP_RECYCLE submissions of up to
+/// kMaxTokens each. A batch the SQ refuses stays in the store and goes out
+/// on a later push: it never crosses and is never dropped.
+///
+/// Why the store cannot overfill. A push is refused only while the SQ is
+/// full, and while the SQ is full no OP_ZC_RECV can be submitted either. A
+/// consumer that calls retry() before it submits OP_ZC_RECV therefore holds
+/// fewer than kMaxTokens tokens whenever a burst goes out, and the loans
+/// still to arrive after that are those of the bursts in flight, which its
+/// credit ledger bounds (UringBurstCredits: half the CQ). The constructor
+/// takes that bound; add() throws past it.
 class FfUringRecycler {
  public:
-  using Fallback = std::function<void(std::span<const std::uint64_t>)>;
-
   FfUringRecycler() = default;
-  FfUringRecycler(FfUring* ring, Fallback fallback)
-      : ring_(ring), fallback_(std::move(fallback)) {
-    sqe_.op = UringOp::kRecycle;
+  /// `inflight_loans`: the most loans the consumer's outstanding OP_ZC_RECV
+  /// bursts can still deliver.
+  FfUringRecycler(FfUring* ring, std::size_t inflight_loans)
+      : ring_(ring), capacity_(FfUringSqe::kMaxTokens - 1 + inflight_loans) {
+    tokens_.reserve(capacity_);
   }
 
   void add(std::uint64_t token) {
-    sqe_.tokens[n_++] = token;
-    if (n_ == FfUringSqe::kMaxTokens) flush();
-  }
-  /// Submit the pending batch through the ring (fallback when refused).
-  void flush() {
-    if (n_ == 0) return;
-    sqe_.a[0] = n_;
-    if (ring_->sq_push(sqe_) == FfUring::Push::kFull) {
-      fallback_({sqe_.tokens.data(), n_});
-    } else {
-      ++ring_pushes_;
+    if (tokens_.size() >= capacity_) {
+      throw std::logic_error("FfUringRecycler::add: token store full");
     }
-    n_ = 0;
+    tokens_.push_back(token);
+    push(FfUringSqe::kMaxTokens);
   }
-  /// Return the pending batch synchronously, bypassing the ring — the
-  /// teardown path, where a queued entry might never be drained.
-  void flush_sync() {
-    if (n_ == 0) return;
-    fallback_({sqe_.tokens.data(), n_});
-    n_ = 0;
-  }
-  [[nodiscard]] std::uint32_t pending() const noexcept { return n_; }
+  /// Push every whole batch the SQ takes: the retry of a refused push.
+  void retry() { push(FfUringSqe::kMaxTokens); }
+  /// Push everything the SQ takes, the partial tail included.
+  void flush() { push(1); }
+  [[nodiscard]] std::size_t pending() const noexcept { return tokens_.size(); }
   /// OP_RECYCLE entries that went out through the ring (census bookkeeping).
   [[nodiscard]] std::uint64_t ring_pushes() const noexcept {
     return ring_pushes_;
   }
 
  private:
+  /// Push batches while at least `min` tokens wait and the SQ takes them.
+  void push(std::size_t min) {
+    while (tokens_.size() >= min) {
+      FfUringSqe sqe;
+      sqe.op = UringOp::kRecycle;
+      const std::size_t n =
+          std::min<std::size_t>(tokens_.size(), FfUringSqe::kMaxTokens);
+      sqe.a[0] = n;
+      std::copy_n(tokens_.begin(), n, sqe.tokens.begin());
+      if (ring_->sq_push(sqe) == FfUring::Push::kFull) return;
+      tokens_.erase(tokens_.begin(),
+                    tokens_.begin() + static_cast<std::ptrdiff_t>(n));
+      ++ring_pushes_;
+    }
+  }
+
   FfUring* ring_ = nullptr;
-  Fallback fallback_;
-  FfUringSqe sqe_;
-  std::uint32_t n_ = 0;
+  std::size_t capacity_ = 0;
+  std::vector<std::uint64_t> tokens_;
   std::uint64_t ring_pushes_ = 0;
 };
 

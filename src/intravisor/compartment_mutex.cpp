@@ -25,33 +25,28 @@ bool CompartmentMutex::try_lock() {
   return false;
 }
 
+std::uint32_t CompartmentMutex::exchange(std::uint32_t desired) {
+  return word_.mem().atomic_exchange_u32(word_.cap(), word_.address(),
+                                         desired);
+}
+
 void CompartmentMutex::lock(MuslLibc* libc) {
-  // musl __pthread_mutex_lock fast/slow path.
+  // musl __pthread_mutex_lock's fast path: one CAS on a free word.
   if (cas(0, 1) == 0) {
     fast_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   contended_.fetch_add(1, std::memory_order_relaxed);
-  while (true) {
-    // Announce contention: 1 -> 2 (or observe it already announced).
-    const std::uint32_t prev = cas(1, 2);
-    if (prev == 0) {
-      // Became free while announcing; grab it contended so unlock wakes.
-      if (cas(0, 2) == 0) return;
-      continue;
-    }
-    // Park until unlock() wakes us, then retry the acquisition.
-    libc->futex_wait(word_, 2);
-    if (cas(0, 2) == 0) return;
-  }
+  // Slow path (Drepper, "Futexes Are Tricky", mutex 3): mark the word
+  // contended and park while it was held. The exchange that finds it free
+  // takes it still marked, so unlock() wakes whoever may be parked. Every
+  // contended acquisition runs these same lines, however the threads
+  // interleave.
+  while (exchange(2) != 0) libc->futex_wait(word_, 2);
 }
 
 void CompartmentMutex::unlock(MuslLibc* libc) {
-  const std::uint32_t prev =
-      word_.mem().atomic_exchange_u32(word_.cap(), word_.address(), 0);
-  if (prev == 2) {
-    libc->futex_wake(word_, 1);
-  }
+  if (exchange(0) == 2) libc->futex_wake(word_, 1);
 }
 
 }  // namespace cherinet::iv

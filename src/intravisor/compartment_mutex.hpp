@@ -8,7 +8,8 @@
 // contended acquisition pays trampoline + kernel wake costs. That
 // escalation is the entire story of the paper's Fig. 6 (~19 µs, ~152x).
 //
-// Word protocol (musl): 0 = unlocked, 1 = locked, 2 = locked with waiters.
+// Word protocol (musl): 0 = unlocked, 1 = locked, 2 = locked, waiters
+// possible.
 #pragma once
 
 #include <atomic>
@@ -44,6 +45,7 @@ class CompartmentMutex {
 
  private:
   std::uint32_t cas(std::uint32_t expected, std::uint32_t desired);
+  std::uint32_t exchange(std::uint32_t desired);
 
   MuslLibc* libc_;
   machine::CapView word_;

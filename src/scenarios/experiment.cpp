@@ -518,8 +518,7 @@ constexpr std::uint32_t kUringCqSlots = 128;
 constexpr std::size_t kUringReap = 16;  // CQE reap batch per turn
 constexpr std::uint64_t kUdAccept = 1;  // user_data tags of the RX arms
 constexpr std::uint64_t kUdEpoll = 2;
-constexpr std::size_t kRxZcBatch = 32;  // loans per classic zc envelope
-/// The adaptive coalescing window of the zero-copy receivers, in turns: a
+/// The adaptive coalescing window of the zero-copy receiver, in turns: a
 /// drain that fills its whole burst halves the window (the queue outruns
 /// the receiver — harvest sooner), a short drain doubles it (let more
 /// accrue per wakeup), clamped to [1, kMax]. The receive window (256 KiB)
@@ -593,12 +592,10 @@ void classic_tx(LockstepRig& rig, std::uint64_t total, std::size_t batch,
   ops.close(fd);
 }
 
-/// Classic RX (kRead, kZcRecv): readiness comes from epoll_wait, OUTSIDE
-/// the measured envelope; the envelope prices exactly one productive
-/// receive iteration — one MSS-sized ff_read, or one ff_zc_recv burst plus
-/// its batched recycle once the coalescing window has elapsed.
-void classic_rx(LockstepRig& rig, std::uint64_t total, bool zero_copy,
-                Census& out) {
+/// Classic RX (kRead): readiness comes from epoll_wait, OUTSIDE the
+/// measured envelope; the envelope prices exactly one productive receive
+/// iteration, one MSS-sized ff_read.
+void classic_rx(LockstepRig& rig, std::uint64_t total, Census& out) {
   apps::FfOps& ops = rig.ops();
   const machine::CapView rx_buf = rig.alloc(4096);
   const int lfd = listen_census(ops);
@@ -607,8 +604,6 @@ void classic_rx(LockstepRig& rig, std::uint64_t total, bool zero_copy,
                 static_cast<std::uint64_t>(lfd));
   int cfd = -1;
   bool eof = false;
-  RxDrainPacer pacer;
-  std::uint32_t coalesce = 0;  // turns since the last zc drain
   while (out.bytes < total && !eof) {
     bool progress = false;
     bool readable = false;
@@ -628,26 +623,10 @@ void classic_rx(LockstepRig& rig, std::uint64_t total, bool zero_copy,
         readable = true;
       }
     }
-    if (zero_copy && ++coalesce < pacer.window) readable = false;
     if (readable) {
-      const std::int64_t r = rig.measured([&]() -> std::int64_t {
-        if (!zero_copy) {
-          const std::int64_t r = ops.read(cfd, rx_buf, kMss);
-          if (r > 0) out.bytes += static_cast<std::uint64_t>(r);
-          eof = r == 0;
-          return r;
-        }
-        fstack::FfZcRxBuf loans[kRxZcBatch];
-        const std::int64_t r = ops.zc_recv(cfd, loans);
-        if (r > 0) {
-          for (std::int64_t i = 0; i < r; ++i) {
-            out.bytes += loans[i].data.size();
-          }
-          ops.zc_recycle_batch({loans, static_cast<std::size_t>(r)});
-        }
-        coalesce = r > 0 ? pacer.on_drain(static_cast<std::size_t>(r),
-                                          kRxZcBatch)
-                         : 0;
+      const std::int64_t r = rig.measured([&] {
+        const std::int64_t r = ops.read(cfd, rx_buf, kMss);
+        if (r > 0) out.bytes += static_cast<std::uint64_t>(r);
         eof = r == 0;
         return r;
       });
@@ -746,10 +725,10 @@ void ring_rx(LockstepRig& rig, std::uint64_t total, Census& out) {
   const int id = ops.uring_attach(ring_mem, kUringSqSlots, kUringCqSlots);
   int cfd = -1;
   if (id >= 0) {
-    // Token batches ride OP_RECYCLE entries; a refused push falls back to
-    // one classic recycle crossing so tokens never pile up unreturned.
-    fstack::FfUringRecycler recycler(&ring,
-                                     apps::classic_recycle_fallback(&ops));
+    // Token batches ride OP_RECYCLE entries; a batch the full SQ refuses
+    // waits in the recycler for the next push. One burst is in flight at a
+    // time, which bounds the loans still to arrive.
+    fstack::FfUringRecycler recycler(&ring, fstack::FfUringSqe::kMaxCaps);
     struct Dispatch {
       apps::FfOps& ops;
       int ep;
@@ -809,6 +788,7 @@ void ring_rx(LockstepRig& rig, std::uint64_t total, Census& out) {
         apps::dispatch_rx_cqe(cq[i], rx);
       }
       ++rx.coalesce;
+      recycler.retry();  // before a burst: keeps the store bounded
       if (rx.cfd >= 0 && rx.hot && !rx.inflight && !rx.eof &&
           rx.got < total && rx.coalesce >= rx.pacer.window &&
           apps::push_zc_recv(ring, rx.cfd, fstack::FfUringSqe::kMaxCaps, 0)) {
@@ -821,13 +801,17 @@ void ring_rx(LockstepRig& rig, std::uint64_t total, Census& out) {
       }
       if (!rig.turn(rx.progress)) break;
     }
-    // Return every outstanding loan and let the stack consume the entries.
+    // Return every outstanding loan through the ring and let the stack
+    // consume the entries: nothing may stay window-charged. A burst the
+    // rig's limits cut short may still post loans; they join the store.
     recycler.flush();
-    while (ring.sq_pending() > 0 && rig.turn(false)) {
+    while ((ring.sq_pending() > 0 || recycler.pending() > 0 || rx.inflight) &&
+           rig.turn(false)) {
       fstack::FfUringCqe cq[kUringReap];
-      (void)ring.cq_pop(cq);
+      const std::size_t n = ring.cq_pop(cq);
+      for (std::size_t i = 0; i < n; ++i) apps::dispatch_rx_cqe(cq[i], rx);
+      recycler.flush();
     }
-    recycler.flush_sync();  // teardown: nothing may stay window-charged
     out.sqes += recycler.ring_pushes();
     out.bytes = rx.got;
     cfd = rx.cfd;
@@ -871,9 +855,7 @@ Census run_census(ScenarioKind kind, CensusLeg leg, std::uint64_t total_bytes,
       case CensusLeg::kWritev:
         return classic_tx(rig, total_bytes, kCensusBatch, out);
       case CensusLeg::kRead:
-        return classic_rx(rig, total_bytes, false, out);
-      case CensusLeg::kZcRecv:
-        return classic_rx(rig, total_bytes, true, out);
+        return classic_rx(rig, total_bytes, out);
       case CensusLeg::kRingWritev:
         return ring_tx(rig, total_bytes, false, out);
       case CensusLeg::kRingZcSend:

@@ -226,20 +226,20 @@ struct LatencyOutcome {
 // are a pure function of the inputs, whatever the host load.
 // ---------------------------------------------------------------------------
 
-/// The census legs. Four bodies (classic TX/RX, ring TX/RX), each shared by
-/// its copy and zero-copy variant.
+/// The census legs. Four bodies (classic TX/RX, ring TX/RX); the TX ones
+/// are shared by their copy and zero-copy variants. Zero-copy RX has one
+/// door, the ring.
 enum class CensusLeg : std::uint8_t {
   kWrite,       // TX v1: one EPOLLOUT-gated ff_write per MSS
   kWritev,      // TX v2: ff_writev of kCensusBatch MSS iovecs per call
   kRead,        // RX v1: epoll_wait-gated ff_read per MSS, bytes copied out
-  kZcRecv,      // RX v2: epoll_wait-gated ff_zc_recv loan bursts, each
-                //   recycled in one batch — zero receive-side copies
   kRingWritev,  // TX v3: OP_WRITEV SQEs of 8 exactly-bounded iovec caps
   kRingZcSend,  // TX v3 zero copy: OP_ZC_ALLOC grants writable data rooms,
                 //   the payload is composed in place, OP_ZC_SEND queues
                 //   retained references held until cumulative ACK
   kRingZcRecv,  // RX v3: OP_ACCEPT_MULTISHOT + OP_EPOLL_ARM + OP_ZC_RECV +
-                //   OP_RECYCLE, doorbells only when the stack parked
+                //   OP_RECYCLE, doorbells only when the stack parked — zero
+                //   receive-side copies
 };
 
 /// iovecs per kWritev call.

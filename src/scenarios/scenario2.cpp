@@ -9,11 +9,9 @@ namespace cherinet::scen {
 namespace {
 using fstack::Door;
 using fstack::kEventRecordBytes;
-using fstack::kZcRecordBytes;
 using fstack::Op;
 
 constexpr std::size_t kMaxProxyEvents = 64;
-constexpr std::size_t kMaxZcRecords = 64;
 // The readiness ring carries only OP_EPOLL_ARM submissions; its CQ holds
 // the edges posted between two waits.
 constexpr std::uint32_t kEdgeSq = 4;
@@ -28,7 +26,7 @@ machine::CapView view(const std::optional<machine::CapView>& r) {
 }
 
 /// cap0 as `n` marshalling records, checked before the stack call so a bad
-/// buffer answers -EFAULT instead of stranding loans or events in cVM1.
+/// buffer answers -EFAULT instead of stranding events in cVM1.
 std::int64_t check_records(Op op, const machine::CrossCallArgs& a,
                            std::uint64_t n) {
   const fstack::FfIovec records{view(a.cap0), n};
@@ -76,7 +74,6 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
       app_(app),
       interest_calls_(&svc->interest_calls_.at(shard)) {
   event_buf_ = app_->heap().alloc_view(kMaxProxyEvents * kEventRecordBytes);
-  zc_buf_ = app_->heap().alloc_view(kMaxZcRecords * kZcRecordBytes);
 
   auto& reg = svc_->iv_.entries();
   const machine::CompartmentContext* target = &svc_->cvm1_.context();
@@ -95,8 +92,8 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
 
   // Each wrapper: take the shard's mutex (serializing against that shard's
   // main loop), then run the ff_* function inside cVM1 as the app's tenant
-  // — token lookups reject a neighbour's zc tokens and loans, exactly as
-  // they do for the app's ring — through the sealed-entry door, so a
+  // — a neighbour's fd reads as -EBADF, exactly as it does on the app's
+  // ring — through the sealed-entry door, so a
   // refused argument answers -EFAULT (fstack/boundary.hpp). The sealed
   // entry itself performed the domain transition before we get here.
   const auto wrap = [calls, mtx, libc, st, tid](auto fn) {
@@ -226,45 +223,6 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
         }
         return n;
       }));
-  // Zero-copy RX: the loans themselves return in the vector capability
-  // registers — each one an exactly-bounded read-only view into cVM1's RX
-  // mbuf arena (the CompartOS-style delegation: the app compartment gets
-  // authority over exactly the payload bytes, nothing else). Tokens and
-  // datagram sources marshal through the shared record buffer.
-  e_[kZcRecv] = reg.install(
-      tag + ":ff_zc_recv", target,
-      wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
-        fstack::FfZcRxBuf loans[machine::CrossCallArgs::kMaxVecCaps];
-        const std::size_t want = std::min<std::uint64_t>(
-            a.a[1], machine::CrossCallArgs::kMaxVecCaps);
-        if (const auto r = check_records(Op::kZcRecv, a, want)) return r;
-        const std::int64_t r =
-            fstack::ff_zc_recv(*st, static_cast<int>(a.a[0]), {loans, want});
-        for (std::int64_t i = 0; i < r; ++i) {
-          a.caps[static_cast<std::size_t>(i)] = loans[i].data;
-          const auto off = static_cast<std::uint64_t>(i) * kZcRecordBytes;
-          a.cap0->store<std::uint64_t>(off, loans[i].token);
-          a.cap0->store<std::uint32_t>(off + 8, loans[i].from.ip.value);
-          a.cap0->store<std::uint16_t>(off + 12, loans[i].from.port);
-        }
-        return r;
-      }));
-  // Recycling moves a whole token batch back per crossing: the costly
-  // direction (per-buffer returns) amortizes exactly like writev.
-  e_[kZcRecycle] = reg.install(
-      tag + ":ff_zc_recycle", target,
-      wrap([st](machine::CrossCallArgs& a) -> std::int64_t {
-        const std::size_t n = std::min<std::uint64_t>(a.a[0], kMaxZcRecords);
-        // Every token record is checked before the first recycle.
-        if (const auto r = check_records(Op::kZcRecycle, a, n)) return r;
-        std::int64_t ok = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          fstack::FfZcRxBuf z;
-          z.token = a.cap0->load<std::uint64_t>(i * kZcRecordBytes);
-          if (fstack::ff_zc_recycle(*st, z) == 0) ++ok;
-        }
-        return ok;
-      }));
   // ff_uring: the arming crossing delegates the app's whole ring region in
   // cap0; doorbell/detach carry only the ring id. Each is one sealed jump
   // under one wrap() mutex acquisition — and the doorbell's acquisition
@@ -381,54 +339,6 @@ std::int64_t ProxyFfOps::writev(int fd, std::span<const fstack::FfIovec> iov) {
 std::int64_t ProxyFfOps::readv(int fd, std::span<const fstack::FfIovec> iov) {
   fstack::check_args(Door::kCall, Op::kReadv, iov);
   return chunked(kReadv, fd, iov);
-}
-
-std::int64_t ProxyFfOps::zc_recv(int fd, std::span<fstack::FfZcRxBuf> out) {
-  std::int64_t filled = 0;
-  std::size_t i = 0;
-  while (i < out.size()) {
-    const std::size_t want = std::min<std::size_t>(
-        out.size() - i, machine::CrossCallArgs::kMaxVecCaps);
-    machine::CrossCallArgs a;
-    a.a[0] = static_cast<std::uint64_t>(fd);
-    a.a[1] = want;
-    a.cap0 = zc_buf_;
-    const std::int64_t r = call(kZcRecv, a);
-    if (r <= 0) return filled > 0 ? filled : r;
-    for (std::int64_t k = 0; k < r; ++k) {
-      fstack::FfZcRxBuf& o = out[i + static_cast<std::size_t>(k)];
-      const auto off = static_cast<std::uint64_t>(k) * kZcRecordBytes;
-      o.token = zc_buf_.load<std::uint64_t>(off);
-      o.data = *a.caps[static_cast<std::size_t>(k)];  // the loan capability
-      o.from.ip = fstack::Ipv4Addr{zc_buf_.load<std::uint32_t>(off + 8)};
-      o.from.port = zc_buf_.load<std::uint16_t>(off + 12);
-    }
-    filled += r;
-    i += static_cast<std::size_t>(r);
-    if (static_cast<std::size_t>(r) < want) break;  // queue drained
-  }
-  return filled;
-}
-
-std::int64_t ProxyFfOps::zc_recycle_batch(std::span<fstack::FfZcRxBuf> zcs) {
-  std::int64_t total = 0;
-  std::size_t i = 0;
-  while (i < zcs.size()) {
-    const std::size_t n = std::min<std::size_t>(zcs.size() - i,
-                                                kMaxZcRecords);
-    for (std::size_t k = 0; k < n; ++k) {
-      zc_buf_.store<std::uint64_t>(k * kZcRecordBytes, zcs[i + k].token);
-    }
-    const std::int64_t r = call(kZcRecycle, {n}, zc_buf_);
-    if (r < 0) return total > 0 ? total : r;
-    for (std::size_t k = 0; k < n; ++k) {  // consumed either way
-      zcs[i + k].token = 0;
-      zcs[i + k].data = machine::CapView{};
-    }
-    total += r;
-    i += n;
-  }
-  return total;
 }
 
 int ProxyFfOps::uring_attach(const machine::CapView& mem,

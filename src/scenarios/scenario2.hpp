@@ -7,9 +7,11 @@
 // A mutex in shared memory coordinates the F-Stack main loop with the
 // proxied API calls; its contention is the subject of the paper's Fig. 6.
 //
-// Each app holds 18 entries (ProxyFfOps::Entry), every one run as the
-// app's tenant. Every other verb — zero-copy TX, QoS classes, multishot
-// accept — rides the app's ff_uring ring, so the boundary is no wider.
+// Each app holds 16 entries (ProxyFfOps::Entry), every one run as the
+// app's tenant. Every other verb — zero-copy RX and TX, QoS classes,
+// multishot accept — rides the app's ff_uring ring, so the boundary is no
+// wider: a zero-copy RX loan reaches an app only as an OP_ZC_RECV CQE's
+// capability, and goes back only through OP_RECYCLE.
 //
 // Waiting without crossing. A proxied ff_epoll_wait answers 0 from the app
 // side, with no crossing, when that answer is provably what the stack
@@ -122,12 +124,12 @@ class ProxyFfOps final : public apps::FfOps {
   enum Entry : std::uint8_t {
     // the v1 calls Fig. 4-6 and Table II time
     kSocket, kBind, kListen, kAccept, kConnect, kWrite, kRead, kClose,
-    kWritev, kReadv, kZcRecv, kZcRecycle,  // gated census legs
-    kEpollCreate, kEpollCtl, kEpollWait,   // EchoServer, the iperf apps
+    kWritev, kReadv,                      // gated census legs
+    kEpollCreate, kEpollCtl, kEpollWait,  // EchoServer, the iperf apps
     kUringAttach, kUringDetach, kUringDoorbell,
     kEntryCount
   };
-  static_assert(kEntryCount == 18, "Scenario 2 exports 18 sealed entries");
+  static_assert(kEntryCount == 16, "Scenario 2 exports 16 sealed entries");
 
   ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard = 0,
              int tid = 0);
@@ -151,13 +153,6 @@ class ProxyFfOps final : public apps::FfOps {
   /// the paper's Fig. 4/6 costs demand).
   std::int64_t writev(int fd, std::span<const fstack::FfIovec> iov) override;
   std::int64_t readv(int fd, std::span<const fstack::FfIovec> iov) override;
-  /// Zero-copy RX across the compartment boundary: each crossing returns
-  /// up to CrossCallArgs::kMaxVecCaps exactly-bounded read-only loans in
-  /// the vector capability registers (tokens + sources marshal through the
-  /// shared buffer); recycling sends a whole token batch back in ONE
-  /// crossing under one mutex acquisition.
-  std::int64_t zc_recv(int fd, std::span<fstack::FfZcRxBuf> out) override;
-  std::int64_t zc_recycle_batch(std::span<fstack::FfZcRxBuf> zcs) override;
   /// ff_uring (API v3): the attach crossing delegates one bounded RW view
   /// of the app's ring region to the network cVM — the single arming
   /// crossing of the whole attachment. Submissions and completions then
@@ -217,7 +212,6 @@ class ProxyFfOps final : public apps::FfOps {
   std::uint64_t crossings_ = 0;  // this proxy's sealed-entry calls
   const std::uint64_t* interest_calls_;  // the shard's, see the service
   machine::CapView event_buf_;  // epoll events cross the boundary here
-  machine::CapView zc_buf_;     // zc tokens + sources, recycle batches
   std::array<machine::SealedEntry, kEntryCount> e_;
   std::optional<fstack::FfUring> edges_;  // the readiness ring
   int edges_id_ = -1;

@@ -145,7 +145,7 @@ struct Mbuf {
   }
 
   /// Exactly-bounded READ-ONLY view of [off, off+len) within the data room:
-  /// the capability ff_zc_recv loans the application. The bounds are the
+  /// the capability an OP_ZC_RECV CQE loans the application. The bounds are the
   /// payload, nothing more; store permission is dropped so a loan can never
   /// corrupt the room it aliases (CompartOS-style bounded delegation).
   [[nodiscard]] machine::CapView loan(std::uint32_t off,

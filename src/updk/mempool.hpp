@@ -54,8 +54,8 @@ class Mempool {
 
   /// Take an additional reference (shared ownership). The RX path uses this
   /// to loan a received data room onward — to a socket's RX chain or to the
-  /// application via ff_zc_recv — while the driver burst still holds its
-  /// own reference.
+  /// application as an OP_ZC_RECV loan — while the driver burst still holds
+  /// its own reference.
   void retain(Mbuf* m);
 
   /// Drop one reference; returns the buffer to the ring at zero. Freeing

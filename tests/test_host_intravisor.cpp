@@ -218,13 +218,15 @@ TEST(CompartmentMutex, ContendedAcquireEscalatesToFutex) {
     acquired = true;
     m.unlock(&c2.libc());
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Unlock only once the second locker has parked in the kernel: the test
+  // then runs one path however the two threads are scheduled.
+  while (ivr.host().umtx().sleeps() == 0) std::this_thread::yield();
   EXPECT_FALSE(acquired);
   m.unlock(&c1.libc());
   t.join();
   EXPECT_TRUE(acquired);
-  EXPECT_GE(m.contended_acquires(), 1u);
-  EXPECT_GE(ivr.host().umtx().sleeps(), 0u);
+  EXPECT_EQ(m.contended_acquires(), 1u);
+  EXPECT_EQ(ivr.host().umtx().sleeps(), 1u);
 }
 
 TEST(Intravisor, FaultReportRendersLikeFig3) {

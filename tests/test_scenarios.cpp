@@ -15,6 +15,7 @@
 #include "apps/echo.hpp"
 #include "apps/iperf.hpp"
 #include "apps/uring_proto.hpp"
+#include "fixtures.hpp"
 #include "scenarios/experiment.hpp"
 #include "scenarios/scenario2.hpp"
 #include "stats/stats.hpp"
@@ -61,12 +62,6 @@ class CheckedWaits final : public apps::FfOps {
   }
   std::int64_t readv(int fd, std::span<const fstack::FfIovec> iov) override {
     return in_.readv(fd, iov);
-  }
-  std::int64_t zc_recv(int fd, std::span<fstack::FfZcRxBuf> out) override {
-    return in_.zc_recv(fd, out);
-  }
-  std::int64_t zc_recycle_batch(std::span<fstack::FfZcRxBuf> zcs) override {
-    return in_.zc_recycle_batch(zcs);
   }
   int uring_attach(const machine::CapView& mem, std::uint32_t sq,
                    std::uint32_t cq) override {
@@ -343,16 +338,19 @@ TEST(Scenario2Proxy, OpsWorkAcrossCompartments) {
 }
 
 TEST(Scenario2Proxy, ZeroCopyRecvAcrossCompartments) {
-  // The classic zero-copy RX path end to end in Scenario 2: the peer
+  // Zero-copy RX end to end in Scenario 2 through its one door: the peer
   // streams into cVM1's stack; the app compartment gates on epoll_wait and
-  // drains ff_zc_recv loan bursts (read-only bounded views into cVM1's mbuf
-  // arena), recycling in batches.
+  // takes OP_ZC_RECV loans off its own ring. Each loan crosses as the
+  // capability of a CQE: a read-only view bounded to exactly its payload
+  // inside cVM1's mbuf arena. Every loan goes back through OP_RECYCLE.
   constexpr std::uint64_t kVolume = 256 * 1024;
   LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, kVolume,
                   fast_options());
   rig.testbed().peer(0).run_iperf_client(MorelloTestbed::morello_ip(0), 5201,
                                          kVolume);
   apps::FfOps& ops = rig.ops();
+  const machine::CapView ring_mem = rig.alloc(fstack::FfUring::bytes_for(
+      test::ZcRxRing::kSq, test::ZcRxRing::kCq));
   std::uint64_t received = 0;
   bool clean = true;
   rig.run(0, [&] {
@@ -362,6 +360,7 @@ TEST(Scenario2Proxy, ZeroCopyRecvAcrossCompartments) {
     const int ep = ops.epoll_create();
     ops.epoll_ctl(ep, fstack::EpollOp::kAdd, lfd, fstack::kEpollIn,
                   static_cast<std::uint64_t>(lfd));
+    test::ZcRxRing rx(ops, ring_mem);
 
     int cfd = -1;
     bool eof = false;
@@ -382,16 +381,20 @@ TEST(Scenario2Proxy, ZeroCopyRecvAcrossCompartments) {
         }
       } else if (readable) {
         fstack::FfZcRxBuf loans[8];
-        const std::int64_t n = ops.zc_recv(cfd, loans);
+        const std::int64_t n = rx.recv(cfd, loans);
         if (n > 0) {
           for (std::int64_t i = 0; i < n; ++i) {
-            received += loans[i].data.size();
-            // Loans must be read-only views.
+            const std::uint64_t len = loans[i].data.size();
+            ASSERT_GT(len, 0u);
+            received += len;
+            // Read-only, and bounded to exactly the payload.
             const std::byte poison[1] = {std::byte{0xFF}};
             EXPECT_THROW(loans[i].data.write(0, poison), cheri::CapFault);
+            std::byte last[1];
+            loans[i].data.read(len - 1, last);
+            EXPECT_THROW(loans[i].data.read(len, last), cheri::CapFault);
           }
-          if (ops.zc_recycle_batch({loans, static_cast<std::size_t>(n)}) !=
-              n) {
+          if (rx.recycle({loans, static_cast<std::size_t>(n)}) != n) {
             clean = false;
           }
           progress = true;
@@ -401,6 +404,7 @@ TEST(Scenario2Proxy, ZeroCopyRecvAcrossCompartments) {
       }
       if (!rig.turn(progress)) break;
     }
+    ops.uring_detach(rx.id());
     ops.close(cfd);
     ops.close(ep);
     ops.close(lfd);
@@ -513,29 +517,24 @@ TEST(Scenario2Proxy, ZcSendOnDeadConnectionLeavesTheSameHandleAsDirect) {
   }
 }
 
-TEST(Scenario2Proxy, ShortZcRecvBufferFaultsBeforeAnyLoanMoves) {
-  // The ff_zc_recv entry marshals one 16-byte record per loan into the
-  // app's cap0. A buffer too short for the loans asked for answers -EFAULT
-  // BEFORE the stack pops one: no loan strands in cVM1's table with no
-  // token in the app's hands, and the bytes stay queued for a good call.
-  // The ff_zc_recycle entry reads one record per token from the same
-  // buffer; a batch longer than it answers -EFAULT before the first
-  // recycle. The app runs as a tenant, whose stats row counts its loans.
+TEST(Scenario2Proxy, ShortBuffersFaultBeforeTheStackMovesAnything) {
+  // A sealed entry checks its capability arguments before the stack call:
+  // the ff_epoll_wait entry marshals one 12-byte record per event into the
+  // app's cap0, and a buffer too short for the events asked for answers
+  // -EFAULT before an event is consumed. The ff_read entry forwards its
+  // buffer to the stack's own check, which answers through the same door:
+  // 64 bytes claimed over a 16-byte view is -EFAULT, and every byte stays
+  // queued for a good call.
   constexpr std::uint64_t kVolume = 64 * 1024;
   LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, kVolume,
                   fast_options());
   rig.testbed().peer(0).run_iperf_client(MorelloTestbed::morello_ip(0), 5201,
                                          kVolume);
   FullStackInstance& inst = rig.service()->instance();
-  const int tid = fstack::ff_tenant_register(inst.stack(), "zc-app", {});
-  const int app = rig.add_app("zc-app", tid);
-  auto& ops = dynamic_cast<ProxyFfOps&>(rig.ops(app));
-  const auto& api = inst.stack().api_stats();
-  const fstack::TenantStats& tstats =
-      *fstack::ff_tenant_stats(inst.stack(), tid);
+  auto& ops = dynamic_cast<ProxyFfOps&>(rig.ops());
   auto& entries = rig.testbed().intravisor().entries();
-  const machine::CapView short_buf = rig.alloc(16, app);
-  rig.run(app, [&] {
+  const machine::CapView short_buf = rig.alloc(16);
+  rig.run(0, [&] {
     const int lfd = ops.socket_stream();
     ops.bind(lfd, fstack::Ipv4Addr{}, 5201);
     ops.listen(lfd, 4);
@@ -543,28 +542,23 @@ TEST(Scenario2Proxy, ShortZcRecvBufferFaultsBeforeAnyLoanMoves) {
     while ((cfd = ops.accept(lfd)) < 0 && rig.turn(false)) {
     }
     ASSERT_GE(cfd, 0);
+    const int ep = ops.epoll_create();
+    ops.epoll_ctl(ep, fstack::EpollOp::kAdd, cfd, fstack::kEpollIn,
+                  static_cast<std::uint64_t>(cfd));
     const fstack::TcpPcb* pcb = inst.stack().sockets().get(cfd)->pcb;
     while (pcb->rx_used() < 16 * 1024 && rig.turn(false)) {
     }
-    const std::uint64_t loans0 = api.zc_rx_loans;
-    const std::uint32_t avail0 = inst.pool().available();
     const std::size_t queued0 = pcb->rx_used();
     ASSERT_GE(queued0, 16u * 1024u);
 
-    machine::CrossCallArgs a;
-    a.a[0] = static_cast<std::uint64_t>(cfd);
-    a.a[1] = 8;  // eight records want 128 bytes; cap0 grants 16
-    a.cap0 = short_buf;
+    machine::CrossCallArgs w;
+    w.a[0] = static_cast<std::uint64_t>(ep);
+    w.a[1] = 8;  // eight records want 96 bytes; cap0 grants 16
+    w.cap0 = short_buf;
     EXPECT_EQ(static_cast<std::int64_t>(
-                  entries.invoke(ops.entry(ProxyFfOps::kZcRecv), a)),
+                  entries.invoke(ops.entry(ProxyFfOps::kEpollWait), w)),
               -EFAULT);
-    EXPECT_EQ(api.zc_rx_loans, loans0);
-    EXPECT_EQ(inst.pool().available(), avail0);
-    EXPECT_EQ(pcb->rx_used(), queued0);
 
-    // The ff_read entry forwards its buffer to the stack's own check,
-    // which answers through the same door: 64 bytes claimed over the
-    // 16-byte view is -EFAULT, and every byte stays queued.
     machine::CrossCallArgs rd;
     rd.a[0] = static_cast<std::uint64_t>(cfd);
     rd.a[1] = 64;
@@ -574,27 +568,13 @@ TEST(Scenario2Proxy, ShortZcRecvBufferFaultsBeforeAnyLoanMoves) {
               -EFAULT);
     EXPECT_EQ(pcb->rx_used(), queued0);
 
-    // The queued bytes still loan out through a well-formed call.
-    fstack::FfZcRxBuf loans[8];
-    const std::int64_t n = ops.zc_recv(cfd, loans);
-    EXPECT_EQ(n, 8);
-
-    // Two token records want 32 bytes; cap0 grants 16.
-    const std::uint64_t recycles0 = api.zc_rx_recycles;
-    const std::uint32_t outstanding0 = tstats.loans_outstanding;
-    short_buf.store<std::uint64_t>(0, loans[0].token);
-    machine::CrossCallArgs r;
-    r.a[0] = 2;
-    r.cap0 = short_buf;
-    EXPECT_EQ(static_cast<std::int64_t>(
-                  entries.invoke(ops.entry(ProxyFfOps::kZcRecycle), r)),
-              -EFAULT);
-    EXPECT_EQ(api.zc_rx_recycles, recycles0);
-    EXPECT_EQ(tstats.loans_outstanding, outstanding0);
-    EXPECT_EQ(outstanding0, 8u);
-    // The same loans then recycle through a good call.
-    EXPECT_EQ(ops.zc_recycle_batch({loans, static_cast<std::size_t>(n)}), n);
-    EXPECT_EQ(tstats.loans_outstanding, 0u);
+    // The fd is still readable, and the bytes still read through good
+    // calls.
+    fstack::FfEpollEvent evs[8];
+    EXPECT_EQ(ops.epoll_wait(ep, evs), 1);
+    EXPECT_EQ(ops.read(cfd, short_buf, 16), 16);
+    EXPECT_EQ(pcb->rx_used(), queued0 - 16);
+    ops.close(ep);
     ops.close(cfd);
     ops.close(lfd);
   });
@@ -1207,8 +1187,8 @@ TEST(Census, SameInputsSameCounts) {
        {ScenarioKind::kScenario1, ScenarioKind::kScenario2Uncontended}) {
     for (const CensusLeg leg :
          {CensusLeg::kWrite, CensusLeg::kWritev, CensusLeg::kRead,
-          CensusLeg::kZcRecv, CensusLeg::kRingWritev,
-          CensusLeg::kRingZcSend, CensusLeg::kRingZcRecv}) {
+          CensusLeg::kRingWritev, CensusLeg::kRingZcSend,
+          CensusLeg::kRingZcRecv}) {
       const Census a = run_census(kind, leg, kVolume, fast_options());
       const Census b = run_census(kind, leg, kVolume, fast_options());
       SCOPED_TRACE(std::string(to_string(kind)) + " leg " +

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <optional>
 #include <vector>
 
 #include "apps/ff_ops.hpp"
@@ -20,6 +21,7 @@ using namespace cherinet::fstack;
 using cherinet::test::AttachedRing;
 using cherinet::test::attach_ring;
 using cherinet::test::TwoStacks;
+using cherinet::test::ZcRxRing;
 using cherinet::test::ZcTxRing;
 
 namespace {
@@ -210,10 +212,11 @@ TEST(Tenants, LoanQuotaBoundsOutstandingZcRxLoans) {
   ts.pump(2000);
   ASSERT_EQ(ff_write(ts.b(), c.bfd, tx, 512), 512);
 
+  ZcRxRing rx(ts, t);
   FfZcRxBuf loans[4];
   std::int64_t got = 0;
   ts.pump_until([&] {
-    got = ff_zc_recv(ts.a(), c.afd, loans);
+    got = rx.recv(c.afd, loans);
     return got != 0 && got != -EAGAIN;
   });
   // The quota caps the OUTSTANDING count at 1 even though more data waits.
@@ -225,20 +228,18 @@ TEST(Tenants, LoanQuotaBoundsOutstandingZcRxLoans) {
   // loans: the next harvest answers -ENOBUFS until a recycle credits it.
   std::int64_t more = 0;
   ts.pump_until([&] {
-    more = ff_zc_recv(ts.a(), c.afd, {loans + 1, 3});
+    more = rx.recv(c.afd, {loans + 1, 3});
     return more == -ENOBUFS;
   });
   EXPECT_EQ(more, -ENOBUFS);
   EXPECT_GE(st->loan_cap_rejects, 1u);
 
   // Recycling credits the gauge; the NEXT loan is granted.
-  EXPECT_EQ(ff_zc_recycle(ts.a(), loans[0]), 0);
+  EXPECT_EQ(rx.recycle(loans[0]), 1);
   EXPECT_EQ(st->loans_outstanding, 0u);
-  ts.pump_until([&] {
-    return ff_zc_recv(ts.a(), c.afd, {loans + 1, 1}) == 1;
-  });
+  ts.pump_until([&] { return rx.recv(c.afd, {loans + 1, 1}) == 1; });
   EXPECT_EQ(st->loans_outstanding, 1u);
-  EXPECT_EQ(ff_zc_recycle(ts.a(), loans[1]), 0);
+  EXPECT_EQ(rx.recycle(loans[1]), 1);
   ff_close(ts.a(), c.afd);
   ff_close(ts.b(), c.bfd);
 }
@@ -553,10 +554,14 @@ TEST(Tenants, EvictionWithLoansAndLiveConnectionReclaimsEverything) {
   ASSERT_EQ(ff_write(ts.b(), c.bfd, tx, 512), 512);
   ts.pump(2000);
   ASSERT_EQ(ff_write(ts.b(), c.bfd, tx, 512), 512);
+  // An untenanted ring (the control plane's) survives the eviction, which
+  // detaches the tenant's own rings; the loans still bill the socket's
+  // tenant.
+  ZcRxRing rx(ts);
   FfZcRxBuf loans[2];
   std::int64_t got = 0;
   ts.pump_until([&] {
-    const std::int64_t r = ff_zc_recv(ts.a(), c.afd, {loans + got, 1});
+    const std::int64_t r = rx.recv(c.afd, {loans + got, 1});
     if (r == 1) ++got;
     return got == 2;
   });
@@ -572,8 +577,8 @@ TEST(Tenants, EvictionWithLoansAndLiveConnectionReclaimsEverything) {
   EXPECT_EQ(st->sockets, 0u);
   EXPECT_EQ(st->loans_outstanding, 0u);
   EXPECT_EQ(st->pool_charged, 0u);
-  EXPECT_EQ(ff_zc_recycle(ts.a(), loans[0]), -EINVAL);
-  EXPECT_EQ(ff_zc_recycle(ts.a(), loans[1]), -EINVAL);
+  EXPECT_EQ(rx.recycle(loans[0]), -EINVAL);
+  EXPECT_EQ(rx.recycle(loans[1]), -EINVAL);
   EXPECT_EQ(ff_close(ts.a(), c.afd), -EBADF);
   EXPECT_EQ(ff_close(ts.a(), lfd), -EBADF);
 
@@ -791,10 +796,11 @@ TEST(Tenants, ProxyBindsTheTenantInsideTheCreatingEntry) {
 }
 
 TEST(Tenants, ProxiedRecycleOfNeighbourLoanIsInert) {
-  // Every proxied entry runs as its app's tenant, not only the ring drain:
-  // tenant B handing A's loan token to its own ff_zc_recycle entry
-  // recycles nothing, and A's loan stays outstanding — its read-only view
-  // still points at a data room the pool cannot hand to other traffic.
+  // Each app's ring drains as the tenant its attach entry bound: tenant B
+  // submitting A's loan token in an OP_RECYCLE of its own ring recycles
+  // nothing (aux0 counts the refusal), and A's loan stays outstanding — its
+  // read-only view still points at a data room the pool cannot hand to
+  // other traffic — until A recycles it through its own ring.
   constexpr std::uint64_t kVolume = 16 * 1024;
   scen::TestbedOptions opt;
   opt.cost = sim::CostModel::disabled();
@@ -807,7 +813,12 @@ TEST(Tenants, ProxiedRecycleOfNeighbourLoanIsInert) {
   const int app_b = rig.add_app("tenant:b", tb);
   rig.testbed().peer(0).run_iperf_client(
       scen::MorelloTestbed::morello_ip(0), 5201, kVolume);
+  const std::size_t ring_bytes =
+      FfUring::bytes_for(ZcRxRing::kSq, ZcRxRing::kCq);
+  const machine::CapView mem_a = rig.alloc(ring_bytes, app_a);
+  const machine::CapView mem_b = rig.alloc(ring_bytes, app_b);
 
+  std::optional<ZcRxRing> ring_a;
   FfZcRxBuf loan[1];
   rig.run(app_a, [&] {
     apps::FfOps& ops = rig.ops(app_a);
@@ -817,24 +828,28 @@ TEST(Tenants, ProxiedRecycleOfNeighbourLoanIsInert) {
     int cfd = -1;
     while ((cfd = ops.accept(lfd)) < 0 && rig.turn(false)) {
     }
-    while (ops.zc_recv(cfd, loan) != 1 && rig.turn(false)) {
+    ring_a.emplace(ops, mem_a);
+    while (ring_a->recv(cfd, loan) != 1 && rig.turn(false)) {
     }
   });
   ASSERT_NE(loan[0].token, 0u);
   ASSERT_EQ(svc.stats(ta).loans_outstanding, 1u);
 
-  std::int64_t stolen = -1;
+  FfUringCqe stolen;
   rig.run(app_b, [&] {
-    FfZcRxBuf steal[1];
-    steal[0].token = loan[0].token;
-    stolen = rig.ops(app_b).zc_recycle_batch(steal);
+    ZcRxRing ring_b(rig.ops(app_b), mem_b);
+    stolen = ring_b.recycle({&loan[0].token, 1});
   });
-  EXPECT_EQ(stolen, 0);
+  EXPECT_EQ(stolen.result, -EINVAL);
+  EXPECT_EQ(stolen.aux0, 1u);
   EXPECT_EQ(svc.stats(ta).loans_outstanding, 1u);
+  EXPECT_EQ(svc.stats(tb).sqe_errors, 1u);  // the refusal is billed to B
 
-  // A itself still returns the loan.
+  // A's loan is untouched: it still reads, and A itself returns it.
   rig.run(app_a, [&] {
-    EXPECT_EQ(rig.ops(app_a).zc_recycle_batch(loan), 1);
+    std::byte first[1];
+    loan[0].data.read(0, first);
+    EXPECT_EQ(ring_a->recycle(loan[0]), 1);
   });
   EXPECT_EQ(svc.stats(ta).loans_outstanding, 0u);
 }

@@ -860,8 +860,8 @@ TEST(UringApps, IperfRunsEndToEndOverRings) {
   // Both sides really rode the rings.
   EXPECT_GT(ts.a().api_stats().uring_sqes, 0u);
   EXPECT_GT(ts.b().api_stats().uring_sqes, 0u);
-  // Server side: every loan the drain handed out came back (the EOF path
-  // returns tail tokens synchronously, so nothing is left in flight).
+  // Server side: every loan the drain handed out came back (the EOF tail
+  // goes out as OP_RECYCLE, and the teardown drains it before detaching).
   EXPECT_EQ(ts.a().api_stats().zc_rx_recycles,
             ts.a().api_stats().zc_rx_loans);
 }
@@ -1099,9 +1099,14 @@ TEST(Uring, UdpZcRecvReturnsWhatIsQueuedWithoutWaiting) {
   ASSERT_NE(cq[0].aux0, 0u);
   EXPECT_EQ(cq[1].result, -EAGAIN);
   EXPECT_EQ(cq[1].aux1, 0u);
-  FfZcRxBuf z;
-  z.token = cq[0].aux0;
-  EXPECT_EQ(ff_zc_recycle(ts.a(), z), 0);
+  FfUringSqe rec;
+  rec.op = UringOp::kRecycle;
+  rec.a[0] = 1;
+  rec.tokens[0] = cq[0].aux0;
+  ASSERT_NE(ar.ring.sq_push(rec), FfUring::Push::kFull);
+  ts.a().run_once();
+  ASSERT_EQ(ar.ring.cq_pop(cq), 1u);
+  EXPECT_EQ(cq[0].result, 1);
 }
 
 TEST(UringApps, IperfClientZeroCopyTxSendsWithoutStackCopies) {

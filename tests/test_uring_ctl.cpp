@@ -18,6 +18,7 @@ using namespace cherinet::fstack;
 using cherinet::test::AttachedRing;
 using cherinet::test::attach_ring;
 using cherinet::test::TwoStacks;
+using cherinet::test::ZcRxRing;
 
 namespace {
 
@@ -134,10 +135,9 @@ TEST(UringCtl, CloseThroughRingWithInflightZcLoanStaysRecyclable) {
   machine::CapView tx = ts.heap_b().alloc_view(512);
   ASSERT_EQ(ff_write(ts.b(), bfd, tx, 512), 512);
 
+  ZcRxRing rx(ts);
   FfZcRxBuf loan;
-  ts.pump_until([&] {
-    return ff_zc_recv(ts.a(), afd, {&loan, 1}) == 1;
-  });
+  ts.pump_until([&] { return rx.recv(afd, {&loan, 1}) == 1; });
   ASSERT_NE(loan.token, 0u);
 
   // Close the connection through the ring while the loan is still out.
@@ -160,8 +160,8 @@ TEST(UringCtl, CloseThroughRingWithInflightZcLoanStaysRecyclable) {
   // ...but the loan token survives the connection: exactly one recycle
   // succeeds (pure pool return — the PCB budget pointer was nulled), and a
   // replay is rejected.
-  EXPECT_EQ(ff_zc_recycle(ts.a(), loan), 0);
-  EXPECT_EQ(ff_zc_recycle(ts.a(), loan), -EINVAL);
+  EXPECT_EQ(rx.recycle(loan), 1);
+  EXPECT_EQ(rx.recycle(loan), -EINVAL);
   ff_close(ts.b(), bfd);
 }
 
