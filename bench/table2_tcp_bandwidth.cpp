@@ -39,9 +39,33 @@ struct RowCensus {
   double recv_aggregate = 0;
   BandwidthOutcome::TxBurstCensus tx;  // Morello-sends direction
   bool gate_bursts = false;   // sustained single-stream send rows gate
-  // Scenario 2 rows: per-shard goodput + mutex census (Morello sends).
-  std::vector<BandwidthOutcome::ShardCensus> shards;
+  // Scenario 2 rows: per-shard goodput + mutex census, one per direction.
+  std::vector<BandwidthOutcome::ShardCensus> shards;  // Morello sends
+  std::vector<BandwidthOutcome::ShardCensus> recv_shards;
 };
+
+void print_shards(const char* dir,
+                  const std::vector<BandwidthOutcome::ShardCensus>& shards) {
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    const auto& sc = shards[s];
+    std::printf("  %s shard %zu: %.1f Mbit/s, mutex %llu fast / %llu "
+                "contended, %llu proxied calls\n",
+                dir, s, sc.mbps, static_cast<unsigned long long>(sc.mutex_fast),
+                static_cast<unsigned long long>(sc.mutex_contended),
+                static_cast<unsigned long long>(sc.proxied_calls));
+  }
+}
+
+void set_shards(Fields& o, const char* key,
+                const std::vector<BandwidthOutcome::ShardCensus>& shards) {
+  for (const auto& sc : shards) {
+    o.row(key)
+        .set("mbps", sc.mbps)
+        .set("mutex_fast", sc.mutex_fast)
+        .set("mutex_contended", sc.mutex_contended)
+        .set("proxied_calls", sc.proxied_calls);
+  }
+}
 
 void run_row(ScenarioKind kind, std::uint64_t bytes, double fair_share_mbps,
              const PaperRow& paper, const TestbedOptions& opt,
@@ -76,6 +100,7 @@ void run_row(ScenarioKind kind, std::uint64_t bytes, double fair_share_mbps,
       } else {
         census->recv_mbps = r.endpoints[0].mbps;
         census->recv_aggregate = aggregate;
+        census->recv_shards = r.shards;
       }
     }
   }
@@ -88,14 +113,8 @@ void run_row(ScenarioKind kind, std::uint64_t bytes, double fair_share_mbps,
                 static_cast<unsigned long long>(census->tx.segs));
   }
   if (census != nullptr) {
-    for (std::size_t s = 0; s < census->shards.size(); ++s) {
-      const auto& sc = census->shards[s];
-      std::printf("  shard %zu: %.1f Mbit/s, mutex %llu fast / %llu "
-                  "contended, %llu proxied calls\n",
-                  s, sc.mbps, static_cast<unsigned long long>(sc.mutex_fast),
-                  static_cast<unsigned long long>(sc.mutex_contended),
-                  static_cast<unsigned long long>(sc.proxied_calls));
-    }
+    print_shards("Morello sends", census->shards);
+    print_shards("Morello receives", census->recv_shards);
   }
 }
 }  // namespace
@@ -202,13 +221,8 @@ int main() {
                     .set("frames_per_burst", r.tx.frames_per_burst())
                     .set("tso_frames", r.tx.tso_frames)
                     .set("tso_bytes", r.tx.tso_bytes);
-    for (const auto& sc : r.shards) {
-      o.row("shards")
-          .set("mbps", sc.mbps)
-          .set("mutex_fast", sc.mutex_fast)
-          .set("mutex_contended", sc.mutex_contended)
-          .set("proxied_calls", sc.proxied_calls);
-    }
+    set_shards(o, "shards", r.shards);
+    set_shards(o, "recv_shards", r.recv_shards);
   }
 
   // Doorbell gate: sustained single-stream send rows must amortize the

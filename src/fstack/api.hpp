@@ -164,12 +164,17 @@ int ff_epoll_ctl(FfStack& st, int epfd, EpollOp op, int fd,
 /// whatever fits. An ACK that moves the buffer past the mark changes the
 /// mask, so an armed epfd posts it; one that leaves it below posts
 /// nothing.
-/// Scenario 2's proxy answers 0 without crossing when that is provable:
-/// its last crossing for the epfd answered 0, it has made no crossing
-/// since, no app on the shard has crossed into ff_epoll_ctl or a doorbell
-/// since, and its own live arm on the epfd has posted nothing since.
-/// Readiness rises only in the main loop, which publishes it, or through
-/// those calls, so the answer is exact (scenarios/scenario2.hpp).
+/// Scenario 2's proxy answers without crossing from a readiness mirror
+/// of each epfd it created: the interest set from its own ff_epoll_ctl
+/// results, each fd's mask from its live arm's CQEs (rises) and from the
+/// app's own short reads and writes (falls), rebaselined by every
+/// crossing answer. It answers locally, in interest-set order and at most
+/// 64 events, only while every mask is known and no app on the shard has
+/// crossed into ff_epoll_ctl or a doorbell since the rebaseline; a
+/// non-zero answer also needs that no other app on the shard has crossed
+/// since and that no app on the shard holds a ring. Such an answer equals
+/// this call's at every wait that follows a main-loop pass
+/// (scenarios/scenario2.hpp).
 int ff_epoll_wait(FfStack& st, int epfd, std::span<FfEpollEvent> events);
 
 // ------------------------------------------------------------ the ring

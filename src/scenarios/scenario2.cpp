@@ -1,6 +1,7 @@
 #include "scenarios/scenario2.hpp"
 
 #include <algorithm>
+#include <cerrno>
 
 #include "fstack/boundary.hpp"
 
@@ -44,7 +45,8 @@ Scenario2Service::Scenario2Service(iv::Intravisor& iv, iv::CVM& cvm1,
       cvm1_(cvm1),
       shards_(std::move(shards)),
       proxied_calls_(shards_.size()),
-      interest_calls_(shards_.size()) {
+      interest_calls_(shards_.size()),
+      app_rings_(shards_.size()) {
   mutex_words_.reserve(shards_.size());
   mutexes_.reserve(shards_.size());
   for (std::size_t j = 0; j < shards_.size(); ++j) {
@@ -72,7 +74,9 @@ ProxyFfOps::ProxyFfOps(Scenario2Service* svc, iv::CVM* app, std::size_t shard,
                        int tid)
     : svc_(svc),
       app_(app),
-      interest_calls_(&svc->interest_calls_.at(shard)) {
+      shard_calls_(&svc->proxied_calls_.at(shard)),
+      interest_calls_(&svc->interest_calls_.at(shard)),
+      app_rings_(&svc->app_rings_.at(shard)) {
   event_buf_ = app_->heap().alloc_view(kMaxProxyEvents * kEventRecordBytes);
 
   auto& reg = svc_->iv_.entries();
@@ -258,6 +262,9 @@ ProxyFfOps::~ProxyFfOps() {
 }
 
 std::int64_t ProxyFfOps::call(Entry e, machine::CrossCallArgs& args) {
+  // Whatever this crossing lowers in the mirror, a CQE reaped after it
+  // was posted after it.
+  reap_edges();
   ++crossings_;
   return static_cast<std::int64_t>(svc_->iv_.entries().invoke(e_[e], args));
 }
@@ -278,26 +285,54 @@ int ProxyFfOps::bind(int fd, fstack::Ipv4Addr ip, std::uint16_t port) {
 }
 
 int ProxyFfOps::listen(int fd, int backlog) {
-  return static_cast<int>(call(kListen, {arg(fd), arg(backlog)}));
+  const int r = static_cast<int>(call(kListen, {arg(fd), arg(backlog)}));
+  settle(fd, 0, false);
+  return r;
 }
 
 int ProxyFfOps::accept(int fd) {
-  return static_cast<int>(call(kAccept, {arg(fd)}));
+  const int r = static_cast<int>(call(kAccept, {arg(fd)}));
+  settle(fd, fstack::kEpollIn, r == -EAGAIN);
+  return r;
 }
 
 int ProxyFfOps::connect(int fd, fstack::Ipv4Addr ip, std::uint16_t port) {
-  return static_cast<int>(call(kConnect, {arg(fd), ip.value, port}));
+  const int r = static_cast<int>(call(kConnect, {arg(fd), ip.value, port}));
+  settle(fd, 0, false);
+  return r;
 }
+
+namespace {
+/// A read that drained its socket: -EAGAIN, or bytes short of `want`.
+bool read_drained(std::int64_t r, std::uint64_t want) {
+  return r == -EAGAIN || (r > 0 && static_cast<std::uint64_t>(r) < want);
+}
+/// A write that filled its send buffer: bytes short of `want`. -EAGAIN
+/// proves nothing: the stack also answers it while the flow's class has
+/// frames staged, with send space free.
+bool write_filled(std::int64_t r, std::uint64_t want) {
+  return r > 0 && static_cast<std::uint64_t>(r) < want;
+}
+std::uint64_t total_len(std::span<const fstack::FfIovec> iov) {
+  std::uint64_t n = 0;
+  for (const fstack::FfIovec& e : iov) n += e.len;
+  return n;
+}
+}  // namespace
 
 std::int64_t ProxyFfOps::write(int fd, const machine::CapView& buf,
                                std::size_t n) {
   // The capability-qualified buffer crosses the boundary in cap0.
-  return call(kWrite, {arg(fd), n}, buf);
+  const std::int64_t r = call(kWrite, {arg(fd), n}, buf);
+  settle(fd, fstack::kEpollOut, write_filled(r, n));
+  return r;
 }
 
 std::int64_t ProxyFfOps::read(int fd, const machine::CapView& buf,
                               std::size_t n) {
-  return call(kRead, {arg(fd), n}, buf);
+  const std::int64_t r = call(kRead, {arg(fd), n}, buf);
+  settle(fd, fstack::kEpollIn, read_drained(r, n));
+  return r;
 }
 
 std::int64_t ProxyFfOps::chunked(Entry e, int fd,
@@ -333,24 +368,32 @@ std::int64_t ProxyFfOps::writev(int fd, std::span<const fstack::FfIovec> iov) {
   // voided by an invalid element in a later chunk. It runs app-side, so a
   // bad element is the app's own trap.
   fstack::check_args(Door::kCall, Op::kWritev, iov);
-  return chunked(kWritev, fd, iov);
+  const std::int64_t r = chunked(kWritev, fd, iov);
+  settle(fd, fstack::kEpollOut, write_filled(r, total_len(iov)));
+  return r;
 }
 
 std::int64_t ProxyFfOps::readv(int fd, std::span<const fstack::FfIovec> iov) {
   fstack::check_args(Door::kCall, Op::kReadv, iov);
-  return chunked(kReadv, fd, iov);
+  const std::int64_t r = chunked(kReadv, fd, iov);
+  settle(fd, fstack::kEpollIn, read_drained(r, total_len(iov)));
+  return r;
 }
 
 int ProxyFfOps::uring_attach(const machine::CapView& mem,
                              std::uint32_t sq_capacity,
                              std::uint32_t cq_capacity) {
   // The app delegates its whole ring region, bounded, in cap0.
-  return static_cast<int>(
+  const int id = static_cast<int>(
       call(kUringAttach, {sq_capacity, cq_capacity}, mem));
+  if (id >= 0) ++*app_rings_;
+  return id;
 }
 
 int ProxyFfOps::uring_detach(int id) {
-  return static_cast<int>(call(kUringDetach, {arg(id)}));
+  const int r = static_cast<int>(call(kUringDetach, {arg(id)}));
+  if (r == 0 && id != edges_id_ && *app_rings_ > 0) --*app_rings_;
+  return r;
 }
 
 int ProxyFfOps::uring_doorbell(int id) {
@@ -359,8 +402,11 @@ int ProxyFfOps::uring_doorbell(int id) {
 
 int ProxyFfOps::close(int fd) {
   const int r = static_cast<int>(call(kClose, {arg(fd)}));
-  // A watched epfd's arm ended with it (its final CQE is reaped here); a
-  // successor reusing the number starts a watch of its own.
+  if (r != 0) return r;
+  // The fd left every interest set with it. A watched epfd's arm ended
+  // with it (its final CQE is reaped here); a successor reusing the number
+  // starts a watch of its own.
+  for (auto& [epfd, w] : watches_) w.fds.erase(fd);
   if (watches_.contains(fd)) {
     reap_edges();
     watches_.erase(fd);
@@ -369,29 +415,52 @@ int ProxyFfOps::close(int fd) {
 }
 
 int ProxyFfOps::epoll_create() {
-  return static_cast<int>(call(kEpollCreate, {}));
+  const int epfd = static_cast<int>(call(kEpollCreate, {}));
+  if (epfd >= 0) {
+    Watch& w = watches_[epfd] = Watch{};
+    w.known = true;  // empty, and every change goes through epoll_ctl
+    w.interest_mark = *interest_calls_;
+    w.others_mark = others();
+  }
+  return epfd;
 }
 
 int ProxyFfOps::epoll_ctl(int epfd, fstack::EpollOp op, int fd,
                           std::uint32_t events, std::uint64_t data) {
-  return static_cast<int>(call(
+  const int r = static_cast<int>(call(
       kEpollCtl,
       {arg(epfd), static_cast<std::uint64_t>(op), arg(fd), events, data}));
+  const auto it = watches_.find(epfd);
+  if (r != 0 || it == watches_.end()) return r;
+  Watch& w = it->second;
+  if (op == fstack::EpollOp::kDel) {
+    w.fds.erase(fd);
+    return r;
+  }
+  for (const auto& [other, f] : w.fds) {
+    if (other != fd && f.cookie == data) w.known = false;  // ambiguous
+  }
+  // Unknown until a CQE or a crossing wait: a MOD keeps the publisher's
+  // record, so no CQE need come.
+  w.fds[fd] = {data, std::nullopt};
+  return r;
 }
 
 void ProxyFfOps::reap_edges() {
   if (!edges_) return;
-  // One CQE at a time: edges are rare, and the empty CQ of a quiet wait
-  // is its hot path.
-  fstack::FfUringCqe cqe;
   std::size_t popped = 0;
-  for (; edges_->cq_pop({&cqe, 1}) == 1; ++popped) {
-    const auto it = watches_.find(static_cast<int>(cqe.user_data));
-    if (it == watches_.end()) continue;
-    if ((cqe.flags & fstack::kCqeMore) != 0) {
-      it->second.quiet = false;  // an edge since the last crossing
-    } else {
-      it->second.arm = Watch::Arm::kDead;  // -ECANCELED, or -EBADF
+  for (std::size_t k; (k = edges_->cq_pop(reaped_)) > 0; popped += k) {
+    for (const fstack::FfUringCqe& cqe : std::span{reaped_}.first(k)) {
+      const auto it = watches_.find(static_cast<int>(cqe.user_data));
+      if (it == watches_.end()) continue;
+      Watch& w = it->second;
+      if ((cqe.flags & fstack::kCqeMore) == 0) {
+        w.arm = Watch::Arm::kDead;  // -ECANCELED, or -EBADF
+        continue;
+      }
+      if (Watch::Interest* f = w.by_cookie(cqe.aux0)) {
+        f->ready = static_cast<std::uint32_t>(cqe.result);
+      }
     }
   }
   // A deferred CQE may be an arm's end that a detach then lost: no arm on
@@ -417,7 +486,8 @@ ProxyFfOps::Watch& ProxyFfOps::watch(int epfd) {
     const machine::CapView mem =
         app_->heap().alloc_view(fstack::FfUring::bytes_for(kEdgeSq, kEdgeCq));
     fstack::FfUring ring(mem, kEdgeSq, kEdgeCq);
-    const int id = uring_attach(mem, kEdgeSq, kEdgeCq);
+    const int id =
+        static_cast<int>(call(kUringAttach, {kEdgeSq, kEdgeCq}, mem));
     if (id < 0) {
       app_->heap().free(mem.cap());
       edges_failed_ = true;
@@ -444,24 +514,61 @@ ProxyFfOps::Watch& ProxyFfOps::watch(int epfd) {
   return w;
 }
 
+std::optional<int> ProxyFfOps::local_answer(
+    const Watch& w, std::span<fstack::FfEpollEvent> out) const {
+  if (w.arm != Watch::Arm::kLive || !w.known ||
+      *interest_calls_ != w.interest_mark) {
+    return std::nullopt;
+  }
+  const std::size_t cap = std::min(out.size(), kMaxProxyEvents);
+  std::size_t n = 0;
+  for (const auto& [fd, f] : w.fds) {
+    if (!f.ready) return std::nullopt;
+    if (*f.ready != 0 && n < cap) out[n++] = {*f.ready, f.cookie};
+  }
+  if (n > 0 && (*app_rings_ > 0 || others() != w.others_mark)) {
+    return std::nullopt;
+  }
+  return static_cast<int>(n);
+}
+
+void ProxyFfOps::settle(int fd, std::uint32_t bit, bool drained) {
+  for (auto& [epfd, w] : watches_) {
+    const auto it = w.fds.find(fd);
+    if (it == w.fds.end() || !it->second.ready) continue;
+    std::uint32_t& mask = *it->second.ready;
+    // A write lowers only OUT: without it, the mask stands.
+    if (bit == fstack::kEpollOut && (mask & bit) == 0) continue;
+    if (!drained) {
+      it->second.ready.reset();
+    } else if (bit == fstack::kEpollOut ||
+               (mask & (fstack::kEpollHup | fstack::kEpollErr)) == 0) {
+      mask &= ~bit;
+    }
+  }
+}
+
 int ProxyFfOps::epoll_wait(int epfd, std::span<fstack::FfEpollEvent> out) {
   Watch& w = watch(epfd);
-  if (w.arm == Watch::Arm::kLive && w.quiet && crossings_ == w.own_mark &&
-      *interest_calls_ == w.interest_mark) {
-    return 0;
+  if (const std::optional<int> n = local_answer(w, out)) return *n;
+  const std::size_t want = std::min(out.size(), kMaxProxyEvents);
+  const int n =
+      static_cast<int>(call(kEpollWait, {arg(epfd), want}, event_buf_));
+  if (n < 0) return n;
+  // Rebaseline: an fd the answer left out reads 0 only if it had room.
+  for (auto& [fd, f] : w.fds) {
+    f.ready = static_cast<std::size_t>(n) < want
+                  ? std::optional<std::uint32_t>{0}
+                  : std::nullopt;
   }
-  const int n = static_cast<int>(call(
-      kEpollWait, {arg(epfd), std::min(out.size(), kMaxProxyEvents)},
-      event_buf_));
   for (int i = 0; i < n && i < static_cast<int>(out.size()); ++i) {
     const auto off = static_cast<std::uint64_t>(i) * kEventRecordBytes;
     out[i].events = event_buf_.load<std::uint32_t>(off);
     out[i].data = event_buf_.load<std::uint64_t>(off + 4);
+    if (Watch::Interest* f = w.by_cookie(out[i].data)) f->ready = out[i].events;
   }
-  // An empty `out` reads nothing, so its 0 proves nothing.
-  w.quiet = n == 0 && !out.empty();
-  w.own_mark = crossings_;
   w.interest_mark = *interest_calls_;
+  w.others_mark = others();
   return n;
 }
 

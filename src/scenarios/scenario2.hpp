@@ -13,27 +13,42 @@
 // wider: a zero-copy RX loan reaches an app only as an OP_ZC_RECV CQE's
 // capability, and goes back only through OP_RECYCLE.
 //
-// Waiting without crossing. A proxied ff_epoll_wait answers 0 from the app
-// side, with no crossing, when that answer is provably what the stack
-// would give. On an app's first epoll_wait the proxy attaches one small
-// ff_uring of its own (one crossing) and arms each epfd it waits on with
-// OP_EPOLL_ARM (user_data = epfd), ringing the doorbell only when sq_push
-// asks. Readiness rises only in the stack's main loop (input, ACKs,
-// timers, ring drains), which ends every iteration by publishing each
-// armed epfd's readiness edges as CQEs, or in a crossing that edits an
-// interest set (ff_epoll_ctl, or a doorbell whose drain runs
-// OP_EPOLL_CTL); other calls only consume readiness. And the stack's
-// ff_epoll_wait re-baselines an armed epfd's edge publisher to the answer
-// it gives, so whatever rises after a crossing that answered 0 posts a
-// CQE. The proxy therefore answers 0 locally exactly when:
-//   * its previous crossing for that epfd answered 0,
-//   * it has made no other crossing since, and no app pinned to the shard
-//     has crossed into ff_epoll_ctl or a doorbell since,
-//   * the arm is live (drained, and not ended), and
-//   * the arm has posted no CQE since.
-// Otherwise it crosses. An arm ends visibly, with a final CQE
-// without kCqeMore; an ended arm, a failed attach or a CQ overflow means
-// "always cross" for the epfds concerned.
+// Waiting without crossing. A proxied ff_epoll_wait answers from a
+// readiness mirror on the app side when the mirror provably holds the
+// stack's answer. On an app's first epoll_wait the proxy attaches one
+// small ff_uring of its own (one crossing) and arms each epfd it waits on
+// with OP_EPOLL_ARM (user_data = epfd), ringing the doorbell only when
+// sq_push asks. For each epfd it created, the proxy mirrors:
+//   * the interest set, from its own epoll_ctl results (close(fd) drops fd
+//     from every set, as the stack does). A cookie two fds share, or one
+//     the set lacks in a CQE or an answer, makes the set unknown for good;
+//   * each fd's ready mask, or "unknown". Readiness rises in the stack's
+//     main loop, which ends every pass by posting each armed epfd's
+//     changed masks as CQEs (result: the mask, aux0: the cookie); a CQE
+//     sets its fd's mask. Falls come from the app's own calls: a short or
+//     -EAGAIN read clears IN unless the mask holds HUP or ERR (a reset
+//     socket stays readable), a short write clears OUT, an -EAGAIN accept
+//     clears the listener's IN. A full-length read, a successful accept,
+//     connect or listen, and a full-length or refused write on a mask
+//     holding OUT make the mask unknown (-EAGAIN also answers a write
+//     while the flow's class has frames staged); no other write changes
+//     it. Every crossing reaps the ring first, so a CQE reaped after a
+//     fall was posted after it;
+//   * a crossing wait rebaselines: listed fds take their masks; an
+//     unlisted one reads 0 if the answer was shorter than asked, else
+//     unknown.
+// A wait answers locally, in interest-set (ascending fd) order and capped
+// at the 64 records a crossing carries, when the arm is live (drained,
+// not ended), the set and every mask are known, and no app on the shard
+// has crossed into ff_epoll_ctl or a doorbell since the rebaseline. A
+// non-zero answer also needs that no other app on the shard crossed since
+// (untenanted apps share fds) and that no app on the shard holds a ring
+// (the loop drains it without a crossing). An ended arm, a failed
+// attach or a CQ overflow means "always cross" for the epfds concerned.
+// A read can also raise readiness (draining the data before a FIN raises
+// HUP; reopening a full window pulls held-back segments in), which the
+// loop's next pass posts: the mirror's answer is the stack's at every wait
+// that follows a pass, as every wait on the lockstep rig does.
 //
 // Sharded mode: cVM1 may run N independent FfStack SHARDS, each with its
 // own mempool, PCB table, ARP cache, timer wheel, uring drain set — and its
@@ -110,11 +125,14 @@ class Scenario2Service {
   // Fixed-size after construction: each shard's entries hold a pointer to
   // its counters.
   std::vector<std::uint64_t> proxied_calls_;
-  // Per shard: the crossings that can add readiness to ANY app's interest
-  // set (ff_epoll_ctl, and the doorbell, whose drain may run
-  // OP_EPOLL_CTL). A proxy's quiet epoll answer survives every other
-  // app's crossing but these.
+  // Per shard: the crossings that can change ANY app's interest set
+  // (ff_epoll_ctl, and the doorbell, whose drain may run OP_EPOLL_CTL). A
+  // proxy's mirrored answer survives no such crossing.
   std::vector<std::uint64_t> interest_calls_;
+  // Per shard: the rings apps hold (not the proxies' readiness rings). The
+  // loop drains them without a crossing, so an untenanted app's ring can
+  // consume readiness of any app's fd.
+  std::vector<std::uint32_t> app_rings_;
 };
 
 /// Client-side stubs living in the application compartment.
@@ -167,8 +185,9 @@ class ProxyFfOps final : public apps::FfOps {
   int epoll_create() override;
   int epoll_ctl(int epfd, fstack::EpollOp op, int fd, std::uint32_t events,
                 std::uint64_t data) override;
-  /// Answers 0 without crossing when the readiness ring proves it (see
-  /// the header comment); crosses otherwise.
+  /// Answers from the readiness mirror without crossing when it provably
+  /// holds the stack's answer (see the header comment); crosses, and
+  /// rebaselines the mirror, otherwise.
   int epoll_wait(int epfd, std::span<fstack::FfEpollEvent> out) override;
 
   /// The sealed pair behind entry `e` — the handle the app already holds,
@@ -186,7 +205,7 @@ class ProxyFfOps final : public apps::FfOps {
   /// batch is done or a chunk comes back short.
   std::int64_t chunked(Entry e, int fd, std::span<const fstack::FfIovec> iov);
 
-  /// What the proxy knows of one epfd it waits on.
+  /// The readiness mirror of one epfd the proxy waits on.
   struct Watch {
     enum class Arm : std::uint8_t {
       kNone,     // not submitted (no ring, or its SQ was full)
@@ -194,26 +213,54 @@ class ProxyFfOps final : public apps::FfOps {
       kLive,     // drained: every later edge posts a CQE
       kDead,     // ended or refused: always cross
     };
+    struct Interest {
+      std::uint64_t cookie = 0;
+      std::optional<std::uint32_t> ready;  // empty: unknown
+    };
     Arm arm = Arm::kNone;
-    bool quiet = false;  // the last crossing answered 0, no CQE since
-    // Right after that crossing: this proxy's crossings and the shard's
-    // interest-changing crossings.
-    std::uint64_t own_mark = 0;
+    bool known = false;  // created here, and every cookie names one fd
+    std::map<int, Interest> fds;  // the interest set, in the stack's order
+    // At the last rebaseline: the shard's interest-changing crossings and
+    // every other proxy's crossings on the shard.
     std::uint64_t interest_mark = 0;
+    std::uint64_t others_mark = 0;
+    /// The fd under `cookie`; none makes the set unknown.
+    Interest* by_cookie(std::uint64_t cookie) {
+      for (auto& [fd, f] : fds) {
+        if (f.cookie == cookie) return &f;
+      }
+      known = false;  // an fd this proxy did not add
+      return nullptr;
+    }
   };
   /// The epfd's watch, armed on the readiness ring (attached on first use)
   /// once the SQ takes the arm; reaps the ring's CQEs first.
   Watch& watch(int epfd);
   /// Pop every readiness CQE into the watches.
   void reap_edges();
+  /// The answer the mirror proves, written to `out`; empty: cross.
+  std::optional<int> local_answer(const Watch& w,
+                                  std::span<fstack::FfEpollEvent> out) const;
+  /// A call that consumes the `bit` readiness of `fd` (kEpollIn for a read
+  /// or accept, kEpollOut for a write) returned: `drained` when it proves
+  /// that readiness gone. `bit` 0 makes the masks unknown.
+  void settle(int fd, std::uint32_t bit, bool drained);
+  /// Crossings by the other proxies pinned to this shard.
+  [[nodiscard]] std::uint64_t others() const noexcept {
+    return *shard_calls_ - crossings_;
+  }
 
   Scenario2Service* svc_;
   iv::CVM* app_;
   std::uint64_t crossings_ = 0;  // this proxy's sealed-entry calls
+  const std::uint64_t* shard_calls_;     // the shard's proxied calls
   const std::uint64_t* interest_calls_;  // the shard's, see the service
+  std::uint32_t* app_rings_;             // the shard's, see the service
   machine::CapView event_buf_;  // epoll events cross the boundary here
   std::array<machine::SealedEntry, kEntryCount> e_;
   std::optional<fstack::FfUring> edges_;  // the readiness ring
+  // Every crossing reaps: a batch pops here, with no per-reap setup.
+  std::array<fstack::FfUringCqe, 16> reaped_;
   int edges_id_ = -1;
   bool edges_failed_ = false;  // attach refused: every wait crosses
   std::uint32_t edges_overflows_ = 0;

@@ -8,7 +8,9 @@
 #include <cerrno>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <random>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -581,11 +583,11 @@ TEST(Scenario2Proxy, ShortBuffersFaultBeforeTheStackMovesAnything) {
 }
 
 TEST(Scenario2Proxy, EchoServerIdleStepsCrossNothing) {
-  // The echo server waits on epoll, and the proxy answers a provable 0
-  // from its readiness ring: with four established connections, a step
-  // that echoes one request crosses for epoll_wait, readv and writev; the
-  // step after it crosses once (the wait that sees the quiet); every later
-  // idle step crosses nothing.
+  // The echo server waits on epoll, and the proxy answers from its
+  // readiness mirror: with four established connections, a step that
+  // echoes one request crosses only for readv and writev (the request's
+  // edge CQE answers the wait, and the short readv lowers the mask again);
+  // every step after it crosses nothing.
   LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, 64 * 1024,
                   fast_options());
   fstack::FfStack& peer = rig.testbed().peer(0).stack();
@@ -658,10 +660,8 @@ TEST(Scenario2Proxy, EchoServerIdleStepsCrossNothing) {
   const std::vector<Step> steps = round_trip(2, 200, 0x5A);
   ASSERT_GE(steps.size(), 2u);
   EXPECT_TRUE(steps[0].progress);
-  EXPECT_EQ(steps[0].crossings, 3u);  // epoll_wait, readv, writev
-  EXPECT_FALSE(steps[1].progress);
-  EXPECT_EQ(steps[1].crossings, 1u);  // the wait that finds it quiet
-  for (std::size_t i = 2; i < steps.size(); ++i) {
+  EXPECT_EQ(steps[0].crossings, 2u);  // readv, writev
+  for (std::size_t i = 1; i < steps.size(); ++i) {
     EXPECT_FALSE(steps[i].progress) << i;
     EXPECT_EQ(steps[i].crossings, 0u) << i;
   }
@@ -711,13 +711,14 @@ TEST(Scenario2Proxy, IperfClientWaitsForSendSpaceWithoutCrossing) {
 TEST(Scenario2Proxy, IperfClientCrossingsPerMibArePinned) {
   // A proxied IperfClient against the peer's iperf server: every crossing
   // is a write, a wait or the setup and close-out. EPOLLOUT waits for the
-  // send buffer's low-water mark, so a wake buys a batch of writes: 752.5
-  // crossings per MiB against a floor of 724 (one per 1448-byte write).
-  // The gather path (8 MSS per ff_writev) waits the same way: 118.5 per
-  // MiB against a floor of 90.5.
+  // send buffer's low-water mark, so a wake buys a batch of writes, and
+  // the wake's own wait is answered from its edge CQE: 744.5 crossings per
+  // MiB against a floor of 724 (one per 1448-byte write). The gather path
+  // (8 MSS per ff_writev) waits the same way: 110.5 per MiB against a
+  // floor of 90.5.
   constexpr std::uint64_t kBytes = 4 << 20;
   for (const auto& [batch, pinned] :
-       {std::pair<std::size_t, std::uint64_t>{1, 3010}, {8, 474}}) {
+       {std::pair<std::size_t, std::uint64_t>{1, 2978}, {8, 442}}) {
     SCOPED_TRACE(batch);
     LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, 8 << 20,
                     fast_options());
@@ -747,8 +748,9 @@ TEST(Scenario2Proxy, IperfClientCrossingsPerMibArePinned) {
 
 TEST(Scenario2Proxy, IperfServerStopsReadingAtAShortRead) {
   // A read shorter than the buffer proves the socket drained, so a
-  // readable wakeup crosses twice (the wait and one read) instead of
-  // ending on a read that answers -EAGAIN.
+  // readable wakeup crosses once: the wait is answered from the edge CQE,
+  // and the one read ends the drain instead of a read that answers
+  // -EAGAIN.
   LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, 4 << 20,
                   fast_options());
   fstack::FfStack& peer = rig.testbed().peer(0).stack();
@@ -792,7 +794,7 @@ TEST(Scenario2Proxy, IperfServerStopsReadingAtAShortRead) {
       if (received() != got) wakes.push_back(crossings);
     }
     ASSERT_EQ(wakes.size(), 1u);
-    EXPECT_EQ(wakes[0], 2u);  // epoll_wait, read
+    EXPECT_EQ(wakes[0], 1u);  // the read
   }
   EXPECT_FALSE(srv->finished());
 }
@@ -904,7 +906,7 @@ TEST(Scenario2Proxy, LocalWaitAnswersMatchTheStackSeeded) {
   // EPOLLOUT and back, and connections closed and reopened), and every
   // epoll_wait answer the proxy gives must equal the stack's own answer
   // at that instant.
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
     SCOPED_TRACE(seed);
     TestbedOptions opt = fast_options();
     opt.sndbuf_bytes = 16 * 1024;  // a backed-up echo soon writes short
@@ -1040,9 +1042,9 @@ TEST(Scenario2Proxy, WaitStaysRightWhenTheAppArmsItsOwnRing) {
 }
 
 TEST(Scenario2Proxy, WaitAfterAnotherCrossingCrosses) {
-  // A quiet answer stays provable only while no proxied call crosses: an
-  // epoll_ctl that adds an already-readable fd changes the answer before
-  // the loop publishes anything, so the next wait must cross and see it.
+  // An epoll_ctl that adds an already-readable fd changes the answer
+  // before the loop publishes anything: the new fd's mask is unknown, so
+  // the next wait must cross and see it.
   LockstepRig rig(ScenarioKind::kScenario2Uncontended, 1, 4 << 20,
                   fast_options());
   fstack::FfStack& peer = rig.testbed().peer(0).stack();
@@ -1078,7 +1080,7 @@ TEST(Scenario2Proxy, WaitAfterAnotherCrossingCrosses) {
     (void)wait();
     rig.turn(false);
   }
-  EXPECT_EQ(wait(), (std::pair<int, std::uint64_t>{0, 0}));  // provably 0
+  EXPECT_EQ(wait(), (std::pair<int, std::uint64_t>{0, 0}));  // local
   rig.run(0, [&] {
     ops.epoll_ctl(ep, fstack::EpollOp::kAdd, fd, fstack::kEpollIn, 4);
   });
@@ -1152,6 +1154,229 @@ TEST(Scenario2Proxy, AnotherAppKeepsTheQuietUnlessItChangesInterest) {
   });
   EXPECT_EQ(wait(), (std::pair<int, std::uint64_t>{1, 1}));
   EXPECT_EQ(ev[0].data, 2u);
+}
+
+namespace {
+/// The readiness mirror's stage: one proxied connection, accepted by the
+/// peer, whose fd sits in one epfd with cookie 9, and every wait checked
+/// by CheckedWaits. The waits the constructor makes arm the proxy's ring
+/// and rebaseline the mirror.
+struct WatchedConnection {
+  explicit WatchedConnection(std::uint16_t port)
+      : rig(ScenarioKind::kScenario2Uncontended, 1, 4 << 20, fast_options()),
+        peer(rig.testbed().peer(0).stack()),
+        entries(rig.testbed().intravisor().entries()),
+        ops(rig.ops(), rig.service()->instance().stack(), entries),
+        buf(rig.alloc(4096)),
+        lfd(fstack::ff_socket(peer, fstack::kAfInet, fstack::kSockStream,
+                              0)),
+        port(port) {
+    EXPECT_EQ(fstack::ff_bind(peer, lfd, {fstack::Ipv4Addr{}, port}), 0);
+    EXPECT_EQ(fstack::ff_listen(peer, lfd, 4), 0);
+    rig.run(0, [&] { ep = ops.epoll_create(); });
+    std::tie(fd, pfd) = open(9);
+    for (int i = 0; i < 3; ++i) {
+      (void)wait();
+      rig.turn(false);
+    }
+  }
+  /// Connect one more fd, add it to the epfd with `cookie`; returns it and
+  /// the peer's end.
+  std::pair<int, int> open(std::uint64_t cookie) {
+    int c = -1;
+    rig.run(0, [&] {
+      c = ops.socket_stream();
+      ops.connect(c, MorelloTestbed::peer_ip(0), port);
+      EXPECT_EQ(ops.epoll_ctl(ep, fstack::EpollOp::kAdd, c, fstack::kEpollIn,
+                              cookie),
+                0);
+    });
+    int p = -1;
+    for (int i = 0; i < 10'000 && p < 0; ++i) {
+      p = fstack::ff_accept(peer, lfd, nullptr);
+      rig.turn(false);
+    }
+    EXPECT_GE(p, 0);
+    return {c, p};
+  }
+  /// One epoll_wait into the first `max` records of `ev`: the answer and
+  /// the crossings it made.
+  std::pair<int, std::uint64_t> wait(std::size_t max = 4) {
+    const std::uint64_t before = entries.crossings();
+    const int n = rig.run(
+        0, [&] { return ops.epoll_wait(ep, std::span{ev}.first(max)); });
+    return {n, entries.crossings() - before};
+  }
+  std::int64_t read(int on, std::size_t n) {
+    return rig.run(0, [&] { return ops.read(on, buf, n); });
+  }
+  /// The peer writes `n` bytes on `to`, and the rig runs until they land.
+  void deliver(int to, std::size_t n) {
+    ASSERT_EQ(fstack::ff_write(peer, to, buf, n),
+              static_cast<std::int64_t>(n));
+    settle();
+  }
+  void settle() {
+    for (int i = 0; i < 100; ++i) rig.turn(false);
+  }
+
+  LockstepRig rig;
+  fstack::FfStack& peer;
+  const machine::EntryRegistry& entries;
+  CheckedWaits ops;
+  machine::CapView buf;
+  int lfd;
+  std::uint16_t port;
+  int ep = -1;
+  int fd = -1;   // the watched connection
+  int pfd = -1;  // and the peer's end of it
+  std::array<fstack::FfEpollEvent, 4> ev{};
+};
+
+using Answer = std::pair<int, std::uint64_t>;  // events, crossings
+}  // namespace
+
+TEST(Scenario2Proxy, FullLengthReadMakesTheMaskUnknown) {
+  // A read that fills its buffer may leave bytes behind, so the wait
+  // after it crosses; that holds when the bytes ran out exactly as well.
+  WatchedConnection c(5310);
+  EXPECT_EQ(c.wait(), (Answer{0, 0}));
+  c.deliver(c.pfd, 300);
+  EXPECT_EQ(c.wait(), (Answer{1, 0}));  // the edge CQE answers
+  EXPECT_EQ(c.read(c.fd, 100), 100);
+  EXPECT_EQ(c.wait(), (Answer{1, 1}));  // 200 bytes are left
+  EXPECT_EQ(c.read(c.fd, 200), 200);
+  EXPECT_EQ(c.wait(), (Answer{0, 1}));  // full-length, but drained
+  EXPECT_EQ(c.wait(), (Answer{0, 0}));
+}
+
+TEST(Scenario2Proxy, ShortReadKeepsWhatAFinOrAResetLeaves) {
+  // The peer writes and closes at once: the short read that drains the
+  // data uncovers HUP, and the loop's next pass posts it. Behind a reset
+  // the mask already holds ERR|HUP, so a short read leaves IN in it.
+  WatchedConnection c(5311);
+  ASSERT_EQ(fstack::ff_write(c.peer, c.pfd, c.buf, 500), 500);
+  ASSERT_EQ(fstack::ff_close(c.peer, c.pfd), 0);
+  c.settle();
+  EXPECT_EQ(c.wait(), (Answer{1, 0}));
+  EXPECT_EQ(c.ev[0].events, fstack::kEpollIn);
+  EXPECT_EQ(c.read(c.fd, 4096), 500);
+  c.rig.turn(false);
+  EXPECT_EQ(c.wait(), (Answer{1, 0}));
+  EXPECT_EQ(c.ev[0].events, fstack::kEpollIn | fstack::kEpollHup);
+  EXPECT_EQ(c.read(c.fd, 4096), 0);  // EOF
+  EXPECT_EQ(c.wait(), (Answer{1, 1}));
+
+  const auto [fd, pfd] = c.open(10);
+  c.deliver(pfd, 500);
+  c.peer.sockets().get(pfd)->pcb->abort(ECONNRESET);  // RST on the wire
+  c.settle();
+  (void)c.wait();
+  constexpr std::uint32_t kReset =
+      fstack::kEpollIn | fstack::kEpollErr | fstack::kEpollHup;
+  EXPECT_EQ(c.wait(), (Answer{2, 0}));
+  EXPECT_EQ(c.ev[1].events, kReset);
+  EXPECT_EQ(c.read(fd, 4096), 500);
+  EXPECT_EQ(c.wait(), (Answer{2, 0}));
+  EXPECT_EQ(c.ev[1].events, kReset);
+  EXPECT_EQ(c.read(fd, 4096), -ECONNRESET);
+  EXPECT_EQ(c.wait(), (Answer{2, 1}));
+}
+
+TEST(Scenario2Proxy, ReadBeforeItsEdgeIsReapedLeavesNoStaleIn) {
+  // The edge of the bytes is still in the CQ when the app reads them all:
+  // the read's crossing reaps it first, so the short read's fall is the
+  // last word.
+  WatchedConnection c(5312);
+  c.deliver(c.pfd, 300);
+  EXPECT_EQ(c.read(c.fd, 4096), 300);
+  EXPECT_EQ(c.wait(), (Answer{0, 0}));
+  c.deliver(c.pfd, 300);
+  EXPECT_EQ(c.wait(), (Answer{1, 0}));
+}
+
+TEST(Scenario2Proxy, AnotherUntenantedAppReadingOurFdMakesTheWaitCross) {
+  // Untenanted apps share fds: app B drains app A's connection. A's edge
+  // CQE still says IN, so a non-zero answer needs that no other app
+  // crossed since A's last rebaseline.
+  WatchedConnection c(5313);
+  const int b = c.rig.add_app("cVM3");
+  const machine::CapView buf_b = c.rig.alloc(4096, b);
+  c.deliver(c.pfd, 300);
+  EXPECT_EQ(c.wait(), (Answer{1, 0}));
+  EXPECT_EQ(c.rig.run(b, [&] { return c.rig.ops(b).read(c.fd, buf_b, 4096); }),
+            300);
+  EXPECT_EQ(c.wait(), (Answer{0, 1}));
+  EXPECT_EQ(c.wait(), (Answer{0, 0}));
+}
+
+TEST(Scenario2Proxy, AnotherAppsRingReadingOurFdMakesTheWaitCross) {
+  // App B's ring takes loans off app A's connection, and the loop drains
+  // its SQE without a crossing: while any app on the shard holds a ring,
+  // a non-zero answer crosses.
+  WatchedConnection c(5316);
+  const int b = c.rig.add_app("cVM3");
+  const machine::CapView mem = c.rig.alloc(
+      fstack::FfUring::bytes_for(test::ZcRxRing::kSq, test::ZcRxRing::kCq), b);
+  std::optional<test::ZcRxRing> ring;
+  c.rig.run(b, [&] { ring.emplace(c.rig.ops(b), mem); });
+  (void)c.wait();  // B's doorbell-free attach moved no interest mark
+  c.rig.turn(false);
+  EXPECT_EQ(c.wait(), (Answer{0, 0}));  // a zero needs no such proof
+  c.deliver(c.pfd, 300);
+  EXPECT_EQ(c.wait(), (Answer{1, 1}));
+  fstack::FfUringSqe e;
+  e.op = fstack::UringOp::kZcRecv;
+  e.fd = c.fd;
+  e.a[0] = 8;
+  (void)ring->ring().sq_push(e);  // no doorbell: the next pass drains it
+  c.settle();
+  EXPECT_EQ(c.wait(), (Answer{0, 1}));
+  fstack::FfUringCqe cq[test::ZcRxRing::kCq];
+  const std::size_t got = ring->ring().cq_pop(cq);
+  ASSERT_GE(got, 1u);
+  std::vector<std::uint64_t> tokens;
+  for (std::size_t i = 0; i < got; ++i) tokens.push_back(cq[i].aux0);
+  c.rig.run(b, [&] {
+    EXPECT_EQ(ring->recycle(tokens).result,
+              static_cast<std::int64_t>(got));
+    EXPECT_EQ(c.rig.ops(b).uring_detach(ring->id()), 0);
+  });
+  (void)c.wait();
+  c.deliver(c.pfd, 100);
+  EXPECT_EQ(c.wait(), (Answer{1, 0}));  // no ring left on the shard
+}
+
+TEST(Scenario2Proxy, DuplicateCookieMakesEveryWaitCross) {
+  // Two fds under one cookie: an edge cannot name its fd, so the set is
+  // unknown and every wait crosses.
+  WatchedConnection c(5314);
+  const auto [fd, pfd] = c.open(9);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(c.wait(), (Answer{0, 1})) << i;
+    c.rig.turn(false);
+  }
+  c.deliver(pfd, 100);
+  EXPECT_EQ(c.wait(), (Answer{1, 1}));
+  EXPECT_EQ(c.read(fd, 4096), 100);
+  EXPECT_EQ(c.wait(), (Answer{0, 1}));
+}
+
+TEST(Scenario2Proxy, AnswerTruncatedAtMaxEventsKeepsTheStacksOrder) {
+  // Three readable fds and room for two: the local answer lists the first
+  // two in fd order, as the stack does. A crossing answer that fills its
+  // room says nothing of the fds it left out.
+  WatchedConnection c(5315);
+  const auto [fd2, pfd2] = c.open(10);
+  const auto [fd3, pfd3] = c.open(11);
+  (void)c.wait();  // rebaseline the two new fds
+  for (const int p : {c.pfd, pfd2, pfd3}) c.deliver(p, 100);
+  EXPECT_EQ(c.wait(2), (Answer{2, 0}));
+  EXPECT_EQ(c.wait(4), (Answer{3, 0}));
+  EXPECT_EQ(c.read(fd3, 50), 50);       // full-length: fd3 unknown
+  EXPECT_EQ(c.wait(2), (Answer{2, 1}));  // lists the first two only
+  EXPECT_EQ(c.wait(4), (Answer{3, 1}));  // so fd3 is still unknown
+  EXPECT_EQ(c.wait(4), (Answer{3, 0}));
 }
 
 TEST(Scenario2Proxy, RefusedRingAttachMakesEveryWaitCross) {
