@@ -4,11 +4,13 @@
 // Leg 1 — goodput-vs-loss curve: one bulk TCP flow across the 1 GbE testbed
 // wire under uniform loss {0, 0.1%, 1%, 3%} plus a Gilbert-Elliott burst
 // profile. Gates: goodput is monotonically non-increasing in the uniform
-// loss rate, and 1% loss retains >= 75% of the lossless goodput (SACK
-// recovery must repair every hole of a window in one round trip and RACK
-// must catch lost retransmissions — RTO stalls would crater it — and
-// byte-counted congestion avoidance must regrow the halved cwnd past the
-// stretch-ACK count).
+// loss rate, no row waits out an RTO (SACK recovery must repair every hole
+// of a window in one round trip and RACK must catch lost retransmissions),
+// and 1% loss retains >= 95% of the lossless goodput (byte-counted
+// congestion avoidance regrows the halved cwnd, and the receiver's
+// quick-ACK window after each repair keeps a cwnd under its stretch-ACK
+// count from waiting out the ACK flush every window). Each row reports the
+// sender's egress lane idle time (`idle_ns`): where such stalls show.
 // The RTO clamps scale with the testbed (min_rto 5 ms against a ~30 us
 // RTT), mirroring how production stacks tune RTO floors to their RTT class.
 //
@@ -148,29 +150,30 @@ struct CurveRow {
   std::string label;
   double uniform_loss = -1.0;  // < 0: not part of the monotonicity gate
   nic::ImpairmentProfile profile;
-  Xfer xfer;
-  fstack::FfStack::TcpRecoveryStats rec;
+  Xfer xfer{};
+  fstack::FfStack::TcpRecoveryStats rec{};
   std::uint64_t wire_drops = 0;
+  std::uint64_t idle_ns = 0;  // A's egress lane idle between frames
 };
 
 std::vector<CurveRow> run_goodput_curve(std::uint64_t volume) {
   std::vector<CurveRow> rows;
-  rows.push_back({"clean", 0.0, nic::ImpairmentProfile{}, {}, {}, 0});
+  rows.push_back({"clean", 0.0, nic::ImpairmentProfile{}});
   rows.push_back({"0.1% uniform", 0.001,
-                  nic::ImpairmentProfile::uniform_loss(0.001, 101), {}, {}, 0});
+                  nic::ImpairmentProfile::uniform_loss(0.001, 101)});
   rows.push_back({"1% uniform", 0.01,
-                  nic::ImpairmentProfile::uniform_loss(0.01, 102), {}, {}, 0});
+                  nic::ImpairmentProfile::uniform_loss(0.01, 102)});
   rows.push_back({"3% uniform", 0.03,
-                  nic::ImpairmentProfile::uniform_loss(0.03, 103), {}, {}, 0});
+                  nic::ImpairmentProfile::uniform_loss(0.03, 103)});
   rows.push_back({"GE bursts", -1.0,
-                  nic::ImpairmentProfile::gilbert_elliott(0.01, 0.33, 104),
-                  {}, {}, 0});
+                  nic::ImpairmentProfile::gilbert_elliott(0.01, 0.33, 104)});
   for (CurveRow& row : rows) {
     scen::TwoStacks rig(sim::Testbed::unconstrained(), scaled_rto_config());
     rig.wire().set_impairment(0, row.profile);  // data direction only
     row.xfer = run_transfer(rig, volume, 5500);
     row.rec = rig.a().tcp_recovery_stats();
     row.wire_drops = rig.wire().stats(0).dropped;
+    row.idle_ns = rig.wire().stats(0).idle_ns;
   }
   return rows;
 }
@@ -394,12 +397,13 @@ int main() {
   rep.set("volume_bytes", volume);
   for (const CurveRow& r : curve) {
     std::printf("  %-12s %8.1f Mbit/s  (%llu rexmits: %llu fast + %llu rto, "
-                "%llu wire drops)%s\n",
+                "%llu wire drops, %.2f ms egress idle)%s\n",
                 r.label.c_str(), r.xfer.goodput_mbps,
                 static_cast<unsigned long long>(r.rec.rexmits),
                 static_cast<unsigned long long>(r.rec.fast_rexmits),
                 static_cast<unsigned long long>(r.rec.rto_expirations),
                 static_cast<unsigned long long>(r.wire_drops),
+                static_cast<double>(r.idle_ns) * 1e-6,
                 r.xfer.ok ? "" : "  [INCOMPLETE]");
     rep.row("goodput_curve")
         .set("label", r.label)
@@ -409,8 +413,11 @@ int main() {
         .set("rexmits", r.rec.rexmits)
         .set("fast_rexmits", r.rec.fast_rexmits)
         .set("rto_expirations", r.rec.rto_expirations)
-        .set("wire_drops", r.wire_drops);
+        .set("wire_drops", r.wire_drops)
+        .set("idle_ns", r.idle_ns);
     rep.gate(r.label + " stream completed intact", r.xfer.ok, "==", true);
+    rep.gate(r.label + " rto_expirations == 0", r.rec.rto_expirations, "==",
+             0);
   }
   // Monotone in the uniform rows (tiny slack for recovery-path noise).
   for (std::size_t i = 1; i < curve.size(); ++i) {
@@ -424,10 +431,10 @@ int main() {
           ? curve[2].xfer.goodput_mbps / curve[0].xfer.goodput_mbps
           : 0.0;
   std::printf("  1%% loss retains %.0f%% of lossless goodput "
-              "(budget >= 75%%)\n",
+              "(budget >= 95%%)\n",
               retained_at_1pct * 100.0);
   rep.set("retained_at_1pct", retained_at_1pct);
-  rep.gate("retained_at_1pct >= 0.75", retained_at_1pct, ">=", 0.75);
+  rep.gate("retained_at_1pct >= 0.95", retained_at_1pct, ">=", 0.95);
 
   // ---- Leg 2: mixed-class p99 --------------------------------------------
   const auto probes =

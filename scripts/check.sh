@@ -283,9 +283,10 @@ if [[ "$SANITIZE" != "1" ]]; then
     "$BUILD_DIR"/bench_churn_connection_scale || status=$?
 
   # Hostile-wire census: gates the goodput-vs-loss curve (monotone in the
-  # loss rate; 1% uniform loss retains >= 75% of lossless goodput via SACK
-  # recovery + RACK + the GRO ack flush + byte-counted congestion avoidance
-  # + the immediate gap-fill ACK), the mixed-class p99 under DRR/token-bucket
+  # loss rate; no row waits out an RTO; 1% uniform loss retains >= 95% of
+  # lossless goodput via SACK recovery + RACK + the GRO ack flush +
+  # byte-counted congestion avoidance + the quick-ACK window a repaired
+  # hole opens), the mixed-class p99 under DRR/token-bucket
   # TX scheduling (<= 5x unloaded), corruption containment at the MAC FCS
   # (zero corrupt bytes delivered), seeded-impairment replay determinism and
   # a tail loss repaired without an RTO. Persists BENCH_impairment.json.

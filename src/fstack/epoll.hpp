@@ -72,27 +72,38 @@ class EpollInstance {
   int publish_all(Probe&& probe) {
     int delivered = 0;
     deferred_ = false;
-    for (auto& [fd, w] : interest_) {
-      const auto [ready, gen] = probe(fd, w.events);
-      if (ready == 0) {
-        w.published = 0;
-        w.published_gen = gen;
-      } else if (ready != w.published || gen != w.published_gen) {
-        if (!sink_(ready, w.data)) {
-          deferred_ = true;
-          continue;
-        }
-        w.published = ready;
-        w.published_gen = gen;
-        ++delivered;
-      }
-    }
+    for (auto& [fd, w] : interest_) delivered += publish(fd, w, probe);
     return delivered;
   }
-  /// The last publish_all left an edge unposted (the sink deferred).
+  /// publish_all for `fd` alone (0 if the set does not watch it). A
+  /// deferral sets deferred(), so the next publish_all retries it.
+  template <typename Probe>
+  int publish_one(int fd, Probe&& probe) {
+    const auto it = interest_.find(fd);
+    return it == interest_.end() ? 0 : publish(fd, it->second, probe);
+  }
+  /// An edge is unposted since the last publish_all (the sink deferred).
   [[nodiscard]] bool deferred() const noexcept { return deferred_; }
 
  private:
+  template <typename Probe>
+  int publish(int fd, Interest& w, Probe& probe) {
+    const auto [ready, gen] = probe(fd, w.events);
+    if (ready == 0) {
+      w.published = 0;
+      w.published_gen = gen;
+      return 0;
+    }
+    if (ready == w.published && gen == w.published_gen) return 0;
+    if (!sink_(ready, w.data)) {
+      deferred_ = true;
+      return 0;
+    }
+    w.published = ready;
+    w.published_gen = gen;
+    return 1;
+  }
+
   /// Forget every publication: the next pass republishes all readiness.
   void forget_published();
 

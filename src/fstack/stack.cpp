@@ -308,13 +308,30 @@ std::uint64_t FfStack::sock_activity(int fd, std::uint32_t ready) const {
   return 0;
 }
 
+std::pair<std::uint32_t, std::uint64_t> FfStack::edge_probe(
+    int fd, std::uint32_t events) const {
+  const std::uint32_t ready =
+      sock_readiness(fd) & (events | kEpollErr | kEpollHup);
+  return {ready, sock_activity(fd, ready)};
+}
+
 void FfStack::publish_ready(EpollInstance& ep) {
-  const int published = ep.publish_all([this](int fd, std::uint32_t events) {
-    const std::uint32_t ready =
-        sock_readiness(fd) & (events | kEpollErr | kEpollHup);
-    return std::pair{ready, sock_activity(fd, ready)};
-  });
+  const int published = ep.publish_all(
+      [this](int fd, std::uint32_t events) { return edge_probe(fd, events); });
   api_.multishot_events += static_cast<std::uint64_t>(published);
+}
+
+void FfStack::publish_fd(int fd) {
+  for (auto& [id, r] : urings_) {
+    uring_post_arm_ends(r);  // an arm's end posts before later edges
+    for (const UringReg::EpollArm& a : r.epoll_arms) {
+      const int published = socks_.get(a.epfd)->epoll->publish_one(
+          fd, [this](int f, std::uint32_t events) {
+            return edge_probe(f, events);
+          });
+      api_.multishot_events += static_cast<std::uint64_t>(published);
+    }
+  }
 }
 
 void FfStack::publish_multishot(bool progress) {
@@ -1281,12 +1298,16 @@ std::int64_t FfStack::readv_impl(int fd, std::span<const FfIovec> iov) {
   if (const std::int64_t r = admit(Op::kReadv, iov)) return r;
   std::size_t total = 0;
   bool any_bytes = false;
+  bool drained = false;
   for (const FfIovec& e : iov) {
     if (e.len == 0) continue;
     any_bytes = true;
     const std::size_t got = pcb->app_read(e.buf, e.len);
     total += got;
-    if (got < e.len) break;  // receive buffer drained mid-batch
+    if (got < e.len) {  // receive buffer drained mid-batch
+      drained = true;
+      break;
+    }
   }
   if (total > 0) {
     if (cfg_.inline_tcp_output) pcb->output();
@@ -1294,6 +1315,11 @@ std::int64_t FfStack::readv_impl(int fd, std::span<const FfIovec> iov) {
     // app_read may have emitted a window-reopening ACK even in deferred
     // mode: it leaves before the call returns.
     flush_tx();
+    // A short read that leaves the socket readable changed its readiness
+    // itself: it drained the data ahead of a queued FIN (IN becomes
+    // IN|HUP), or the window it reopened pulled held-back segments in.
+    // Post that edge now, so a wait right after this call sees it.
+    if (drained && (sock_readiness(fd) & kEpollIn) != 0) publish_fd(fd);
     return static_cast<std::int64_t>(total);
   }
   if (!any_bytes) return 0;

@@ -14,6 +14,7 @@
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "fstack/api_types.hpp"
@@ -503,10 +504,16 @@ class FfStack final : public TcpEnv {
   /// queued, plus bytes acknowledged when the `ready` mask holds
   /// kEpollOut): the generation publish_ready keys on.
   [[nodiscard]] std::uint64_t sock_activity(int fd, std::uint32_t ready) const;
+  /// {ready mask under `events`, activity generation}: the probe every
+  /// publication asks, so the masking/generation keying cannot diverge.
+  [[nodiscard]] std::pair<std::uint32_t, std::uint64_t> edge_probe(
+      int fd, std::uint32_t events) const;
   /// Publish current readiness of every interest-set fd through `ep`'s
-  /// armed sink (shared by arm-time, per-iteration and ff_epoll_wait
-  /// publication so the masking/generation keying cannot diverge).
+  /// armed sink (arm-time, per-iteration and ff_epoll_wait publication).
   void publish_ready(EpollInstance& ep);
+  /// Publish `fd`'s readiness through every armed interest set that
+  /// watches it, before the loop's next pass would.
+  void publish_fd(int fd);
   // With a known peer (connect), only ports whose reply-direction RSS hash
   // steers back to this shard's RX queue qualify — a flow's whole lifetime
   // stays on one shard. Peer-less allocation (bind) takes any free port.

@@ -1,6 +1,7 @@
 // TCP segment arrival processing (RFC 793 event processing; RFC 5681
 // congestion control, where a duplicate ACK carries no data (§2) and a
-// segment that fills a hole is ACKed at once (§4.2); RFC 7323 timestamps;
+// segment that fills a hole is ACKed at once (§4.2), with the next ones
+// after it (a quick-ACK window); RFC 7323 timestamps;
 // RFC 2018 SACK blocks in and out; RFC 6675 SACK-based loss recovery and
 // RFC 8985 RACK loss detection, whose tail-loss probe lives in
 // tcp_timer.cpp).
@@ -15,16 +16,26 @@ namespace cherinet::fstack {
 
 namespace {
 /// GRO/LRO-style ACK coalescing: force an immediate ACK only every Nth
-/// in-order full segment (modern stacks behind aggregating NICs stretch
-/// well past RFC 1122's every-second-segment SHOULD). A PSH-marked
-/// segment, an out-of-order signal, a segment that fills a hole, a
-/// window-reopening read, or the delayed-ACK timer still ACK at once, so
-/// latency-sensitive tails never wait. Fewer ACKs is also what lets the
-/// SENDER amortize its driver doorbell: each ACK-clocked wakeup emits a
-/// whole stretch of segments in one staged tx_burst. Congestion control counts acked BYTES
-/// (RFC 3465) in slow start and congestion avoidance alike, so stretch
-/// ACKs do not starve cwnd growth.
+/// in-order segment (modern stacks behind aggregating NICs stretch well
+/// past RFC 1122's every-second-segment SHOULD); the ack-flush timeout
+/// (TcpConfig::ack_flush_timeout, 50 µs) sends a shorter stretch once
+/// arrivals pause. An out-of-order segment, a duplicate, a
+/// window-reopening read and the quick-ACK window below still ACK at once.
+/// Fewer ACKs is also what lets the SENDER amortize its TX doorbell:
+/// each ACK-clocked wakeup emits a whole stretch of segments in one staged
+/// tx_burst. Congestion control counts acked BYTES (RFC 3465) in slow
+/// start and congestion avoidance alike, so stretch ACKs do not starve
+/// cwnd growth.
 constexpr std::uint32_t kAckCoalesceSegments = 8;
+/// Quick-ACK window (Linux's TCP_MAX_QUICKACKS): a segment that fills a
+/// hole and the next kQuickAcks - 1 in-order segments are each ACKed at
+/// once. Recovery has just halved cwnd, often below kAckCoalesceSegments,
+/// and a stretch the sender's window cannot fill would leave every
+/// window's ACK to the flush timeout (RFC 2525 §2.13, the stretch ACK
+/// violation). A larger window ACKs more of the regrowth at once but also
+/// clocks out bigger bursts into a lossy path (32 gave a Gilbert-Elliott
+/// burst profile an RTO where 16 gave none).
+constexpr std::uint32_t kQuickAcks = 16;
 /// Out-of-order segments held for reassembly; later ones past a hole are
 /// dropped (and retransmitted by the sender).
 constexpr std::size_t kMaxOooSegments = 64;
@@ -442,14 +453,15 @@ void TcpPcb::process_payload(const TcpHeader& h,
     rcv_nxt_ += static_cast<std::uint32_t>(n);
     counters_.bytes_in += n;
     // With out-of-order data queued, this segment fills all or part of the
-    // hole: ACK it at once (RFC 5681 §4.2) so the sender's recovery sees
-    // the repair without waiting for a stretch or a flush.
-    const bool fills_gap = !ooo_.empty();
+    // hole: it opens a quick-ACK window (kQuickAcks), whose first ACK is
+    // its own (RFC 5681 §4.2), so the sender's recovery sees the repair
+    // and its halved window regrows without waiting out a flush. Outside
+    // the window, the Nth in-order segment (kAckCoalesceSegments) ACKs
+    // and the ack-flush timeout bounds the wait for any shorter tail.
+    if (!ooo_.empty()) quick_acks_ = kQuickAcks;
     absorb_ooo();
-    if (++segs_since_ack_ >= kAckCoalesceSegments || fills_gap) {
-      // Stretch-ACK coalescing (kAckCoalesceSegments): ACK on
-      // the Nth in-order segment; the delayed-ACK timer bounds the wait
-      // for any shorter tail.
+    if (++segs_since_ack_ >= kAckCoalesceSegments || quick_acks_ > 0) {
+      if (quick_acks_ > 0) --quick_acks_;
       ack_now_ = true;
     } else {
       schedule_ack();

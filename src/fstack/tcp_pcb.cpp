@@ -163,7 +163,10 @@ void TcpPcb::cc_on_new_ack(std::uint32_t acked_bytes) {
     // cwnd of acknowledged data. Counting ACKs instead (MSS^2/cwnd each)
     // would regrow a halved cwnd kAckCoalesceSegments times slower, and a
     // cwnd held under the stretch count makes every window wait out the
-    // receiver's ack_flush_timeout.
+    // receiver's ack_flush_timeout. The receiver's quick-ACK window
+    // (kQuickAcks segments after a repaired hole, each ACKed at once)
+    // covers the first windows after recovery, and this regrowth lifts
+    // cwnd past the stretch for the ones after.
     const std::uint64_t inc =
         std::uint64_t{acked_bytes} * mss_eff_ / cwnd_;
     cwnd_ += static_cast<std::uint32_t>(std::max<std::uint64_t>(1, inc));

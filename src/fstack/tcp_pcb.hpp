@@ -7,6 +7,12 @@
 // tail-loss probe (RFC 8985). A peer that did not offer SACK runs the same
 // path, each duplicate ACK standing for one MSS delivered above the hole.
 //
+// The receiver ACKs every 8th in-order segment (kAckCoalesceSegments), a
+// shorter stretch once arrivals pause for ack_flush_timeout (50 µs), and
+// at once anything out of order, duplicated, window-reopening, or inside
+// the quick-ACK window a repaired hole opens: the repair and the 15
+// in-order segments after it (kQuickAcks, tcp_input.cpp).
+//
 // The PCB is deliberately single-threaded: it runs under the stack's main
 // loop (Scenario 1) or under the stack mutex (Scenario 2), exactly like
 // F-Stack's FreeBSD stack instance in the paper.
@@ -51,18 +57,20 @@ struct TcpConfig {
   /// GRO/NAPI-style idle flush bound on ACK coalescing: every in-order
   /// segment slides this deadline forward, so a pending coalesced ACK
   /// leaves this soon after the arrival stream PAUSES (the delayed-ACK
-  /// timer stays as the outer protocol bound). A sender whose flight is
-  /// below the stretch-ACK count (kAckCoalesceSegments, tcp_input.cpp)
-  /// gets each window's ACK only from this flush — without it, the full
-  /// delack_timeout later. The flush bounds each such wait; what keeps a
-  /// cwnd that loss recovery halved from staying under the stretch count
-  /// is byte-counted congestion avoidance (cc_on_new_ack), and a segment
-  /// that fills a hole is ACKed at once rather than flushed. Real
-  /// aggregating NICs bound the stretch the same way (napi
-  /// gro_flush_timeout, tens of µs). 0 disables the flush
-  /// (pure count + delack coalescing). Wheel-free: FfStack tracks these
-  /// µs-scale deadlines exactly in a side list — the timing wheel's ~0.5 ms
-  /// tick would erase the point of the bound.
+  /// timer stays as the outer protocol bound). The whole ACK rule: every
+  /// 8th in-order segment ACKs (kAckCoalesceSegments, tcp_input.cpp), this
+  /// flush sends any shorter stretch, and a segment that fills a hole and
+  /// the 15 in-order segments after it ACK at once (kQuickAcks). A sender
+  /// whose flight is below the stretch count gets each window's ACK only
+  /// from this flush — without it, the full delack_timeout later. After a
+  /// loss, recovery halves cwnd, often below the stretch; the quick-ACK
+  /// window clocks out the windows right after the repair, and
+  /// byte-counted congestion avoidance (cc_on_new_ack) regrows cwnd past
+  /// the stretch. Real aggregating NICs bound the stretch the same way
+  /// (napi gro_flush_timeout, tens of µs). 0 disables the flush (pure
+  /// count + delack coalescing). Wheel-free: FfStack tracks these µs-scale
+  /// deadlines exactly in a side list — the timing wheel's ~0.5 ms tick
+  /// would erase the point of the bound.
   sim::Ns ack_flush_timeout{50'000};      // 50 µs
   sim::Ns min_rto{200'000'000};           // 200 ms
   sim::Ns max_rto{60'000'000'000};        // 60 s
@@ -474,6 +482,7 @@ class TcpPcb {
   bool ack_pending_ = false;  // delayed ACK armed
   bool ack_now_ = false;      // force an immediate ACK on next output()
   std::uint32_t segs_since_ack_ = 0;
+  std::uint32_t quick_acks_ = 0;  // in-order segments still ACKed at once
 
   // FIN bookkeeping.
   bool fin_queued_ = false;    // app_close() called

@@ -49,7 +49,11 @@ void Wire::transmit(int side, Frame frame, sim::Ns ready) {
   const std::uint64_t wire_bytes = frame.size() + tb_.preamble_bytes + tb_.ifg_bytes;
   const auto ser = sim::Ns{static_cast<std::int64_t>(
       static_cast<double>(wire_bytes) * 8.0 * 1e9 / tb_.wire_bits_per_sec)};
-  tx.lane_free = std::max(t, tx.lane_free) + ser;
+  const sim::Ns start = std::max(t, tx.lane_free);
+  if (tx_index > 0) {
+    tx.stats.idle_ns += static_cast<std::uint64_t>((start - tx.lane_free).count());
+  }
+  tx.lane_free = start + ser;
   sim::Ns arrive = tx.lane_free + tb_.wire_latency;
   ImpairmentVerdict verdict;
   sim::Ns reorder_extra{0};

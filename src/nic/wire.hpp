@@ -83,6 +83,9 @@ class Wire {
     std::uint64_t impair_reorders = 0;
     std::uint64_t impair_corrupts = 0;
     std::uint64_t impair_jittered = 0;
+    // Lane time idle between one frame's end and the next frame's start
+    // (the stall census: a sender waiting on ACKs shows up here).
+    std::uint64_t idle_ns = 0;
   };
   [[nodiscard]] Stats stats(int side) const;
 

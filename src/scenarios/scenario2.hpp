@@ -45,10 +45,11 @@
 // (untenanted apps share fds) and that no app on the shard holds a ring
 // (the loop drains it without a crossing). An ended arm, a failed
 // attach or a CQ overflow means "always cross" for the epfds concerned.
-// A read can also raise readiness (draining the data before a FIN raises
-// HUP; reopening a full window pulls held-back segments in), which the
-// loop's next pass posts: the mirror's answer is the stack's at every wait
-// that follows a pass, as every wait on the lockstep rig does.
+// A short read can also raise readiness (draining the data before a FIN
+// raises HUP; reopening a full window pulls held-back segments in): the
+// stack posts that edge before the read returns, so the CQE the next wait
+// reaps restores what the read's fall cleared, and the mirror's answer is
+// the stack's at every wait, with or without a loop pass between.
 //
 // Sharded mode: cVM1 may run N independent FfStack SHARDS, each with its
 // own mempool, PCB table, ARP cache, timer wheel, uring drain set — and its

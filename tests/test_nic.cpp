@@ -141,6 +141,22 @@ TEST(Wire, BackToBackFramesQueueBehindSerialization) {
   EXPECT_EQ(wire.stats(0).tx_frames, 3u);
 }
 
+TEST(Wire, IdleCountsTheLaneGapsBetweenFrames) {
+  sim::VirtualClock clock;
+  nic::Wire wire(&clock, nullptr, sim::Testbed::unconstrained());
+  const auto send = [&](Ns ready) {
+    nic::Frame f;
+    f.data.resize(105);  // + 20 overhead bytes = 1000 ns at 1 Gbit/s
+    wire.transmit(0, std::move(f), ready);
+  };
+  send(Ns{5'000});  // the lane's first frame: no gap before it
+  send(Ns{5'000});  // queued behind it: back to back
+  EXPECT_EQ(wire.stats(0).idle_ns, 0u);
+  send(Ns{10'000});  // the lane freed at 7 µs
+  EXPECT_EQ(wire.stats(0).idle_ns, 3'000u);
+  EXPECT_EQ(wire.stats(1).idle_ns, 0u);  // the other direction sent nothing
+}
+
 TEST(Wire, LossInjectionDropsSelectedFrames) {
   sim::VirtualClock clock;
   nic::Wire wire(&clock, nullptr, sim::Testbed::unconstrained());

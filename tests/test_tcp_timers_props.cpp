@@ -621,6 +621,129 @@ TEST(TcpGapFill, RepairIsAckedInTheStepThatAbsorbsIt) {
       << (ts.clock().now() - absorbed_at).count() << " ns after the fill";
 }
 
+// Per stack step, B's in-order arrivals and the ACKs it sent: the counters
+// are read between steps, and the receiving app's reads (which may send a
+// window update) are left out by sampling again after them.
+struct AckTally {
+  const TcpPcb& pb;
+  std::uint64_t in = 0, ooo = 0, out = 0;
+
+  struct Step {
+    std::uint64_t in_order, ooo, acks;
+  };
+  Step step() {
+    const TcpPcb::Counters& k = pb.counters();
+    const Step s{k.segs_in - in - (k.ooo_segs - ooo), k.ooo_segs - ooo,
+                 k.segs_out - out};
+    mark();
+    return s;
+  }
+  /// Count from here; true if B sent something since the last mark.
+  bool mark() {
+    const TcpPcb::Counters& k = pb.counters();
+    const bool sent = k.segs_out != out;
+    in = k.segs_in;
+    ooo = k.ooo_segs;
+    out = k.segs_out;
+    return sent;
+  }
+};
+
+// Recovery halves cwnd, here below B's 8-segment stretch: without more
+// ACKs than the stretch gives, each window the sender could send would
+// wait out ack_flush_timeout for its ACK (RFC 2525 §2.13). The segment
+// that fills the hole opens a quick-ACK window: it and each of the next
+// 15 in-order segments are ACKed in the stack step that absorbs them, and
+// the 17th waits for the stretch or the flush again.
+TEST(TcpGapFill, RepairAndTheNextFifteenSegmentsAreAckedAtOnce) {
+  TwoStacks ts(sim::Testbed::unconstrained());
+  const Conn c = establish(ts, 5201);
+  const TcpPcb* pa = sender_pcb(ts);
+  ASSERT_NE(pa, nullptr);
+  const TcpPcb* pb = peer_pcb(ts, *pa);
+  ASSERT_NE(pb, nullptr);
+  // The third frame of the first flight (the cold cwnd of 10 segments):
+  // the seven behind it SACK the hole and recovery halves cwnd.
+  const std::uint64_t drop = ts.wire().stats(0).tx_frames + 2;
+  ts.wire().set_loss([drop](int side, std::uint64_t idx) {
+    return side == 0 && idx == drop;
+  });
+  Bulk bulk = a_to_b(ts, c, 1024 * 1024);
+  AckTally tally{*pb};
+  tally.mark();
+  std::optional<std::uint32_t> hole;  // B's rcv_nxt while OOO data waits
+  std::uint32_t last_rcv_nxt = pb->debug_snapshot().rcv_nxt;
+  bool repaired = false;
+  std::uint32_t cwnd_at_repair = 0;
+  std::uint64_t seen = 0;  // in-order segments since the repair, it first
+  ASSERT_TRUE(ts.pump_until([&] {
+    const AckTally::Step s = tally.step();
+    const auto rcv_nxt = pb->debug_snapshot().rcv_nxt;
+    if (!hole && pb->counters().ooo_segs > 0) hole = rcv_nxt;
+    if (hole && !repaired && last_rcv_nxt == *hole && rcv_nxt != *hole) {
+      repaired = true;  // before it, every arrival was out of order
+      cwnd_at_repair = pa->cwnd();
+    }
+    if (repaired && s.in_order > 0 && seen <= 16) {
+      // Each out-of-order arrival ACKs at once; of the in-order ones, the
+      // repair and the 15 after it (j < 16), then every 8th: not the 17th.
+      std::uint64_t want = s.ooo;
+      for (std::uint64_t j = seen; j < seen + s.in_order; ++j) {
+        if (j < 16 || (j - 15) % 8 == 0) ++want;
+      }
+      EXPECT_EQ(s.acks, want)
+          << "segments " << seen << ".." << seen + s.in_order - 1
+          << " after the repair (" << s.ooo << " out of order)";
+      seen += s.in_order;
+    }
+    bulk.step();
+    tally.mark();
+    last_rcv_nxt = pb->debug_snapshot().rcv_nxt;
+    return seen > 16;
+  }));
+  EXPECT_EQ(pa->counters().fast_rexmits, 1u);
+  EXPECT_EQ(pa->counters().rto_expirations, 0u);
+  EXPECT_LT(cwnd_at_repair, 8u * pa->mss_eff())
+      << "recovery left cwnd at or above the stretch";
+}
+
+// The quick-ACK window opens only at a repair: a stream that loses
+// nothing ACKs every 8th in-order segment, and shorter stretches only
+// from the ack-flush timeout or a window-reopening read.
+TEST(TcpGapFill, LossFreeStreamAcksEveryEighthSegment) {
+  TwoStacks ts(sim::Testbed::unconstrained());
+  const Conn c = establish(ts, 5201);
+  const TcpPcb* pa = sender_pcb(ts);
+  ASSERT_NE(pa, nullptr);
+  const TcpPcb* pb = peer_pcb(ts, *pa);
+  ASSERT_NE(pb, nullptr);
+  Bulk bulk = a_to_b(ts, c, 1024 * 1024);
+  AckTally tally{*pb};
+  tally.mark();
+  std::uint64_t unacked = 0;  // in-order segments B has not ACKed
+  std::uint64_t stretch_acks = 0;
+  ASSERT_TRUE(ts.pump_until([&] {
+    const AckTally::Step s = tally.step();
+    if (s.in_order + s.ooo > 0) {
+      EXPECT_EQ(s.ooo, 0u);
+      EXPECT_EQ(s.acks, (unacked + s.in_order) / 8)
+          << s.in_order << " segments arrived with " << unacked
+          << " unacknowledged";
+      unacked = (unacked + s.in_order) % 8;
+      stretch_acks += s.acks;
+    } else if (s.acks > 0) {
+      unacked = 0;  // the flush
+    }
+    const bool done = bulk.step();
+    if (tally.mark()) unacked = 0;  // a window update
+    return done;
+  }));
+  EXPECT_EQ(ts.wire().stats(0).dropped, 0u);
+  EXPECT_EQ(pa->counters().rexmits, 0u);
+  EXPECT_GE(stretch_acks * 8, pa->counters().segs_out / 2)
+      << "most of the stream should be ACKed in stretches of 8";
+}
+
 // A duplicate ACK carries no data (RFC 5681 §2). In a bidirectional stream
 // the peer's data segments repeat the same ACK while it sends; counting
 // them as dupacks fast-retransmits a stream that lost nothing and halves
